@@ -163,7 +163,9 @@ def cavity_g_series(rho: float, d: float, coeffs: CavityCoeffs, eps2: float,
     For |r1 r3| < 1 the truncation remainder carries a geometric bound into
     abs_err. At r1 = r3 = 1 (both walls conducting) the sum is rearranged as
     the alternating image-distance series and extrapolated by repeated
-    averaging, which converges far below the plain partial sums.
+    averaging, which converges far below the plain partial sums; abs_err then
+    adds the roundoff of that cancelling sum, eps * (1/rho + sum |terms|),
+    which exceeds the value itself beyond about 10 d.
     """
     if rho <= 0.0:
         raise DomainError(f"rho must be > 0, got {rho!r}")
@@ -204,7 +206,10 @@ def cavity_g_series(rho: float, d: float, coeffs: CavityCoeffs, eps2: float,
     partial = np.cumsum(terms)
     window = partial[-80:] if partial.size > 80 else partial
     s, err = euler_limit(window, min(16, window.size - 1))
-    return GreensValue(pref * (1.0 / rho + s), pref * err)
+    # s cancels 1/rho to within g ~ exp(-pi rho / d): the roundoff of the
+    # partial sums stays while the value decays, so it bounds the error far out.
+    roundoff = np.finfo(float).eps * (1.0 / rho + float(np.sum(np.abs(terms))))
+    return GreensValue(pref * (1.0 / rho + s), pref * (err + roundoff))
 
 
 def cavity_asymptotic(rho: float, d: float, eps2: float) -> GreensValue:

@@ -2,7 +2,9 @@
 
 Mirrors the API of the optional compiled module `_fast`. Array arguments are
 1-D float64; scalar kernels use plain floats. Both backends must agree to
-floating-point roundoff; tests/test_kernels.py enforces this.
+floating-point roundoff; tests/test_kernels.py enforces this. Only here does
+`alpha_chain_sum` also take 2-D weights and return per-cell sums, which is
+how the Born octree calls it.
 """
 
 from __future__ import annotations
@@ -105,14 +107,18 @@ def screening_integrand(k: np.ndarray, r: float, eps_b: float, w: float) -> np.n
 
 
 def alpha_chain_sum(points: np.ndarray, weights: np.ndarray,
-                    r: np.ndarray, rp: np.ndarray, alpha: np.ndarray) -> float:
+                    r: np.ndarray, rp: np.ndarray, alpha: np.ndarray):
     """Sum over quadrature nodes of w * (r-x).alpha.(rp-x) / (|r-x|^3 |rp-x|^3).
 
-    points: (n, 3); weights: (n,); r, rp: (3,); alpha: (3, 3).
+    points: (n, 3); r, rp: (3,); alpha: (3, 3). weights: (n,), giving a
+    float, or (cells, n // cells), giving the per-cell sums over the last
+    axis as an array (cells,); the points then run cell by cell.
     """
     s1 = r[np.newaxis, :] - points
     s2 = rp[np.newaxis, :] - points
     n1 = np.einsum("ij,ij->i", s1, s1)
     n2 = np.einsum("ij,ij->i", s2, s2)
-    quad = np.einsum("ij,jk,ik->i", s1, alpha, s2)
-    return float(np.sum(weights * quad / (n1 * np.sqrt(n1) * n2 * np.sqrt(n2))))
+    quad = np.einsum("ij,ij->i", s1 @ alpha, s2)
+    terms = np.reshape(weights, -1) * quad / (n1 * np.sqrt(n1) * n2 * np.sqrt(n2))
+    sums = np.sum(terms.reshape(np.shape(weights)), axis=-1)
+    return float(sums) if np.ndim(weights) == 1 else sums

@@ -95,10 +95,16 @@ def _parse_geometry(obj: dict) -> Geometry:
             _require_keys(obj, "geometry", ("type", "alpha"),
                           ("background_eps", "half_space_eta", "regions"))
             alpha = obj["alpha"]
-            if isinstance(alpha, (int, float)):
-                tensor = born.PolarizabilityTensor.isotropic(float(alpha))
+            if not isinstance(alpha, list):
+                tensor = born.PolarizabilityTensor.isotropic(
+                    _number(alpha, "geometry.alpha"))
             else:
-                tensor = born.PolarizabilityTensor.from_matrix(alpha)
+                if not (len(alpha) == 3 and all(
+                        isinstance(row, list) and len(row) == 3 for row in alpha)):
+                    raise SceneError("geometry.alpha: expected a number or a 3x3 matrix")
+                tensor = born.PolarizabilityTensor.from_matrix(
+                    [[_number(v, f"geometry.alpha[{i}][{j}]") for j, v in enumerate(row)]
+                     for i, row in enumerate(alpha)])
             regions = []
             for i, reg in enumerate(obj.get("regions", [])):
                 _require_keys(reg, f"geometry.regions[{i}]", ("box", "eta"), ())

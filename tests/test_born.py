@@ -38,6 +38,13 @@ class TestPolarizabilityTensor:
         with pytest.raises(DomainError):
             PolarizabilityTensor(1.0, 1.0, -0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError):
+            PolarizabilityTensor(ALPHA, bad, ALPHA)
+        with pytest.raises(DomainError):
+            PolarizabilityTensor.from_matrix([[ALPHA, 0, 0], [0, ALPHA, 0], [0, 0, bad]])
+
     def test_matrix_roundtrip(self):
         m = np.array([[2.0, 0.1, 0.0], [0.1, 1.0, 0.2], [0.0, 0.2, 3.0]])
         t = PolarizabilityTensor.from_matrix(m)

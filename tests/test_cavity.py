@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import k0
 
 from greens_coulomb.cavity import (
     CavityCoeffs,
@@ -60,6 +61,16 @@ class TestSeries:
         g50 = cavity_g_series(D, D, co, 1.0, 50)
         g100 = cavity_g_series(D, D, co, 1.0, 100)
         assert abs(g50.value - g100.value) < 1e-10 / D
+
+    @pytest.mark.parametrize("rho_over_d", [0.5, 10.0, 12.0, 20.0])
+    @pytest.mark.parametrize("n_max", [50, 200, 400])
+    def test_conductor_abs_err_covers_modal_series(self, rho_over_d, n_max):
+        # midplane between grounded walls: g = sum over odd n of K0(n pi rho/d) / (pi d)
+        rho = rho_over_d * D
+        n = np.arange(1, 400, 2)
+        modal = float(np.sum(k0(n * math.pi * rho / D))) / (math.pi * D)
+        g = cavity_g_series(rho, D, reflection_coeffs(PC, 1.0, PC), 1.0, n_max)
+        assert abs(g.value - modal) <= g.abs_err
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):

@@ -144,6 +144,19 @@ class TestCliCommands:
         assert code == 3
         assert "hankel_integral" in err  # names the originating module
 
+    @pytest.mark.parametrize("alpha", [
+        True,
+        [[1e-40, 0, 0], [0, "NaN", 0], [0, 0, 1e-40]],
+        [[1e-40, 0, 0], [0, True, 0], [0, 0, 1e-40]],
+    ])
+    def test_non_numeric_alpha_exit_2(self, tmp_path, capsys, alpha):
+        doc = {"geometry": {"type": "dilute_body", "alpha": alpha,
+                            "half_space_eta": 1e27},
+               "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, 1e-9]}]}
+        scene = write_scene(tmp_path, doc)
+        assert main(["self-energy", "--scene", scene]) == 2
+        assert "geometry.alpha" in capsys.readouterr().err
+
     def test_bad_sweep_path_exit_2(self, tmp_path, capsys):
         scene = write_scene(tmp_path, FREE_PAIR)
         code = main(["sweep", "--scene", scene, "--param", "geometry.nope",
