@@ -21,6 +21,7 @@ integrand tail bound is below tolerance, the bound being added to abs_err.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -48,6 +49,9 @@ _GL_X, _GL_W = leggauss(_GL_ORDER)
 # the dilute_bodies benchmark ran a quarter slower and its peak RSS rose 12%.
 _CHUNK_PARENTS = 4
 _CHUNK_CELLS = 8 * _CHUNK_PARENTS
+# The integrand divides by |r - x|^3 |r' - x|^3; with box coordinates beyond
+# this, that product overflows float64 for points at the same scale.
+MAX_BOX_COORD = 0.5 * sys.float_info.max ** (1.0 / 6.0)
 # Octant k of a box takes the upper half along x, y, z where bits 2, 1, 0 of k are set.
 _OCTANT_UPPER = np.array([[(k >> 2) & 1, (k >> 1) & 1, k & 1] for k in range(8)], dtype=bool)
 

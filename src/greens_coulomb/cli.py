@@ -19,7 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import interactions, validate
-from .core import ConvergenceError, CoulombError, SceneError
+from .core import ConvergenceError, CoulombError, DomainError, SceneError
 from .scene import Scene, load_scene, parse_scene, set_scene_value
 
 _THREADS_ENV = "GREENS_COULOMB_THREADS"
@@ -33,6 +33,14 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _json_record(rec: dict) -> str:
+    """A result record as JSON; a NaN or infinity in it is a DomainError (exit 2)."""
+    try:
+        return json.dumps(rec, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"result is not finite in float64: {rec!r}") from exc
 
 
 def _scene_from_args(args) -> Scene:
@@ -84,7 +92,7 @@ def cmd_pair_energy(args) -> int:
         raise SceneError("pair-energy needs a scene with exactly 2 charges")
     rec = _energy_record(scene)
     rec["units"] = scene.options.units
-    _emit(json.dumps(rec), args.out)
+    _emit(_json_record(rec), args.out)
     return 0
 
 
@@ -94,7 +102,7 @@ def cmd_self_energy(args) -> int:
         raise SceneError("self-energy needs a scene with exactly 1 charge")
     rec = _energy_record(scene)
     rec["units"] = scene.options.units
-    _emit(json.dumps(rec), args.out)
+    _emit(_json_record(rec), args.out)
     return 0
 
 
@@ -108,7 +116,7 @@ def cmd_force(args) -> int:
     rec = {"F_newtons": [float(c) for c in res.force],
            "local_field_factor": res.local_field_factor_applied,
            "units": scene.options.units}
-    _emit(json.dumps(rec), args.out)
+    _emit(_json_record(rec), args.out)
     return 0
 
 
@@ -144,6 +152,8 @@ def cmd_sweep(args) -> int:
             scene = Scene(scene.geometry, scene.charges,
                           replace(scene.options, rel_tol=args.rel_tol))
         rec = _energy_record(scene)
+        if not all(v is None or math.isfinite(v) for v in rec.values()):
+            raise DomainError(f"result is not finite in float64: {rec!r}")
         return rec
 
     n_threads = _threads(args, base_scene)

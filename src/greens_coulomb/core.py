@@ -150,7 +150,7 @@ class Point3:
 
 def distance(a: Point3, b: Point3) -> float:
     """Euclidean distance in meters."""
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
+    return math.hypot(a.x - b.x, a.y - b.y, a.z - b.z)
 
 
 def mirror_z(p: Point3) -> Point3:

@@ -203,8 +203,8 @@ def _with_ratio(energy: float, abs_err: float, geom: Geometry, a: Charge,
                      0.5 * (a.position.y + b.position.y),
                      0.5 * (a.position.z + b.position.z))
         eps_host = host_eps(geom, mid)
-        if eps_host is not None:
-            dist = distance(a.position, b.position)
+        dist = distance(a.position, b.position)
+        if eps_host is not None and math.isfinite(dist):  # U_free = 0 otherwise
             ratio = energy * _FOUR_PI_EPS0 * eps_host * dist / (a.q * b.q)
     return InteractionResult(energy, ratio, abs_err)
 
@@ -289,17 +289,17 @@ def _closed_force(geom: Geometry, a: Charge, b: Optional[Charge]) -> Optional[np
         if b is None:
             return np.zeros(3)
         rvec = _as_vec(a.position) - _as_vec(b.position)
-        r = float(np.linalg.norm(rvec))
-        return a.q * b.q * rvec / (_FOUR_PI_EPS0 * geom.eps * r ** 3)
+        r = distance(a.position, b.position)
+        return a.q * b.q * rvec / (_FOUR_PI_EPS0 * geom.eps * r * r * r)
 
     if isinstance(geom, screening.NonlocalBulk):
         if b is None:
             return None
         p = geom.drude
         rvec = _as_vec(a.position) - _as_vec(b.position)
-        r = float(np.linalg.norm(rvec))
+        r = distance(a.position, b.position)
         mag = (a.q * b.q * math.exp(-p.k_s * r) * (1.0 + p.k_s * r)
-               / (_FOUR_PI_EPS0 * p.eps_b * r ** 3))
+               / (_FOUR_PI_EPS0 * p.eps_b * r * r * r))
         return mag * rvec
 
     if isinstance(geom, HalfSpace):
@@ -311,8 +311,8 @@ def _closed_force(geom: Geometry, a: Charge, b: Optional[Charge]) -> Optional[np
             e_other = geom.eps2 if za > 0.0 else geom.eps1
             sign = 1.0 if za > 0.0 else -1.0
             refl = analytic.interface_reflection(side_a, e_other)
-            fz = a.q * a.q * refl / (
-                4.0 * _FOUR_PI_EPS0 * float(side_a) * za * za)
+            # divided by za twice: za * za underflows to 0 for |za| < 1e-162
+            fz = a.q * a.q * refl / (4.0 * _FOUR_PI_EPS0 * float(side_a) * za) / za
             return np.array([0.0, 0.0, sign * fz])
         zb = b.position.z
         ra, rb = _as_vec(a.position), _as_vec(b.position)
@@ -326,14 +326,14 @@ def _closed_force(geom: Geometry, a: Charge, b: Optional[Charge]) -> Optional[np
             rb_star[2] = -rb_star[2]
             d = ra - rb
             ds = ra - rb_star
-            nd = float(np.linalg.norm(d))
-            nds = float(np.linalg.norm(ds))
+            nd = math.hypot(*d)
+            nds = math.hypot(*ds)
             pref = a.q * b.q / (_FOUR_PI_EPS0 * float(side_a))
-            return pref * (d / nd ** 3 + refl * ds / nds ** 3)
+            return pref * (d / (nd * nd * nd) + refl * ds / (nds * nds * nds))
         e1, e2 = float(geom.eps1), float(geom.eps2)
         d = ra - rb
-        nd = float(np.linalg.norm(d))
-        return a.q * b.q * 2.0 / (e1 + e2) * d / (_FOUR_PI_EPS0 * nd ** 3)
+        nd = math.hypot(*d)
+        return a.q * b.q * 2.0 / (e1 + e2) * d / (_FOUR_PI_EPS0 * nd * nd * nd)
 
     return None
 
@@ -388,6 +388,8 @@ def force_on_A(geom: Geometry, a: Charge, b: Optional[Charge] = None,
     _require_off_surface(geom, p)
     if b is not None and p == b.position:
         raise CoincidentPointsError("force_on_A: charges coincide")
+    if b is not None and not math.isfinite(distance(p, b.position)):
+        raise DomainError("force_on_A: the charges are too far apart for float64")
     if b is None and isinstance(geom, screening.NonlocalBulk):
         raise UnsupportedGeometryError(
             "self-force undefined in a nonlocal bulk (self-energy diverges)")
@@ -430,6 +432,8 @@ def force_on_A(geom: Geometry, a: Charge, b: Optional[Charge] = None,
                 f"finite-difference error {err:.3e} exceeds 1% of |F| = {fmag:.3e}; "
                 f"reduce the step (h = {h:.3e})")
 
+    if not all(map(math.isfinite, force)):
+        raise DomainError(f"force_on_A: the force {force.tolist()} overflows float64")
     return ForceResult(force=factor * force, local_field_factor_applied=factor)
 
 

@@ -1,35 +1,20 @@
-"""Hot numeric kernels with a compiled core and a pure fallback.
+"""Hot numeric kernels, written in numpy (see `_ref`).
 
-At import time the Cython extension `_fast` is preferred for the quadrature
-and closed-form kernels; if it was not built (or GREENS_COULOMB_PURE is set)
-the numpy reference `_ref` is used. Both expose the same API and agree to
-roundoff. `alpha_chain_sum` is always the numpy one: the Born octree calls
-it on blocks of whole cells (2-D weights, one sum per cell), a shape the
-compiled kernel does not take.
+The quadrature integrands take a 1-D array of wavenumbers, so the panel
+integrator evaluates a block of panels, or a whole bisection level, in one
+call; `alpha_chain_sum` takes a block of Born cells. `hole_greens` is scalar.
+Callers look the kernels up on this module at call time.
 """
 
-import os
-
-from . import _ref
-
-if os.environ.get("GREENS_COULOMB_PURE"):
-    _impl = _ref
-else:
-    try:
-        from . import _fast as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _ref
-
-BACKEND = _impl.BACKEND_NAME
-
-hole_greens = _impl.hole_greens
-cavity_integrand = _impl.cavity_integrand
-cavity_scatter_integrand = _impl.cavity_scatter_integrand
-screening_integrand = _impl.screening_integrand
-alpha_chain_sum = _ref.alpha_chain_sum
+from ._ref import (
+    alpha_chain_sum,
+    cavity_integrand,
+    cavity_scatter_integrand,
+    hole_greens,
+    screening_integrand,
+)
 
 __all__ = [
-    "BACKEND",
     "hole_greens",
     "cavity_integrand",
     "cavity_scatter_integrand",

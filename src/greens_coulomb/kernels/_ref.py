@@ -1,9 +1,7 @@
-"""Pure-Python / numpy reference implementation of the hot kernels.
+"""Numpy implementation of the hot kernels.
 
-Mirrors the API of the optional compiled module `_fast`. Array arguments are
-1-D float64; scalar kernels use plain floats. Both backends must agree to
-floating-point roundoff; tests/test_kernels.py enforces this. Only here does
-`alpha_chain_sum` also take 2-D weights and return per-cell sums, which is
+Array arguments are 1-D float64; scalar kernels use plain floats.
+`alpha_chain_sum` also takes 2-D weights and returns per-cell sums, which is
 how the Born octree calls it.
 """
 
@@ -12,8 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-BACKEND_NAME = "pure"
 
 _TWO_OVER_PI = 2.0 / math.pi
 _SQRT2 = math.sqrt(2.0)

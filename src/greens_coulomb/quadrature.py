@@ -1,11 +1,18 @@
 """Semi-infinite oscillatory integrals: Hankel (J0) and sine transforms.
 
 The integration interval is partitioned at successive zeros of the
-oscillating factor. Each panel is integrated with adaptive 16-point
-Gauss-Legendre bisection, and the alternating sequence of partial sums is
-extrapolated to its limit by repeated averaging (Euler transformation) up
-to `accel_order` levels. The returned abs_err bounds the extrapolation
-residual plus the accumulated panel errors.
+oscillating factor. Panels are integrated in blocks of four by adaptive
+16-point Gauss-Legendre bisection: one integrand call evaluates the coarse
+rule and both halves of every panel in the block, and each further call
+evaluates one whole bisection level of the subintervals that failed. The
+alternating sequence of partial sums is extrapolated to its limit by
+repeated averaging (Euler transformation) up to `accel_order` levels, and
+convergence is checked after every block from panel 8 on. The rho = 0 case
+integrates a decaying integrand on geometrically growing panels, one panel
+per block. The returned abs_err bounds the extrapolation residual plus the
+accumulated panel errors, plus the roundoff of the rule sums,
+16 eps sum |w f| over the accepted subintervals; the convergence test
+uses the first two terms only.
 
 Integrand callables receive a 1-D numpy array of wavenumbers and must
 return the array of integrand values (the oscillating factor included,
@@ -15,6 +22,7 @@ rho = 0 case).
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterator, Optional, Tuple
 
@@ -32,6 +40,15 @@ from .core import (
 
 _GL_X, _GL_W = leggauss(16)
 
+_PANEL_BLOCK = 4  # panels per first kernel call; the convergence check runs every 4
+_MAX_DEPTH = 26  # bisection depth at which a subinterval is accepted regardless
+# Subintervals refined per kernel call. A level with more is split into
+# chunks finished depth first, so memory stays bounded when the number of
+# failing subintervals keeps doubling (an integrand at its roundoff floor).
+_MAX_CALL_CELLS = 4096
+# Roundoff of a rule sum, relative to its integral of |f|, added to abs_err.
+_ROUNDOFF = 16.0 * np.finfo(float).eps
+
 _J0_ZEROS = jn_zeros(0, 256)
 
 
@@ -43,33 +60,83 @@ def _j0_zero(n: int) -> float:
     return _J0_ZEROS[n - 1]
 
 
-def _gl_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
-    h = 0.5 * (b - a)
-    vals = f(0.5 * (a + b) + h * _GL_X)
-    return h * float(np.dot(vals, _GL_W))
+def _gl(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+        hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss-Legendre rule on every interval [lo[i], hi[i]], one call of f.
+
+    Returns the integrals of f and of |f| by that rule; the second sets the
+    roundoff scale of the first.
+    """
+    h = 0.5 * (hi - lo)
+    k = (0.5 * (lo + hi))[:, np.newaxis] + h[:, np.newaxis] * _GL_X
+    vals = np.asarray(f(k.ravel()), dtype=float).reshape(k.shape)
+    q_abs = (np.abs(vals) @ _GL_W) * h
+    if not math.isfinite(q_abs.sum()):
+        bad = int(np.argmin(np.isfinite(q_abs)))
+        raise ConvergenceError(
+            f"integrand not finite on [{lo[bad]:.6e}, {hi[bad]:.6e}]")
+    return (vals @ _GL_W) * h, q_abs
 
 
-def _panel_adaptive(f, a: float, b: float, tol: float,
-                    max_depth: int = 26) -> Tuple[float, float]:
-    """Integrate one panel by bisection until the halving correction is below tol."""
-    total = 0.0
-    err = 0.0
-    stack = [(a, b, _gl_panel(f, a, b), tol, 0)]
-    while stack:
-        a0, b0, coarse, tol0, depth = stack.pop()
-        m = 0.5 * (a0 + b0)
-        left = _gl_panel(f, a0, m)
-        right = _gl_panel(f, m, b0)
+def _panels_adaptive(f, lo: np.ndarray, hi: np.ndarray, scale: float,
+                     spec: QuadratureSpec) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Integrate the panels [lo[i], hi[i]] by bisection, one call of f per level.
+
+    The first call evaluates the coarse rule and both halves of every panel;
+    each later call evaluates the halves of every child of the subintervals
+    that failed (a level of more than _MAX_CALL_CELLS children goes in
+    chunks of that size, each refined to the end before the next). A
+    subinterval is accepted when |fine - coarse| is at most its tolerance or
+    1e-15 (|fine| + |coarse|), or at depth 26; its children get half its
+    tolerance. Panel i starts at 0.02 max(abs_tol, rel_tol s_i), where s_i is
+    the larger of `scale` and the first-level estimates |left + right| of
+    panels 0..i-1.
+
+    Returns the panel integrals, the summed halving corrections |fine - coarse|
+    of each panel, and the sum of |w f| over all accepted subintervals.
+    """
+    n = lo.size
+    mid = 0.5 * (lo + hi)
+    q, q_abs = _gl(f, np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi)))
+    coarse, left, right = q[:n], q[n:2 * n], q[2 * n:]
+    fine_abs = q_abs[n:2 * n] + q_abs[2 * n:]
+    running = np.maximum.accumulate(np.concatenate(([scale], np.abs(left + right)[:-1])))
+    tol = 0.02 * np.maximum(spec.abs_tol, spec.rel_tol * running)
+    owner = np.arange(n)
+    depth = 0
+    values = np.zeros(n)
+    errs = np.zeros(n)
+    mass = 0.0
+    pending = []
+    while True:
         fine = left + right
-        diff = abs(fine - coarse)
-        floor = 1e-15 * (abs(fine) + abs(coarse))
-        if diff <= max(tol0, floor) or depth >= max_depth:
-            total += fine
-            err += diff
-        else:
-            stack.append((a0, m, left, 0.5 * tol0, depth + 1))
-            stack.append((m, b0, right, 0.5 * tol0, depth + 1))
-    return total, err
+        diff = np.abs(fine - coarse)
+        done = diff <= np.maximum(tol, 1e-15 * (np.abs(fine) + np.abs(coarse)))
+        if depth >= _MAX_DEPTH:
+            done[:] = True
+        values += np.bincount(owner, fine * done, n)
+        errs += np.bincount(owner, diff * done, n)
+        mass += float(fine_abs @ done)
+        if not done.all():
+            # children (lo, mid) and (mid, hi), whose coarse rules are left and right
+            split = ~done
+            lo, hi = (np.concatenate((lo[split], mid[split])),
+                      np.concatenate((mid[split], hi[split])))
+            coarse = np.concatenate((left[split], right[split]))
+            tol = np.tile(0.5 * tol[split], 2)
+            owner = np.tile(owner[split], 2)
+            for s in reversed(range(0, lo.size, _MAX_CALL_CELLS)):
+                part = slice(s, s + _MAX_CALL_CELLS)
+                pending.append((lo[part], hi[part], coarse[part], tol[part], owner[part],
+                                depth + 1))
+        if not pending:
+            return values, errs, mass
+        lo, hi, coarse, tol, owner, depth = pending.pop()
+        m = lo.size
+        mid = 0.5 * (lo + hi)
+        q, q_abs = _gl(f, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+        left, right = q[:m], q[m:]
+        fine_abs = q_abs[:m] + q_abs[m:]
 
 
 def euler_limit(partial_sums: np.ndarray, depth: int) -> Tuple[float, float]:
@@ -154,26 +221,27 @@ def _integrate_panels(f, edges_iter: Iterator[Tuple[float, float]],
                       spec: QuadratureSpec, context: str) -> Tuple[float, float]:
     panels = []
     panel_errs = 0.0
+    mass = 0.0
     scale = 0.0
     last = (0.0, math.inf)
     count = 0
-    for a, b in edges_iter:
-        ptol = 0.02 * max(spec.abs_tol, spec.rel_tol * scale)
-        val, perr = _panel_adaptive(f, a, b, ptol)
-        panels.append(val)
-        panel_errs += perr
-        scale = max(scale, abs(val))
-        count += 1
+    while count < spec.max_panels:
+        block = np.array(list(itertools.islice(
+            edges_iter, min(_PANEL_BLOCK, spec.max_panels - count))))
+        vals, errs, block_mass = _panels_adaptive(f, block[:, 0], block[:, 1], scale, spec)
+        panels.extend(vals.tolist())
+        panel_errs += float(np.sum(errs))
+        mass += block_mass
+        scale = max(scale, float(np.max(np.abs(vals))))
+        count += vals.size
         if count >= 8 and count % 4 == 0:
             value, tail = _estimate_limit(panels, spec)
             total_err = tail + panel_errs
             last = (value, total_err)
             if total_err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-                return value, total_err
+                return value, total_err + _ROUNDOFF * mass
             if scale == 0.0:
-                return 0.0, panel_errs
-        if count >= spec.max_panels:
-            break
+                return 0.0, panel_errs + _ROUNDOFF * mass
     raise ConvergenceError(
         f"{context}: tolerance not reached after {count} panels "
         f"(best value {last[0]:.6e}, estimated error {last[1]:.3e})"
@@ -235,16 +303,19 @@ def _halfline_decaying(f, spec: QuadratureSpec, k_scale: Optional[float]) -> Gre
     kc = k_scale if (k_scale is not None and k_scale > 0.0) else 1.0
     total = 0.0
     panel_errs = 0.0
+    mass = 0.0
     prev_mag = math.inf
     small_streak = 0
     a = 0.0
     b = kc
     last_val = math.inf
     for count in range(spec.max_panels):
-        ptol = 0.02 * max(spec.abs_tol, spec.rel_tol * abs(total))
-        val, perr = _panel_adaptive(f, a, b, ptol)
+        vals, errs, panel_mass = _panels_adaptive(f, np.array([a]), np.array([b]),
+                                                  abs(total), spec)
+        val = float(vals[0])
         total += val
-        panel_errs += perr
+        panel_errs += float(errs[0])
+        mass += panel_mass
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         mag = abs(val)
         if mag <= 0.25 * tol and mag < prev_mag:
@@ -252,7 +323,7 @@ def _halfline_decaying(f, spec: QuadratureSpec, k_scale: Optional[float]) -> Gre
             ratio = mag / prev_mag if prev_mag > 0.0 else 0.0
             tail = mag * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
             if small_streak >= 2 and tail + panel_errs <= tol:
-                return GreensValue(total, tail + panel_errs)
+                return GreensValue(total, tail + panel_errs + _ROUNDOFF * mass)
         else:
             small_streak = 0
         prev_mag = mag if mag > 0.0 else prev_mag

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import k0
+from scipy.special import digamma, k0
 
 from greens_coulomb.cavity import (
     CavityCoeffs,
@@ -158,6 +158,16 @@ class TestScatteringPart:
         image = (6.0 - 1.0) / (6.0 + 1.0)
         half_space = -image / (8 * math.pi * gap)
         assert abs(got - half_space) / abs(half_space) < 0.02
+
+    @pytest.mark.parametrize("z0_over_d", [0.45, 0.3, 0.0, -0.4, 0.49])
+    def test_conductor_walls_digamma_closed_form_within_abs_err(self, z0_over_d):
+        # g1 = (gamma + (psi(x) + psi(1 - x))/2) / (4 pi eps2 d), x = z0/d + 1/2
+        eps2 = 2.0
+        x = z0_over_d + 0.5
+        exact = ((np.euler_gamma + 0.5 * (digamma(x) + digamma(1.0 - x)))
+                 / (4 * math.pi * eps2 * D))
+        got = cavity_scattering_g1(z0_over_d * D, D, PC, eps2, PC)
+        assert abs(got.value - exact) <= got.abs_err
 
 
 class TestAsymptotic:

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from greens_coulomb.core import ConvergenceError, DomainError, QuadratureSpec
+from greens_coulomb import cavity, quadrature
+from greens_coulomb.core import (
+    DEFAULT_QUADRATURE,
+    PERFECT_CONDUCTOR,
+    ConvergenceError,
+    DomainError,
+    QuadratureSpec,
+)
 from greens_coulomb.quadrature import euler_limit, hankel_integral, sine_integral
 
 
@@ -74,3 +81,211 @@ def test_euler_limit_alternating():
     val, err = euler_limit(s, 12)
     assert abs(val - math.log(2.0)) < 1e-10
     assert err < 1e-8
+
+
+
+# ---------------------------------------------------------------------------
+# The batched panel integrator against the one-panel loop it replaced. The
+# reference applies the same rules (accept test, tolerance halving, depth cap
+# 26, convergence check every 4 panels from panel 8) with one 16-node rule per
+# kernel call; only the order of the floating-point sums differs.
+# ---------------------------------------------------------------------------
+
+def _ref_gl_panel(f, a, b):
+    h = 0.5 * (b - a)
+    vals = f(0.5 * (a + b) + h * quadrature._GL_X)
+    return h * float(np.dot(vals, quadrature._GL_W))
+
+
+def _ref_panel_adaptive(f, a, b, tol, max_depth=26):
+    total = 0.0
+    err = 0.0
+    stack = [(a, b, _ref_gl_panel(f, a, b), tol, 0)]
+    while stack:
+        a0, b0, coarse, tol0, depth = stack.pop()
+        m = 0.5 * (a0 + b0)
+        left = _ref_gl_panel(f, a0, m)
+        right = _ref_gl_panel(f, m, b0)
+        fine = left + right
+        diff = abs(fine - coarse)
+        if diff <= max(tol0, 1e-15 * (abs(fine) + abs(coarse))) or depth >= max_depth:
+            total += fine
+            err += diff
+        else:
+            stack.append((a0, m, left, 0.5 * tol0, depth + 1))
+            stack.append((m, b0, right, 0.5 * tol0, depth + 1))
+    return total, err
+
+
+def _ref_panels(f, edges, spec):
+    panels = []
+    panel_errs = 0.0
+    scale = 0.0
+    for count, (a, b) in enumerate(edges, start=1):
+        ptol = 0.02 * max(spec.abs_tol, spec.rel_tol * scale)
+        val, perr = _ref_panel_adaptive(f, a, b, ptol)
+        panels.append(val)
+        panel_errs += perr
+        scale = max(scale, abs(val))
+        if count >= 8 and count % 4 == 0:
+            value, tail = quadrature._estimate_limit(panels, spec)
+            if tail + panel_errs <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+                return value
+            if scale == 0.0:
+                return 0.0
+        if count >= spec.max_panels:
+            raise ConvergenceError("reference: tolerance not reached")
+
+
+def _ref_halfline(f, spec, k_scale):
+    total = 0.0
+    panel_errs = 0.0
+    prev_mag = math.inf
+    small_streak = 0
+    a, b = 0.0, k_scale
+    for _ in range(spec.max_panels):
+        val, perr = _ref_panel_adaptive(
+            f, a, b, 0.02 * max(spec.abs_tol, spec.rel_tol * abs(total)))
+        total += val
+        panel_errs += perr
+        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        mag = abs(val)
+        if mag <= 0.25 * tol and mag < prev_mag:
+            small_streak += 1
+            ratio = mag / prev_mag if prev_mag > 0.0 else 0.0
+            tail = mag * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+            if small_streak >= 2 and tail + panel_errs <= tol:
+                return total
+        else:
+            small_streak = 0
+        prev_mag = mag if mag > 0.0 else prev_mag
+        a, b = b, 2.0 * b
+    raise ConvergenceError("reference: tolerance not reached")
+
+
+def _reference(transform, f, x, spec, k_scale):
+    if transform is sine_integral:
+        return _ref_panels(lambda k: f(k) * np.sin(k * x),
+                           quadrature._oscillatory_edges(lambda n: n * math.pi / x, k_scale),
+                           spec)
+    if x == 0.0:
+        return _ref_halfline(f, spec, k_scale)
+    return _ref_panels(lambda k: f(k) * quadrature.j0(k * x),
+                       quadrature._oscillatory_edges(
+                           lambda n: quadrature._j0_zero(n) / x, k_scale),
+                       spec)
+
+
+def _counted(f):
+    nodes = [0]
+
+    def g(k):
+        nodes[0] += k.size
+        return f(k)
+    return g, nodes
+
+
+def _check_against_reference(transform, f, x, spec=DEFAULT_QUADRATURE, k_scale=None):
+    g, nodes = _counted(f)
+    got = transform(g, x, spec, k_scale=k_scale)
+    g_ref, ref_nodes = _counted(f)
+    want = _reference(transform, g_ref, x, spec, k_scale)
+    assert abs(got.value - want) <= got.abs_err
+    assert nodes[0] == ref_nodes[0]
+    again = transform(f, x, spec, k_scale=k_scale)
+    assert (again.value, again.abs_err) == (got.value, got.abs_err)
+
+
+def _gap_calls(monkeypatch, run):
+    """The (f, rho, spec, k_scale) of every Hankel integral `run` makes in cavity."""
+    calls = []
+
+    def record(f, rho, spec=DEFAULT_QUADRATURE, k_scale=None):
+        calls.append((f, rho, spec, k_scale))
+        return hankel_integral(f, rho, spec, k_scale)
+    monkeypatch.setattr(cavity, "hankel_integral", record)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+PC = PERFECT_CONDUCTOR
+WALLS = [(PC, PC), (4.0, 8.0), (4.0, PC)]
+
+
+@pytest.mark.parametrize("a,rho", [(1.0, 1.0), (0.3, 2.0), (5.0, 0.7)])
+def test_batched_matches_reference_exponential(a, rho):
+    _check_against_reference(hankel_integral, lambda k: np.exp(-a * k), rho)
+
+
+@pytest.mark.parametrize("eps1,eps3", WALLS)
+def test_batched_matches_reference_gap(monkeypatch, eps1, eps3):
+    def run():
+        for z, z0 in ((0.0, 0.0), (0.2, -0.1)):
+            for rho in np.geomspace(0.01, 20.0, 7):
+                cavity.cavity_g_general(z, z0, rho, 1.0, eps1, 1.0, eps3)
+    for f, rho, spec, k_scale in _gap_calls(monkeypatch, run):
+        _check_against_reference(hankel_integral, f, rho, spec, k_scale)
+
+
+@pytest.mark.parametrize("eps1,eps3", WALLS)
+def test_batched_matches_reference_halfline(monkeypatch, eps1, eps3):
+    def run():
+        for z0 in (-0.45, -0.1, 0.0, 0.3):
+            cavity.cavity_scattering_g1(z0, 1.0, eps1, 1.0, eps3)
+    calls = _gap_calls(monkeypatch, run)
+    assert all(rho == 0.0 for _, rho, _, _ in calls)
+    for f, rho, spec, k_scale in calls:
+        _check_against_reference(hankel_integral, f, rho, spec, k_scale)
+
+
+@pytest.mark.parametrize("r", [0.5, 3.0])
+def test_batched_matches_reference_sine(r):
+    # the hydrodynamic screening factor, decaying like 1/k
+    _check_against_reference(sine_integral, lambda k: k / (r * (2.0 * k * k + 1.0)), r,
+                             k_scale=1.0)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_batched_matches_reference_deep_refinement(rho):
+    # a kink at k = 1.3 is bisected to the 1e-15 floor, halving the
+    # tolerance level by level
+    _check_against_reference(hankel_integral, lambda k: np.exp(-np.abs(k - 1.3)), rho,
+                             QuadratureSpec(abs_tol=1e-13), k_scale=1.0)
+
+
+def test_batched_matches_reference_short_last_block():
+    # max_panels = 10: blocks of 4, 4 and 2 panels, then no convergence
+    spec = QuadratureSpec(rel_tol=1e-10, max_panels=10)
+    f = lambda k: 1.0 / (1.0 + k)  # noqa: E731
+    g, nodes = _counted(f)
+    with pytest.raises(ConvergenceError, match="after 10 panels"):
+        hankel_integral(g, 0.3, spec)
+    g_ref, ref_nodes = _counted(f)
+    with pytest.raises(ConvergenceError):
+        _reference(hankel_integral, g_ref, 0.3, spec, None)
+    assert nodes[0] == ref_nodes[0]
+    # a converging case under the same odd budget stops at panel 8 as before
+    _check_against_reference(hankel_integral, lambda k: np.exp(-k), 1.0,
+                             QuadratureSpec(max_panels=11))
+
+
+def test_kernel_call_sizes_stay_bounded():
+    # exp(-100 k) J0(k) on its first panel has tolerance 0 and sits at the
+    # roundoff floor: millions of nodes, evaluated a bounded chunk at a time
+    sizes = []
+
+    def f(k):
+        sizes.append(k.size)
+        return np.exp(-100.0 * k)
+    got = hankel_integral(f, 1.0)
+    assert abs(got.value - 1.0 / math.hypot(1.0, 100.0)) <= got.abs_err
+    assert sum(sizes) > 1e6
+    assert max(sizes) <= 2 * quadrature._MAX_CALL_CELLS * quadrature._GL_X.size
+
+
+def test_non_finite_integrand_raises():
+    with pytest.raises(ConvergenceError, match="not finite"):
+        hankel_integral(lambda k: np.where(k > 3.0, np.nan, np.exp(-k)), 1.0)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        hankel_integral(lambda k: np.full_like(k, np.inf), 0.0)

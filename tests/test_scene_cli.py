@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 from scipy.constants import elementary_charge as QE, epsilon_0
@@ -15,6 +16,19 @@ FREE_PAIR = {
         {"q": -1.0, "unit": "e", "position": [0.0, 0.0, 1.0]},
     ],
 }
+
+
+def far_pair(x):
+    return {"geometry": {"type": "free_space", "eps": 1.0},
+            "charges": [{"q": 1.0, "unit": "e", "position": [x, 0.0, 0.0]},
+                        {"q": 1.0, "unit": "e", "position": [-x, 0.0, 0.0]}]}
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as json.dumps(allow_nan=False) would."""
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 def write_scene(tmp_path, doc, name="scene.json"):
@@ -156,6 +170,58 @@ class TestCliCommands:
         scene = write_scene(tmp_path, doc)
         assert main(["self-energy", "--scene", scene]) == 2
         assert "geometry.alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,doc,expect", [
+        # the image force ~ 1/z^2 overflows; z*z used to underflow to 0
+        ("force", {"geometry": {"type": "half_space", "eps1": 1.0, "eps2": "conductor"},
+                   "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, 1e-300]}]}, None),
+        # a separation of 2e308 overflows to inf: U = 0 and the ratio is undefined
+        ("pair-energy", far_pair(1e308), {"U_joules": 0.0, "ratio_to_free": None}),
+        ("force", far_pair(1e308), None),
+        # (2e200)**2 overflowed inside the distance
+        ("pair-energy", far_pair(1e200), {"ratio_to_free": 1.0}),
+        ("force", far_pair(1e200), {"F_newtons": [0.0, 0.0, 0.0]}),
+    ])
+    def test_extreme_inputs_finite_json_or_exit_2(self, tmp_path, capsys, command, doc,
+                                                  expect):
+        """expect: fields of the record on exit 0; None for exit 2."""
+        scene = write_scene(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--scene", scene])
+        out, err = capsys.readouterr()
+        if expect is None:
+            assert code == 2 and out == ""
+            assert "float64" in err
+        else:
+            assert code == 0
+            rec = strict_json(out)
+            assert {k: rec[k] for k in expect} == expect
+
+    @pytest.mark.parametrize("args", [
+        [],
+        ["--param", "charges.1.position.2", "--min", "1", "--max", "2", "--num", "2"],
+    ])
+    def test_non_finite_record_exit_2(self, tmp_path, capsys, monkeypatch, args):
+        from greens_coulomb import interactions
+        monkeypatch.setattr(interactions, "pair_energy", lambda *args: interactions.
+                            InteractionResult(math.nan, None, 0.0))
+        scene = write_scene(tmp_path, FREE_PAIR)
+        command = "sweep" if args else "pair-energy"
+        assert main([command, "--scene", scene] + args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not finite" in err
+
+    def test_overflowing_dilute_body_box_exit_2(self, tmp_path, capsys):
+        doc = {"geometry": {"type": "dilute_body", "alpha": 1e-40,
+                            "regions": [{"box": [-1e150, 1e150, -1e150, 1e150,
+                                                 -1e150, -1e-9], "eta": 1e27}]},
+               "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, 1e-9]}]}
+        scene = write_scene(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["self-energy", "--scene", scene]) == 2
+        assert "geometry.regions[0].box" in capsys.readouterr().err
 
     def test_bad_sweep_path_exit_2(self, tmp_path, capsys):
         scene = write_scene(tmp_path, FREE_PAIR)
