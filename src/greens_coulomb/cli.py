@@ -13,16 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from . import interactions, validate
 from .core import ConvergenceError, CoulombError, DomainError, SceneError
-from .scene import Scene, load_scene, parse_scene, set_scene_value
-
-_THREADS_ENV = "GREENS_COULOMB_THREADS"
+from .scene import Scene, load_scene, parse_scene, read_scene_doc, set_scene_value
 
 
 def _emit(text: str, out_path) -> None:
@@ -43,36 +40,15 @@ def _json_record(rec: dict) -> str:
         raise DomainError(f"result is not finite in float64: {rec!r}") from exc
 
 
+def _with_args(scene: Scene, args) -> Scene:
+    """The scene with the command line's --rel-tol applied."""
+    if args.rel_tol is None:
+        return scene
+    return replace(scene, options=replace(scene.options, rel_tol=args.rel_tol))
+
+
 def _scene_from_args(args) -> Scene:
-    scene = load_scene(args.scene)
-    opts = scene.options
-    changed = {}
-    if getattr(args, "local_field", False):
-        changed["local_field"] = True
-    if getattr(args, "units", None):
-        changed["units"] = args.units
-    if getattr(args, "rel_tol", None) is not None:
-        changed["rel_tol"] = args.rel_tol
-    if changed:
-        from dataclasses import replace
-        opts = replace(opts, **changed)
-    return Scene(scene.geometry, scene.charges, opts)
-
-
-def _threads(args, scene: Scene) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    if scene.options.threads:
-        return scene.options.threads
-    env = os.environ.get(_THREADS_ENV)
-    if env:
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return 1
+    return _with_args(load_scene(args.scene), args)
 
 
 def _energy_record(scene: Scene) -> dict:
@@ -90,9 +66,7 @@ def cmd_pair_energy(args) -> int:
     scene = _scene_from_args(args)
     if len(scene.charges) != 2:
         raise SceneError("pair-energy needs a scene with exactly 2 charges")
-    rec = _energy_record(scene)
-    rec["units"] = scene.options.units
-    _emit(_json_record(rec), args.out)
+    _emit(_json_record({**_energy_record(scene), "units": "si"}), args.out)
     return 0
 
 
@@ -100,9 +74,7 @@ def cmd_self_energy(args) -> int:
     scene = _scene_from_args(args)
     if len(scene.charges) != 1:
         raise SceneError("self-energy needs a scene with exactly 1 charge")
-    rec = _energy_record(scene)
-    rec["units"] = scene.options.units
-    _emit(_json_record(rec), args.out)
+    _emit(_json_record({**_energy_record(scene), "units": "si"}), args.out)
     return 0
 
 
@@ -111,22 +83,17 @@ def cmd_force(args) -> int:
     spec = scene.options.quad_spec()
     b = scene.charges[1] if len(scene.charges) == 2 else None
     res = interactions.force_on_A(scene.geometry, scene.charges[0], b,
-                                  apply_local_field=scene.options.local_field,
-                                  spec=spec)
+                                  apply_local_field=args.local_field
+                                  or scene.options.local_field, spec=spec)
     rec = {"F_newtons": [float(c) for c in res.force],
-           "local_field_factor": res.local_field_factor_applied,
-           "units": scene.options.units}
+           "local_field_factor": res.local_field_factor_applied, "units": "si"}
     _emit(_json_record(rec), args.out)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    try:
-        with open(args.scene) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SceneError(f"cannot read scene file: {exc}") from exc
-    base_scene = parse_scene(doc)  # validate before sweeping
+    doc = read_scene_doc(args.scene)
+    parse_scene(doc)  # validate before sweeping
 
     if args.num < 1:
         raise SceneError("sweep needs --num >= 1")
@@ -145,26 +112,12 @@ def cmd_sweep(args) -> int:
     # fail fast on a bad path before any work
     set_scene_value(doc, args.param, values[0])
 
-    def run_one(v: float):
-        scene = parse_scene(set_scene_value(doc, args.param, v))
-        if getattr(args, "rel_tol", None) is not None:
-            from dataclasses import replace
-            scene = Scene(scene.geometry, scene.charges,
-                          replace(scene.options, rel_tol=args.rel_tol))
-        rec = _energy_record(scene)
-        if not all(v is None or math.isfinite(v) for v in rec.values()):
-            raise DomainError(f"result is not finite in float64: {rec!r}")
-        return rec
-
-    n_threads = _threads(args, base_scene)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            records = list(pool.map(run_one, values))
-    else:
-        records = [run_one(v) for v in values]
-
     lines = ["param,U,ratio_to_free,abs_err"]
-    for v, rec in zip(values, records):
+    for v in values:
+        rec = _energy_record(_with_args(parse_scene(set_scene_value(doc, args.param, v)),
+                                        args))
+        if not all(x is None or math.isfinite(x) for x in rec.values()):
+            raise DomainError(f"result is not finite in float64: {rec!r}")
         ratio = "" if rec["ratio_to_free"] is None else repr(rec["ratio_to_free"])
         lines.append(f"{v!r},{rec['U_joules']!r},{ratio},{rec['abs_err']!r}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -172,10 +125,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        results = validate.run_suite(args.suite)
-    except ValueError as exc:
-        raise SceneError(str(exc)) from exc
+    results = validate.run_suite(args.suite)
     text = "\n".join(r.line() for r in results) + "\n"
     n_fail = sum(not r.passed for r in results)
     text += f"{len(results) - n_fail}/{len(results)} checks passed\n"
@@ -200,15 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     _accept_negative_numbers(ap)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, scene=True):
-        if scene:
-            p.add_argument("--scene", required=True, help="scene JSON file")
+    def common(p):
+        p.add_argument("--scene", required=True, help="scene JSON file")
         p.add_argument("--out", default=None, help="write the result here")
-        p.add_argument("--units", choices=("si", "ratio"), default=None)
-        p.add_argument("--local-field", dest="local_field", action="store_true")
         p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (or ${_THREADS_ENV})")
 
     p = sub.add_parser("pair-energy", help="interaction energy of two charges")
     common(p)
@@ -220,6 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("force", help="force on the first charge")
     common(p)
+    p.add_argument("--local-field", dest="local_field", action="store_true",
+                   help="apply the real-cavity local-field factor")
     p.set_defaults(fn=cmd_force)
 
     p = sub.add_parser("sweep", help="sweep one numeric scene parameter to CSV")
@@ -234,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("validate", help="run a validation suite")
-    p.add_argument("suite", choices=("limits", "oracle", "quadrature", "all"))
+    p.add_argument("suite", choices=sorted(validate.SUITES))
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_validate)
 

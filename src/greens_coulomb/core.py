@@ -203,10 +203,11 @@ class QuadratureSpec:
     accel_order: int = 12
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be > 0, got {self.rel_tol!r}")
-        if not (self.abs_tol >= 0.0):
-            raise DomainError(f"abs_tol must be >= 0, got {self.abs_tol!r}")
+        # an infinite tolerance times a zero scale is NaN, which no panel meets
+        if not (0.0 < self.rel_tol < math.inf):
+            raise DomainError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
+        if not (0.0 <= self.abs_tol < math.inf):
+            raise DomainError(f"abs_tol must be finite and >= 0, got {self.abs_tol!r}")
         if self.max_panels < 8:
             raise DomainError(f"max_panels must be >= 8, got {self.max_panels!r}")
         if self.accel_order < 1:

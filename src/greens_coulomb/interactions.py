@@ -204,8 +204,10 @@ def _with_ratio(energy: float, abs_err: float, geom: Geometry, a: Charge,
                      0.5 * (a.position.z + b.position.z))
         eps_host = host_eps(geom, mid)
         dist = distance(a.position, b.position)
-        if eps_host is not None and math.isfinite(dist):  # U_free = 0 otherwise
-            ratio = energy * _FOUR_PI_EPS0 * eps_host * dist / (a.q * b.q)
+        qq = a.q * b.q
+        # U_free = 0 at an infinite separation or a zero (or underflowing) product
+        if eps_host is not None and math.isfinite(dist) and qq != 0.0:
+            ratio = energy * _FOUR_PI_EPS0 * eps_host * dist / qq
     return InteractionResult(energy, ratio, abs_err)
 
 

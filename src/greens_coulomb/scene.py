@@ -45,9 +45,13 @@ def _require_keys(obj: dict, where: str, required: Tuple[str, ...],
 def _number(obj, where: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SceneError(f"{where}: expected a number, got {obj!r}")
-    if not math.isfinite(obj):
+    try:
+        value = float(obj)
+    except OverflowError:  # an integer beyond float64
+        value = math.inf
+    if not math.isfinite(value):
         raise SceneError(f"{where}: must be finite, got {obj!r}")
-    return float(obj)
+    return value
 
 
 def _eps(obj, where: str):
@@ -151,10 +155,8 @@ def _parse_charge(obj: dict, where: str) -> Charge:
 @dataclass(frozen=True)
 class SceneOptions:
     local_field: bool = False
-    units: str = "si"
     rel_tol: Optional[float] = None
     abs_tol: Optional[float] = None
-    threads: Optional[int] = None
 
     def quad_spec(self) -> QuadratureSpec:
         base = QuadratureSpec()
@@ -182,25 +184,20 @@ def parse_scene(doc: dict) -> Scene:
                     for i, c in enumerate(charges_doc))
     opts_doc = doc.get("options", {})
     _require_keys(opts_doc, "options", (),
-                  ("local_field", "units", "rel_tol", "abs_tol", "threads"))
-    units = opts_doc.get("units", "si")
-    if units not in ("si", "ratio"):
-        raise SceneError(f"options.units: must be 'si' or 'ratio', got {units!r}")
+                  ("local_field", "units", "rel_tol", "abs_tol"))
+    # results are always SI; the key stays so that scenes may say so
+    if opts_doc.get("units", "si") != "si":
+        raise SceneError(f"options.units: must be 'si', got {opts_doc['units']!r}")
     lf = opts_doc.get("local_field", False)
     if not isinstance(lf, bool):
         raise SceneError("options.local_field: must be true or false")
     rel_tol = opts_doc.get("rel_tol")
     abs_tol = opts_doc.get("abs_tol")
-    threads = opts_doc.get("threads")
     if rel_tol is not None:
         rel_tol = _number(rel_tol, "options.rel_tol")
     if abs_tol is not None:
         abs_tol = _number(abs_tol, "options.abs_tol")
-    if threads is not None and (isinstance(threads, bool)
-                                or not isinstance(threads, int) or threads < 1):
-        raise SceneError("options.threads: must be a positive integer")
-    options = SceneOptions(local_field=lf, units=units, rel_tol=rel_tol,
-                           abs_tol=abs_tol, threads=threads)
+    options = SceneOptions(local_field=lf, rel_tol=rel_tol, abs_tol=abs_tol)
     try:
         return Scene(geometry=geometry, charges=charges, options=options)
     except CoulombError:
@@ -209,15 +206,19 @@ def parse_scene(doc: dict) -> Scene:
         raise SceneError(str(exc)) from exc
 
 
-def load_scene(path) -> Scene:
+def read_scene_doc(path):
+    """The raw JSON document of a scene file; unreadable or invalid JSON is a SceneError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SceneError(f"cannot read scene file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SceneError(f"scene file is not valid JSON: {exc}") from exc
-    return parse_scene(doc)
+
+
+def load_scene(path) -> Scene:
+    return parse_scene(read_scene_doc(path))
 
 
 def set_scene_value(doc: dict, path: str, value: float) -> dict:

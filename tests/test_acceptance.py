@@ -1,44 +1,110 @@
 """Acceptance suite: one test per release criterion, at pinned tolerances.
 
-Each test prints a PASS/FAIL line (visible with `pytest -s` or in the
-`greens-coulomb validate` output for the overlapping checks).
+Criteria 1-7 are checks of `greens_coulomb.validate` (the same ones
+`greens-coulomb validate all` prints); each test here asserts that its
+checks pass. Criterion 8 drives the CLI and prints one PASS/FAIL line per
+figure.
 """
 
 import json
 import math
-import random
 
-import numpy as np
 import pytest
 from scipy.constants import elementary_charge as QE, epsilon_0
 
-from greens_coulomb import analytic, born, cavity, interactions, poisson_fd
+from greens_coulomb import validate
 from greens_coulomb.cli import main as cli_main
-from greens_coulomb.core import (
-    PERFECT_CONDUCTOR,
-    Charge,
-    FreeSpace,
-    HalfSpace,
-    PlateWithHole,
-    Point3,
-    QuadratureSpec,
-    ThreeLayerCavity,
-)
-from greens_coulomb.screening import (
-    DrudeStatic,
-    NonlocalBulk,
-    screened_potential,
-    screened_potential_numeric,
-)
 
-PC = PERFECT_CONDUCTOR
+# acceptance criterion -> the validate checks that carry it
+CRITERIA = {
+    "1": (validate.check_local_field_80,),
+    "2a": (validate.check_onaxis_limit,),
+    "2b": (validate.check_plate_hole_r_to_zero,),
+    "2c": (validate.check_plate_hole_r_to_zero_opposite,),
+    "3": (validate.check_cavity_triple, validate.check_cavity_asymptotic,
+          validate.check_cavity_slope),
+    "4": (validate.check_screened_grid, validate.check_thomas_fermi),
+    "5": (validate.check_born_half_space, validate.check_born_closed_form,
+          validate.check_born_vs_linearized),
+    "6": (validate.check_fd_half_space, validate.check_fd_convergence,
+          validate.check_fd_cavity_general),
+    "7_reciprocity": (validate.check_reciprocity_closed,
+                      validate.check_reciprocity_quadrature),
+    "7_force": (validate.check_force_gradient,),
+    "7_action_reaction": (validate.check_action_reaction, validate.check_bilinearity),
+    "7_ratio": (validate.check_ratio_distant_interfaces,),
+}
+
+
+def _passes(*checks):
+    for check in checks:
+        result = check()
+        assert result.passed, result.line()
+
+
+def test_criterion_1_local_field_factor():
+    _passes(*CRITERIA["1"])
+
+
+def test_criterion_2a_onaxis_center_extrapolation():
+    _passes(*CRITERIA["2a"])
+
+
+def test_criterion_2b_small_hole_image_formula():
+    _passes(*CRITERIA["2b"])
+
+
+def test_criterion_2c_opposite_side_screening():
+    _passes(*CRITERIA["2c"])
+
+
+def test_criterion_3_cavity_triple_agreement():
+    _passes(*CRITERIA["3"])
+
+
+def test_criterion_4_screened_bulk_grid():
+    _passes(*CRITERIA["4"])
+
+
+def test_criterion_5_born_half_space():
+    _passes(*CRITERIA["5"])
+
+
+def test_criterion_6_oracle_equivalence():
+    _passes(*CRITERIA["6"])
+
+
+def test_criterion_7_reciprocity_1000():
+    _passes(*CRITERIA["7_reciprocity"])
+
+
+def test_criterion_7_force_gradient_consistency():
+    _passes(*CRITERIA["7_force"])
+
+
+def test_criterion_7_action_reaction_and_bilinearity():
+    _passes(*CRITERIA["7_action_reaction"])
+
+
+def test_criterion_7_ratio_to_free_distant_interfaces():
+    _passes(*CRITERIA["7_ratio"])
+
+
+_CLAIMED = {check for checks in CRITERIA.values() for check in checks}
+
+
+@pytest.mark.parametrize("check", [c for c in validate.SUITES["all"] if c not in _CLAIMED],
+                         ids=lambda c: c.__name__)
+def test_other_validate_checks(check):
+    _passes(check)
+
 
 _CAPSYS = None
 
 
 @pytest.fixture(autouse=True)
 def _live_report(capsys):
-    # let the per-criterion PASS/FAIL lines through pytest's capture
+    # let the per-figure PASS/FAIL lines through pytest's capture
     global _CAPSYS
     _CAPSYS = capsys
     yield
@@ -52,425 +118,6 @@ def _report(num: int, ok: bool, text: str) -> None:
             print(line)
     else:
         print(line)
-
-
-# ---------------------------------------------------------------------------
-# 1. local-field factor
-# ---------------------------------------------------------------------------
-
-def test_criterion_1_local_field_factor():
-    got = interactions.local_field_factor(80.0)
-    ok = abs(got - 1.4907) <= 5e-4
-    _report(1, ok, f"local_field_factor(80) = {got:.6f} (target 1.4907 +- 5e-4)")
-    assert ok
-
-
-# ---------------------------------------------------------------------------
-# 2. plate-with-hole pinch points
-# ---------------------------------------------------------------------------
-
-def test_criterion_2a_onaxis_center_extrapolation():
-    R = 1.0
-    target = -QE ** 2 / (8 * math.pi ** 2 * epsilon_0 * R)
-    z1, z2 = 1e-3 * R, 1e-4 * R
-    u1 = interactions.self_energy(PlateWithHole(R), Charge(QE, Point3(0, 0, z1))).energy
-    u2 = interactions.self_energy(PlateWithHole(R), Charge(QE, Point3(0, 0, z2))).energy
-    extrap = u2 + (u2 - u1) * z2 ** 2 / (z1 ** 2 - z2 ** 2)
-    rel = abs(extrap - target) / abs(target)
-    ok = rel <= 1e-4
-    _report(2, ok, f"(a) on-axis U1(z->0): rel err {rel:.2e} (tol 1e-4)")
-    assert ok
-
-
-def test_criterion_2b_small_hole_image_formula():
-    rng = random.Random(12345)
-    worst = 0.0
-    count = 0
-    while count < 100:
-        a = Point3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.1, 3))
-        b = Point3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.1, 3))
-        if analytic.distance(a, b) < 1e-3:
-            continue
-        count += 1
-        R = 1e-6 * min(a.z, b.z)
-        got = analytic.plate_hole_g(a, b, R).value
-        image = (1.0 / analytic.distance(a, b)
-                 - 1.0 / analytic.distance(a, b.mirror_z())) / (4 * math.pi)
-        worst = max(worst, abs(got - image) / abs(image))
-    ok = worst <= 1e-4
-    _report(2, ok, f"(b) R->0 image formula: worst rel {worst:.2e} over 100 pairs "
-                   f"(tol 1e-4)")
-    assert ok
-
-
-def test_criterion_2c_opposite_side_screening():
-    rng = random.Random(54321)
-    worst = 0.0
-    for _ in range(100):
-        a = Point3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.1, 3))
-        b = Point3(rng.uniform(-2, 2), rng.uniform(-2, 2), -rng.uniform(0.1, 3))
-        R = 1e-6 * min(a.z, -b.z)
-        got = analytic.plate_hole_g(a, b, R).value
-        worst = max(worst, abs(got) * analytic.distance(a, b))
-    ok = worst <= 1e-6
-    _report(2, ok, f"(c) opposite-side |g| D_minus: worst {worst:.2e} (tol 1e-6)")
-    assert ok
-
-
-# ---------------------------------------------------------------------------
-# 3. cavity triple agreement
-# ---------------------------------------------------------------------------
-
-def test_criterion_3_cavity_triple_agreement():
-    d = 1.0
-    spec = QuadratureSpec(rel_tol=1e-11)
-    worst_excess = 0.0
-    # wall/host combinations spanning r1 r3 from -0.9 to +1
-    combos = ((PC, 1.0, PC),        # r1 r3 = +1
-              (4.0, 1.0, 8.0),      # +0.47
-              (19.0, 1.0, PC),      # +0.9
-              (1.0, 1.0, 1.0),      # 0
-              (1.0, 19.0, PC),      # -0.9
-              (1.0, 4.0, PC),       # -0.6
-              (1.0, 4.0, 1.0))      # +0.36
-    for rho_over_d in (0.1, 0.3, 1.0, 2.0, 5.0, 10.0):
-        rho = rho_over_d * d
-        for eps1, eps2, eps3 in combos:
-            co = cavity.reflection_coeffs(eps1, eps2, eps3)
-            q = abs(co.r1 * co.r3)
-            n_max = 400
-            if 0.0 < q < 1.0:
-                n_max = max(80, int(math.log(1e-13) / math.log(q)) + 1)
-            gs = cavity.cavity_g_series(rho, d, co, eps2, n_max=n_max)
-            gq = cavity.cavity_g_midpoint(rho, d, eps1, eps2, eps3, spec)
-            budget = max(gs.abs_err + gq.abs_err, 1e-9 / rho)
-            worst_excess = max(worst_excess, abs(gs.value - gq.value) / budget)
-    ok_pair = worst_excess <= 1.0
-
-    ratios = []
-    for rho_over_d in (5.0, 6.0, 7.0, 8.0):
-        ga = cavity.cavity_asymptotic(rho_over_d * d, d, 1.0).value
-        gq = cavity.cavity_g_midpoint(rho_over_d * d, d, PC, 1.0, PC).value
-        ratios.append(ga / gq)
-    ok_asym = abs(ratios[0] - 1.0) <= 0.10 and all(
-        abs(r2 - 1.0) < abs(r1 - 1.0) for r1, r2 in zip(ratios, ratios[1:]))
-
-    rs = np.linspace(3.0, 8.0, 11)
-    vals = np.array([cavity.cavity_g_midpoint(r, d, PC, 1.0, PC).value for r in rs])
-    # the exact far field carries a 1/sqrt(rho) prefactor; remove it so the
-    # fitted slope isolates the exponential suppression rate
-    slope = float(np.polyfit(rs, np.log(vals * np.sqrt(rs)), 1)[0])
-    ok_slope = abs(slope + math.pi / d) / (math.pi / d) <= 0.02
-
-    ok = ok_pair and ok_asym and ok_slope
-    _report(3, ok, f"series vs quadrature worst diff/budget {worst_excess:.3f} "
-                   f"(<=1); asymptotic at 5d {ratios[0]:.4f} (10%, monotone); "
-                   f"slope {slope:.5f} vs -pi (2%)")
-    assert ok_pair and ok_asym and ok_slope
-
-
-# ---------------------------------------------------------------------------
-# 4. screened bulk
-# ---------------------------------------------------------------------------
-
-def test_criterion_4_screened_bulk_grid():
-    worst = 0.0
-    r = 2e-10
-    for wp in np.linspace(1e15, 2e16, 5):
-        for ratio in np.linspace(0.0, 3.0, 5):
-            for beta in np.linspace(8e5, 2e6, 5):
-                p = DrudeStatic(omega_p=wp, omega_p_bound=ratio * 4e15,
-                                omega_0=4e15, beta=beta)
-                closed = screened_potential(r, QE, QE, p)
-                num = screened_potential_numeric(r, QE, QE, p)
-                worst = max(worst, abs(num.value - closed) / abs(closed))
-    ok_grid = worst <= 1e-8
-
-    p_tf = DrudeStatic(omega_p=7.3e15, omega_p_bound=0.0, omega_0=1e15, beta=1.1e6)
-    ok_tf = p_tf.k_s == p_tf.omega_p / p_tf.beta
-
-    ok = ok_grid and ok_tf
-    _report(4, ok, f"closed vs quadrature worst rel {worst:.2e} over 125-point "
-                   f"grid (tol 1e-8); Thomas-Fermi k_s exact: {ok_tf}")
-    assert ok
-
-
-# ---------------------------------------------------------------------------
-# 5. Born / half-space consistency
-# ---------------------------------------------------------------------------
-
-def test_criterion_5_born_half_space():
-    h = 1e-9
-    x = 1e-3                                   # eta alpha / eps0
-    alpha = 1e-30 * epsilon_0
-    eta = x * epsilon_0 / alpha
-    spec = QuadratureSpec(rel_tol=1e-6)
-    body = born.DiluteBody(alpha=born.PolarizabilityTensor.isotropic(alpha),
-                           half_space_eta=eta)
-
-    g1 = born.born_scattering_g1(Point3(0, 0, h), Point3(0, 0, h), body, spec)
-    integral = g1.value * (-(4 * math.pi) ** 2 * epsilon_0) / (eta * alpha)
-    rel_volume = abs(integral - math.pi / h) / (math.pi / h)
-    ok_volume = rel_volume <= 1e-4
-
-    u_born = born.charge_body_energy(Charge(QE, Point3(0, 0, h)), body, spec).value
-    u_closed = -QE ** 2 * eta * alpha / (32 * math.pi * epsilon_0 ** 2 * h)
-    rel_closed = abs(u_born - u_closed) / abs(u_closed)
-    ok_closed = rel_closed <= 1e-4
-
-    u_image = interactions.self_energy(HalfSpace(1.0, 1.0 + x),
-                                       Charge(QE, Point3(0, 0, h))).energy
-    rel_lin = abs(u_born - u_image) / abs(u_image)
-    ok_lin = rel_lin <= 1e-3
-
-    ok = ok_volume and ok_closed and ok_lin
-    _report(5, ok, f"volume identity rel {rel_volume:.2e} (1e-4); closed form "
-                   f"rel {rel_closed:.2e} (1e-4); linearized image rel "
-                   f"{rel_lin:.2e} (1e-3)")
-    assert ok
-
-
-# ---------------------------------------------------------------------------
-# 6. finite-difference oracle equivalence
-# ---------------------------------------------------------------------------
-
-def test_criterion_6_oracle_equivalence():
-    h = 1.0
-    hs = HalfSpace(1.0, 4.0)
-    exact = -(1.0 / (4 * math.pi)) * (3.0 / 5.0) / (2 * h)
-    errs = []
-    for n in (64, 128, 256):
-        grid = poisson_fd.aligned_grid(n, h, (0.0,), 20 * h, 40 * h)
-        sol = poisson_fd.solve_scattering_g1(hs, Point3(0, 0, h), grid)
-        errs.append(abs(sol.source_g1() - exact))
-    rel_hs = errs[-1] / abs(exact)
-    ratio = min(errs[0] / errs[1], errs[1] / errs[2])
-    ok_hs = rel_hs <= 0.02
-    ok_conv = ratio >= 3.0
-
-    d = 1.0
-    cav = ThreeLayerCavity(4.0, 1.0, 8.0, d)
-    grid = poisson_fd.aligned_grid(256, 0.2 * d, (-d / 2, d / 2), 3 * d, 8 * d)
-    sol = poisson_fd.solve_scattering_g1(cav, Point3(0, 0, 0.2 * d), grid)
-    got = sol.g_total_at(Point3(0.5 * d, 0, 0.2 * d))
-    ref = cavity.cavity_g_general(0.2 * d, 0.2 * d, 0.5 * d, d, 4.0, 1.0, 8.0).value
-    rel_cav = abs(got - ref) / ref
-    ok_cav = rel_cav <= 0.02
-
-    ok = ok_hs and ok_conv and ok_cav
-    _report(6, ok, f"half-space rel {rel_hs:.2e} (2%); cavity rel {rel_cav:.2e} "
-                   f"(2%); convergence ratio {ratio:.2f} (>=3)")
-    assert ok
-
-
-# ---------------------------------------------------------------------------
-# 7. property suites
-# ---------------------------------------------------------------------------
-
-def test_criterion_7_reciprocity_1000():
-    rng = random.Random(777)
-    n_checked = 0
-    worst_closed = 0.0
-    worst_quad = 0.0
-
-    def pt(zlo, zhi):
-        return Point3(rng.uniform(-2, 2), rng.uniform(-2, 2),
-                      rng.uniform(zlo, zhi))
-
-    # closed forms: free space, half-space, aperture plate (rel 1e-12)
-    for _ in range(150):
-        a, b = pt(-3, 3), pt(-3, 3)
-        if analytic.distance(a, b) < 1e-3:
-            continue
-        g1 = analytic.free_space_g(a, b, 2.0).value
-        g2 = analytic.free_space_g(b, a, 2.0).value
-        worst_closed = max(worst_closed, abs(g1 - g2) / abs(g1))
-        n_checked += 1
-    for _ in range(250):
-        a, b = pt(0.05, 3), pt(0.05, 3)
-        if analytic.distance(a, b) < 1e-3:
-            continue
-        g1 = analytic.half_space_g(a, b, 2.0, 9.0).value
-        g2 = analytic.half_space_g(b, a, 2.0, 9.0).value
-        worst_closed = max(worst_closed, abs(g1 - g2) / abs(g1))
-        n_checked += 1
-    for _ in range(300):
-        a = pt(0.05, 2.5)
-        b = pt(0.05, 2.5)
-        if rng.random() < 0.5:
-            b = b.mirror_z()
-        if analytic.distance(a, b) < 1e-3:
-            continue
-        g1 = analytic.plate_hole_g(a, b, 1.0).value
-        g2 = analytic.plate_hole_g(b, a, 1.0).value
-        worst_closed = max(worst_closed, abs(g1 - g2) / max(abs(g1), 1e-300))
-        n_checked += 1
-    # screened bulk closed form (depends on |r| only)
-    p = DrudeStatic(8e15, 9e15, 4e15, 9e5)
-    for _ in range(100):
-        a, b = pt(-3, 3), pt(-3, 3)
-        r = analytic.distance(a, b) * 1e-10
-        if r < 1e-13:
-            continue
-        u1 = screened_potential(r, QE, QE, p)
-        u2 = screened_potential(r, QE, QE, p)
-        worst_closed = max(worst_closed, abs(u1 - u2) / abs(u1))
-        n_checked += 1
-
-    # quadrature route: within combined abs_err
-    d = 1.0
-    for _ in range(100):
-        z, z0 = rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45)
-        rho = rng.uniform(0.1, 3.0)
-        ga = cavity.cavity_g_general(z, z0, rho, d, 4.0, 1.0, PC)
-        gb = cavity.cavity_g_general(z0, z, rho, d, 4.0, 1.0, PC)
-        budget = ga.abs_err + gb.abs_err + 1e-14 * abs(ga.value)
-        worst_quad = max(worst_quad, abs(ga.value - gb.value) / budget)
-        n_checked += 1
-
-    # Born scattering with a compact body
-    alpha = born.PolarizabilityTensor(2e-40, 1e-40, 3e-40, 0.2e-40)
-    body = born.DiluteBody(alpha=alpha, regions=(
-        born.DensityRegion(born.Box(-1.0, 1.0, -1.0, 1.0, -2.0, -1.0), 1e3),))
-    spec = QuadratureSpec(rel_tol=1e-7)
-    for _ in range(100):
-        a, b = pt(0.5, 3), pt(0.5, 3)
-        if analytic.distance(a, b) < 1e-3:
-            continue
-        g1 = born.born_scattering_g1(a, b, body, spec).value
-        g2 = born.born_scattering_g1(b, a, body, spec).value
-        worst_closed = max(worst_closed, abs(g1 - g2) / max(abs(g1), 1e-300))
-        n_checked += 1
-
-    ok = worst_closed <= 1e-12 and worst_quad <= 1.0 and n_checked >= 990
-    _report(7, ok, f"reciprocity: {n_checked} configs, closed-form worst rel "
-                   f"{worst_closed:.2e} (1e-12), quadrature worst diff/budget "
-                   f"{worst_quad:.3f} (<=1)")
-    assert ok
-
-
-def test_criterion_7_force_gradient_consistency():
-    checks = []
-
-    def stencil(fn, p, h, axis):
-        def at(c):
-            d = [0.0, 0.0, 0.0]
-            d[axis] = c
-            return fn(p.shifted(*d))
-        return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
-
-    cases = []
-    cases.append(("free_space", FreeSpace(2.0),
-                  Charge(QE, Point3(0.3, -0.2, 1.1)),
-                  Charge(-QE, Point3(-0.4, 0.1, 0.6)), 1e-5))
-    cases.append(("half_space", HalfSpace(2.0, 30.0),
-                  Charge(QE, Point3(0.3e-9, -0.2e-9, 1.1e-9)),
-                  Charge(-2 * QE, Point3(-0.4e-9, 0.1e-9, 0.6e-9)), 1e-4 * 1e-9))
-    cases.append(("cavity", ThreeLayerCavity(PC, 1.0, PC, 1.0),
-                  Charge(QE, Point3(0.4, 0.0, 0.1)),
-                  Charge(QE, Point3(0.0, 0.0, -0.1)), 1e-5))
-    cases.append(("plate_hole", PlateWithHole(1.0),
-                  Charge(QE, Point3(0.5, 0.0, 0.7)),
-                  Charge(QE, Point3(-0.2, 0.1, -0.6)), 1e-5))
-    cases.append(("screened_bulk",
-                  NonlocalBulk(DrudeStatic(1.2e16, 0.0, 5e15, 1.1e6)),
-                  Charge(QE, Point3(1e-10, 2e-10, -1e-10)),
-                  Charge(QE, Point3(-1e-10, 0.0, 1e-10)), 1e-14))
-
-    worst = 0.0
-    for name, geom, a, b, h in cases:
-        force = interactions.force_on_A(geom, a, b).force
-
-        def u_at(p, geom=geom, a=a, b=b):
-            return interactions.pair_energy(geom, Charge(a.q, p), b).energy
-
-        grad = np.array([stencil(u_at, a.position, h, ax) for ax in range(3)])
-        rel = np.linalg.norm(force + grad) / np.linalg.norm(force)
-        worst = max(worst, rel)
-        checks.append((name, rel))
-
-    # self-energy route as well
-    geom = HalfSpace(1.0, 9.0)
-    a = Charge(QE, Point3(0, 0, 1e-9))
-    force = interactions.force_on_A(geom, a).force
-
-    def u_self(p):
-        return interactions.self_energy(geom, Charge(a.q, p)).energy
-
-    rel = abs(force[2] + stencil(u_self, a.position, 1e-14, 2)) / abs(force[2])
-    worst = max(worst, rel)
-
-    ok = worst <= 1e-4
-    detail = ", ".join(f"{n}={r:.1e}" for n, r in checks)
-    _report(7, ok, f"force vs independent 5-point stencil: worst rel {worst:.2e} "
-                   f"(tol 1e-4) [{detail}]")
-    assert ok
-
-
-def test_criterion_7_action_reaction_and_bilinearity():
-    rng = random.Random(31)
-    worst_ar = 0.0
-    for _ in range(20):
-        a = Charge(QE * rng.uniform(0.5, 2), Point3(rng.uniform(-2, 2) * 1e-10,
-                                                    rng.uniform(-2, 2) * 1e-10,
-                                                    rng.uniform(-2, 2) * 1e-10))
-        b = Charge(-QE * rng.uniform(0.5, 2), Point3(rng.uniform(-2, 2) * 1e-10,
-                                                     rng.uniform(-2, 2) * 1e-10,
-                                                     rng.uniform(-2, 2) * 1e-10))
-        if analytic.distance(a.position, b.position) < 1e-11:
-            continue
-        for geom in (FreeSpace(3.0), NonlocalBulk(DrudeStatic(8e15, 9e15, 4e15, 9e5))):
-            fa = interactions.force_on_A(geom, a, b).force
-            fb = interactions.force_on_A(geom, b, a).force
-            worst_ar = max(worst_ar, float(np.linalg.norm(fa + fb)
-                                           / np.linalg.norm(fa)))
-    ok_ar = worst_ar <= 1e-10
-
-    geom = ThreeLayerCavity(4.0, 1.0, 8.0, 1.0)
-    a = Charge(QE, Point3(0.5, 0.0, 0.2))
-    b = Charge(-QE, Point3(0.0, 0.0, -0.1))
-    base = interactions.pair_energy(geom, a, b).energy
-    ok_bilinear = (
-        interactions.pair_energy(geom, Charge(2 * a.q, a.position), b).energy
-        == 2.0 * base
-        and interactions.pair_energy(geom, a, Charge(4 * b.q, b.position)).energy
-        == 4.0 * base
-        and interactions.pair_energy(
-            geom, Charge(0.5 * a.q, a.position),
-            Charge(2 * b.q, b.position)).energy == base)
-    u_self = interactions.self_energy(HalfSpace(1.0, 4.0),
-                                      Charge(QE, Point3(0, 0, 1e-9))).energy
-    u_self2 = interactions.self_energy(HalfSpace(1.0, 4.0),
-                                       Charge(2 * QE, Point3(0, 0, 1e-9))).energy
-    ok_quad = u_self2 == 4.0 * u_self
-
-    ok = ok_ar and ok_bilinear and ok_quad
-    _report(7, ok, f"action-reaction worst rel {worst_ar:.2e} (1e-10); "
-                   f"bilinearity exact: {ok_bilinear and ok_quad}")
-    assert ok
-
-
-def test_criterion_7_ratio_to_free_distant_interfaces():
-    # every geometry's ratio_to_free tends to 1 as interfaces recede
-    a = Charge(QE, Point3(0.0, 0.0, 0.35))
-    b = Charge(-QE, Point3(0.4, 0.0, -0.2))
-    sep = analytic.distance(a.position, b.position)
-    results = {}
-    results["half_space"] = interactions.pair_energy(
-        HalfSpace(1.0, 40.0), Charge(QE, a.position.shifted(dz=1e5)),
-        Charge(-QE, Point3(0.4, 0.0, 1e5 + 0.2))).ratio_to_free
-    results["cavity"] = interactions.pair_energy(
-        ThreeLayerCavity(PC, 1.0, PC, 1e6 * sep), a, b).ratio_to_free
-    results["plate_hole"] = interactions.pair_energy(
-        PlateWithHole(1e7 * sep), a, b).ratio_to_free
-    results["screened"] = interactions.pair_energy(
-        NonlocalBulk(DrudeStatic(1e3, 0.0, 1e15, 1e6)),
-        Charge(QE, Point3(0, 0, 0)), Charge(-QE, Point3(0, 0, 1e-10))).ratio_to_free
-    worst = max(abs(v - 1.0) for v in results.values())
-    ok = worst <= 1e-4
-    _report(7, ok, f"ratio_to_free -> 1 with distant interfaces: worst "
-                   f"|ratio-1| {worst:.2e} (tol 1e-4)")
-    assert ok
 
 
 # ---------------------------------------------------------------------------

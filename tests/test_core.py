@@ -124,5 +124,8 @@ def test_quadrature_spec_invariants():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureSpec(abs_tol=-1.0)
+    for bad in ({"rel_tol": math.inf}, {"abs_tol": math.inf}):
+        with pytest.raises(DomainError):
+            QuadratureSpec(**bad)
     with pytest.raises(DomainError):
         QuadratureSpec(max_panels=4)

@@ -1,8 +1,11 @@
 import json
 import math
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import elementary_charge as QE, epsilon_0
 
 from greens_coulomb.cli import main
@@ -22,6 +25,15 @@ def far_pair(x):
     return {"geometry": {"type": "free_space", "eps": 1.0},
             "charges": [{"q": 1.0, "unit": "e", "position": [x, 0.0, 0.0]},
                         {"q": 1.0, "unit": "e", "position": [-x, 0.0, 0.0]}]}
+
+
+def charge_pair(geometry, qa, qb):
+    return {"geometry": geometry,
+            "charges": [{"q": qa, "position": [0.5, 0.0, 0.7]},
+                        {"q": qb, "position": [-0.2, 0.1, 1.6]}]}
+
+
+HALF_SPACE = {"type": "half_space", "eps1": 1, "eps2": 4}
 
 
 def strict_json(text):
@@ -181,6 +193,14 @@ class TestCliCommands:
         # (2e200)**2 overflowed inside the distance
         ("pair-energy", far_pair(1e200), {"ratio_to_free": 1.0}),
         ("force", far_pair(1e200), {"F_newtons": [0.0, 0.0, 0.0]}),
+        # a zero product of charges makes U_free = 0, so the ratio is undefined
+        ("pair-energy", charge_pair(HALF_SPACE, 0, QE),
+         {"U_joules": 0.0, "ratio_to_free": None}),
+        ("pair-energy", charge_pair({"type": "free_space"}, 1e-200, 1e-200),
+         {"U_joules": 0.0, "ratio_to_free": None}),
+        # the finite-difference force goes through the same energies
+        ("force", charge_pair({"type": "plate_with_hole", "R": 1.0}, 0, QE),
+         {"F_newtons": [0.0, 0.0, 0.0]}),
     ])
     def test_extreme_inputs_finite_json_or_exit_2(self, tmp_path, capsys, command, doc,
                                                   expect):
@@ -250,7 +270,7 @@ class TestSweep:
         args = ["sweep", "--scene", scene, "--param", "charges.1.position.2",
                 "--min", "2.0", "--max", "0.5", "--num", "7"]
         assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2), "--threads", "4"]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         params = [float(line.split(",")[0])
                   for line in out1.read_text().splitlines()[1:]]
@@ -270,14 +290,80 @@ class TestSweep:
         assert len(rows) == 12
         assert float(rows[0].split(",")[0]) == -5e-6
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        scene = write_scene(tmp_path, FREE_PAIR)
-        out = tmp_path / "env.csv"
-        monkeypatch.setenv("GREENS_COULOMB_THREADS", "3")
-        assert main(["sweep", "--scene", scene, "--param",
-                     "charges.1.position.2", "--min", "0.5", "--max", "1.5",
-                     "--num", "4", "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 5
+    def test_zero_charge_leaves_ratio_empty(self, tmp_path):
+        scene = write_scene(tmp_path, charge_pair(HALF_SPACE, 0, QE))
+        out = tmp_path / "zero.csv"
+        assert main(["sweep", "--scene", scene, "--param", "charges.1.position.2",
+                     "--min", "1.0", "--max", "2.0", "--num", "3",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(u, ratio) for _, u, ratio, _ in rows] == [("0.0", "")] * 3
+
+
+# The CLI contract: whatever the scene document holds, the command exits 0-3,
+# prints no traceback and writes JSON without NaN or Infinity. Documents are a
+# valid scene of each geometry with up to two scalars replaced by extreme values.
+EXTREMES = [0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, -1e-300,
+            10 ** 400, -(10 ** 400), True, "conductor", "x"]
+GEOMETRIES = [
+    {"type": "free_space", "eps": 2.0},
+    HALF_SPACE,
+    {"type": "cavity", "eps1": 4.0, "eps2": 1.0, "eps3": "conductor", "d": 1.0},
+    {"type": "plate_with_hole", "R": 1.0},
+    {"type": "nonlocal_bulk", "drude": {"omega_p": 8e15, "omega_p_bound": 9e15,
+                                        "omega_0": 4e15, "beta": 9e5}},
+    {"type": "dilute_body", "alpha": 1e-40,
+     "regions": [{"box": [-1.0, 1.0, -1.0, 1.0, -2.0, -1.0], "eta": 1e3}]},
+]
+
+
+def _leaves(node, path=()):
+    """The path of every number, string and boolean in a JSON document."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv without the scene path, scene document)."""
+    command = draw(st.sampled_from(["pair-energy", "self-energy", "force"]))
+    n_charges = {"pair-energy": 2, "self-energy": 1}.get(command) or draw(st.integers(1, 2))
+    doc = json.loads(json.dumps({
+        "geometry": draw(st.sampled_from(GEOMETRIES)),
+        "charges": [{"q": 1.0, "unit": "e", "position": [0.3, -0.2, 0.3]},
+                    {"q": -2e-19, "position": [-0.1, 0.1, 0.2]}][:n_charges],
+        "options": {"units": "si", "local_field": False}}))
+    for _ in range(draw(st.integers(0, 2))):
+        *parents, leaf = draw(st.sampled_from(list(_leaves(doc))))
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[leaf] = draw(st.sampled_from(EXTREMES))
+    extra = draw(st.one_of(st.just([]), st.sampled_from([
+        ["--local-field"], ["--rel-tol", "0"], ["--rel-tol", "nan"],
+        ["--rel-tol", "inf"], ["--rel-tol", "x"]])))
+    return [command] + extra, doc
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(call=cli_calls())
+def test_cli_contract(tmp_path_factory, call):
+    argv, doc = call
+    scene = tmp_path_factory.getbasetemp() / "contract_scene.json"
+    scene.write_text(json.dumps(doc))
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv + ["--scene", str(scene)])
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        strict_json(out.getvalue())
 
 
 class TestValidateCommand:
