@@ -9,13 +9,14 @@ polarizability tensor. Two routes to the charge-body energy are exposed:
   self-energy.
 
 Both are the same volume integral written differently and must agree; the
-tests exploit that. Quadrature is deterministic 5-point Gauss-Legendre per
-axis with dyadic (octree) refinement, evaluated one refinement level at a
-time: a level is a set of corner arrays, all its cells are split at once,
-and the integrand sees whole blocks of cells per call. Accepted cells are
-summed in the FIFO order of a cell-by-cell loop, so results are
-bit-reproducible. Half-infinite volumes are truncated at a radius where the
-integrand tail bound is below tolerance, the bound being added to abs_err.
+tests exploit that. The half-space z < 0 is integrated in closed form for
+any tensor (`_half_space_integral`). Boxes use deterministic 5-point
+Gauss-Legendre per axis with dyadic (octree) refinement, evaluated one
+refinement level at a time: a level is a set of corner arrays, all its
+cells are split at once, and the integrand sees whole blocks of cells per
+call. Accepted cells are summed in the FIFO order of a cell-by-cell loop,
+so results are bit-reproducible; a cell still outside its budget at the
+depth cap is a ConvergenceError.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ _CHUNK_CELLS = 8 * _CHUNK_PARENTS
 # The integrand divides by |r - x|^3 |r' - x|^3; with box coordinates beyond
 # this, that product overflows float64 for points at the same scale.
 MAX_BOX_COORD = 0.5 * sys.float_info.max ** (1.0 / 6.0)
+# Roundoff of the closed-form half-space integral, relative to its summed terms.
+_ROUNDOFF = 8.0 * sys.float_info.epsilon
 # Octant k of a box takes the upper half along x, y, z where bits 2, 1, 0 of k are set.
 _OCTANT_UPPER = np.array([[(k >> 2) & 1, (k >> 1) & 1, k & 1] for k in range(8)], dtype=bool)
 
@@ -226,8 +229,10 @@ def _adaptive_boxes(integrand, boxes, rel_tol: float, scale_hint: float,
     parents. `integrand(points, weights)` takes points (cells*125, 3) and
     weights (cells, 125) and returns the per-cell sums. A parent is accepted
     when its children's sum moves its coarse estimate by no more than the
-    local budget rel_tol * max(|fine|, scale_hint); accepted parents are
-    added to the total in queue (FIFO) order, so results are bit-reproducible.
+    local budget rel_tol * max(|fine|, scale_hint), or by no more than
+    1e-15 |fine|; accepted parents are added to the total in queue (FIFO)
+    order, so results are bit-reproducible. A parent still failing at
+    max_depth raises ConvergenceError.
     """
     total = 0.0
     err = 0.0
@@ -249,8 +254,16 @@ def _adaptive_boxes(integrand, boxes, rel_tol: float, scale_hint: float,
             raise ConvergenceError(
                 f"Born octree: integrand not finite at depth {depth} "
                 f"({diff.size} cells); the body's extent overflows float64")
-        budget = rel_tol * np.maximum(np.abs(fine), scale_hint)
-        done = (diff <= np.maximum(budget, 1e-15 * np.abs(fine))) | (depth >= max_depth)
+        budget = np.maximum(rel_tol * np.maximum(np.abs(fine), scale_hint),
+                            1e-15 * np.abs(fine))
+        done = diff <= budget
+        if depth >= max_depth and not done.all():
+            with np.errstate(divide="ignore"):
+                worst = float(np.max(diff[~done] / budget[~done]))
+            raise ConvergenceError(
+                f"Born octree: {int(np.count_nonzero(~done))} cells still above their "
+                f"budget at the depth cap {max_depth} (worst diff/budget {worst:.3e}); "
+                f"a field point may lie too close to a box")
         for v, e in zip(fine[done].tolist(), diff[done].tolist()):
             total += v
             err += e
@@ -260,35 +273,64 @@ def _adaptive_boxes(integrand, boxes, rel_tol: float, scale_hint: float,
     return total, err
 
 
-def _half_space_boxes(field_pts, rel_tail: float):
-    """Half-cube shells covering z < 0 out to a truncation radius.
+def _half_space_integral(r1: Point3, r2: Point3, alpha: np.ndarray) -> Tuple[float, float]:
+    """int over z < 0 of grad_x(1/|r1 - x|) . alpha . grad_x(1/|r2 - x|) d^3x, closed form.
 
-    The integrand falls off like 1/s^4 with s the distance to the nearer
-    field point, so the exterior contributes ~ 2 pi / S relative to the
-    pi/h total; S is chosen to push that below rel_tail.
+    With D the in-plane offset of r2 from r1, Z = z1 + z2 and R = |r2 - r1*|
+    (r1* is r1 mirrored in z = 0), the integral is
+
+        pi [(axx + ayy)/(Z + R) - D.a_par.D / (R (Z + R)^2)] + pi azz / R,
+
+    a_par being the in-plane 2x2 block; the xz and yz entries drop out. It
+    follows from the 2-D Fourier representation of 1/|r - x| and reduces to
+    2 pi/R for alpha = 1 and to (pi/4h)(axx + ayy) + (pi/2h) azz at r1 = r2.
+    D/R is formed first so that no power of R overflows. The error is the
+    roundoff, 8 eps times the summed term magnitudes (positive for any
+    nonzero tensor, whose trace is positive).
     """
-    h = min(abs(p.z) for p in field_pts)
-    span = max(max(abs(p.x), abs(p.y)) for p in field_pts)
-    L0 = 2.0 * (h + span)
-    S = 4.0 * h / rel_tail
-    boxes = [Box(-L0, L0, -L0, L0, -L0, 0.0)]
-    L = L0
-    while L < S:
-        L2 = 2.0 * L
-        boxes.append(Box(-L2, L2, -L2, L2, -L2, -L))
-        boxes.append(Box(-L2, -L, -L2, L2, -L, 0.0))
-        boxes.append(Box(L, L2, -L2, L2, -L, 0.0))
-        boxes.append(Box(-L, L, -L2, -L, -L, 0.0))
-        boxes.append(Box(-L, L, L, L2, -L, 0.0))
-        L = L2
-    tail_bound = 2.0 * math.pi / L  # bound on the exterior of int d^3r / s^4
-    return boxes, tail_bound
+    dx, dy, Z = r2.x - r1.x, r2.y - r1.y, r1.z + r2.z
+    R = math.hypot(dx, dy, Z)
+    ZR = Z + R
+    ux, uy = dx / R, dy / R
+    par = alpha[0, 0] * ux * ux + 2.0 * alpha[0, 1] * ux * uy + alpha[1, 1] * uy * uy
+    terms = (math.pi * (alpha[0, 0] + alpha[1, 1]) / ZR,
+             -math.pi * par / ZR * (R / ZR),
+             math.pi * alpha[2, 2] / R)
+    value = terms[0] + terms[1] + terms[2]
+    if not math.isfinite(value):
+        raise DomainError(f"half-space Born integral at {r1}, {r2} overflows float64")
+    return value, _ROUNDOFF * (abs(terms[0]) + abs(terms[1]) + abs(terms[2]))
 
 
 def _check_outside(body: DiluteBody, pts) -> None:
     for p in pts:
         if body.contains(p):
             raise PointInsideBodyError(f"point {p} lies inside the body volume")
+
+
+def _body_integral(body: DiluteBody, box_integrand, r1: Point3, r2: Point3,
+                   spec: QuadratureSpec) -> Tuple[float, float]:
+    """eta-weighted integral over the body and its error.
+
+    Boxes go to the octree with `box_integrand`; the half-space takes the
+    closed form, so `box_integrand` must be the integrand of
+    `_half_space_integral` at (r1, r2).
+    """
+    total = 0.0
+    err = 0.0
+    for reg in body.regions:
+        if reg.eta == 0.0:
+            continue
+        val, e = _adaptive_boxes(box_integrand, [reg.box], spec.rel_tol, scale_hint=0.0)
+        total += reg.eta * val
+        err += reg.eta * e
+    if body.half_space_eta:
+        if r1.z <= 0.0 or r2.z <= 0.0:
+            raise PointInsideBodyError("field points must lie above the half-space body")
+        val, e = _half_space_integral(r1, r2, body.alpha.matrix)
+        total += body.half_space_eta * val
+        err += body.half_space_eta * e
+    return total, err
 
 
 def born_scattering_g1(r: Point3, r_src: Point3, body: DiluteBody,
@@ -302,33 +344,12 @@ def born_scattering_g1(r: Point3, r_src: Point3, body: DiluteBody,
     alpha = body.alpha.matrix
     rv = np.array([r.x, r.y, r.z])
     rpv = np.array([r_src.x, r_src.y, r_src.z])
-    eps_bg = body.background_eps
-    pref = -1.0 / (epsilon_0 * (4.0 * math.pi * eps_bg) ** 2)
+    pref = -1.0 / (epsilon_0 * (4.0 * math.pi * body.background_eps) ** 2)
 
     def integrand(pts, w):
         return kernels.alpha_chain_sum(pts, w, rv, rpv, alpha)
 
-    total = 0.0
-    err = 0.0
-    alpha_scale = float(np.max(np.abs(alpha)))
-    for reg in body.regions:
-        if reg.eta == 0.0:
-            continue
-        val, e = _adaptive_boxes(integrand, [reg.box], spec.rel_tol,
-                                 scale_hint=0.0)
-        total += reg.eta * val
-        err += reg.eta * e
-    if body.half_space_eta is not None and body.half_space_eta > 0.0:
-        if r.z <= 0.0 or r_src.z <= 0.0:
-            raise PointInsideBodyError("field points must lie above the half-space body")
-        rel_tail = 0.05 * spec.rel_tol
-        boxes, tail = _half_space_boxes((r, r_src), rel_tail)
-        # scale_hint: the dominant pi/h magnitude of the isotropic integral
-        h = min(r.z, r_src.z)
-        hint = alpha_scale * math.pi / h
-        val, e = _adaptive_boxes(integrand, boxes, spec.rel_tol, scale_hint=hint)
-        total += body.half_space_eta * val
-        err += body.half_space_eta * (e + alpha_scale * tail)
+    total, err = _body_integral(body, integrand, r, r_src, spec)
     return GreensValue(pref * total, abs(pref) * err)
 
 
@@ -336,17 +357,17 @@ def charge_body_energy(a, body: DiluteBody,
                        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
     """Volume integral of eta(x) * U_charge-molecule(rA, x) over the body, joules.
 
-    Independent of the born_scattering_g1 route (the two are checked against
-    each other in the tests). Carries the same 1/eps_bg^2 background
-    screening as the Green's-function route so they agree for any
-    background permittivity.
+    Independent of the born_scattering_g1 route on boxes (the two are
+    checked against each other in the tests); on the half-space both use
+    the closed form, since s.alpha.s / s^6 is the r1 = r2 case of its
+    integrand. Carries the same 1/eps_bg^2 background screening as the
+    Green's-function route so they agree for any background permittivity.
     """
     r = a.position
     _check_outside(body, (r,))
     alpha = body.alpha.matrix
     rv = np.array([r.x, r.y, r.z])
-    eps_bg = body.background_eps
-    pref = -a.q * a.q / (32.0 * math.pi ** 2 * epsilon_0 ** 2 * eps_bg ** 2)
+    pref = -a.q * a.q / (32.0 * math.pi ** 2 * epsilon_0 ** 2 * body.background_eps ** 2)
 
     def integrand(pts, w):
         s = rv[np.newaxis, :] - pts
@@ -354,22 +375,5 @@ def charge_body_energy(a, body: DiluteBody,
         quad = np.einsum("ij,ij->i", s @ alpha, s)
         return np.sum((w.ravel() * quad / s2 ** 3).reshape(w.shape), axis=-1)
 
-    alpha_scale = float(np.max(np.abs(alpha)))
-    total = 0.0
-    err = 0.0
-    for reg in body.regions:
-        if reg.eta == 0.0:
-            continue
-        val, e = _adaptive_boxes(integrand, [reg.box], spec.rel_tol, scale_hint=0.0)
-        total += reg.eta * val
-        err += reg.eta * e
-    if body.half_space_eta is not None and body.half_space_eta > 0.0:
-        if r.z <= 0.0:
-            raise PointInsideBodyError("charge must lie above the half-space body")
-        rel_tail = 0.05 * spec.rel_tol
-        boxes, tail = _half_space_boxes((r,), rel_tail)
-        hint = alpha_scale * math.pi / r.z
-        val, e = _adaptive_boxes(integrand, boxes, spec.rel_tol, scale_hint=hint)
-        total += body.half_space_eta * val
-        err += body.half_space_eta * (e + alpha_scale * tail)
+    total, err = _body_integral(body, integrand, r, r, spec)
     return ValueWithError(pref * total, abs(pref) * err)

@@ -412,6 +412,8 @@ def force_on_A(geom: Geometry, a: Charge, b: Optional[Charge] = None,
             if not math.isfinite(scale):
                 raise DomainError("force_on_A: provide h for geometries without surfaces")
             h = 1e-5 * scale
+            if h == 0.0:
+                raise DomainError(f"force_on_A: the step 1e-5 x {scale!r} underflows float64")
 
         if b is None:
             def energy(q: Point3) -> float:

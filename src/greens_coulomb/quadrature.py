@@ -90,7 +90,8 @@ def _panels_adaptive(f, lo: np.ndarray, hi: np.ndarray, scale: float,
     1e-15 (|fine| + |coarse|), or at depth 26; its children get half its
     tolerance. Panel i starts at 0.02 max(abs_tol, rel_tol s_i), where s_i is
     the larger of `scale` and the first-level estimates |left + right| of
-    panels 0..i-1.
+    panels 0..i-1; where that tolerance is 0 (abs_tol = 0 and s_i = 0), s_i
+    is panel i's own first-level estimate.
 
     Returns the panel integrals, the summed halving corrections |fine - coarse|
     of each panel, and the sum of |w f| over all accepted subintervals.
@@ -102,6 +103,8 @@ def _panels_adaptive(f, lo: np.ndarray, hi: np.ndarray, scale: float,
     fine_abs = q_abs[n:2 * n] + q_abs[2 * n:]
     running = np.maximum.accumulate(np.concatenate(([scale], np.abs(left + right)[:-1])))
     tol = 0.02 * np.maximum(spec.abs_tol, spec.rel_tol * running)
+    if not tol[0] > 0.0:  # abs_tol = 0 and nothing seen yet: panels scale by themselves
+        tol = np.where(tol > 0.0, tol, 0.02 * spec.rel_tol * np.abs(left + right))
     owner = np.arange(n)
     depth = 0
     values = np.zeros(n)

@@ -19,11 +19,12 @@ from typing import Callable, Dict, List
 import numpy as np
 from scipy.constants import elementary_charge, epsilon_0
 
-from . import analytic, born, cavity, interactions, poisson_fd, screening
+from . import analytic, born, cavity, interactions, kernels, poisson_fd, screening
 from .core import (
     PERFECT_CONDUCTOR,
     Charge,
     FreeSpace,
+    GreensValue,
     HalfSpace,
     PlateWithHole,
     Point3,
@@ -270,12 +271,19 @@ def check_fd_convergence() -> CheckResult:
                        "error ratio per halving of h (>= 3 required)")
 
 
+@lru_cache(maxsize=None)
+def _cavity_fd(eps1: float, eps3: float, z0: float) -> poisson_fd.FDSolution:
+    """ThreeLayerCavity(eps1, 1, eps3, d = 1) with the source at height z0 on
+    the aligned 256 x 256 grid, solved once per process."""
+    d = 1.0
+    grid = poisson_fd.aligned_grid(256, z0, (-d / 2, d / 2), 3 * d, 8 * d)
+    return poisson_fd.solve_scattering_g1(ThreeLayerCavity(eps1, 1.0, eps3, d),
+                                          Point3(0, 0, z0), grid)
+
+
 def check_fd_cavity_midpoint() -> CheckResult:
     d = 1.0
-    cav = ThreeLayerCavity(8.0, 1.0, 8.0, d)
-    grid = poisson_fd.aligned_grid(256, 0.0, (-d / 2, d / 2), 3 * d, 8 * d)
-    sol = poisson_fd.solve_scattering_g1(cav, Point3(0, 0, 0), grid)
-    got = sol.g_total_at(Point3(d, 0, 0))
+    got = _cavity_fd(8.0, 8.0, 0.0).g_total_at(Point3(d, 0, 0))
     ref = cavity.cavity_g_midpoint(d, d, 8.0, 1.0, 8.0).value
     err = _rel(got, ref)
     return CheckResult("fd_cavity_midpoint", err <= 0.02, got, ref, 0.02)
@@ -283,10 +291,7 @@ def check_fd_cavity_midpoint() -> CheckResult:
 
 def check_fd_cavity_general() -> CheckResult:
     d = 1.0
-    cav = ThreeLayerCavity(4.0, 1.0, 8.0, d)
-    grid = poisson_fd.aligned_grid(256, 0.2 * d, (-d / 2, d / 2), 3 * d, 8 * d)
-    sol = poisson_fd.solve_scattering_g1(cav, Point3(0, 0, 0.2 * d), grid)
-    got = sol.g_total_at(Point3(0.5 * d, 0, 0.2 * d))
+    got = _cavity_fd(4.0, 8.0, 0.2 * d).g_total_at(Point3(0.5 * d, 0, 0.2 * d))
     ref = cavity.cavity_g_general(0.2 * d, 0.2 * d, 0.5 * d, d, 4.0, 1.0, 8.0).value
     err = _rel(got, ref)
     return CheckResult("fd_cavity_general_z", err <= 0.02, got, ref, 0.02)
@@ -365,29 +370,72 @@ def check_cavity_slope() -> CheckResult:
                        -math.pi / d, 0.02)
 
 
-# criterion 5: a dilute half-space z < 0 with eta alpha / eps0 = 1e-3, probed at h
+# criterion 5: a dilute half-space z < 0 with eta alpha / eps0 = 1e-3, probed at h.
+# The program integrates the half-space in closed form; these checks run the
+# Born octree on half-cube shells instead, so they do not test the formula
+# against itself.
 _BORN_H = 1e-9
 _BORN_X = 1e-3
 _BORN_ALPHA = 1e-30 * epsilon_0
 _BORN_ETA = _BORN_X * epsilon_0 / _BORN_ALPHA
-_BORN_SPEC = QuadratureSpec(rel_tol=1e-6)
+_BORN_REL_TOL = 1e-6
 
 
-def _born_half_space() -> born.DiluteBody:
-    return born.DiluteBody(alpha=born.PolarizabilityTensor.isotropic(_BORN_ALPHA),
-                           half_space_eta=_BORN_ETA)
+def _half_shells(field_pts, rel_tail: float):
+    """Half-cube shells covering z < 0 out to a truncation radius.
+
+    The integrand falls off like 1/s^4 with s the distance to the nearer
+    field point, so the exterior contributes ~ 2 pi / S relative to the
+    pi/h total; S is chosen to push that below rel_tail.
+    """
+    h = min(abs(p.z) for p in field_pts)
+    span = max(max(abs(p.x), abs(p.y)) for p in field_pts)
+    L0 = 2.0 * (h + span)
+    S = 4.0 * h / rel_tail
+    boxes = [born.Box(-L0, L0, -L0, L0, -L0, 0.0)]
+    L = L0
+    while L < S:
+        L2 = 2.0 * L
+        boxes.append(born.Box(-L2, L2, -L2, L2, -L2, -L))
+        boxes.append(born.Box(-L2, -L, -L2, L2, -L, 0.0))
+        boxes.append(born.Box(L, L2, -L2, L2, -L, 0.0))
+        boxes.append(born.Box(-L, L, -L2, -L, -L, 0.0))
+        boxes.append(born.Box(-L, L, L, L2, -L, 0.0))
+        L = L2
+    tail_bound = 2.0 * math.pi / L  # bound on the exterior of int d^3r / s^4
+    return boxes, tail_bound
+
+
+def half_space_octree(r1: Point3, r2: Point3, alpha: np.ndarray,
+                      rel_tol: float) -> GreensValue:
+    """int over z < 0 of grad_x(1/|r1 - x|) . alpha . grad_x(1/|r2 - x|) d^3x by the
+    Born octree on half-cube shells; abs_err adds the truncated tail's bound."""
+    rv, rpv = np.array([r1.x, r1.y, r1.z]), np.array([r2.x, r2.y, r2.z])
+    boxes, tail = _half_shells((r1, r2), 0.05 * rel_tol)
+    alpha_scale = float(np.max(np.abs(alpha)))
+    # scale_hint: the dominant pi/h magnitude of the isotropic integral
+    hint = alpha_scale * math.pi / min(r1.z, r2.z)
+    val, err = born._adaptive_boxes(
+        lambda pts, w: kernels.alpha_chain_sum(pts, w, rv, rpv, alpha),
+        boxes, rel_tol, scale_hint=hint)
+    return GreensValue(val, err + alpha_scale * tail)
+
+
+def born_g1_prefactor(eta: float, eps_bg: float) -> float:
+    """g1 per unit half-space integral: -eta / (eps0 (4 pi eps_bg)^2)."""
+    return -eta / (epsilon_0 * (4.0 * math.pi * eps_bg) ** 2)
 
 
 @lru_cache(maxsize=None)
 def _born_charge_energy() -> float:
-    return born.charge_body_energy(Charge(QE, Point3(0, 0, _BORN_H)),
-                                   _born_half_space(), _BORN_SPEC).value
+    p = Point3(0, 0, _BORN_H)
+    integral = half_space_octree(p, p, _BORN_ALPHA * np.eye(3), _BORN_REL_TOL).value
+    return -QE ** 2 * _BORN_ETA * integral / (32 * math.pi ** 2 * epsilon_0 ** 2)
 
 
 def check_born_half_space() -> CheckResult:
     p = Point3(0, 0, _BORN_H)
-    g1 = born.born_scattering_g1(p, p, _born_half_space(), _BORN_SPEC)
-    measured = g1.value * (-(4.0 * math.pi) ** 2 * epsilon_0) / (_BORN_ETA * _BORN_ALPHA)
+    measured = half_space_octree(p, p, np.eye(3), _BORN_REL_TOL).value
     target = math.pi / _BORN_H
     err = _rel(measured, target)
     return CheckResult("born_half_space_volume_identity", err <= 1e-4,
@@ -408,6 +456,20 @@ def check_born_vs_linearized() -> CheckResult:
     err = _rel(u_born, u_image)
     return CheckResult("born_vs_image_linearized", err <= 1e-3, u_born, u_image,
                        1e-3, "eta alpha/eps0 = 1e-3")
+
+
+def check_born_anisotropic_pair() -> CheckResult:
+    # a tensor with every entry nonzero, in a background of eps 2
+    alpha = _BORN_ALPHA * np.array([[2.0, 0.3, 0.7], [0.3, 1.0, -0.5], [0.7, -0.5, 1.5]])
+    body = born.DiluteBody(alpha=born.PolarizabilityTensor.from_matrix(alpha),
+                           half_space_eta=_BORN_ETA, background_eps=2.0)
+    a, b = Point3(0.0, 0.0, _BORN_H), Point3(0.5 * _BORN_H, -0.2 * _BORN_H, 1.4 * _BORN_H)
+    got = born.born_scattering_g1(a, b, body)
+    octree = half_space_octree(a, b, alpha, _BORN_REL_TOL)
+    pref = born_g1_prefactor(_BORN_ETA, 2.0)
+    ratio = abs(got.value - pref * octree.value) / (got.abs_err + abs(pref) * octree.abs_err)
+    return CheckResult("born_half_space_anisotropic_pair", ratio <= 1.0, ratio, 0.0, 1.0,
+                       "|g1 - octree| / combined abs_err (<= 1); xz, yz != 0, eps_bg = 2")
 
 
 def check_local_field_80() -> CheckResult:
@@ -640,6 +702,7 @@ SUITES["all"] = SUITES["limits"] + SUITES["quadrature"] + [
     check_born_half_space,
     check_born_closed_form,
     check_born_vs_linearized,
+    check_born_anisotropic_pair,
     check_local_field_80,
     check_reciprocity_closed,
     check_reciprocity_quadrature,

@@ -1,10 +1,12 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import elementary_charge as QE, epsilon_0
 
+from greens_coulomb import born, validate
 from greens_coulomb.born import (
     Box,
     DensityRegion,
@@ -21,6 +23,7 @@ from greens_coulomb.core import (
     Point3,
     PointInsideBodyError,
     QuadratureSpec,
+    distance,
 )
 
 ALPHA_VOL = 1e-30             # polarizability volume alpha/eps0, m^3
@@ -171,3 +174,124 @@ class TestChargeBodyEnergy:
         u_from_g1 = QE ** 2 / (2 * epsilon_0) * born_scattering_g1(
             q.position, q.position, body, SPEC).value
         assert abs(u_direct - u_from_g1) / abs(u_direct) < 1e-4
+
+
+# every entry nonzero: the xz and yz terms must drop out of the half-space
+ANISO = PolarizabilityTensor.from_matrix(
+    ALPHA * np.array([[2.0, 0.3, 0.7], [0.3, 1.0, -0.5], [0.7, -0.5, 1.5]]))
+NM = 1e-9
+HALF_ETA = 1e27
+OCTREE_TOL = 1e-6
+HALF_PAIRS = {
+    "self": ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0)),
+    "pair": ((0.0, 0.0, 1.0), (0.5, -0.2, 1.4)),
+    "pair_wide": ((0.3, 0.1, 0.5), (-1.2, 0.8, 0.2)),
+}
+PI_50 = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _nm(p):
+    return Point3(*(c * NM for c in p))
+
+
+def _half_space_exact(r1, r2, a):
+    """The closed form at 50 digits from the same float inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = [Decimal(v) for v in (r2.x - r1.x, r2.y - r1.y)]
+        Z = Decimal(r1.z) + Decimal(r2.z)
+        R = (d[0] * d[0] + d[1] * d[1] + Z * Z).sqrt()
+        A = [[Decimal(float(v)) for v in row] for row in a]
+        par = A[0][0] * d[0] * d[0] + 2 * A[0][1] * d[0] * d[1] + A[1][1] * d[1] * d[1]
+        return float(PI_50 * ((A[0][0] + A[1][1]) / (Z + R) - par / (R * (Z + R) ** 2)
+                              + A[2][2] / R))
+
+
+class TestHalfSpaceClosedForm:
+    """The closed-form half-space against the Born octree on half-cube shells."""
+
+    @pytest.mark.parametrize("eps_bg", [1.0, 2.5])
+    @pytest.mark.parametrize("tensor", ["iso", "aniso"])
+    @pytest.mark.parametrize("pair", sorted(HALF_PAIRS))
+    def test_g1_matches_octree(self, pair, tensor, eps_bg):
+        alpha = {"iso": ISO, "aniso": ANISO}[tensor]
+        body = DiluteBody(alpha=alpha, half_space_eta=HALF_ETA, background_eps=eps_bg)
+        a, b = (_nm(p) for p in HALF_PAIRS[pair])
+        got = born_scattering_g1(a, b, body)
+        ref = validate.half_space_octree(a, b, alpha.matrix, OCTREE_TOL)
+        pref = validate.born_g1_prefactor(HALF_ETA, eps_bg)
+        assert abs(got.value - pref * ref.value) <= got.abs_err + abs(pref) * ref.abs_err
+        assert 0.0 < got.abs_err <= 1e-14 * abs(got.value)
+
+    @pytest.mark.parametrize("eps_bg", [1.0, 2.5])
+    @pytest.mark.parametrize("tensor", ["iso", "aniso"])
+    def test_charge_body_energy_matches_octree(self, tensor, eps_bg):
+        alpha = {"iso": ISO, "aniso": ANISO}[tensor]
+        body = DiluteBody(alpha=alpha, half_space_eta=HALF_ETA, background_eps=eps_bg)
+        p = _nm((0.2, -0.1, 0.8))
+        got = charge_body_energy(Charge(QE, p), body)
+        ref = validate.half_space_octree(p, p, alpha.matrix, OCTREE_TOL)
+        pref = -QE ** 2 * HALF_ETA / (32 * math.pi ** 2 * epsilon_0 ** 2 * eps_bg ** 2)
+        assert abs(got.value - pref * ref.value) <= got.abs_err + abs(pref) * ref.abs_err
+        assert 0.0 < got.abs_err <= 1e-14 * abs(got.value)
+
+    def test_isotropic_pair_is_image_distance(self):
+        # int grad(1/|r1 - x|) . grad(1/|r2 - x|) over z < 0 = 2 pi / |r2 - r1*|
+        body = DiluteBody(alpha=ISO, half_space_eta=HALF_ETA, background_eps=2.5)
+        a, b = _nm((0.3, 0.1, 0.5)), _nm((-1.2, 0.8, 0.2))
+        got = born_scattering_g1(a, b, body).value
+        exact = -(HALF_ETA * ALPHA / epsilon_0) / (8 * math.pi * 2.5 ** 2
+                                                   * distance(a, b.mirror_z()))
+        assert math.isclose(got, exact, rel_tol=1e-14)
+
+    def test_reciprocity(self):
+        rng = np.random.default_rng(5)
+        body = DiluteBody(alpha=ANISO, half_space_eta=HALF_ETA, background_eps=2.5)
+        for _ in range(100):
+            a, b = (Point3(*rng.uniform(-2.0, 2.0, 2) * NM, rng.uniform(0.05, 3.0) * NM)
+                    for _ in range(2))
+            ab, ba = born_scattering_g1(a, b, body).value, born_scattering_g1(b, a, body).value
+            assert abs(ab - ba) <= 1e-14 * abs(ab)
+
+    def test_abs_err_bounds_roundoff(self):
+        # includes near-cancelling terms: alpha along x, offset along x, Z << R
+        rng = np.random.default_rng(11)
+        tensors = [ANISO.matrix / ALPHA, np.diag([1.0, 0.0, 0.0]), np.eye(3)]
+        for i in range(300):
+            a = tensors[i % 3]
+            z1, z2 = 10.0 ** rng.uniform(-8, 1, 2)
+            r1 = Point3(0.0, 0.0, z1)
+            r2 = Point3(*(10.0 ** rng.uniform(-3, 2) * rng.choice([-1, 1], 2)), z2)
+            val, err = born._half_space_integral(r1, r2, a)
+            assert 0.0 < err
+            assert abs(val - _half_space_exact(r1, r2, a)) <= err
+
+    def test_boxes_and_half_space_add(self):
+        region = DensityRegion(Box(-1 * NM, 1 * NM, -1 * NM, 1 * NM, 0.0, 0.5 * NM), 2e27)
+        a, b = _nm((0.1, 0.2, 1.0)), _nm((1.5, -0.3, 0.8))
+
+        def body(regions, half):
+            return DiluteBody(alpha=ANISO, regions=regions, half_space_eta=half,
+                              background_eps=1.5)
+        both, boxes, half = (born_scattering_g1(a, b, body(*k), SPEC) for k in (
+            ((region,), HALF_ETA), ((region,), None), ((), HALF_ETA)))
+        assert abs(both.value - (boxes.value + half.value)) <= 1e-15 * abs(both.value)
+        assert both.abs_err == pytest.approx(boxes.abs_err + half.abs_err, rel=1e-12)
+        ref = validate.half_space_octree(a, b, ANISO.matrix, OCTREE_TOL)
+        pref = validate.born_g1_prefactor(HALF_ETA, 1.5)
+        assert (abs(both.value - boxes.value - pref * ref.value)
+                <= both.abs_err + boxes.abs_err + abs(pref) * ref.abs_err)
+        q = Charge(QE, a)
+        u_both = charge_body_energy(q, body((region,), HALF_ETA), SPEC)
+        u_parts = [charge_body_energy(q, body(*k), SPEC).value
+                   for k in (((region,), None), ((), HALF_ETA))]
+        assert abs(u_both.value - sum(u_parts)) <= 1e-15 * abs(u_both.value)
+        assert abs(u_both.value - QE ** 2 / (2 * epsilon_0) * born_scattering_g1(
+            a, a, body((region,), HALF_ETA), SPEC).value) / abs(u_both.value) < 1e-4
+
+    def test_field_point_on_the_plane_rejected(self):
+        body = DiluteBody(alpha=ANISO, half_space_eta=HALF_ETA)
+        with pytest.raises(PointInsideBodyError):
+            born_scattering_g1(Point3(0, 0, 0.0), Point3(0, 0, 1e-9), body)
+        with pytest.raises(PointInsideBodyError):
+            charge_body_energy(Charge(QE, Point3(1e-9, 0, 0.0)), body)

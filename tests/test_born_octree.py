@@ -1,11 +1,15 @@
-"""The level-batched Born octree against the cell-by-cell loop it replaced."""
+"""The level-batched Born octree against the cell-by-cell loop it replaced.
+
+The program integrates the half-space in closed form, so the half-space
+cases run the octree on the half-cube shells of `validate.half_space_octree`.
+"""
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.constants import elementary_charge as QE, epsilon_0
 
-from greens_coulomb import born, kernels
+from greens_coulomb import born, kernels, validate
 from greens_coulomb.born import (
     Box,
     DensityRegion,
@@ -14,7 +18,7 @@ from greens_coulomb.born import (
     born_scattering_g1,
     charge_body_energy,
 )
-from greens_coulomb.core import Charge, ConvergenceError, Point3
+from greens_coulomb.core import DEFAULT_QUADRATURE, Charge, ConvergenceError, Point3
 
 NM = 1e-9
 ALPHA = 1e-30 * epsilon_0
@@ -23,7 +27,6 @@ ANISO = PolarizabilityTensor.from_matrix(
     ALPHA * np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]]))
 SLAB = DensityRegion(Box(-1 * NM, 1 * NM, -1 * NM, 1 * NM, -2 * NM, -1 * NM), 1e27)
 SIDE = DensityRegion(Box(1.5 * NM, 2.5 * NM, -0.5 * NM, 0.5 * NM, -1 * NM, 0.5 * NM), 2e27)
-HALF = DiluteBody(alpha=ISO, half_space_eta=1e25)
 
 
 def reference_adaptive_boxes(integrand, boxes, rel_tol, scale_hint, max_depth=12):
@@ -87,6 +90,11 @@ def g1(body, ra, rb):
     return lambda: born_scattering_g1(Point3(*ra), Point3(*rb), body)
 
 
+def half_space_octree(ra, rb):
+    return lambda: validate.half_space_octree(Point3(*ra), Point3(*rb), ISO.matrix,
+                                              DEFAULT_QUADRATURE.rel_tol)
+
+
 CASES = {
     "box_pair_far": g1(DiluteBody(alpha=ISO, regions=(SLAB,)),
                        (0.0, 0.0, 5 * NM), (1 * NM, 0.5 * NM, 5 * NM)),
@@ -97,8 +105,8 @@ CASES = {
         (0.1 * NM, -0.2 * NM, 0.0), (0.1 * NM, -0.2 * NM, 0.0)),
     "two_regions": g1(DiluteBody(alpha=ANISO, regions=(SLAB, SIDE)),
                       (0.0, 0.0, 1 * NM), (2 * NM, 0.0, 1.5 * NM)),
-    "half_space_self": g1(HALF, (0.0, 0.0, 1 * NM), (0.0, 0.0, 1 * NM)),
-    "half_space_pair": g1(HALF, (0.0, 0.0, 1 * NM), (0.5 * NM, -0.2 * NM, 1.4 * NM)),
+    "half_space_self": half_space_octree((0.0, 0.0, 1 * NM), (0.0, 0.0, 1 * NM)),
+    "half_space_pair": half_space_octree((0.0, 0.0, 1 * NM), (0.5 * NM, -0.2 * NM, 1.4 * NM)),
     "charge_body_energy": lambda: charge_body_energy(
         Charge(QE, Point3(0.0, 0.0, 1 * NM)),
         DiluteBody(alpha=ANISO, regions=(SLAB, SIDE), half_space_eta=None,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from greens_coulomb import validate
 from greens_coulomb.cavity import cavity_g_general, cavity_g_midpoint
 from greens_coulomb.core import (
     PERFECT_CONDUCTOR,
@@ -10,7 +11,6 @@ from greens_coulomb.core import (
     HalfSpace,
     Point3,
     SourceOnInterfaceError,
-    ThreeLayerCavity,
     UnsupportedGeometryError,
 )
 from greens_coulomb.poisson_fd import GridSpec, aligned_grid, solve_scattering_g1
@@ -22,6 +22,12 @@ HS_G1_EXACT = -(1.0 / (4 * math.pi)) * (3.0 / 5.0) / (2.0 * H)
 
 def small_grid(n=64):
     return aligned_grid(n, H, (0.0,), 20 * H, 40 * H)
+
+
+def hs_solution(n=64):
+    """HS with the source at height H on small_grid(n): validate's cached solve,
+    which its oracle suite reads too."""
+    return validate._half_space_fd(n)
 
 
 class TestGridSpec:
@@ -41,31 +47,30 @@ class TestHalfSpaceOracle:
         assert np.max(np.abs(sol.g1)) == 0.0
 
     def test_matches_image_value_at_source(self):
-        grid = aligned_grid(256, H, (0.0,), 20 * H, 40 * H)
-        sol = solve_scattering_g1(HS, Point3(0, 0, H), grid)
+        sol = hs_solution(256)
         assert abs(sol.source_g1() - HS_G1_EXACT) / abs(HS_G1_EXACT) < 0.02
 
     def test_second_order_convergence(self):
         errs = []
         for n in (64, 128, 256):
-            sol = solve_scattering_g1(HS, Point3(0, 0, H), small_grid(n))
+            sol = hs_solution(n)
             errs.append(abs(sol.source_g1() - HS_G1_EXACT))
         assert errs[0] / errs[1] >= 3.0
         assert errs[1] / errs[2] >= 3.0
 
     def test_eps_scaling_inverse(self):
-        sol1 = solve_scattering_g1(HS, Point3(0, 0, H), small_grid())
+        sol1 = hs_solution()
         sol3 = solve_scattering_g1(HalfSpace(3.0, 12.0), Point3(0, 0, H),
                                    small_grid())
         err = np.max(np.abs(3.0 * sol3.g1 - sol1.g1)) / np.max(np.abs(sol1.g1))
         assert err < 1e-10
 
     def test_gauss_law_flux(self):
-        sol = solve_scattering_g1(HS, Point3(0, 0, H), small_grid(128))
+        sol = hs_solution(128)
         assert abs(sol.gauss_flux(24) - 1.0) < 0.01
 
     def test_off_axis_source_translates(self):
-        sol0 = solve_scattering_g1(HS, Point3(0, 0, H), small_grid())
+        sol0 = hs_solution()
         sol1 = solve_scattering_g1(HS, Point3(0.7, -0.3, H), small_grid())
         p = Point3(1.0, 0.5, 2.0)
         shifted = Point3(p.x + 0.7, p.y - 0.3, p.z)
@@ -84,18 +89,14 @@ class TestHalfSpaceOracle:
 class TestCavityOracle:
     def test_matches_quadrature_midpoint(self):
         d = 1.0
-        cav = ThreeLayerCavity(8.0, 1.0, 8.0, d)
-        grid = aligned_grid(256, 0.0, (-d / 2, d / 2), 3 * d, 8 * d)
-        sol = solve_scattering_g1(cav, Point3(0, 0, 0), grid)
+        sol = validate._cavity_fd(8.0, 8.0, 0.0)  # ThreeLayerCavity(8, 1, 8, d)
         got = sol.g_total_at(Point3(d, 0, 0))
         ref = cavity_g_midpoint(d, d, 8.0, 1.0, 8.0).value
         assert abs(got - ref) / ref < 0.02
 
     def test_matches_quadrature_general_heights(self):
         d = 1.0
-        cav = ThreeLayerCavity(4.0, 1.0, 8.0, d)
-        grid = aligned_grid(256, 0.2 * d, (-d / 2, d / 2), 3 * d, 8 * d)
-        sol = solve_scattering_g1(cav, Point3(0, 0, 0.2 * d), grid)
+        sol = validate._cavity_fd(4.0, 8.0, 0.2 * d)  # ThreeLayerCavity(4, 1, 8, d)
         got = sol.g_total_at(Point3(0.5 * d, 0, 0.2 * d))
         ref = cavity_g_general(0.2 * d, 0.2 * d, 0.5 * d, d, 4.0, 1.0, 8.0).value
         assert abs(got - ref) / ref < 0.02
@@ -103,7 +104,7 @@ class TestCavityOracle:
 
 class TestCsvDump:
     def test_round_trip(self, tmp_path):
-        sol = solve_scattering_g1(HS, Point3(0, 0, H), small_grid())
+        sol = hs_solution()
         out = tmp_path / "field.csv"
         sol.to_csv(out)
         lines = out.read_text().splitlines()

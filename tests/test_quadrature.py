@@ -97,7 +97,7 @@ def _ref_gl_panel(f, a, b):
     return h * float(np.dot(vals, quadrature._GL_W))
 
 
-def _ref_panel_adaptive(f, a, b, tol, max_depth=26):
+def _ref_panel_adaptive(f, a, b, tol, rel_tol, max_depth=26):
     total = 0.0
     err = 0.0
     stack = [(a, b, _ref_gl_panel(f, a, b), tol, 0)]
@@ -107,6 +107,8 @@ def _ref_panel_adaptive(f, a, b, tol, max_depth=26):
         left = _ref_gl_panel(f, a0, m)
         right = _ref_gl_panel(f, m, b0)
         fine = left + right
+        if depth == 0 and tol0 == 0.0:  # a panel with no scale yet scales by itself
+            tol0 = 0.02 * rel_tol * abs(fine)
         diff = abs(fine - coarse)
         if diff <= max(tol0, 1e-15 * (abs(fine) + abs(coarse))) or depth >= max_depth:
             total += fine
@@ -123,7 +125,7 @@ def _ref_panels(f, edges, spec):
     scale = 0.0
     for count, (a, b) in enumerate(edges, start=1):
         ptol = 0.02 * max(spec.abs_tol, spec.rel_tol * scale)
-        val, perr = _ref_panel_adaptive(f, a, b, ptol)
+        val, perr = _ref_panel_adaptive(f, a, b, ptol, spec.rel_tol)
         panels.append(val)
         panel_errs += perr
         scale = max(scale, abs(val))
@@ -145,7 +147,7 @@ def _ref_halfline(f, spec, k_scale):
     a, b = 0.0, k_scale
     for _ in range(spec.max_panels):
         val, perr = _ref_panel_adaptive(
-            f, a, b, 0.02 * max(spec.abs_tol, spec.rel_tol * abs(total)))
+            f, a, b, 0.02 * max(spec.abs_tol, spec.rel_tol * abs(total)), spec.rel_tol)
         total += val
         panel_errs += perr
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
@@ -271,17 +273,27 @@ def test_batched_matches_reference_short_last_block():
 
 
 def test_kernel_call_sizes_stay_bounded():
-    # exp(-100 k) J0(k) on its first panel has tolerance 0 and sits at the
-    # roundoff floor: millions of nodes, evaluated a bounded chunk at a time
+    # exp(-100 k) J0(k) on its first panel has tolerance 2e-302 and sits at
+    # the roundoff floor: millions of nodes, evaluated a bounded chunk at a time
     sizes = []
 
     def f(k):
         sizes.append(k.size)
         return np.exp(-100.0 * k)
-    got = hankel_integral(f, 1.0)
+    got = hankel_integral(f, 1.0, QuadratureSpec(abs_tol=1e-300))
     assert abs(got.value - 1.0 / math.hypot(1.0, 100.0)) <= got.abs_err
     assert sum(sizes) > 1e6
     assert max(sizes) <= 2 * quadrature._MAX_CALL_CELLS * quadrature._GL_X.size
+
+
+@pytest.mark.parametrize("rho,exact", [(1.0, 1.0 / math.hypot(1.0, 100.0)), (0.0, 0.01)])
+def test_abs_tol_zero_first_panel_scales_by_itself(rho, exact):
+    # with abs_tol = 0 the first panel has no scale but its own estimate;
+    # a tolerance of 0 would refine it at the roundoff floor (millions of nodes)
+    g, nodes = _counted(lambda k: np.exp(-100.0 * k))
+    got = hankel_integral(g, rho)
+    assert abs(got.value - exact) <= got.abs_err
+    assert nodes[0] <= 1000
 
 
 def test_non_finite_integrand_raises():

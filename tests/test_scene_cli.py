@@ -170,6 +170,19 @@ class TestCliCommands:
         assert code == 3
         assert "hankel_integral" in err  # names the originating module
 
+    def test_born_depth_cap_exit_3(self, tmp_path, capsys):
+        # 1 mm above a face of a 2 m box the octree needs cells finer than
+        # its depth cap of 12
+        doc = {"geometry": {"type": "dilute_body", "alpha": 1e-40,
+                            "regions": [{"box": [-1.0, 1.0, -1.0, 1.0, -2.0, -1.0],
+                                         "eta": 1e3}]},
+               "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, -0.999]}]}
+        scene = write_scene(tmp_path, doc)
+        assert main(["self-energy", "--scene", scene]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "20 cells" in err and "depth cap 12" in err
+        assert "diff/budget" in err
+
     @pytest.mark.parametrize("alpha", [
         True,
         [[1e-40, 0, 0], [0, "NaN", 0], [0, 0, 1e-40]],
@@ -198,6 +211,9 @@ class TestCliCommands:
          {"U_joules": 0.0, "ratio_to_free": None}),
         ("pair-energy", charge_pair({"type": "free_space"}, 1e-200, 1e-200),
          {"U_joules": 0.0, "ratio_to_free": None}),
+        # a half-space Born body is finite at 1e-320, but 1e-5 of that underflows
+        ("force", {"geometry": {"type": "dilute_body", "alpha": 1e-40, "half_space_eta": 1e27},
+                   "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, 1e-320]}]}, None),
         # the finite-difference force goes through the same energies
         ("force", charge_pair({"type": "plate_with_hole", "R": 1.0}, 0, QE),
          {"F_newtons": [0.0, 0.0, 0.0]}),
