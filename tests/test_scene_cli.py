@@ -211,12 +211,12 @@ class TestCliCommands:
          {"U_joules": 0.0, "ratio_to_free": None}),
         ("pair-energy", charge_pair({"type": "free_space"}, 1e-200, 1e-200),
          {"U_joules": 0.0, "ratio_to_free": None}),
-        # a half-space Born body is finite at 1e-320, but 1e-5 of that underflows
-        ("force", {"geometry": {"type": "dilute_body", "alpha": 1e-40, "half_space_eta": 1e27},
-                   "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, 1e-320]}]}, None),
         # the finite-difference force goes through the same energies
         ("force", charge_pair({"type": "plate_with_hole", "R": 1.0}, 0, QE),
          {"F_newtons": [0.0, 0.0, 0.0]}),
+        # a half-space Born body is finite at 1e-320, but 1e-5 of that underflows
+        ("force", {"geometry": {"type": "dilute_body", "alpha": 1e-40, "half_space_eta": 1e27},
+                   "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, 1e-320]}]}, None),
     ])
     def test_extreme_inputs_finite_json_or_exit_2(self, tmp_path, capsys, command, doc,
                                                   expect):
