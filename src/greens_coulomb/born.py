@@ -33,14 +33,18 @@ from scipy.constants import epsilon_0
 from . import kernels
 from .core import (
     DEFAULT_QUADRATURE,
+    Charge,
     CoincidentPointsError,
     ConvergenceError,
     DomainError,
+    Geometry,
     GreensValue,
+    InteractionResult,
     PointInsideBodyError,
     Point3,
     QuadratureSpec,
     ValueWithError,
+    distance,
     finite_eps,
 )
 
@@ -142,7 +146,7 @@ class DensityRegion:
 
 
 @dataclass(frozen=True)
-class DiluteBody:
+class DiluteBody(Geometry):
     """Piecewise-constant density body with shared polarizability.
 
     regions: explicit boxes; half_space_eta: additionally (or instead) fill
@@ -168,6 +172,33 @@ class DiluteBody:
         if self.half_space_eta is not None and p.z < 0.0:
             return True
         return any(reg.box.contains(p) for reg in self.regions)
+
+    def host_eps(self, p: Point3) -> float:
+        return self.background_eps
+
+    def surface_distance(self, p: Point3) -> float:
+        dist = math.inf
+        if self.half_space_eta is not None:
+            dist = min(dist, abs(p.z))
+        for reg in self.regions:
+            b = reg.box
+            dx = max(b.x0 - p.x, 0.0, p.x - b.x1)
+            dy = max(b.y0 - p.y, 0.0, p.y - b.y1)
+            dz = max(b.z0 - p.z, 0.0, p.z - b.z1)
+            dist = min(dist, math.hypot(dx, math.hypot(dy, dz)))
+        return dist
+
+    def self_energy(self, a: Charge, spec: QuadratureSpec) -> InteractionResult:
+        pref = a.q * a.q / (2.0 * epsilon_0)
+        g1 = born_scattering_g1(a.position, a.position, self, spec)
+        return InteractionResult(pref * g1.value, None, abs(pref) * g1.abs_err)
+
+    def pair_energy(self, a: Charge, b: Charge, spec: QuadratureSpec) -> InteractionResult:
+        ra, rb = a.position, b.position
+        pref = a.q * b.q / epsilon_0
+        g0 = 1.0 / (4.0 * math.pi * self.background_eps * distance(ra, rb))
+        g1 = born_scattering_g1(ra, rb, self, spec)
+        return self._pair_result(pref * (g0 + g1.value), abs(pref) * g1.abs_err, a, b)
 
 
 def charge_molecule_potential(qA: float, rA: Point3, rB: Point3,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,8 +77,7 @@ def _spec_for_kernel(spec: QuadratureSpec, pref: float, scale_len: float) -> Qua
     unreachable in float64 once reflections suppress g exponentially.
     """
     abs_g = spec.abs_tol if spec.abs_tol > 0.0 else 1e-12 / (_FOUR_PI * scale_len)
-    return QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=abs_g / pref,
-                          max_panels=spec.max_panels, accel_order=spec.accel_order)
+    return replace(spec, abs_tol=abs_g / pref)
 
 
 def cavity_g_general(z: float, z0: float, rho: float, d: float,

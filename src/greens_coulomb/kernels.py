@@ -1,8 +1,10 @@
-"""Numpy implementation of the hot kernels.
+"""Hot numeric kernels, written in numpy.
 
-Array arguments are 1-D float64; scalar kernels use plain floats.
-`alpha_chain_sum` also takes 2-D weights and returns per-cell sums, which is
-how the Born octree calls it.
+The quadrature integrands take a 1-D float64 array of wavenumbers, so the
+panel integrator evaluates a block of panels, or a whole bisection level, in
+one call; `alpha_chain_sum` also takes 2-D weights and returns per-cell sums,
+which is how the Born octree calls it. `hole_greens` is scalar. Callers look
+the kernels up on this module at call time.
 """
 
 from __future__ import annotations

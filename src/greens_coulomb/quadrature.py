@@ -6,7 +6,7 @@ oscillating factor. Panels are integrated in blocks of four by adaptive
 rule and both halves of every panel in the block, and each further call
 evaluates one whole bisection level of the subintervals that failed. The
 alternating sequence of partial sums is extrapolated to its limit by
-repeated averaging (Euler transformation) up to `accel_order` levels, and
+repeated averaging (Euler transformation) up to 12 levels, and
 convergence is checked after every block from panel 8 on. The rho = 0 case
 integrates a decaying integrand on geometrically growing panels, one panel
 per block. The returned abs_err bounds the extrapolation residual plus the
@@ -48,6 +48,7 @@ _MAX_DEPTH = 26  # bisection depth at which a subinterval is accepted regardless
 _MAX_CALL_CELLS = 4096
 # Roundoff of a rule sum, relative to its integral of |f|, added to abs_err.
 _ROUNDOFF = 16.0 * np.finfo(float).eps
+_ACCEL_ORDER = 12  # averaging levels of the Euler extrapolation
 
 _J0_ZEROS = jn_zeros(0, 256)
 
@@ -169,7 +170,7 @@ def euler_limit(partial_sums: np.ndarray, depth: int) -> Tuple[float, float]:
     return best, best_err
 
 
-def _estimate_limit(panels, spec: QuadratureSpec) -> Tuple[float, float]:
+def _estimate_limit(panels) -> Tuple[float, float]:
     """Value and tail-error estimate from the panel integrals seen so far."""
     p = np.asarray(panels, dtype=float)
     s = np.cumsum(p)
@@ -194,7 +195,7 @@ def _estimate_limit(panels, spec: QuadratureSpec) -> Tuple[float, float]:
         window = s[start:]
         if window.size > 80:
             window = window[-80:]
-        return euler_limit(window, min(spec.accel_order, window.size - 1))
+        return euler_limit(window, min(_ACCEL_ORDER, window.size - 1))
 
     # Non-alternating: direct sum with a geometric tail estimate.
     value = float(s[-1])
@@ -238,7 +239,7 @@ def _integrate_panels(f, edges_iter: Iterator[Tuple[float, float]],
         scale = max(scale, float(np.max(np.abs(vals))))
         count += vals.size
         if count >= 8 and count % 4 == 0:
-            value, tail = _estimate_limit(panels, spec)
+            value, tail = _estimate_limit(panels)
             total_err = tail + panel_errs
             last = (value, total_err)
             if total_err <= max(spec.abs_tol, spec.rel_tol * abs(value)):

@@ -20,6 +20,7 @@ from .core import (
     Charge,
     CoulombError,
     FreeSpace,
+    Geometry,
     HalfSpace,
     PlateWithHole,
     Point3,
@@ -27,7 +28,6 @@ from .core import (
     SceneError,
     ThreeLayerCavity,
 )
-from .interactions import Geometry
 
 
 def _require_keys(obj: dict, where: str, required: Tuple[str, ...],
@@ -162,9 +162,7 @@ class SceneOptions:
         base = QuadratureSpec()
         return QuadratureSpec(
             rel_tol=self.rel_tol if self.rel_tol is not None else base.rel_tol,
-            abs_tol=self.abs_tol if self.abs_tol is not None else base.abs_tol,
-            max_panels=base.max_panels,
-            accel_order=base.accel_order)
+            abs_tol=self.abs_tol if self.abs_tol is not None else base.abs_tol)
 
 
 @dataclass(frozen=True)

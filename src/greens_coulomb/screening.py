@@ -14,7 +14,8 @@ the two must agree, which is how the closed form is validated here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 from scipy.constants import epsilon_0
@@ -22,10 +23,17 @@ from scipy.constants import epsilon_0
 from . import kernels
 from .core import (
     DEFAULT_QUADRATURE,
+    FOUR_PI_EPS0,
+    Charge,
     DomainError,
+    Geometry,
+    InteractionResult,
+    Point3,
     QuadratureSpec,
+    UnsupportedGeometryError,
     ValueWithError,
     _require_finite,
+    distance,
 )
 from .quadrature import sine_integral
 
@@ -72,10 +80,35 @@ class DrudeStatic:
 
 
 @dataclass(frozen=True)
-class NonlocalBulk:
+class NonlocalBulk(Geometry):
     """Homogeneous spatially dispersive medium."""
 
     drude: DrudeStatic
+
+    def host_eps(self, p: Point3) -> float:
+        return self.drude.eps_b
+
+    def surface_distance(self, p: Point3) -> float:
+        return math.inf
+
+    def self_energy(self, a: Charge, spec: QuadratureSpec) -> InteractionResult:
+        raise UnsupportedGeometryError(
+            "coincident self-energy diverges in a nonlocal bulk medium")
+
+    def pair_energy(self, a: Charge, b: Charge, spec: QuadratureSpec) -> InteractionResult:
+        u = screened_potential(distance(a.position, b.position), a.q, b.q, self.drude)
+        return self._pair_result(u, 0.0, a, b)
+
+    def closed_force(self, a: Charge, b: Optional[Charge]) -> np.ndarray:
+        if b is None:
+            raise UnsupportedGeometryError(
+                "self-force undefined in a nonlocal bulk (self-energy diverges)")
+        p = self.drude
+        rvec = a.position.vec() - b.position.vec()
+        r = distance(a.position, b.position)
+        mag = (a.q * b.q * math.exp(-p.k_s * r) * (1.0 + p.k_s * r)
+               / (FOUR_PI_EPS0 * p.eps_b * r * r * r))
+        return mag * rvec
 
 
 def eps_longitudinal_static(k: float, p: DrudeStatic) -> float:
@@ -115,8 +148,6 @@ def screened_potential_numeric(r: float, qA: float, qB: float, p: DrudeStatic,
     pref = qA * qB / (2.0 * math.pi ** 2 * epsilon_0)
     abs_kernel = spec.abs_tol / abs(pref) if (spec.abs_tol > 0.0 and pref != 0.0) \
         else 1e-12 * math.pi / (2.0 * r * eps_b)
-    kspec = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=abs_kernel,
-                           max_panels=spec.max_panels, accel_order=spec.accel_order)
     k_scale = max(p.k_s, 1.0 / r)
-    got = sine_integral(f, r, kspec, k_scale=k_scale)
+    got = sine_integral(f, r, replace(spec, abs_tol=abs_kernel), k_scale=k_scale)
     return ValueWithError(pref * got.value, abs(pref) * got.abs_err)

@@ -513,14 +513,15 @@ def _reciprocity():
         if analytic.distance(a, b) >= 1e-3:
             closed(analytic.plate_hole_g(a, b, 1.0).value,
                    analytic.plate_hole_g(b, a, 1.0).value)
-    # screened bulk closed form (depends on |r| only)
-    p = screening.DrudeStatic(8e15, 9e15, 4e15, 9e5)
+    # screened bulk pair energy, points in units of 1e-10 m
+    bulk = screening.NonlocalBulk(screening.DrudeStatic(8e15, 9e15, 4e15, 9e5))
     for _ in range(100):
         a, b = _xyz(rng, -3, 3), _xyz(rng, -3, 3)
-        r = analytic.distance(a, b) * 1e-10
-        if r >= 1e-13:
-            closed(screening.screened_potential(r, QE, QE, p),
-                   screening.screened_potential(r, QE, QE, p))
+        if analytic.distance(a, b) >= 1e-3:
+            qa = Charge(QE, Point3(1e-10 * a.x, 1e-10 * a.y, 1e-10 * a.z))
+            qb = Charge(-2 * QE, Point3(1e-10 * b.x, 1e-10 * b.y, 1e-10 * b.z))
+            closed(interactions.pair_energy(bulk, qa, qb).energy,
+                   interactions.pair_energy(bulk, qb, qa).energy)
 
     # quadrature route: within the combined abs_err
     d = 1.0

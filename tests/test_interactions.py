@@ -120,6 +120,7 @@ class TestPairEnergy:
     def test_conductor_blocks_opposite_sides(self):
         got = pair_energy(HalfSpace(1.0, PC), q_at(1.0), q_at(-1.0))
         assert got.energy == 0.0
+        assert got.ratio_to_free is None  # B sits inside the conductor
 
     def test_transmission_between_dielectrics(self):
         e1, e2 = 3.0, 5.0
@@ -144,7 +145,10 @@ class TestPairEnergy:
         assert math.isclose(got, exact, rel_tol=1e-12)
 
     def test_plate_r0_opposite_sides_zero(self):
-        assert pair_energy(PlateWithHole(0.0), q_at(0.6), q_at(-0.7)).energy == 0.0
+        got = pair_energy(PlateWithHole(0.0), q_at(0.6), q_at(-0.7))
+        assert got.energy == 0.0
+        # the plate screens completely, yet both charges sit in vacuum
+        assert got.ratio_to_free == 0.0
 
     def test_plate_finite_hole_leaks(self):
         got = pair_energy(PlateWithHole(1.0), q_at(0.6), q_at(-0.7))
@@ -266,6 +270,17 @@ class TestForces:
     def test_on_surface_rejected(self):
         with pytest.raises(OnSurfaceError):
             force_on_A(HalfSpace(1.0, 4.0), q_at(0.0))
+
+    @pytest.mark.parametrize("eps1", [1.0, PC])
+    @pytest.mark.parametrize("za", [1e-9, -1e-9])
+    def test_half_space_b_on_interface_rejected(self, eps1, za):
+        # the pair force follows the pair energy's side rule: B on z = 0 is on the surface
+        geom = HalfSpace(eps1, 4.0)
+        a, b = q_at(za), q_at(0.0, x=1e-9, q=-QE)
+        with pytest.raises(OnSurfaceError):
+            pair_energy(geom, a, b)
+        with pytest.raises(OnSurfaceError):
+            force_on_A(geom, a, b)
 
     def test_aperture_self_force_attractive_on_axis(self):
         f = force_on_A(PlateWithHole(1e-9), q_at(2e-9))

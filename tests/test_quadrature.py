@@ -130,7 +130,7 @@ def _ref_panels(f, edges, spec):
         panel_errs += perr
         scale = max(scale, abs(val))
         if count >= 8 and count % 4 == 0:
-            value, tail = quadrature._estimate_limit(panels, spec)
+            value, tail = quadrature._estimate_limit(panels)
             if tail + panel_errs <= max(spec.abs_tol, spec.rel_tol * abs(value)):
                 return value
             if scale == 0.0:

@@ -135,6 +135,17 @@ class TestCliCommands:
         rec = json.loads(capsys.readouterr().out)
         assert rec["U_joules"] == 0.0
 
+    @pytest.mark.parametrize("eps1", [1, "conductor"])
+    def test_half_space_b_on_interface_exit_2(self, tmp_path, capsys, eps1):
+        doc = {"geometry": {"type": "half_space", "eps1": eps1, "eps2": 4},
+               "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, -3e-10]},
+                           {"q": -1.0, "unit": "e", "position": [1e-10, 0, 0.0]}]}
+        scene = write_scene(tmp_path, doc)
+        for command in ("pair-energy", "force"):
+            assert main([command, "--scene", scene]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "error (OnSurfaceError)" in err
+
     def test_force_record(self, tmp_path, capsys):
         scene = write_scene(tmp_path, FREE_PAIR)
         assert main(["force", "--scene", scene]) == 0
