@@ -33,6 +33,7 @@ from scipy.constants import epsilon_0
 from . import kernels
 from .core import (
     DEFAULT_QUADRATURE,
+    MIN_REL_TOL,
     Charge,
     CoincidentPointsError,
     ConvergenceError,
@@ -261,7 +262,7 @@ def _adaptive_boxes(integrand, boxes, rel_tol: float, scale_hint: float,
     weights (cells, 125) and returns the per-cell sums. A parent is accepted
     when its children's sum moves its coarse estimate by no more than the
     local budget rel_tol * max(|fine|, scale_hint), or by no more than
-    1e-15 |fine|; accepted parents are added to the total in queue (FIFO)
+    MIN_REL_TOL |fine|; accepted parents are added to the total in queue (FIFO)
     order, so results are bit-reproducible. A parent still failing at
     max_depth raises ConvergenceError.
     """
@@ -286,7 +287,7 @@ def _adaptive_boxes(integrand, boxes, rel_tol: float, scale_hint: float,
                 f"Born octree: integrand not finite at depth {depth} "
                 f"({diff.size} cells); the body's extent overflows float64")
         budget = np.maximum(rel_tol * np.maximum(np.abs(fine), scale_hint),
-                            1e-15 * np.abs(fine))
+                            MIN_REL_TOL * np.abs(fine))
         done = diff <= budget
         if depth >= max_depth and not done.all():
             with np.errstate(divide="ignore"):

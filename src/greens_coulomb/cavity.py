@@ -8,6 +8,13 @@ Three routes, cross-validating each other:
   conductor case where the image sum is only conditionally convergent,
 * the conductor large-separation asymptotic sqrt(8/(rho d)) exp(-pi rho/d).
 
+Between two conducting walls the program evaluates the K0 mode sum (for
+rho >= MODAL_RHO_MIN d) and the digamma self-energy, which keep full
+relative accuracy where the quadrature reaches its absolute floor. Forces
+differentiate the Green's function: the mode sum and the digamma form term
+by term, the quadrature under the Hankel integral (Michalski & Mosig, IEEE
+TAP 45 (1997) 508).
+
 Region 2 (the gap, host permittivity eps2) spans -d/2 < z < d/2.
 """
 
@@ -16,13 +23,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
+from scipy.special import digamma, k0, k1, polygamma
 
 from . import kernels
 from .core import (
     DEFAULT_QUADRATURE,
     CoincidentPointsError,
+    ConvergenceError,
     DomainError,
     GreensValue,
     OutOfRegionError,
@@ -34,6 +44,13 @@ from .core import (
 from .quadrature import euler_limit, hankel_integral
 
 _FOUR_PI = 4.0 * math.pi
+_EPS = float(np.finfo(float).eps)
+
+# The mode sum between conducting walls is used from rho = MODAL_RHO_MIN d on,
+# where each mode is at least e^{-pi/2} below the one before.
+MODAL_RHO_MIN = 0.5
+# Modes are kept up to this many e-folds of decay past the first one.
+_MODE_SPAN = 40.0
 
 
 @dataclass(frozen=True)
@@ -68,22 +85,45 @@ def _check_gap(z: float, d: float, name: str) -> None:
         raise OutOfRegionError(f"{name} = {z!r} outside the gap (-d/2, d/2), d = {d!r}")
 
 
-def _spec_for_kernel(spec: QuadratureSpec, pref: float, scale_len: float) -> QuadratureSpec:
-    """Tolerances for the raw Bessel integral given tolerances on g.
+def _spec_for_kernel(spec: QuadratureSpec, pref: float, scale_len: float,
+                     power: int = 1) -> QuadratureSpec:
+    """Tolerances for the raw Bessel integral given tolerances on g (power 1)
+    or on its gradient (power 2).
 
-    abs_tol on g is divided by the 1/(4 pi eps2) prefactor; when the caller
-    left abs_tol at 0 a floor of 1e-12 of the free-space magnitude at the
-    same separation is supplied, since a purely relative target is
-    unreachable in float64 once reflections suppress g exponentially.
+    abs_tol on g is divided by the 1/(4 pi eps2) prefactor, and for a
+    gradient by scale_len as well; when the caller left abs_tol at 0 a floor
+    of 1e-12 of the free-space magnitude 1/(4 pi scale_len^power) at the same
+    separation is supplied, since a purely relative target is unreachable in
+    float64 once reflections suppress g exponentially.
     """
-    abs_g = spec.abs_tol if spec.abs_tol > 0.0 else 1e-12 / (_FOUR_PI * scale_len)
+    if spec.abs_tol > 0.0:
+        abs_g = spec.abs_tol / scale_len ** (power - 1)
+    else:
+        abs_g = 1e-12 / (_FOUR_PI * scale_len ** power)
     return replace(spec, abs_tol=abs_g / pref)
 
 
-def cavity_g_general(z: float, z0: float, rho: float, d: float,
-                     eps1: Permittivity, eps2: float, eps3: Permittivity,
-                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> GreensValue:
-    """Gap Green's function between heights z0 (source) and z, in-plane offset rho."""
+def _checked_gradient(parts, floor: float, tried: str):
+    """`parts`, the components of a gradient from quadrature, each a GreensValue.
+
+    Raises ConvergenceError, saying what was `tried`, when their combined
+    abs_err exceeds 1% of the gradient's magnitude plus `floor`, the absolute
+    target each component's quadrature was given (a gradient that vanishes
+    by symmetry is known only to that target).
+    """
+    err = math.hypot(*(p.abs_err for p in parts))
+    mag = math.hypot(*(p.value for p in parts))
+    if err > 0.01 * mag + math.sqrt(len(parts)) * floor:
+        raise ConvergenceError(
+            f"{tried}: gradient abs_err {err:.3e} exceeds 1% of its magnitude {mag:.3e} "
+            f"plus the absolute target {floor:.3e} per component")
+    return parts
+
+
+def _pair_setup(z: float, z0: float, rho: float, d: float, eps1: Permittivity,
+                eps2: float, eps3: Permittivity, where: str):
+    """The prefactor 1/(4 pi eps2) and the reflection coefficients of a gap
+    pair, after checking its arguments."""
     if d <= 0.0:
         raise DomainError(f"d must be > 0, got {d!r}")
     _check_gap(z, d, "z")
@@ -91,9 +131,16 @@ def cavity_g_general(z: float, z0: float, rho: float, d: float,
     if rho < 0.0:
         raise DomainError(f"rho must be >= 0, got {rho!r}")
     if rho == 0.0 and z == z0:
-        raise CoincidentPointsError("cavity_g_general: field point coincides with source")
+        raise CoincidentPointsError(f"{where}: field point coincides with source")
     e2 = finite_eps(eps2, "eps2")
-    coeffs = reflection_coeffs(eps1, eps2, eps3)
+    return 1.0 / (_FOUR_PI * e2), reflection_coeffs(eps1, eps2, eps3)
+
+
+def cavity_g_general(z: float, z0: float, rho: float, d: float,
+                     eps1: Permittivity, eps2: float, eps3: Permittivity,
+                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> GreensValue:
+    """Gap Green's function between heights z0 (source) and z, in-plane offset rho."""
+    pref, coeffs = _pair_setup(z, z0, rho, d, eps1, eps2, eps3, "cavity_g_general")
     if z < z0:
         z, z0 = z0, z  # reciprocity; keeps every exponent decaying
 
@@ -112,10 +159,172 @@ def cavity_g_general(z: float, z0: float, rho: float, d: float,
     def f(k: np.ndarray) -> np.ndarray:
         return kernels.cavity_integrand(k, a_free, a1, a3, d, coeffs.r1, coeffs.r3)
 
-    pref = 1.0 / (_FOUR_PI * e2)
     sep = max(math.hypot(rho, a_free), 0.05 * d)
     got = hankel_integral(f, rho, _spec_for_kernel(spec, pref, sep), k_scale=k_scale)
     return GreensValue(pref * got.value, pref * got.abs_err)
+
+
+def cavity_grad_general(z: float, z0: float, rho: float, d: float,
+                        eps1: Permittivity, eps2: float, eps3: Permittivity,
+                        spec: QuadratureSpec = DEFAULT_QUADRATURE):
+    """(dg/drho, dg/dz) of cavity_g_general, z the field point's height.
+
+    The free-space part 1/(4 pi eps2 r) is differentiated in closed form. The
+    reflected kernel R(k) = exp(-k*a_free)(N/D - 1) is differentiated under
+    the integral: dg/drho takes -int R k J1(k rho) dk, and dg/dz the
+    z-derivative of R's exponentials against J0. Raises ConvergenceError when
+    the gradient's abs_err exceeds 1% of its magnitude (see _checked_gradient).
+    """
+    pref, coeffs = _pair_setup(z, z0, rho, d, eps1, eps2, eps3, "cavity_grad_general")
+    r1, r3 = coeffs.r1, coeffs.r3
+    sign = 1.0 if z >= z0 else -1.0  # the field point is the upper one, or the lower
+    upper, lower = max(z, z0), min(z, z0)
+    a_free = upper - lower
+    a1 = d + 2.0 * lower
+    a3 = d - 2.0 * upper
+    scales = [2.0 * d]
+    if r1 != 0.0:
+        scales.append(a_free + a1)
+    if r3 != 0.0:
+        scales.append(a_free + a3)
+    k_scale = 1.0 / max(min(scales), 1e-300)
+
+    def reflected_k(k: np.ndarray) -> np.ndarray:
+        return k * np.exp(-k * a_free) * kernels.cavity_scatter_integrand(k, a1, a3, d, r1, r3)
+
+    def reflected_dz(k: np.ndarray) -> np.ndarray:
+        return kernels.cavity_reflected_dz(k, a_free, a1, a3, d, r1, r3, sign)
+
+    r = math.hypot(rho, a_free)
+    kspec = _spec_for_kernel(spec, pref, max(r, 0.05 * d), power=2)
+    free = pref / (r * r * r)
+    d_rho = hankel_integral(reflected_k, rho, kspec, k_scale=k_scale, order=1)
+    d_z = hankel_integral(reflected_dz, rho, kspec, k_scale=k_scale)
+    parts = (GreensValue(-free * rho - pref * d_rho.value, pref * d_rho.abs_err),
+             GreensValue(-free * (z - z0) + pref * d_z.value, pref * d_z.abs_err))
+    return _checked_gradient(
+        parts, pref * kspec.abs_tol,
+        f"Hankel gradient of the gap kernel (orders 1 and 0) at rho = {rho!r}, "
+        f"z = {z!r}, z0 = {z0!r}, d = {d!r}, rel_tol = {spec.rel_tol!r}")
+
+
+def conducting_gap_g(z: float, z0: float, rho: float, d: float,
+                     eps2: float) -> GreensValue:
+    """Green's function between grounded walls at z = -d/2 and d/2, from its modes.
+
+    g = sum_n sin(n pi u/d) sin(n pi u0/d) K0(n pi rho/d) / (pi d eps2), with
+    u = z + d/2 and u0 = z0 + d/2, for rho > 0. abs_err bounds the dropped
+    modes and the roundoff of the kept ones.
+    """
+    n, a, pref, (s, _, m), (s0, _, m0) = _modes(z, z0, rho, d, eps2)
+    kv = k0(n * a)
+    err = _mode_tail(n, a, k0) + _mode_roundoff(n, a, d, s, m, s0, m0, kv)
+    return GreensValue(pref * float(np.sum(s * s0 * kv)), pref * err)
+
+
+def conducting_gap_grad(z: float, z0: float, rho: float, d: float, eps2: float):
+    """(dg/drho, dg/dz) of conducting_gap_g, z the field point's height: the
+    modes differentiated term by term, K0' = -K1 in rho and sin' = cos in z."""
+    n, a, pref, (s, c, m), (s0, _, m0) = _modes(z, z0, rho, d, eps2)
+    kn = n * (math.pi / d)
+    kv0 = kn * k0(n * a)
+    kv1 = kn * k1(n * a)
+    err_rho = _mode_tail(n, a, k1, math.pi / d) + _mode_roundoff(n, a, d, s, m, s0, m0, kv1)
+    err_z = _mode_tail(n, a, k0, math.pi / d) + _mode_roundoff(n, a, d, c, m, s0, m0, kv0)
+    return (GreensValue(-pref * float(np.sum(s * s0 * kv1)), pref * err_rho),
+            GreensValue(pref * float(np.sum(c * s0 * kv0)), pref * err_z))
+
+
+def _modes(z: float, z0: float, rho: float, d: float, eps2: float):
+    """The modes n = 1..N of the sum, a = pi rho/d, the prefactor
+    1/(pi d eps2), and _wall_sines of z and of z0.
+
+    N a reaches _MODE_SPAN past a, plus ln(d/2m) + ln(d/2m0) for the wall
+    distances m and m0: the first mode's sines are at least 2m/d and 2m0/d,
+    so the dropped modes stay e^{-_MODE_SPAN} below it however near a wall
+    the points are.
+    """
+    if not (rho > 0.0):
+        raise DomainError(f"rho must be > 0 for the mode sum, got {rho!r}")
+    e2 = finite_eps(eps2, "eps2")
+    m, m0 = min(_wall_distances(z, d)), min(_wall_distances(z0, d))
+    span = _MODE_SPAN + 2.0 * math.log(0.5 * d) - math.log(m) - math.log(m0)
+    a = math.pi * rho / d
+    n = np.arange(1.0, math.ceil(span / a) + 2.0)
+    return n, a, 1.0 / (math.pi * d * e2), _wall_sines(n, z, d), _wall_sines(n, z0, d)
+
+
+def _wall_sines(n: np.ndarray, z: float, d: float):
+    """sin(n pi u/d), cos(n pi u/d) with u = z + d/2, and the distance m to
+    the nearer wall, from which both are taken so that they keep their
+    relative accuracy there: with w = d/2 - z, sin(n pi u/d) =
+    (-1)^(n+1) sin(n pi w/d) and cos(n pi u/d) = (-1)^n cos(n pi w/d)."""
+    u, w = _wall_distances(z, d)
+    if u <= w:
+        arg = n * (math.pi * u / d)
+        return np.sin(arg), np.cos(arg), u
+    arg = n * (math.pi * w / d)
+    alt = np.where(n % 2.0 == 1.0, 1.0, -1.0)  # (-1)^(n+1)
+    return alt * np.sin(arg), -alt * np.cos(arg), w
+
+
+def _wall_distances(z: float, d: float):
+    """Distances u = z + d/2 and w = d/2 - z of a gap point from the two walls."""
+    if d <= 0.0:
+        raise DomainError(f"d must be > 0, got {d!r}")
+    _check_gap(z, d, "z")
+    return 0.5 * d + z, 0.5 * d - z
+
+
+def _mode_tail(n: np.ndarray, a: float, bessel, step: Optional[float] = None) -> float:
+    """Bound on the modes past N of a sum whose n-th term is at most K(n a),
+    or n step K(n a) when `step` is given.
+
+    K(x) e^x decreases for K0 and K1, so they sum to at most
+    K((N+1) a) sum_{m>=0} e^{-m a}, or K((N+1) a) step sum_{m>=0} (N+1+m) e^{-m a}.
+    """
+    q = math.exp(-a)
+    n_next = n[-1] + 1.0
+    if step is None:
+        series = 1.0 / (1.0 - q)
+    else:
+        series = step * (n_next / (1.0 - q) + q / (1.0 - q) ** 2)
+    return float(bessel(n_next * a)) * series
+
+
+def _mode_roundoff(n: np.ndarray, a: float, d: float, f: np.ndarray, m: float,
+                   g: np.ndarray, m0: float, kv: np.ndarray) -> float:
+    """Roundoff bound of sum_n f_n g_n kv_n, with f and g sines or cosines from
+    _wall_sines at wall distances m and m0, and kv_n a multiple of K(n a).
+
+    Each argument n pi m/d carries 2 eps of relative rounding, which moves its
+    sine or cosine by at most 2 eps n pi m/d; K(n a) moves by n a eps of
+    itself with its rounded argument; the functions, products and the sum
+    add a few eps of each term.
+    """
+    shift = (2.0 * math.pi / d) * n * kv * (np.abs(g) * m + np.abs(f) * m0)
+    return _EPS * float(np.sum((6.0 + n * a) * np.abs(f * g * kv) + shift))
+
+
+def conducting_gap_g1(z0: float, d: float, eps2: float) -> GreensValue:
+    """Scattering part at coincident points between grounded walls, in closed form.
+
+    g1 = (gamma + (psi(x) + psi(y))/2) / (4 pi eps2 d), with x = (d/2 + z0)/d
+    and y = (d/2 - z0)/d = 1 - x; the midplane value is -ln 2/(2 pi eps2 d).
+    """
+    u, w = _wall_distances(z0, d)
+    e2 = finite_eps(eps2, "eps2")
+    return GreensValue((np.euler_gamma + 0.5 * (digamma(u / d) + digamma(w / d)))
+                       / (_FOUR_PI * e2 * d))
+
+
+def conducting_gap_dg1(z0: float, d: float, eps2: float) -> GreensValue:
+    """d/dz0 of conducting_gap_g1, both points moving:
+    (psi'(x) - psi'(y)) / (8 pi eps2 d^2), with the trigamma psi'."""
+    u, w = _wall_distances(z0, d)
+    e2 = finite_eps(eps2, "eps2")
+    return GreensValue((polygamma(1, u / d) - polygamma(1, w / d))
+                       / (2.0 * _FOUR_PI * e2 * d * d))
 
 
 def cavity_g_midpoint(rho: float, d: float, eps1: Permittivity, eps2: float,
@@ -149,6 +358,35 @@ def cavity_scattering_g1(z0: float, d: float, eps1: Permittivity, eps2: float,
     got = hankel_integral(f, 0.0, _spec_for_kernel(spec, pref, min(a1, a3)),
                           k_scale=k_scale)
     return GreensValue(pref * got.value, pref * got.abs_err)
+
+
+def cavity_scattering_dg1(z0: float, d: float, eps1: Permittivity, eps2: float,
+                          eps3: Permittivity,
+                          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> GreensValue:
+    """d/dz0 of cavity_scattering_g1, both points moving: one half-line
+    integral of 2k (r1 e^{-k a1} - r3 e^{-k a3}) / D. Raises ConvergenceError
+    when its abs_err exceeds 1% of its magnitude (see _checked_gradient)."""
+    if d <= 0.0:
+        raise DomainError(f"d must be > 0, got {d!r}")
+    _check_gap(z0, d, "z0")
+    e2 = finite_eps(eps2, "eps2")
+    coeffs = reflection_coeffs(eps1, eps2, eps3)
+    if coeffs.r1 == 0.0 and coeffs.r3 == 0.0:
+        return GreensValue(0.0, 0.0)
+    a1 = d + 2.0 * z0
+    a3 = d - 2.0 * z0
+
+    def f(k: np.ndarray) -> np.ndarray:
+        return kernels.cavity_scatter_dz(k, a1, a3, d, coeffs.r1, coeffs.r3)
+
+    pref = 1.0 / (_FOUR_PI * e2)
+    kspec = _spec_for_kernel(spec, pref, min(a1, a3), power=2)
+    got = hankel_integral(f, 0.0, kspec, k_scale=1.0 / min(a1, a3))
+    (dg1,) = _checked_gradient(
+        (GreensValue(pref * got.value, pref * got.abs_err),), pref * kspec.abs_tol,
+        f"half-line integral of the gap self-force kernel at z0 = {z0!r}, d = {d!r}, "
+        f"rel_tol = {spec.rel_tol!r}")
+    return dg1
 
 
 def cavity_g_series(rho: float, d: float, coeffs: CavityCoeffs, eps2: float,

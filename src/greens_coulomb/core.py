@@ -205,6 +205,11 @@ class GreensValue(ValueWithError):
     """Scalar Green's-function evaluation in 1/m."""
 
 
+# The smallest rel_tol a spec takes: the quadrature panels and the Born
+# octree cells accept a difference of 1e-15 of their values as converged.
+MIN_REL_TOL = 1e-15
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and budgets for the oscillatory-integral engine."""
@@ -215,8 +220,10 @@ class QuadratureSpec:
 
     def __post_init__(self):
         # an infinite tolerance times a zero scale is NaN, which no panel meets
-        if not (0.0 < self.rel_tol < math.inf):
-            raise DomainError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
+        if not (MIN_REL_TOL <= self.rel_tol < math.inf):
+            raise DomainError(f"rel_tol must be finite and >= {MIN_REL_TOL:g}, the acceptance "
+                              f"floor of the quadrature panels and the Born octree cells; "
+                              f"got {self.rel_tol!r}")
         if not (0.0 <= self.abs_tol < math.inf):
             raise DomainError(f"abs_tol must be finite and >= 0, got {self.abs_tol!r}")
         if self.max_panels < 8:
@@ -254,14 +261,21 @@ class Geometry:
     * self_energy(a, spec): U1 = q^2/(2 eps0) g1(r, r), the free-space
       divergence subtracted;
     * pair_energy(a, b, spec): U = qA qB / eps0 g(rA, rB), for distinct points;
-    * closed_force(a, b): -grad_A of the pair energy (b given) or of the
-      self-energy (b None) in closed form, or None where the energy is
-      differentiated numerically; the self-energy along `self_force_axes`.
+    * closed_force(a, b, spec): -grad_A of the pair energy (b given) or of
+      the self-energy (b None) from the gradient of the Green's function, or
+      None where the energy is differentiated numerically (the plate with a
+      hole and the Born bodies), then along `self_force_axes` for the
+      self-energy.
+
+    A charge inside a perfect conductor has no self-energy or self-force
+    (OutOfRegionError); a half-space pair with a charge in the conductor is
+    fully screened, with energy and force 0.
     """
 
     self_force_axes = (0, 1, 2)
 
-    def closed_force(self, a: Charge, b: Optional[Charge]) -> Optional[np.ndarray]:
+    def closed_force(self, a: Charge, b: Optional[Charge],
+                     spec: QuadratureSpec) -> Optional[np.ndarray]:
         return None
 
     def _pair_result(self, energy: float, abs_err: float, a: Charge,
@@ -303,7 +317,8 @@ class FreeSpace(Geometry):
         g = analytic.free_space_g(a.position, b.position, self.eps)
         return self._pair_result(pref * g.value, abs(pref) * g.abs_err, a, b)
 
-    def closed_force(self, a: Charge, b: Optional[Charge]) -> np.ndarray:
+    def closed_force(self, a: Charge, b: Optional[Charge],
+                     spec: QuadratureSpec) -> np.ndarray:
         if b is None:
             return np.zeros(3)
         rvec = a.position.vec() - b.position.vec()
@@ -370,16 +385,18 @@ class HalfSpace(Geometry):
         g = 2.0 / ((eps_a + eps_b) * 4.0 * math.pi * distance(ra, rb))
         return InteractionResult(pref * g, None, 0.0)  # different media: no ratio
 
-    def closed_force(self, a: Charge, b: Optional[Charge]) -> np.ndarray:
+    def closed_force(self, a: Charge, b: Optional[Charge],
+                     spec: QuadratureSpec) -> np.ndarray:
         za = a.position.z
         e_other = self.eps2 if za > 0.0 else self.eps1
         if b is None:
             eps_a = self.host_eps(a.position)
             if eps_a is None:
-                return np.zeros(3)  # embedded in the conductor: fully screened
+                raise OutOfRegionError("force_on_A: charge inside a perfect conductor")
             refl = analytic.interface_reflection(eps_a, e_other)
-            # divided by za twice: za * za underflows to 0 for |za| < 1e-162
-            fz = a.q * a.q * refl / (4.0 * FOUR_PI_EPS0 * eps_a * za) / za
+            # divided by za last, twice: za * za, or a product with za, underflows
+            # to 0 for the tiniest |za|, where the quotient overflows to inf instead
+            fz = a.q * a.q * refl / (4.0 * FOUR_PI_EPS0 * eps_a) / za / za
             return np.array([0.0, 0.0, (1.0 if za > 0.0 else -1.0) * fz])
         eps_a, eps_b = self._pair_eps(a, b, "force_on_A")
         if eps_a is None or eps_b is None:
@@ -421,24 +438,62 @@ class ThreeLayerCavity(Geometry):
     def surface_distance(self, p: Point3) -> float:
         return abs(0.5 * self.d - abs(p.z))
 
+    def _conducting(self) -> bool:
+        return is_conductor(self.eps1) and is_conductor(self.eps3)
+
+    def _in_gap(self, charges, where: str) -> None:
+        for q, name in charges:
+            if not (abs(q.position.z) < 0.5 * self.d):
+                raise OutOfRegionError(f"{where}: charge {name} outside the gap")
+
+    def _modal(self, rho: float) -> bool:
+        """Both walls conduct and rho reaches the mode sum's range."""
+        return self._conducting() and rho >= cavity.MODAL_RHO_MIN * self.d
+
     def self_energy(self, a: Charge, spec: QuadratureSpec) -> InteractionResult:
-        p = a.position
-        if not (abs(p.z) < 0.5 * self.d):
-            raise OutOfRegionError("self_energy: charge outside the gap")
+        self._in_gap(((a, "A"),), "self_energy")
+        z = a.position.z
         pref = a.q * a.q / (2.0 * epsilon_0)
-        g1 = cavity.cavity_scattering_g1(p.z, self.d, self.eps1, self.eps2, self.eps3, spec)
+        if self._conducting():
+            g1 = cavity.conducting_gap_g1(z, self.d, self.eps2)
+        else:
+            g1 = cavity.cavity_scattering_g1(z, self.d, self.eps1, self.eps2, self.eps3, spec)
         return InteractionResult(pref * g1.value, None, abs(pref) * g1.abs_err)
 
     def pair_energy(self, a: Charge, b: Charge, spec: QuadratureSpec) -> InteractionResult:
-        for q, name in ((a, "A"), (b, "B")):
-            if not (abs(q.position.z) < 0.5 * self.d):
-                raise OutOfRegionError(f"pair_energy: charge {name} outside the gap")
+        self._in_gap(((a, "A"), (b, "B")), "pair_energy")
         ra, rb = a.position, b.position
         pref = a.q * b.q / epsilon_0
         rho = math.hypot(ra.x - rb.x, ra.y - rb.y)
-        g = cavity.cavity_g_general(ra.z, rb.z, rho, self.d, self.eps1, self.eps2,
-                                    self.eps3, spec)
+        if self._modal(rho):
+            g = cavity.conducting_gap_g(ra.z, rb.z, rho, self.d, self.eps2)
+        else:
+            g = cavity.cavity_g_general(ra.z, rb.z, rho, self.d, self.eps1, self.eps2,
+                                        self.eps3, spec)
         return self._pair_result(pref * g.value, abs(pref) * g.abs_err, a, b)
+
+    def closed_force(self, a: Charge, b: Optional[Charge],
+                     spec: QuadratureSpec) -> np.ndarray:
+        ra = a.position
+        if b is None:
+            self._in_gap(((a, "A"),), "force_on_A")
+            if self._conducting():
+                dg1 = cavity.conducting_gap_dg1(ra.z, self.d, self.eps2)
+            else:
+                dg1 = cavity.cavity_scattering_dg1(ra.z, self.d, self.eps1, self.eps2,
+                                                   self.eps3, spec)
+            return np.array([0.0, 0.0, -a.q * a.q / (2.0 * epsilon_0) * dg1.value])
+        self._in_gap(((a, "A"), (b, "B")), "force_on_A")
+        rb = b.position
+        dx, dy = ra.x - rb.x, ra.y - rb.y
+        rho = math.hypot(dx, dy)
+        if self._modal(rho):
+            d_rho, d_z = cavity.conducting_gap_grad(ra.z, rb.z, rho, self.d, self.eps2)
+        else:
+            d_rho, d_z = cavity.cavity_grad_general(ra.z, rb.z, rho, self.d, self.eps1,
+                                                    self.eps2, self.eps3, spec)
+        radial = d_rho.value / rho if rho > 0.0 else 0.0
+        return -a.q * b.q / epsilon_0 * np.array([radial * dx, radial * dy, d_z.value])
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ points here check what is common to all of them and delegate. Energies are
 reported uncorrected; the real-cavity local-field factor 3 eps/(2 eps + 1)
 multiplies forces only, and only on request.
 
-Forces use the geometry's closed-form gradient where its energy is a closed
-form (uniform space, planar interface, screened bulk) and
-Richardson-controlled fourth-order central differences elsewhere.
+Forces use the gradient of the geometry's Green's function where it has
+one (uniform space, planar interface, screened bulk and the planar gap) and
+Richardson-controlled fourth-order central differences of the energy for
+the plate with a hole and the Born bodies.
 """
 
 from __future__ import annotations
@@ -107,9 +108,11 @@ def force_on_A(geom: Geometry, a: Charge, b: Optional[Charge] = None,
                spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Force on charge A: -grad_A of the pair energy (b given) or self-energy.
 
-    The geometry's closed-form gradient where it has one; otherwise a
-    fourth-order central difference with step h (default 1e-5 of the
-    distance to the nearest surface) and Richardson error control.
+    The gradient of the geometry's Green's function where it has one, to the
+    tolerances of `spec`; otherwise (plate with a hole, Born bodies) a
+    fourth-order central difference of the energy with Richardson error
+    control. `h` is that stencil's step, by default 1e-5 of the distance to
+    the nearest surface (or to B, if nearer); the other routes ignore it.
     """
     p = a.position
     if geom.surface_distance(p) == 0.0:
@@ -119,7 +122,7 @@ def force_on_A(geom: Geometry, a: Charge, b: Optional[Charge] = None,
     if b is not None and not math.isfinite(distance(p, b.position)):
         raise DomainError("force_on_A: the charges are too far apart for float64")
 
-    force = geom.closed_force(a, b)
+    force = geom.closed_force(a, b, spec)
     factor = 1.0
     if apply_local_field:
         eps_here = geom.host_eps(p)

@@ -94,6 +94,34 @@ def cavity_scatter_integrand(k: np.ndarray, a1: float, a3: float,
     return num / den
 
 
+def cavity_reflected_dz(k: np.ndarray, a_free: float, a1: float, a3: float,
+                        d: float, r1: float, r3: float, sign: float) -> np.ndarray:
+    """d/dz of the reflected gap kernel exp(-k*a_free)*(N/D - 1), at the upper point
+    (sign 1) or at the lower one (sign -1), the other point fixed.
+
+    The exponents of the reflected terms r1 e^{-k(a_free+a1)} and
+    r3 e^{-k(a_free+a3)} change at rates +1 and -1 with either point, those
+    of r1 r3 e^{-k(a_free+a1+a3)} and r1 r3 e^{-k(a_free+2d)} at rates -sign
+    and +sign.
+    """
+    k = np.asarray(k, dtype=float)
+    t1 = r1 * np.exp(-k * (a_free + a1))
+    t3 = r3 * np.exp(-k * (a_free + a3))
+    t13 = r1 * r3 * np.exp(-k * (a_free + a1 + a3))
+    td = r1 * r3 * np.exp(-k * (a_free + 2.0 * d))
+    den = _one_minus_r_exp(r1 * r3, 2.0 * d * k)
+    return k * (t1 - t3 + sign * (t13 - td)) / den
+
+
+def cavity_scatter_dz(k: np.ndarray, a1: float, a3: float,
+                      d: float, r1: float, r3: float) -> np.ndarray:
+    """d/dz0 of cavity_scatter_integrand with both points at z0 (a1 = d + 2 z0,
+    a3 = d - 2 z0): 2k (r1 e^{-k a1} - r3 e^{-k a3}) / D; e^{-k(a1+a3)} is fixed."""
+    k = np.asarray(k, dtype=float)
+    num = r1 * np.exp(-k * a1) - r3 * np.exp(-k * a3)
+    return 2.0 * k * num / _one_minus_r_exp(r1 * r3, 2.0 * d * k)
+
+
 def screening_integrand(k: np.ndarray, r: float, eps_b: float, w: float) -> np.ndarray:
     """k / (r * (eps_b * k^2 + w)), the smooth factor multiplying sin(k r).
 

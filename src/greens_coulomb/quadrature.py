@@ -1,4 +1,4 @@
-"""Semi-infinite oscillatory integrals: Hankel (J0) and sine transforms.
+"""Semi-infinite oscillatory integrals: Hankel (J0 and J1) and sine transforms.
 
 The integration interval is partitioned at successive zeros of the
 oscillating factor. Panels are integrated in blocks of four by adaptive
@@ -28,10 +28,11 @@ from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import j0, jn_zeros
+from scipy.special import j0, j1, jn_zeros
 
 from .core import (
     DEFAULT_QUADRATURE,
+    MIN_REL_TOL,
     ConvergenceError,
     DomainError,
     GreensValue,
@@ -50,15 +51,16 @@ _MAX_CALL_CELLS = 4096
 _ROUNDOFF = 16.0 * np.finfo(float).eps
 _ACCEL_ORDER = 12  # averaging levels of the Euler extrapolation
 
-_J0_ZEROS = jn_zeros(0, 256)
+_BESSEL = {0: j0, 1: j1}
+_BESSEL_ZEROS = {order: jn_zeros(order, 256) for order in _BESSEL}
 
 
-def _j0_zero(n: int) -> float:
-    """n-th positive zero of J0 (1-based), growing the cache as needed."""
-    global _J0_ZEROS
-    if n > _J0_ZEROS.size:
-        _J0_ZEROS = jn_zeros(0, max(n, 2 * _J0_ZEROS.size))
-    return _J0_ZEROS[n - 1]
+def _bessel_zero(order: int, n: int) -> float:
+    """n-th positive zero of J_order (1-based), growing the table as needed."""
+    zeros = _BESSEL_ZEROS[order]
+    if n > zeros.size:
+        zeros = _BESSEL_ZEROS[order] = jn_zeros(order, max(n, 2 * zeros.size))
+    return zeros[n - 1]
 
 
 def _gl(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
@@ -88,7 +90,7 @@ def _panels_adaptive(f, lo: np.ndarray, hi: np.ndarray, scale: float,
     that failed (a level of more than _MAX_CALL_CELLS children goes in
     chunks of that size, each refined to the end before the next). A
     subinterval is accepted when |fine - coarse| is at most its tolerance or
-    1e-15 (|fine| + |coarse|), or at depth 26; its children get half its
+    MIN_REL_TOL (|fine| + |coarse|), or at depth 26; its children get half its
     tolerance. Panel i starts at 0.02 max(abs_tol, rel_tol s_i), where s_i is
     the larger of `scale` and the first-level estimates |left + right| of
     panels 0..i-1; where that tolerance is 0 (abs_tol = 0 and s_i = 0), s_i
@@ -115,7 +117,7 @@ def _panels_adaptive(f, lo: np.ndarray, hi: np.ndarray, scale: float,
     while True:
         fine = left + right
         diff = np.abs(fine - coarse)
-        done = diff <= np.maximum(tol, 1e-15 * (np.abs(fine) + np.abs(coarse)))
+        done = diff <= np.maximum(tol, MIN_REL_TOL * (np.abs(fine) + np.abs(coarse)))
         if depth >= _MAX_DEPTH:
             done[:] = True
         values += np.bincount(owner, fine * done, n)
@@ -170,6 +172,18 @@ def euler_limit(partial_sums: np.ndarray, depth: int) -> Tuple[float, float]:
     return best, best_err
 
 
+def _alternating_start(p: np.ndarray, tiny: float) -> int:
+    """Index from which the panel signs strictly alternate up to the last panel,
+    p.size if the last two do not; a panel of size <= tiny breaks the run."""
+    big = ~(np.abs(p) <= tiny)  # the scalar scan's test, so NaN compares alike
+    # alternates[j]: panels j and j + 1 are both above tiny and of opposite sign
+    alternates = big[1:] & big[:-1] & (p[1:] * p[:-1] < 0.0)
+    if not (alternates.size and alternates[-1]):
+        return p.size
+    broken = np.flatnonzero(~alternates)
+    return int(broken[-1]) + 1 if broken.size else 0
+
+
 def _estimate_limit(panels) -> Tuple[float, float]:
     """Value and tail-error estimate from the panel integrals seen so far."""
     p = np.asarray(panels, dtype=float)
@@ -178,17 +192,8 @@ def _estimate_limit(panels) -> Tuple[float, float]:
     if scale == 0.0:
         return 0.0, 0.0
 
-    # Index from which the panel signs strictly alternate (tiny panels count
-    # as converged rather than breaking alternation).
     tiny = 1e-16 * scale
-    start = p.size
-    for i in range(p.size - 1, 0, -1):
-        if abs(p[i]) <= tiny or abs(p[i - 1]) <= tiny:
-            break
-        if p[i] * p[i - 1] < 0.0:
-            start = i - 1
-        else:
-            break
+    start = _alternating_start(p, tiny)
     n_alt = p.size - start
 
     if n_alt >= 6:
@@ -267,22 +272,26 @@ def _oscillatory_edges(cuts_fn, k_scale):
 
 def hankel_integral(f: Callable[[np.ndarray], np.ndarray], rho: float,
                     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                    k_scale: Optional[float] = None) -> GreensValue:
-    """integral_0^inf f(k) J0(k rho) dk with an abs_err estimate.
+                    k_scale: Optional[float] = None, order: int = 0) -> GreensValue:
+    """integral_0^inf f(k) J_order(k rho) dk with an abs_err estimate, order 0 or 1.
 
     `k_scale` hints at the decay scale of f (panels below the first Bessel
-    zero are pre-split around it); rho = 0 integrates the monotone integrand
-    on geometrically growing panels instead.
+    zero are pre-split around it). At rho = 0 the order-1 integral is 0, and
+    the order-0 one integrates the monotone integrand on geometrically
+    growing panels instead.
     """
     if rho < 0.0:
         raise DomainError(f"rho must be >= 0, got {rho!r}")
+    if order not in _BESSEL:
+        raise DomainError(f"order must be 0 or 1, got {order!r}")
+    bessel = _BESSEL[order]
     if rho == 0.0:
-        return _halfline_decaying(f, spec, k_scale)
+        return _halfline_decaying(f, spec, k_scale) if order == 0 else GreensValue(0.0)
 
     def integrand(k: np.ndarray) -> np.ndarray:
-        return np.asarray(f(k), dtype=float) * j0(k * rho)
+        return np.asarray(f(k), dtype=float) * bessel(k * rho)
 
-    edges = _oscillatory_edges(lambda n: _j0_zero(n) / rho, k_scale)
+    edges = _oscillatory_edges(lambda n: _bessel_zero(order, n) / rho, k_scale)
     value, err = _integrate_panels(integrand, edges, spec, "hankel_integral")
     return GreensValue(value, err)
 

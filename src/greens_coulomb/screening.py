@@ -99,7 +99,8 @@ class NonlocalBulk(Geometry):
         u = screened_potential(distance(a.position, b.position), a.q, b.q, self.drude)
         return self._pair_result(u, 0.0, a, b)
 
-    def closed_force(self, a: Charge, b: Optional[Charge]) -> np.ndarray:
+    def closed_force(self, a: Charge, b: Optional[Charge],
+                     spec: QuadratureSpec) -> np.ndarray:
         if b is None:
             raise UnsupportedGeometryError(
                 "self-force undefined in a nonlocal bulk (self-energy diverges)")

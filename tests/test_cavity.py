@@ -11,14 +11,20 @@ from greens_coulomb.cavity import (
     cavity_g_midpoint,
     cavity_g_series,
     cavity_scattering_g1,
+    conducting_gap_g,
+    conducting_gap_g1,
     reflection_coeffs,
 )
 from greens_coulomb.core import (
     PERFECT_CONDUCTOR,
+    Charge,
     CoincidentPointsError,
     DomainError,
     OutOfRegionError,
+    Point3,
+    ThreeLayerCavity,
 )
+from greens_coulomb.interactions import pair_energy
 
 PC = PERFECT_CONDUCTOR
 D = 1.0
@@ -168,6 +174,48 @@ class TestScatteringPart:
                  / (4 * math.pi * eps2 * D))
         got = cavity_scattering_g1(z0_over_d * D, D, PC, eps2, PC)
         assert abs(got.value - exact) <= got.abs_err
+
+
+HEIGHTS = [(0.1, -0.2), (0.0, 0.0), (0.45, 0.4), (-0.49, 0.3), (0.3, 0.3)]
+
+
+class TestConductingGapClosedForms:
+    """The program's mode sum and digamma self-energy against the quadrature,
+    where both are accurate, so that no check compares a formula with itself."""
+
+    @pytest.mark.parametrize("rho_over_d", [0.5, 0.8, 1.5, 3.0, 4.5, 6.0])
+    @pytest.mark.parametrize("z,z0", HEIGHTS)
+    def test_modes_match_quadrature(self, rho_over_d, z, z0):
+        got = conducting_gap_g(z * D, z0 * D, rho_over_d * D, D, 2.0)
+        ref = cavity_g_general(z * D, z0 * D, rho_over_d * D, D, PC, 2.0, PC)
+        assert abs(got.value - ref.value) <= got.abs_err + ref.abs_err
+        assert got.abs_err <= 1e-12 * abs(got.value)
+
+    @pytest.mark.parametrize("z0_over_d", [-0.49, -0.3, 0.0, 0.2, 0.45])
+    def test_digamma_matches_quadrature(self, z0_over_d):
+        got = conducting_gap_g1(z0_over_d * D, D, 3.0)
+        ref = cavity_scattering_g1(z0_over_d * D, D, PC, 3.0, PC)
+        assert abs(got.value - ref.value) <= ref.abs_err
+        assert math.isclose(conducting_gap_g1(0.0, D, 1.0).value,
+                            -math.log(2.0) / (2 * math.pi * D), rel_tol=1e-14)
+
+    def test_ratio_to_free_positive_and_asymptotic(self):
+        geom = ThreeLayerCavity(PC, 1.0, PC, D)
+        b = Charge(1.0, Point3(0.0, 0.0, 0.0))
+        for rho in np.geomspace(0.01, 40.0, 60):
+            ratio = pair_energy(geom, Charge(1.0, Point3(rho, 0.0, 0.0)), b).ratio_to_free
+            assert ratio > 0.0
+            if rho >= 12.0:  # the asymptotic form drops the 1/(8 pi rho/d) of K0
+                asym = cavity_asymptotic(rho, D, 1.0).value * 4 * math.pi * rho
+                assert abs(ratio / asym - 1.0) < 1.0 / (8 * math.pi * rho / D)
+
+    def test_mode_sum_rejects_bad_input(self):
+        with pytest.raises(DomainError):
+            conducting_gap_g(0.0, 0.1, 0.0, D, 1.0)
+        with pytest.raises(OutOfRegionError):
+            conducting_gap_g(0.5 * D, 0.1, 1.0, D, 1.0)
+        with pytest.raises(OutOfRegionError):
+            conducting_gap_g1(-0.5 * D, D, 1.0)
 
 
 class TestAsymptotic:

@@ -129,3 +129,8 @@ def test_quadrature_spec_invariants():
             QuadratureSpec(**bad)
     with pytest.raises(DomainError):
         QuadratureSpec(max_panels=4)
+    # the panels and the octree cells accept 1e-15 of their value as converged
+    assert QuadratureSpec(rel_tol=1e-15).rel_tol == 1e-15
+    for tiny in (9.9e-16, 1e-300, 5e-324):
+        with pytest.raises(DomainError, match="1e-15"):
+            QuadratureSpec(rel_tol=tiny)

@@ -1,4 +1,5 @@
-"""Each submodule imports cleanly when it is the first of the package to load.
+"""Each submodule imports cleanly when it is the first of the package to load,
+and importing the package and its CLI loads no heavy scipy subpackage.
 
 `core` imports `analytic` and `cavity` at its end, and both of them import
 `core`; the cycle must resolve whichever name is asked for first. One fresh
@@ -33,3 +34,21 @@ def test_every_submodule_imports_first():
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == MODULES
+
+
+# Each adds 10-13 MB of resident memory to every process that imports the CLI.
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.interpolate", "scipy.stats")
+
+FOOTPRINT = """
+import sys
+import greens_coulomb, greens_coulomb.cli
+print(" ".join(m for m in sys.argv[1:] if m in sys.modules))
+"""
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    src = str(Path(greens_coulomb.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *HEAVY_SCIPY], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.constants import elementary_charge as QE, epsilon_0
 
+from greens_coulomb import interactions
 from greens_coulomb.born import Box, DensityRegion, DiluteBody, PolarizabilityTensor
 from greens_coulomb.core import (
     PERFECT_CONDUCTOR,
@@ -282,6 +283,19 @@ class TestForces:
         with pytest.raises(OnSurfaceError):
             force_on_A(geom, a, b)
 
+    def test_half_space_charge_in_conductor(self):
+        # no self-energy or self-force inside the conductor; a pair with a
+        # charge there is fully screened
+        geom = HalfSpace(PC, 4.0)
+        inside, outside = q_at(1e-9), q_at(-2e-9, x=1e-9, q=-QE)
+        with pytest.raises(OutOfRegionError):
+            self_energy(geom, inside)
+        with pytest.raises(OutOfRegionError):
+            force_on_A(geom, inside)
+        for a, b in ((inside, outside), (outside, inside)):
+            assert pair_energy(geom, a, b).energy == 0.0
+            assert np.all(force_on_A(geom, a, b).force == 0.0)
+
     def test_aperture_self_force_attractive_on_axis(self):
         f = force_on_A(PlateWithHole(1e-9), q_at(2e-9))
         assert f.force[2] < 0.0 and f.force[0] == 0.0 == f.force[1]
@@ -292,3 +306,82 @@ class TestForces:
             DensityRegion(Box(-1e-9, 1e-9, -1e-9, 1e-9, -2e-9, -1e-9), 1e27),))
         f = force_on_A(body, q_at(1e-9), spec=QuadratureSpec(rel_tol=1e-7))
         assert f.force[2] < 0.0
+
+
+WALLS = {"cc": (PC, PC), "dd": (4.0, 8.0), "dc": (4.0, PC)}
+
+
+def _stencil_grad(energy, p, h, axes=(0, 1, 2)):
+    """Five-point central difference of energy(Point3) at p."""
+    grad = np.zeros(3)
+    for ax in axes:
+        def at(c, ax=ax):
+            step = [0.0, 0.0, 0.0]
+            step[ax] = c
+            return energy(p.shifted(*step))
+        grad[ax] = (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
+    return grad
+
+
+class TestGapForces:
+    """The gradient routes of the gap (mode sum, digamma, Hankel) against a
+    stencil of the program's own energies, at criterion 7's tolerance 1e-4."""
+
+    @pytest.fixture(autouse=True)
+    def no_stencil(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a gap force went through the stencil")
+        monkeypatch.setattr(interactions, "_fd_gradient", refuse)
+
+    @pytest.mark.parametrize("walls", WALLS)
+    @pytest.mark.parametrize("x,y,za,zb", [(0.1, 0.0, 0.3, -0.1), (0.3, 0.3, 0.1, -0.1),
+                                           (0.5, 0.0, -0.3, 0.1), (1.5, -0.4, 0.1, 0.3),
+                                           (4.5, 0.0, -0.1, -0.3), (0.0, 0.0, 0.2, -0.3),
+                                           (2.0, 0.0, 0.0, 0.0)])
+    def test_pair_force_matches_energy_stencil(self, walls, x, y, za, zb):
+        geom = ThreeLayerCavity(WALLS[walls][0], 1.5, WALLS[walls][1], 1.0)
+        a, b = q_at(za, x=x, y=y), q_at(zb, q=-QE)
+        force = force_on_A(geom, a, b).force
+        h = 1e-4 * min(0.5 - abs(za), math.dist((x, y, za), (0.0, 0.0, zb)))
+        grad = _stencil_grad(lambda p: pair_energy(geom, Charge(a.q, p), b).energy,
+                             a.position, h)
+        assert np.linalg.norm(force + grad) <= 1e-4 * np.linalg.norm(force)
+
+    @pytest.mark.parametrize("walls", WALLS)
+    @pytest.mark.parametrize("z", [-0.45, -0.3, 0.15, 0.35, 0.49])
+    def test_self_force_matches_energy_stencil(self, walls, z):
+        geom = ThreeLayerCavity(WALLS[walls][0], 1.5, WALLS[walls][1], 1.0)
+        fz = force_on_A(geom, q_at(z)).force
+        grad = _stencil_grad(lambda p: self_energy(geom, Charge(QE, p)).energy,
+                             q_at(z).position, 1e-4 * (0.5 - abs(z)), axes=(2,))
+        assert fz[0] == 0.0 == fz[1]
+        assert abs(fz[2] + grad[2]) <= 1e-4 * abs(fz[2])
+
+    @pytest.mark.parametrize("walls", WALLS)
+    def test_pair_on_common_axis_has_no_radial_force(self, walls):
+        geom = ThreeLayerCavity(WALLS[walls][0], 1.0, WALLS[walls][1], 1.0)
+        f = force_on_A(geom, q_at(0.3), q_at(-0.2)).force
+        assert f[0] == 0.0 == f[1] and f[2] != 0.0
+
+    @pytest.mark.parametrize("eps_wall", [PC, 8.0])
+    def test_no_self_force_at_midplane_of_symmetric_walls(self, eps_wall):
+        geom = ThreeLayerCavity(eps_wall, 1.0, eps_wall, 1.0)
+        assert np.all(force_on_A(geom, q_at(0.0)).force == 0.0)
+
+    @pytest.mark.parametrize("rho", [8.0, 10.0, 12.0])
+    def test_conducting_far_field_matches_asymptotic(self, rho):
+        # the stencil failed here: its step sat below the quadrature's floor
+        geom = ThreeLayerCavity(PC, 1.0, PC, 1.0)
+        a, b = q_at(0.0, x=rho), q_at(0.0, q=-QE)
+        got = force_on_A(geom, a, b).force
+        asym = cavity_asymptotic_force(geom, a, b).force
+        # the asymptotic form is off by about 1/(8x) of K1 at x = pi rho/d; allow twice that
+        assert np.linalg.norm(got - asym) <= 2.0 / (8 * math.pi * rho) * np.linalg.norm(asym)
+        assert got[0] < 0.0  # opposite charges attract: A at +x is pulled toward B
+
+    def test_gap_force_outside_gap_rejected(self):
+        geom = ThreeLayerCavity(4.0, 1.0, PC, 1.0)
+        with pytest.raises(OutOfRegionError):
+            force_on_A(geom, q_at(0.2), q_at(0.7))
+        with pytest.raises(OutOfRegionError):
+            force_on_A(geom, q_at(-0.6))

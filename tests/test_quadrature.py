@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import j1
 
 from greens_coulomb import cavity, quadrature
 from greens_coulomb.core import (
@@ -50,9 +51,30 @@ def test_rho_zero_halfline():
     assert abs(got.value - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("a,rho", [(1.0, 1.0), (0.3, 2.0), (5.0, 0.7), (0.05, 10.0)])
+def test_order_one_exponential_identities(a, rho):
+    # int e^{-ak} J1(k rho) dk = (1 - a/r)/rho and int k e^{-ak} J1(k rho) dk = rho/r^3
+    r = math.hypot(a, rho)
+    for f, exact in ((lambda k: np.exp(-a * k), (1.0 - a / r) / rho),
+                     (lambda k: k * np.exp(-a * k), rho / r ** 3)):
+        got = hankel_integral(f, rho, order=1)
+        assert abs(got.value - exact) <= max(1e-10 * exact, got.abs_err)
+        assert abs(got.value - exact) / exact < 1e-10
+
+
+def test_order_one_cuts_at_j1_zeros():
+    n = np.arange(1, 600)
+    zeros = np.array([quadrature._bessel_zero(1, int(i)) for i in n])
+    assert np.all(np.diff(zeros) > 0.0) and zeros.size > quadrature._BESSEL_ZEROS[0].size
+    assert np.max(np.abs(j1(zeros))) < 1e-12
+    assert hankel_integral(lambda k: np.exp(-k), 0.0, order=1).value == 0.0
+
+
 def test_rho_negative_rejected():
     with pytest.raises(DomainError):
         hankel_integral(lambda k: np.exp(-k), -1.0)
+    with pytest.raises(DomainError):
+        hankel_integral(lambda k: np.exp(-k), 1.0, order=2)
 
 
 def test_sine_dirichlet_identity():
@@ -82,6 +104,39 @@ def test_euler_limit_alternating():
     assert abs(val - math.log(2.0)) < 1e-10
     assert err < 1e-8
 
+
+
+def _ref_alternating_start(p, tiny):
+    """The scalar loop that `_alternating_start` replaced."""
+    start = p.size
+    for i in range(p.size - 1, 0, -1):
+        if abs(p[i]) <= tiny or abs(p[i - 1]) <= tiny:
+            break
+        if p[i] * p[i - 1] < 0.0:
+            start = i - 1
+        else:
+            break
+    return start
+
+
+def test_alternating_start_matches_loop():
+    rng = np.random.default_rng(7)
+    cases = [np.array([]), np.array([1.0]), np.array([1.0, -1.0]), np.array([0.0, 0.0]),
+             np.array([1e-300, -1e-300, 1e-300]), np.array([np.nan, 1.0, -1.0])]
+    for _ in range(3000):
+        n = int(rng.integers(1, 40))
+        mag = 10.0 ** rng.uniform(-20, 3, n)
+        sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        if rng.random() < 0.5:  # a long alternating run with a random prefix
+            sign[n // 3:] = np.where(np.arange(n - n // 3) % 2, -1.0, 1.0)
+        p = sign * mag
+        p[rng.random(n) < 0.1] = 0.0
+        p[rng.random(n) < 0.05] *= 1e-17  # tiny panels
+        cases.append(p)
+    for p in cases:
+        scale = float(np.max(np.abs(p))) if p.size else 0.0
+        for tiny in (1e-16 * scale, 0.0):
+            assert quadrature._alternating_start(p, tiny) == _ref_alternating_start(p, tiny)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +229,7 @@ def _reference(transform, f, x, spec, k_scale):
         return _ref_halfline(f, spec, k_scale)
     return _ref_panels(lambda k: f(k) * quadrature.j0(k * x),
                        quadrature._oscillatory_edges(
-                           lambda n: quadrature._j0_zero(n) / x, k_scale),
+                           lambda n: quadrature._bessel_zero(0, n) / x, k_scale),
                        spec)
 
 

@@ -168,11 +168,11 @@ class TestCliCommands:
         assert main(["pair-energy", "--scene", scene]) == 2
 
     def test_nonconvergence_exit_3(self, tmp_path, capsys):
-        # a relative target on an exponentially suppressed value that sits
-        # below the float cancellation floor of the panel sums
-        doc = {"geometry": {"type": "cavity", "eps1": "conductor", "eps2": 1.0,
-                            "eps3": "conductor", "d": 1.0},
-               "charges": [{"q": 1.0, "unit": "e", "position": [6.0, 0, 0.1]},
+        # a relative target of 1e-15 below the float cancellation floor of the
+        # panel sums (between conducting walls this pair takes the mode sum)
+        doc = {"geometry": {"type": "cavity", "eps1": 4.0, "eps2": 1.0,
+                            "eps3": 8.0, "d": 1.0},
+               "charges": [{"q": 1.0, "unit": "e", "position": [2.0, 0, 0.1]},
                            {"q": 1.0, "unit": "e", "position": [0, 0, -0.2]}],
                "options": {"rel_tol": 1e-15, "abs_tol": 1e-300}}
         scene = write_scene(tmp_path, doc)
@@ -228,6 +228,10 @@ class TestCliCommands:
         # a half-space Born body is finite at 1e-320, but 1e-5 of that underflows
         ("force", {"geometry": {"type": "dilute_body", "alpha": 1e-40, "half_space_eta": 1e27},
                    "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, 1e-320]}]}, None),
+        # the image force at the smallest subnormal height overflows; a product
+        # with z used to underflow to 0 and raise ZeroDivisionError
+        ("force", {"geometry": HALF_SPACE,
+                   "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, 5e-324]}]}, None),
     ])
     def test_extreme_inputs_finite_json_or_exit_2(self, tmp_path, capsys, command, doc,
                                                   expect):
