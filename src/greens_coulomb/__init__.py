@@ -8,12 +8,10 @@ independent finite-difference Poisson oracle for validation.
 """
 
 from .analytic import (
-    HoleAux,
     free_space_g,
     half_space_g,
     half_space_scattering_g1,
     interface_reflection,
-    plate_hole_aux,
     plate_hole_g,
     plate_hole_onaxis_self_g1,
 )
@@ -57,7 +55,6 @@ from .core import (
     SceneError,
     SolverError,
     SourceOnInterfaceError,
-    StepTooLargeError,
     ThreeLayerCavity,
     UnsupportedGeometryError,
     ValueWithError,

@@ -11,7 +11,7 @@ All values are exact up to roundoff, so abs_err = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Tuple
 
 from . import kernels
 from .core import (
@@ -98,71 +98,49 @@ def half_space_scattering_g1(r: Point3, r_src: Point3, eps1: Permittivity,
 # Conducting plate with a circular aperture
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HoleAux:
-    """Auxiliary quantities of the aperture Green's function.
-
-    F_plus/F_minus and D_plus/D_minus are lengths (m); lambda_plus and
-    lambda_minus are the +-1 signs selecting the arctan branch.
-    """
-
-    F_plus: float
-    F_minus: float
-    D_plus: float
-    D_minus: float
-    lambda_plus: float
-    lambda_minus: float
-
-
-def _canonical_pair(r: Point3, r_src: Point3, R: float):
-    """Map to z_field >= 0 using the z -> -z symmetry; reject on-plate points."""
+def _canonical_pair(r: Point3, r_src: Point3, R: float, where: str):
+    """Check the arguments and map to z_field >= 0 using the z -> -z symmetry."""
+    if not (R > 0.0):
+        raise DomainError(f"{where}: R must be > 0, got {R!r}")
+    if r == r_src:
+        raise CoincidentPointsError(f"{where}: r coincides with r_src")
     for name, p in (("r", r), ("r_src", r_src)):
         if p.z == 0.0 and p.rho >= R:
-            raise OnPlateError(f"plate_hole: {name} lies on the conductor (z=0, rho>=R)")
+            raise OnPlateError(f"{where}: {name} lies on the conductor (z=0, rho>=R)")
     if r.z < 0.0:
         r, r_src = r.mirror_z(), r_src.mirror_z()
     return r, r_src
 
 
-def plate_hole_aux(r: Point3, r_src: Point3, R: float) -> HoleAux:
-    """F, D and sign auxiliaries for the aperture Green's function."""
-    if not (R > 0.0):
-        raise DomainError(f"plate_hole_aux: R must be > 0, got {R!r}")
-    r, r_src = _canonical_pair(r, r_src, R)
-    rho, phi, z = r.cylindrical()
-    rhop, phip, zp = r_src.cylindrical()
-    _, Fm, Fp, Dm, Dp, lm, lp = kernels.hole_greens(rho, phi, z, rhop, phip, zp, R)
-    return HoleAux(F_plus=Fp, F_minus=Fm, D_plus=Dp, D_minus=Dm,
-                   lambda_plus=lp, lambda_minus=lm)
-
-
 def plate_hole_g(r: Point3, r_src: Point3, R: float) -> GreensValue:
     """Green's function of a grounded plate at z = 0 with an aperture of radius R."""
-    if not (R > 0.0):
-        raise DomainError(f"plate_hole_g: R must be > 0, got {R!r}")
-    if r == r_src:
-        raise CoincidentPointsError("plate_hole_g: r coincides with r_src")
-    r, r_src = _canonical_pair(r, r_src, R)
+    r, r_src = _canonical_pair(r, r_src, R, "plate_hole_g")
     rho, phi, z = r.cylindrical()
     rhop, phip, zp = r_src.cylindrical()
-    g, *_ = kernels.hole_greens(rho, phi, z, rhop, phip, zp, R)
-    return GreensValue(g)
+    return GreensValue(kernels.hole_greens(rho, phi, z, rhop, phip, zp, R))
+
+
+def plate_hole_grad(r: Point3, r_src: Point3, R: float) -> Tuple[float, float, float]:
+    """Gradient (dg/dx, dg/dy, dg/dz) of plate_hole_g in the field point r."""
+    flip = r.z < 0.0
+    r, r_src = _canonical_pair(r, r_src, R, "plate_hole_grad")
+    gx, gy, gz = kernels.hole_greens_grad(r.x, r.y, r.z, r_src.x, r_src.y, r_src.z, R)
+    return gx, gy, -gz if flip else gz
 
 
 def plate_hole_onaxis_self_g1(z: float, R: float) -> GreensValue:
     """Reflected part at coincident on-axis points, g1(z) = g1(-z).
 
-    g1 = -1/(16 pi |z|) + 1/(8 pi^2 |z|) * arctan(R/(2|z|) - |z|/(2R));
-    the free-space divergence is already subtracted. Always negative
-    (the induced surface charge attracts), approaching -1/(4 pi^2 R) as
-    z -> 0 and the solid-plate image value -1/(8 pi |z|) as R -> 0.
+    g1 = -arctan(|z|/R) / (4 pi^2 |z|), the free-space divergence already
+    subtracted; equal to -1/(16 pi |z|) + arctan(R/(2|z|) - |z|/(2R))/(8 pi^2 |z|),
+    since arctan(R/(2|z|) - |z|/(2R)) = pi/2 - 2 arctan(|z|/R), but free of
+    its cancellation. Always negative (the induced surface charge attracts),
+    approaching -1/(4 pi^2 R) as z -> 0 and the solid-plate image value
+    -1/(8 pi |z|) as R -> 0.
     """
     if not (R > 0.0):
         raise DomainError(f"plate_hole_onaxis_self_g1: R must be > 0, got {R!r}")
     if z == 0.0:
         raise DomainError("plate_hole_onaxis_self_g1: z must be nonzero "
                           "(the z -> 0 limit is -1/(4 pi^2 R))")
-    az = abs(z)
-    value = (-1.0 / (16.0 * math.pi * az)
-             + math.atan(R / (2.0 * az) - az / (2.0 * R)) / (8.0 * math.pi ** 2 * az))
-    return GreensValue(value)
+    return GreensValue(kernels.hole_onaxis_g1(z, R))

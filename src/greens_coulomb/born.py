@@ -16,7 +16,8 @@ refinement level at a time: a level is a set of corner arrays, all its
 cells are split at once, and the integrand sees whole blocks of cells per
 call. Accepted cells are summed in the FIFO order of a cell-by-cell loop,
 so results are bit-reproducible; a cell still outside its budget at the
-depth cap is a ConvergenceError.
+depth cap is a ConvergenceError. Forces differentiate the same integrals
+under the integral sign (`born_scattering_grad`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .core import (
     CoincidentPointsError,
     ConvergenceError,
     DomainError,
+    FreeSpace,
     Geometry,
     GreensValue,
     InteractionResult,
@@ -201,6 +203,17 @@ class DiluteBody(Geometry):
         g1 = born_scattering_g1(ra, rb, self, spec)
         return self._pair_result(pref * (g0 + g1.value), abs(pref) * g1.abs_err, a, b)
 
+    def closed_force(self, a: Charge, b: Optional[Charge],
+                     spec: QuadratureSpec) -> np.ndarray:
+        # g1 is symmetric, so the self-energy's gradient is 2 grad_1 g1(r, r)
+        # and the self-force takes the pair force's prefactor with b = a
+        other = a if b is None else b
+        pref = -a.q * other.q / epsilon_0
+        grad = born_scattering_grad(a.position, other.position, self, spec)
+        direct = ((0.0, 0.0, 0.0) if b is None
+                  else FreeSpace(self.background_eps).closed_force(a, b, spec).tolist())
+        return np.array([f + pref * g for f, g in zip(direct, grad)])
+
 
 def charge_molecule_potential(qA: float, rA: Point3, rB: Point3,
                               alpha: PolarizabilityTensor) -> float:
@@ -334,19 +347,44 @@ def _half_space_integral(r1: Point3, r2: Point3, alpha: np.ndarray) -> Tuple[flo
     return value, _ROUNDOFF * (abs(terms[0]) + abs(terms[1]) + abs(terms[2]))
 
 
+def _half_space_grad(r1: Point3, r2: Point3, alpha: np.ndarray) -> Tuple[float, float, float]:
+    """Gradient of _half_space_integral in r1.
+
+    With u = D/R, zeta = Z/R, sigma = 1 + zeta, T = axx + ayy and
+    par = u.a_par.u, the integral is (pi/R) [T/sigma - par/sigma^2 + azz];
+    its derivatives in Z and in D are algebraic in the same ratios, and r1
+    moves Z by +1 and D by -1. Overflows to inf as R -> 0.
+    """
+    dx, dy, Z = r2.x - r1.x, r2.y - r1.y, r1.z + r2.z
+    R = math.hypot(dx, dy, Z)
+    ux, uy, zeta = dx / R, dy / R, Z / R
+    sigma = 1.0 + zeta
+    a = alpha.tolist()
+    axx, axy, ayy, azz = a[0][0], a[0][1], a[1][1], a[2][2]
+    trace = axx + ayy
+    par = axx * ux * ux + 2.0 * axy * ux * uy + ayy * uy * uy
+    # R^2/pi times the derivatives in D: a part along u and one along a_par.u
+    sigma2 = sigma * sigma
+    along_u = (par * (sigma + 2.0) / sigma - trace) / sigma2 - azz
+    d_dx = along_u * ux - 2.0 * (axx * ux + axy * uy) / sigma2
+    d_dy = along_u * uy - 2.0 * (axy * ux + ayy * uy) / sigma2
+    d_dz = -trace / sigma + par * (zeta + 2.0) / sigma2 - azz * zeta
+    return -math.pi * d_dx / R / R, -math.pi * d_dy / R / R, math.pi * d_dz / R / R
+
+
 def _check_outside(body: DiluteBody, pts) -> None:
     for p in pts:
         if body.contains(p):
             raise PointInsideBodyError(f"point {p} lies inside the body volume")
 
 
-def _body_integral(body: DiluteBody, box_integrand, r1: Point3, r2: Point3,
+def _body_integral(body: DiluteBody, box_integrand, half_space, r1: Point3, r2: Point3,
                    spec: QuadratureSpec) -> Tuple[float, float]:
     """eta-weighted integral over the body and its error.
 
-    Boxes go to the octree with `box_integrand`; the half-space takes the
-    closed form, so `box_integrand` must be the integrand of
-    `_half_space_integral` at (r1, r2).
+    Boxes go to the octree with `box_integrand`; the half-space takes
+    `half_space(r1, r2, alpha)`, the closed form (value, error) of the same
+    integrand over z < 0.
     """
     total = 0.0
     err = 0.0
@@ -359,7 +397,7 @@ def _body_integral(body: DiluteBody, box_integrand, r1: Point3, r2: Point3,
     if body.half_space_eta:
         if r1.z <= 0.0 or r2.z <= 0.0:
             raise PointInsideBodyError("field points must lie above the half-space body")
-        val, e = _half_space_integral(r1, r2, body.alpha.matrix)
+        val, e = half_space(r1, r2, body.alpha.matrix)
         total += body.half_space_eta * val
         err += body.half_space_eta * e
     return total, err
@@ -381,8 +419,35 @@ def born_scattering_g1(r: Point3, r_src: Point3, body: DiluteBody,
     def integrand(pts, w):
         return kernels.alpha_chain_sum(pts, w, rv, rpv, alpha)
 
-    total, err = _body_integral(body, integrand, r, r_src, spec)
+    total, err = _body_integral(body, integrand, _half_space_integral, r, r_src, spec)
     return GreensValue(pref * total, abs(pref) * err)
+
+
+def born_scattering_grad(r: Point3, r_src: Point3, body: DiluteBody,
+                         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Tuple[float, float, float]:
+    """Gradient of born_scattering_g1 in its field point r.
+
+    Each component is its own volume integral: the octree runs once per
+    component on kernels.alpha_chain_grad_sum, with the energy's per-cell
+    budget (rel_tol of the cell's own value), and the half-space term is the
+    gradient of its closed form.
+    """
+    _check_outside(body, (r, r_src))
+    alpha = body.alpha.matrix
+    rv = np.array([r.x, r.y, r.z])
+    rpv = np.array([r_src.x, r_src.y, r_src.z])
+    pref = -1.0 / (epsilon_0 * (4.0 * math.pi * body.background_eps) ** 2)
+
+    def component(axis: int) -> float:
+        def integrand(pts, w):
+            return kernels.alpha_chain_grad_sum(pts, w, rv, rpv, alpha, axis)
+
+        def half_space(r1, r2, a):
+            return _half_space_grad(r1, r2, a)[axis], 0.0
+
+        return pref * _body_integral(body, integrand, half_space, r, r_src, spec)[0]
+
+    return component(0), component(1), component(2)
 
 
 def charge_body_energy(a, body: DiluteBody,
@@ -407,5 +472,5 @@ def charge_body_energy(a, body: DiluteBody,
         quad = np.einsum("ij,ij->i", s @ alpha, s)
         return np.sum((w.ravel() * quad / s2 ** 3).reshape(w.shape), axis=-1)
 
-    total, err = _body_integral(body, integrand, r, r, spec)
+    total, err = _body_integral(body, integrand, _half_space_integral, r, r, spec)
     return ValueWithError(pref * total, abs(pref) * err)

@@ -58,10 +58,6 @@ class UnsupportedGeometryError(CoulombError):
     """The requested observable is not defined for this geometry."""
 
 
-class StepTooLargeError(CoulombError):
-    """The finite-difference error estimate exceeds 1% of the force magnitude."""
-
-
 class SolverError(CoulombError):
     """The sparse linear solve did not reach the requested residual."""
 
@@ -262,21 +258,14 @@ class Geometry:
       divergence subtracted;
     * pair_energy(a, b, spec): U = qA qB / eps0 g(rA, rB), for distinct points;
     * closed_force(a, b, spec): -grad_A of the pair energy (b given) or of
-      the self-energy (b None) from the gradient of the Green's function, or
-      None where the energy is differentiated numerically (the plate with a
-      hole and the Born bodies), then along `self_force_axes` for the
-      self-energy.
+      the self-energy (b None), shape (3,), from the gradient of the Green's
+      function. It always returns a force or raises, and it rejects what the
+      energy it differentiates rejects.
 
     A charge inside a perfect conductor has no self-energy or self-force
     (OutOfRegionError); a half-space pair with a charge in the conductor is
     fully screened, with energy and force 0.
     """
-
-    self_force_axes = (0, 1, 2)
-
-    def closed_force(self, a: Charge, b: Optional[Charge],
-                     spec: QuadratureSpec) -> Optional[np.ndarray]:
-        return None
 
     def _pair_result(self, energy: float, abs_err: float, a: Charge,
                      b: Charge) -> InteractionResult:
@@ -505,10 +494,6 @@ class PlateWithHole(Geometry):
 
     R: float
 
-    # the self-energy is provided on the axis only: the radial self-force
-    # vanishes there by symmetry, so the stencil runs along z alone
-    self_force_axes = (2,)
-
     def __post_init__(self):
         object.__setattr__(self, "R", _require_finite(self.R, "R"))
         if self.R < 0.0:
@@ -523,6 +508,11 @@ class PlateWithHole(Geometry):
             return abs(p.z)
         return math.hypot(self.R - rho, p.z)
 
+    def _on_axis(self, p: Point3, where: str) -> None:
+        if p.rho > 1e-12 * max(abs(p.z), self.R):
+            raise UnsupportedGeometryError(
+                f"plate-with-hole {where} is provided on the symmetry axis only")
+
     def self_energy(self, a: Charge, spec: QuadratureSpec) -> InteractionResult:
         p = a.position
         pref = a.q * a.q / (2.0 * epsilon_0)
@@ -530,14 +520,8 @@ class PlateWithHole(Geometry):
             raise OnSurfaceError("self_energy: charge on the plate")
         if self.R == 0.0:
             return InteractionResult(pref * (-1.0 / (8.0 * math.pi * abs(p.z))), None, 0.0)
-        if p.rho > 1e-12 * max(abs(p.z), self.R):
-            raise UnsupportedGeometryError(
-                "plate-with-hole self-energy is provided on the symmetry axis only")
-        if p.z == 0.0:
-            # limit value at the aperture center
-            return InteractionResult(pref * (-1.0 / (4.0 * math.pi ** 2 * self.R)), None, 0.0)
-        g1 = analytic.plate_hole_onaxis_self_g1(p.z, self.R)
-        return InteractionResult(pref * g1.value, None, 0.0)
+        self._on_axis(p, "self-energy")
+        return InteractionResult(pref * kernels.hole_onaxis_g1(p.z, self.R), None, 0.0)
 
     def pair_energy(self, a: Charge, b: Charge, spec: QuadratureSpec) -> InteractionResult:
         ra, rb = a.position, b.position
@@ -554,6 +538,31 @@ class PlateWithHole(Geometry):
         g = analytic.plate_hole_g(ra, rb, self.R)
         return self._pair_result(pref * g.value, abs(pref) * g.abs_err, a, b)
 
+    def closed_force(self, a: Charge, b: Optional[Charge],
+                     spec: QuadratureSpec) -> np.ndarray:
+        p = a.position
+        if self.R == 0.0:
+            # the image forms of a grounded plane, from above; nothing crosses it
+            if b is not None and b.position.z == 0.0:
+                raise OnPlateError("force_on_A: charge on the plate")
+            if p.z > 0.0:
+                return _SOLID_PLATE.closed_force(a, b, spec)
 
-# the geometries' physics; both modules import this one, so they come last
-from . import analytic, cavity  # noqa: E402
+            def mirror(q):
+                return None if q is None else Charge(q.q, q.position.mirror_z())
+
+            fx, fy, fz = _SOLID_PLATE.closed_force(mirror(a), mirror(b), spec)
+            return np.array([fx, fy, -fz])
+        if b is not None:
+            pref = -a.q * b.q / epsilon_0
+            return np.array([pref * c for c in analytic.plate_hole_grad(p, b.position, self.R)])
+        self._on_axis(p, "self-force")
+        return np.array([0.0, 0.0, -a.q * a.q / (2.0 * epsilon_0)
+                         * kernels.hole_onaxis_dg1(p.z, self.R)])
+
+
+# the solid plate (R = 0) is the grounded plane, seen from above
+_SOLID_PLATE = HalfSpace(1.0, PERFECT_CONDUCTOR)
+
+# the geometries' physics; analytic and cavity import this module, so they come last
+from . import analytic, cavity, kernels  # noqa: E402

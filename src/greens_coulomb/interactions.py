@@ -7,10 +7,10 @@ points here check what is common to all of them and delegate. Energies are
 reported uncorrected; the real-cavity local-field factor 3 eps/(2 eps + 1)
 multiplies forces only, and only on request.
 
-Forces use the gradient of the geometry's Green's function where it has
-one (uniform space, planar interface, screened bulk and the planar gap) and
-Richardson-controlled fourth-order central differences of the energy for
-the plate with a hole and the Born bodies.
+Every force is minus the gradient of the energy, taken from the gradient
+of the geometry's Green's function (`Geometry.closed_force`), so forces are
+exact up to roundoff in closed form and follow `spec` where the Green's
+function is a quadrature or an octree sum.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ from .core import (
     InteractionResult,
     OnSurfaceError,
     OutOfRegionError,
-    Point3,
     QuadratureSpec,
-    StepTooLargeError,
     ThreeLayerCavity,
     UnsupportedGeometryError,
     distance,
@@ -77,42 +75,14 @@ def pair_energy(geom: Geometry, a: Charge, b: Charge,
 # Forces
 # ---------------------------------------------------------------------------
 
-def _fd_gradient(fn, p: Point3, h: float, axes):
-    """Fourth-order central difference of fn at p along `axes`, one Richardson level.
-
-    Returns (grad, err_estimate); fn maps Point3 -> float, and the gradient
-    components off `axes` are 0.
-    """
-
-    def grad_at(step: float) -> np.ndarray:
-        g = np.zeros(3)
-        for axis in axes:
-            dx, dy, dz = ((1, 0, 0), (0, 1, 0), (0, 0, 1))[axis]
-
-            def at(c: float) -> float:
-                return fn(p.shifted(dx * c, dy * c, dz * c))
-
-            g[axis] = (-at(2 * step) + 8.0 * at(step)
-                       - 8.0 * at(-step) + at(-2 * step)) / (12.0 * step)
-        return g
-
-    g_h = grad_at(h)
-    g_h2 = grad_at(0.5 * h)
-    improved = (16.0 * g_h2 - g_h) / 15.0
-    err = float(np.linalg.norm(improved - g_h2))
-    return improved, err
-
-
 def force_on_A(geom: Geometry, a: Charge, b: Optional[Charge] = None,
-               apply_local_field: bool = False, h: Optional[float] = None,
+               apply_local_field: bool = False,
                spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Force on charge A: -grad_A of the pair energy (b given) or self-energy.
 
-    The gradient of the geometry's Green's function where it has one, to the
-    tolerances of `spec`; otherwise (plate with a hole, Born bodies) a
-    fourth-order central difference of the energy with Richardson error
-    control. `h` is that stencil's step, by default 1e-5 of the distance to
-    the nearest surface (or to B, if nearer); the other routes ignore it.
+    The geometry differentiates its own Green's function (see
+    `Geometry.closed_force`), to the tolerances of `spec`; a force that
+    overflows float64 is a DomainError.
     """
     p = a.position
     if geom.surface_distance(p) == 0.0:
@@ -129,34 +99,6 @@ def force_on_A(geom: Geometry, a: Charge, b: Optional[Charge] = None,
         if eps_here is None:
             raise OutOfRegionError("force_on_A: charge inside a conductor")
         factor = local_field_factor(eps_here)
-
-    if force is None:
-        if h is None:
-            scale = geom.surface_distance(p)
-            if b is not None:
-                scale = min(scale, distance(p, b.position))
-            if not math.isfinite(scale):
-                raise DomainError("force_on_A: provide h for geometries without surfaces")
-            h = 1e-5 * scale
-            if h == 0.0:
-                raise DomainError(f"force_on_A: the step 1e-5 x {scale!r} underflows float64")
-
-        if b is None:
-            def energy(q: Point3) -> float:
-                return self_energy(geom, Charge(a.q, q), spec).energy
-        else:
-            def energy(q: Point3) -> float:
-                return pair_energy(geom, Charge(a.q, q), b, spec).energy
-
-        grad, err = _fd_gradient(energy, p, h, geom.self_force_axes if b is None else (0, 1, 2))
-        force = -grad
-        fmag = float(np.linalg.norm(force))
-        noise_floor = 1e-13 * abs(energy(p)) / h
-        if err > 0.01 * fmag + noise_floor:
-            raise StepTooLargeError(
-                f"finite-difference error {err:.3e} exceeds 1% of |F| = {fmag:.3e}; "
-                f"reduce the step (h = {h:.3e})")
-
     if not all(map(math.isfinite, force)):
         raise DomainError(f"force_on_A: the force {force.tolist()} overflows float64")
     return ForceResult(force=factor * force, local_field_factor_applied=factor)

@@ -3,8 +3,10 @@
 The quadrature integrands take a 1-D float64 array of wavenumbers, so the
 panel integrator evaluates a block of panels, or a whole bisection level, in
 one call; `alpha_chain_sum` also takes 2-D weights and returns per-cell sums,
-which is how the Born octree calls it. `hole_greens` is scalar. Callers look
-the kernels up on this module at call time.
+which is how the Born octree calls it, as does its gradient
+`alpha_chain_grad_sum`. The aperture kernels (`hole_greens`, its gradient and
+the on-axis self-terms) are scalar. Callers look the kernels up on this module
+at call time.
 """
 
 from __future__ import annotations
@@ -27,6 +29,13 @@ def _bracket(lam: float, F: float, D: float) -> float:
     return _TWO_OVER_PI * math.atan2(D, F) / D
 
 
+def _braces(q: float, w: float, AAp: float, R2: float) -> float:
+    # q + A*Ap, the radicand of F; where q < 0 the sum cancels, and since
+    # (A*Ap)^2 - q^2 = 4 R^2 w^2 it is taken as 4 R^2 w^2 / (A*Ap - q) instead
+    b = q + AAp if q >= 0.0 else 4.0 * R2 * w * w / (AAp - q)
+    return b if b > 0.0 else 0.0
+
+
 def hole_greens(rho, phi, z, rhop, phip, zp, R):
     """Green's function of a grounded plate with a circular aperture.
 
@@ -34,18 +43,18 @@ def hole_greens(rho, phi, z, rhop, phip, zp, R):
     conductor at z = 0, rho >= R. Requires z >= 0 (map z < 0 configurations
     by the mirror symmetry of the geometry before calling).
 
-    Returns (g, F_minus, F_plus, D_minus, D_plus, lam_minus, lam_plus).
+    g = [B(lam_minus, F_minus, D_minus) - B(lam_plus, F_plus, D_plus)] / (8 pi),
+    with B = [1 + (2 lam/pi) arctan(F/D)] / D.
     """
     R2 = R * R
     s = rho * rho + z * z - R2
     sp = rhop * rhop + zp * zp - R2
-    A = math.sqrt(s * s + 4.0 * R2 * z * z)
-    Ap = math.sqrt(sp * sp + 4.0 * R2 * zp * zp)
+    AAp = math.sqrt(s * s + 4.0 * R2 * z * z) * math.sqrt(sp * sp + 4.0 * R2 * zp * zp)
     cross = 4.0 * R2 * z * zp
-    braces_p = s * sp - cross + A * Ap
-    braces_m = s * sp + cross + A * Ap
-    Fp = math.sqrt(braces_p if braces_p > 0.0 else 0.0) / (_SQRT2 * R)
-    Fm = math.sqrt(braces_m if braces_m > 0.0 else 0.0) / (_SQRT2 * R)
+    t = zp * s + z * sp
+    u = zp * s - z * sp
+    Fp = math.sqrt(_braces(s * sp - cross, t, AAp, R2)) / (_SQRT2 * R)
+    Fm = math.sqrt(_braces(s * sp + cross, u, AAp, R2)) / (_SQRT2 * R)
 
     perp2 = rho * rho + rhop * rhop - 2.0 * rho * rhop * math.cos(phi - phip)
     if perp2 < 0.0:
@@ -55,15 +64,111 @@ def hole_greens(rho, phi, z, rhop, phip, zp, R):
 
     if zp >= 0.0:
         lm = 1.0
-        t = zp * s + z * sp
         lp = 1.0 if t > 0.0 else -1.0
     else:
         lp = -1.0
-        u = zp * s - z * sp
         lm = 1.0 if u > 0.0 else -1.0
 
-    g = (_bracket(lm, Fm, Dm) - _bracket(lp, Fp, Dp)) / (8.0 * math.pi)
-    return g, Fm, Fp, Dm, Dp, lm, lp
+    return (_bracket(lm, Fm, Dm) - _bracket(lp, Fp, Dp)) / (8.0 * math.pi)
+
+
+def _atan_defect(x: float) -> float:
+    """(x/(1 + x^2) - arctan(x)) / x^3 for x >= 0, by its series below 1e-2."""
+    if x < 1e-2:
+        x2 = x * x
+        return -2.0 / 3.0 + x2 * (0.8 - x2 * (6.0 / 7.0 - x2 * (8.0 / 9.0)))
+    return (x / (1.0 + x * x) - math.atan(x)) / x / x / x
+
+
+def _signed_f_grad(q, dq, w, dw, AAp, dAAp, R, lam):
+    """lam * F of one term of hole_greens and its field-point gradient.
+
+    A gradient here is a pair (a, b), meaning a * r + b * z_hat, r the field
+    point; every auxiliary of the aperture function has one of that form.
+    Where q >= 0, F = sqrt(q + A Ap) / (sqrt(2) R). Elsewhere
+    F = sqrt(2) |w| / sqrt(A Ap - q) (see _braces), and lam * F is smooth
+    across w = 0 wherever lam flips with the sign of w.
+    """
+    if q >= 0.0:
+        root = math.sqrt(q + AAp)
+        c = lam / (2.0 * _SQRT2 * R) / root
+        return lam * root / (_SQRT2 * R), (c * (dq[0] + dAAp[0]), c * (dq[1] + dAAp[1]))
+    E = AAp - q
+    c = (lam if w > 0.0 else -lam) * _SQRT2 / math.sqrt(E)
+    k = 0.5 * w / E
+    return c * w, (c * (dw[0] - k * (dAAp[0] - dq[0])), c * (dw[1] - k * (dAAp[1] - dq[1])))
+
+
+def _bracket_grad(Ft: float, D: float):
+    """(dB/dFt, (dB/dD)/D) of B = [1 + (2/pi) arctan(Ft/D)] / D, Ft = lam * F."""
+    h = math.hypot(D, Ft)
+    dF = _TWO_OVER_PI / h / h
+    if Ft < 0.0 and D < -Ft:
+        # the two terms of dB/dD cancel as D/|Ft| -> 0
+        G = -Ft
+        return dF, _TWO_OVER_PI * _atan_defect(D / G) / G / G / G
+    B = (1.0 + _TWO_OVER_PI * math.atan2(Ft, D)) / D
+    return dF, -(B + dF * Ft) / D / D
+
+
+def hole_greens_grad(x, y, z, xp, yp, zp, R):
+    """Field-point gradient (dg/dx, dg/dy, dg/dz) of hole_greens, Cartesian, z >= 0.
+
+    The chain rule through s, A, F and D, all algebraic in the two points;
+    lengths are taken with hypot, so that A, which the gradient divides by,
+    is 0 on the rim alone.
+    """
+    R2 = R * R
+    s = x * x + y * y + z * z - R2
+    sp = xp * xp + yp * yp + zp * zp - R2
+    A = math.hypot(s, 2.0 * R * z)
+    Ap = math.hypot(sp, 2.0 * R * zp)
+    AAp = A * Ap
+    dAAp = (2.0 * s * Ap / A, 4.0 * R2 * z * Ap / A)
+    cross = 4.0 * R2 * z * zp
+    t = zp * s + z * sp
+    u = zp * s - z * sp
+    if zp >= 0.0:
+        lm, lp = 1.0, (1.0 if t > 0.0 else -1.0)
+    else:
+        lm, lp = (1.0 if u > 0.0 else -1.0), -1.0
+    Fp, dFp = _signed_f_grad(s * sp - cross, (2.0 * sp, -4.0 * R2 * zp), t,
+                             (2.0 * zp, sp), AAp, dAAp, R, lp)
+    Fm, dFm = _signed_f_grad(s * sp + cross, (2.0 * sp, 4.0 * R2 * zp), u,
+                             (2.0 * zp, -sp), AAp, dAAp, R, lm)
+
+    ex, ey = x - xp, y - yp
+    Dm = math.hypot(ex, ey, z - zp)
+    Dp = math.hypot(ex, ey, z + zp)
+    bFm, bDm = _bracket_grad(Fm, Dm)
+    bFp, bDp = _bracket_grad(Fp, Dp)
+    # g = (B_minus - B_plus) / (8 pi): coefficients of r, z_hat, r - r' and r - r'*
+    c_r = bFm * dFm[0] - bFp * dFp[0]
+    c_z = bFm * dFm[1] - bFp * dFp[1]
+    c_d = bDm - bDp
+    scale = 1.0 / (8.0 * math.pi)
+    return (scale * (c_r * x + c_d * ex), scale * (c_r * y + c_d * ey),
+            scale * (c_r * z + c_z + bDm * (z - zp) - bDp * (z + zp)))
+
+
+def hole_onaxis_g1(z: float, R: float) -> float:
+    """Reflected part of the aperture function at coincident on-axis points,
+    -arctan(|z|/R) / (4 pi^2 |z|), and its limit -1/(4 pi^2 R) at z = 0."""
+    az = abs(z)
+    if az < R:
+        x = az / R
+        return -(math.atan(x) / x if x else 1.0) / (4.0 * math.pi ** 2 * R)
+    return -math.atan(az / R) / (4.0 * math.pi ** 2 * az)
+
+
+def hole_onaxis_dg1(z: float, R: float) -> float:
+    """d/dz of hole_onaxis_g1: -sign(z) (x/(1 + x^2) - arctan x) / (4 pi^2 z^2), x = |z|/R."""
+    az = abs(z)
+    x = az / R
+    if x < 1.0:
+        return -(z / R) * _atan_defect(x) / R / R / (4.0 * math.pi ** 2)
+    f = x / (1.0 + x * x) - math.atan(x)
+    return -math.copysign(1.0, z) * f / (4.0 * math.pi ** 2) / az / az
 
 
 def _one_minus_r_exp(r: float, x: np.ndarray) -> np.ndarray:
@@ -148,3 +253,20 @@ def alpha_chain_sum(points: np.ndarray, weights: np.ndarray,
     terms = np.reshape(weights, -1) * quad / (n1 * np.sqrt(n1) * n2 * np.sqrt(n2))
     sums = np.sum(terms.reshape(np.shape(weights)), axis=-1)
     return float(sums) if np.ndim(weights) == 1 else sums
+
+
+def alpha_chain_grad_sum(points: np.ndarray, weights: np.ndarray, r: np.ndarray,
+                         rp: np.ndarray, alpha: np.ndarray, axis: int) -> np.ndarray:
+    """Per-cell sums of the derivative in r[axis] of alpha_chain_sum's terms,
+    w * [(alpha.(rp-x))_i - 3 (r-x)_i (r-x).alpha.(rp-x) / |r-x|^2] / (|r-x|^3 |rp-x|^3).
+
+    points: (cells * n, 3), cell by cell; weights: (cells, n); returns (cells,).
+    """
+    s1 = r[np.newaxis, :] - points
+    s2 = rp[np.newaxis, :] - points
+    n1 = np.einsum("ij,ij->i", s1, s1)
+    n2 = np.einsum("ij,ij->i", s2, s2)
+    quad = np.einsum("ij,ij->i", s1 @ alpha, s2)
+    terms = (np.reshape(weights, -1) * (s2 @ alpha[axis] - 3.0 * s1[:, axis] * quad / n1)
+             / (n1 * np.sqrt(n1) * n2 * np.sqrt(n2)))
+    return np.sum(terms.reshape(np.shape(weights)), axis=-1)

@@ -251,6 +251,14 @@ def _integrate_panels(f, edges_iter: Iterator[Tuple[float, float]],
                 return value, total_err + _ROUNDOFF * mass
             if scale == 0.0:
                 return 0.0, panel_errs + _ROUNDOFF * mass
+            # panel_errs never decreases, so once it is well past any tolerance
+            # the value could still reach, no further panel can meet it
+            reachable = max(spec.abs_tol, spec.rel_tol * (abs(value) + tail))
+            if panel_errs > 2.0 * reachable:
+                raise ConvergenceError(
+                    f"{context}: the accumulated panel error {panel_errs:.3e} alone "
+                    f"exceeds the tolerance {reachable:.3e} after {count} panels "
+                    f"(best value {value:.6e}, estimated error {total_err:.3e})")
     raise ConvergenceError(
         f"{context}: tolerance not reached after {count} panels "
         f"(best value {last[0]:.6e}, estimated error {last[1]:.3e})"

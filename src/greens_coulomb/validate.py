@@ -569,8 +569,23 @@ def _stencil(fn, p: Point3, h: float, axis: int) -> float:
     return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
 
 
+def _force_error(force: np.ndarray, energy, p: Point3, h: float, axes=(0, 1, 2)) -> float:
+    """|force + the stencil gradient of energy at p| / |force|, the stencil
+    along `axes` only (the other components of the gradient taken as 0)."""
+    grad = np.zeros(3)
+    for axis in axes:
+        grad[axis] = _stencil(energy, p, h, axis)
+    return float(np.linalg.norm(force + grad) / np.linalg.norm(force))
+
+
 def check_force_gradient() -> CheckResult:
-    cases = (
+    # an anisotropic tensor, every entry nonzero, on a box and on a half-space
+    alpha = born.PolarizabilityTensor.from_matrix(
+        1e-40 * np.array([[2.0, 0.3, -0.4], [0.3, 1.0, 0.2], [-0.4, 0.2, 1.5]]))
+    box = born.DiluteBody(alpha, regions=(
+        born.DensityRegion(born.Box(-1.0, 1.0, -1.0, 1.0, -2.0, -1.0), 1e27),))
+    half = born.DiluteBody(alpha, half_space_eta=1e27, background_eps=2.0)
+    pairs = (
         (FreeSpace(2.0), Charge(QE, Point3(0.3, -0.2, 1.1)),
          Charge(-QE, Point3(-0.4, 0.1, 0.6)), 1e-5),
         (HalfSpace(2.0, 30.0), Charge(QE, Point3(0.3e-9, -0.2e-9, 1.1e-9)),
@@ -579,29 +594,53 @@ def check_force_gradient() -> CheckResult:
          Charge(QE, Point3(0.0, 0.0, -0.1)), 1e-5),
         (PlateWithHole(1.0), Charge(QE, Point3(0.5, 0.0, 0.7)),
          Charge(QE, Point3(-0.2, 0.1, -0.6)), 1e-5),
+        (PlateWithHole(0.0), Charge(QE, Point3(0.5, 0.0, -0.7)),
+         Charge(QE, Point3(-0.2, 0.1, -0.4)), 1e-5),
         (screening.NonlocalBulk(screening.DrudeStatic(1.2e16, 0.0, 5e15, 1.1e6)),
          Charge(QE, Point3(1e-10, 2e-10, -1e-10)),
          Charge(QE, Point3(-1e-10, 0.0, 1e-10)), 1e-14),
     )
+    # a Born body's pair force is mostly its direct Coulomb term, which the
+    # free-space case checks; here it is subtracted so that the rest shows
+    born_pairs = (
+        (box, Charge(QE, Point3(0.4, -0.3, -0.5)), Charge(-QE, Point3(-0.6, 0.2, -0.3))),
+        (half, Charge(QE, Point3(0.3, -0.2, 0.5)), Charge(-QE, Point3(-0.4, 0.1, 0.8))),
+    )
+    # self-forces; the aperture's self-energy is known on its axis only
+    selves = (
+        (HalfSpace(1.0, 9.0), Point3(0, 0, 1e-9), 1e-14, (2,)),
+        (PlateWithHole(1.0), Point3(0, 0, 0.3), 1e-5, (2,)),
+        (PlateWithHole(1.0), Point3(0, 0, -1.7), 1e-5, (2,)),
+        (PlateWithHole(0.0), Point3(0.2, 0.1, -0.5), 1e-5, (0, 1, 2)),
+        (box, Point3(0.4, -0.3, -0.5), 1e-5, (0, 1, 2)),
+        (half, Point3(0.3, -0.2, 0.5), 1e-5, (0, 1, 2)),
+    )
     worst = 0.0
-    for geom, a, b, h in cases:
-        force = interactions.force_on_A(geom, a, b).force
-
-        def u_at(p, geom=geom, a=a, b=b):
+    for geom, a, b, h in pairs:
+        def u_pair(p, geom=geom, a=a, b=b):
             return interactions.pair_energy(geom, Charge(a.q, p), b).energy
 
-        grad = np.array([_stencil(u_at, a.position, h, ax) for ax in range(3)])
-        worst = max(worst, np.linalg.norm(force + grad) / np.linalg.norm(force))
+        worst = max(worst, _force_error(interactions.force_on_A(geom, a, b).force, u_pair,
+                                        a.position, h))
+    for geom, a, b in born_pairs:
+        free = FreeSpace(geom.background_eps)
 
-    # the self-energy route as well
-    geom = HalfSpace(1.0, 9.0)
-    a = Charge(QE, Point3(0, 0, 1e-9))
-    fz = interactions.force_on_A(geom, a).force[2]
-    grad_z = _stencil(lambda p: interactions.self_energy(geom, Charge(a.q, p)).energy,
-                      a.position, 1e-14, 2)
-    worst = max(worst, abs(fz + grad_z) / abs(fz))
+        def u_scattered(p, geom=geom, free=free, a=a, b=b):
+            return (interactions.pair_energy(geom, Charge(a.q, p), b).energy
+                    - interactions.pair_energy(free, Charge(a.q, p), b).energy)
+
+        force = (interactions.force_on_A(geom, a, b).force
+                 - interactions.force_on_A(free, a, b).force)
+        worst = max(worst, _force_error(force, u_scattered, a.position, 1e-5))
+    for geom, p, h, axes in selves:
+        def u_self(q, geom=geom):
+            return interactions.self_energy(geom, Charge(QE, q)).energy
+
+        worst = max(worst, _force_error(interactions.force_on_A(geom, Charge(QE, p)).force,
+                                        u_self, p, h, axes))
     return CheckResult("force_vs_energy_stencil", worst <= 1e-4, float(worst), 0.0, 1e-4,
-                       "worst rel err over 5 geometries and a self-energy")
+                       f"worst rel err over {len(pairs) + len(born_pairs)} pair and "
+                       f"{len(selves)} self-forces, every geometry")
 
 
 def check_action_reaction() -> CheckResult:

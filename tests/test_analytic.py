@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import pytest
@@ -7,8 +8,8 @@ from greens_coulomb.analytic import (
     free_space_g,
     half_space_g,
     half_space_scattering_g1,
-    plate_hole_aux,
     plate_hole_g,
+    plate_hole_grad,
     plate_hole_onaxis_self_g1,
 )
 from greens_coulomb.core import (
@@ -111,38 +112,106 @@ class TestHalfSpaceReciprocity:
         assert abs(g_ab - g_ba) <= 1e-12 * abs(g_ab)
 
 
+def _decimal_hole_g(r, rp, R):
+    """(g, lam_minus, lam_plus) of the aperture function for z >= 0, with s, A,
+    F and D in 50-digit decimal arithmetic and only the well-conditioned
+    arctangents in float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x, y, z, xp, yp, zp, RR = map(decimal.Decimal, (r.x, r.y, r.z, rp.x, rp.y, rp.z, R))
+        s = x * x + y * y + z * z - RR * RR
+        sp = xp * xp + yp * yp + zp * zp - RR * RR
+        AAp = ((s * s + 4 * RR * RR * z * z) * (sp * sp + 4 * RR * RR * zp * zp)).sqrt()
+        cross = 4 * RR * RR * z * zp
+        two_r2 = 2 * RR * RR
+        Fp = float((max(s * sp - cross + AAp, 0) / two_r2).sqrt())
+        Fm = float((max(s * sp + cross + AAp, 0) / two_r2).sqrt())
+        perp2 = (x - xp) ** 2 + (y - yp) ** 2
+        Dm = float((perp2 + (z - zp) ** 2).sqrt())
+        Dp = float((perp2 + (z + zp) ** 2).sqrt())
+        if zp >= 0:
+            lm, lp = 1.0, (1.0 if zp * s + z * sp > 0 else -1.0)
+        else:
+            lm, lp = (1.0 if zp * s - z * sp > 0 else -1.0), -1.0
+
+    def bracket(lam, F, D):
+        if lam > 0:
+            return (1.0 + 2.0 / math.pi * math.atan2(F, D)) / D
+        return 2.0 / math.pi * math.atan2(D, F) / D
+
+    return (bracket(lm, Fm, Dm) - bracket(lp, Fp, Dp)) / (8 * math.pi), lm, lp
+
+
+def _flip_point(zp, offset):
+    """Field point at height 0.5 beside the surface where lam_plus (zp > 0) or
+    lam_minus (zp < 0) flips, for the source (0.3, 0, zp) and R = 1."""
+    sp = 0.09 + zp * zp - 1.0
+    s = 0.5 * abs(sp / zp)  # zp s + 0.5 sp = 0, or zp s - 0.5 sp = 0
+    return Point3(math.sqrt(s + 0.75) + offset, 0.0, 0.5)
+
+
 class TestPlateHoleAux:
+    """The auxiliaries F, D and lambda of the aperture function, seen through
+    g (against a 50-digit evaluation of F and D) and its gradient."""
+
     def test_onaxis_distances(self):
-        aux = plate_hole_aux(Point3(0, 0, 2.0), Point3(0, 0, 0.5), 1.0)
-        assert math.isclose(aux.D_minus, 1.5, rel_tol=1e-14)
-        assert math.isclose(aux.D_plus, 2.5, rel_tol=1e-14)
+        # on the axis D_minus, D_plus = |z -+ z'|
+        a, b = Point3(0, 0, 2.0), Point3(0, 0, 0.5)
+        want = _decimal_hole_g(a, b, 1.0)[0]
+        assert math.isclose(plate_hole_g(a, b, 1.0).value, want, rel_tol=1e-14)
 
     def test_signs_outside_hole_sphere(self):
         # both points with rho^2 + z^2 > R^2, same side
-        a = Point3(2.0, 0.5, 1.0)
-        b = Point3(-1.0, 1.0, 2.0)
-        aux = plate_hole_aux(a, b, 1.0)
-        assert aux.lambda_plus == 1.0
-        assert aux.lambda_minus == 1.0
+        a, b = Point3(2.0, 0.5, 1.0), Point3(-1.0, 1.0, 2.0)
+        want, lm, lp = _decimal_hole_g(a, b, 1.0)
+        assert lm == 1.0 == lp
+        assert math.isclose(plate_hole_g(a, b, 1.0).value, want, rel_tol=1e-14)
 
     def test_signs_opposite_sides_small_hole(self):
-        a = Point3(0.3, 0.0, 1.0)
-        b = Point3(0.0, 0.2, -1.5)
-        aux = plate_hole_aux(a, b, 1e-7)
-        assert aux.lambda_plus == -1.0
-        assert aux.lambda_minus == -1.0
+        a, b = Point3(0.3, 0.0, 1.0), Point3(0.0, 0.2, -1.5)
+        want, lm, lp = _decimal_hole_g(a, b, 1e-7)
+        assert lm == -1.0 == lp
+        assert abs(plate_hole_g(a, b, 1e-7).value - want) <= 1e-14 / distance(a, b)
 
     def test_f_values_nonnegative(self):
-        aux = plate_hole_aux(Point3(0.9, 0.1, 0.2), Point3(1.1, -0.2, -0.4), 1.0)
-        assert aux.F_plus >= 0.0 and aux.F_minus >= 0.0
+        # both radicands of F stay >= 0 here, the minus one by cancellation
+        a, b = Point3(0.9, 0.1, 0.2), Point3(1.1, -0.2, -0.4)
+        want = _decimal_hole_g(a, b, 1.0)[0]
+        assert math.isclose(plate_hole_g(a, b, 1.0).value, want, rel_tol=1e-14)
+
+    @pytest.mark.parametrize("zp", [0.4, -0.4])
+    @pytest.mark.parametrize("offset", [-1e-8, -1e-11, 0.0, 1e-11, 1e-8, 1e-4])
+    def test_matches_decimal_across_lambda_flip(self, zp, offset):
+        # the flip surface is where q + A Ap, the radicand of F, cancels
+        a, b = _flip_point(zp, offset), Point3(0.3, 0.0, zp)
+        want = _decimal_hole_g(a, b, 1.0)[0]
+        assert math.isclose(plate_hole_g(a, b, 1.0).value, want, rel_tol=2e-15)
+
+    @pytest.mark.parametrize("zp", [0.4, -0.4])
+    def test_gradient_continuous_across_lambda_flip(self, zp):
+        b = Point3(0.3, 0.0, zp)
+        below, above = (plate_hole_grad(_flip_point(zp, off), b, 1.0) for off in (-1e-12, 1e-12))
+        assert math.dist(below, above) <= 1e-10 * math.hypot(*above)
+        # and it is the gradient of g there: a central difference straddles the flip
+        p, h = _flip_point(zp, 0.0), 1e-5
+        for axis, got in enumerate(above):
+            step = [0.0, 0.0, 0.0]
+            step[axis] = h
+            up = plate_hole_g(p.shifted(*step), b, 1.0).value
+            dn = plate_hole_g(p.shifted(*(-c for c in step)), b, 1.0).value
+            assert abs((up - dn) / (2 * h) - got) <= 1e-8 * math.hypot(*above)
 
     def test_on_plate_rejected(self):
-        with pytest.raises(OnPlateError):
-            plate_hole_aux(Point3(2.0, 0, 0.0), Point3(0, 0, 1.0), 1.0)
+        for fn in (plate_hole_g, plate_hole_grad):
+            with pytest.raises(OnPlateError):
+                fn(Point3(2.0, 0, 0.0), Point3(0, 0, 1.0), 1.0)
+            with pytest.raises(OnPlateError):
+                fn(Point3(0, 0, 1.0), Point3(0.0, -1.0, 0.0), 1.0)
 
     def test_r_zero_rejected(self):
-        with pytest.raises(DomainError):
-            plate_hole_aux(Point3(0, 0, 1.0), Point3(0, 0, 2.0), 0.0)
+        for fn in (plate_hole_g, plate_hole_grad):
+            with pytest.raises(DomainError):
+                fn(Point3(0, 0, 1.0), Point3(0, 0, 2.0), 0.0)
 
 
 class TestPlateHoleG:
@@ -209,6 +278,13 @@ class TestOnAxisSelfTerm:
         R = 2.0
         got = plate_hole_onaxis_self_g1(1e-6 * R, R).value
         assert abs(got - (-1.0 / (4 * math.pi ** 2 * R))) * 4 * math.pi ** 2 * R < 1e-9
+
+    @pytest.mark.parametrize("x", [1e-11, 1e-8, 1e-5])
+    def test_no_cancellation_near_center(self, x):
+        # g1 = -arctan(x)/(4 pi^2 x R) with x = |z|/R, and arctan(x)/x = 1 - x^2/3 + ...
+        # to roundoff here; the two-term form lost up to 7 digits
+        got = plate_hole_onaxis_self_g1(x * 2.0, 2.0).value
+        assert math.isclose(got, -(1.0 - x * x / 3.0) / (8 * math.pi ** 2), rel_tol=4e-16)
 
     def test_solid_plate_limit(self):
         z = 0.7

@@ -19,9 +19,11 @@ from greens_coulomb.core import (
     PERFECT_CONDUCTOR,
     Charge,
     CoincidentPointsError,
+    ConvergenceError,
     DomainError,
     OutOfRegionError,
     Point3,
+    QuadratureSpec,
     ThreeLayerCavity,
 )
 from greens_coulomb.interactions import pair_energy
@@ -138,6 +140,15 @@ class TestGeneralHeights:
         a = cavity_g_general(0.31, -0.22, 0.9, D, 4.0, 1.0, PC)
         c = cavity_g_general(-0.31, 0.22, 0.9, D, PC, 1.0, 4.0)
         assert abs(a.value - c.value) <= 1e-10 * abs(a.value) + a.abs_err + c.abs_err
+
+    @pytest.mark.parametrize("eps1,eps3", [(PC, PC), (4.0, PC), (4.0, 8.0)])
+    def test_unreachable_tolerance_stops_early(self, eps1, eps3):
+        # at 12d the panel errors alone pass a 1e-15 relative target by the
+        # 8th panel; running on to the 400-panel budget took 12-54 s
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
+        with pytest.raises(ConvergenceError, match="panel error .* alone exceeds") as info:
+            cavity_g_general(0.1, -0.2, 12.0, D, eps1, 1.0, eps3, spec)
+        assert "after 8 panels" in str(info.value)
 
     def test_out_of_gap_rejected(self):
         with pytest.raises(OutOfRegionError):

