@@ -98,8 +98,21 @@ def half_space_scattering_g1(r: Point3, r_src: Point3, eps1: Permittivity,
 # Conducting plate with a circular aperture
 # ---------------------------------------------------------------------------
 
+# Below this fraction of R, for every coordinate of both points, the plate
+# changes g by O(|r|/R) of free space, under half an ulp.
+_FREE_BELOW = 2.0 ** -60
+
+
 def _canonical_pair(r: Point3, r_src: Point3, R: float, where: str):
-    """Check the arguments and map to z_field >= 0 using the z -> -z symmetry."""
+    """Check the arguments and map to z_field >= 0 using the z -> -z symmetry.
+
+    Returns the coordinates of the two points and R, each divided by L, the
+    power of two at or above half the largest of R and every |coordinate|,
+    and L itself; the division is exact in binary, and no square the kernels
+    form then overflows or underflows, so the aperture function is the same
+    at every scale. Returns None where every |coordinate| is below
+    _FREE_BELOW R, the free-space limit.
+    """
     if not (R > 0.0):
         raise DomainError(f"{where}: R must be > 0, got {R!r}")
     if r == r_src:
@@ -107,25 +120,38 @@ def _canonical_pair(r: Point3, r_src: Point3, R: float, where: str):
     for name, p in (("r", r), ("r_src", r_src)):
         if p.z == 0.0 and p.rho >= R:
             raise OnPlateError(f"{where}: {name} lies on the conductor (z=0, rho>=R)")
-    if r.z < 0.0:
-        r, r_src = r.mirror_z(), r_src.mirror_z()
-    return r, r_src
+    span = max(abs(r.x), abs(r.y), abs(r.z), abs(r_src.x), abs(r_src.y), abs(r_src.z))
+    if span < _FREE_BELOW * R:
+        return None
+    L = math.ldexp(0.5, math.frexp(max(R, span))[1])
+    zL = -L if r.z < 0.0 else L
+    return ((r.x / L, r.y / L, r.z / zL), (r_src.x / L, r_src.y / L, r_src.z / zL),
+            R / L, L)
 
 
 def plate_hole_g(r: Point3, r_src: Point3, R: float) -> GreensValue:
     """Green's function of a grounded plate at z = 0 with an aperture of radius R."""
-    r, r_src = _canonical_pair(r, r_src, R, "plate_hole_g")
-    rho, phi, z = r.cylindrical()
-    rhop, phip, zp = r_src.cylindrical()
-    return GreensValue(kernels.hole_greens(rho, phi, z, rhop, phip, zp, R))
+    pair = _canonical_pair(r, r_src, R, "plate_hole_g")
+    if pair is None:
+        return free_space_g(r, r_src)
+    (x, y, z), (xp, yp, zp), R, L = pair
+    return GreensValue(kernels.hole_greens(math.hypot(x, y), math.atan2(y, x), z,
+                                           math.hypot(xp, yp), math.atan2(yp, xp), zp,
+                                           R) / L)
 
 
 def plate_hole_grad(r: Point3, r_src: Point3, R: float) -> Tuple[float, float, float]:
     """Gradient (dg/dx, dg/dy, dg/dz) of plate_hole_g in the field point r."""
-    flip = r.z < 0.0
-    r, r_src = _canonical_pair(r, r_src, R, "plate_hole_grad")
-    gx, gy, gz = kernels.hole_greens_grad(r.x, r.y, r.z, r_src.x, r_src.y, r_src.z, R)
-    return gx, gy, -gz if flip else gz
+    pair = _canonical_pair(r, r_src, R, "plate_hole_grad")
+    if pair is None:
+        dist = distance(r, r_src)
+        c = -1.0 / (_FOUR_PI * dist) / dist / dist
+        return c * (r.x - r_src.x), c * (r.y - r_src.y), c * (r.z - r_src.z)
+    (x, y, z), (xp, yp, zp), R, L = pair
+    gx, gy, gz = kernels.hole_greens_grad(x, y, z, xp, yp, zp, R)
+    if r.z < 0.0:
+        gz = -gz
+    return gx / L / L, gy / L / L, gz / L / L
 
 
 def plate_hole_onaxis_self_g1(z: float, R: float) -> GreensValue:

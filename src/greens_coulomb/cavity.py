@@ -336,54 +336,53 @@ def cavity_g_midpoint(rho: float, d: float, eps1: Permittivity, eps2: float,
     return cavity_g_general(0.0, 0.0, rho, d, eps1, eps2, eps3, spec)
 
 
+def _self_term(z0: float, d: float, eps1: Permittivity, eps2: float,
+               eps3: Permittivity, spec: QuadratureSpec, power: int, kernel):
+    """1/(4 pi eps2) times the half-line integral of kernel(k, a1, a3, d, r1, r3),
+    a1 = d + 2 z0 and a3 = d - 2 z0, and times the abs_tol it was given (see
+    _spec_for_kernel for `power`); both 0 when neither wall reflects."""
+    if d <= 0.0:
+        raise DomainError(f"d must be > 0, got {d!r}")
+    _check_gap(z0, d, "z0")
+    pref = 1.0 / (_FOUR_PI * finite_eps(eps2, "eps2"))
+    coeffs = reflection_coeffs(eps1, eps2, eps3)
+    r1, r3 = coeffs.r1, coeffs.r3
+    if r1 == 0.0 and r3 == 0.0:
+        return GreensValue(0.0, 0.0), 0.0
+    a1 = d + 2.0 * z0
+    a3 = d - 2.0 * z0
+
+    def f(k: np.ndarray) -> np.ndarray:
+        return kernel(k, a1, a3, d, r1, r3)
+
+    kspec = _spec_for_kernel(spec, pref, min(a1, a3), power)
+    got = hankel_integral(f, 0.0, kspec, k_scale=1.0 / min(a1, a3))
+    return GreensValue(pref * got.value, pref * got.abs_err), pref * kspec.abs_tol
+
+
 def cavity_scattering_g1(z0: float, d: float, eps1: Permittivity, eps2: float,
                          eps3: Permittivity,
                          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> GreensValue:
     """Reflection-only part at coincident points (rho = 0, z = z0); finite."""
-    if d <= 0.0:
-        raise DomainError(f"d must be > 0, got {d!r}")
-    _check_gap(z0, d, "z0")
-    e2 = finite_eps(eps2, "eps2")
-    coeffs = reflection_coeffs(eps1, eps2, eps3)
-    if coeffs.r1 == 0.0 and coeffs.r3 == 0.0:
-        return GreensValue(0.0, 0.0)
-    a1 = d + 2.0 * z0
-    a3 = d - 2.0 * z0
-    k_scale = 1.0 / min(a1, a3)
-
-    def f(k: np.ndarray) -> np.ndarray:
-        return kernels.cavity_scatter_integrand(k, a1, a3, d, coeffs.r1, coeffs.r3)
-
-    pref = 1.0 / (_FOUR_PI * e2)
-    got = hankel_integral(f, 0.0, _spec_for_kernel(spec, pref, min(a1, a3)),
-                          k_scale=k_scale)
-    return GreensValue(pref * got.value, pref * got.abs_err)
+    return _self_term(z0, d, eps1, eps2, eps3, spec, 1,
+                      kernels.cavity_scatter_integrand)[0]
 
 
 def cavity_scattering_dg1(z0: float, d: float, eps1: Permittivity, eps2: float,
                           eps3: Permittivity,
                           spec: QuadratureSpec = DEFAULT_QUADRATURE) -> GreensValue:
-    """d/dz0 of cavity_scattering_g1, both points moving: one half-line
-    integral of 2k (r1 e^{-k a1} - r3 e^{-k a3}) / D. Raises ConvergenceError
-    when its abs_err exceeds 1% of its magnitude (see _checked_gradient)."""
-    if d <= 0.0:
-        raise DomainError(f"d must be > 0, got {d!r}")
-    _check_gap(z0, d, "z0")
-    e2 = finite_eps(eps2, "eps2")
-    coeffs = reflection_coeffs(eps1, eps2, eps3)
-    if coeffs.r1 == 0.0 and coeffs.r3 == 0.0:
-        return GreensValue(0.0, 0.0)
-    a1 = d + 2.0 * z0
-    a3 = d - 2.0 * z0
+    """d/dz0 of cavity_scattering_g1, both points moving: by symmetry twice the
+    derivative at one point, so one half-line integral of twice the pair
+    route's kernel cavity_reflected_dz at a_free = 0, which is
+    2k (r1 e^{-k a1} - r3 e^{-k a3}) / D since a1 + a3 = 2d cancels its r1 r3
+    terms. Raises ConvergenceError when its abs_err exceeds 1% of its
+    magnitude (see _checked_gradient)."""
+    def twice_dz(k, a1, a3, d, r1, r3):
+        return 2.0 * kernels.cavity_reflected_dz(k, 0.0, a1, a3, d, r1, r3, 1.0)
 
-    def f(k: np.ndarray) -> np.ndarray:
-        return kernels.cavity_scatter_dz(k, a1, a3, d, coeffs.r1, coeffs.r3)
-
-    pref = 1.0 / (_FOUR_PI * e2)
-    kspec = _spec_for_kernel(spec, pref, min(a1, a3), power=2)
-    got = hankel_integral(f, 0.0, kspec, k_scale=1.0 / min(a1, a3))
-    (dg1,) = _checked_gradient(
-        (GreensValue(pref * got.value, pref * got.abs_err),), pref * kspec.abs_tol,
+    dg1, floor = _self_term(z0, d, eps1, eps2, eps3, spec, 2, twice_dz)
+    _checked_gradient(
+        (dg1,), floor,
         f"half-line integral of the gap self-force kernel at z0 = {z0!r}, d = {d!r}, "
         f"rel_tol = {spec.rel_tol!r}")
     return dg1

@@ -4,9 +4,12 @@ The quadrature integrands take a 1-D float64 array of wavenumbers, so the
 panel integrator evaluates a block of panels, or a whole bisection level, in
 one call; `alpha_chain_sum` also takes 2-D weights and returns per-cell sums,
 which is how the Born octree calls it, as does its gradient
-`alpha_chain_grad_sum`. The aperture kernels (`hole_greens`, its gradient and
-the on-axis self-terms) are scalar. Callers look the kernels up on this module
-at call time.
+`alpha_chain_grad_sum`. The gap's reflected kernels serve the pair and the
+self-term alike: `cavity_reflected_dz` at a_free = 0, doubled, is the
+self-force kernel. The aperture kernels (`hole_greens`, its gradient and the
+on-axis self-terms) are scalar; `analytic` hands `hole_greens` and its
+gradient lengths divided by a power of two that brings them to order 1.
+Callers look the kernels up on this module at call time.
 """
 
 from __future__ import annotations
@@ -216,15 +219,6 @@ def cavity_reflected_dz(k: np.ndarray, a_free: float, a1: float, a3: float,
     td = r1 * r3 * np.exp(-k * (a_free + 2.0 * d))
     den = _one_minus_r_exp(r1 * r3, 2.0 * d * k)
     return k * (t1 - t3 + sign * (t13 - td)) / den
-
-
-def cavity_scatter_dz(k: np.ndarray, a1: float, a3: float,
-                      d: float, r1: float, r3: float) -> np.ndarray:
-    """d/dz0 of cavity_scatter_integrand with both points at z0 (a1 = d + 2 z0,
-    a3 = d - 2 z0): 2k (r1 e^{-k a1} - r3 e^{-k a3}) / D; e^{-k(a1+a3)} is fixed."""
-    k = np.asarray(k, dtype=float)
-    num = r1 * np.exp(-k * a1) - r3 * np.exp(-k * a3)
-    return 2.0 * k * num / _one_minus_r_exp(r1 * r3, 2.0 * d * k)
 
 
 def screening_integrand(k: np.ndarray, r: float, eps_b: float, w: float) -> np.ndarray:

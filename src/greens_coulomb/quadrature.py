@@ -7,10 +7,12 @@ rule and both halves of every panel in the block, and each further call
 evaluates one whole bisection level of the subintervals that failed. The
 alternating sequence of partial sums is extrapolated to its limit by
 repeated averaging (Euler transformation) up to 12 levels, and
-convergence is checked after every block from panel 8 on. The rho = 0 case
-integrates a decaying integrand on geometrically growing panels, one panel
-per block. The returned abs_err bounds the extrapolation residual plus the
-accumulated panel errors, plus the roundoff of the rule sums,
+convergence is checked after every block from panel 8 on; partial sums
+that do not alternate take a geometric tail estimate from the last two
+panels instead. The rho = 0 case runs the same driver, blocks and stop rules
+on geometrically growing panels [0, kc], [kc, 2 kc], [2 kc, 4 kc], ... of a
+decaying integrand. The returned abs_err bounds the extrapolation residual
+plus the accumulated panel errors, plus the roundoff of the rule sums,
 16 eps sum |w f| over the accepted subintervals; the convergence test
 uses the first two terms only.
 
@@ -278,6 +280,14 @@ def _oscillatory_edges(cuts_fn, k_scale):
         n += 1
 
 
+def _halfline_edges(k_scale):
+    """Panels [0, kc], [kc, 2 kc], [2 kc, 4 kc], ... with kc = k_scale, or 1."""
+    a, b = 0.0, (k_scale if (k_scale is not None and k_scale > 0.0) else 1.0)
+    while True:
+        yield a, b
+        a, b = b, 2.0 * b
+
+
 def hankel_integral(f: Callable[[np.ndarray], np.ndarray], rho: float,
                     spec: QuadratureSpec = DEFAULT_QUADRATURE,
                     k_scale: Optional[float] = None, order: int = 0) -> GreensValue:
@@ -285,8 +295,8 @@ def hankel_integral(f: Callable[[np.ndarray], np.ndarray], rho: float,
 
     `k_scale` hints at the decay scale of f (panels below the first Bessel
     zero are pre-split around it). At rho = 0 the order-1 integral is 0, and
-    the order-0 one integrates the monotone integrand on geometrically
-    growing panels instead.
+    the order-0 one runs the same panel driver on geometrically growing
+    panels [0, kc], [kc, 2 kc], ..., kc = k_scale or 1, instead of the zeros.
     """
     if rho < 0.0:
         raise DomainError(f"rho must be >= 0, got {rho!r}")
@@ -294,7 +304,10 @@ def hankel_integral(f: Callable[[np.ndarray], np.ndarray], rho: float,
         raise DomainError(f"order must be 0 or 1, got {order!r}")
     bessel = _BESSEL[order]
     if rho == 0.0:
-        return _halfline_decaying(f, spec, k_scale) if order == 0 else GreensValue(0.0)
+        if order == 1:
+            return GreensValue(0.0)
+        return GreensValue(*_integrate_panels(f, _halfline_edges(k_scale), spec,
+                                              "half-line integral"))
 
     def integrand(k: np.ndarray) -> np.ndarray:
         return np.asarray(f(k), dtype=float) * bessel(k * rho)
@@ -317,40 +330,3 @@ def sine_integral(f: Callable[[np.ndarray], np.ndarray], r: float,
     edges = _oscillatory_edges(lambda n: n * math.pi / r, k_scale)
     value, err = _integrate_panels(integrand, edges, spec, "sine_integral")
     return GreensValue(value, err)
-
-
-def _halfline_decaying(f, spec: QuadratureSpec, k_scale: Optional[float]) -> GreensValue:
-    """Non-oscillatory semi-infinite integral of a decaying integrand."""
-    kc = k_scale if (k_scale is not None and k_scale > 0.0) else 1.0
-    total = 0.0
-    panel_errs = 0.0
-    mass = 0.0
-    prev_mag = math.inf
-    small_streak = 0
-    a = 0.0
-    b = kc
-    last_val = math.inf
-    for count in range(spec.max_panels):
-        vals, errs, panel_mass = _panels_adaptive(f, np.array([a]), np.array([b]),
-                                                  abs(total), spec)
-        val = float(vals[0])
-        total += val
-        panel_errs += float(errs[0])
-        mass += panel_mass
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        mag = abs(val)
-        if mag <= 0.25 * tol and mag < prev_mag:
-            small_streak += 1
-            ratio = mag / prev_mag if prev_mag > 0.0 else 0.0
-            tail = mag * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-            if small_streak >= 2 and tail + panel_errs <= tol:
-                return GreensValue(total, tail + panel_errs + _ROUNDOFF * mass)
-        else:
-            small_streak = 0
-        prev_mag = mag if mag > 0.0 else prev_mag
-        last_val = val
-        a, b = b, 2.0 * b
-    raise ConvergenceError(
-        f"half-line integral: tolerance not reached after {spec.max_panels} panels "
-        f"(last panel {last_val:.3e})"
-    )

@@ -259,6 +259,37 @@ class TestPlateHoleG:
         with pytest.raises(CoincidentPointsError):
             plate_hole_g(Z1, Z1, 1.0)
 
+    @pytest.mark.parametrize("k", [-500, 500])
+    def test_scaling_by_power_of_two_is_exact(self, k):
+        # g ~ 1/length and its gradient ~ 1/length^2, bit for bit
+        s = 2.0 ** k
+        for a, b, R in ((Point3(0.3, -0.2, 0.3), Point3(-0.1, 0.1, 0.2), 1.0),
+                        (Point3(0.4, -0.2, 0.8), Point3(-0.3, 0.6, -1.7), 0.37),
+                        (Point3(2.5, 0.0, 0.05), Point3(0.0, 0.0, 1.0), 1.0)):
+            sa, sb = Point3(s * a.x, s * a.y, s * a.z), Point3(s * b.x, s * b.y, s * b.z)
+            assert plate_hole_g(sa, sb, s * R).value == plate_hole_g(a, b, R).value / s
+            assert plate_hole_grad(sa, sb, s * R) == tuple(
+                c / s / s for c in plate_hole_grad(a, b, R))
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-300, 1e150])
+    def test_same_value_at_any_scale(self, scale):
+        # R * R and the squares of the coordinates leave float64 at these scales
+        a, b = Point3(0.3, -0.2, 0.3), Point3(-0.1, 0.1, 0.2)
+        sa, sb = (Point3(scale * p.x, scale * p.y, scale * p.z) for p in (a, b))
+        ratio = plate_hole_g(sa, sb, scale).value * scale / plate_hole_g(a, b, 1.0).value
+        assert abs(ratio - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("R", [1e160, 1e300])
+    def test_free_space_far_inside_a_huge_aperture(self, R):
+        # the plate's correction, O(|r|/R), is below an ulp: g and its
+        # gradient are those of free space, where R * R once overflowed
+        a, b = Point3(0.3, -0.2, 0.3), Point3(-0.1, 0.1, 0.2)
+        dist = distance(a, b)
+        assert plate_hole_g(a, b, R).value == free_space_g(a, b).value
+        grad = plate_hole_grad(a, b, R)
+        for c, (u, v) in zip(grad, ((a.x, b.x), (a.y, b.y), (a.z, b.z))):
+            assert math.isclose(c, -(u - v) / (4 * math.pi * dist ** 3), rel_tol=1e-14)
+
     @given(st.floats(-1.8, 1.8), st.floats(-1.8, 1.8), st.floats(0.05, 2.0),
            st.floats(-1.8, 1.8), st.floats(-1.8, 1.8), st.floats(0.05, 2.0),
            st.booleans())

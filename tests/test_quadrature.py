@@ -96,6 +96,16 @@ def test_nonconvergent_raises():
         hankel_integral(lambda k: np.ones_like(k) / (1.0 + k), 0.3, spec)
 
 
+def test_halfline_unreachable_tolerance_stops_early():
+    # bisection leaves a jump at k = 1.3 about 5e-11 of panel error, far above
+    # a 1e-12 target: the rho = 0 case stops at panel 8, as the transforms do
+    f = lambda k: np.where(k < 1.3, 1.0, 0.5) * np.exp(-k)  # noqa: E731
+    with pytest.raises(ConvergenceError, match=r"^half-line integral: the accumulated "
+                       r"panel error .* after 8 panels \(best value 8\.6\d*e-01, "
+                       r"estimated error"):
+        hankel_integral(f, 0.0, QuadratureSpec(rel_tol=1e-12), k_scale=1.0)
+
+
 def test_euler_limit_alternating():
     # partial sums of sum (-1)^(n+1)/n -> ln 2
     n = np.arange(1, 25, dtype=float)
@@ -194,39 +204,13 @@ def _ref_panels(f, edges, spec):
             raise ConvergenceError("reference: tolerance not reached")
 
 
-def _ref_halfline(f, spec, k_scale):
-    total = 0.0
-    panel_errs = 0.0
-    prev_mag = math.inf
-    small_streak = 0
-    a, b = 0.0, k_scale
-    for _ in range(spec.max_panels):
-        val, perr = _ref_panel_adaptive(
-            f, a, b, 0.02 * max(spec.abs_tol, spec.rel_tol * abs(total)), spec.rel_tol)
-        total += val
-        panel_errs += perr
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        mag = abs(val)
-        if mag <= 0.25 * tol and mag < prev_mag:
-            small_streak += 1
-            ratio = mag / prev_mag if prev_mag > 0.0 else 0.0
-            tail = mag * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-            if small_streak >= 2 and tail + panel_errs <= tol:
-                return total
-        else:
-            small_streak = 0
-        prev_mag = mag if mag > 0.0 else prev_mag
-        a, b = b, 2.0 * b
-    raise ConvergenceError("reference: tolerance not reached")
-
-
 def _reference(transform, f, x, spec, k_scale):
     if transform is sine_integral:
         return _ref_panels(lambda k: f(k) * np.sin(k * x),
                            quadrature._oscillatory_edges(lambda n: n * math.pi / x, k_scale),
                            spec)
     if x == 0.0:
-        return _ref_halfline(f, spec, k_scale)
+        return _ref_panels(f, quadrature._halfline_edges(k_scale), spec)
     return _ref_panels(lambda k: f(k) * quadrature.j0(k * x),
                        quadrature._oscillatory_edges(
                            lambda n: quadrature._bessel_zero(0, n) / x, k_scale),
@@ -285,15 +269,37 @@ def test_batched_matches_reference_gap(monkeypatch, eps1, eps3):
         _check_against_reference(hankel_integral, f, rho, spec, k_scale)
 
 
-@pytest.mark.parametrize("eps1,eps3", WALLS)
-def test_batched_matches_reference_halfline(monkeypatch, eps1, eps3):
+# (1, 19, conductor) has r1 = -0.9, r3 = 1: a self-kernel that changes sign
+@pytest.mark.parametrize("eps1,eps2,eps3",
+                         [pytest.param(e1, 1.0, e3, id=f"{e1}-{e3}") for e1, e3 in WALLS]
+                         + [(1.0, 19.0, PC)])
+def test_batched_matches_reference_halfline(monkeypatch, eps1, eps2, eps3):
     def run():
         for z0 in (-0.45, -0.1, 0.0, 0.3):
-            cavity.cavity_scattering_g1(z0, 1.0, eps1, 1.0, eps3)
+            cavity.cavity_scattering_g1(z0, 1.0, eps1, eps2, eps3)
+            cavity.cavity_scattering_dg1(z0, 1.0, eps1, eps2, eps3)
     calls = _gap_calls(monkeypatch, run)
-    assert all(rho == 0.0 for _, rho, _, _ in calls)
+    assert len(calls) == 8 and all(rho == 0.0 for _, rho, _, _ in calls)
     for f, rho, spec, k_scale in calls:
         _check_against_reference(hankel_integral, f, rho, spec, k_scale)
+
+
+@pytest.mark.parametrize("eps1,eps3", WALLS + [(1.0, 19.0)])
+def test_gap_self_term_kernel_calls(monkeypatch, eps1, eps3):
+    # the rho = 0 half-line takes four panels per kernel call and stops at
+    # panel 8 once the geometric tail estimate meets the tolerance
+    calls = []
+    kernel = cavity.kernels.cavity_scatter_integrand
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+    monkeypatch.setattr(cavity.kernels, "cavity_scatter_integrand", counted)
+    for z0 in (-0.3, 0.0, 0.15, 0.35):
+        calls.clear()
+        got = cavity.cavity_scattering_g1(z0, 1.0, eps1, 1.0, eps3)
+        assert got.abs_err <= 1e-13 * abs(got.value)
+        assert 1 <= len(calls) <= 4
 
 
 @pytest.mark.parametrize("r", [0.5, 3.0])

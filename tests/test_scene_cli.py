@@ -36,6 +36,14 @@ def charge_pair(geometry, qa, qb):
 HALF_SPACE = {"type": "half_space", "eps1": 1, "eps2": 4}
 
 
+def aperture_pair(R, scale):
+    """The contract test's two charges, every length times `scale`, at an aperture of radius R."""
+    return {"geometry": {"type": "plate_with_hole", "R": R},
+            "charges": [{"q": 1.0, "unit": "e", "position": [0.3 * scale, -0.2 * scale,
+                                                             0.3 * scale]},
+                        {"q": -2e-19, "position": [-0.1 * scale, 0.1 * scale, 0.2 * scale]}]}
+
+
 def strict_json(text):
     """json.loads that rejects NaN and Infinity, as json.dumps(allow_nan=False) would."""
     def reject(name):
@@ -232,6 +240,15 @@ class TestCliCommands:
         # with z used to underflow to 0 and raise ZeroDivisionError
         ("force", {"geometry": HALF_SPACE,
                    "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, 5e-324]}]}, None),
+        # R * R overflowed in the aperture function (0.639 and a NaN force); the
+        # charges sit in free space 1e160 m inside the rim
+        ("pair-energy", aperture_pair(1e160, 1.0), {"ratio_to_free": 1.0}),
+        ("force", aperture_pair(1e160, 1.0), {"local_field_factor": 1.0}),
+        # squares underflowed (0.140 against 0.692 at 1 m, and a ZeroDivisionError
+        # traceback); the force, 1e320 times that at 1 m, overflows. The value
+        # is checked in test_analytic.TestPlateHoleG.test_same_value_at_any_scale
+        ("pair-energy", aperture_pair(1e-160, 1e-160), {"abs_err": 0.0}),
+        ("force", aperture_pair(1e-160, 1e-160), None),
     ])
     def test_extreme_inputs_finite_json_or_exit_2(self, tmp_path, capsys, command, doc,
                                                   expect):
