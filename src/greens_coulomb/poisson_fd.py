@@ -15,11 +15,12 @@ value, i.e. away from the singularity. The discrete right side is the flux
 mismatch of the sampled free kernel through faces whose permittivity
 differs from eps_src, so the scheme is O(h^2) up to domain truncation.
 
-The outer boundary condition is either "decay" (default; a 1/s falloff of
-g1 measured from the source, which passes the induced monopole through and
-keeps truncation error far below the discretization error) or "dirichlet0"
-(hard zero; simplest, but the truncation error then falls off only like
-1/box size).
+There is one outer boundary condition: g1 falls off like 1/s, s measured
+from the source, which passes the induced monopole through and keeps the
+truncation error far below the discretization error.
+
+The operator is symmetric and five-diagonal: the radial and axial face
+weights are arrays, and each sits on both off-diagonals of its pair.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .core import (
 )
 
 _FOUR_PI = 4.0 * math.pi
+_TOL = 1e-10  # largest relative residual of the sparse solve
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,12 @@ class GridSpec:
     rho_max: float
     z_min: float
     z_max: float
-    tol: float = 1e-10
 
     def __post_init__(self):
         if self.n_rho < 32 or self.n_z < 32:
             raise DomainError("grid must be at least 32 x 32")
         if not (self.rho_max > 0.0 and self.z_max > self.z_min):
             raise DomainError("empty grid domain")
-        if not (0.0 < self.tol < 1.0):
-            raise DomainError(f"solver tol must be in (0, 1), got {self.tol!r}")
 
     @property
     def drho(self) -> float:
@@ -81,20 +80,24 @@ class GridSpec:
 
 
 def aligned_grid(n: int, src_z: float, interfaces, z_half_span: float,
-                 rho_max: float, tol: float = 1e-10) -> GridSpec:
-    """n x n grid whose faces contain the interfaces and whose cell centers
-    contain src_z, spanning roughly [src_z - span, src_z + span] in z."""
+                 rho_max: float) -> GridSpec:
+    """n x n grid with a face on the first interface and a cell center on
+    src_z, spanning roughly [src_z - span, src_z + span] in z.
+
+    Only the first interface is sure to lie on a face; the others fall
+    wherever the spacing puts them.
+    """
     dz = 2.0 * z_half_span / n
     # put a face on the first interface, then nudge so src_z is on a center
     anchor = interfaces[0] if len(interfaces) else 0.0
     k = round((src_z - anchor) / dz - 0.5)
-    dz_adj = (src_z - anchor) / (k + 0.5) if (k + 0.5) != 0 else dz
+    dz_adj = (src_z - anchor) / (k + 0.5)
     if not (0.0 < dz_adj < 10.0 * dz):
         dz_adj = dz
     j_lo = math.floor((anchor - (src_z - z_half_span)) / dz_adj)
     z_min = anchor - j_lo * dz_adj
     return GridSpec(n_rho=n, n_z=n, rho_max=rho_max,
-                    z_min=z_min, z_max=z_min + n * dz_adj, tol=tol)
+                    z_min=z_min, z_max=z_min + n * dz_adj)
 
 
 def _eps_profile(geom) -> Tuple[Callable[[np.ndarray], np.ndarray], Tuple[float, ...]]:
@@ -192,26 +195,15 @@ class FDSolution:
             flux -= e_bot * area * (gtot(i, j_lo - 1) - gtot(i, j_lo)) / g.dz
         return flux
 
-    def to_csv(self, path) -> None:
-        """Dump (rho, z, g1) rows for inspection."""
-        rc, zc = self.grid.rho_centers(), self.grid.z_centers()
-        with open(path, "w", newline="") as fh:
-            fh.write("rho,z,g1\n")
-            for i, r in enumerate(rc):
-                for j, z in enumerate(zc):
-                    fh.write(f"{float(r)!r},{float(z)!r},{float(self.g1[i, j])!r}\n")
-
 
 def solve_scattering_g1(geom: Union[HalfSpace, ThreeLayerCavity], src: Point3,
-                        grid: GridSpec, bc: str = "decay") -> FDSolution:
+                        grid: GridSpec) -> FDSolution:
     """Solve for the scattering part g1 = g - g_free/eps_src on the grid.
 
     The source may sit off the z axis; the planar geometry is translation
     invariant in-plane, so the solve runs in a frame with the source on the
     axis and the solution remembers the offset.
     """
-    if bc not in ("decay", "dirichlet0"):
-        raise DomainError(f"unknown bc {bc!r}")
     eps_z, interfaces = _eps_profile(geom)
     zs = src.z
     for z_if in interfaces:
@@ -232,77 +224,57 @@ def solve_scattering_g1(geom: Union[HalfSpace, ThreeLayerCavity], src: Point3,
     def gf(rho: np.ndarray, z: np.ndarray) -> np.ndarray:
         return 1.0 / (_FOUR_PI * eps_src * np.hypot(rho, z - zs))
 
-    idx = np.arange(n_rho * n_z).reshape(n_rho, n_z)
-    rows, cols, vals = [], [], []
-    diag = np.zeros((n_rho, n_z))
-    b = np.zeros((n_rho, n_z))
-
-    def add_face(ci, cj, ni, nj, w, mismatch):
-        # w couples cell (ci,cj) to neighbor (ni,nj); mismatch adds to b
-        rows.append(idx[ci, cj]); cols.append(idx[ni, nj]); vals.append(-w)
-        diag[ci, cj] += w
-        b[ci, cj] += mismatch
-
-    # radial faces (eps constant along rho, so no mismatch there except
-    # through the harmonic mean staying equal to the cell value)
     RC, ZC = np.meshgrid(rc, zc, indexing="ij")
     gf_cell = gf(RC, ZC)
-    for i in range(n_rho - 1):
-        rho_f = (i + 1) * drho
-        area = 2.0 * math.pi * rho_f * dz
-        e_face = 2.0 / (1.0 / eps_cell[i, :] + 1.0 / eps_cell[i + 1, :])
-        w = e_face * area / drho
-        mis = (e_face - eps_src) * area / drho
-        for j in range(n_z):
-            m = mis[j] * (gf_cell[i + 1, j] - gf_cell[i, j])
-            add_face(i, j, i + 1, j, w[j], m)
-            add_face(i + 1, j, i, j, w[j], -m)
 
-    # axial faces
-    for j in range(n_z - 1):
-        e_face = 2.0 / (1.0 / eps_col[j] + 1.0 / eps_col[j + 1])
-        area = 2.0 * math.pi * rc * drho
-        w = e_face * area / dz
-        mis = (e_face - eps_src) * area / dz
-        for i in range(n_rho):
-            m = mis[i] * (gf_cell[i, j + 1] - gf_cell[i, j])
-            add_face(i, j, i, j + 1, w[i], m)
-            add_face(i, j + 1, i, j, w[i], -m)
+    # Interior faces: w couples the two cells a face separates, and the flux
+    # mismatch m of the free kernel through it enters b with opposite signs.
+    # Radial faces at rho = (i + 1) drho, (n_rho - 1, n_z):
+    area_r = 2.0 * math.pi * (np.arange(1, n_rho) * drho)[:, np.newaxis] * dz
+    e_r = 2.0 / (1.0 / eps_cell[:-1] + 1.0 / eps_cell[1:])
+    w_r = e_r * area_r / drho
+    m_r = (e_r - eps_src) * area_r / drho * (gf_cell[1:] - gf_cell[:-1])
+    # axial faces between z-cells j and j + 1, (n_rho, n_z - 1):
+    area_z = 2.0 * math.pi * rc * drho
+    e_z = 2.0 / (1.0 / eps_col[:-1] + 1.0 / eps_col[1:])
+    w_z = e_z * area_z[:, np.newaxis] / dz
+    m_z = (e_z - eps_src) * area_z[:, np.newaxis] / dz * (gf_cell[:, 1:] - gf_cell[:, :-1])
 
-    # outer boundary faces (rho = rho_max, z = z_min, z = z_max)
-    def boundary(ci, cj, face_rho, face_z, area, delta, normal):
-        e_face = eps_cell[ci, cj]
-        s_cell = math.hypot(rc[ci], zc[cj] - zs)
-        if bc == "decay":
-            ghost_rho = rc[ci] + normal[0] * delta
-            ghost_z = zc[cj] + normal[1] * delta
-            s_ghost = math.hypot(ghost_rho, ghost_z - zs)
-            w = e_face * area * (1.0 - s_cell / s_ghost) / delta
-            gf_ghost = float(gf(np.array([ghost_rho]), np.array([ghost_z]))[0])
-            m = (e_face - eps_src) * area * (gf_ghost - gf_cell[ci, cj]) / delta
-        else:
-            w = e_face * area / (0.5 * delta)
-            gf_face = float(gf(np.array([face_rho]), np.array([face_z]))[0])
-            m = (e_face - eps_src) * area * (gf_face - gf_cell[ci, cj]) / (0.5 * delta)
-        diag[ci, cj] += w
-        b[ci, cj] += m
+    # each cell sums its faces in one order: lower and upper rho face, lower
+    # and upper z face, then the outer faces below
+    diag = np.zeros((n_rho, n_z))
+    b = np.zeros((n_rho, n_z))
+    diag[1:] += w_r
+    b[1:] -= m_r
+    diag[:-1] += w_r
+    b[:-1] += m_r
+    diag[:, 1:] += w_z
+    b[:, 1:] -= m_z
+    diag[:, :-1] += w_z
+    b[:, :-1] += m_z
 
-    for j in range(n_z):
-        boundary(n_rho - 1, j, grid.rho_max, zc[j],
-                 2.0 * math.pi * grid.rho_max * dz, drho, (1.0, 0.0))
-    for i in range(n_rho):
-        area = 2.0 * math.pi * rc[i] * drho
-        boundary(i, 0, rc[i], grid.z_min, area, dz, (0.0, -1.0))
-        boundary(i, n_z - 1, rc[i], grid.z_max, area, dz, (0.0, 1.0))
+    def outer_face(cells, e, area, rho, z, ghost_rho, ghost_z, delta):
+        # g1 falls off like 1/s from the source between the cell and its
+        # ghost one step outside the face
+        s_ghost = np.hypot(ghost_rho, ghost_z - zs)
+        diag[cells] += e * area * (1.0 - np.hypot(rho, z - zs) / s_ghost) / delta
+        b[cells] += (e - eps_src) * area * (gf(ghost_rho, ghost_z) - gf(rho, z)) / delta
 
-    n = n_rho * n_z
-    rows.extend(idx.ravel()); cols.extend(idx.ravel()); vals.extend(diag.ravel())
-    M = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    outer_face(np.s_[-1, :], eps_col, 2.0 * math.pi * grid.rho_max * dz,
+               rc[-1], zc, rc[-1] + drho, zc, drho)
+    outer_face(np.s_[:, 0], eps_col[0], area_z, rc, zc[0], rc, zc[0] - dz, dz)
+    outer_face(np.s_[:, -1], eps_col[-1], area_z, rc, zc[-1], rc, zc[-1] + dz, dz)
+
+    # cell (i, j) is unknown i n_z + j; the z coupling is 0 where a column ends
+    off_z = -np.pad(w_z, ((0, 0), (0, 1))).ravel()[:-1]
+    off_r = -w_r.ravel()
+    M = sp.diags([off_r, off_z, diag.ravel(), off_z, off_r], [-n_z, -1, 0, 1, n_z],
+                 shape=(diag.size, diag.size), format="csr")
     rhs = b.ravel()
     u = spla.spsolve(M, rhs)
     res = float(np.linalg.norm(M @ u - rhs) / max(np.linalg.norm(rhs), 1e-300))
-    if not np.all(np.isfinite(u)) or res > grid.tol:
-        raise SolverError(f"sparse solve residual {res:.3e} exceeds tol {grid.tol:.3e}")
+    if not np.all(np.isfinite(u)) or res > _TOL:
+        raise SolverError(f"sparse solve residual {res:.3e} exceeds tol {_TOL:.3e}")
 
     return FDSolution(grid=grid, g1=u.reshape(n_rho, n_z), eps_cell=eps_cell,
                       eps_src=eps_src, src_z=zs, axis_offset=(src.x, src.y),

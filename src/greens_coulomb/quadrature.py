@@ -216,16 +216,15 @@ def _estimate_limit(panels) -> Tuple[float, float]:
     return value, math.inf
 
 
-def _ladder_edges(first_cut: float, k_scale: Optional[float]) -> list:
+def _ladder_edges(first_cut: float, k_scale: Optional[float]) -> Iterator[float]:
     """Geometric pre-panels resolving integrand decay faster than the oscillation."""
-    edges = [0.0]
+    yield 0.0
     if k_scale is not None and k_scale > 0.0 and k_scale < 0.25 * first_cut:
         e = 0.25 * k_scale
         while e < 0.5 * first_cut:
-            edges.append(e)
+            yield e
             e *= 2.0
-    edges.append(first_cut)
-    return edges
+    yield first_cut
 
 
 def _integrate_panels(f, edges_iter: Iterator[Tuple[float, float]],
@@ -239,6 +238,8 @@ def _integrate_panels(f, edges_iter: Iterator[Tuple[float, float]],
     while count < spec.max_panels:
         block = np.array(list(itertools.islice(
             edges_iter, min(_PANEL_BLOCK, spec.max_panels - count))))
+        if not block.size:  # no panel left below the largest float
+            break
         vals, errs, block_mass = _panels_adaptive(f, block[:, 0], block[:, 1], scale, spec)
         panels.extend(vals.tolist())
         panel_errs += float(np.sum(errs))
@@ -267,23 +268,25 @@ def _integrate_panels(f, edges_iter: Iterator[Tuple[float, float]],
     )
 
 
+# The edge generators stop before a panel whose midpoint 0.5 (a + b)
+# overflows, so every rule node is finite; past it the driver has no panels
+# left and reports that the tolerance was not reached.
+
 def _oscillatory_edges(cuts_fn, k_scale):
-    edges = _ladder_edges(cuts_fn(1), k_scale)
-    for a, b in zip(edges[:-1], edges[1:]):
+    points = itertools.chain(_ladder_edges(cuts_fn(1), k_scale),
+                             map(cuts_fn, itertools.count(2)))
+    a = next(points)
+    for b in points:
+        if not math.isfinite(a + b):
+            return
         yield a, b
-    prev = edges[-1]
-    n = 2
-    while True:
-        cur = cuts_fn(n)
-        yield prev, cur
-        prev = cur
-        n += 1
+        a = b
 
 
 def _halfline_edges(k_scale):
     """Panels [0, kc], [kc, 2 kc], [2 kc, 4 kc], ... with kc = k_scale, or 1."""
     a, b = 0.0, (k_scale if (k_scale is not None and k_scale > 0.0) else 1.0)
-    while True:
+    while math.isfinite(a + b):
         yield a, b
         a, b = b, 2.0 * b
 
@@ -312,7 +315,7 @@ def hankel_integral(f: Callable[[np.ndarray], np.ndarray], rho: float,
     def integrand(k: np.ndarray) -> np.ndarray:
         return np.asarray(f(k), dtype=float) * bessel(k * rho)
 
-    edges = _oscillatory_edges(lambda n: _bessel_zero(order, n) / rho, k_scale)
+    edges = _oscillatory_edges(lambda n: float(_bessel_zero(order, n)) / rho, k_scale)
     value, err = _integrate_panels(integrand, edges, spec, "hankel_integral")
     return GreensValue(value, err)
 

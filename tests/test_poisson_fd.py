@@ -1,9 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from greens_coulomb import validate
+from greens_coulomb import poisson_fd, validate
 from greens_coulomb.cavity import cavity_g_general, cavity_g_midpoint
 from greens_coulomb.core import (
     PERFECT_CONDUCTOR,
@@ -11,6 +13,7 @@ from greens_coulomb.core import (
     HalfSpace,
     Point3,
     SourceOnInterfaceError,
+    ThreeLayerCavity,
     UnsupportedGeometryError,
 )
 from greens_coulomb.poisson_fd import GridSpec, aligned_grid, solve_scattering_g1
@@ -102,13 +105,59 @@ class TestCavityOracle:
         assert abs(got - ref) / ref < 0.02
 
 
-class TestCsvDump:
-    def test_round_trip(self, tmp_path):
-        sol = hs_solution()
-        out = tmp_path / "field.csv"
-        sol.to_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "rho,z,g1"
-        assert len(lines) == 1 + 64 * 64
-        rho, z, g1 = map(float, lines[1].split(","))
-        assert math.isclose(g1, sol.g1[0, 0], rel_tol=1e-15)
+def assembled(monkeypatch, geom, src, grid):
+    """The (matrix, right side) pair that solve_scattering_g1 hands to spsolve."""
+    captured = []
+    spsolve = poisson_fd.spla.spsolve
+
+    def spy(M, rhs):
+        captured.append((M, rhs))
+        return spsolve(M, rhs)
+    monkeypatch.setattr(poisson_fd.spla, "spsolve", spy)
+    poisson_fd.solve_scattering_g1(geom, src, grid)
+    (M, rhs), = captured
+    return M.tocsr(), rhs
+
+
+class TestOperator:
+    @pytest.mark.parametrize("geom,src,grid", [
+        (HS, Point3(0, 0, H), small_grid()),
+        (ThreeLayerCavity(4.0, 1.0, 8.0, 1.0), Point3(0, 0, 0.2),
+         aligned_grid(64, 0.2, (-0.5, 0.5), 3.0, 8.0)),
+    ], ids=["half_space", "gap"])
+    def test_symmetric_five_point_conservative(self, monkeypatch, geom, src, grid):
+        M, _ = assembled(monkeypatch, geom, src, grid)
+        n_rho, n_z = grid.n_rho, grid.n_z
+        assert (M != M.T).nnz == 0
+        assert np.diff(M.indptr).max() <= 5
+        # every entry couples a cell to itself or to a grid neighbour, so none
+        # joins the top of one column, (i, n_z - 1), to the bottom of the next
+        coo = M.tocoo()
+        ri, rj = np.divmod(coo.row, n_z)
+        ci, cj = np.divmod(coo.col, n_z)
+        assert np.all(np.abs(ri - ci) + np.abs(rj - cj) <= 1)
+        tops = np.arange(n_rho - 1) * n_z + n_z - 1
+        assert not np.any(M[tops, tops + 1])
+        # interior rows conserve flux; the 1/s outer faces add to the diagonal
+        row_sum = np.asarray(M.sum(axis=1)).reshape(n_rho, n_z)
+        diag = M.diagonal().reshape(n_rho, n_z)
+        outer = np.zeros((n_rho, n_z), dtype=bool)
+        outer[-1, :] = outer[:, 0] = outer[:, -1] = True
+        assert np.all(np.abs(row_sum[~outer]) <= 1e-14 * diag[~outer])
+        assert np.all(row_sum[outer] > 0.0)
+
+
+def test_shares_no_code_with_the_routes_it_checks():
+    # the oracle's imports: the standard library, numpy, scipy's sparse
+    # solver and interpolator, and the package's core types
+    allowed = {"__future__", "math", "dataclasses", "typing", "numpy", "scipy.sparse",
+               "scipy.sparse.linalg", "scipy.interpolate", ".core"}
+    tree = ast.parse(Path(poisson_fd.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= allowed
+

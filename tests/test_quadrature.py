@@ -106,6 +106,14 @@ def test_halfline_unreachable_tolerance_stops_early():
         hankel_integral(f, 0.0, QuadratureSpec(rel_tol=1e-12), k_scale=1.0)
 
 
+def test_halfline_edges_end_before_overflow():
+    # 1/(1 + k) never decays: the doubling panels reach [2^1022, 2^1023], and
+    # the next edge would be inf, so the driver runs out of panels at 1024
+    with pytest.raises(ConvergenceError, match=r"^half-line integral: tolerance not "
+                       r"reached after 1024 panels"):
+        hankel_integral(lambda k: 1.0 / (1.0 + k), 0.0, QuadratureSpec(max_panels=1100))
+
+
 def test_euler_limit_alternating():
     # partial sums of sum (-1)^(n+1)/n -> ln 2
     n = np.arange(1, 25, dtype=float)

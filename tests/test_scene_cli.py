@@ -36,6 +36,13 @@ def charge_pair(geometry, qa, qb):
 HALF_SPACE = {"type": "half_space", "eps1": 1, "eps2": 4}
 
 
+def gap_pair(x):
+    """Two charges in a 1 um gap, the first a distance x off the axis of the second."""
+    return {"geometry": {"type": "cavity", "eps1": 4.0, "eps2": 1.0, "eps3": 8.0, "d": 1e-6},
+            "charges": [{"q": 1.0, "unit": "e", "position": [x, 0.0, 1e-7]},
+                        {"q": 1.0, "unit": "e", "position": [0.0, 0.0, -2e-7]}]}
+
+
 def aperture_pair(R, scale):
     """The contract test's two charges, every length times `scale`, at an aperture of radius R."""
     return {"geometry": {"type": "plate_with_hole", "R": R},
@@ -249,6 +256,10 @@ class TestCliCommands:
         # is checked in test_analytic.TestPlateHoleG.test_same_value_at_any_scale
         ("pair-energy", aperture_pair(1e-160, 1e-160), {"abs_err": 0.0}),
         ("force", aperture_pair(1e-160, 1e-160), None),
+        # the first Bessel zero over rho = 1e-308 overflowed to an inf panel
+        # edge; the value is checked in test_gap_pair_subnormal_offset_matches_axis
+        ("pair-energy", gap_pair(1e-308), {"units": "si"}),
+        ("force", gap_pair(1e-308), {"units": "si"}),
     ])
     def test_extreme_inputs_finite_json_or_exit_2(self, tmp_path, capsys, command, doc,
                                                   expect):
@@ -262,9 +273,16 @@ class TestCliCommands:
             assert code == 2 and out == ""
             assert "float64" in err
         else:
-            assert code == 0
+            assert code == 0 and err == ""
             rec = strict_json(out)
             assert {k: rec[k] for k in expect} == expect
+
+    def test_gap_pair_subnormal_offset_matches_axis(self, tmp_path, capsys):
+        recs = []
+        for x in (1e-308, 0.0):
+            assert main(["pair-energy", "--scene", write_scene(tmp_path, gap_pair(x))]) == 0
+            recs.append(strict_json(capsys.readouterr().out))
+        assert abs(recs[0]["U_joules"] - recs[1]["U_joules"]) <= recs[0]["abs_err"]
 
     @pytest.mark.parametrize("args", [
         [],
