@@ -13,7 +13,6 @@ from .analytic import (
     half_space_scattering_g1,
     interface_reflection,
     plate_hole_g,
-    plate_hole_onaxis_self_g1,
 )
 from .born import (
     Box,

@@ -130,14 +130,17 @@ def _canonical_pair(r: Point3, r_src: Point3, R: float, where: str):
 
 
 def plate_hole_g(r: Point3, r_src: Point3, R: float) -> GreensValue:
-    """Green's function of a grounded plate at z = 0 with an aperture of radius R."""
+    """Green's function of a grounded plate at z = 0 with an aperture of radius R.
+
+    Both points go to the kernel in Cartesian form, and every distance comes
+    from coordinate differences, so g is accurate to roundoff at any
+    separation of the two points, and abs_err = 0.
+    """
     pair = _canonical_pair(r, r_src, R, "plate_hole_g")
     if pair is None:
         return free_space_g(r, r_src)
     (x, y, z), (xp, yp, zp), R, L = pair
-    return GreensValue(kernels.hole_greens(math.hypot(x, y), math.atan2(y, x), z,
-                                           math.hypot(xp, yp), math.atan2(yp, xp), zp,
-                                           R) / L)
+    return GreensValue(kernels.hole_greens(x, y, z, xp, yp, zp, R) / L)
 
 
 def plate_hole_grad(r: Point3, r_src: Point3, R: float) -> Tuple[float, float, float]:
@@ -153,20 +156,3 @@ def plate_hole_grad(r: Point3, r_src: Point3, R: float) -> Tuple[float, float, f
         gz = -gz
     return gx / L / L, gy / L / L, gz / L / L
 
-
-def plate_hole_onaxis_self_g1(z: float, R: float) -> GreensValue:
-    """Reflected part at coincident on-axis points, g1(z) = g1(-z).
-
-    g1 = -arctan(|z|/R) / (4 pi^2 |z|), the free-space divergence already
-    subtracted; equal to -1/(16 pi |z|) + arctan(R/(2|z|) - |z|/(2R))/(8 pi^2 |z|),
-    since arctan(R/(2|z|) - |z|/(2R)) = pi/2 - 2 arctan(|z|/R), but free of
-    its cancellation. Always negative (the induced surface charge attracts),
-    approaching -1/(4 pi^2 R) as z -> 0 and the solid-plate image value
-    -1/(8 pi |z|) as R -> 0.
-    """
-    if not (R > 0.0):
-        raise DomainError(f"plate_hole_onaxis_self_g1: R must be > 0, got {R!r}")
-    if z == 0.0:
-        raise DomainError("plate_hole_onaxis_self_g1: z must be nonzero "
-                          "(the z -> 0 limit is -1/(4 pi^2 R))")
-    return GreensValue(kernels.hole_onaxis_g1(z, R))

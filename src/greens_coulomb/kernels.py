@@ -7,8 +7,9 @@ which is how the Born octree calls it, as does its gradient
 `alpha_chain_grad_sum`. The gap's reflected kernels serve the pair and the
 self-term alike: `cavity_reflected_dz` at a_free = 0, doubled, is the
 self-force kernel. The aperture kernels (`hole_greens`, its gradient and the
-on-axis self-terms) are scalar; `analytic` hands `hole_greens` and its
-gradient lengths divided by a power of two that brings them to order 1.
+on-axis self-terms) are scalar; `hole_greens` and its gradient take the
+same Cartesian points, which `analytic` divides by a power of two that
+brings them to order 1, and share their auxiliaries (`_hole_terms`).
 Callers look the kernels up on this module at call time.
 """
 
@@ -22,57 +23,68 @@ _TWO_OVER_PI = 2.0 / math.pi
 _SQRT2 = math.sqrt(2.0)
 
 
-def _bracket(lam: float, F: float, D: float) -> float:
-    # (1/D) * [1 + (2*lam/pi) * arctan(F/D)], written so the lam = -1 branch
-    # stays finite as D -> 0 (arctan(F/D) -> pi/2 saturation).
-    if lam > 0.0:
-        return (1.0 + _TWO_OVER_PI * math.atan2(F, D)) / D
+def _bracket(Ft: float, D: float) -> float:
+    # B = [1 + (2/pi) arctan(Ft/D)] / D with Ft = lam * F, written so that
+    # Ft < 0 stays finite as D -> 0 (arctan(Ft/D) -> -pi/2 saturation).
+    if Ft >= 0.0:
+        return (1.0 + _TWO_OVER_PI * math.atan2(Ft, D)) / D
     if D <= 0.0:
-        return _TWO_OVER_PI / F
-    return _TWO_OVER_PI * math.atan2(D, F) / D
+        return _TWO_OVER_PI / -Ft
+    return _TWO_OVER_PI * math.atan2(D, -Ft) / D
 
 
-def _braces(q: float, w: float, AAp: float, R2: float) -> float:
-    # q + A*Ap, the radicand of F; where q < 0 the sum cancels, and since
-    # (A*Ap)^2 - q^2 = 4 R^2 w^2 it is taken as 4 R^2 w^2 / (A*Ap - q) instead
-    b = q + AAp if q >= 0.0 else 4.0 * R2 * w * w / (AAp - q)
-    return b if b > 0.0 else 0.0
+def _hole_terms(x, y, z, xp, yp, zp, R):
+    """The auxiliaries that hole_greens and its gradient share.
 
-
-def hole_greens(rho, phi, z, rhop, phip, zp, R):
-    """Green's function of a grounded plate with a circular aperture.
-
-    Cylindrical coordinates, aperture of radius R centered on the z axis,
-    conductor at z = 0, rho >= R. Requires z >= 0 (map z < 0 configurations
-    by the mirror symmetry of the geometry before calling).
-
-    g = [B(lam_minus, F_minus, D_minus) - B(lam_plus, F_plus, D_plus)] / (8 pi),
-    with B = [1 + (2 lam/pi) arctan(F/D)] / D.
+    s = r^2 - R^2 and A = |s + 2iRz| for each point, and for each term of g
+    (plus, then minus) q, w, lam and D: F = sqrt(q + A Ap) / (sqrt(2) R),
+    (A Ap)^2 - q^2 = 4 R^2 w^2, and D is the distance to the source or to
+    its mirror image. Lengths are taken with hypot, so A is 0 on the rim
+    alone and D is 0 only where the two points coincide.
     """
     R2 = R * R
-    s = rho * rho + z * z - R2
-    sp = rhop * rhop + zp * zp - R2
-    AAp = math.sqrt(s * s + 4.0 * R2 * z * z) * math.sqrt(sp * sp + 4.0 * R2 * zp * zp)
+    s = x * x + y * y + z * z - R2
+    sp = xp * xp + yp * yp + zp * zp - R2
+    A = math.hypot(s, 2.0 * R * z)
+    Ap = math.hypot(sp, 2.0 * R * zp)
     cross = 4.0 * R2 * z * zp
     t = zp * s + z * sp
     u = zp * s - z * sp
-    Fp = math.sqrt(_braces(s * sp - cross, t, AAp, R2)) / (_SQRT2 * R)
-    Fm = math.sqrt(_braces(s * sp + cross, u, AAp, R2)) / (_SQRT2 * R)
-
-    perp2 = rho * rho + rhop * rhop - 2.0 * rho * rhop * math.cos(phi - phip)
-    if perp2 < 0.0:
-        perp2 = 0.0
-    Dm = math.sqrt(perp2 + (z - zp) * (z - zp))
-    Dp = math.sqrt(perp2 + (z + zp) * (z + zp))
-
     if zp >= 0.0:
-        lm = 1.0
-        lp = 1.0 if t > 0.0 else -1.0
+        lm, lp = 1.0, (1.0 if t > 0.0 else -1.0)
     else:
-        lp = -1.0
-        lm = 1.0 if u > 0.0 else -1.0
+        lm, lp = (1.0 if u > 0.0 else -1.0), -1.0
+    ex, ey = x - xp, y - yp
+    return (s, sp, A, Ap, ex, ey,
+            s * sp - cross, t, lp, math.hypot(ex, ey, z + zp),
+            s * sp + cross, u, lm, math.hypot(ex, ey, z - zp))
 
-    return (_bracket(lm, Fm, Dm) - _bracket(lp, Fp, Dp)) / (8.0 * math.pi)
+
+def _signed_f(q, w, AAp, R, lam):
+    """lam * F of one term of hole_greens.
+
+    Where q >= 0, F = sqrt(q + A Ap) / (sqrt(2) R). Elsewhere q + A Ap
+    cancels, and F = sqrt(2) |w| / sqrt(A Ap - q) instead.
+    """
+    if q >= 0.0:
+        return lam * math.sqrt(q + AAp) / (_SQRT2 * R)
+    return (lam if w > 0.0 else -lam) * _SQRT2 / math.sqrt(AAp - q) * w
+
+
+def hole_greens(x, y, z, xp, yp, zp, R):
+    """Green's function of a grounded plate with a circular aperture.
+
+    Cartesian points, aperture of radius R centered on the z axis, conductor
+    at z = 0, x^2 + y^2 >= R^2. Requires z >= 0 (map z < 0 configurations
+    by the mirror symmetry of the geometry before calling).
+
+    g = [B(lam_minus F_minus, D_minus) - B(lam_plus F_plus, D_plus)] / (8 pi),
+    with B(Ft, D) = [1 + (2/pi) arctan(Ft/D)] / D.
+    """
+    _, _, A, Ap, _, _, qp, t, lp, Dp, qm, u, lm, Dm = _hole_terms(x, y, z, xp, yp, zp, R)
+    AAp = A * Ap
+    return (_bracket(_signed_f(qm, u, AAp, R, lm), Dm)
+            - _bracket(_signed_f(qp, t, AAp, R, lp), Dp)) / (8.0 * math.pi)
 
 
 def _atan_defect(x: float) -> float:
@@ -88,9 +100,8 @@ def _signed_f_grad(q, dq, w, dw, AAp, dAAp, R, lam):
 
     A gradient here is a pair (a, b), meaning a * r + b * z_hat, r the field
     point; every auxiliary of the aperture function has one of that form.
-    Where q >= 0, F = sqrt(q + A Ap) / (sqrt(2) R). Elsewhere
-    F = sqrt(2) |w| / sqrt(A Ap - q) (see _braces), and lam * F is smooth
-    across w = 0 wherever lam flips with the sign of w.
+    F is that of _signed_f, and lam * F is smooth across w = 0 wherever lam
+    flips with the sign of w.
     """
     if q >= 0.0:
         root = math.sqrt(q + AAp)
@@ -117,32 +128,17 @@ def _bracket_grad(Ft: float, D: float):
 def hole_greens_grad(x, y, z, xp, yp, zp, R):
     """Field-point gradient (dg/dx, dg/dy, dg/dz) of hole_greens, Cartesian, z >= 0.
 
-    The chain rule through s, A, F and D, all algebraic in the two points;
-    lengths are taken with hypot, so that A, which the gradient divides by,
-    is 0 on the rim alone.
+    The chain rule through the auxiliaries of _hole_terms, all algebraic in
+    the two points; the gradient divides by A, which is 0 on the rim alone.
     """
+    s, sp, A, Ap, ex, ey, qp, t, lp, Dp, qm, u, lm, Dm = _hole_terms(x, y, z, xp, yp, zp, R)
     R2 = R * R
-    s = x * x + y * y + z * z - R2
-    sp = xp * xp + yp * yp + zp * zp - R2
-    A = math.hypot(s, 2.0 * R * z)
-    Ap = math.hypot(sp, 2.0 * R * zp)
     AAp = A * Ap
     dAAp = (2.0 * s * Ap / A, 4.0 * R2 * z * Ap / A)
-    cross = 4.0 * R2 * z * zp
-    t = zp * s + z * sp
-    u = zp * s - z * sp
-    if zp >= 0.0:
-        lm, lp = 1.0, (1.0 if t > 0.0 else -1.0)
-    else:
-        lm, lp = (1.0 if u > 0.0 else -1.0), -1.0
-    Fp, dFp = _signed_f_grad(s * sp - cross, (2.0 * sp, -4.0 * R2 * zp), t,
+    Fp, dFp = _signed_f_grad(qp, (2.0 * sp, -4.0 * R2 * zp), t,
                              (2.0 * zp, sp), AAp, dAAp, R, lp)
-    Fm, dFm = _signed_f_grad(s * sp + cross, (2.0 * sp, 4.0 * R2 * zp), u,
+    Fm, dFm = _signed_f_grad(qm, (2.0 * sp, 4.0 * R2 * zp), u,
                              (2.0 * zp, -sp), AAp, dAAp, R, lm)
-
-    ex, ey = x - xp, y - yp
-    Dm = math.hypot(ex, ey, z - zp)
-    Dp = math.hypot(ex, ey, z + zp)
     bFm, bDm = _bracket_grad(Fm, Dm)
     bFp, bDp = _bracket_grad(Fp, Dp)
     # g = (B_minus - B_plus) / (8 pi): coefficients of r, z_hat, r - r' and r - r'*

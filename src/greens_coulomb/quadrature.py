@@ -216,11 +216,17 @@ def _estimate_limit(panels) -> Tuple[float, float]:
     return value, math.inf
 
 
+def _decay_scale(k_scale: Optional[float]) -> float:
+    """kc, the decay scale the panels start from: k_scale if it is > 0, else 1."""
+    return k_scale if (k_scale is not None and k_scale > 0.0) else 1.0
+
+
 def _ladder_edges(first_cut: float, k_scale: Optional[float]) -> Iterator[float]:
     """Geometric pre-panels resolving integrand decay faster than the oscillation."""
     yield 0.0
-    if k_scale is not None and k_scale > 0.0 and k_scale < 0.25 * first_cut:
-        e = 0.25 * k_scale
+    kc = _decay_scale(k_scale)
+    if kc < 0.25 * first_cut:
+        e = 0.25 * kc
         while e < 0.5 * first_cut:
             yield e
             e *= 2.0
@@ -285,7 +291,7 @@ def _oscillatory_edges(cuts_fn, k_scale):
 
 def _halfline_edges(k_scale):
     """Panels [0, kc], [kc, 2 kc], [2 kc, 4 kc], ... with kc = k_scale, or 1."""
-    a, b = 0.0, (k_scale if (k_scale is not None and k_scale > 0.0) else 1.0)
+    a, b = 0.0, _decay_scale(k_scale)
     while math.isfinite(a + b):
         yield a, b
         a, b = b, 2.0 * b
@@ -296,10 +302,10 @@ def hankel_integral(f: Callable[[np.ndarray], np.ndarray], rho: float,
                     k_scale: Optional[float] = None, order: int = 0) -> GreensValue:
     """integral_0^inf f(k) J_order(k rho) dk with an abs_err estimate, order 0 or 1.
 
-    `k_scale` hints at the decay scale of f (panels below the first Bessel
-    zero are pre-split around it). At rho = 0 the order-1 integral is 0, and
-    the order-0 one runs the same panel driver on geometrically growing
-    panels [0, kc], [kc, 2 kc], ..., kc = k_scale or 1, instead of the zeros.
+    `k_scale` hints at the decay scale of f: panels below the first Bessel
+    zero are pre-split around kc = k_scale, or 1 without it. At rho = 0 the
+    order-1 integral is 0, and the order-0 one runs the same panel driver on
+    geometrically growing panels [0, kc], [kc, 2 kc], ..., instead of the zeros.
     """
     if rho < 0.0:
         raise DomainError(f"rho must be >= 0, got {rho!r}")

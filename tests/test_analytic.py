@@ -10,7 +10,6 @@ from greens_coulomb.analytic import (
     half_space_scattering_g1,
     plate_hole_g,
     plate_hole_grad,
-    plate_hole_onaxis_self_g1,
 )
 from greens_coulomb.core import (
     PERFECT_CONDUCTOR,
@@ -21,6 +20,7 @@ from greens_coulomb.core import (
     Point3,
     distance,
 )
+from greens_coulomb.kernels import hole_onaxis_g1
 
 ORIGIN = Point3(0.0, 0.0, 0.0)
 Z1 = Point3(0.0, 0.0, 1.0)
@@ -187,6 +187,16 @@ class TestPlateHoleAux:
         want = _decimal_hole_g(a, b, 1.0)[0]
         assert math.isclose(plate_hole_g(a, b, 1.0).value, want, rel_tol=2e-15)
 
+    @pytest.mark.parametrize("sep", [1e-4, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("direction", [(0.6, -0.8, 0.0), (0.48, -0.64, 0.6)])
+    def test_matches_decimal_for_near_pairs(self, sep, direction):
+        # in plane and oblique, same side: D comes from coordinate differences,
+        # where a law of cosines loses its digits and reaches 0 near 1e-9
+        b = Point3(0.6, 0.3, 0.4)
+        a = b.shifted(*(sep * c for c in direction))
+        want = _decimal_hole_g(a, b, 1.0)[0]
+        assert math.isclose(plate_hole_g(a, b, 1.0).value, want, rel_tol=2e-15)
+
     @pytest.mark.parametrize("zp", [0.4, -0.4])
     def test_gradient_continuous_across_lambda_flip(self, zp):
         b = Point3(0.3, 0.0, zp)
@@ -305,32 +315,29 @@ class TestPlateHoleG:
 
 
 class TestOnAxisSelfTerm:
+    """The on-axis self-term that PlateWithHole.self_energy takes, kernels.hole_onaxis_g1."""
+
     def test_center_limit(self):
         R = 2.0
-        got = plate_hole_onaxis_self_g1(1e-6 * R, R).value
+        got = hole_onaxis_g1(1e-6 * R, R)
         assert abs(got - (-1.0 / (4 * math.pi ** 2 * R))) * 4 * math.pi ** 2 * R < 1e-9
 
     @pytest.mark.parametrize("x", [1e-11, 1e-8, 1e-5])
     def test_no_cancellation_near_center(self, x):
         # g1 = -arctan(x)/(4 pi^2 x R) with x = |z|/R, and arctan(x)/x = 1 - x^2/3 + ...
         # to roundoff here; the two-term form lost up to 7 digits
-        got = plate_hole_onaxis_self_g1(x * 2.0, 2.0).value
+        got = hole_onaxis_g1(x * 2.0, 2.0)
         assert math.isclose(got, -(1.0 - x * x / 3.0) / (8 * math.pi ** 2), rel_tol=4e-16)
 
     def test_solid_plate_limit(self):
         z = 0.7
-        got = plate_hole_onaxis_self_g1(z, 1e-9).value
+        got = hole_onaxis_g1(z, 1e-9)
         assert abs(got - (-1.0 / (8 * math.pi * z))) / (1 / (8 * math.pi * z)) < 1e-8
 
     def test_even_in_z(self):
-        assert plate_hole_onaxis_self_g1(0.3, 1.2).value == \
-            plate_hole_onaxis_self_g1(-0.3, 1.2).value
+        assert hole_onaxis_g1(0.3, 1.2) == hole_onaxis_g1(-0.3, 1.2)
 
     @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
     @settings(max_examples=200)
     def test_always_attractive(self, z, R):
-        assert plate_hole_onaxis_self_g1(z, R).value < 0.0
-
-    def test_z_zero_rejected(self):
-        with pytest.raises(DomainError):
-            plate_hole_onaxis_self_g1(0.0, 1.0)
+        assert hole_onaxis_g1(z, R) < 0.0

@@ -51,6 +51,15 @@ def test_rho_zero_halfline():
     assert abs(got.value - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("rho", [1e-300, 1e-308])
+def test_tiny_rho_without_k_scale(rho):
+    # the first Bessel cut lies far beyond the decay of exp(-k) (at 1e-308 it
+    # is inf), so the panels must start from the default decay scale 1
+    got = hankel_integral(lambda k: np.exp(-k), rho)
+    assert abs(got.value - 1.0) < 1e-12
+    assert abs(got.value - 1.0) <= got.abs_err
+
+
 @pytest.mark.parametrize("a,rho", [(1.0, 1.0), (0.3, 2.0), (5.0, 0.7), (0.05, 10.0)])
 def test_order_one_exponential_identities(a, rho):
     # int e^{-ak} J1(k rho) dk = (1 - a/r)/rho and int k e^{-ak} J1(k rho) dk = rho/r^3
