@@ -40,6 +40,23 @@ def free_space_g(r: Point3, r_src: Point3, eps: float = 1.0) -> GreensValue:
     return GreensValue(1.0 / (_FOUR_PI * eps * dist))
 
 
+def free_space_grad(r: Point3, r_src: Point3, eps: float = 1.0,
+                    scale: float = 1.0) -> Tuple[float, float, float]:
+    """Gradient in r of scale / (4 pi eps |r - r_src|), scale held fixed.
+
+    Each component is divided by the distance in stages, after its direction
+    cosine, so that no power of the distance underflows and a component
+    along which the points do not differ stays 0; one too large for float64
+    comes out as inf.
+    """
+    dist = distance(r, r_src)
+    if dist == 0.0:
+        raise CoincidentPointsError("free_space_grad: r coincides with r_src")
+    c = -scale / (_FOUR_PI * eps * dist)
+    return (c * ((r.x - r_src.x) / dist) / dist, c * ((r.y - r_src.y) / dist) / dist,
+            c * ((r.z - r_src.z) / dist) / dist)
+
+
 def interface_reflection(eps1: Permittivity, eps2: Permittivity) -> float:
     """(eps1 - eps2) / (eps1 + eps2); -1 when medium 2 is a perfect conductor."""
     if is_conductor(eps2):
@@ -147,9 +164,7 @@ def plate_hole_grad(r: Point3, r_src: Point3, R: float) -> Tuple[float, float, f
     """Gradient (dg/dx, dg/dy, dg/dz) of plate_hole_g in the field point r."""
     pair = _canonical_pair(r, r_src, R, "plate_hole_grad")
     if pair is None:
-        dist = distance(r, r_src)
-        c = -1.0 / (_FOUR_PI * dist) / dist / dist
-        return c * (r.x - r_src.x), c * (r.y - r_src.y), c * (r.z - r_src.z)
+        return free_space_grad(r, r_src)
     (x, y, z), (xp, yp, zp), R, L = pair
     gx, gy, gz = kernels.hole_greens_grad(x, y, z, xp, yp, zp, R)
     if r.z < 0.0:

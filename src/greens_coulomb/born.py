@@ -32,22 +32,20 @@ from numpy.polynomial.legendre import leggauss
 from scipy.constants import epsilon_0
 
 from . import kernels
+from .analytic import free_space_g, free_space_grad
 from .core import (
     DEFAULT_QUADRATURE,
     MIN_REL_TOL,
-    Charge,
     CoincidentPointsError,
     ConvergenceError,
     DomainError,
-    FreeSpace,
     Geometry,
+    Gradient,
     GreensValue,
-    InteractionResult,
     PointInsideBodyError,
     Point3,
     QuadratureSpec,
     ValueWithError,
-    distance,
     finite_eps,
 )
 
@@ -191,28 +189,22 @@ class DiluteBody(Geometry):
             dist = min(dist, math.hypot(dx, math.hypot(dy, dz)))
         return dist
 
-    def self_energy(self, a: Charge, spec: QuadratureSpec) -> InteractionResult:
-        pref = a.q * a.q / (2.0 * epsilon_0)
-        g1 = born_scattering_g1(a.position, a.position, self, spec)
-        return InteractionResult(pref * g1.value, None, abs(pref) * g1.abs_err)
+    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> GreensValue:
+        g0 = free_space_g(r, r_src, self.background_eps)
+        g1 = born_scattering_g1(r, r_src, self, spec)
+        return GreensValue(g0.value + g1.value, g1.abs_err)
 
-    def pair_energy(self, a: Charge, b: Charge, spec: QuadratureSpec) -> InteractionResult:
-        ra, rb = a.position, b.position
-        pref = a.q * b.q / epsilon_0
-        g0 = 1.0 / (4.0 * math.pi * self.background_eps * distance(ra, rb))
-        g1 = born_scattering_g1(ra, rb, self, spec)
-        return self._pair_result(pref * (g0 + g1.value), abs(pref) * g1.abs_err, a, b)
+    def g1(self, r: Point3, spec: QuadratureSpec) -> GreensValue:
+        return born_scattering_g1(r, r, self, spec)
 
-    def closed_force(self, a: Charge, b: Optional[Charge],
-                     spec: QuadratureSpec) -> np.ndarray:
-        # g1 is symmetric, so the self-energy's gradient is 2 grad_1 g1(r, r)
-        # and the self-force takes the pair force's prefactor with b = a
-        other = a if b is None else b
-        pref = -a.q * other.q / epsilon_0
-        grad = born_scattering_grad(a.position, other.position, self, spec)
-        direct = ((0.0, 0.0, 0.0) if b is None
-                  else FreeSpace(self.background_eps).closed_force(a, b, spec).tolist())
-        return np.array([f + pref * g for f, g in zip(direct, grad)])
+    def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
+        direct = free_space_grad(r, r_src, self.background_eps)
+        scattered = born_scattering_grad(r, r_src, self, spec)
+        return tuple(d + s for d, s in zip(direct, scattered))
+
+    def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
+        # g1 is symmetric, so the gradient of r -> g1(r, r) is 2 grad_1 g1(r, r)
+        return tuple(2.0 * c for c in born_scattering_grad(r, r, self, spec))
 
 
 def charge_molecule_potential(qA: float, rA: Point3, rB: Point3,

@@ -172,8 +172,9 @@ def cavity_grad_general(z: float, z0: float, rho: float, d: float,
     The free-space part 1/(4 pi eps2 r) is differentiated in closed form. The
     reflected kernel R(k) = exp(-k*a_free)(N/D - 1) is differentiated under
     the integral: dg/drho takes -int R k J1(k rho) dk, and dg/dz the
-    z-derivative of R's exponentials against J0. Raises ConvergenceError when
-    the gradient's abs_err exceeds 1% of its magnitude (see _checked_gradient).
+    z-derivative of R's exponentials against J0. Raises DomainError when the
+    free-space part overflows float64, and ConvergenceError when the
+    gradient's abs_err exceeds 1% of its magnitude (see _checked_gradient).
     """
     pref, coeffs = _pair_setup(z, z0, rho, d, eps1, eps2, eps3, "cavity_grad_general")
     r1, r3 = coeffs.r1, coeffs.r3
@@ -196,12 +197,17 @@ def cavity_grad_general(z: float, z0: float, rho: float, d: float,
         return kernels.cavity_reflected_dz(k, a_free, a1, a3, d, r1, r3, sign)
 
     r = math.hypot(rho, a_free)
+    # divided by r in stages: r * r * r underflows to 0 below r ~ 1e-108
+    free_rho = pref * (rho / r) / r / r
+    free_z = pref * ((z - z0) / r) / r / r
+    if not (math.isfinite(free_rho) and math.isfinite(free_z)):
+        raise DomainError(f"cavity_grad_general: the free-space gradient at a separation "
+                          f"of {r!r} m overflows float64")
     kspec = _spec_for_kernel(spec, pref, max(r, 0.05 * d), power=2)
-    free = pref / (r * r * r)
     d_rho = hankel_integral(reflected_k, rho, kspec, k_scale=k_scale, order=1)
     d_z = hankel_integral(reflected_dz, rho, kspec, k_scale=k_scale)
-    parts = (GreensValue(-free * rho - pref * d_rho.value, pref * d_rho.abs_err),
-             GreensValue(-free * (z - z0) + pref * d_z.value, pref * d_z.abs_err))
+    parts = (GreensValue(-free_rho - pref * d_rho.value, pref * d_rho.abs_err),
+             GreensValue(-free_z + pref * d_z.value, pref * d_z.abs_err))
     return _checked_gradient(
         parts, pref * kspec.abs_tol,
         f"Hankel gradient of the gap kernel (orders 1 and 0) at rho = {rho!r}, "

@@ -5,8 +5,9 @@ All quantities are SI: lengths in meters, charge in coulombs, energies in
 joules, Green's function values in 1/m. Every type here is an immutable
 value type and safe to share between threads.
 
-Each geometry computes its own observables from its Green's function (see
-`Geometry`); the ones with purely scalar parameters are defined here, and
+Each geometry supplies its Green's function and its gradients (see
+`Geometry`), and `interactions` turns them into energies and forces; the
+geometries with purely scalar parameters are defined here, and
 `NonlocalBulk` and `DiluteBody` next to their physics in screening.py and
 born.py.
 """
@@ -19,7 +20,6 @@ from enum import Enum
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy.constants import epsilon_0
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ class Charge:
 
 
 # ---------------------------------------------------------------------------
-# Results and numerical controls
+# Values and numerical controls
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ class ValueWithError:
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "abs_err", float(self.abs_err))
         if not math.isfinite(self.value):
-            raise DomainError(f"value must be finite, got {self.value!r}")
+            raise DomainError(f"value must be finite in float64, got {self.value!r}")
         if not (self.abs_err >= 0.0):
             raise DomainError(f"abs_err must be >= 0, got {self.abs_err!r}")
 
@@ -229,58 +229,38 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-FOUR_PI_EPS0 = 4.0 * math.pi * epsilon_0
-
-
-@dataclass(frozen=True)
-class InteractionResult:
-    """Energy in joules; ratio_to_free = U / U_free where that is defined."""
-
-    energy: float
-    ratio_to_free: Optional[float]
-    abs_err: float = 0.0
-
-
 # ---------------------------------------------------------------------------
 # Geometries
 # ---------------------------------------------------------------------------
 
+Gradient = Tuple[float, float, float]
+
+
 class Geometry:
     """An environment, given by its static Green's function.
 
-    Each geometry answers for itself:
+    Each geometry supplies its Green's function and nothing else;
+    `interactions` turns it into energies and forces. The protocol:
 
     * host_eps(p): the finite permittivity of the medium at p, or None
       inside a conductor;
     * surface_distance(p): the distance from p to the nearest material
       surface (inf if there is none);
-    * self_energy(a, spec): U1 = q^2/(2 eps0) g1(r, r), the free-space
-      divergence subtracted;
-    * pair_energy(a, b, spec): U = qA qB / eps0 g(rA, rB), for distinct points;
-    * closed_force(a, b, spec): -grad_A of the pair energy (b given) or of
-      the self-energy (b None), shape (3,), from the gradient of the Green's
-      function. It always returns a force or raises, and it rejects what the
-      energy it differentiates rejects.
+    * g(r, r_src, spec): the Green's function between distinct points, a
+      GreensValue;
+    * g1(r, spec): its scattering part at coincident points, g1(r, r), the
+      free-space divergence subtracted;
+    * grad_g(r, r_src, spec): the gradient of g in the field point r;
+    * grad_g1(r, spec): the gradient of r -> g1(r, r), both points moving.
 
-    A charge inside a perfect conductor has no self-energy or self-force
-    (OutOfRegionError); a half-space pair with a charge in the conductor is
-    fully screened, with energy and force 0.
+    The gradients are 3-tuples of Python floats; where one overflows it is
+    not finite and `force_on_A` rejects the force, while a g or g1 that
+    overflows raises DomainError in GreensValue. Each method rejects what
+    its value is not defined for: a point on a material surface, outside the region where the
+    formula holds, or inside a conductor for the scattering part. A point
+    inside a perfect conductor of a half-space is fully screened, so g and
+    its gradient are 0 there.
     """
-
-    def _pair_result(self, energy: float, abs_err: float, a: Charge,
-                     b: Charge) -> InteractionResult:
-        """The pair result, its ratio taken to the free-space energy in the midpoint's host."""
-        ratio = None
-        mid = Point3(0.5 * (a.position.x + b.position.x),
-                     0.5 * (a.position.y + b.position.y),
-                     0.5 * (a.position.z + b.position.z))
-        eps_host = self.host_eps(mid)
-        dist = distance(a.position, b.position)
-        qq = a.q * b.q
-        # U_free = 0 at an infinite separation or a zero (or underflowing) product
-        if eps_host is not None and math.isfinite(dist) and qq != 0.0:
-            ratio = energy * FOUR_PI_EPS0 * eps_host * dist / qq
-        return InteractionResult(energy, ratio, abs_err)
 
 
 @dataclass(frozen=True)
@@ -298,21 +278,17 @@ class FreeSpace(Geometry):
     def surface_distance(self, p: Point3) -> float:
         return math.inf
 
-    def self_energy(self, a: Charge, spec: QuadratureSpec) -> InteractionResult:
-        return InteractionResult(0.0, None, 0.0)
+    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> GreensValue:
+        return analytic.free_space_g(r, r_src, self.eps)
 
-    def pair_energy(self, a: Charge, b: Charge, spec: QuadratureSpec) -> InteractionResult:
-        pref = a.q * b.q / epsilon_0
-        g = analytic.free_space_g(a.position, b.position, self.eps)
-        return self._pair_result(pref * g.value, abs(pref) * g.abs_err, a, b)
+    def g1(self, r: Point3, spec: QuadratureSpec) -> GreensValue:
+        return GreensValue(0.0)
 
-    def closed_force(self, a: Charge, b: Optional[Charge],
-                     spec: QuadratureSpec) -> np.ndarray:
-        if b is None:
-            return np.zeros(3)
-        rvec = a.position.vec() - b.position.vec()
-        r = distance(a.position, b.position)
-        return a.q * b.q * rvec / (FOUR_PI_EPS0 * self.eps * r * r * r)
+    def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
+        return analytic.free_space_grad(r, r_src, self.eps)
+
+    def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
+        return 0.0, 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -335,70 +311,53 @@ class HalfSpace(Geometry):
     def surface_distance(self, p: Point3) -> float:
         return abs(p.z)
 
-    def _pair_eps(self, a: Charge, b: Charge, where: str):
-        """host_eps of A and of B, neither of which may sit on the interface."""
-        if a.position.z == 0.0 or b.position.z == 0.0:
-            raise OnSurfaceError(f"{where}: charge on the interface")
-        return self.host_eps(a.position), self.host_eps(b.position)
+    def _pair_eps(self, r: Point3, r_src: Point3):
+        """host_eps of r and of r_src, neither of which may sit on the interface."""
+        if r.z == 0.0 or r_src.z == 0.0:
+            raise OnSurfaceError("half-space pair: charge on the interface")
+        return self.host_eps(r), self.host_eps(r_src)
 
-    def self_energy(self, a: Charge, spec: QuadratureSpec) -> InteractionResult:
-        p = a.position
-        if p.z == 0.0:
-            raise OnSurfaceError("self_energy: charge on the interface")
-        if p.z > 0.0:
-            e_side, e_other = self.eps1, self.eps2
-        else:
-            e_side, e_other = self.eps2, self.eps1
+    def _self_eps(self, r: Point3):
+        """host_eps of r, a dielectric off the interface, and the reflection
+        coefficient of the interface seen from r."""
+        if r.z == 0.0:
+            raise OnSurfaceError("half-space self-term: charge on the interface")
+        e_side, e_other = (self.eps1, self.eps2) if r.z > 0.0 else (self.eps2, self.eps1)
         if is_conductor(e_side):
-            raise OutOfRegionError("self_energy: charge inside a perfect conductor")
-        pref = a.q * a.q / (2.0 * epsilon_0)
-        g1 = analytic.interface_reflection(e_side, e_other) / (
-            8.0 * math.pi * float(e_side) * abs(p.z))
-        return InteractionResult(pref * g1, None, 0.0)
+            raise OutOfRegionError("half-space self-term: charge inside a perfect conductor")
+        return float(e_side), analytic.interface_reflection(e_side, e_other)
 
-    def pair_energy(self, a: Charge, b: Charge, spec: QuadratureSpec) -> InteractionResult:
-        eps_a, eps_b = self._pair_eps(a, b, "pair_energy")
-        # A charge embedded in a perfectly conducting region is completely
-        # screened: no field reaches the other charge, so U = 0.
+    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> GreensValue:
+        eps_a, eps_b = self._pair_eps(r, r_src)
         if eps_a is None or eps_b is None:
-            return InteractionResult(0.0, None, 0.0)
-        ra, rb = a.position, b.position
-        pref = a.q * b.q / epsilon_0
-        if ra.z * rb.z > 0.0:
-            if ra.z > 0.0:
-                field, src, e1, e2 = ra, rb, self.eps1, self.eps2
-            else:
-                field, src, e1, e2 = ra.mirror_z(), rb.mirror_z(), self.eps2, self.eps1
-            g = analytic.half_space_g(field, src, e1, e2)
-            return self._pair_result(pref * g.value, abs(pref) * g.abs_err, a, b)
-        g = 2.0 / ((eps_a + eps_b) * 4.0 * math.pi * distance(ra, rb))
-        return InteractionResult(pref * g, None, 0.0)  # different media: no ratio
+            return GreensValue(0.0)  # no field crosses into a perfect conductor
+        if (r.z > 0.0) == (r_src.z > 0.0):
+            if r.z > 0.0:
+                return analytic.half_space_g(r, r_src, self.eps1, self.eps2)
+            return analytic.half_space_g(r.mirror_z(), r_src.mirror_z(), self.eps2, self.eps1)
+        return GreensValue(2.0 / ((eps_a + eps_b) * 4.0 * math.pi * distance(r, r_src)))
 
-    def closed_force(self, a: Charge, b: Optional[Charge],
-                     spec: QuadratureSpec) -> np.ndarray:
-        za = a.position.z
-        e_other = self.eps2 if za > 0.0 else self.eps1
-        if b is None:
-            eps_a = self.host_eps(a.position)
-            if eps_a is None:
-                raise OutOfRegionError("force_on_A: charge inside a perfect conductor")
-            refl = analytic.interface_reflection(eps_a, e_other)
-            # divided by za last, twice: za * za, or a product with za, underflows
-            # to 0 for the tiniest |za|, where the quotient overflows to inf instead
-            fz = a.q * a.q * refl / (4.0 * FOUR_PI_EPS0 * eps_a) / za / za
-            return np.array([0.0, 0.0, (1.0 if za > 0.0 else -1.0) * fz])
-        eps_a, eps_b = self._pair_eps(a, b, "force_on_A")
+    def g1(self, r: Point3, spec: QuadratureSpec) -> GreensValue:
+        eps_a, refl = self._self_eps(r)
+        return GreensValue(refl / (8.0 * math.pi * eps_a * abs(r.z)))
+
+    def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
+        eps_a, eps_b = self._pair_eps(r, r_src)
         if eps_a is None or eps_b is None:
-            return np.zeros(3)
-        d = a.position.vec() - b.position.vec()
-        nd = math.hypot(*d)
-        if za * b.position.z > 0.0:
-            refl = analytic.interface_reflection(eps_a, e_other)
-            ds = a.position.vec() - b.position.mirror_z().vec()
-            nds = math.hypot(*ds)
-            pref = a.q * b.q / (FOUR_PI_EPS0 * eps_a)
-            return pref * (d / (nd * nd * nd) + refl * ds / (nds * nds * nds))
-        return a.q * b.q * 2.0 / (eps_a + eps_b) * d / (FOUR_PI_EPS0 * nd * nd * nd)
+            return 0.0, 0.0, 0.0
+        if (r.z > 0.0) != (r_src.z > 0.0):
+            return analytic.free_space_grad(r, r_src, 0.5 * (eps_a + eps_b))
+        refl = self._self_eps(r)[1]
+        direct = analytic.free_space_grad(r, r_src, eps_a)
+        image = analytic.free_space_grad(r, r_src.mirror_z(), eps_a, refl)
+        return tuple(d + i for d, i in zip(direct, image))
+
+    def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
+        eps_a, refl = self._self_eps(r)
+        # divided by z last, twice: z * z, or a product with z, underflows
+        # to 0 for the tiniest |z|, where the quotient overflows to inf instead
+        slope = refl / (8.0 * math.pi * eps_a) / r.z / r.z
+        return 0.0, 0.0, -slope if r.z > 0.0 else slope
 
 
 @dataclass(frozen=True)
@@ -430,59 +389,49 @@ class ThreeLayerCavity(Geometry):
     def _conducting(self) -> bool:
         return is_conductor(self.eps1) and is_conductor(self.eps3)
 
-    def _in_gap(self, charges, where: str) -> None:
-        for q, name in charges:
-            if not (abs(q.position.z) < 0.5 * self.d):
-                raise OutOfRegionError(f"{where}: charge {name} outside the gap")
+    def _in_gap(self, *points: Point3) -> None:
+        for p in points:
+            if not (abs(p.z) < 0.5 * self.d):
+                raise OutOfRegionError(f"gap: charge at z = {p.z!r} outside the gap")
 
     def _modal(self, rho: float) -> bool:
         """Both walls conduct and rho reaches the mode sum's range."""
         return self._conducting() and rho >= cavity.MODAL_RHO_MIN * self.d
 
-    def self_energy(self, a: Charge, spec: QuadratureSpec) -> InteractionResult:
-        self._in_gap(((a, "A"),), "self_energy")
-        z = a.position.z
-        pref = a.q * a.q / (2.0 * epsilon_0)
-        if self._conducting():
-            g1 = cavity.conducting_gap_g1(z, self.d, self.eps2)
-        else:
-            g1 = cavity.cavity_scattering_g1(z, self.d, self.eps1, self.eps2, self.eps3, spec)
-        return InteractionResult(pref * g1.value, None, abs(pref) * g1.abs_err)
-
-    def pair_energy(self, a: Charge, b: Charge, spec: QuadratureSpec) -> InteractionResult:
-        self._in_gap(((a, "A"), (b, "B")), "pair_energy")
-        ra, rb = a.position, b.position
-        pref = a.q * b.q / epsilon_0
-        rho = math.hypot(ra.x - rb.x, ra.y - rb.y)
+    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> GreensValue:
+        self._in_gap(r, r_src)
+        rho = math.hypot(r.x - r_src.x, r.y - r_src.y)
         if self._modal(rho):
-            g = cavity.conducting_gap_g(ra.z, rb.z, rho, self.d, self.eps2)
-        else:
-            g = cavity.cavity_g_general(ra.z, rb.z, rho, self.d, self.eps1, self.eps2,
-                                        self.eps3, spec)
-        return self._pair_result(pref * g.value, abs(pref) * g.abs_err, a, b)
+            return cavity.conducting_gap_g(r.z, r_src.z, rho, self.d, self.eps2)
+        return cavity.cavity_g_general(r.z, r_src.z, rho, self.d, self.eps1, self.eps2,
+                                       self.eps3, spec)
 
-    def closed_force(self, a: Charge, b: Optional[Charge],
-                     spec: QuadratureSpec) -> np.ndarray:
-        ra = a.position
-        if b is None:
-            self._in_gap(((a, "A"),), "force_on_A")
-            if self._conducting():
-                dg1 = cavity.conducting_gap_dg1(ra.z, self.d, self.eps2)
-            else:
-                dg1 = cavity.cavity_scattering_dg1(ra.z, self.d, self.eps1, self.eps2,
-                                                   self.eps3, spec)
-            return np.array([0.0, 0.0, -a.q * a.q / (2.0 * epsilon_0) * dg1.value])
-        self._in_gap(((a, "A"), (b, "B")), "force_on_A")
-        rb = b.position
-        dx, dy = ra.x - rb.x, ra.y - rb.y
+    def g1(self, r: Point3, spec: QuadratureSpec) -> GreensValue:
+        self._in_gap(r)
+        if self._conducting():
+            return cavity.conducting_gap_g1(r.z, self.d, self.eps2)
+        return cavity.cavity_scattering_g1(r.z, self.d, self.eps1, self.eps2, self.eps3, spec)
+
+    def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
+        self._in_gap(r, r_src)
+        dx, dy = r.x - r_src.x, r.y - r_src.y
         rho = math.hypot(dx, dy)
         if self._modal(rho):
-            d_rho, d_z = cavity.conducting_gap_grad(ra.z, rb.z, rho, self.d, self.eps2)
+            d_rho, d_z = cavity.conducting_gap_grad(r.z, r_src.z, rho, self.d, self.eps2)
         else:
-            d_rho, d_z = cavity.cavity_grad_general(ra.z, rb.z, rho, self.d, self.eps1,
+            d_rho, d_z = cavity.cavity_grad_general(r.z, r_src.z, rho, self.d, self.eps1,
                                                     self.eps2, self.eps3, spec)
         radial = d_rho.value / rho if rho > 0.0 else 0.0
-        return -a.q * b.q / epsilon_0 * np.array([radial * dx, radial * dy, d_z.value])
+        return radial * dx, radial * dy, d_z.value
+
+    def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
+        self._in_gap(r)
+        if self._conducting():
+            dg1 = cavity.conducting_gap_dg1(r.z, self.d, self.eps2)
+        else:
+            dg1 = cavity.cavity_scattering_dg1(r.z, self.d, self.eps1, self.eps2, self.eps3,
+                                               spec)
+        return 0.0, 0.0, dg1.value
 
 
 @dataclass(frozen=True)
@@ -513,56 +462,41 @@ class PlateWithHole(Geometry):
             raise UnsupportedGeometryError(
                 f"plate-with-hole {where} is provided on the symmetry axis only")
 
-    def self_energy(self, a: Charge, spec: QuadratureSpec) -> InteractionResult:
-        p = a.position
-        pref = a.q * a.q / (2.0 * epsilon_0)
-        if p.z == 0.0 and (self.R == 0.0 or p.rho >= self.R):
-            raise OnSurfaceError("self_energy: charge on the plate")
+    @staticmethod
+    def _solid(r: Point3, *others: Point3) -> HalfSpace:
+        """The solid plate (R = 0) as the grounded half-space with vacuum on r's side."""
+        if any(p.z == 0.0 for p in (r, *others)):
+            raise OnPlateError("charge on the solid plate")
+        return _GROUNDED_BELOW if r.z > 0.0 else _GROUNDED_ABOVE
+
+    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> GreensValue:
         if self.R == 0.0:
-            return InteractionResult(pref * (-1.0 / (8.0 * math.pi * abs(p.z))), None, 0.0)
-        self._on_axis(p, "self-energy")
-        return InteractionResult(pref * kernels.hole_onaxis_g1(p.z, self.R), None, 0.0)
+            return self._solid(r, r_src).g(r, r_src, spec)
+        return analytic.plate_hole_g(r, r_src, self.R)
 
-    def pair_energy(self, a: Charge, b: Charge, spec: QuadratureSpec) -> InteractionResult:
-        ra, rb = a.position, b.position
-        pref = a.q * b.q / epsilon_0
+    def g1(self, r: Point3, spec: QuadratureSpec) -> GreensValue:
+        if r.z == 0.0 and r.rho >= self.R:
+            raise OnSurfaceError("plate self-term: charge on the plate")
         if self.R == 0.0:
-            for q in (a, b):
-                if q.position.z == 0.0:
-                    raise OnPlateError("pair_energy: charge on the plate")
-            if ra.z * rb.z < 0.0:
-                return InteractionResult(0.0, 0.0, 0.0)
-            field, src = (ra, rb) if rb.z > 0.0 else (ra.mirror_z(), rb.mirror_z())
-            g = analytic.half_space_g(field, src, 1.0, PERFECT_CONDUCTOR)
-            return self._pair_result(pref * g.value, 0.0, a, b)
-        g = analytic.plate_hole_g(ra, rb, self.R)
-        return self._pair_result(pref * g.value, abs(pref) * g.abs_err, a, b)
+            return self._solid(r).g1(r, spec)
+        self._on_axis(r, "self-energy")
+        return GreensValue(kernels.hole_onaxis_g1(r.z, self.R))
 
-    def closed_force(self, a: Charge, b: Optional[Charge],
-                     spec: QuadratureSpec) -> np.ndarray:
-        p = a.position
+    def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
         if self.R == 0.0:
-            # the image forms of a grounded plane, from above; nothing crosses it
-            if b is not None and b.position.z == 0.0:
-                raise OnPlateError("force_on_A: charge on the plate")
-            if p.z > 0.0:
-                return _SOLID_PLATE.closed_force(a, b, spec)
+            return self._solid(r, r_src).grad_g(r, r_src, spec)
+        return analytic.plate_hole_grad(r, r_src, self.R)
 
-            def mirror(q):
-                return None if q is None else Charge(q.q, q.position.mirror_z())
-
-            fx, fy, fz = _SOLID_PLATE.closed_force(mirror(a), mirror(b), spec)
-            return np.array([fx, fy, -fz])
-        if b is not None:
-            pref = -a.q * b.q / epsilon_0
-            return np.array([pref * c for c in analytic.plate_hole_grad(p, b.position, self.R)])
-        self._on_axis(p, "self-force")
-        return np.array([0.0, 0.0, -a.q * a.q / (2.0 * epsilon_0)
-                         * kernels.hole_onaxis_dg1(p.z, self.R)])
+    def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
+        if self.R == 0.0:
+            return self._solid(r).grad_g1(r, spec)
+        self._on_axis(r, "self-force")
+        return 0.0, 0.0, kernels.hole_onaxis_dg1(r.z, self.R)
 
 
-# the solid plate (R = 0) is the grounded plane, seen from above
-_SOLID_PLATE = HalfSpace(1.0, PERFECT_CONDUCTOR)
+# the grounded plane with vacuum above it, and with vacuum below it
+_GROUNDED_BELOW = HalfSpace(1.0, PERFECT_CONDUCTOR)
+_GROUNDED_ABOVE = HalfSpace(PERFECT_CONDUCTOR, 1.0)
 
 # the geometries' physics; analytic and cavity import this module, so they come last
 from . import analytic, cavity, kernels  # noqa: E402

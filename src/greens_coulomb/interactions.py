@@ -1,16 +1,18 @@
-"""Physical observables on top of the Green's functions.
+"""Physical observables from the Green's function of a geometry.
 
-Single-charge self-energies (interaction with the induced surface
-polarization), two-charge interaction energies, and forces. Each geometry
-computes these from its own Green's function (`core.Geometry`); the entry
-points here check what is common to all of them and delegate. Energies are
+Every geometry supplies g, g1 and their gradients (`core.Geometry`); the
+three entry points here are the only place where charges and eps0 enter:
+
+* self-energy U1 = q^2/(2 eps0) g1(r, r), the interaction of one charge
+  with the polarization it induces on the surfaces;
+* pair energy U = qA qB/eps0 g(rA, rB);
+* force F = -grad_A U, from the gradient of g (pair) or of r -> g1(r, r)
+  (self).
+
+Forces are therefore exact up to roundoff in closed form and follow `spec`
+where the Green's function is a quadrature or an octree sum. Energies are
 reported uncorrected; the real-cavity local-field factor 3 eps/(2 eps + 1)
 multiplies forces only, and only on request.
-
-Every force is minus the gradient of the energy, taken from the gradient
-of the geometry's Green's function (`Geometry.closed_force`), so forces are
-exact up to roundoff in closed form and follow `spec` where the Green's
-function is a quadrature or an octree sum.
 """
 
 from __future__ import annotations
@@ -20,15 +22,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.constants import epsilon_0
 
 from .core import (
     DEFAULT_QUADRATURE,
-    FOUR_PI_EPS0,
     Charge,
     CoincidentPointsError,
     DomainError,
     Geometry,
-    InteractionResult,
     OnSurfaceError,
     OutOfRegionError,
     QuadratureSpec,
@@ -38,6 +39,24 @@ from .core import (
     finite_eps,
     is_conductor,
 )
+
+FOUR_PI_EPS0 = 4.0 * math.pi * epsilon_0
+
+
+@dataclass(frozen=True)
+class InteractionResult:
+    """Energy in joules, its numerical abs_err, and ratio_to_free = U / U_free.
+
+    U_free = qA qB / (4 pi eps0 eps |rA - rB|) is the energy of the pair in a
+    uniform medium of the permittivity eps that hosts both charges. The ratio
+    is defined when host_eps(rA) == host_eps(rB), that value is not None (no
+    charge sits in a conductor), the distance is finite and qA qB != 0;
+    otherwise, and for self-energies, it is None.
+    """
+
+    energy: float
+    ratio_to_free: Optional[float]
+    abs_err: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -60,15 +79,30 @@ def local_field_factor(eps_host: float) -> float:
 def self_energy(geom: Geometry, a: Charge,
                 spec: QuadratureSpec = DEFAULT_QUADRATURE) -> InteractionResult:
     """U1 = q^2/(2 eps0) * g1(r, r); the free-space divergence is subtracted."""
-    return geom.self_energy(a, spec)
+    g1 = geom.g1(a.position, spec)
+    pref = a.q * a.q / (2.0 * epsilon_0)
+    return InteractionResult(pref * g1.value, None, abs(pref) * g1.abs_err)
 
 
 def pair_energy(geom: Geometry, a: Charge, b: Charge,
                 spec: QuadratureSpec = DEFAULT_QUADRATURE) -> InteractionResult:
     """U = qA qB / eps0 * g(rA, rB) for distinct points."""
-    if a.position == b.position:
+    ra, rb = a.position, b.position
+    if ra == rb:
         raise CoincidentPointsError("pair_energy: charges coincide")
-    return geom.pair_energy(a, b, spec)
+    g = geom.g(ra, rb, spec)
+    qq = a.q * b.q
+    pref = qq / epsilon_0
+    # here and in the ratio, + 0.0 turns the -0.0 of a screened pair of
+    # opposite charges into 0.0
+    energy = pref * g.value + 0.0
+    ratio = None
+    eps = geom.host_eps(ra)
+    dist = distance(ra, rb)
+    # U_free = 0 at an infinite separation or a zero (or underflowing) product
+    if eps is not None and eps == geom.host_eps(rb) and math.isfinite(dist) and qq != 0.0:
+        ratio = energy * FOUR_PI_EPS0 * eps * dist / qq + 0.0
+    return InteractionResult(energy, ratio, abs(pref) * g.abs_err)
 
 
 # ---------------------------------------------------------------------------
@@ -80,19 +114,25 @@ def force_on_A(geom: Geometry, a: Charge, b: Optional[Charge] = None,
                spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ForceResult:
     """Force on charge A: -grad_A of the pair energy (b given) or self-energy.
 
-    The geometry differentiates its own Green's function (see
-    `Geometry.closed_force`), to the tolerances of `spec`; a force that
+    The gradient comes from the geometry's Green's function (`grad_g`, or
+    `grad_g1` for the self-force), to the tolerances of `spec`; a force that
     overflows float64 is a DomainError.
     """
     p = a.position
     if geom.surface_distance(p) == 0.0:
         raise OnSurfaceError(f"charge at {p} sits on a material surface")
-    if b is not None and p == b.position:
-        raise CoincidentPointsError("force_on_A: charges coincide")
-    if b is not None and not math.isfinite(distance(p, b.position)):
-        raise DomainError("force_on_A: the charges are too far apart for float64")
-
-    force = geom.closed_force(a, b, spec)
+    if b is None:
+        pref = a.q * a.q / (2.0 * epsilon_0)
+        grad = geom.grad_g1(p, spec)
+    else:
+        if p == b.position:
+            raise CoincidentPointsError("force_on_A: charges coincide")
+        if not math.isfinite(distance(p, b.position)):
+            raise DomainError("force_on_A: the charges are too far apart for float64")
+        pref = a.q * b.q / epsilon_0
+        grad = geom.grad_g(p, b.position, spec)
+    # 0.0 - x rather than -x, so that a component that vanishes is +0.0
+    force = np.array([0.0 - pref * c for c in grad])
     factor = 1.0
     if apply_local_field:
         eps_here = geom.host_eps(p)

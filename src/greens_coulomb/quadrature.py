@@ -178,8 +178,10 @@ def _alternating_start(p: np.ndarray, tiny: float) -> int:
     """Index from which the panel signs strictly alternate up to the last panel,
     p.size if the last two do not; a panel of size <= tiny breaks the run."""
     big = ~(np.abs(p) <= tiny)  # the scalar scan's test, so NaN compares alike
-    # alternates[j]: panels j and j + 1 are both above tiny and of opposite sign
-    alternates = big[1:] & big[:-1] & (p[1:] * p[:-1] < 0.0)
+    # alternates[j]: panels j and j + 1 are both above tiny and of opposite sign;
+    # a product that overflows to +-inf keeps its sign
+    with np.errstate(over="ignore"):
+        alternates = big[1:] & big[:-1] & (p[1:] * p[:-1] < 0.0)
     if not (alternates.size and alternates[-1]):
         return p.size
     broken = np.flatnonzero(~alternates)

@@ -15,19 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 from scipy.constants import epsilon_0
 
 from . import kernels
+from .analytic import free_space_grad
 from .core import (
     DEFAULT_QUADRATURE,
-    FOUR_PI_EPS0,
-    Charge,
     DomainError,
     Geometry,
-    InteractionResult,
+    Gradient,
+    GreensValue,
     Point3,
     QuadratureSpec,
     UnsupportedGeometryError,
@@ -91,25 +90,23 @@ class NonlocalBulk(Geometry):
     def surface_distance(self, p: Point3) -> float:
         return math.inf
 
-    def self_energy(self, a: Charge, spec: QuadratureSpec) -> InteractionResult:
+    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> GreensValue:
+        """exp(-k_s r) / (4 pi eps_b r), the Yukawa form of screened_potential."""
+        p = self.drude
+        dist = distance(r, r_src)
+        return GreensValue(math.exp(-p.k_s * dist) / (4.0 * math.pi * p.eps_b * dist))
+
+    def g1(self, r: Point3, spec: QuadratureSpec) -> GreensValue:
         raise UnsupportedGeometryError(
             "coincident self-energy diverges in a nonlocal bulk medium")
 
-    def pair_energy(self, a: Charge, b: Charge, spec: QuadratureSpec) -> InteractionResult:
-        u = screened_potential(distance(a.position, b.position), a.q, b.q, self.drude)
-        return self._pair_result(u, 0.0, a, b)
+    def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
+        ksr = self.drude.k_s * distance(r, r_src)
+        return free_space_grad(r, r_src, self.drude.eps_b, math.exp(-ksr) * (1.0 + ksr))
 
-    def closed_force(self, a: Charge, b: Optional[Charge],
-                     spec: QuadratureSpec) -> np.ndarray:
-        if b is None:
-            raise UnsupportedGeometryError(
-                "self-force undefined in a nonlocal bulk (self-energy diverges)")
-        p = self.drude
-        rvec = a.position.vec() - b.position.vec()
-        r = distance(a.position, b.position)
-        mag = (a.q * b.q * math.exp(-p.k_s * r) * (1.0 + p.k_s * r)
-               / (FOUR_PI_EPS0 * p.eps_b * r * r * r))
-        return mag * rvec
+    def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
+        raise UnsupportedGeometryError(
+            "self-force undefined in a nonlocal bulk (self-energy diverges)")
 
 
 def eps_longitudinal_static(k: float, p: DrudeStatic) -> float:

@@ -10,6 +10,7 @@ from greens_coulomb.core import (
     Charge,
     CoincidentPointsError,
     FreeSpace,
+    Geometry,
     HalfSpace,
     OnPlateError,
     OnSurfaceError,
@@ -35,6 +36,24 @@ SPEC = QuadratureSpec()
 
 def q_at(z, q=QE, x=0.0, y=0.0):
     return Charge(q, Point3(x, y, z))
+
+
+GEOMETRIES = (FreeSpace, HalfSpace, ThreeLayerCavity, PlateWithHole, NonlocalBulk, DiluteBody)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_geometry_gives_only_its_greens_function():
+    # energies and forces are formed in interactions alone
+    for cls in set(GEOMETRIES) | set(_subclasses(Geometry)):
+        for name in ("g", "g1", "grad_g", "grad_g1", "host_eps", "surface_distance"):
+            assert callable(getattr(cls, name, None)), f"{cls.__name__} lacks {name}"
+        for name in ("self_energy", "pair_energy", "closed_force"):
+            assert not hasattr(cls, name), f"{cls.__name__} defines {name}"
 
 
 class TestLocalFieldFactor:
@@ -130,6 +149,21 @@ class TestPairEnergy:
         exact = QE ** 2 / (2 * math.pi * epsilon_0 * (e1 + e2) * 2.0)
         assert math.isclose(got.energy, exact, rel_tol=1e-12)
         assert got.ratio_to_free is None  # different media
+
+    def test_same_side_image_where_the_heights_multiply_to_zero(self):
+        # 2^-700 * 2^-699 underflows to 0; the pair is still on one side
+        geom = HalfSpace(1.0, 4.0)
+        s = 2.0 ** -700
+        tiny = pair_energy(geom, q_at(s), q_at(2 * s, x=s)).energy
+        unit = pair_energy(geom, q_at(1.0), q_at(2.0, x=1.0)).energy
+        assert math.isclose(tiny * s, unit, rel_tol=1e-15)
+
+    def test_ratio_defined_where_one_medium_hosts_both(self):
+        # equal permittivities on both sides are one uniform medium
+        got = pair_energy(HalfSpace(3.0, 3.0), q_at(0.4, x=0.2), q_at(-0.9))
+        assert math.isclose(got.ratio_to_free, 1.0, rel_tol=1e-15)
+        assert pair_energy(HalfSpace(3.0, 5.0), q_at(0.4), q_at(-0.9)).ratio_to_free is None
+        assert pair_energy(HalfSpace(3.0, PC), q_at(0.4), q_at(-0.9)).ratio_to_free is None
 
     def test_cavity_large_separation_ratio(self):
         d = 1.0

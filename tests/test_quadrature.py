@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,18 @@ def test_alternating_start_matches_loop():
         scale = float(np.max(np.abs(p))) if p.size else 0.0
         for tiny in (1e-16 * scale, 0.0):
             assert quadrature._alternating_start(p, tiny) == _ref_alternating_start(p, tiny)
+
+
+@pytest.mark.parametrize("e", [520, 1000])
+def test_huge_integrand_scales_exactly_without_warning(e):
+    # neighbouring panels near 2^520 multiply past float64's range in the
+    # alternation scan; the overflowed product keeps its sign
+    base = hankel_integral(lambda k: np.exp(-k), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hankel_integral(lambda k: 2.0 ** e * np.exp(-k), 1.0)
+    assert got.value == 2.0 ** e * base.value
+    assert got.abs_err == 2.0 ** e * base.abs_err
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,18 @@ def aperture_pair(R, scale):
                         {"q": -2e-19, "position": [-0.1 * scale, 0.1 * scale, 0.2 * scale]}]}
 
 
+def axis_pair(geometry):
+    """Two charges on the z axis at heights 2e-160 and 1e-160 m."""
+    return {"geometry": geometry,
+            "charges": [{"q": 1.0, "unit": "e", "position": [0.0, 0.0, 2e-160]},
+                        {"q": 1.0, "unit": "e", "position": [0.0, 0.0, 1e-160]}]}
+
+
+TINY_GAPS = [{"type": "cavity", "eps1": 4.0, "eps2": 1.0, "eps3": 8.0, "d": 1e-6},
+             {"type": "cavity", "eps1": "conductor", "eps2": 1.0, "eps3": "conductor",
+              "d": 1e-6}]
+
+
 def strict_json(text):
     """json.loads that rejects NaN and Infinity, as json.dumps(allow_nan=False) would."""
     def reject(name):
@@ -268,6 +280,21 @@ class TestCliCommands:
                                      {"q": 1.0, "unit": "e",
                                       "position": [0.3000000003, -0.2, 0.3]}]},
          {"units": "si"}),
+    ] + [
+        # a force ~ 1/r^2 at r = 1e-160 overflows; r * r * r underflowed to 0
+        # (ZeroDivisionError) or numpy warned on the way to inf
+        ("force", axis_pair(geometry), None) for geometry in [
+            {"type": "free_space"}, HALF_SPACE,
+            {"type": "nonlocal_bulk", "drude": {"omega_p": 8e15, "omega_p_bound": 9e15,
+                                                "omega_0": 4e15, "beta": 9e5}},
+            {"type": "plate_with_hole", "R": 0.0},
+            {"type": "dilute_body", "alpha": 1e-40, "half_space_eta": 1e27},
+            {"type": "dilute_body", "alpha": 1e-40,
+             "regions": [{"box": [-1e-9, 1e-9, -1e-9, 1e-9, -2e-9, -1e-9], "eta": 1e27}]},
+        ] + TINY_GAPS
+    ] + [
+        # the energy ~ 1/r is finite; the panel scan's products overflowed with a warning
+        ("pair-energy", axis_pair(geometry), {"units": "si"}) for geometry in TINY_GAPS
     ])
     def test_extreme_inputs_finite_json_or_exit_2(self, tmp_path, capsys, command, doc,
                                                   expect):
