@@ -139,8 +139,11 @@ def force_on_A(geom: Geometry, a: Charge, b: Optional[Charge] = None,
         if eps_here is None:
             raise OutOfRegionError("force_on_A: charge inside a conductor")
         factor = local_field_factor(eps_here)
-    if not all(map(math.isfinite, force)):
-        raise DomainError(f"force_on_A: the force {force.tolist()} overflows float64")
+    overflow = [axis for axis, c in zip("xyz", force) if not math.isfinite(c)]
+    if overflow:
+        # inf - inf makes a NaN, so name the components rather than print them
+        raise DomainError(f"force_on_A: the force overflows float64 in its "
+                          f"{', '.join(overflow)} component{'s' if len(overflow) > 1 else ''}")
     return ForceResult(force=factor * force, local_field_factor_applied=factor)
 
 

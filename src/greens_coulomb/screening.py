@@ -94,19 +94,26 @@ class NonlocalBulk(Geometry):
         """exp(-k_s r) / (4 pi eps_b r), the Yukawa form of screened_potential."""
         p = self.drude
         dist = distance(r, r_src)
-        return GreensValue(math.exp(-p.k_s * dist) / (4.0 * math.pi * p.eps_b * dist))
+        return GreensValue(_yukawa(p.k_s, dist) / (4.0 * math.pi * p.eps_b * dist))
 
     def g1(self, r: Point3, spec: QuadratureSpec) -> GreensValue:
         raise UnsupportedGeometryError(
             "coincident self-energy diverges in a nonlocal bulk medium")
 
     def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
-        ksr = self.drude.k_s * distance(r, r_src)
-        return free_space_grad(r, r_src, self.drude.eps_b, math.exp(-ksr) * (1.0 + ksr))
+        k_s = self.drude.k_s
+        ksr = k_s * distance(r, r_src)
+        factor = math.exp(-ksr) * (1.0 + ksr) if k_s else 1.0
+        return free_space_grad(r, r_src, self.drude.eps_b, factor)
 
     def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
         raise UnsupportedGeometryError(
             "self-force undefined in a nonlocal bulk (self-energy diverges)")
+
+
+def _yukawa(k_s: float, r: float) -> float:
+    """exp(-k_s r); 1 without screening, also at r = inf, where k_s r is NaN."""
+    return math.exp(-k_s * r) if k_s else 1.0
 
 
 def eps_longitudinal_static(k: float, p: DrudeStatic) -> float:
@@ -120,7 +127,7 @@ def screened_potential(r: float, qA: float, qB: float, p: DrudeStatic) -> float:
     """Closed-form interaction qA qB exp(-k_s r) / (4 pi eps0 eps_b r), in joules."""
     if not (r > 0.0):
         raise DomainError(f"separation r must be > 0, got {r!r}")
-    return qA * qB * math.exp(-p.k_s * r) / (4.0 * math.pi * epsilon_0 * p.eps_b * r)
+    return qA * qB * _yukawa(p.k_s, r) / (4.0 * math.pi * epsilon_0 * p.eps_b * r)
 
 
 def screened_potential_numeric(r: float, qA: float, qB: float, p: DrudeStatic,

@@ -406,19 +406,26 @@ def _half_shells(field_pts, rel_tail: float):
     return boxes, tail_bound
 
 
+def box_octree(r1: Point3, r2: Point3, boxes, alpha: np.ndarray, rel_tol: float,
+               scale_hint: float = 0.0) -> GreensValue:
+    """int over the boxes of grad_x(1/|r1 - x|) . alpha . grad_x(1/|r2 - x|) d^3x
+    by the Born octree, also at r1 = r2, where the program takes a closed form."""
+    rv, rpv = np.array([r1.x, r1.y, r1.z]), np.array([r2.x, r2.y, r2.z])
+    return GreensValue(*born._adaptive_boxes(
+        lambda pts, w: kernels.alpha_chain_sum(pts, w, rv, rpv, alpha),
+        boxes, rel_tol, scale_hint=scale_hint))
+
+
 def half_space_octree(r1: Point3, r2: Point3, alpha: np.ndarray,
                       rel_tol: float) -> GreensValue:
     """int over z < 0 of grad_x(1/|r1 - x|) . alpha . grad_x(1/|r2 - x|) d^3x by the
     Born octree on half-cube shells; abs_err adds the truncated tail's bound."""
-    rv, rpv = np.array([r1.x, r1.y, r1.z]), np.array([r2.x, r2.y, r2.z])
     boxes, tail = _half_shells((r1, r2), 0.05 * rel_tol)
     alpha_scale = float(np.max(np.abs(alpha)))
     # scale_hint: the dominant pi/h magnitude of the isotropic integral
-    hint = alpha_scale * math.pi / min(r1.z, r2.z)
-    val, err = born._adaptive_boxes(
-        lambda pts, w: kernels.alpha_chain_sum(pts, w, rv, rpv, alpha),
-        boxes, rel_tol, scale_hint=hint)
-    return GreensValue(val, err + alpha_scale * tail)
+    got = box_octree(r1, r2, boxes, alpha, rel_tol,
+                     scale_hint=alpha_scale * math.pi / min(r1.z, r2.z))
+    return GreensValue(got.value, got.abs_err + alpha_scale * tail)
 
 
 def born_g1_prefactor(eta: float, eps_bg: float) -> float:
@@ -470,6 +477,25 @@ def check_born_anisotropic_pair() -> CheckResult:
     ratio = abs(got.value - pref * octree.value) / (got.abs_err + abs(pref) * octree.abs_err)
     return CheckResult("born_half_space_anisotropic_pair", ratio <= 1.0, ratio, 0.0, 1.0,
                        "|g1 - octree| / combined abs_err (<= 1); xz, yz != 0, eps_bg = 2")
+
+
+def check_born_box_self_closed_form() -> CheckResult:
+    # the box self-term's closed form against the octree on the same box: above
+    # a face centre, near an edge, near a corner and in the plane of a face
+    alpha = _BORN_ALPHA * np.array([[2.0, 0.3, 0.7], [0.3, 1.0, -0.5], [0.7, -0.5, 1.5]])
+    box = born.Box(-_BORN_H, _BORN_H, -_BORN_H, _BORN_H, -2.0 * _BORN_H, -_BORN_H)
+    body = born.DiluteBody(alpha=born.PolarizabilityTensor.from_matrix(alpha),
+                           regions=(born.DensityRegion(box, _BORN_ETA),), background_eps=2.0)
+    pref = born_g1_prefactor(_BORN_ETA, 2.0)
+    worst = 0.0
+    for x, y, z in ((0.0, 0.0, -0.8), (1.05, 0.3, -0.95), (1.1, 1.1, -0.9), (1.3, 0.2, -1.0)):
+        p = Point3(x * _BORN_H, y * _BORN_H, z * _BORN_H)
+        got = born.born_scattering_g1(p, p, body)
+        octree = box_octree(p, p, [box], alpha, _BORN_REL_TOL)
+        worst = max(worst, abs(got.value - pref * octree.value)
+                    / (got.abs_err + abs(pref) * octree.abs_err))
+    return CheckResult("born_box_self_closed_form", worst <= 1.0, worst, 0.0, 1.0,
+                       "worst |g1 - octree| / combined abs_err (<= 1) at 4 points")
 
 
 def check_local_field_80() -> CheckResult:
@@ -743,6 +769,7 @@ SUITES["all"] = SUITES["limits"] + SUITES["quadrature"] + [
     check_born_closed_form,
     check_born_vs_linearized,
     check_born_anisotropic_pair,
+    check_born_box_self_closed_form,
     check_local_field_80,
     check_reciprocity_closed,
     check_reciprocity_quadrature,

@@ -1,6 +1,7 @@
 import math
 from decimal import Decimal, localcontext
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,3 +296,172 @@ class TestHalfSpaceClosedForm:
             born_scattering_g1(Point3(0, 0, 0.0), Point3(0, 0, 1e-9), body)
         with pytest.raises(PointInsideBodyError):
             charge_body_energy(Charge(QE, Point3(1e-9, 0, 0.0)), body)
+
+
+def _box_integral_50(box, r, a, dps=100):
+    """int over the box of s.alpha.s / s^6, s = x - r, by the face sums of
+    1/s^4 = -div(s/s^4) and s_i s_j / s^6 = [d_i d_j (1/s^2) + 2 delta_ij / s^4] / 8
+    in their textbook form, which divides by t^2; at `dps` digits the
+    cancellation leaves well over 50."""
+    with mp.workdps(max(dps, mp.mp.dps)):
+        lo = [mp.mpf(b) - mp.mpf(c) for b, c in zip((box.x0, box.y0, box.z0), r)]
+        hi = [mp.mpf(b) - mp.mpf(c) for b, c in zip((box.x1, box.y1, box.z1), r)]
+        A = [[mp.mpf(float(v)) for v in row] for row in a]
+        trace = A[0][0] + A[1][1] + A[2][2]
+
+        def arc(l0, l1, b):  # int dl / (l^2 + b^2)
+            return 1 / l0 - 1 / l1 if b == 0 else (mp.atan(l1 / b) - mp.atan(l0 / b)) / b
+
+        total = mp.mpf(0)
+        for m in range(3):
+            u, v = (m + 1) % 3, (m + 2) % 3
+            for sign, t in ((-1, lo[m]), (1, hi[m])):
+                # t int dA / s^4 over the face: sum over edges of d atan(l/a)/(2 t a);
+                # 0 at t = 0, where the foot is off the face
+                tk = mp.mpf(0)
+                if t != 0:
+                    for w, l0, l1 in ((u, lo[v], hi[v]), (v, lo[u], hi[u])):
+                        for d in (-lo[w], hi[w]):
+                            tk += d * arc(l0, l1, mp.sqrt(d * d + t * t)) / (2 * t)
+                ku, kv = (sum(-side * arc(lo[o], hi[o], mp.sqrt(e * e + t * t)) / 2
+                              for side, e in ((-1, lo[w]), (1, hi[w])))
+                          for w, o in ((u, v), (v, u)))
+                total -= sign * ((A[m][m] + trace) * tk + A[m][u] * ku + A[m][v] * kv) / 4
+        return total
+
+
+def _box_grad_50(box, r, a):
+    """Central differences of _box_integral_50 at 160 digits, step 1e-30
+    (below 1e-16 of the distance to the box for every point tested)."""
+    with mp.workdps(160):
+        def along(m):
+            return lambda x: _box_integral_50(box, [x if i == m else r[i] for i in range(3)], a)
+        return [mp.diff(along(m), mp.mpf(r[m]), h=mp.mpf("1e-30")) for m in range(3)]
+
+
+UNIT_BOX = Box(-1.0, 1.0, -1.0, 1.0, -2.0, -1.0)
+FULL = np.array([[2.0, 0.3, -0.4], [0.3, 1.0, 0.2], [-0.4, 0.2, 1.5]])
+# field points against UNIT_BOX, whose top face is z = -1
+BOX_POINTS = {
+    "0.2_above_face_centre": (0.0, 0.0, -0.8),
+    "1e-9_above_face": (0.1, 0.2, -1.0 + 1e-9),
+    "in_face_plane_beside": (1.3, 0.2, -1.0),
+    "on_edge_line_beyond": (1.0, 3.0, -1.0),
+    "near_edge": (1.0 + 1e-7, 0.3, -1.0 + 2e-7),
+    "near_corner": (1.0 + 1e-7, 1.0 + 2e-7, -1.0 + 3e-8),
+    "below": (0.3, 0.2, -2.5),
+    "ten_sizes_away": (10.0, 10.0, 10.0),
+}
+
+
+class TestBoxSelfClosedForm:
+    """The closed-form box self-term against 50-digit references and the octree."""
+
+    @pytest.mark.parametrize("tensor", ["iso", "full"])
+    @pytest.mark.parametrize("name", sorted(BOX_POINTS))
+    def test_value_within_abs_err(self, name, tensor):
+        a = {"iso": np.eye(3), "full": FULL}[tensor]
+        r = BOX_POINTS[name]
+        val, err = born._box_self_integral(UNIT_BOX, Point3(*r), a)
+        exact = _box_integral_50(UNIT_BOX, r, a)
+        assert abs(mp.mpf(val) - exact) <= err <= 1e-10 * abs(val)
+
+    @pytest.mark.parametrize("name", sorted(BOX_POINTS))
+    def test_gradient_within_bound(self, name):
+        r = BOX_POINTS[name]
+        grad, err = born._box_self_grad(UNIT_BOX, Point3(*r), FULL)
+        exact = _box_grad_50(UNIT_BOX, r, FULL)
+        assert max(abs(mp.mpf(g) - x) for g, x in zip(grad, exact)) <= err
+        assert err <= 1e-10 * math.hypot(*grad)
+
+    def test_random_points_within_abs_err(self):
+        # a box off the origin, points from 1e-12 to 5 box sizes off each face,
+        # edge and corner region, and on the planes of the faces; the gradient
+        # at every fourth
+        rng = np.random.default_rng(2)
+        box = Box(3.0, 3.5, -1.0, 0.25, 0.5, 1.25)
+        lo, hi = np.array([3.0, -1.0, 0.5]), np.array([3.5, 0.25, 1.25])
+        a = FULL @ FULL
+        for i in range(60):
+            r = rng.uniform(lo - 1.0, hi + 1.0)
+            for axis in rng.permutation(3)[:rng.integers(1, 4)]:
+                side = rng.choice([lo[axis], hi[axis]])
+                off = 0.0 if i % 7 == 0 else 10.0 ** rng.uniform(-12, 0.7)
+                r[axis] = side + (off if side == hi[axis] else -off)
+            p = Point3(*r)
+            if box.contains(p):
+                continue
+            val, err = born._box_self_integral(box, p, a)
+            assert abs(mp.mpf(val) - _box_integral_50(box, r, a)) <= err
+            if i % 4 == 0:
+                grad, err = born._box_self_grad(box, p, a)
+                exact = _box_grad_50(box, r, a)
+                assert max(abs(mp.mpf(g) - x) for g, x in zip(grad, exact)) <= err
+
+    def test_far_points_hand_over_to_the_octree(self):
+        # the face terms cancel: at 100 box sizes the bound exceeds the
+        # default rel_tol, and born_scattering_g1 is the octree's sum
+        body = DiluteBody(alpha=PolarizabilityTensor.from_matrix(ALPHA * FULL),
+                          regions=(DensityRegion(UNIT_BOX, 1e27),), background_eps=2.5)
+        near, far = Point3(10.0, 10.0, 10.0), Point3(100.0, 50.0, 60.0)
+        pref = validate.born_g1_prefactor(1e27, 2.5)
+        for p, closed in ((near, True), (far, False)):
+            val, err = born._box_self_integral(UNIT_BOX, p, body.alpha.matrix)
+            assert (err <= 1e-10 * abs(val)) == closed
+            got = born_scattering_g1(p, p, body)
+            octree = validate.box_octree(p, p, [UNIT_BOX], body.alpha.matrix, 1e-10)
+            exact = _box_integral_50(UNIT_BOX, (p.x, p.y, p.z), ALPHA * FULL)
+            # the octree's abs_err counts no roundoff, about 1e-16 of a far point's value
+            floor = 0.0 if closed else 1e-15 * abs(got.value)
+            assert abs(mp.mpf(got.value) - pref * exact) <= got.abs_err + floor
+            if not closed:
+                assert got.value == pytest.approx(pref * octree.value, rel=1e-14)
+                assert got.abs_err == pytest.approx(abs(pref) * octree.abs_err, rel=1e-14)
+
+    def test_lengths_beyond_float64_hand_over_to_the_octree(self):
+        # 1e-200 above a face the gradient's 1/t^2 underflows to a division by
+        # zero, and 1e-320 above it the value's 1/t overflows to inf; a box of
+        # 1e-300 seen from 1e10 overflows once divided by its side
+        alpha = np.eye(3)
+        slab = Box(-1.0, 1.0, -1.0, 1.0, -1.0, 0.0)
+        assert born._closed_form(born._box_self_grad, slab, Point3(0, 0, 1e-200), alpha) is None
+        assert born._closed_form(born._box_self_integral, slab, Point3(0, 0, 1e-320),
+                                 alpha) is None
+        speck = Box(0.0, 1e-300, 0.0, 1e-300, 0.0, 1e-300)
+        assert born._closed_form(born._box_self_integral, speck, Point3(1e10, 0, 0),
+                                 alpha) is None
+        body = DiluteBody(alpha=ISO, regions=(DensityRegion(speck, 1e27),))
+        got = born_scattering_g1(Point3(1e10, 0, 0), Point3(1e10, 0, 0), body)
+        assert got.value == 0.0 and got.abs_err == 0.0
+
+    def test_anisotropic_background_eps_matches_octree(self):
+        body = DiluteBody(alpha=PolarizabilityTensor.from_matrix(ALPHA * FULL),
+                          regions=(DensityRegion(UNIT_BOX, 1e27),), background_eps=2.5)
+        pref = validate.born_g1_prefactor(1e27, 2.5)
+        for r in ((0.0, 0.0, -0.8), (1.2, 0.3, -1.3), (1.1, 1.2, -0.9)):
+            p = Point3(*r)
+            got = born_scattering_g1(p, p, body)
+            octree = validate.box_octree(p, p, [UNIT_BOX], body.alpha.matrix, 1e-8)
+            assert abs(got.value - pref * octree.value) <= (got.abs_err
+                                                            + abs(pref) * octree.abs_err)
+            exact = _box_integral_50(UNIT_BOX, r, ALPHA * FULL)
+            assert abs(mp.mpf(got.value) - pref * exact) <= got.abs_err
+            u = charge_body_energy(Charge(QE, p), body)
+            assert u.value == pytest.approx(QE ** 2 / (2 * epsilon_0) * got.value, rel=1e-14)
+
+    @pytest.mark.parametrize("r", [(0.0, 0.0, -0.8), (1.2, 0.3, -1.3), (1.1, 1.2, -0.9)])
+    def test_self_force_matches_octree_and_difference(self, r):
+        body = DiluteBody(alpha=PolarizabilityTensor.from_matrix(ALPHA * FULL),
+                          regions=(DensityRegion(UNIT_BOX, 1e27),), background_eps=2.5)
+        p = Point3(*r)
+        grad = np.array(body.grad_g1(p, SPEC))
+        octree = 2.0 * np.array(born.born_scattering_grad(p, p, body, QuadratureSpec(1e-8)))
+        assert np.linalg.norm(grad - octree) <= 1e-6 * np.linalg.norm(grad)
+        h = 1e-6
+        for m in range(3):
+            step = np.eye(3)[m] * h
+            diff = (born_scattering_g1(Point3(*(np.array(r) + step)),
+                                       Point3(*(np.array(r) + step)), body).value
+                    - born_scattering_g1(Point3(*(np.array(r) - step)),
+                                         Point3(*(np.array(r) - step)), body).value) / (2 * h)
+            assert abs(grad[m] - diff) <= 1e-8 * np.linalg.norm(grad)

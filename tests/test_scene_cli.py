@@ -208,18 +208,37 @@ class TestCliCommands:
         assert code == 3
         assert "hankel_integral" in err  # names the originating module
 
+    BIG_BOX = {"type": "dilute_body", "alpha": 1e-40,
+               "regions": [{"box": [-1.0, 1.0, -1.0, 1.0, -2.0, -1.0], "eta": 1e3}]}
+
     def test_born_depth_cap_exit_3(self, tmp_path, capsys):
-        # 1 mm above a face of a 2 m box the octree needs cells finer than
-        # its depth cap of 12
-        doc = {"geometry": {"type": "dilute_body", "alpha": 1e-40,
-                            "regions": [{"box": [-1.0, 1.0, -1.0, 1.0, -2.0, -1.0],
-                                         "eta": 1e3}]},
+        # for a pair 1 mm above a face of a 2 m box the octree needs cells
+        # finer than its depth cap of 12
+        doc = {"geometry": self.BIG_BOX,
+               "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, -0.999]},
+                           {"q": 1.0, "unit": "e", "position": [0.001, 0, -0.999]}]}
+        scene = write_scene(tmp_path, doc)
+        assert main(["pair-energy", "--scene", scene]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "12 cells" in err and "depth cap 12" in err
+        assert "diff/budget" in err
+
+    def test_born_self_terms_near_a_large_box(self, tmp_path, capsys):
+        # the self-energy and self-force in closed form, where the octree hits
+        # its depth cap: 1 mm above the face they are within 1% of the
+        # half-space's -q^2 eta alpha / (32 pi eps0^2 h) and its h-derivative
+        doc = {"geometry": self.BIG_BOX,
                "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, -0.999]}]}
         scene = write_scene(tmp_path, doc)
-        assert main(["self-energy", "--scene", scene]) == 3
-        out, err = capsys.readouterr()
-        assert out == "" and "20 cells" in err and "depth cap 12" in err
-        assert "diff/budget" in err
+        half_space = -QE ** 2 * 1e3 * 1e-40 / (32 * math.pi * epsilon_0 ** 2 * 1e-3)
+        assert main(["self-energy", "--scene", scene]) == 0
+        rec = strict_json(capsys.readouterr().out)
+        assert rec["U_joules"] == pytest.approx(half_space, rel=1e-2)
+        assert 0.0 < rec["abs_err"] <= 1e-14 * abs(rec["U_joules"])
+        assert main(["force", "--scene", scene]) == 0
+        force = strict_json(capsys.readouterr().out)["F_newtons"]
+        assert force[2] == pytest.approx(half_space / 1e-3, rel=1e-2)
+        assert abs(force[0]) + abs(force[1]) <= 1e-12 * abs(force[2])
 
     @pytest.mark.parametrize("alpha", [
         True,
@@ -311,6 +330,21 @@ class TestCliCommands:
             assert code == 0 and err == ""
             rec = strict_json(out)
             assert {k: rec[k] for k in expect} == expect
+
+    def test_unscreened_bulk_far_pair_is_free_space(self, tmp_path, capsys):
+        # with omega_p = 0 and a separation of 2e308, k_s r is 0 * inf = NaN
+        doc = far_pair(1e308)
+        doc["geometry"] = {"type": "nonlocal_bulk", "drude": {
+            "omega_p": 0.0, "omega_p_bound": 9e15, "omega_0": 4e15, "beta": 9e5}}
+        assert main(["pair-energy", "--scene", write_scene(tmp_path, doc)]) == 0
+        rec = strict_json(capsys.readouterr().out)
+        assert (rec["U_joules"], rec["ratio_to_free"]) == (0.0, None)
+
+    def test_force_overflow_names_components(self, tmp_path, capsys):
+        # the direct and image terms overflow with opposite signs, and inf - inf is nan
+        assert main(["force", "--scene", write_scene(tmp_path, axis_pair(HALF_SPACE))]) == 2
+        err = capsys.readouterr().err
+        assert "overflows float64 in its z component" in err and "nan" not in err
 
     def test_gap_pair_subnormal_offset_matches_axis(self, tmp_path, capsys):
         recs = []

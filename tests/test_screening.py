@@ -69,10 +69,11 @@ class TestPermittivity:
 class TestScreenedPotential:
     def test_unscreened_when_no_free_carriers(self):
         p = DrudeStatic(omega_p=0.0, omega_p_bound=9e15, omega_0=4e15, beta=9e5)
-        r = 1e-9
-        assert math.isclose(screened_potential(r, QE, QE, p),
-                            QE * QE / (4 * math.pi * epsilon_0 * p.eps_b * r),
-                            rel_tol=1e-15)
+        # at r = inf, k_s r = 0 * inf must not make the potential NaN
+        for r in (1e-9, math.inf):
+            assert math.isclose(screened_potential(r, QE, QE, p),
+                                QE * QE / (4 * math.pi * epsilon_0 * p.eps_b * r),
+                                rel_tol=1e-15)
 
     def test_yukawa_form_invariant(self):
         # U(r) * r * exp(k_s r) is constant
