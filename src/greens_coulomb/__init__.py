@@ -7,13 +7,7 @@ a first-order Born treatment of dilute polarizable bodies; and an
 independent finite-difference Poisson oracle for validation.
 """
 
-from .analytic import (
-    free_space_g,
-    half_space_g,
-    half_space_scattering_g1,
-    interface_reflection,
-    plate_hole_g,
-)
+from .analytic import free_space_g, plate_hole_g
 from .born import (
     Box,
     DensityRegion,
@@ -27,7 +21,6 @@ from .cavity import (
     CavityCoeffs,
     cavity_asymptotic,
     cavity_g_general,
-    cavity_g_midpoint,
     cavity_g_series,
     cavity_scattering_g1,
     reflection_coeffs,
@@ -42,7 +35,6 @@ from .core import (
     CoulombError,
     DomainError,
     FreeSpace,
-    GreensValue,
     HalfSpace,
     OnPlateError,
     OnSurfaceError,
@@ -58,7 +50,7 @@ from .core import (
     UnsupportedGeometryError,
     ValueWithError,
     distance,
-    mirror_z,
+    interface_reflection,
 )
 from .interactions import (
     ForceResult,
@@ -77,7 +69,6 @@ from .screening import (
     DrudeStatic,
     NonlocalBulk,
     eps_longitudinal_static,
-    screened_potential,
     screened_potential_numeric,
 )
 

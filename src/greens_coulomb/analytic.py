@@ -1,9 +1,10 @@
-"""Closed-form static Green's functions.
+"""Closed-form static Green's functions: the uniform medium and a grounded
+conducting plate with a circular aperture.
 
-Uniform medium, planar dielectric interface (image charge), and a grounded
-conducting plate with a circular aperture. The aperture solution comes from
-the Kelvin inversion of the conducting half-plane problem and degenerates to
-the solid-plate image formula as R -> 0 and to free space as R -> infinity.
+The aperture solution comes from the Kelvin inversion of the conducting
+half-plane problem and degenerates to the solid-plate image formula as
+R -> 0 and to free space as R -> infinity. The planar interface writes its
+own image and transmitted terms (`core.HalfSpace`).
 
 All values are exact up to roundoff, so abs_err = 0.
 """
@@ -17,27 +18,23 @@ from . import kernels
 from .core import (
     CoincidentPointsError,
     DomainError,
-    GreensValue,
     OnPlateError,
-    OutOfRegionError,
-    Permittivity,
     Point3,
+    ValueWithError,
     distance,
     finite_eps,
-    is_conductor,
-    validate_eps,
 )
 
 _FOUR_PI = 4.0 * math.pi
 
 
-def free_space_g(r: Point3, r_src: Point3, eps: float = 1.0) -> GreensValue:
+def free_space_g(r: Point3, r_src: Point3, eps: float = 1.0) -> ValueWithError:
     """g = 1 / (4 pi eps |r - r_src|)."""
     eps = finite_eps(eps)
     dist = distance(r, r_src)
     if dist == 0.0:
         raise CoincidentPointsError("free_space_g: r coincides with r_src")
-    return GreensValue(1.0 / (_FOUR_PI * eps * dist))
+    return ValueWithError(1.0 / (_FOUR_PI * eps * dist))
 
 
 def free_space_grad(r: Point3, r_src: Point3, eps: float = 1.0,
@@ -55,60 +52,6 @@ def free_space_grad(r: Point3, r_src: Point3, eps: float = 1.0,
     c = -scale / (_FOUR_PI * eps * dist)
     return (c * ((r.x - r_src.x) / dist) / dist, c * ((r.y - r_src.y) / dist) / dist,
             c * ((r.z - r_src.z) / dist) / dist)
-
-
-def interface_reflection(eps1: Permittivity, eps2: Permittivity) -> float:
-    """(eps1 - eps2) / (eps1 + eps2); -1 when medium 2 is a perfect conductor."""
-    if is_conductor(eps2):
-        return -1.0
-    if is_conductor(eps1):
-        return 1.0
-    e1, e2 = float(eps1), float(eps2)
-    return (e1 - e2) / (e1 + e2)
-
-
-def half_space_g(r: Point3, r_src: Point3, eps1: Permittivity,
-                 eps2: Permittivity) -> GreensValue:
-    """Green's function of two dielectric half-spaces joined at z = 0.
-
-    The source must sit in region 1 (z > 0). For z > 0 field points the
-    value is the direct kernel plus a single image reflected in the plane;
-    for z < 0 it is the transmitted kernel 2/(eps1 + eps2) * g0. Callers
-    with sources at z < 0 swap eps1 <-> eps2 and reflect both points first.
-    """
-    e1 = finite_eps(eps1, "eps1")
-    validate_eps(eps2, "eps2")
-    if not (r_src.z > 0.0):
-        raise OutOfRegionError(
-            "half_space_g: source must have z > 0 (mirror the configuration "
-            "and swap eps1/eps2 for sources below the interface)"
-        )
-    if r == r_src:
-        raise CoincidentPointsError("half_space_g: r coincides with r_src")
-
-    if r.z >= 0.0:
-        direct = 1.0 / (_FOUR_PI * distance(r, r_src))
-        image = 1.0 / (_FOUR_PI * distance(r, r_src.mirror_z()))
-        return GreensValue((direct + interface_reflection(eps1, eps2) * image) / e1)
-
-    if is_conductor(eps2):
-        return GreensValue(0.0)
-    trans = 2.0 / (e1 + float(eps2))
-    return GreensValue(trans / (_FOUR_PI * distance(r, r_src)))
-
-
-def half_space_scattering_g1(r: Point3, r_src: Point3, eps1: Permittivity,
-                             eps2: Permittivity) -> GreensValue:
-    """Reflected (image) part only; finite at coincident points.
-
-    Defined for field and source both in region 1.
-    """
-    e1 = finite_eps(eps1, "eps1")
-    validate_eps(eps2, "eps2")
-    if not (r_src.z > 0.0 and r.z > 0.0):
-        raise OutOfRegionError("half_space_scattering_g1: both points must have z > 0")
-    image_dist = distance(r, r_src.mirror_z())
-    return GreensValue(interface_reflection(eps1, eps2) / (_FOUR_PI * e1 * image_dist))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +89,7 @@ def _canonical_pair(r: Point3, r_src: Point3, R: float, where: str):
             R / L, L)
 
 
-def plate_hole_g(r: Point3, r_src: Point3, R: float) -> GreensValue:
+def plate_hole_g(r: Point3, r_src: Point3, R: float) -> ValueWithError:
     """Green's function of a grounded plate at z = 0 with an aperture of radius R.
 
     Both points go to the kernel in Cartesian form, and every distance comes
@@ -157,7 +100,7 @@ def plate_hole_g(r: Point3, r_src: Point3, R: float) -> GreensValue:
     if pair is None:
         return free_space_g(r, r_src)
     (x, y, z), (xp, yp, zp), R, L = pair
-    return GreensValue(kernels.hole_greens(x, y, z, xp, yp, zp, R) / L)
+    return ValueWithError(kernels.hole_greens(x, y, z, xp, yp, zp, R) / L)
 
 
 def plate_hole_grad(r: Point3, r_src: Point3, R: float) -> Tuple[float, float, float]:

@@ -2,11 +2,11 @@
 
 The body is a piecewise-constant number-density field (axis-aligned boxes,
 optionally the half-space z < 0) of molecules with a shared static
-polarizability tensor. Two entry points give the charge-body energy: the
-scattering correction to the Green's function contracted to the
-self-energy (`born_scattering_g1(r, r)`), and the pairwise charge-molecule
-potential integrated over the body (`charge_body_energy`). Both are the
-integral of s.alpha.s / s^6 and take the same routes.
+polarizability tensor. The charge-body energy is the self-energy of the
+scattering correction to the Green's function, `born_scattering_g1(r, r)`,
+the integral of s.alpha.s / s^6 over the body; `charge_body_energy`, the
+pairwise charge-molecule potential integrated over the body, is that
+self-energy.
 
 The half-space is integrated in closed form for any tensor
 (`_half_space_integral`). So is a box at coincident field points, by the
@@ -18,10 +18,10 @@ Gauss-Legendre per axis with dyadic refinement, evaluated one refinement
 level at a time: a level is a set of corner arrays, all its cells are split
 at once, and the integrand sees whole blocks of cells per call. Accepted
 cells are summed in the FIFO order of a cell-by-cell loop, so results are
-bit-reproducible; a cell still outside its budget at the depth cap is a
-ConvergenceError. Forces are gradients of the same integrals: of the closed
-forms (`_half_space_grad`, `_box_self_grad`) or under the integral sign in
-the octree (`born_scattering_grad`).
+bit-reproducible; a cell still outside its budget at the depth cap
+_MAX_DEPTH is a ConvergenceError. Forces are gradients of the same
+integrals: of the closed forms (`_half_space_grad`, `_box_self_grad`) or
+under the integral sign in the octree (`born_scattering_grad`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.constants import epsilon_0
 
-from . import kernels
+from . import interactions, kernels
 from .analytic import free_space_g, free_space_grad
 from .core import (
     DEFAULT_QUADRATURE,
@@ -45,7 +45,6 @@ from .core import (
     DomainError,
     Geometry,
     Gradient,
-    GreensValue,
     PointInsideBodyError,
     Point3,
     QuadratureSpec,
@@ -59,6 +58,9 @@ _GL_X, _GL_W = leggauss(_GL_ORDER)
 # the dilute_bodies benchmark ran a quarter slower and its peak RSS rose 12%.
 _CHUNK_PARENTS = 4
 _CHUNK_CELLS = 8 * _CHUNK_PARENTS
+# Refinement levels of the octree; a cell still above its budget at this
+# depth is a ConvergenceError.
+_MAX_DEPTH = 12
 # The integrand divides by |r - x|^3 |r' - x|^3; with box coordinates beyond
 # this, that product overflows float64 for points at the same scale.
 MAX_BOX_COORD = 0.5 * sys.float_info.max ** (1.0 / 6.0)
@@ -193,12 +195,12 @@ class DiluteBody(Geometry):
             dist = min(dist, math.hypot(dx, math.hypot(dy, dz)))
         return dist
 
-    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> GreensValue:
+    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
         g0 = free_space_g(r, r_src, self.background_eps)
         g1 = born_scattering_g1(r, r_src, self, spec)
-        return GreensValue(g0.value + g1.value, g1.abs_err)
+        return ValueWithError(g0.value + g1.value, g1.abs_err)
 
-    def g1(self, r: Point3, spec: QuadratureSpec) -> GreensValue:
+    def g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
         return born_scattering_g1(r, r, self, spec)
 
     def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
@@ -259,8 +261,8 @@ def _children(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return kid_lo.reshape(-1, 3), kid_hi.reshape(-1, 3)
 
 
-def _adaptive_boxes(integrand, boxes, rel_tol: float, scale_hint: float,
-                    max_depth: int = 12) -> Tuple[float, float]:
+def _adaptive_boxes(integrand, boxes, rel_tol: float,
+                    scale_hint: float) -> Tuple[float, float]:
     """Octree-refined Gauss quadrature, one refinement level at a time.
 
     A level is held as arrays of lower corners, upper corners and coarse
@@ -271,8 +273,8 @@ def _adaptive_boxes(integrand, boxes, rel_tol: float, scale_hint: float,
     when its children's sum moves its coarse estimate by no more than the
     local budget rel_tol * max(|fine|, scale_hint), or by no more than
     MIN_REL_TOL |fine|; accepted parents are added to the total in queue (FIFO)
-    order, so results are bit-reproducible. A parent still failing at
-    max_depth raises ConvergenceError.
+    order, so results are bit-reproducible. A parent still failing at depth
+    _MAX_DEPTH raises ConvergenceError.
     """
     total = 0.0
     err = 0.0
@@ -297,12 +299,12 @@ def _adaptive_boxes(integrand, boxes, rel_tol: float, scale_hint: float,
         budget = np.maximum(rel_tol * np.maximum(np.abs(fine), scale_hint),
                             MIN_REL_TOL * np.abs(fine))
         done = diff <= budget
-        if depth >= max_depth and not done.all():
+        if depth >= _MAX_DEPTH and not done.all():
             with np.errstate(divide="ignore"):
                 worst = float(np.max(diff[~done] / budget[~done]))
             raise ConvergenceError(
                 f"Born octree: {int(np.count_nonzero(~done))} cells still above their "
-                f"budget at the depth cap {max_depth} (worst diff/budget {worst:.3e}); "
+                f"budget at the depth cap {_MAX_DEPTH} (worst diff/budget {worst:.3e}); "
                 f"a field point may lie too close to a box")
         for v, e in zip(fine[done].tolist(), diff[done].tolist()):
             total += v
@@ -632,7 +634,7 @@ def _g1_prefactor(body: DiluteBody) -> float:
 
 
 def born_scattering_g1(r: Point3, r_src: Point3, body: DiluteBody,
-                       spec: QuadratureSpec = DEFAULT_QUADRATURE) -> GreensValue:
+                       spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
     """First Born correction to g from the polarizable body.
 
     g1(r, r') = -(1/eps0) int d^3x eta(x) grad_x g0(r, x) . alpha . grad_x g0(x, r')
@@ -640,7 +642,7 @@ def born_scattering_g1(r: Point3, r_src: Point3, body: DiluteBody,
     """
     total, err = _scattering_integral(r, r_src, body, spec)
     pref = _g1_prefactor(body)
-    return GreensValue(pref * total, abs(pref) * err)
+    return ValueWithError(pref * total, abs(pref) * err)
 
 
 def _octree_grad(box: Box, rv: np.ndarray, rpv: np.ndarray, alpha: np.ndarray,
@@ -697,11 +699,8 @@ def charge_body_energy(a, body: DiluteBody,
     """Volume integral of eta(x) * U_charge-molecule(rA, x) over the body, joules.
 
     s.alpha.s / s^6 is the r1 = r2 case of the Green's-function route's
-    integrand, so this is q^2/(2 eps0) born_scattering_g1(rA, rA) by the
-    same routes, written with the charge-molecule prefactor. It carries the
-    same 1/eps_bg^2 background screening.
+    integrand, so this is the self-energy q^2/(2 eps0) born_scattering_g1(rA, rA),
+    with its abs_err; it carries the same 1/eps_bg^2 background screening.
     """
-    r = a.position
-    total, err = _scattering_integral(r, r, body, spec)
-    pref = -a.q * a.q / (32.0 * math.pi ** 2 * epsilon_0 ** 2 * body.background_eps ** 2)
-    return ValueWithError(pref * total, abs(pref) * err)
+    got = interactions.self_energy(body, a, spec)
+    return ValueWithError(got.energy, got.abs_err)

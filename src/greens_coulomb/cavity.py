@@ -1,19 +1,25 @@
 """Green's function of a planar gap between two half-spaces.
 
-Three routes, cross-validating each other:
+The program's routes:
 
-* Bessel-integral quadrature of the layered-medium kernel (any heights,
-  any reflection coefficients),
-* term-by-term image series (midplane), with Euler acceleration of the
-  conductor case where the image sum is only conditionally convergent,
-* the conductor large-separation asymptotic sqrt(8/(rho d)) exp(-pi rho/d).
+* Bessel-integral quadrature of the layered-medium kernel
+  (`cavity_g_general`, any heights, any reflection coefficients; at the
+  midplane z = z0 = 0 too);
+* between two conducting walls, the K0 mode sum (for rho >= MODAL_RHO_MIN d)
+  and the digamma self-energy, which keep full relative accuracy where the
+  quadrature reaches its absolute floor.
 
-Between two conducting walls the program evaluates the K0 mode sum (for
-rho >= MODAL_RHO_MIN d) and the digamma self-energy, which keep full
-relative accuracy where the quadrature reaches its absolute floor. Forces
-differentiate the Green's function: the mode sum and the digamma form term
-by term, the quadrature under the Hankel integral (Michalski & Mosig, IEEE
-TAP 45 (1997) 508).
+Two references that the tests and `validate` compare against:
+
+* the term-by-term midplane image series (`cavity_g_series`), with Euler
+  acceleration of the conductor case where the image sum is only
+  conditionally convergent;
+* the conductor large-separation asymptotic sqrt(8/(rho d)) exp(-pi rho/d)
+  (`cavity_asymptotic`).
+
+Forces differentiate the Green's function: the mode sum and the digamma
+form term by term, the quadrature under the Hankel integral (Michalski &
+Mosig, IEEE TAP 45 (1997) 508).
 
 Region 2 (the gap, host permittivity eps2) spans -d/2 < z < d/2.
 """
@@ -34,10 +40,10 @@ from .core import (
     CoincidentPointsError,
     ConvergenceError,
     DomainError,
-    GreensValue,
     OutOfRegionError,
     Permittivity,
     QuadratureSpec,
+    ValueWithError,
     finite_eps,
     is_conductor,
 )
@@ -104,7 +110,7 @@ def _spec_for_kernel(spec: QuadratureSpec, pref: float, scale_len: float,
 
 
 def _checked_gradient(parts, floor: float, tried: str):
-    """`parts`, the components of a gradient from quadrature, each a GreensValue.
+    """`parts`, the components of a gradient from quadrature, each a ValueWithError.
 
     Raises ConvergenceError, saying what was `tried`, when their combined
     abs_err exceeds 1% of the gradient's magnitude plus `floor`, the absolute
@@ -138,7 +144,7 @@ def _pair_setup(z: float, z0: float, rho: float, d: float, eps1: Permittivity,
 
 def cavity_g_general(z: float, z0: float, rho: float, d: float,
                      eps1: Permittivity, eps2: float, eps3: Permittivity,
-                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> GreensValue:
+                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
     """Gap Green's function between heights z0 (source) and z, in-plane offset rho."""
     pref, coeffs = _pair_setup(z, z0, rho, d, eps1, eps2, eps3, "cavity_g_general")
     if z < z0:
@@ -161,7 +167,7 @@ def cavity_g_general(z: float, z0: float, rho: float, d: float,
 
     sep = max(math.hypot(rho, a_free), 0.05 * d)
     got = hankel_integral(f, rho, _spec_for_kernel(spec, pref, sep), k_scale=k_scale)
-    return GreensValue(pref * got.value, pref * got.abs_err)
+    return ValueWithError(pref * got.value, pref * got.abs_err)
 
 
 def cavity_grad_general(z: float, z0: float, rho: float, d: float,
@@ -206,8 +212,8 @@ def cavity_grad_general(z: float, z0: float, rho: float, d: float,
     kspec = _spec_for_kernel(spec, pref, max(r, 0.05 * d), power=2)
     d_rho = hankel_integral(reflected_k, rho, kspec, k_scale=k_scale, order=1)
     d_z = hankel_integral(reflected_dz, rho, kspec, k_scale=k_scale)
-    parts = (GreensValue(-free_rho - pref * d_rho.value, pref * d_rho.abs_err),
-             GreensValue(-free_z + pref * d_z.value, pref * d_z.abs_err))
+    parts = (ValueWithError(-free_rho - pref * d_rho.value, pref * d_rho.abs_err),
+             ValueWithError(-free_z + pref * d_z.value, pref * d_z.abs_err))
     return _checked_gradient(
         parts, pref * kspec.abs_tol,
         f"Hankel gradient of the gap kernel (orders 1 and 0) at rho = {rho!r}, "
@@ -215,7 +221,7 @@ def cavity_grad_general(z: float, z0: float, rho: float, d: float,
 
 
 def conducting_gap_g(z: float, z0: float, rho: float, d: float,
-                     eps2: float) -> GreensValue:
+                     eps2: float) -> ValueWithError:
     """Green's function between grounded walls at z = -d/2 and d/2, from its modes.
 
     g = sum_n sin(n pi u/d) sin(n pi u0/d) K0(n pi rho/d) / (pi d eps2), with
@@ -225,7 +231,7 @@ def conducting_gap_g(z: float, z0: float, rho: float, d: float,
     n, a, pref, (s, _, m), (s0, _, m0) = _modes(z, z0, rho, d, eps2)
     kv = k0(n * a)
     err = _mode_tail(n, a, k0) + _mode_roundoff(n, a, d, s, m, s0, m0, kv)
-    return GreensValue(pref * float(np.sum(s * s0 * kv)), pref * err)
+    return ValueWithError(pref * float(np.sum(s * s0 * kv)), pref * err)
 
 
 def conducting_gap_grad(z: float, z0: float, rho: float, d: float, eps2: float):
@@ -237,8 +243,8 @@ def conducting_gap_grad(z: float, z0: float, rho: float, d: float, eps2: float):
     kv1 = kn * k1(n * a)
     err_rho = _mode_tail(n, a, k1, math.pi / d) + _mode_roundoff(n, a, d, s, m, s0, m0, kv1)
     err_z = _mode_tail(n, a, k0, math.pi / d) + _mode_roundoff(n, a, d, c, m, s0, m0, kv0)
-    return (GreensValue(-pref * float(np.sum(s * s0 * kv1)), pref * err_rho),
-            GreensValue(pref * float(np.sum(c * s0 * kv0)), pref * err_z))
+    return (ValueWithError(-pref * float(np.sum(s * s0 * kv1)), pref * err_rho),
+            ValueWithError(pref * float(np.sum(c * s0 * kv0)), pref * err_z))
 
 
 def _modes(z: float, z0: float, rho: float, d: float, eps2: float):
@@ -312,7 +318,7 @@ def _mode_roundoff(n: np.ndarray, a: float, d: float, f: np.ndarray, m: float,
     return _EPS * float(np.sum((6.0 + n * a) * np.abs(f * g * kv) + shift))
 
 
-def conducting_gap_g1(z0: float, d: float, eps2: float) -> GreensValue:
+def conducting_gap_g1(z0: float, d: float, eps2: float) -> ValueWithError:
     """Scattering part at coincident points between grounded walls, in closed form.
 
     g1 = (gamma + (psi(x) + psi(y))/2) / (4 pi eps2 d), with x = (d/2 + z0)/d
@@ -320,26 +326,17 @@ def conducting_gap_g1(z0: float, d: float, eps2: float) -> GreensValue:
     """
     u, w = _wall_distances(z0, d)
     e2 = finite_eps(eps2, "eps2")
-    return GreensValue((np.euler_gamma + 0.5 * (digamma(u / d) + digamma(w / d)))
-                       / (_FOUR_PI * e2 * d))
+    return ValueWithError((np.euler_gamma + 0.5 * (digamma(u / d) + digamma(w / d)))
+                          / (_FOUR_PI * e2 * d))
 
 
-def conducting_gap_dg1(z0: float, d: float, eps2: float) -> GreensValue:
+def conducting_gap_dg1(z0: float, d: float, eps2: float) -> ValueWithError:
     """d/dz0 of conducting_gap_g1, both points moving:
     (psi'(x) - psi'(y)) / (8 pi eps2 d^2), with the trigamma psi'."""
     u, w = _wall_distances(z0, d)
     e2 = finite_eps(eps2, "eps2")
-    return GreensValue((polygamma(1, u / d) - polygamma(1, w / d))
-                       / (2.0 * _FOUR_PI * e2 * d * d))
-
-
-def cavity_g_midpoint(rho: float, d: float, eps1: Permittivity, eps2: float,
-                      eps3: Permittivity,
-                      spec: QuadratureSpec = DEFAULT_QUADRATURE) -> GreensValue:
-    """Midplane special case z = z0 = 0."""
-    if rho <= 0.0:
-        raise DomainError(f"rho must be > 0 at the midplane, got {rho!r}")
-    return cavity_g_general(0.0, 0.0, rho, d, eps1, eps2, eps3, spec)
+    return ValueWithError((polygamma(1, u / d) - polygamma(1, w / d))
+                          / (2.0 * _FOUR_PI * e2 * d * d))
 
 
 def _self_term(z0: float, d: float, eps1: Permittivity, eps2: float,
@@ -354,7 +351,7 @@ def _self_term(z0: float, d: float, eps1: Permittivity, eps2: float,
     coeffs = reflection_coeffs(eps1, eps2, eps3)
     r1, r3 = coeffs.r1, coeffs.r3
     if r1 == 0.0 and r3 == 0.0:
-        return GreensValue(0.0, 0.0), 0.0
+        return ValueWithError(0.0, 0.0), 0.0
     a1 = d + 2.0 * z0
     a3 = d - 2.0 * z0
 
@@ -363,12 +360,12 @@ def _self_term(z0: float, d: float, eps1: Permittivity, eps2: float,
 
     kspec = _spec_for_kernel(spec, pref, min(a1, a3), power)
     got = hankel_integral(f, 0.0, kspec, k_scale=1.0 / min(a1, a3))
-    return GreensValue(pref * got.value, pref * got.abs_err), pref * kspec.abs_tol
+    return ValueWithError(pref * got.value, pref * got.abs_err), pref * kspec.abs_tol
 
 
 def cavity_scattering_g1(z0: float, d: float, eps1: Permittivity, eps2: float,
                          eps3: Permittivity,
-                         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> GreensValue:
+                         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
     """Reflection-only part at coincident points (rho = 0, z = z0); finite."""
     return _self_term(z0, d, eps1, eps2, eps3, spec, 1,
                       kernels.cavity_scatter_integrand)[0]
@@ -376,7 +373,7 @@ def cavity_scattering_g1(z0: float, d: float, eps1: Permittivity, eps2: float,
 
 def cavity_scattering_dg1(z0: float, d: float, eps1: Permittivity, eps2: float,
                           eps3: Permittivity,
-                          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> GreensValue:
+                          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
     """d/dz0 of cavity_scattering_g1, both points moving: by symmetry twice the
     derivative at one point, so one half-line integral of twice the pair
     route's kernel cavity_reflected_dz at a_free = 0, which is
@@ -395,7 +392,7 @@ def cavity_scattering_dg1(z0: float, d: float, eps1: Permittivity, eps2: float,
 
 
 def cavity_g_series(rho: float, d: float, coeffs: CavityCoeffs, eps2: float,
-                    n_max: int = 200) -> GreensValue:
+                    n_max: int = 200) -> ValueWithError:
     """Midplane image series.
 
     g = 1/(4 pi eps2 rho)
@@ -432,7 +429,7 @@ def cavity_g_series(rho: float, d: float, coeffs: CavityCoeffs, eps2: float,
         tail = (abs(q) ** (n_max + 1) / (1.0 - abs(q))
                 * (2.0 / image_dist(np.array([2.0 * (n_max + 1)]))[0]
                    + abs(c) / image_dist(np.array([2.0 * n_max + 3.0]))[0]))
-        return GreensValue(pref * (1.0 / rho + even - odd), pref * tail)
+        return ValueWithError(pref * (1.0 / rho + even - odd), pref * tail)
 
     # |q| = 1. Physical cavities reach q = 1 only with both walls conducting
     # (r1 = r3 = 1, c = 2); the series then alternates in the image distance.
@@ -451,10 +448,10 @@ def cavity_g_series(rho: float, d: float, coeffs: CavityCoeffs, eps2: float,
     # s cancels 1/rho to within g ~ exp(-pi rho / d): the roundoff of the
     # partial sums stays while the value decays, so it bounds the error far out.
     roundoff = np.finfo(float).eps * (1.0 / rho + float(np.sum(np.abs(terms))))
-    return GreensValue(pref * (1.0 / rho + s), pref * (err + roundoff))
+    return ValueWithError(pref * (1.0 / rho + s), pref * (err + roundoff))
 
 
-def cavity_asymptotic(rho: float, d: float, eps2: float) -> GreensValue:
+def cavity_asymptotic(rho: float, d: float, eps2: float) -> ValueWithError:
     """Conductor-wall midplane asymptotic g = sqrt(8/(rho d)) exp(-pi rho/d)/(4 pi eps2).
 
     Valid for rho >> d; a warning is emitted below rho = 3 d.
@@ -466,4 +463,4 @@ def cavity_asymptotic(rho: float, d: float, eps2: float) -> GreensValue:
         warnings.warn("cavity_asymptotic called at rho < 3 d, outside its regime",
                       stacklevel=2)
     value = math.sqrt(8.0 / (rho * d)) * math.exp(-math.pi * rho / d) / (_FOUR_PI * e2)
-    return GreensValue(value)
+    return ValueWithError(value)

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple, Union
 
-import numpy as np
-
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -97,6 +95,16 @@ def is_conductor(eps: Permittivity) -> bool:
     return isinstance(eps, Conductor)
 
 
+def interface_reflection(eps1: Permittivity, eps2: Permittivity) -> float:
+    """(eps1 - eps2) / (eps1 + eps2); -1 when medium 2 is a perfect conductor."""
+    if is_conductor(eps2):
+        return -1.0
+    if is_conductor(eps1):
+        return 1.0
+    e1, e2 = float(eps1), float(eps2)
+    return (e1 - e2) / (e1 + e2)
+
+
 def validate_eps(eps: Permittivity, name: str = "eps") -> None:
     """Permittivities must be >= 1 or the perfect-conductor state."""
     if is_conductor(eps):
@@ -125,7 +133,7 @@ def _require_finite(value: float, name: str) -> float:
 
 @dataclass(frozen=True)
 class Point3:
-    """Cartesian point in meters, with cylindrical helpers."""
+    """Cartesian point in meters; rho is its distance from the z axis."""
 
     x: float
     y: float
@@ -139,31 +147,16 @@ class Point3:
     def rho(self) -> float:
         return math.hypot(self.x, self.y)
 
-    @property
-    def phi(self) -> float:
-        return math.atan2(self.y, self.x)
-
-    def cylindrical(self) -> Tuple[float, float, float]:
-        return (self.rho, self.phi, self.z)
-
     def mirror_z(self) -> "Point3":
         return Point3(self.x, self.y, -self.z)
 
     def shifted(self, dx: float = 0.0, dy: float = 0.0, dz: float = 0.0) -> "Point3":
         return Point3(self.x + dx, self.y + dy, self.z + dz)
 
-    def vec(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
 
 def distance(a: Point3, b: Point3) -> float:
     """Euclidean distance in meters."""
     return math.hypot(a.x - b.x, a.y - b.y, a.z - b.z)
-
-
-def mirror_z(p: Point3) -> Point3:
-    """Reflection through the z = 0 plane; an involution."""
-    return p.mirror_z()
 
 
 @dataclass(frozen=True)
@@ -197,10 +190,6 @@ class ValueWithError:
             raise DomainError(f"abs_err must be >= 0, got {self.abs_err!r}")
 
 
-class GreensValue(ValueWithError):
-    """Scalar Green's-function evaluation in 1/m."""
-
-
 # The smallest rel_tol a spec takes: the quadrature panels and the Born
 # octree cells accept a difference of 1e-15 of their values as converged.
 MIN_REL_TOL = 1e-15
@@ -208,11 +197,14 @@ MIN_REL_TOL = 1e-15
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budgets for the oscillatory-integral engine."""
+    """Tolerances of the oscillatory-integral engine and the Born octree.
+
+    Their budgets are module constants: `quadrature._MAX_PANELS` panels per
+    integral and `born._MAX_DEPTH` octree levels.
+    """
 
     rel_tol: float = 1e-10
     abs_tol: float = 0.0
-    max_panels: int = 400
 
     def __post_init__(self):
         # an infinite tolerance times a zero scale is NaN, which no panel meets
@@ -222,8 +214,6 @@ class QuadratureSpec:
                               f"got {self.rel_tol!r}")
         if not (0.0 <= self.abs_tol < math.inf):
             raise DomainError(f"abs_tol must be finite and >= 0, got {self.abs_tol!r}")
-        if self.max_panels < 8:
-            raise DomainError(f"max_panels must be >= 8, got {self.max_panels!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -247,7 +237,7 @@ class Geometry:
     * surface_distance(p): the distance from p to the nearest material
       surface (inf if there is none);
     * g(r, r_src, spec): the Green's function between distinct points, a
-      GreensValue;
+      ValueWithError;
     * g1(r, spec): its scattering part at coincident points, g1(r, r), the
       free-space divergence subtracted;
     * grad_g(r, r_src, spec): the gradient of g in the field point r;
@@ -255,7 +245,7 @@ class Geometry:
 
     The gradients are 3-tuples of Python floats; where one overflows it is
     not finite and `force_on_A` rejects the force, while a g or g1 that
-    overflows raises DomainError in GreensValue. Each method rejects what
+    overflows raises DomainError in ValueWithError. Each method rejects what
     its value is not defined for: a point on a material surface, outside the region where the
     formula holds, or inside a conductor for the scattering part. A point
     inside a perfect conductor of a half-space is fully screened, so g and
@@ -278,11 +268,11 @@ class FreeSpace(Geometry):
     def surface_distance(self, p: Point3) -> float:
         return math.inf
 
-    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> GreensValue:
+    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
         return analytic.free_space_g(r, r_src, self.eps)
 
-    def g1(self, r: Point3, spec: QuadratureSpec) -> GreensValue:
-        return GreensValue(0.0)
+    def g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
+        return ValueWithError(0.0)
 
     def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
         return analytic.free_space_grad(r, r_src, self.eps)
@@ -293,7 +283,17 @@ class FreeSpace(Geometry):
 
 @dataclass(frozen=True)
 class HalfSpace(Geometry):
-    """Planar interface at z = 0; region 1 (eps1) occupies z > 0."""
+    """Planar interface at z = 0; region 1 (eps1) occupies z > 0.
+
+    A pair on one side, of permittivity eps, sees the direct term and an
+    image reflected in the plane, (1/d + refl/d*) / (4 pi eps), with d the
+    distance to the source, d* that to its mirror image and refl =
+    interface_reflection(eps, eps_other). The sum is written as two terms
+    of one sign, (1 + refl)/d* + 4 z z'/(d d* (d + d*)), so that the image
+    never cancels the direct term's digits (a grounded plane seen from
+    afar). A pair across the interface sees the transmitted term
+    2 / ((eps_a + eps_b) 4 pi d).
+    """
 
     eps1: Permittivity
     eps2: Permittivity
@@ -311,6 +311,9 @@ class HalfSpace(Geometry):
     def surface_distance(self, p: Point3) -> float:
         return abs(p.z)
 
+    def _other_side(self, r: Point3) -> Permittivity:
+        return self.eps2 if r.z > 0.0 else self.eps1
+
     def _pair_eps(self, r: Point3, r_src: Point3):
         """host_eps of r and of r_src, neither of which may sit on the interface."""
         if r.z == 0.0 or r_src.z == 0.0:
@@ -322,35 +325,56 @@ class HalfSpace(Geometry):
         coefficient of the interface seen from r."""
         if r.z == 0.0:
             raise OnSurfaceError("half-space self-term: charge on the interface")
-        e_side, e_other = (self.eps1, self.eps2) if r.z > 0.0 else (self.eps2, self.eps1)
-        if is_conductor(e_side):
+        eps = self.host_eps(r)
+        if eps is None:
             raise OutOfRegionError("half-space self-term: charge inside a perfect conductor")
-        return float(e_side), analytic.interface_reflection(e_side, e_other)
+        return eps, interface_reflection(eps, self._other_side(r))
 
-    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> GreensValue:
+    def _image(self, r: Point3, r_src: Point3, eps: float):
+        """For a pair on one side of permittivity eps: 1 + refl and 1 - refl,
+        each formed without cancelling, and the distances d and d*."""
+        other = self._other_side(r)
+        up, down = (0.0, 2.0) if is_conductor(other) else (2.0 / (1.0 + other / eps),
+                                                            2.0 / (1.0 + eps / other))
+        d = distance(r, r_src)
+        if d == 0.0:
+            raise CoincidentPointsError("half-space pair: r coincides with r_src")
+        return up, down, d, distance(r, r_src.mirror_z())
+
+    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
         eps_a, eps_b = self._pair_eps(r, r_src)
         if eps_a is None or eps_b is None:
-            return GreensValue(0.0)  # no field crosses into a perfect conductor
-        if (r.z > 0.0) == (r_src.z > 0.0):
-            if r.z > 0.0:
-                return analytic.half_space_g(r, r_src, self.eps1, self.eps2)
-            return analytic.half_space_g(r.mirror_z(), r_src.mirror_z(), self.eps2, self.eps1)
-        return GreensValue(2.0 / ((eps_a + eps_b) * 4.0 * math.pi * distance(r, r_src)))
+            return ValueWithError(0.0)  # no field crosses into a perfect conductor
+        if (r.z > 0.0) != (r_src.z > 0.0):
+            return ValueWithError(2.0 / ((eps_a + eps_b) * 4.0 * math.pi * distance(r, r_src)))
+        up, _, d, ds = self._image(r, r_src, eps_a)
+        near = 4.0 * (r.z / d) * (r_src.z / ds) / (d + ds)
+        return ValueWithError((up / ds + near) / (4.0 * math.pi * eps_a))
 
-    def g1(self, r: Point3, spec: QuadratureSpec) -> GreensValue:
+    def g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
         eps_a, refl = self._self_eps(r)
-        return GreensValue(refl / (8.0 * math.pi * eps_a * abs(r.z)))
+        return ValueWithError(refl / (8.0 * math.pi * eps_a * abs(r.z)))
 
     def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
+        """The gradient of the same-sign form: with 1/d^3 - 1/d*^3 =
+        (d* - d)(d*^2 + d d* + d^2)/(d^3 d*^3) = near/d^2, the lateral
+        components are dx [near/d^2 + (1 + refl)/d*^3] and the normal one
+        (z - z') near/d^2 + ((1 + refl) z - (1 - refl) z')/d*^3, each term
+        divided in stages and 0 where its offset is 0."""
         eps_a, eps_b = self._pair_eps(r, r_src)
         if eps_a is None or eps_b is None:
             return 0.0, 0.0, 0.0
         if (r.z > 0.0) != (r_src.z > 0.0):
             return analytic.free_space_grad(r, r_src, 0.5 * (eps_a + eps_b))
-        refl = self._self_eps(r)[1]
-        direct = analytic.free_space_grad(r, r_src, eps_a)
-        image = analytic.free_space_grad(r, r_src.mirror_z(), eps_a, refl)
-        return tuple(d + i for d, i in zip(direct, image))
+        up, down, d, ds = self._image(r, r_src, eps_a)
+        q = d / ds
+        near = 4.0 * (r.z / d) * (r_src.z / ds) * (1.0 + q + q * q) / (d + ds)
+        c = -1.0 / (4.0 * math.pi * eps_a)
+        dx, dy, dz = r.x - r_src.x, r.y - r_src.y, r.z - r_src.z
+        normal = up * r.z - down * r_src.z
+        return (c * (_over_square(near, dx, d) + _over_square(up / ds, dx, ds)),
+                c * (_over_square(near, dy, d) + _over_square(up / ds, dy, ds)),
+                c * (_over_square(near, dz, d) + _over_square(1.0 / ds, normal, ds)))
 
     def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
         eps_a, refl = self._self_eps(r)
@@ -358,6 +382,11 @@ class HalfSpace(Geometry):
         # to 0 for the tiniest |z|, where the quotient overflows to inf instead
         slope = refl / (8.0 * math.pi * eps_a) / r.z / r.z
         return 0.0, 0.0, -slope if r.z > 0.0 else slope
+
+
+def _over_square(k: float, delta: float, d: float) -> float:
+    """k delta / d^2, divided by d in stages; 0 where delta is 0, even if k overflows."""
+    return k * delta / d / d if delta else 0.0
 
 
 @dataclass(frozen=True)
@@ -398,7 +427,7 @@ class ThreeLayerCavity(Geometry):
         """Both walls conduct and rho reaches the mode sum's range."""
         return self._conducting() and rho >= cavity.MODAL_RHO_MIN * self.d
 
-    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> GreensValue:
+    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
         self._in_gap(r, r_src)
         rho = math.hypot(r.x - r_src.x, r.y - r_src.y)
         if self._modal(rho):
@@ -406,7 +435,7 @@ class ThreeLayerCavity(Geometry):
         return cavity.cavity_g_general(r.z, r_src.z, rho, self.d, self.eps1, self.eps2,
                                        self.eps3, spec)
 
-    def g1(self, r: Point3, spec: QuadratureSpec) -> GreensValue:
+    def g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
         self._in_gap(r)
         if self._conducting():
             return cavity.conducting_gap_g1(r.z, self.d, self.eps2)
@@ -469,18 +498,18 @@ class PlateWithHole(Geometry):
             raise OnPlateError("charge on the solid plate")
         return _GROUNDED_BELOW if r.z > 0.0 else _GROUNDED_ABOVE
 
-    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> GreensValue:
+    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
         if self.R == 0.0:
             return self._solid(r, r_src).g(r, r_src, spec)
         return analytic.plate_hole_g(r, r_src, self.R)
 
-    def g1(self, r: Point3, spec: QuadratureSpec) -> GreensValue:
+    def g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
         if r.z == 0.0 and r.rho >= self.R:
             raise OnSurfaceError("plate self-term: charge on the plate")
         if self.R == 0.0:
             return self._solid(r).g1(r, spec)
         self._on_axis(r, "self-energy")
-        return GreensValue(kernels.hole_onaxis_g1(r.z, self.R))
+        return ValueWithError(kernels.hole_onaxis_g1(r.z, self.R))
 
     def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
         if self.R == 0.0:

@@ -86,10 +86,16 @@ def self_energy(geom: Geometry, a: Charge,
 
 def pair_energy(geom: Geometry, a: Charge, b: Charge,
                 spec: QuadratureSpec = DEFAULT_QUADRATURE) -> InteractionResult:
-    """U = qA qB / eps0 * g(rA, rB) for distinct points."""
+    """U = qA qB / eps0 * g(rA, rB) for distinct points; 0 when they are too
+    far apart for float64, in every geometry, without asking it."""
     ra, rb = a.position, b.position
     if ra == rb:
         raise CoincidentPointsError("pair_energy: charges coincide")
+    dist = distance(ra, rb)
+    if not math.isfinite(dist):
+        # every environment here vanishes at an infinite separation, where
+        # U_free = 0 leaves the ratio undefined
+        return InteractionResult(0.0, None, 0.0)
     g = geom.g(ra, rb, spec)
     qq = a.q * b.q
     pref = qq / epsilon_0
@@ -98,9 +104,8 @@ def pair_energy(geom: Geometry, a: Charge, b: Charge,
     energy = pref * g.value + 0.0
     ratio = None
     eps = geom.host_eps(ra)
-    dist = distance(ra, rb)
-    # U_free = 0 at an infinite separation or a zero (or underflowing) product
-    if eps is not None and eps == geom.host_eps(rb) and math.isfinite(dist) and qq != 0.0:
+    # U_free = 0 at a zero (or underflowing) product of charges
+    if eps is not None and eps == geom.host_eps(rb) and qq != 0.0:
         ratio = energy * FOUR_PI_EPS0 * eps * dist / qq + 0.0
     return InteractionResult(energy, ratio, abs(pref) * g.abs_err)
 

@@ -14,7 +14,8 @@ on geometrically growing panels [0, kc], [kc, 2 kc], [2 kc, 4 kc], ... of a
 decaying integrand. The returned abs_err bounds the extrapolation residual
 plus the accumulated panel errors, plus the roundoff of the rule sums,
 16 eps sum |w f| over the accepted subintervals; the convergence test
-uses the first two terms only.
+uses the first two terms only. An integral that has not converged after
+_MAX_PANELS panels is a ConvergenceError.
 
 Integrand callables receive a 1-D numpy array of wavenumbers and must
 return the array of integrand values (the oscillating factor included,
@@ -37,13 +38,14 @@ from .core import (
     MIN_REL_TOL,
     ConvergenceError,
     DomainError,
-    GreensValue,
     QuadratureSpec,
+    ValueWithError,
 )
 
 _GL_X, _GL_W = leggauss(16)
 
 _PANEL_BLOCK = 4  # panels per first kernel call; the convergence check runs every 4
+_MAX_PANELS = 400  # panels per integral before the driver reports non-convergence
 _MAX_DEPTH = 26  # bisection depth at which a subinterval is accepted regardless
 # Subintervals refined per kernel call. A level with more is split into
 # chunks finished depth first, so memory stays bounded when the number of
@@ -243,9 +245,9 @@ def _integrate_panels(f, edges_iter: Iterator[Tuple[float, float]],
     scale = 0.0
     last = (0.0, math.inf)
     count = 0
-    while count < spec.max_panels:
+    while count < _MAX_PANELS:
         block = np.array(list(itertools.islice(
-            edges_iter, min(_PANEL_BLOCK, spec.max_panels - count))))
+            edges_iter, min(_PANEL_BLOCK, _MAX_PANELS - count))))
         if not block.size:  # no panel left below the largest float
             break
         vals, errs, block_mass = _panels_adaptive(f, block[:, 0], block[:, 1], scale, spec)
@@ -301,7 +303,7 @@ def _halfline_edges(k_scale):
 
 def hankel_integral(f: Callable[[np.ndarray], np.ndarray], rho: float,
                     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                    k_scale: Optional[float] = None, order: int = 0) -> GreensValue:
+                    k_scale: Optional[float] = None, order: int = 0) -> ValueWithError:
     """integral_0^inf f(k) J_order(k rho) dk with an abs_err estimate, order 0 or 1.
 
     `k_scale` hints at the decay scale of f: panels below the first Bessel
@@ -316,8 +318,8 @@ def hankel_integral(f: Callable[[np.ndarray], np.ndarray], rho: float,
     bessel = _BESSEL[order]
     if rho == 0.0:
         if order == 1:
-            return GreensValue(0.0)
-        return GreensValue(*_integrate_panels(f, _halfline_edges(k_scale), spec,
+            return ValueWithError(0.0)
+        return ValueWithError(*_integrate_panels(f, _halfline_edges(k_scale), spec,
                                               "half-line integral"))
 
     def integrand(k: np.ndarray) -> np.ndarray:
@@ -325,12 +327,12 @@ def hankel_integral(f: Callable[[np.ndarray], np.ndarray], rho: float,
 
     edges = _oscillatory_edges(lambda n: float(_bessel_zero(order, n)) / rho, k_scale)
     value, err = _integrate_panels(integrand, edges, spec, "hankel_integral")
-    return GreensValue(value, err)
+    return ValueWithError(value, err)
 
 
 def sine_integral(f: Callable[[np.ndarray], np.ndarray], r: float,
                   spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                  k_scale: Optional[float] = None) -> GreensValue:
+                  k_scale: Optional[float] = None) -> ValueWithError:
     """integral_0^inf f(k) sin(k r) dk with an abs_err estimate."""
     if r <= 0.0:
         raise DomainError(f"r must be > 0, got {r!r}")
@@ -340,4 +342,4 @@ def sine_integral(f: Callable[[np.ndarray], np.ndarray], r: float,
 
     edges = _oscillatory_edges(lambda n: n * math.pi / r, k_scale)
     value, err = _integrate_panels(integrand, edges, spec, "sine_integral")
-    return GreensValue(value, err)
+    return ValueWithError(value, err)

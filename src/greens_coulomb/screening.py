@@ -5,10 +5,12 @@ The static longitudinal permittivity of the hydrodynamic Drude model is
     eps(k, 0) = 1 + (omega_p_bound / omega_0)^2 + omega_p^2 / (beta k)^2,
 
 bound electrons contributing the constant eps_b and free carriers the
-1/k^2 term that screens completely at long wavelength. The interaction is
-available in closed form (Yukawa with k_s = omega_p / (beta sqrt(eps_b)))
-and as a direct sine-transform quadrature of the Fourier representation;
-the two must agree, which is how the closed form is validated here.
+1/k^2 term that screens completely at long wavelength. The Green's function
+is the Yukawa form exp(-k_s r) / (4 pi eps_b r) with k_s = omega_p / (beta
+sqrt(eps_b)), written once, in `NonlocalBulk.g`.
+`screened_potential_numeric` evaluates the same interaction by a direct
+sine-transform quadrature of the Fourier representation, and `validate`
+checks the closed form against it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .core import (
     DomainError,
     Geometry,
     Gradient,
-    GreensValue,
     Point3,
     QuadratureSpec,
     UnsupportedGeometryError,
@@ -90,13 +91,15 @@ class NonlocalBulk(Geometry):
     def surface_distance(self, p: Point3) -> float:
         return math.inf
 
-    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> GreensValue:
-        """exp(-k_s r) / (4 pi eps_b r), the Yukawa form of screened_potential."""
-        p = self.drude
+    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
+        """exp(-k_s r) / (4 pi eps_b r), the Yukawa form."""
+        k_s = self.drude.k_s
         dist = distance(r, r_src)
-        return GreensValue(_yukawa(p.k_s, dist) / (4.0 * math.pi * p.eps_b * dist))
+        # 1 without screening, also at dist = inf, where k_s dist is NaN
+        factor = math.exp(-k_s * dist) if k_s else 1.0
+        return ValueWithError(factor / (4.0 * math.pi * self.drude.eps_b * dist))
 
-    def g1(self, r: Point3, spec: QuadratureSpec) -> GreensValue:
+    def g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
         raise UnsupportedGeometryError(
             "coincident self-energy diverges in a nonlocal bulk medium")
 
@@ -111,11 +114,6 @@ class NonlocalBulk(Geometry):
             "self-force undefined in a nonlocal bulk (self-energy diverges)")
 
 
-def _yukawa(k_s: float, r: float) -> float:
-    """exp(-k_s r); 1 without screening, also at r = inf, where k_s r is NaN."""
-    return math.exp(-k_s * r) if k_s else 1.0
-
-
 def eps_longitudinal_static(k: float, p: DrudeStatic) -> float:
     """eps(k, 0) = eps_b + omega_p^2 / (beta k)^2 for k > 0."""
     if not (k > 0.0):
@@ -123,16 +121,10 @@ def eps_longitudinal_static(k: float, p: DrudeStatic) -> float:
     return p.eps_b + (p.omega_p / (p.beta * k)) ** 2
 
 
-def screened_potential(r: float, qA: float, qB: float, p: DrudeStatic) -> float:
-    """Closed-form interaction qA qB exp(-k_s r) / (4 pi eps0 eps_b r), in joules."""
-    if not (r > 0.0):
-        raise DomainError(f"separation r must be > 0, got {r!r}")
-    return qA * qB * _yukawa(p.k_s, r) / (4.0 * math.pi * epsilon_0 * p.eps_b * r)
-
-
 def screened_potential_numeric(r: float, qA: float, qB: float, p: DrudeStatic,
                                spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
-    """The same interaction by sine-transform quadrature of the k-space kernel.
+    """The pair energy in the bulk, in joules, by sine-transform quadrature of
+    the k-space kernel; the reference for the closed form `NonlocalBulk.g`.
 
     U = qA qB / (2 pi^2 eps0) * integral_0^inf sin(k r) k
         / (r (eps_b k^2 + (omega_p/beta)^2)) dk

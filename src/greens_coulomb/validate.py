@@ -21,15 +21,16 @@ from scipy.constants import elementary_charge, epsilon_0
 
 from . import analytic, born, cavity, interactions, kernels, poisson_fd, screening
 from .core import (
+    DEFAULT_QUADRATURE,
     PERFECT_CONDUCTOR,
     Charge,
     FreeSpace,
-    GreensValue,
     HalfSpace,
     PlateWithHole,
     Point3,
     QuadratureSpec,
     ThreeLayerCavity,
+    ValueWithError,
 )
 from .quadrature import hankel_integral, sine_integral
 
@@ -148,27 +149,24 @@ def check_half_space_continuity() -> CheckResult:
     src = Point3(0.3, -0.2, 0.7)
     worst = 0.0
     for eps1, eps2 in ((1.0, 4.0), (2.0, 80.0), (5.0, 1.0)):
+        geom = HalfSpace(eps1, eps2)
         for rho in (0.4, 1.3):
-            above = analytic.half_space_g(Point3(rho, 0.1, 1e-12), src, eps1, eps2).value
-            below = analytic.half_space_g(Point3(rho, 0.1, -1e-12), src, eps1, eps2).value
+            above = geom.g(Point3(rho, 0.1, 1e-12), src, DEFAULT_QUADRATURE).value
+            below = geom.g(Point3(rho, 0.1, -1e-12), src, DEFAULT_QUADRATURE).value
             worst = max(worst, _rel(above, below))
     return CheckResult("half_space_continuity", worst <= 1e-8, worst, 0.0, 1e-8)
 
 
 def check_half_space_flux_jump() -> CheckResult:
-    """eps1 dg/dz just above = eps2 dg/dz just below (normal D continuity)."""
+    """eps1 dg/dz just above = eps2 dg/dz just below (normal D continuity),
+    from grad_g at z = +-1e-12 (g is not defined on the interface)."""
     src = Point3(0.0, 0.0, 0.9)
     eps1, eps2 = 2.0, 7.0
-    h = 1e-5
+    geom = HalfSpace(eps1, eps2)
     worst = 0.0
     for rho in (0.3, 0.8, 1.7):
-        p_up = [analytic.half_space_g(Point3(rho, 0.0, z), src, eps1, eps2).value
-                for z in (h, 2 * h)]
-        p_dn = [analytic.half_space_g(Point3(rho, 0.0, -z), src, eps1, eps2).value
-                for z in (h, 2 * h)]
-        g0 = analytic.half_space_g(Point3(rho, 0.0, 0.0), src, eps1, eps2).value
-        d_up = (4.0 * p_up[0] - p_up[1] - 3.0 * g0) / (2.0 * h)
-        d_dn = -(4.0 * p_dn[0] - p_dn[1] - 3.0 * g0) / (2.0 * h)
+        d_up = geom.grad_g(Point3(rho, 0.0, 1e-12), src, DEFAULT_QUADRATURE)[2]
+        d_dn = geom.grad_g(Point3(rho, 0.0, -1e-12), src, DEFAULT_QUADRATURE)[2]
         worst = max(worst, _rel(eps1 * d_up, eps2 * d_dn))
     return CheckResult("half_space_D_normal_jump", worst <= 1e-4, worst, 0.0, 1e-4)
 
@@ -225,8 +223,10 @@ def check_screened_grid() -> CheckResult:
               for beta in np.linspace(8e5, 2e6, 5)]
     params.append(screening.DrudeStatic(omega_p=9e15, omega_p_bound=7e15,
                                         omega_0=4e15, beta=1e6))
+    a, b = Charge(QE, Point3(0.0, 0.0, 0.0)), Charge(QE, Point3(0.0, 0.0, r))
     worst = max(_rel(screening.screened_potential_numeric(r, QE, QE, p).value,
-                     screening.screened_potential(r, QE, QE, p)) for p in params)
+                     interactions.pair_energy(screening.NonlocalBulk(p), a, b).energy)
+                for p in params)
     return CheckResult("screened_closed_vs_quadrature", worst <= 1e-8, worst, 0.0,
                        1e-8, f"worst rel err over {len(params)} parameter sets")
 
@@ -284,7 +284,7 @@ def _cavity_fd(eps1: float, eps3: float, z0: float) -> poisson_fd.FDSolution:
 def check_fd_cavity_midpoint() -> CheckResult:
     d = 1.0
     got = _cavity_fd(8.0, 8.0, 0.0).g_total_at(Point3(d, 0, 0))
-    ref = cavity.cavity_g_midpoint(d, d, 8.0, 1.0, 8.0).value
+    ref = cavity.cavity_g_general(0.0, 0.0, d, d, 8.0, 1.0, 8.0).value
     err = _rel(got, ref)
     return CheckResult("fd_cavity_midpoint", err <= 0.02, got, ref, 0.02)
 
@@ -339,7 +339,7 @@ def check_cavity_triple() -> CheckResult:
             if 0.0 < q < 1.0:
                 n_max = max(80, int(math.log(1e-13) / math.log(q)) + 1)
             gs = cavity.cavity_g_series(rho, d, co, eps2, n_max=n_max)
-            gq = cavity.cavity_g_midpoint(rho, d, eps1, eps2, eps3, spec)
+            gq = cavity.cavity_g_general(0.0, 0.0, rho, d, eps1, eps2, eps3, spec)
             budget = max(gs.abs_err + gq.abs_err, 1e-9 / rho)
             worst = max(worst, abs(gs.value - gq.value) / budget)
     return CheckResult("cavity_series_vs_quadrature", worst <= 1.0, worst, 0.0, 1.0,
@@ -351,7 +351,7 @@ def check_cavity_asymptotic() -> CheckResult:
     ratios = []
     for rho_over_d in (5.0, 6.0, 7.0, 8.0):
         ga = cavity.cavity_asymptotic(rho_over_d * d, d, 1.0).value
-        gq = cavity.cavity_g_midpoint(rho_over_d * d, d, PC, 1.0, PC).value
+        gq = cavity.cavity_g_general(0.0, 0.0, rho_over_d * d, d, PC, 1.0, PC).value
         ratios.append(ga / gq)
     ok = abs(ratios[0] - 1.0) <= 0.10 and all(
         abs(r2 - 1.0) < abs(r1 - 1.0) for r1, r2 in zip(ratios, ratios[1:]))
@@ -362,7 +362,7 @@ def check_cavity_asymptotic() -> CheckResult:
 def check_cavity_slope() -> CheckResult:
     d = 1.0
     rs = np.linspace(3.0, 8.0, 11)
-    vals = np.array([cavity.cavity_g_midpoint(r, d, PC, 1.0, PC).value for r in rs])
+    vals = np.array([cavity.cavity_g_general(0.0, 0.0, r, d, PC, 1.0, PC).value for r in rs])
     # remove the known sqrt(rho) prefactor so the fit isolates the decay rate
     slope = float(np.polyfit(rs, np.log(vals * np.sqrt(rs)), 1)[0])
     err = _rel(slope, -math.pi / d)
@@ -407,17 +407,17 @@ def _half_shells(field_pts, rel_tail: float):
 
 
 def box_octree(r1: Point3, r2: Point3, boxes, alpha: np.ndarray, rel_tol: float,
-               scale_hint: float = 0.0) -> GreensValue:
+               scale_hint: float = 0.0) -> ValueWithError:
     """int over the boxes of grad_x(1/|r1 - x|) . alpha . grad_x(1/|r2 - x|) d^3x
     by the Born octree, also at r1 = r2, where the program takes a closed form."""
     rv, rpv = np.array([r1.x, r1.y, r1.z]), np.array([r2.x, r2.y, r2.z])
-    return GreensValue(*born._adaptive_boxes(
+    return ValueWithError(*born._adaptive_boxes(
         lambda pts, w: kernels.alpha_chain_sum(pts, w, rv, rpv, alpha),
         boxes, rel_tol, scale_hint=scale_hint))
 
 
 def half_space_octree(r1: Point3, r2: Point3, alpha: np.ndarray,
-                      rel_tol: float) -> GreensValue:
+                      rel_tol: float) -> ValueWithError:
     """int over z < 0 of grad_x(1/|r1 - x|) . alpha . grad_x(1/|r2 - x|) d^3x by the
     Born octree on half-cube shells; abs_err adds the truncated tail's bound."""
     boxes, tail = _half_shells((r1, r2), 0.05 * rel_tol)
@@ -425,7 +425,7 @@ def half_space_octree(r1: Point3, r2: Point3, alpha: np.ndarray,
     # scale_hint: the dominant pi/h magnitude of the isotropic integral
     got = box_octree(r1, r2, boxes, alpha, rel_tol,
                      scale_hint=alpha_scale * math.pi / min(r1.z, r2.z))
-    return GreensValue(got.value, got.abs_err + alpha_scale * tail)
+    return ValueWithError(got.value, got.abs_err + alpha_scale * tail)
 
 
 def born_g1_prefactor(eta: float, eps_bg: float) -> float:
@@ -527,11 +527,12 @@ def _reciprocity():
         if analytic.distance(a, b) >= 1e-3:
             closed(analytic.free_space_g(a, b, 2.0).value,
                    analytic.free_space_g(b, a, 2.0).value)
+    half = HalfSpace(2.0, 9.0)
     for _ in range(250):
         a, b = _xyz(rng, 0.05, 3), _xyz(rng, 0.05, 3)
         if analytic.distance(a, b) >= 1e-3:
-            closed(analytic.half_space_g(a, b, 2.0, 9.0).value,
-                   analytic.half_space_g(b, a, 2.0, 9.0).value)
+            closed(half.g(a, b, DEFAULT_QUADRATURE).value,
+                   half.g(b, a, DEFAULT_QUADRATURE).value)
     for _ in range(300):
         a, b = _xyz(rng, 0.05, 2.5), _xyz(rng, 0.05, 2.5)
         if rng.random() < 0.5:

@@ -1,22 +1,19 @@
 import decimal
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greens_coulomb.analytic import (
-    free_space_g,
-    half_space_g,
-    half_space_scattering_g1,
-    plate_hole_g,
-    plate_hole_grad,
-)
+from greens_coulomb.analytic import free_space_g, plate_hole_g, plate_hole_grad
 from greens_coulomb.core import (
+    DEFAULT_QUADRATURE as SPEC,
     PERFECT_CONDUCTOR,
     CoincidentPointsError,
     DomainError,
+    HalfSpace,
     OnPlateError,
-    OutOfRegionError,
+    PlateWithHole,
     Point3,
     distance,
 )
@@ -50,46 +47,45 @@ class TestHalfSpace:
     def test_no_interface_reduces_to_free(self):
         src = Point3(0.2, 0.0, 0.5)
         p = Point3(0.0, 0.3, 1.5)
-        got = half_space_g(p, src, 3.0, 3.0).value
+        got = HalfSpace(3.0, 3.0).g(p, src, SPEC).value
         assert math.isclose(got, free_space_g(p, src, 3.0).value, rel_tol=1e-12)
 
     def test_conductor_scattering_value(self):
         # image -q at the mirror point, evaluated at the source position
-        got = half_space_scattering_g1(Z1, Z1, 1.0, PERFECT_CONDUCTOR).value
+        got = HalfSpace(1.0, PERFECT_CONDUCTOR).g1(Z1, SPEC).value
         assert math.isclose(got, -1.0 / (8.0 * math.pi), rel_tol=1e-12)
 
     def test_conductor_screens_transmission(self):
-        got = half_space_g(Point3(0, 0, -0.5), Z1, 1.0, PERFECT_CONDUCTOR).value
+        got = HalfSpace(1.0, PERFECT_CONDUCTOR).g(Point3(0, 0, -0.5), Z1, SPEC).value
         assert got == 0.0
 
     def test_transmitted_value(self):
         p = Point3(0.0, 0.0, -1.0)
-        got = half_space_g(p, Z1, 2.0, 6.0).value
+        got = HalfSpace(2.0, 6.0).g(p, Z1, SPEC).value
         assert math.isclose(got, (2.0 / 8.0) / (4 * math.pi * 2.0), rel_tol=1e-12)
 
-    def test_source_below_rejected(self):
-        with pytest.raises(OutOfRegionError):
-            half_space_g(Z1, Point3(0, 0, -1.0), 1.0, 2.0)
+    def test_source_below_is_the_mirrored_pair(self):
+        a, b = Point3(0.3, -0.1, -0.4), Point3(-0.2, 0.5, -1.1)
+        for p in (a, Point3(0.3, -0.1, 0.4)):
+            got = HalfSpace(2.0, 6.0).g(p, b, SPEC).value
+            want = HalfSpace(6.0, 2.0).g(p.mirror_z(), b.mirror_z(), SPEC).value
+            assert got == want
 
     def test_continuity_across_interface(self):
         src = Point3(0.1, -0.4, 0.8)
         for eps1, eps2 in ((1.0, 4.0), (3.0, 1.0), (2.0, 80.0)):
-            up = half_space_g(Point3(0.7, 0.2, 1e-12), src, eps1, eps2).value
-            dn = half_space_g(Point3(0.7, 0.2, -1e-12), src, eps1, eps2).value
+            geom = HalfSpace(eps1, eps2)
+            up = geom.g(Point3(0.7, 0.2, 1e-12), src, SPEC).value
+            dn = geom.g(Point3(0.7, 0.2, -1e-12), src, SPEC).value
             assert abs(up - dn) / abs(up) < 1e-8
 
     def test_displacement_jump_condition(self):
         src = Point3(0.0, 0.0, 0.9)
         eps1, eps2 = 2.0, 7.0
-        h = 1e-5
+        geom = HalfSpace(eps1, eps2)
         for rho in (0.3, 1.1):
-            g0 = half_space_g(Point3(rho, 0, 0.0), src, eps1, eps2).value
-            up = [half_space_g(Point3(rho, 0, z), src, eps1, eps2).value
-                  for z in (h, 2 * h)]
-            dn = [half_space_g(Point3(rho, 0, -z), src, eps1, eps2).value
-                  for z in (h, 2 * h)]
-            d_up = (4 * up[0] - up[1] - 3 * g0) / (2 * h)
-            d_dn = -(4 * dn[0] - dn[1] - 3 * g0) / (2 * h)
+            d_up = geom.grad_g(Point3(rho, 0, 1e-12), src, SPEC)[2]
+            d_dn = geom.grad_g(Point3(rho, 0, -1e-12), src, SPEC)[2]
             assert abs(eps1 * d_up - eps2 * d_dn) / abs(eps2 * d_dn) < 1e-4
 
 
@@ -107,9 +103,56 @@ class TestHalfSpaceReciprocity:
     def test_reciprocity(self, a, b):
         if distance(a, b) < 1e-6:
             return
-        g_ab = half_space_g(a, b, 2.0, 9.0).value
-        g_ba = half_space_g(b, a, 2.0, 9.0).value
+        g_ab = HalfSpace(2.0, 9.0).g(a, b, SPEC).value
+        g_ba = HalfSpace(2.0, 9.0).g(b, a, SPEC).value
         assert abs(g_ab - g_ba) <= 1e-12 * abs(g_ab)
+
+
+def _mp_half_space(eps_side, eps_other, r, rs):
+    """g and grad_g of a same-side half-space pair in 50-digit arithmetic,
+    as the direct term plus the image, eps_other None for a conductor."""
+    with mp.workdps(50):
+        e = mp.mpf(eps_side)
+        refl = -1 if eps_other is None else (e - eps_other) / (e + eps_other)
+        x, y, z = (mp.mpf(r.x) - rs.x, mp.mpf(r.y) - rs.y, mp.mpf(r.z))
+        d = mp.sqrt(x * x + y * y + (z - rs.z) ** 2)
+        dm = mp.sqrt(x * x + y * y + (z + rs.z) ** 2)
+        c = 1 / (4 * mp.pi * e)
+        g = c * (1 / d + refl / dm)
+        grad = (-c * x * (1 / d ** 3 + refl / dm ** 3), -c * y * (1 / d ** 3 + refl / dm ** 3),
+                -c * ((z - rs.z) / d ** 3 + refl * (z + rs.z) / dm ** 3))
+        return g, grad, mp.sqrt(sum(gc * gc for gc in grad))
+
+
+EPS = 2.0 ** -52
+# geometry, the side of the pair (the sign of z), its permittivity and that
+# of the far side (None for a conductor)
+CANCELLING = {
+    "grounded_plane_below": (HalfSpace(1.0, PERFECT_CONDUCTOR), 1.0, 1.0, None),
+    "grounded_plane_above": (HalfSpace(PERFECT_CONDUCTOR, 2.0), -1.0, 2.0, None),
+    "eps_1e6_below": (HalfSpace(2.0, 1e6), 1.0, 2.0, 1e6),
+    "eps_1e6_above": (HalfSpace(1e6, 1.0), -1.0, 1.0, 1e6),
+    "solid_plate_pair_above": (PlateWithHole(0.0), 1.0, 1.0, None),
+    "solid_plate_pair_below": (PlateWithHole(0.0), -1.0, 1.0, None),
+}
+
+
+class TestHalfSpaceSameSide:
+    """Pairs 1e-9 m from the interface and far apart in the plane, where the
+    image cancels the direct term to within 4 z z'/d^3 of it."""
+
+    @pytest.mark.parametrize("name", sorted(CANCELLING))
+    def test_matches_50_digits(self, name):
+        geom, side, eps_side, eps_other = CANCELLING[name]
+        for offset in (1e-4, 3e-3, 0.05, 0.7, 2.0):
+            r = Point3(0.3 * offset, -0.2, side * 1e-9)
+            rs = Point3(-0.7 * offset, -0.2 + 0.4 * offset, side * 2e-9)
+            g, grad, norm = _mp_half_space(eps_side, eps_other, r, rs)
+            got = geom.g(r, rs, SPEC).value
+            assert abs(got - g) <= 4 * EPS * abs(g), (offset, got, g)
+            got_grad = geom.grad_g(r, rs, SPEC)
+            for got_c, want_c in zip(got_grad, grad):
+                assert abs(got_c - want_c) <= 4 * EPS * norm, (offset, got_grad, grad)
 
 
 def _decimal_hole_g(r, rp, R):

@@ -447,7 +447,8 @@ class TestBoxSelfClosedForm:
             exact = _box_integral_50(UNIT_BOX, r, ALPHA * FULL)
             assert abs(mp.mpf(got.value) - pref * exact) <= got.abs_err
             u = charge_body_energy(Charge(QE, p), body)
-            assert u.value == pytest.approx(QE ** 2 / (2 * epsilon_0) * got.value, rel=1e-14)
+            assert u.value == pytest.approx(QE ** 2 / (2 * epsilon_0) * got.value,
+                                            rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("r", [(0.0, 0.0, -0.8), (1.2, 0.3, -1.3), (1.1, 1.2, -0.9)])
     def test_self_force_matches_octree_and_difference(self, r):

@@ -135,12 +135,13 @@ def test_bit_reproducible(name):
     assert (a.value, a.abs_err) == (b.value, b.abs_err)
 
 
-def test_non_finite_integrand_stops_refinement():
+def test_non_finite_integrand_stops_refinement(monkeypatch):
     # a body of 1e150 m overflows the weights; refining would never accept
+    monkeypatch.setattr(born, "_MAX_DEPTH", 2)
     huge = Box(-1e150, 1e150, -1e150, 1e150, -1e150, -1.0)
     with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="depth 0"):
         born._adaptive_boxes(lambda pts, w: kernels.alpha_chain_sum(
-            pts, w, np.zeros(3), np.zeros(3), np.eye(3)), [huge], 1e-6, 0.0, max_depth=2)
+            pts, w, np.zeros(3), np.zeros(3), np.eye(3)), [huge], 1e-6, 0.0)
 
 
 def test_alpha_chain_sum_per_cell_matches_flat_calls():

@@ -8,7 +8,6 @@ from greens_coulomb.cavity import (
     CavityCoeffs,
     cavity_asymptotic,
     cavity_g_general,
-    cavity_g_midpoint,
     cavity_g_series,
     cavity_scattering_g1,
     conducting_gap_g,
@@ -89,12 +88,12 @@ class TestSeries:
 
 class TestQuadratureRoute:
     def test_free_limit(self):
-        g = cavity_g_midpoint(2.0, D, 1.0, 1.0, 1.0)
+        g = cavity_g_general(0.0, 0.0, 2.0, D, 1.0, 1.0, 1.0)
         assert abs(g.value - 1.0 / (8 * math.pi)) < 1e-11
 
     def test_matches_series_conductor(self):
         co = reflection_coeffs(PC, 1.0, PC)
-        gq = cavity_g_midpoint(D, D, PC, 1.0, PC)
+        gq = cavity_g_general(0.0, 0.0, D, D, PC, 1.0, PC)
         gs = cavity_g_series(D, D, co, 1.0, 50)
         assert abs(gq.value - gs.value) <= max(gq.abs_err + gs.abs_err, 1e-9 / D)
 
@@ -104,27 +103,24 @@ class TestQuadratureRoute:
                 co = reflection_coeffs(eps1, 1.0, eps3)
                 q = abs(co.r1 * co.r3)
                 n_max = max(80, int(math.log(1e-13) / math.log(q)) + 1) if 0 < q < 1 else 200
-                gq = cavity_g_midpoint(rho_over_d * D, D, eps1, 1.0, eps3)
+                gq = cavity_g_general(0.0, 0.0, rho_over_d * D, D, eps1, 1.0, eps3)
                 gs = cavity_g_series(rho_over_d * D, D, co, 1.0, n_max)
                 budget = max(gq.abs_err + gs.abs_err, 1e-9 / (rho_over_d * D))
                 assert abs(gq.value - gs.value) <= budget
 
     def test_asymptotic_window_at_5d(self):
-        gq = cavity_g_midpoint(5 * D, D, PC, 1.0, PC)
+        gq = cavity_g_general(0.0, 0.0, 5 * D, D, PC, 1.0, PC)
         ga = cavity_asymptotic(5 * D, D, 1.0)
         assert 0.9 <= ga.value / gq.value <= 1.1
 
     def test_invalid_rho(self):
         with pytest.raises(DomainError):
-            cavity_g_midpoint(0.0, D, PC, 1.0, PC)
+            cavity_g_general(0.0, 0.0, -1.0, D, PC, 1.0, PC)
+        with pytest.raises(CoincidentPointsError):
+            cavity_g_general(0.0, 0.0, 0.0, D, PC, 1.0, PC)
 
 
 class TestGeneralHeights:
-    def test_specializes_to_midpoint(self):
-        g1 = cavity_g_general(0.0, 0.0, 1.3, D, 3.0, 1.5, 7.0)
-        g2 = cavity_g_midpoint(1.3, D, 3.0, 1.5, 7.0)
-        assert abs(g1.value - g2.value) <= g1.abs_err + g2.abs_err
-
     def test_uniform_media_is_free(self):
         for z, z0 in ((0.2, -0.3), (0.41, 0.4)):
             g = cavity_g_general(z, z0, 0.9, D, 2.0, 2.0, 2.0)
@@ -247,6 +243,6 @@ class TestAsymptotic:
 
     def test_exponential_suppression_slope(self):
         rs = np.linspace(3.0, 8.0, 11)
-        vals = np.array([cavity_g_midpoint(r, D, PC, 1.0, PC).value for r in rs])
+        vals = np.array([cavity_g_general(0.0, 0.0, r, D, PC, 1.0, PC).value for r in rs])
         slope = float(np.polyfit(rs, np.log(vals * np.sqrt(rs)), 1)[0])
         assert abs(slope + math.pi / D) / (math.pi / D) < 0.02

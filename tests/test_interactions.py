@@ -457,8 +457,9 @@ class TestPlateForces:
         if za * zb < 0.0:
             assert np.all(force == 0.0)  # the plate screens completely
             return
-        to_b = a.position.vec() - b.position.vec()
-        to_image = a.position.vec() - b.position.mirror_z().vec()
+        pa, pb = a.position, b.position
+        to_b = np.array([pa.x - pb.x, pa.y - pb.y, pa.z - pb.z])
+        to_image = np.array([pa.x - pb.x, pa.y - pb.y, pa.z + pb.z])
         want = -QE * QE / (4 * math.pi * epsilon_0) * (
             to_b / np.linalg.norm(to_b) ** 3 - to_image / np.linalg.norm(to_image) ** 3)
         assert np.allclose(force, want, rtol=1e-14, atol=0.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from greens_coulomb import poisson_fd, validate
-from greens_coulomb.cavity import cavity_g_general, cavity_g_midpoint
+from greens_coulomb.cavity import cavity_g_general
 from greens_coulomb.core import (
     PERFECT_CONDUCTOR,
     DomainError,
@@ -94,7 +94,7 @@ class TestCavityOracle:
         d = 1.0
         sol = validate._cavity_fd(8.0, 8.0, 0.0)  # ThreeLayerCavity(8, 1, 8, d)
         got = sol.g_total_at(Point3(d, 0, 0))
-        ref = cavity_g_midpoint(d, d, 8.0, 1.0, 8.0).value
+        ref = cavity_g_general(0.0, 0.0, d, d, 8.0, 1.0, 8.0).value
         assert abs(got - ref) / ref < 0.02
 
     def test_matches_quadrature_general_heights(self):

@@ -1,0 +1,56 @@
+"""The package's public surface has one name per type and per function.
+
+Each Green's function is written once, in its geometry, and a value with
+its error has one type. Names that were second writings of a formula or of
+a type stay gone, and no two exported names may stand for the same thing.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import greens_coulomb
+from greens_coulomb import born
+from greens_coulomb.core import Point3, QuadratureSpec
+
+MODULES = [importlib.import_module("greens_coulomb." + m.name)
+           for m in pkgutil.iter_modules(greens_coulomb.__path__)]
+EXPORTS = {name: obj for name, obj in vars(greens_coulomb).items()
+           if not name.startswith("_") and not inspect.ismodule(obj)}
+
+# second writings: of the half-space image (HalfSpace.g), of the Yukawa
+# (NonlocalBulk.g), of ValueWithError, of Point3.mirror_z and of the gap's
+# cavity_g_general at z = z0 = 0
+REMOVED = ("half_space_g", "half_space_scattering_g1", "screened_potential", "GreensValue",
+           "mirror_z", "cavity_g_midpoint")
+
+
+def test_removed_names_stay_gone():
+    for module in [greens_coulomb] + MODULES:
+        assert [n for n in REMOVED if hasattr(module, n)] == [], module.__name__
+    assert [a for a in ("phi", "cylindrical", "vec") if hasattr(Point3, a)] == []
+
+
+def test_caps_are_module_constants():
+    assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["rel_tol", "abs_tol"]
+    assert "max_depth" not in inspect.signature(born._adaptive_boxes).parameters
+
+
+def test_no_two_exports_are_one_object():
+    names_by_id = {}
+    for name, obj in EXPORTS.items():
+        names_by_id.setdefault(id(obj), []).append(name)
+    assert [names for names in names_by_id.values() if len(names) > 1] == []
+
+
+def test_no_export_is_a_bare_subclass_of_another():
+    # a subclass with nothing but a docstring is a second name for its base;
+    # error classes are exempt, their type is what callers catch
+    bare = {"__module__", "__qualname__", "__doc__"}
+    classes = [obj for obj in EXPORTS.values()
+               if inspect.isclass(obj) and not issubclass(obj, BaseException)]
+    for cls in classes:
+        for base in cls.__mro__[1:]:
+            if base in classes:
+                assert set(vars(cls)) - bare, f"{cls.__name__} adds nothing to {base.__name__}"

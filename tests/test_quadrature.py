@@ -100,10 +100,10 @@ def test_reported_error_bounds_true_error():
         assert abs(got.value - exact) <= 10.0 * got.abs_err + 1e-14
 
 
-def test_nonconvergent_raises():
-    spec = QuadratureSpec(rel_tol=1e-10, max_panels=8)
+def test_nonconvergent_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
     with pytest.raises(ConvergenceError):
-        hankel_integral(lambda k: np.ones_like(k) / (1.0 + k), 0.3, spec)
+        hankel_integral(lambda k: np.ones_like(k) / (1.0 + k), 0.3, QuadratureSpec(rel_tol=1e-10))
 
 
 def test_halfline_unreachable_tolerance_stops_early():
@@ -116,12 +116,13 @@ def test_halfline_unreachable_tolerance_stops_early():
         hankel_integral(f, 0.0, QuadratureSpec(rel_tol=1e-12), k_scale=1.0)
 
 
-def test_halfline_edges_end_before_overflow():
+def test_halfline_edges_end_before_overflow(monkeypatch):
     # 1/(1 + k) never decays: the doubling panels reach [2^1022, 2^1023], and
     # the next edge would be inf, so the driver runs out of panels at 1024
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 1100)
     with pytest.raises(ConvergenceError, match=r"^half-line integral: tolerance not "
                        r"reached after 1024 panels"):
-        hankel_integral(lambda k: 1.0 / (1.0 + k), 0.0, QuadratureSpec(max_panels=1100))
+        hankel_integral(lambda k: 1.0 / (1.0 + k), 0.0)
 
 
 def test_euler_limit_alternating():
@@ -230,7 +231,7 @@ def _ref_panels(f, edges, spec):
                 return value
             if scale == 0.0:
                 return 0.0
-        if count >= spec.max_panels:
+        if count >= quadrature._MAX_PANELS:
             raise ConvergenceError("reference: tolerance not reached")
 
 
@@ -347,9 +348,10 @@ def test_batched_matches_reference_deep_refinement(rho):
                              QuadratureSpec(abs_tol=1e-13), k_scale=1.0)
 
 
-def test_batched_matches_reference_short_last_block():
-    # max_panels = 10: blocks of 4, 4 and 2 panels, then no convergence
-    spec = QuadratureSpec(rel_tol=1e-10, max_panels=10)
+def test_batched_matches_reference_short_last_block(monkeypatch):
+    # _MAX_PANELS = 10: blocks of 4, 4 and 2 panels, then no convergence
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 10)
+    spec = QuadratureSpec(rel_tol=1e-10)
     f = lambda k: 1.0 / (1.0 + k)  # noqa: E731
     g, nodes = _counted(f)
     with pytest.raises(ConvergenceError, match="after 10 panels"):
@@ -359,8 +361,8 @@ def test_batched_matches_reference_short_last_block():
         _reference(hankel_integral, g_ref, 0.3, spec, None)
     assert nodes[0] == ref_nodes[0]
     # a converging case under the same odd budget stops at panel 8 as before
-    _check_against_reference(hankel_integral, lambda k: np.exp(-k), 1.0,
-                             QuadratureSpec(max_panels=11))
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 11)
+    _check_against_reference(hankel_integral, lambda k: np.exp(-k), 1.0, QuadratureSpec())
 
 
 def test_kernel_call_sizes_stay_bounded():

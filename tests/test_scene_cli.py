@@ -21,10 +21,11 @@ FREE_PAIR = {
 }
 
 
-def far_pair(x):
-    return {"geometry": {"type": "free_space", "eps": 1.0},
-            "charges": [{"q": 1.0, "unit": "e", "position": [x, 0.0, 0.0]},
-                        {"q": 1.0, "unit": "e", "position": [-x, 0.0, 0.0]}]}
+def far_pair(x, geometry=None, za=0.0, zb=0.0):
+    """Two charges at x and -x, at heights za and zb, in free space by default."""
+    return {"geometry": geometry or {"type": "free_space", "eps": 1.0},
+            "charges": [{"q": 1.0, "unit": "e", "position": [x, 0.0, za]},
+                        {"q": 1.0, "unit": "e", "position": [-x, 0.0, zb]}]}
 
 
 def charge_pair(geometry, qa, qb):
@@ -61,6 +62,9 @@ def axis_pair(geometry):
 TINY_GAPS = [{"type": "cavity", "eps1": 4.0, "eps2": 1.0, "eps3": 8.0, "d": 1e-6},
              {"type": "cavity", "eps1": "conductor", "eps2": 1.0, "eps3": "conductor",
               "d": 1e-6}]
+BORN_BODIES = [{"type": "dilute_body", "alpha": 1e-40, "half_space_eta": 1e27},
+               {"type": "dilute_body", "alpha": 1e-40,
+                "regions": [{"box": [-1e-9, 1e-9, -1e-9, 1e-9, -2e-9, -1e-9], "eta": 1e27}]}]
 
 
 def strict_json(text):
@@ -307,13 +311,17 @@ class TestCliCommands:
             {"type": "nonlocal_bulk", "drude": {"omega_p": 8e15, "omega_p_bound": 9e15,
                                                 "omega_0": 4e15, "beta": 9e5}},
             {"type": "plate_with_hole", "R": 0.0},
-            {"type": "dilute_body", "alpha": 1e-40, "half_space_eta": 1e27},
-            {"type": "dilute_body", "alpha": 1e-40,
-             "regions": [{"box": [-1e-9, 1e-9, -1e-9, 1e-9, -2e-9, -1e-9], "eta": 1e27}]},
-        ] + TINY_GAPS
+        ] + BORN_BODIES + TINY_GAPS
     ] + [
         # the energy ~ 1/r is finite; the panel scan's products overflowed with a warning
         ("pair-energy", axis_pair(geometry), {"units": "si"}) for geometry in TINY_GAPS
+    ] + [
+        # an infinite separation gives U = 0 in every geometry, as in free space;
+        # gaps and Born bodies used to warn and exit 2 or 3
+        ("pair-energy", far_pair(1e308, geometry, za, zb),
+         {"U_joules": 0.0, "ratio_to_free": None})
+        for geometry, za, zb in [(gap, 1e-7, -2e-7) for gap in TINY_GAPS]
+        + [(body, 1e-9, 1e-9) for body in BORN_BODIES]
     ])
     def test_extreme_inputs_finite_json_or_exit_2(self, tmp_path, capsys, command, doc,
                                                   expect):
@@ -345,6 +353,25 @@ class TestCliCommands:
         assert main(["force", "--scene", write_scene(tmp_path, axis_pair(HALF_SPACE))]) == 2
         err = capsys.readouterr().err
         assert "overflows float64 in its z component" in err and "nan" not in err
+
+    def test_grounded_plane_far_pair_keeps_its_digits(self, tmp_path, capsys):
+        # the image cancels the direct term to x = (2z/d)^2 = 4e-10 of it; the
+        # ratio was 9.4e-7 off, and F_x 4.7e-7
+        doc = {"geometry": {"type": "half_space", "eps1": 1, "eps2": "conductor"},
+               "charges": [{"q": 1.0, "unit": "e", "position": [0.0, 0.0, 1e-9]},
+                           {"q": -1.0, "unit": "e", "position": [1e-4, 0.0, 1e-9]}]}
+        scene = write_scene(tmp_path, doc)
+        x = (2e-9 / 1e-4) ** 2
+        s = math.sqrt(1.0 + x)
+        assert main(["pair-energy", "--scene", scene]) == 0
+        ratio = strict_json(capsys.readouterr().out)["ratio_to_free"]
+        assert ratio == pytest.approx(x / (s * (1.0 + s)), rel=1e-14, abs=0.0)  # 1 - d/d*
+        assert main(["force", "--scene", scene]) == 0
+        fx = strict_json(capsys.readouterr().out)["F_newtons"][0]
+        # e^2/(4 pi eps0) (1e-4) (1/d^3 - 1/d*^3)
+        want = QE ** 2 / (4 * math.pi * epsilon_0) * 1e-4 / 1e-12 \
+            * -math.expm1(-1.5 * math.log1p(x))
+        assert fx == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_gap_pair_subnormal_offset_matches_axis(self, tmp_path, capsys):
         recs = []

@@ -4,16 +4,29 @@ import numpy as np
 import pytest
 from scipy.constants import elementary_charge as QE, epsilon_0
 
-from greens_coulomb.core import DomainError
+from greens_coulomb.core import (
+    DEFAULT_QUADRATURE,
+    Charge,
+    CoincidentPointsError,
+    DomainError,
+    Point3,
+)
+from greens_coulomb.interactions import pair_energy
 from greens_coulomb.screening import (
     DrudeStatic,
+    NonlocalBulk,
     eps_longitudinal_static,
-    screened_potential,
     screened_potential_numeric,
 )
 
 TF = DrudeStatic(omega_p=1.2e16, omega_p_bound=0.0, omega_0=5e15, beta=1.1e6)
 FULL = DrudeStatic(omega_p=8e15, omega_p_bound=9e15, omega_0=4e15, beta=9e5)
+
+
+def screened(r, qA, qB, p):
+    """The closed form: the pair energy of charges r apart in NonlocalBulk(p)."""
+    return pair_energy(NonlocalBulk(p), Charge(qA, Point3(0.0, 0.0, 0.0)),
+                       Charge(qB, Point3(0.0, 0.0, r))).energy
 
 
 class TestDrudeStatic:
@@ -40,8 +53,7 @@ class TestDrudeStatic:
                              beta=9e5, gamma_free=1e13, gamma_bound=2e13)
         assert damped.eps_b == FULL.eps_b and damped.k_s == FULL.k_s
         r = 2e-10
-        assert screened_potential(r, QE, QE, damped) == \
-            screened_potential(r, QE, QE, FULL)
+        assert screened(r, QE, QE, damped) == screened(r, QE, QE, FULL)
 
 
 class TestPermittivity:
@@ -69,30 +81,32 @@ class TestPermittivity:
 class TestScreenedPotential:
     def test_unscreened_when_no_free_carriers(self):
         p = DrudeStatic(omega_p=0.0, omega_p_bound=9e15, omega_0=4e15, beta=9e5)
-        # at r = inf, k_s r = 0 * inf must not make the potential NaN
-        for r in (1e-9, math.inf):
-            assert math.isclose(screened_potential(r, QE, QE, p),
-                                QE * QE / (4 * math.pi * epsilon_0 * p.eps_b * r),
-                                rel_tol=1e-15)
+        r = 1e-9
+        assert math.isclose(screened(r, QE, QE, p),
+                            QE * QE / (4 * math.pi * epsilon_0 * p.eps_b * r), rel_tol=1e-15)
+        # at a distance of inf, k_s r = 0 * inf must not make g NaN
+        far = NonlocalBulk(p).g(Point3(1e308, 0.0, 0.0), Point3(-1e308, 0.0, 0.0),
+                                DEFAULT_QUADRATURE)
+        assert far.value == 0.0
 
     def test_yukawa_form_invariant(self):
         # U(r) * r * exp(k_s r) is constant
-        vals = [screened_potential(r, QE, QE, FULL) * r * math.exp(FULL.k_s * r)
+        vals = [screened(r, QE, QE, FULL) * r * math.exp(FULL.k_s * r)
                 for r in (5e-11, 2e-10, 9e-10)]
         assert max(vals) - min(vals) <= 1e-10 * abs(vals[0])
 
     def test_attractive_for_opposite_signs(self):
-        assert screened_potential(1e-10, QE, -QE, FULL) < 0.0
+        assert screened(1e-10, QE, -QE, FULL) < 0.0
 
     def test_monotone_decay(self):
         rs = np.linspace(5e-11, 2e-9, 40)
-        us = [screened_potential(r, QE, QE, FULL) for r in rs]
+        us = [screened(r, QE, QE, FULL) for r in rs]
         assert all(u > 0 for u in us)
         assert all(a > b for a, b in zip(us, us[1:]))
 
     def test_nonpositive_distance_rejected(self):
-        with pytest.raises(DomainError):
-            screened_potential(0.0, QE, QE, FULL)
+        with pytest.raises(CoincidentPointsError):
+            screened(0.0, QE, QE, FULL)
 
 
 class TestNumericRoute:
@@ -106,7 +120,7 @@ class TestNumericRoute:
     def test_matches_closed_form(self):
         for p in (TF, FULL):
             for r in (5e-11, 2e-10, 1e-9):
-                closed = screened_potential(r, QE, QE, p)
+                closed = screened(r, QE, QE, p)
                 num = screened_potential_numeric(r, QE, QE, p)
                 assert abs(num.value - closed) / abs(closed) < 1e-8
 
@@ -118,7 +132,7 @@ class TestNumericRoute:
                     p = DrudeStatic(omega_p=wp, omega_p_bound=ratio * 4e15,
                                     omega_0=4e15, beta=beta)
                     r = 2e-10
-                    closed = screened_potential(r, QE, QE, p)
+                    closed = screened(r, QE, QE, p)
                     num = screened_potential_numeric(r, QE, QE, p)
                     assert abs(num.value - closed) / abs(closed) < 1e-8
 
