@@ -64,7 +64,8 @@ _MAX_DEPTH = 12
 # The integrand divides by |r - x|^3 |r' - x|^3; with box coordinates beyond
 # this, that product overflows float64 for points at the same scale.
 MAX_BOX_COORD = 0.5 * sys.float_info.max ** (1.0 / 6.0)
-# Roundoff of the closed-form half-space integral, relative to its summed terms.
+# Roundoff of a closed form relative to its summed terms, and of an accepted
+# octree cell relative to its value.
 _ROUNDOFF = 8.0 * sys.float_info.epsilon
 # Octant k of a box takes the upper half along x, y, z where bits 2, 1, 0 of k are set.
 _OCTANT_UPPER = np.array([[(k >> 2) & 1, (k >> 1) & 1, k & 1] for k in range(8)], dtype=bool)
@@ -157,7 +158,10 @@ class DiluteBody(Geometry):
     """Piecewise-constant density body with shared polarizability.
 
     regions: explicit boxes; half_space_eta: additionally (or instead) fill
-    the half-space z < 0 at this uniform density.
+    the half-space z < 0 at this uniform density. Charges sit in the
+    background medium: host_eps raises PointInsideBodyError on or inside a
+    box (whatever its density), and at z <= 0 when half_space_eta is given
+    (0 included).
     """
 
     alpha: PolarizabilityTensor
@@ -175,25 +179,11 @@ class DiluteBody(Geometry):
         if not self.regions and self.half_space_eta is None:
             raise DomainError("DiluteBody needs at least one region or half_space_eta")
 
-    def contains(self, p: Point3) -> bool:
-        if self.half_space_eta is not None and p.z < 0.0:
-            return True
-        return any(reg.box.contains(p) for reg in self.regions)
-
     def host_eps(self, p: Point3) -> float:
+        if ((self.half_space_eta is not None and p.z <= 0.0)
+                or any(reg.box.contains(p) for reg in self.regions)):
+            raise PointInsideBodyError(f"point {p} lies on or inside the body volume")
         return self.background_eps
-
-    def surface_distance(self, p: Point3) -> float:
-        dist = math.inf
-        if self.half_space_eta is not None:
-            dist = min(dist, abs(p.z))
-        for reg in self.regions:
-            b = reg.box
-            dx = max(b.x0 - p.x, 0.0, p.x - b.x1)
-            dy = max(b.y0 - p.y, 0.0, p.y - b.y1)
-            dz = max(b.z0 - p.z, 0.0, p.z - b.z1)
-            dist = min(dist, math.hypot(dx, math.hypot(dy, dz)))
-        return dist
 
     def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
         g0 = free_space_g(r, r_src, self.background_eps)
@@ -273,8 +263,9 @@ def _adaptive_boxes(integrand, boxes, rel_tol: float,
     when its children's sum moves its coarse estimate by no more than the
     local budget rel_tol * max(|fine|, scale_hint), or by no more than
     MIN_REL_TOL |fine|; accepted parents are added to the total in queue (FIFO)
-    order, so results are bit-reproducible. A parent still failing at depth
-    _MAX_DEPTH raises ConvergenceError.
+    order, so results are bit-reproducible. The error sums each accepted
+    parent's |fine - coarse| and its roundoff _ROUNDOFF |fine|. A parent
+    still failing at depth _MAX_DEPTH raises ConvergenceError.
     """
     total = 0.0
     err = 0.0
@@ -308,7 +299,7 @@ def _adaptive_boxes(integrand, boxes, rel_tol: float,
                 f"a field point may lie too close to a box")
         for v, e in zip(fine[done].tolist(), diff[done].tolist()):
             total += v
-            err += e
+            err += e + _ROUNDOFF * abs(v)
         refine = np.repeat(~done, 8)
         lo, hi, coarse = kid_lo[refine], kid_hi[refine], kid_vals[refine]
         depth += 1
@@ -560,19 +551,11 @@ def _box_self_grad(box: Box, r: Point3, alpha: np.ndarray) -> Tuple[Gradient, fl
     return (grad[0] * scale, grad[1] * scale, grad[2] * scale), _ROUNDOFF * max(sizes) * scale
 
 
-def _check_outside(body: DiluteBody, pts) -> None:
-    for p in pts:
-        if body.contains(p):
-            raise PointInsideBodyError(f"point {p} lies inside the body volume")
-
-
 def _body_terms(body: DiluteBody, box_term, half_space_term, r1: Point3, r2: Point3):
     """(eta, term) of each box, box_term(box), and of the half-space,
     half_space_term(r1, r2, alpha), in that order."""
     parts = [(reg.eta, box_term(reg.box)) for reg in body.regions if reg.eta != 0.0]
     if body.half_space_eta:
-        if r1.z <= 0.0 or r2.z <= 0.0:
-            raise PointInsideBodyError("field points must lie above the half-space body")
         parts.append((body.half_space_eta, half_space_term(r1, r2, body.alpha.matrix)))
     return parts
 
@@ -606,7 +589,8 @@ def _scattering_integral(r1: Point3, r2: Point3, body: DiluteBody,
     r1 = r2, where it is the closed form `_box_self_integral` wherever that
     form's roundoff bound meets rel_tol (the octree keeps far points).
     """
-    _check_outside(body, (r1, r2))
+    body.host_eps(r1)
+    body.host_eps(r2)
     alpha = body.alpha.matrix
     rv = np.array([r1.x, r1.y, r1.z])
     rpv = np.array([r2.x, r2.y, r2.z])
@@ -661,7 +645,8 @@ def born_scattering_grad(r: Point3, r_src: Point3, body: DiluteBody,
     Boxes differentiate under the integral sign (`_octree_grad`), also at
     r = r_src; the half-space term is the gradient of its closed form.
     """
-    _check_outside(body, (r, r_src))
+    body.host_eps(r)
+    body.host_eps(r_src)
     alpha = body.alpha.matrix
     rv = np.array([r.x, r.y, r.z])
     rpv = np.array([r_src.x, r_src.y, r_src.z])
@@ -678,7 +663,7 @@ def born_self_grad(r: Point3, body: DiluteBody,
     point elsewhere (g1 is symmetric); the half-space takes twice the
     gradient of its closed form.
     """
-    _check_outside(body, (r,))
+    body.host_eps(r)
     alpha = body.alpha.matrix
     rv = np.array([r.x, r.y, r.z])
 

@@ -36,12 +36,12 @@ class CoincidentPointsError(CoulombError):
     """Field and source point coincide where the kernel is singular."""
 
 
-class OnPlateError(CoulombError):
-    """A point lies on the conductor of the plate-with-aperture geometry."""
-
-
 class OnSurfaceError(CoulombError):
     """A charge sits on a material surface where the energy is not differentiable."""
+
+
+class OnPlateError(OnSurfaceError):
+    """A point lies on the conductor of the plate-with-aperture geometry."""
 
 
 class OutOfRegionError(CoulombError):
@@ -233,9 +233,10 @@ class Geometry:
     `interactions` turns it into energies and forces. The protocol:
 
     * host_eps(p): the finite permittivity of the medium at p, or None
-      inside a conductor;
-    * surface_distance(p): the distance from p to the nearest material
-      surface (inf if there is none);
+      inside a conductor. It is the geometry's one admission rule: a point
+      where no charge may sit (on an interface, outside a gap, on a plate,
+      in a body) raises the geometry's own error, the same for every
+      observable and for either charge;
     * g(r, r_src, spec): the Green's function between distinct points, a
       ValueWithError;
     * g1(r, spec): its scattering part at coincident points, g1(r, r), the
@@ -245,11 +246,11 @@ class Geometry:
 
     The gradients are 3-tuples of Python floats; where one overflows it is
     not finite and `force_on_A` rejects the force, while a g or g1 that
-    overflows raises DomainError in ValueWithError. Each method rejects what
-    its value is not defined for: a point on a material surface, outside the region where the
-    formula holds, or inside a conductor for the scattering part. A point
-    inside a perfect conductor of a half-space is fully screened, so g and
-    its gradient are 0 there.
+    overflows raises DomainError in ValueWithError. Each method rejects the
+    points that host_eps rejects, and beyond that only what its own value is
+    not defined for, such as the scattering part inside a conductor. A
+    point inside a perfect conductor of a half-space is fully screened, so g
+    and its gradient are 0 there.
     """
 
 
@@ -264,9 +265,6 @@ class FreeSpace(Geometry):
 
     def host_eps(self, p: Point3) -> float:
         return self.eps
-
-    def surface_distance(self, p: Point3) -> float:
-        return math.inf
 
     def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
         return analytic.free_space_g(r, r_src, self.eps)
@@ -292,7 +290,8 @@ class HalfSpace(Geometry):
     of one sign, (1 + refl)/d* + 4 z z'/(d d* (d + d*)), so that the image
     never cancels the direct term's digits (a grounded plane seen from
     afar). A pair across the interface sees the transmitted term
-    2 / ((eps_a + eps_b) 4 pi d).
+    2 / ((eps_a + eps_b) 4 pi d). No charge may sit on the interface:
+    host_eps raises OnSurfaceError at z = 0.
     """
 
     eps1: Permittivity
@@ -305,26 +304,17 @@ class HalfSpace(Geometry):
             raise DomainError("at least one half-space must be a dielectric")
 
     def host_eps(self, p: Point3) -> Optional[float]:
-        side = self.eps1 if p.z >= 0.0 else self.eps2
+        if p.z == 0.0:
+            raise OnSurfaceError(f"half-space: charge at {p} sits on the interface z = 0")
+        side = self.eps1 if p.z > 0.0 else self.eps2
         return None if is_conductor(side) else float(side)
-
-    def surface_distance(self, p: Point3) -> float:
-        return abs(p.z)
 
     def _other_side(self, r: Point3) -> Permittivity:
         return self.eps2 if r.z > 0.0 else self.eps1
 
-    def _pair_eps(self, r: Point3, r_src: Point3):
-        """host_eps of r and of r_src, neither of which may sit on the interface."""
-        if r.z == 0.0 or r_src.z == 0.0:
-            raise OnSurfaceError("half-space pair: charge on the interface")
-        return self.host_eps(r), self.host_eps(r_src)
-
     def _self_eps(self, r: Point3):
-        """host_eps of r, a dielectric off the interface, and the reflection
-        coefficient of the interface seen from r."""
-        if r.z == 0.0:
-            raise OnSurfaceError("half-space self-term: charge on the interface")
+        """host_eps of r, a dielectric, and the reflection coefficient of the
+        interface seen from r."""
         eps = self.host_eps(r)
         if eps is None:
             raise OutOfRegionError("half-space self-term: charge inside a perfect conductor")
@@ -342,7 +332,7 @@ class HalfSpace(Geometry):
         return up, down, d, distance(r, r_src.mirror_z())
 
     def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
-        eps_a, eps_b = self._pair_eps(r, r_src)
+        eps_a, eps_b = self.host_eps(r), self.host_eps(r_src)
         if eps_a is None or eps_b is None:
             return ValueWithError(0.0)  # no field crosses into a perfect conductor
         if (r.z > 0.0) != (r_src.z > 0.0):
@@ -361,7 +351,7 @@ class HalfSpace(Geometry):
         components are dx [near/d^2 + (1 + refl)/d*^3] and the normal one
         (z - z') near/d^2 + ((1 + refl) z - (1 - refl) z')/d*^3, each term
         divided in stages and 0 where its offset is 0."""
-        eps_a, eps_b = self._pair_eps(r, r_src)
+        eps_a, eps_b = self.host_eps(r), self.host_eps(r_src)
         if eps_a is None or eps_b is None:
             return 0.0, 0.0, 0.0
         if (r.z > 0.0) != (r_src.z > 0.0):
@@ -391,7 +381,10 @@ def _over_square(k: float, delta: float, d: float) -> float:
 
 @dataclass(frozen=True)
 class ThreeLayerCavity(Geometry):
-    """Gap of width d filled with eps2 between half-spaces eps1 (z < -d/2) and eps3 (z > d/2)."""
+    """Gap of width d filled with eps2 between half-spaces eps1 (z < -d/2) and eps3 (z > d/2).
+
+    Charges sit in the gap: host_eps raises OutOfRegionError for |z| >= d/2.
+    """
 
     eps1: Permittivity
     eps2: float
@@ -406,29 +399,21 @@ class ThreeLayerCavity(Geometry):
         if not (self.d > 0.0):
             raise DomainError(f"gap width d must be > 0, got {self.d!r}")
 
-    def host_eps(self, p: Point3) -> Optional[float]:
-        if abs(p.z) < 0.5 * self.d:
-            return self.eps2
-        side = self.eps1 if p.z < 0.0 else self.eps3
-        return None if is_conductor(side) else float(side)
-
-    def surface_distance(self, p: Point3) -> float:
-        return abs(0.5 * self.d - abs(p.z))
+    def host_eps(self, p: Point3) -> float:
+        if not (abs(p.z) < 0.5 * self.d):
+            raise OutOfRegionError(f"gap: charge at z = {p.z!r} outside the gap")
+        return self.eps2
 
     def _conducting(self) -> bool:
         return is_conductor(self.eps1) and is_conductor(self.eps3)
-
-    def _in_gap(self, *points: Point3) -> None:
-        for p in points:
-            if not (abs(p.z) < 0.5 * self.d):
-                raise OutOfRegionError(f"gap: charge at z = {p.z!r} outside the gap")
 
     def _modal(self, rho: float) -> bool:
         """Both walls conduct and rho reaches the mode sum's range."""
         return self._conducting() and rho >= cavity.MODAL_RHO_MIN * self.d
 
     def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
-        self._in_gap(r, r_src)
+        self.host_eps(r)
+        self.host_eps(r_src)
         rho = math.hypot(r.x - r_src.x, r.y - r_src.y)
         if self._modal(rho):
             return cavity.conducting_gap_g(r.z, r_src.z, rho, self.d, self.eps2)
@@ -436,13 +421,14 @@ class ThreeLayerCavity(Geometry):
                                        self.eps3, spec)
 
     def g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
-        self._in_gap(r)
+        self.host_eps(r)
         if self._conducting():
             return cavity.conducting_gap_g1(r.z, self.d, self.eps2)
         return cavity.cavity_scattering_g1(r.z, self.d, self.eps1, self.eps2, self.eps3, spec)
 
     def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
-        self._in_gap(r, r_src)
+        self.host_eps(r)
+        self.host_eps(r_src)
         dx, dy = r.x - r_src.x, r.y - r_src.y
         rho = math.hypot(dx, dy)
         if self._modal(rho):
@@ -454,7 +440,7 @@ class ThreeLayerCavity(Geometry):
         return radial * dx, radial * dy, d_z.value
 
     def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
-        self._in_gap(r)
+        self.host_eps(r)
         if self._conducting():
             dg1 = cavity.conducting_gap_dg1(r.z, self.d, self.eps2)
         else:
@@ -468,6 +454,8 @@ class PlateWithHole(Geometry):
     """Perfectly conducting plate at z = 0 with a circular aperture of radius R.
 
     R = 0 is the solid plate; R > 0 opens the aperture (centered on the z axis).
+    No charge may sit on the conductor: host_eps raises OnPlateError at z = 0,
+    rho >= R.
     """
 
     R: float
@@ -478,13 +466,9 @@ class PlateWithHole(Geometry):
             raise DomainError(f"aperture radius R must be >= 0, got {self.R!r}")
 
     def host_eps(self, p: Point3) -> float:
+        if p.z == 0.0 and p.rho >= self.R:
+            raise OnPlateError(f"plate: charge at {p} sits on the conductor (z = 0, rho >= R)")
         return 1.0
-
-    def surface_distance(self, p: Point3) -> float:
-        rho = p.rho
-        if rho >= self.R:
-            return abs(p.z)
-        return math.hypot(self.R - rho, p.z)
 
     def _on_axis(self, p: Point3, where: str) -> None:
         if p.rho > 1e-12 * max(abs(p.z), self.R):
@@ -492,31 +476,33 @@ class PlateWithHole(Geometry):
                 f"plate-with-hole {where} is provided on the symmetry axis only")
 
     @staticmethod
-    def _solid(r: Point3, *others: Point3) -> HalfSpace:
+    def _solid(r: Point3) -> HalfSpace:
         """The solid plate (R = 0) as the grounded half-space with vacuum on r's side."""
-        if any(p.z == 0.0 for p in (r, *others)):
-            raise OnPlateError("charge on the solid plate")
         return _GROUNDED_BELOW if r.z > 0.0 else _GROUNDED_ABOVE
 
     def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
+        self.host_eps(r)
+        self.host_eps(r_src)
         if self.R == 0.0:
-            return self._solid(r, r_src).g(r, r_src, spec)
+            return self._solid(r).g(r, r_src, spec)
         return analytic.plate_hole_g(r, r_src, self.R)
 
     def g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
-        if r.z == 0.0 and r.rho >= self.R:
-            raise OnSurfaceError("plate self-term: charge on the plate")
+        self.host_eps(r)
         if self.R == 0.0:
             return self._solid(r).g1(r, spec)
         self._on_axis(r, "self-energy")
         return ValueWithError(kernels.hole_onaxis_g1(r.z, self.R))
 
     def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
+        self.host_eps(r)
+        self.host_eps(r_src)
         if self.R == 0.0:
-            return self._solid(r, r_src).grad_g(r, r_src, spec)
+            return self._solid(r).grad_g(r, r_src, spec)
         return analytic.plate_hole_grad(r, r_src, self.R)
 
     def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
+        self.host_eps(r)
         if self.R == 0.0:
             return self._solid(r).grad_g1(r, spec)
         self._on_axis(r, "self-force")

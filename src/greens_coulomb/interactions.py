@@ -30,7 +30,6 @@ from .core import (
     CoincidentPointsError,
     DomainError,
     Geometry,
-    OnSurfaceError,
     OutOfRegionError,
     QuadratureSpec,
     ThreeLayerCavity,
@@ -86,9 +85,14 @@ def self_energy(geom: Geometry, a: Charge,
 
 def pair_energy(geom: Geometry, a: Charge, b: Charge,
                 spec: QuadratureSpec = DEFAULT_QUADRATURE) -> InteractionResult:
-    """U = qA qB / eps0 * g(rA, rB) for distinct points; 0 when they are too
-    far apart for float64, in every geometry, without asking it."""
+    """U = qA qB / eps0 * g(rA, rB) for distinct points.
+
+    Both points pass the geometry's host_eps first, so a charge where none
+    may sit raises the geometry's error whatever the separation; a pair too
+    far apart for float64 then has U = 0 in every geometry.
+    """
     ra, rb = a.position, b.position
+    eps_a, eps_b = geom.host_eps(ra), geom.host_eps(rb)
     if ra == rb:
         raise CoincidentPointsError("pair_energy: charges coincide")
     dist = distance(ra, rb)
@@ -103,10 +107,9 @@ def pair_energy(geom: Geometry, a: Charge, b: Charge,
     # opposite charges into 0.0
     energy = pref * g.value + 0.0
     ratio = None
-    eps = geom.host_eps(ra)
     # U_free = 0 at a zero (or underflowing) product of charges
-    if eps is not None and eps == geom.host_eps(rb) and qq != 0.0:
-        ratio = energy * FOUR_PI_EPS0 * eps * dist / qq + 0.0
+    if eps_a is not None and eps_a == eps_b and qq != 0.0:
+        ratio = energy * FOUR_PI_EPS0 * eps_a * dist / qq + 0.0
     return InteractionResult(energy, ratio, abs(pref) * g.abs_err)
 
 
@@ -120,16 +123,17 @@ def force_on_A(geom: Geometry, a: Charge, b: Optional[Charge] = None,
     """Force on charge A: -grad_A of the pair energy (b given) or self-energy.
 
     The gradient comes from the geometry's Green's function (`grad_g`, or
-    `grad_g1` for the self-force), to the tolerances of `spec`; a force that
-    overflows float64 is a DomainError.
+    `grad_g1` for the self-force), to the tolerances of `spec`. Both charges
+    pass the geometry's host_eps first; a pair too far apart for float64, or
+    a force that overflows it, is then a DomainError.
     """
     p = a.position
-    if geom.surface_distance(p) == 0.0:
-        raise OnSurfaceError(f"charge at {p} sits on a material surface")
+    eps_here = geom.host_eps(p)
     if b is None:
         pref = a.q * a.q / (2.0 * epsilon_0)
         grad = geom.grad_g1(p, spec)
     else:
+        geom.host_eps(b.position)
         if p == b.position:
             raise CoincidentPointsError("force_on_A: charges coincide")
         if not math.isfinite(distance(p, b.position)):
@@ -140,7 +144,6 @@ def force_on_A(geom: Geometry, a: Charge, b: Optional[Charge] = None,
     force = np.array([0.0 - pref * c for c in grad])
     factor = 1.0
     if apply_local_field:
-        eps_here = geom.host_eps(p)
         if eps_here is None:
             raise OutOfRegionError("force_on_A: charge inside a conductor")
         factor = local_field_factor(eps_here)

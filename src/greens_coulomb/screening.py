@@ -88,9 +88,6 @@ class NonlocalBulk(Geometry):
     def host_eps(self, p: Point3) -> float:
         return self.drude.eps_b
 
-    def surface_distance(self, p: Point3) -> float:
-        return math.inf
-
     def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
         """exp(-k_s r) / (4 pi eps_b r), the Yukawa form."""
         k_s = self.drude.k_s

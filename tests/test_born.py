@@ -277,7 +277,7 @@ class TestHalfSpaceClosedForm:
         both, boxes, half = (born_scattering_g1(a, b, body(*k), SPEC) for k in (
             ((region,), HALF_ETA), ((region,), None), ((), HALF_ETA)))
         assert abs(both.value - (boxes.value + half.value)) <= 1e-15 * abs(both.value)
-        assert both.abs_err == pytest.approx(boxes.abs_err + half.abs_err, rel=1e-12)
+        assert both.abs_err == pytest.approx(boxes.abs_err + half.abs_err, rel=1e-12, abs=0.0)
         ref = validate.half_space_octree(a, b, ANISO.matrix, OCTREE_TOL)
         pref = validate.born_g1_prefactor(HALF_ETA, 1.5)
         assert (abs(both.value - boxes.value - pref * ref.value)
@@ -411,12 +411,11 @@ class TestBoxSelfClosedForm:
             got = born_scattering_g1(p, p, body)
             octree = validate.box_octree(p, p, [UNIT_BOX], body.alpha.matrix, 1e-10)
             exact = _box_integral_50(UNIT_BOX, (p.x, p.y, p.z), ALPHA * FULL)
-            # the octree's abs_err counts no roundoff, about 1e-16 of a far point's value
-            floor = 0.0 if closed else 1e-15 * abs(got.value)
-            assert abs(mp.mpf(got.value) - pref * exact) <= got.abs_err + floor
+            assert abs(mp.mpf(got.value) - pref * exact) <= got.abs_err
             if not closed:
-                assert got.value == pytest.approx(pref * octree.value, rel=1e-14)
-                assert got.abs_err == pytest.approx(abs(pref) * octree.abs_err, rel=1e-14)
+                assert got.value == pytest.approx(pref * octree.value, rel=1e-14, abs=0.0)
+                assert got.abs_err == pytest.approx(abs(pref) * octree.abs_err, rel=1e-14,
+                                                    abs=0.0)
 
     def test_lengths_beyond_float64_hand_over_to_the_octree(self):
         # 1e-200 above a face the gradient's 1/t^2 underflows to a division by

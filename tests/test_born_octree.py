@@ -31,7 +31,8 @@ SIDE = DensityRegion(Box(1.5 * NM, 2.5 * NM, -0.5 * NM, 0.5 * NM, -1 * NM, 0.5 *
 
 
 def reference_adaptive_boxes(integrand, boxes, rel_tol, scale_hint, max_depth=12):
-    """FIFO loop over Box objects, one 125-node integrand call per cell."""
+    """FIFO loop over Box objects, one 125-node integrand call per cell; the
+    error adds each accepted cell's roundoff, as the program's octree does."""
     gx, gw = leggauss(5)
 
     def cell(b):
@@ -64,7 +65,7 @@ def reference_adaptive_boxes(integrand, boxes, rel_tol, scale_hint, max_depth=12
             budget = rel_tol * max(abs(fine), scale_hint)
             if diff <= max(budget, 1e-15 * abs(fine)) or depth >= max_depth:
                 total += fine
-                err += diff
+                err += diff + born._ROUNDOFF * abs(fine)
             else:
                 next_queue.extend((k, v, depth + 1) for k, v in zip(kids, kid_vals))
         queue = next_queue

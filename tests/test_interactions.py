@@ -17,6 +17,7 @@ from greens_coulomb.core import (
     OutOfRegionError,
     PlateWithHole,
     Point3,
+    PointInsideBodyError,
     QuadratureSpec,
     ThreeLayerCavity,
     UnsupportedGeometryError,
@@ -50,10 +51,71 @@ def _subclasses(cls):
 def test_every_geometry_gives_only_its_greens_function():
     # energies and forces are formed in interactions alone
     for cls in set(GEOMETRIES) | set(_subclasses(Geometry)):
-        for name in ("g", "g1", "grad_g", "grad_g1", "host_eps", "surface_distance"):
+        for name in ("g", "g1", "grad_g", "grad_g1", "host_eps"):
             assert callable(getattr(cls, name, None)), f"{cls.__name__} lacks {name}"
-        for name in ("self_energy", "pair_energy", "closed_force"):
+        # host_eps is the one admission rule; there is no second surface test
+        for name in ("self_energy", "pair_energy", "closed_force", "surface_distance"):
             assert not hasattr(cls, name), f"{cls.__name__} defines {name}"
+
+
+_BODY_ALPHA = PolarizabilityTensor.isotropic(1e-30 * epsilon_0)
+_SLAB = DensityRegion(Box(-1.0, 1.0, -1.0, 1.0, -2.0, -1.0), 1e27)
+
+# (geometry, a point where no charge may sit, a point where one may, the
+# geometry's error)
+FORBIDDEN = {
+    "half_space_interface": (HalfSpace(1.0, 4.0), (0.3, 0.1, 0.0), (0.5, 0.0, 0.7),
+                             OnSurfaceError),
+    "grounded_plane": (HalfSpace(PC, 4.0), (0.3, 0.1, 0.0), (0.5, 0.0, -0.7), OnSurfaceError),
+    "gap_wall": (ThreeLayerCavity(4.0, 1.0, 8.0, 1.0), (0.1, 0.2, 0.5), (0.5, 0.0, 0.1),
+                 OutOfRegionError),
+    "gap_outside": (ThreeLayerCavity(4.0, 1.0, 8.0, 1.0), (0.1, 0.2, -0.7), (0.5, 0.0, 0.1),
+                    OutOfRegionError),
+    "conducting_gap_wall": (ThreeLayerCavity(PC, 1.5, PC, 1.0), (0.1, 0.2, -0.5),
+                            (0.5, 0.0, 0.1), OutOfRegionError),
+    "solid_plate": (PlateWithHole(0.0), (0.3, 0.1, 0.0), (0.5, 0.0, 0.7), OnPlateError),
+    "aperture_plate": (PlateWithHole(1.0), (2.0, 0.0, 0.0), (0.0, 0.0, 0.7), OnPlateError),
+    "aperture_rim": (PlateWithHole(1.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.7), OnPlateError),
+    "born_box_inside": (DiluteBody(_BODY_ALPHA, (_SLAB,)), (0.2, 0.1, -1.5), (0.5, 0.0, 2.0),
+                        PointInsideBodyError),
+    "born_box_face": (DiluteBody(_BODY_ALPHA, (_SLAB,)), (0.2, 0.1, -1.0), (0.5, 0.0, 2.0),
+                      PointInsideBodyError),
+    "born_box_corner": (DiluteBody(_BODY_ALPHA, (_SLAB,)), (1.0, 1.0, -2.0), (0.5, 0.0, 2.0),
+                        PointInsideBodyError),
+    "born_half_space_plane": (DiluteBody(_BODY_ALPHA, half_space_eta=1e27), (0.2, 0.1, 0.0),
+                              (0.5, 0.0, 0.7), PointInsideBodyError),
+    "born_half_space_below": (DiluteBody(_BODY_ALPHA, half_space_eta=1e27), (0.2, 0.1, -0.5),
+                              (0.5, 0.0, 0.7), PointInsideBodyError),
+    "born_empty_half_space_plane": (DiluteBody(_BODY_ALPHA, half_space_eta=0.0),
+                                    (0.2, 0.1, 0.0), (0.5, 0.0, 0.7), PointInsideBodyError),
+}
+
+ROUTES = {
+    "self_energy": lambda geom, bad, good: self_energy(geom, bad),
+    "pair_as_A": lambda geom, bad, good: pair_energy(geom, bad, good),
+    "pair_as_B": lambda geom, bad, good: pair_energy(geom, good, bad),
+    "force_as_A": lambda geom, bad, good: force_on_A(geom, bad, good),
+    "force_as_B": lambda geom, bad, good: force_on_A(geom, good, bad),
+    "self_force": lambda geom, bad, good: force_on_A(geom, bad),
+}
+
+
+@pytest.mark.parametrize("far", [False, True])
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("case", FORBIDDEN)
+def test_a_forbidden_point_raises_the_geometrys_error_on_every_route(case, route, far):
+    # host_eps is the one admission rule: the same class for every observable
+    # and either charge, also for a partner too far away for float64
+    geom, bad, good, error = FORBIDDEN[case]
+    if far:
+        good = (1.5e308, 1.5e308, good[2])
+    with pytest.raises(error) as info:
+        ROUTES[route](geom, Charge(QE, Point3(*bad)), Charge(-QE, Point3(*good)))
+    assert info.type is error
+
+
+def test_on_plate_is_on_surface():
+    assert issubclass(OnPlateError, OnSurfaceError)
 
 
 class TestLocalFieldFactor:
@@ -415,6 +477,13 @@ class TestGapForces:
             force_on_A(geom, q_at(-0.6))
 
 
+def _plate_distance(p, R):
+    """Distance from p to the plate z = 0, rho >= R: to the plane outside the
+    rim, to the rim's circle inside it."""
+    rho = math.hypot(p[0], p[1])
+    return abs(p[2]) if rho >= R else math.hypot(R - rho, p[2])
+
+
 class TestPlateForces:
     """The aperture's gradient routes against a stencil of its own energies,
     at criterion 7's tolerance 1e-4."""
@@ -429,7 +498,7 @@ class TestPlateForces:
         geom = PlateWithHole(1.0)
         a, b = Charge(QE, Point3(*ra)), Charge(-QE, Point3(*rb))
         force = force_on_A(geom, a, b).force
-        h = 1e-4 * min(geom.surface_distance(a.position), math.dist(ra, rb))
+        h = 1e-4 * min(_plate_distance(ra, 1.0), math.dist(ra, rb))
         grad = _stencil_grad(lambda p: pair_energy(geom, Charge(a.q, p), b).energy,
                              a.position, h)
         assert np.linalg.norm(force + grad) <= 1e-4 * np.linalg.norm(force)

@@ -30,6 +30,8 @@ def test_removed_names_stay_gone():
     for module in [greens_coulomb] + MODULES:
         assert [n for n in REMOVED if hasattr(module, n)] == [], module.__name__
     assert [a for a in ("phi", "cylindrical", "vec") if hasattr(Point3, a)] == []
+    # host_eps is a geometry's one admission rule, with no second test of a point
+    assert not hasattr(born.DiluteBody, "contains")
 
 
 def test_caps_are_module_constants():

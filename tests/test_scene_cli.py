@@ -237,11 +237,11 @@ class TestCliCommands:
         half_space = -QE ** 2 * 1e3 * 1e-40 / (32 * math.pi * epsilon_0 ** 2 * 1e-3)
         assert main(["self-energy", "--scene", scene]) == 0
         rec = strict_json(capsys.readouterr().out)
-        assert rec["U_joules"] == pytest.approx(half_space, rel=1e-2)
+        assert rec["U_joules"] == pytest.approx(half_space, rel=1e-2, abs=0.0)
         assert 0.0 < rec["abs_err"] <= 1e-14 * abs(rec["U_joules"])
         assert main(["force", "--scene", scene]) == 0
         force = strict_json(capsys.readouterr().out)["F_newtons"]
-        assert force[2] == pytest.approx(half_space / 1e-3, rel=1e-2)
+        assert force[2] == pytest.approx(half_space / 1e-3, rel=1e-2, abs=0.0)
         assert abs(force[0]) + abs(force[1]) <= 1e-12 * abs(force[2])
 
     @pytest.mark.parametrize("alpha", [
@@ -316,8 +316,8 @@ class TestCliCommands:
         # the energy ~ 1/r is finite; the panel scan's products overflowed with a warning
         ("pair-energy", axis_pair(geometry), {"units": "si"}) for geometry in TINY_GAPS
     ] + [
-        # an infinite separation gives U = 0 in every geometry, as in free space;
-        # gaps and Born bodies used to warn and exit 2 or 3
+        # an infinite separation of admitted charges gives U = 0 in every
+        # geometry, as in free space; gaps and Born bodies used to warn and exit 2 or 3
         ("pair-energy", far_pair(1e308, geometry, za, zb),
          {"U_joules": 0.0, "ratio_to_free": None})
         for geometry, za, zb in [(gap, 1e-7, -2e-7) for gap in TINY_GAPS]
@@ -338,6 +338,27 @@ class TestCliCommands:
             assert code == 0 and err == ""
             rec = strict_json(out)
             assert {k: rec[k] for k in expect} == expect
+
+    @pytest.mark.parametrize("command", ["pair-energy", "force"])
+    @pytest.mark.parametrize("bad_first", [True, False])
+    @pytest.mark.parametrize("geometry,bad,good,error", [
+        (TINY_GAPS[0], [1e308, 0.0, 5e-6], [-1e308, 0.0, 0.0], "OutOfRegionError"),
+        (HALF_SPACE, [1e308, 0.0, 0.0], [-1e308, 0.0, 1e-9], "OnSurfaceError"),
+        ({"type": "plate_with_hole", "R": 1e-9}, [1e308, 0.0, 0.0], [-1e308, 0.0, 1e-9],
+         "OnPlateError"),
+        # a separation of hypot(1.5e308, 1.5e308) overflows
+        (BORN_BODIES[1], [0.0, 0.0, -1.5e-9], [1.5e308, 1.5e308, 1e-9],
+         "PointInsideBodyError"),
+    ])
+    def test_far_pair_with_a_forbidden_charge_exit_2(self, tmp_path, capsys, command,
+                                                     bad_first, geometry, bad, good, error):
+        # the geometry admits each charge before the separation is looked at
+        positions = [bad, good] if bad_first else [good, bad]
+        doc = {"geometry": geometry,
+               "charges": [{"q": 1.0, "unit": "e", "position": p} for p in positions]}
+        assert main([command, "--scene", write_scene(tmp_path, doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"error ({error})" in err
 
     def test_unscreened_bulk_far_pair_is_free_space(self, tmp_path, capsys):
         # with omega_p = 0 and a separation of 2e308, k_s r is 0 * inf = NaN
