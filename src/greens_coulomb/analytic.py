@@ -39,7 +39,8 @@ def free_space_g(r: Point3, r_src: Point3, eps: float = 1.0) -> ValueWithError:
 
 def free_space_grad(r: Point3, r_src: Point3, eps: float = 1.0,
                     scale: float = 1.0) -> Tuple[float, float, float]:
-    """Gradient in r of scale / (4 pi eps |r - r_src|), scale held fixed.
+    """Gradient in r of scale / (4 pi eps |r - r_src|), scale held fixed, for
+    distinct points (its callers reject coincident ones first).
 
     Each component is divided by the distance in stages, after its direction
     cosine, so that no power of the distance underflows and a component
@@ -47,8 +48,6 @@ def free_space_grad(r: Point3, r_src: Point3, eps: float = 1.0,
     comes out as inf.
     """
     dist = distance(r, r_src)
-    if dist == 0.0:
-        raise CoincidentPointsError("free_space_grad: r coincides with r_src")
     c = -scale / (_FOUR_PI * eps * dist)
     return (c * ((r.x - r_src.x) / dist) / dist, c * ((r.y - r_src.y) / dist) / dist,
             c * ((r.z - r_src.z) / dist) / dist)

@@ -21,7 +21,7 @@ cells are summed in the FIFO order of a cell-by-cell loop, so results are
 bit-reproducible; a cell still outside its budget at the depth cap
 _MAX_DEPTH is a ConvergenceError. Forces are gradients of the same
 integrals: of the closed forms (`_half_space_grad`, `_box_self_grad`) or
-under the integral sign in the octree (`born_scattering_grad`).
+under the integral sign in the octree (`_scattering_grad`).
 """
 
 from __future__ import annotations
@@ -185,21 +185,40 @@ class DiluteBody(Geometry):
             raise PointInsideBodyError(f"point {p} lies on or inside the body volume")
         return self.background_eps
 
-    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
+    def _g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
         g0 = free_space_g(r, r_src, self.background_eps)
         g1 = born_scattering_g1(r, r_src, self, spec)
         return ValueWithError(g0.value + g1.value, g1.abs_err)
 
-    def g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
+    def _g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
         return born_scattering_g1(r, r, self, spec)
 
-    def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
+    def _grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
         direct = free_space_grad(r, r_src, self.background_eps)
-        scattered = born_scattering_grad(r, r_src, self, spec)
+        scattered = _scattering_grad(r, r_src, self, spec)
         return tuple(d + s for d, s in zip(direct, scattered))
 
-    def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
-        return born_self_grad(r, self, spec)
+    def _grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
+        """Gradient of r -> born_scattering_g1(r, r), both points moving.
+
+        A box takes `_box_self_grad` wherever its roundoff bound meets rel_tol
+        of the gradient's length, and twice the octree's gradient in the first
+        point elsewhere (g1 is symmetric); the half-space takes twice the
+        gradient of its closed form.
+        """
+        alpha = self.alpha.matrix
+        rv = np.array([r.x, r.y, r.z])
+
+        def box_grad(box):
+            got = _closed_form(_box_self_grad, box, r, alpha)
+            if got is not None and got[1] <= spec.rel_tol * math.hypot(*got[0]):
+                return got[0]
+            return tuple(2.0 * c for c in _octree_grad(box, rv, rv, alpha, spec.rel_tol))
+
+        def half_space_grad(r1, r2, a):
+            return tuple(2.0 * c for c in _half_space_grad(r1, r2, a))
+
+        return _body_grad(self, box_grad, half_space_grad, r, r, _g1_prefactor(self))
 
 
 def charge_molecule_potential(qA: float, rA: Point3, rB: Point3,
@@ -589,8 +608,6 @@ def _scattering_integral(r1: Point3, r2: Point3, body: DiluteBody,
     r1 = r2, where it is the closed form `_box_self_integral` wherever that
     form's roundoff bound meets rel_tol (the octree keeps far points).
     """
-    body.host_eps(r1)
-    body.host_eps(r2)
     alpha = body.alpha.matrix
     rv = np.array([r1.x, r1.y, r1.z])
     rpv = np.array([r2.x, r2.y, r2.z])
@@ -622,8 +639,11 @@ def born_scattering_g1(r: Point3, r_src: Point3, body: DiluteBody,
     """First Born correction to g from the polarizable body.
 
     g1(r, r') = -(1/eps0) int d^3x eta(x) grad_x g0(r, x) . alpha . grad_x g0(x, r')
-    with the uniform background kernel g0 = 1/(4 pi eps_bg |.|).
+    with the uniform background kernel g0 = 1/(4 pi eps_bg |.|). Callers
+    outside `DiluteBody.g` use it too, so it admits both points itself.
     """
+    body.host_eps(r)
+    body.host_eps(r_src)
     total, err = _scattering_integral(r, r_src, body, spec)
     pref = _g1_prefactor(body)
     return ValueWithError(pref * total, abs(pref) * err)
@@ -638,45 +658,18 @@ def _octree_grad(box: Box, rv: np.ndarray, rpv: np.ndarray, alpha: np.ndarray,
         [box], rel_tol, scale_hint=0.0)[0] for axis in range(3))
 
 
-def born_scattering_grad(r: Point3, r_src: Point3, body: DiluteBody,
-                         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Gradient:
+def _scattering_grad(r: Point3, r_src: Point3, body: DiluteBody,
+                     spec: QuadratureSpec) -> Gradient:
     """Gradient of born_scattering_g1 in its field point r.
 
     Boxes differentiate under the integral sign (`_octree_grad`), also at
     r = r_src; the half-space term is the gradient of its closed form.
     """
-    body.host_eps(r)
-    body.host_eps(r_src)
     alpha = body.alpha.matrix
     rv = np.array([r.x, r.y, r.z])
     rpv = np.array([r_src.x, r_src.y, r_src.z])
     return _body_grad(body, lambda box: _octree_grad(box, rv, rpv, alpha, spec.rel_tol),
                       _half_space_grad, r, r_src, _g1_prefactor(body))
-
-
-def born_self_grad(r: Point3, body: DiluteBody,
-                   spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Gradient:
-    """Gradient of r -> born_scattering_g1(r, r), both points moving.
-
-    A box takes `_box_self_grad` wherever its roundoff bound meets rel_tol
-    of the gradient's length, and twice the octree's gradient in the first
-    point elsewhere (g1 is symmetric); the half-space takes twice the
-    gradient of its closed form.
-    """
-    body.host_eps(r)
-    alpha = body.alpha.matrix
-    rv = np.array([r.x, r.y, r.z])
-
-    def box_grad(box):
-        got = _closed_form(_box_self_grad, box, r, alpha)
-        if got is not None and got[1] <= spec.rel_tol * math.hypot(*got[0]):
-            return got[0]
-        return tuple(2.0 * c for c in _octree_grad(box, rv, rv, alpha, spec.rel_tol))
-
-    def half_space_grad(r1, r2, a):
-        return tuple(2.0 * c for c in _half_space_grad(r1, r2, a))
-
-    return _body_grad(body, box_grad, half_space_grad, r, r, _g1_prefactor(body))
 
 
 def charge_body_energy(a, body: DiluteBody,

@@ -230,28 +230,61 @@ class Geometry:
     """An environment, given by its static Green's function.
 
     Each geometry supplies its Green's function and nothing else;
-    `interactions` turns it into energies and forces. The protocol:
+    `interactions` turns it into energies and forces. A geometry writes:
 
     * host_eps(p): the finite permittivity of the medium at p, or None
       inside a conductor. It is the geometry's one admission rule: a point
       where no charge may sit (on an interface, outside a gap, on a plate,
-      in a body) raises the geometry's own error, the same for every
-      observable and for either charge;
-    * g(r, r_src, spec): the Green's function between distinct points, a
-      ValueWithError;
-    * g1(r, spec): its scattering part at coincident points, g1(r, r), the
+      in a body) raises the geometry's own error;
+    * _g(r, r_src, spec): the Green's function, a ValueWithError;
+    * _g1(r, spec): its scattering part at coincident points, g1(r, r), the
       free-space divergence subtracted;
-    * grad_g(r, r_src, spec): the gradient of g in the field point r;
-    * grad_g1(r, spec): the gradient of r -> g1(r, r), both points moving.
+    * _grad_g(r, r_src, spec): the gradient of g in the field point r;
+    * _grad_g1(r, spec): the gradient of r -> g1(r, r), both points moving.
+
+    The public g, g1, grad_g and grad_g1, written here alone, apply the
+    rules every geometry shares, in this order: host_eps admits each point;
+    coincident points raise CoincidentPointsError; a pair too far apart for
+    float64 has g = 0 (every environment here vanishes at an infinite
+    separation) and a gradient that is a DomainError. The private methods
+    thus see admitted, distinct points at a finite distance, and reject only
+    what their own value is not defined for, such as the scattering part
+    inside a conductor.
 
     The gradients are 3-tuples of Python floats; where one overflows it is
     not finite and `force_on_A` rejects the force, while a g or g1 that
-    overflows raises DomainError in ValueWithError. Each method rejects the
-    points that host_eps rejects, and beyond that only what its own value is
-    not defined for, such as the scattering part inside a conductor. A
-    point inside a perfect conductor of a half-space is fully screened, so g
-    and its gradient are 0 there.
+    overflows raises DomainError in ValueWithError. A point inside a
+    perfect conductor of a half-space is fully screened, so g and its
+    gradient are 0 there.
     """
+
+    def _far_pair(self, r: Point3, r_src: Point3) -> bool:
+        """Admit both points and reject coincident ones; True where their
+        distance overflows float64."""
+        self.host_eps(r)
+        self.host_eps(r_src)
+        dist = distance(r, r_src)
+        if dist == 0.0:
+            raise CoincidentPointsError(f"{type(self).__name__}: r coincides with r_src")
+        return dist == math.inf
+
+    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
+        if self._far_pair(r, r_src):
+            return ValueWithError(0.0)
+        return self._g(r, r_src, spec)
+
+    def g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
+        self.host_eps(r)
+        return self._g1(r, spec)
+
+    def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
+        if self._far_pair(r, r_src):
+            raise DomainError(f"{type(self).__name__}: the points are too far apart for float64")
+        return self._grad_g(r, r_src, spec)
+
+    def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
+        self.host_eps(r)
+        return self._grad_g1(r, spec)
 
 
 @dataclass(frozen=True)
@@ -266,16 +299,16 @@ class FreeSpace(Geometry):
     def host_eps(self, p: Point3) -> float:
         return self.eps
 
-    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
+    def _g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
         return analytic.free_space_g(r, r_src, self.eps)
 
-    def g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
+    def _g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
         return ValueWithError(0.0)
 
-    def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
+    def _grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
         return analytic.free_space_grad(r, r_src, self.eps)
 
-    def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
+    def _grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
         return 0.0, 0.0, 0.0
 
 
@@ -326,12 +359,9 @@ class HalfSpace(Geometry):
         other = self._other_side(r)
         up, down = (0.0, 2.0) if is_conductor(other) else (2.0 / (1.0 + other / eps),
                                                             2.0 / (1.0 + eps / other))
-        d = distance(r, r_src)
-        if d == 0.0:
-            raise CoincidentPointsError("half-space pair: r coincides with r_src")
-        return up, down, d, distance(r, r_src.mirror_z())
+        return up, down, distance(r, r_src), distance(r, r_src.mirror_z())
 
-    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
+    def _g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
         eps_a, eps_b = self.host_eps(r), self.host_eps(r_src)
         if eps_a is None or eps_b is None:
             return ValueWithError(0.0)  # no field crosses into a perfect conductor
@@ -341,11 +371,11 @@ class HalfSpace(Geometry):
         near = 4.0 * (r.z / d) * (r_src.z / ds) / (d + ds)
         return ValueWithError((up / ds + near) / (4.0 * math.pi * eps_a))
 
-    def g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
+    def _g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
         eps_a, refl = self._self_eps(r)
         return ValueWithError(refl / (8.0 * math.pi * eps_a * abs(r.z)))
 
-    def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
+    def _grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
         """The gradient of the same-sign form: with 1/d^3 - 1/d*^3 =
         (d* - d)(d*^2 + d d* + d^2)/(d^3 d*^3) = near/d^2, the lateral
         components are dx [near/d^2 + (1 + refl)/d*^3] and the normal one
@@ -366,7 +396,7 @@ class HalfSpace(Geometry):
                 c * (_over_square(near, dy, d) + _over_square(up / ds, dy, ds)),
                 c * (_over_square(near, dz, d) + _over_square(1.0 / ds, normal, ds)))
 
-    def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
+    def _grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
         eps_a, refl = self._self_eps(r)
         # divided by z last, twice: z * z, or a product with z, underflows
         # to 0 for the tiniest |z|, where the quotient overflows to inf instead
@@ -411,24 +441,19 @@ class ThreeLayerCavity(Geometry):
         """Both walls conduct and rho reaches the mode sum's range."""
         return self._conducting() and rho >= cavity.MODAL_RHO_MIN * self.d
 
-    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
-        self.host_eps(r)
-        self.host_eps(r_src)
+    def _g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
         rho = math.hypot(r.x - r_src.x, r.y - r_src.y)
         if self._modal(rho):
             return cavity.conducting_gap_g(r.z, r_src.z, rho, self.d, self.eps2)
         return cavity.cavity_g_general(r.z, r_src.z, rho, self.d, self.eps1, self.eps2,
                                        self.eps3, spec)
 
-    def g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
-        self.host_eps(r)
+    def _g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
         if self._conducting():
             return cavity.conducting_gap_g1(r.z, self.d, self.eps2)
         return cavity.cavity_scattering_g1(r.z, self.d, self.eps1, self.eps2, self.eps3, spec)
 
-    def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
-        self.host_eps(r)
-        self.host_eps(r_src)
+    def _grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
         dx, dy = r.x - r_src.x, r.y - r_src.y
         rho = math.hypot(dx, dy)
         if self._modal(rho):
@@ -439,8 +464,7 @@ class ThreeLayerCavity(Geometry):
         radial = d_rho.value / rho if rho > 0.0 else 0.0
         return radial * dx, radial * dy, d_z.value
 
-    def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
-        self.host_eps(r)
+    def _grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
         if self._conducting():
             dg1 = cavity.conducting_gap_dg1(r.z, self.d, self.eps2)
         else:
@@ -480,31 +504,25 @@ class PlateWithHole(Geometry):
         """The solid plate (R = 0) as the grounded half-space with vacuum on r's side."""
         return _GROUNDED_BELOW if r.z > 0.0 else _GROUNDED_ABOVE
 
-    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
-        self.host_eps(r)
-        self.host_eps(r_src)
+    def _g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
         if self.R == 0.0:
-            return self._solid(r).g(r, r_src, spec)
+            return self._solid(r)._g(r, r_src, spec)
         return analytic.plate_hole_g(r, r_src, self.R)
 
-    def g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
-        self.host_eps(r)
+    def _g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
         if self.R == 0.0:
-            return self._solid(r).g1(r, spec)
+            return self._solid(r)._g1(r, spec)
         self._on_axis(r, "self-energy")
         return ValueWithError(kernels.hole_onaxis_g1(r.z, self.R))
 
-    def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
-        self.host_eps(r)
-        self.host_eps(r_src)
+    def _grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
         if self.R == 0.0:
-            return self._solid(r).grad_g(r, r_src, spec)
+            return self._solid(r)._grad_g(r, r_src, spec)
         return analytic.plate_hole_grad(r, r_src, self.R)
 
-    def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
-        self.host_eps(r)
+    def _grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
         if self.R == 0.0:
-            return self._solid(r).grad_g1(r, spec)
+            return self._solid(r)._grad_g1(r, spec)
         self._on_axis(r, "self-force")
         return 0.0, 0.0, kernels.hole_onaxis_dg1(r.z, self.R)
 

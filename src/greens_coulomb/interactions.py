@@ -12,7 +12,9 @@ three entry points here are the only place where charges and eps0 enter:
 Forces are therefore exact up to roundoff in closed form and follow `spec`
 where the Green's function is a quadrature or an octree sum. Energies are
 reported uncorrected; the real-cavity local-field factor 3 eps/(2 eps + 1)
-multiplies forces only, and only on request.
+multiplies forces only, and only on request. The closed-form reference
+`cavity_asymptotic_force`, which the tests compare them against, is the
+one other function here that multiplies by the charges and eps0.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from scipy.constants import epsilon_0
 from .core import (
     DEFAULT_QUADRATURE,
     Charge,
-    CoincidentPointsError,
     DomainError,
     Geometry,
     OutOfRegionError,
@@ -87,28 +88,24 @@ def pair_energy(geom: Geometry, a: Charge, b: Charge,
                 spec: QuadratureSpec = DEFAULT_QUADRATURE) -> InteractionResult:
     """U = qA qB / eps0 * g(rA, rB) for distinct points.
 
-    Both points pass the geometry's host_eps first, so a charge where none
-    may sit raises the geometry's error whatever the separation; a pair too
-    far apart for float64 then has U = 0 in every geometry.
+    `Geometry.g` admits both points and rejects coincident ones; a pair too
+    far apart for float64 has U = 0 in every geometry.
     """
     ra, rb = a.position, b.position
-    eps_a, eps_b = geom.host_eps(ra), geom.host_eps(rb)
-    if ra == rb:
-        raise CoincidentPointsError("pair_energy: charges coincide")
-    dist = distance(ra, rb)
-    if not math.isfinite(dist):
-        # every environment here vanishes at an infinite separation, where
-        # U_free = 0 leaves the ratio undefined
-        return InteractionResult(0.0, None, 0.0)
     g = geom.g(ra, rb, spec)
+    dist = distance(ra, rb)
+    if dist == math.inf:
+        # g = 0 there, and U_free = 0 leaves the ratio undefined
+        return InteractionResult(0.0, None, 0.0)
     qq = a.q * b.q
     pref = qq / epsilon_0
     # here and in the ratio, + 0.0 turns the -0.0 of a screened pair of
     # opposite charges into 0.0
     energy = pref * g.value + 0.0
     ratio = None
+    eps_a = geom.host_eps(ra)
     # U_free = 0 at a zero (or underflowing) product of charges
-    if eps_a is not None and eps_a == eps_b and qq != 0.0:
+    if eps_a is not None and eps_a == geom.host_eps(rb) and qq != 0.0:
         ratio = energy * FOUR_PI_EPS0 * eps_a * dist / qq + 0.0
     return InteractionResult(energy, ratio, abs(pref) * g.abs_err)
 
@@ -123,27 +120,22 @@ def force_on_A(geom: Geometry, a: Charge, b: Optional[Charge] = None,
     """Force on charge A: -grad_A of the pair energy (b given) or self-energy.
 
     The gradient comes from the geometry's Green's function (`grad_g`, or
-    `grad_g1` for the self-force), to the tolerances of `spec`. Both charges
-    pass the geometry's host_eps first; a pair too far apart for float64, or
-    a force that overflows it, is then a DomainError.
+    `grad_g1` for the self-force), to the tolerances of `spec`, and with it
+    the rules every geometry shares (`core.Geometry`); a force that
+    overflows float64 is a DomainError.
     """
     p = a.position
-    eps_here = geom.host_eps(p)
     if b is None:
         pref = a.q * a.q / (2.0 * epsilon_0)
         grad = geom.grad_g1(p, spec)
     else:
-        geom.host_eps(b.position)
-        if p == b.position:
-            raise CoincidentPointsError("force_on_A: charges coincide")
-        if not math.isfinite(distance(p, b.position)):
-            raise DomainError("force_on_A: the charges are too far apart for float64")
         pref = a.q * b.q / epsilon_0
         grad = geom.grad_g(p, b.position, spec)
     # 0.0 - x rather than -x, so that a component that vanishes is +0.0
     force = np.array([0.0 - pref * c for c in grad])
     factor = 1.0
     if apply_local_field:
+        eps_here = geom.host_eps(p)
         if eps_here is None:
             raise OutOfRegionError("force_on_A: charge inside a conductor")
         factor = local_field_factor(eps_here)

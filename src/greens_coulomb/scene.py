@@ -196,12 +196,7 @@ def parse_scene(doc: dict) -> Scene:
     if abs_tol is not None:
         abs_tol = _number(abs_tol, "options.abs_tol")
     options = SceneOptions(local_field=lf, rel_tol=rel_tol, abs_tol=abs_tol)
-    try:
-        return Scene(geometry=geometry, charges=charges, options=options)
-    except CoulombError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SceneError(str(exc)) from exc
+    return Scene(geometry=geometry, charges=charges, options=options)
 
 
 def read_scene_doc(path):

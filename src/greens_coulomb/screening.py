@@ -7,7 +7,7 @@ The static longitudinal permittivity of the hydrodynamic Drude model is
 bound electrons contributing the constant eps_b and free carriers the
 1/k^2 term that screens completely at long wavelength. The Green's function
 is the Yukawa form exp(-k_s r) / (4 pi eps_b r) with k_s = omega_p / (beta
-sqrt(eps_b)), written once, in `NonlocalBulk.g`.
+sqrt(eps_b)), written once, in `NonlocalBulk._g`.
 `screened_potential_numeric` evaluates the same interaction by a direct
 sine-transform quadrature of the Fourier representation, and `validate`
 checks the closed form against it.
@@ -88,25 +88,21 @@ class NonlocalBulk(Geometry):
     def host_eps(self, p: Point3) -> float:
         return self.drude.eps_b
 
-    def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
+    def _g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
         """exp(-k_s r) / (4 pi eps_b r), the Yukawa form."""
-        k_s = self.drude.k_s
         dist = distance(r, r_src)
-        # 1 without screening, also at dist = inf, where k_s dist is NaN
-        factor = math.exp(-k_s * dist) if k_s else 1.0
-        return ValueWithError(factor / (4.0 * math.pi * self.drude.eps_b * dist))
+        return ValueWithError(math.exp(-self.drude.k_s * dist)
+                              / (4.0 * math.pi * self.drude.eps_b * dist))
 
-    def g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
+    def _g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
         raise UnsupportedGeometryError(
             "coincident self-energy diverges in a nonlocal bulk medium")
 
-    def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
-        k_s = self.drude.k_s
-        ksr = k_s * distance(r, r_src)
-        factor = math.exp(-ksr) * (1.0 + ksr) if k_s else 1.0
-        return free_space_grad(r, r_src, self.drude.eps_b, factor)
+    def _grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
+        ksr = self.drude.k_s * distance(r, r_src)
+        return free_space_grad(r, r_src, self.drude.eps_b, math.exp(-ksr) * (1.0 + ksr))
 
-    def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
+    def _grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
         raise UnsupportedGeometryError(
             "self-force undefined in a nonlocal bulk (self-energy diverges)")
 
@@ -121,7 +117,7 @@ def eps_longitudinal_static(k: float, p: DrudeStatic) -> float:
 def screened_potential_numeric(r: float, qA: float, qB: float, p: DrudeStatic,
                                spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
     """The pair energy in the bulk, in joules, by sine-transform quadrature of
-    the k-space kernel; the reference for the closed form `NonlocalBulk.g`.
+    the k-space kernel; the reference for the closed form `NonlocalBulk._g`.
 
     U = qA qB / (2 pi^2 eps0) * integral_0^inf sin(k r) k
         / (r (eps_b k^2 + (omega_p/beta)^2)) dk

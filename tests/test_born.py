@@ -455,7 +455,7 @@ class TestBoxSelfClosedForm:
                           regions=(DensityRegion(UNIT_BOX, 1e27),), background_eps=2.5)
         p = Point3(*r)
         grad = np.array(body.grad_g1(p, SPEC))
-        octree = 2.0 * np.array(born.born_scattering_grad(p, p, body, QuadratureSpec(1e-8)))
+        octree = 2.0 * np.array(born._scattering_grad(p, p, body, QuadratureSpec(1e-8)))
         assert np.linalg.norm(grad - octree) <= 1e-6 * np.linalg.norm(grad)
         h = 1e-6
         for m in range(3):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from greens_coulomb.core import (
     PERFECT_CONDUCTOR,
     Charge,
     CoincidentPointsError,
+    DomainError,
     FreeSpace,
     Geometry,
     HalfSpace,
@@ -51,8 +53,11 @@ def _subclasses(cls):
 def test_every_geometry_gives_only_its_greens_function():
     # energies and forces are formed in interactions alone
     for cls in set(GEOMETRIES) | set(_subclasses(Geometry)):
-        for name in ("g", "g1", "grad_g", "grad_g1", "host_eps"):
+        for name in ("_g", "_g1", "_grad_g", "_grad_g1", "host_eps"):
             assert callable(getattr(cls, name, None)), f"{cls.__name__} lacks {name}"
+        # the rules every pair shares live in Geometry's public methods alone
+        for name in ("g", "g1", "grad_g", "grad_g1"):
+            assert name not in vars(cls), f"{cls.__name__} overrides {name}"
         # host_eps is the one admission rule; there is no second surface test
         for name in ("self_energy", "pair_energy", "closed_force", "surface_distance"):
             assert not hasattr(cls, name), f"{cls.__name__} defines {name}"
@@ -60,6 +65,40 @@ def test_every_geometry_gives_only_its_greens_function():
 
 _BODY_ALPHA = PolarizabilityTensor.isotropic(1e-30 * epsilon_0)
 _SLAB = DensityRegion(Box(-1.0, 1.0, -1.0, 1.0, -2.0, -1.0), 1e27)
+
+# (geometry, the height of a point where a charge may sit)
+INSTANCES = {
+    "free_space": (FreeSpace(1.0), 0.5),
+    "half_space": (HalfSpace(1.0, 4.0), 0.5),
+    "solid_plate": (PlateWithHole(0.0), 0.5),
+    "aperture_plate": (PlateWithHole(1.0), 0.5),
+    "bulk": (NonlocalBulk(DrudeStatic(8e15, 9e15, 4e15, 9e5)), 0.5),
+    "born_half_space": (DiluteBody(_BODY_ALPHA, half_space_eta=1e27), 0.5),
+    "dielectric_gap": (ThreeLayerCavity(4.0, 1.0, 8.0, 1.0), 0.1),
+    "conducting_gap": (ThreeLayerCavity(PC, 1.5, PC, 1.0), 0.1),
+    "born_box": (DiluteBody(_BODY_ALPHA, (_SLAB,)), 0.5),
+}
+
+
+@pytest.mark.parametrize("case", INSTANCES)
+def test_every_geometry_applies_the_shared_pair_rules(case):
+    # a pair too far apart for float64 has g = 0 and no gradient, and
+    # coincident points are an error, with no warning on the way
+    geom, z = INSTANCES[case]
+    far, near = Point3(1e308, 0.0, z), Point3(-1e308, 0.0, z)
+    p = Point3(0.3, 0.2, z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((far, near), (near, far)):
+            got = geom.g(a, b, SPEC)
+            assert (got.value, got.abs_err) == (0.0, 0.0)
+            with pytest.raises(DomainError):
+                geom.grad_g(a, b, SPEC)
+        with pytest.raises(CoincidentPointsError):
+            geom.g(p, p, SPEC)
+        with pytest.raises(CoincidentPointsError):
+            geom.grad_g(p, p, SPEC)
+
 
 # (geometry, a point where no charge may sit, a point where one may, the
 # geometry's error)
@@ -315,15 +354,8 @@ class TestForces:
         geom = HalfSpace(2.0, 30.0)
         closed = force_on_A(geom, a, b).force
 
-        def u_at(p):
-            return pair_energy(geom, Charge(a.q, p), b).energy
-
-        h = 1e-4 * 0.6e-9
-        grad = np.zeros(3)
-        for ax, (dx, dy, dz) in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-            def at(c):
-                return u_at(a.position.shifted(dx * c, dy * c, dz * c))
-            grad[ax] = (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(2 * -h)) / (12 * h)
+        grad = _stencil_grad(lambda p: pair_energy(geom, Charge(a.q, p), b).energy,
+                             a.position, 1e-4 * 0.6e-9)
         assert np.allclose(-grad, closed, rtol=1e-6)
 
     def test_fd_force_cavity_consistency(self):
@@ -332,15 +364,8 @@ class TestForces:
         b = Charge(QE, Point3(0.0, 0.0, -0.1))
         f = force_on_A(geom, a, b).force
 
-        def u_at(p):
-            return pair_energy(geom, Charge(a.q, p), b).energy
-
-        h = 1e-5 * 0.4
-        grad = np.zeros(3)
-        for ax, (dx, dy, dz) in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-            def at(c):
-                return u_at(a.position.shifted(dx * c, dy * c, dz * c))
-            grad[ax] = (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(2 * -h)) / (12 * h)
+        grad = _stencil_grad(lambda p: pair_energy(geom, Charge(a.q, p), b).energy,
+                             a.position, 1e-5 * 0.4)
         assert np.linalg.norm(f + grad) / np.linalg.norm(f) < 1e-4
 
     def test_action_reaction_translation_invariant(self):

@@ -19,8 +19,8 @@ MODULES = [importlib.import_module("greens_coulomb." + m.name)
 EXPORTS = {name: obj for name, obj in vars(greens_coulomb).items()
            if not name.startswith("_") and not inspect.ismodule(obj)}
 
-# second writings: of the half-space image (HalfSpace.g), of the Yukawa
-# (NonlocalBulk.g), of ValueWithError, of Point3.mirror_z and of the gap's
+# second writings: of the half-space image (HalfSpace._g), of the Yukawa
+# (NonlocalBulk._g), of ValueWithError, of Point3.mirror_z and of the gap's
 # cavity_g_general at z = z0 = 0
 REMOVED = ("half_space_g", "half_space_scattering_g1", "screened_potential", "GreensValue",
            "mirror_z", "cavity_g_midpoint")
