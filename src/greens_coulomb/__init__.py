@@ -62,7 +62,6 @@ from .interactions import (
     pair_energy,
     self_energy,
 )
-from .poisson_fd import FDSolution, GridSpec, aligned_grid, solve_scattering_g1
 from .quadrature import hankel_integral, sine_integral
 from .scene import Scene, SceneOptions, load_scene, parse_scene
 from .screening import (
@@ -73,3 +72,19 @@ from .screening import (
 )
 
 __version__ = "0.1.0"
+
+# The finite-difference oracle needs scipy.sparse, which takes longer to
+# import (about 0.3 s) than the rest of the package, and only `validate`
+# and the oracle's own callers use it; so its names load on first use.
+_FD_ORACLE = ("FDSolution", "GridSpec", "aligned_grid", "solve_scattering_g1")
+
+
+def __getattr__(name):
+    if name in _FD_ORACLE:
+        from . import poisson_fd
+        return getattr(poisson_fd, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_FD_ORACLE))

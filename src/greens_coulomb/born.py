@@ -33,12 +33,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.constants import epsilon_0
 
 from . import interactions, kernels
 from .analytic import free_space_g, free_space_grad
 from .core import (
     DEFAULT_QUADRATURE,
+    EPSILON_0,
     MIN_REL_TOL,
     CoincidentPointsError,
     ConvergenceError,
@@ -190,7 +190,20 @@ class DiluteBody(Geometry):
         g1 = born_scattering_g1(r, r_src, self, spec)
         return ValueWithError(g0.value + g1.value, g1.abs_err)
 
+    def _beyond_float64(self, r: Point3) -> bool:
+        """True where the way from r to the nearest point of the body and back
+        overflows float64: the pair rule of `Geometry` for the self-term, whose
+        value then underflows to 0 (as the half-space closed form finds)."""
+        gaps = [math.hypot(max(b.x0 - r.x, 0.0, r.x - b.x1), max(b.y0 - r.y, 0.0, r.y - b.y1),
+                           max(b.z0 - r.z, 0.0, r.z - b.z1))
+                for b in (reg.box for reg in self.regions if reg.eta != 0.0)]
+        if self.half_space_eta:
+            gaps.append(r.z)
+        return 2.0 * min(gaps, default=0.0) == math.inf
+
     def _g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
+        if self._beyond_float64(r):
+            return ValueWithError(0.0)
         return born_scattering_g1(r, r, self, spec)
 
     def _grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
@@ -206,6 +219,8 @@ class DiluteBody(Geometry):
         point elsewhere (g1 is symmetric); the half-space takes twice the
         gradient of its closed form.
         """
+        if self._beyond_float64(r):
+            raise self._too_far()
         alpha = self.alpha.matrix
         rv = np.array([r.x, r.y, r.z])
 
@@ -229,7 +244,7 @@ def charge_molecule_potential(qA: float, rA: Point3, rB: Point3,
     if r2 == 0.0:
         raise CoincidentPointsError("charge_molecule_potential: rA coincides with rB")
     quad = float(r @ alpha.matrix @ r)
-    return -qA * qA * quad / (32.0 * math.pi ** 2 * epsilon_0 ** 2 * r2 ** 3)
+    return -qA * qA * quad / (32.0 * math.pi ** 2 * EPSILON_0 ** 2 * r2 ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +646,7 @@ def _scattering_integral(r1: Point3, r2: Point3, body: DiluteBody,
 
 
 def _g1_prefactor(body: DiluteBody) -> float:
-    return -1.0 / (epsilon_0 * (4.0 * math.pi * body.background_eps) ** 2)
+    return -1.0 / (EPSILON_0 * (4.0 * math.pi * body.background_eps) ** 2)
 
 
 def born_scattering_g1(r: Point3, r_src: Point3, body: DiluteBody,

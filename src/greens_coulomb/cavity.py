@@ -21,6 +21,9 @@ Forces differentiate the Green's function: the mode sum and the digamma
 form term by term, the quadrature under the Hankel integral (Michalski &
 Mosig, IEEE TAP 45 (1997) 508).
 
+The four conducting-wall functions import K0, K1, digamma and the trigamma
+from scipy.special when they are called, not when the package is imported.
+
 Region 2 (the gap, host permittivity eps2) spans -d/2 < z < d/2.
 """
 
@@ -32,7 +35,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import digamma, k0, k1, polygamma
 
 from . import kernels
 from .core import (
@@ -228,6 +230,7 @@ def conducting_gap_g(z: float, z0: float, rho: float, d: float,
     u = z + d/2 and u0 = z0 + d/2, for rho > 0. abs_err bounds the dropped
     modes and the roundoff of the kept ones.
     """
+    from scipy.special import k0
     n, a, pref, (s, _, m), (s0, _, m0) = _modes(z, z0, rho, d, eps2)
     kv = k0(n * a)
     err = _mode_tail(n, a, k0) + _mode_roundoff(n, a, d, s, m, s0, m0, kv)
@@ -237,6 +240,7 @@ def conducting_gap_g(z: float, z0: float, rho: float, d: float,
 def conducting_gap_grad(z: float, z0: float, rho: float, d: float, eps2: float):
     """(dg/drho, dg/dz) of conducting_gap_g, z the field point's height: the
     modes differentiated term by term, K0' = -K1 in rho and sin' = cos in z."""
+    from scipy.special import k0, k1
     n, a, pref, (s, c, m), (s0, _, m0) = _modes(z, z0, rho, d, eps2)
     kn = n * (math.pi / d)
     kv0 = kn * k0(n * a)
@@ -324,6 +328,7 @@ def conducting_gap_g1(z0: float, d: float, eps2: float) -> ValueWithError:
     g1 = (gamma + (psi(x) + psi(y))/2) / (4 pi eps2 d), with x = (d/2 + z0)/d
     and y = (d/2 - z0)/d = 1 - x; the midplane value is -ln 2/(2 pi eps2 d).
     """
+    from scipy.special import digamma
     u, w = _wall_distances(z0, d)
     e2 = finite_eps(eps2, "eps2")
     return ValueWithError((np.euler_gamma + 0.5 * (digamma(u / d) + digamma(w / d)))
@@ -333,6 +338,7 @@ def conducting_gap_g1(z0: float, d: float, eps2: float) -> ValueWithError:
 def conducting_gap_dg1(z0: float, d: float, eps2: float) -> ValueWithError:
     """d/dz0 of conducting_gap_g1, both points moving:
     (psi'(x) - psi'(y)) / (8 pi eps2 d^2), with the trigamma psi'."""
+    from scipy.special import polygamma
     u, w = _wall_distances(z0, d)
     e2 = finite_eps(eps2, "eps2")
     return ValueWithError((polygamma(1, u / d) - polygamma(1, w / d))

@@ -19,6 +19,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple, Union
 
+# CODATA 2022, as scipy.constants gives them; written out so that importing
+# the package loads no scipy
+EPSILON_0 = 8.8541878188e-12  # vacuum permittivity, F/m
+ELEMENTARY_CHARGE = 1.602176634e-19  # C, exact in the SI
+
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -268,6 +273,10 @@ class Geometry:
             raise CoincidentPointsError(f"{type(self).__name__}: r coincides with r_src")
         return dist == math.inf
 
+    def _too_far(self) -> DomainError:
+        """The error of a gradient at a distance that overflows float64."""
+        return DomainError(f"{type(self).__name__}: the points are too far apart for float64")
+
     def g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
         if self._far_pair(r, r_src):
             return ValueWithError(0.0)
@@ -279,7 +288,7 @@ class Geometry:
 
     def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
         if self._far_pair(r, r_src):
-            raise DomainError(f"{type(self).__name__}: the points are too far apart for float64")
+            raise self._too_far()
         return self._grad_g(r, r_src, spec)
 
     def grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.constants import epsilon_0
 
 from .core import (
     DEFAULT_QUADRATURE,
+    EPSILON_0,
     Charge,
     DomainError,
     Geometry,
@@ -40,7 +40,7 @@ from .core import (
     is_conductor,
 )
 
-FOUR_PI_EPS0 = 4.0 * math.pi * epsilon_0
+FOUR_PI_EPS0 = 4.0 * math.pi * EPSILON_0
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def self_energy(geom: Geometry, a: Charge,
                 spec: QuadratureSpec = DEFAULT_QUADRATURE) -> InteractionResult:
     """U1 = q^2/(2 eps0) * g1(r, r); the free-space divergence is subtracted."""
     g1 = geom.g1(a.position, spec)
-    pref = a.q * a.q / (2.0 * epsilon_0)
+    pref = a.q * a.q / (2.0 * EPSILON_0)
     return InteractionResult(pref * g1.value, None, abs(pref) * g1.abs_err)
 
 
@@ -98,7 +98,7 @@ def pair_energy(geom: Geometry, a: Charge, b: Charge,
         # g = 0 there, and U_free = 0 leaves the ratio undefined
         return InteractionResult(0.0, None, 0.0)
     qq = a.q * b.q
-    pref = qq / epsilon_0
+    pref = qq / EPSILON_0
     # here and in the ratio, + 0.0 turns the -0.0 of a screened pair of
     # opposite charges into 0.0
     energy = pref * g.value + 0.0
@@ -126,10 +126,10 @@ def force_on_A(geom: Geometry, a: Charge, b: Optional[Charge] = None,
     """
     p = a.position
     if b is None:
-        pref = a.q * a.q / (2.0 * epsilon_0)
+        pref = a.q * a.q / (2.0 * EPSILON_0)
         grad = geom.grad_g1(p, spec)
     else:
-        pref = a.q * b.q / epsilon_0
+        pref = a.q * b.q / EPSILON_0
         grad = geom.grad_g(p, b.position, spec)
     # 0.0 - x rather than -x, so that a component that vanishes is +0.0
     force = np.array([0.0 - pref * c for c in grad])

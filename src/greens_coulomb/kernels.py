@@ -125,6 +125,11 @@ def _bracket_grad(Ft: float, D: float):
     return dF, -(B + dF * Ft) / D / D
 
 
+def _times(k: float, delta: float) -> float:
+    """k delta; 0 where the offset delta is 0, even if k overflows (inf * 0 is NaN)."""
+    return k * delta if delta else 0.0
+
+
 def hole_greens_grad(x, y, z, xp, yp, zp, R):
     """Field-point gradient (dg/dx, dg/dy, dg/dz) of hole_greens, Cartesian, z >= 0.
 
@@ -146,8 +151,8 @@ def hole_greens_grad(x, y, z, xp, yp, zp, R):
     c_z = bFm * dFm[1] - bFp * dFp[1]
     c_d = bDm - bDp
     scale = 1.0 / (8.0 * math.pi)
-    return (scale * (c_r * x + c_d * ex), scale * (c_r * y + c_d * ey),
-            scale * (c_r * z + c_z + bDm * (z - zp) - bDp * (z + zp)))
+    return (scale * (c_r * x + _times(c_d, ex)), scale * (c_r * y + _times(c_d, ey)),
+            scale * (c_r * z + c_z + _times(bDm, z - zp) - _times(bDp, z + zp)))
 
 
 def hole_onaxis_g1(z: float, R: float) -> float:

@@ -31,7 +31,6 @@ from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import j0, j1, jn_zeros
 
 from .core import (
     DEFAULT_QUADRATURE,
@@ -55,14 +54,25 @@ _MAX_CALL_CELLS = 4096
 _ROUNDOFF = 16.0 * np.finfo(float).eps
 _ACCEL_ORDER = 12  # averaging levels of the Euler extrapolation
 
-_BESSEL = {0: j0, 1: j1}
-_BESSEL_ZEROS = {order: jn_zeros(order, 256) for order in _BESSEL}
+# J0 and J1, and a table of the positive zeros of each, 256 at first; filled
+# by _load_bessel on first use, so that importing the package loads no scipy
+_BESSEL = {}
+_BESSEL_ZEROS = {}
+
+
+def _load_bessel() -> None:
+    from scipy.special import j0, j1, jn_zeros
+    _BESSEL_ZEROS.update({order: jn_zeros(order, 256) for order in (0, 1)})
+    _BESSEL.update({0: j0, 1: j1})
 
 
 def _bessel_zero(order: int, n: int) -> float:
     """n-th positive zero of J_order (1-based), growing the table as needed."""
+    if not _BESSEL:
+        _load_bessel()
     zeros = _BESSEL_ZEROS[order]
     if n > zeros.size:
+        from scipy.special import jn_zeros
         zeros = _BESSEL_ZEROS[order] = jn_zeros(order, max(n, 2 * zeros.size))
     return zeros[n - 1]
 
@@ -313,14 +323,16 @@ def hankel_integral(f: Callable[[np.ndarray], np.ndarray], rho: float,
     """
     if rho < 0.0:
         raise DomainError(f"rho must be >= 0, got {rho!r}")
-    if order not in _BESSEL:
+    if order not in (0, 1):
         raise DomainError(f"order must be 0 or 1, got {order!r}")
-    bessel = _BESSEL[order]
     if rho == 0.0:
         if order == 1:
             return ValueWithError(0.0)
         return ValueWithError(*_integrate_panels(f, _halfline_edges(k_scale), spec,
                                               "half-line integral"))
+    if not _BESSEL:
+        _load_bessel()
+    bessel = _BESSEL[order]
 
     def integrand(k: np.ndarray) -> np.ndarray:
         return np.asarray(f(k), dtype=float) * bessel(k * rho)

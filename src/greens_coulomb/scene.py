@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from scipy.constants import elementary_charge
-
 from . import born, screening
 from .core import (
+    ELEMENTARY_CHARGE,
     PERFECT_CONDUCTOR,
     Charge,
     CoulombError,
@@ -144,7 +143,7 @@ def _parse_charge(obj: dict, where: str) -> Charge:
         raise SceneError(f"{where}.unit: must be 'C' or 'e', got {unit!r}")
     q = _number(obj["q"], f"{where}.q")
     if unit == "e":
-        q *= elementary_charge
+        q *= ELEMENTARY_CHARGE
     pos = obj["position"]
     if not (isinstance(pos, list) and len(pos) == 3):
         raise SceneError(f"{where}.position: expected [x, y, z]")

@@ -19,12 +19,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import epsilon_0
 
 from . import kernels
 from .analytic import free_space_grad
 from .core import (
     DEFAULT_QUADRATURE,
+    EPSILON_0,
     DomainError,
     Geometry,
     Gradient,
@@ -135,7 +135,7 @@ def screened_potential_numeric(r: float, qA: float, qB: float, p: DrudeStatic,
 
     # The raw transform tends to (pi/2) exp(-k_s r)/(r eps_b); give abs_tol
     # a floor at 1e-12 of the unscreened level when the caller left it at 0.
-    pref = qA * qB / (2.0 * math.pi ** 2 * epsilon_0)
+    pref = qA * qB / (2.0 * math.pi ** 2 * EPSILON_0)
     abs_kernel = spec.abs_tol / abs(pref) if (spec.abs_tol > 0.0 and pref != 0.0) \
         else 1e-12 * math.pi / (2.0 * r * eps_b)
     k_scale = max(p.k_s, 1.0 / r)

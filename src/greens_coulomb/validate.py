@@ -14,14 +14,15 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 import numpy as np
-from scipy.constants import elementary_charge, epsilon_0
 
-from . import analytic, born, cavity, interactions, kernels, poisson_fd, screening
+from . import analytic, born, cavity, interactions, kernels, screening
 from .core import (
     DEFAULT_QUADRATURE,
+    ELEMENTARY_CHARGE,
+    EPSILON_0,
     PERFECT_CONDUCTOR,
     Charge,
     FreeSpace,
@@ -34,8 +35,11 @@ from .core import (
 )
 from .quadrature import hankel_integral, sine_integral
 
+if TYPE_CHECKING:
+    from .poisson_fd import FDSolution
+
 PC = PERFECT_CONDUCTOR
-QE = elementary_charge
+QE = ELEMENTARY_CHARGE
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,7 @@ def check_half_space_flux_jump() -> CheckResult:
 
 def check_onaxis_limit() -> CheckResult:
     R = 1.0
-    target = -QE * QE / (8.0 * math.pi ** 2 * epsilon_0 * R)
+    target = -QE * QE / (8.0 * math.pi ** 2 * EPSILON_0 * R)
     z1, z2 = 1e-3 * R, 1e-4 * R
     u1, u2 = (interactions.self_energy(PlateWithHole(R), Charge(QE, Point3(0, 0, z))).energy
               for z in (z1, z2))
@@ -243,16 +247,20 @@ def check_thomas_fermi() -> CheckResult:
 # oracle (finite-difference) suite (criterion 6)
 # ---------------------------------------------------------------------------
 
+# poisson_fd, and with it scipy.sparse, is imported by the functions that
+# solve a grid, so that no other command loads it
+
 _FD_H = 1.0
 _FD_EXACT = -(1.0 / (4.0 * math.pi)) * (3.0 / 5.0) / (2.0 * _FD_H)
 
 
 @lru_cache(maxsize=None)
-def _half_space_fd(n: int) -> poisson_fd.FDSolution:
+def _half_space_fd(n: int) -> FDSolution:
     """HalfSpace(1, 4) with the source at height 1 on the aligned n x n grid.
 
     Four checks read these grids; the cache solves each one once per process.
     """
+    from . import poisson_fd
     grid = poisson_fd.aligned_grid(n, _FD_H, (0.0,), 20 * _FD_H, 40 * _FD_H)
     return poisson_fd.solve_scattering_g1(HalfSpace(1.0, 4.0), Point3(0, 0, _FD_H), grid)
 
@@ -272,9 +280,10 @@ def check_fd_convergence() -> CheckResult:
 
 
 @lru_cache(maxsize=None)
-def _cavity_fd(eps1: float, eps3: float, z0: float) -> poisson_fd.FDSolution:
+def _cavity_fd(eps1: float, eps3: float, z0: float) -> FDSolution:
     """ThreeLayerCavity(eps1, 1, eps3, d = 1) with the source at height z0 on
     the aligned 256 x 256 grid, solved once per process."""
+    from . import poisson_fd
     d = 1.0
     grid = poisson_fd.aligned_grid(256, z0, (-d / 2, d / 2), 3 * d, 8 * d)
     return poisson_fd.solve_scattering_g1(ThreeLayerCavity(eps1, 1.0, eps3, d),
@@ -303,6 +312,7 @@ def check_fd_gauss_flux() -> CheckResult:
 
 
 def check_fd_scaling() -> CheckResult:
+    from . import poisson_fd
     g1 = _half_space_fd(64).g1
     g2 = poisson_fd.solve_scattering_g1(
         HalfSpace(3.0, 12.0), Point3(0, 0, _FD_H),
@@ -376,8 +386,8 @@ def check_cavity_slope() -> CheckResult:
 # against itself.
 _BORN_H = 1e-9
 _BORN_X = 1e-3
-_BORN_ALPHA = 1e-30 * epsilon_0
-_BORN_ETA = _BORN_X * epsilon_0 / _BORN_ALPHA
+_BORN_ALPHA = 1e-30 * EPSILON_0
+_BORN_ETA = _BORN_X * EPSILON_0 / _BORN_ALPHA
 _BORN_REL_TOL = 1e-6
 
 
@@ -430,14 +440,14 @@ def half_space_octree(r1: Point3, r2: Point3, alpha: np.ndarray,
 
 def born_g1_prefactor(eta: float, eps_bg: float) -> float:
     """g1 per unit half-space integral: -eta / (eps0 (4 pi eps_bg)^2)."""
-    return -eta / (epsilon_0 * (4.0 * math.pi * eps_bg) ** 2)
+    return -eta / (EPSILON_0 * (4.0 * math.pi * eps_bg) ** 2)
 
 
 @lru_cache(maxsize=None)
 def _born_charge_energy() -> float:
     p = Point3(0, 0, _BORN_H)
     integral = half_space_octree(p, p, _BORN_ALPHA * np.eye(3), _BORN_REL_TOL).value
-    return -QE ** 2 * _BORN_ETA * integral / (32 * math.pi ** 2 * epsilon_0 ** 2)
+    return -QE ** 2 * _BORN_ETA * integral / (32 * math.pi ** 2 * EPSILON_0 ** 2)
 
 
 def check_born_half_space() -> CheckResult:
@@ -451,7 +461,7 @@ def check_born_half_space() -> CheckResult:
 
 def check_born_closed_form() -> CheckResult:
     u_born = _born_charge_energy()
-    target = -QE ** 2 * _BORN_ETA * _BORN_ALPHA / (32 * math.pi * epsilon_0 ** 2 * _BORN_H)
+    target = -QE ** 2 * _BORN_ETA * _BORN_ALPHA / (32 * math.pi * EPSILON_0 ** 2 * _BORN_H)
     return CheckResult("born_half_space_closed_form", _rel(u_born, target) <= 1e-4,
                        u_born, target, 1e-4, "-q^2 eta alpha / (32 pi eps0^2 h)")
 

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+import scipy.constants
 from hypothesis import given, strategies as st
 
+from greens_coulomb import core
 from greens_coulomb.core import (
     PERFECT_CONDUCTOR,
     Charge,
@@ -19,6 +21,12 @@ from greens_coulomb.core import (
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 points = st.builds(Point3, coords, coords, coords)
+
+
+def test_constants_are_scipys():
+    # written out in core so that importing the package loads no scipy
+    assert core.EPSILON_0 == scipy.constants.epsilon_0
+    assert core.ELEMENTARY_CHARGE == scipy.constants.elementary_charge
 
 
 def test_distance_axis_unit():

@@ -23,8 +23,10 @@ from greens_coulomb.core import (
     QuadratureSpec,
     ThreeLayerCavity,
     UnsupportedGeometryError,
+    ValueWithError,
 )
 from greens_coulomb.interactions import (
+    InteractionResult,
     cavity_asymptotic_force,
     force_on_A,
     local_field_factor,
@@ -570,6 +572,20 @@ class TestPlateForces:
             with pytest.raises(OnPlateError):
                 force_on_A(PlateWithHole(R), q_at(0.5), q_at(0.0, x=2.0))
 
+    @pytest.mark.parametrize("z", [0.7, -0.7])
+    def test_subnormal_offset_overflows_its_own_component_only(self, z):
+        # the pair differs in x alone: dg/dx overflows, dg/dy is 0 and dg/dz is
+        # its limit, where inf * 0 made them NaN
+        geom = PlateWithHole(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gx, gy, gz = geom.grad_g(Point3(0.0, 0.0, z), Point3(1e-300, 0.0, z), SPEC)
+            limit = geom.grad_g(Point3(0.0, 0.0, z), Point3(1e-9, 0.0, z), SPEC)[2]
+            with pytest.raises(DomainError, match="in its x component$"):
+                force_on_A(geom, q_at(z), q_at(z, x=1e-300))
+        assert (gx, gy) == (math.inf, 0.0)
+        assert math.isclose(gz, limit, rel_tol=1e-14) and gz * z > 0.0
+
 
 class TestBornForces:
     def test_half_space_self_force_closed_form(self):
@@ -585,3 +601,23 @@ class TestBornForces:
         f = force_on_A(body, q_at(h, x=0.7)).force
         assert f[0] == 0.0 == f[1]
         assert math.isclose(f[2], -QE ** 2 / (2 * epsilon_0) * dg1, rel_tol=1e-14)
+
+    @pytest.mark.parametrize("regions,half_space_eta,p", [
+        ((_SLAB,), None, (1e308, 0.0, 0.0)),
+        ((_SLAB,), None, (-1.5e308, 1e308, 0.0)),  # the distance itself overflows
+        ((), 1e27, (0.0, 0.0, 1e308)),
+        ((_SLAB,), 1e27, (0.0, 1.0, 9e307)),
+    ])
+    def test_far_self_term_follows_the_pair_rule(self, regions, half_space_eta, p):
+        # the way to the body and back overflows float64: the self-energy is 0,
+        # as for a pair too far apart, and the self-force is the same DomainError;
+        # the box's octree used to warn and blame the body (exit 3)
+        body = DiluteBody(_BODY_ALPHA, regions, half_space_eta)
+        a = q_at(p[2], x=p[0], y=p[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert body.g1(a.position, SPEC) == ValueWithError(0.0)
+            assert self_energy(body, a) == InteractionResult(0.0, None, 0.0)
+            with pytest.raises(DomainError,
+                               match="^DiluteBody: the points are too far apart for float64$"):
+                force_on_A(body, a)

@@ -10,14 +10,17 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import greens_coulomb
 from greens_coulomb import born
 from greens_coulomb.core import Point3, QuadratureSpec
 
 MODULES = [importlib.import_module("greens_coulomb." + m.name)
            for m in pkgutil.iter_modules(greens_coulomb.__path__)]
-EXPORTS = {name: obj for name, obj in vars(greens_coulomb).items()
-           if not name.startswith("_") and not inspect.ismodule(obj)}
+# dir() lists the names that the package exports on first use, too
+EXPORTS = {name: getattr(greens_coulomb, name) for name in dir(greens_coulomb)
+           if not name.startswith("_") and not inspect.ismodule(getattr(greens_coulomb, name))}
 
 # second writings: of the half-space image (HalfSpace._g), of the Yukawa
 # (NonlocalBulk._g), of ValueWithError, of Point3.mirror_z and of the gap's
@@ -37,6 +40,15 @@ def test_removed_names_stay_gone():
 def test_caps_are_module_constants():
     assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["rel_tol", "abs_tol"]
     assert "max_depth" not in inspect.signature(born._adaptive_boxes).parameters
+
+
+def test_fd_oracle_is_exported_on_first_use():
+    from greens_coulomb import poisson_fd
+    lazy = ("FDSolution", "GridSpec", "aligned_grid", "solve_scattering_g1")
+    assert {name: EXPORTS.get(name) for name in lazy} == {
+        name: getattr(poisson_fd, name) for name in lazy}
+    with pytest.raises(AttributeError):
+        greens_coulomb.no_such_name
 
 
 def test_no_two_exports_are_one_object():

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import j1
+from scipy.special import j0, j1
 
 from greens_coulomb import cavity, quadrature
 from greens_coulomb.core import (
@@ -242,7 +242,7 @@ def _reference(transform, f, x, spec, k_scale):
                            spec)
     if x == 0.0:
         return _ref_panels(f, quadrature._halfline_edges(k_scale), spec)
-    return _ref_panels(lambda k: f(k) * quadrature.j0(k * x),
+    return _ref_panels(lambda k: f(k) * j0(k * x),
                        quadrature._oscillatory_edges(
                            lambda n: quadrature._bessel_zero(0, n) / x, k_scale),
                        spec)

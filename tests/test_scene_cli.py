@@ -322,6 +322,14 @@ class TestCliCommands:
          {"U_joules": 0.0, "ratio_to_free": None})
         for geometry, za, zb in [(gap, 1e-7, -2e-7) for gap in TINY_GAPS]
         + [(body, 1e-9, 1e-9) for body in BORN_BODIES]
+    ] + [
+        # the way from the charge to the box and back overflows float64: the
+        # self-energy is 0 and the self-force a DomainError, as for a far pair;
+        # the octree used to warn and exit 3, blaming the body
+        (command, {"geometry": BORN_BODIES[1],
+                   "charges": [{"q": 1.0, "unit": "e", "position": [1e308, 0.0, 0.0]}]}, expect)
+        for command, expect in [("self-energy", {"U_joules": 0.0, "ratio_to_free": None}),
+                                ("force", None)]
     ])
     def test_extreme_inputs_finite_json_or_exit_2(self, tmp_path, capsys, command, doc,
                                                   expect):
