@@ -11,8 +11,9 @@ The program's routes:
 
 Two references that the tests and `validate` compare against:
 
-* the term-by-term midplane image series (`cavity_g_series`), with Euler
-  acceleration of the conductor case where the image sum is only
+* the term-by-term image series (`cavity_g_series`), at any heights where
+  r1 r3 is below 1 in magnitude, and at the midplane with Euler
+  acceleration of the conductor case, where the image sum is only
   conditionally convergent;
 * the conductor large-separation asymptotic sqrt(8/(rho d)) exp(-pi rho/d)
   (`cavity_asymptotic`).
@@ -398,19 +399,22 @@ def cavity_scattering_dg1(z0: float, d: float, eps1: Permittivity, eps2: float,
 
 
 def cavity_g_series(rho: float, d: float, coeffs: CavityCoeffs, eps2: float,
-                    n_max: int = 200) -> ValueWithError:
-    """Midplane image series.
+                    n_max: int = 200, z: float = 0.0, z0: float = 0.0) -> ValueWithError:
+    """Image series between the source height z0 and the field height z.
 
-    g = 1/(4 pi eps2 rho)
-        + sum_{n>=1} 2 (r1 r3)^n / sqrt((2n d)^2 + rho^2) / (4 pi eps2)
-        - sum_{n>=0} (r1 r3)^n (r1 + r3) / sqrt(((2n+1) d)^2 + rho^2) / (4 pi eps2)
+    With q = r1 r3, a = z - z0, b = z + z0 + d and D(s) = sqrt(rho^2 + s^2)
+    (Barrera, Guzman & Balaguer, Am. J. Phys. 46 (1978) 1172),
 
-    For |r1 r3| < 1 the truncation remainder carries a geometric bound into
-    abs_err. At r1 = r3 = 1 (both walls conducting) the sum is rearranged as
-    the alternating image-distance series and extrapolated by repeated
-    averaging, which converges far below the plain partial sums; abs_err then
-    adds the roundoff of that cancelling sum, eps * (1/rho + sum |terms|),
-    which exceeds the value itself beyond about 10 d.
+        4 pi eps2 g = sum_{|m| <= n_max} q^|m| / D(a + 2md)
+                      - sum_{k=0}^{n_max} q^k (r1 / D(b + 2kd) + r3 / D(b - 2(k+1)d)),
+
+    summed at any heights for |q| < 1, with abs_err a geometric bound from
+    the first term dropped. At the midplane z = z0 = 0 with both walls
+    conducting (r1 = r3 = 1) the sum is rearranged as the alternating
+    image-distance series and extrapolated by repeated averaging, which
+    converges far below the plain partial sums; abs_err then adds the
+    roundoff of that cancelling sum, eps * (1/rho + sum |terms|), which
+    exceeds the value itself beyond about 10 d.
     """
     if rho <= 0.0:
         raise DomainError(f"rho must be > 0, got {rho!r}")
@@ -419,24 +423,29 @@ def cavity_g_series(rho: float, d: float, coeffs: CavityCoeffs, eps2: float,
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max!r}")
     e2 = finite_eps(eps2, "eps2")
-    q = coeffs.r1 * coeffs.r3
-    c = coeffs.r1 + coeffs.r3
+    r1, r3 = coeffs.r1, coeffs.r3
+    q = r1 * r3
+    c = r1 + r3
     pref = 1.0 / (_FOUR_PI * e2)
 
     def image_dist(a: np.ndarray) -> np.ndarray:
         return np.sqrt((a * d) ** 2 + rho * rho)
 
     if abs(q) < 1.0:
-        n = np.arange(1, n_max + 1, dtype=float)
+        _check_gap(z, d, "z")
+        _check_gap(z0, d, "z0")
+        a, b = (z - z0) / d, (z + z0) / d + 1.0
+        n = np.arange(0, n_max + 2, dtype=float)  # n_max + 1 is the first term dropped
         qn = q ** n
-        even = 2.0 * np.sum(qn / image_dist(2.0 * n))
-        m = np.arange(0, n_max + 1, dtype=float)
-        odd = c * np.sum((q ** m) / image_dist(2.0 * m + 1.0))
-        tail = (abs(q) ** (n_max + 1) / (1.0 - abs(q))
-                * (2.0 / image_dist(np.array([2.0 * (n_max + 1)]))[0]
-                   + abs(c) / image_dist(np.array([2.0 * n_max + 3.0]))[0]))
-        return ValueWithError(pref * (1.0 / rho + even - odd), pref * tail)
+        direct = qn * (1.0 / image_dist(a + 2.0 * n) + 1.0 / image_dist(a - 2.0 * n))
+        below = r1 * qn / image_dist(b + 2.0 * n)  # images in the wall at -d/2
+        above = r3 * qn / image_dist(b - 2.0 * n - 2.0)  # and in the wall at d/2
+        value = 0.5 * direct[0] + np.sum(direct[1:-1]) - np.sum(below[:-1] + above[:-1])
+        dropped = abs(direct[-1]) + abs(below[-1]) + abs(above[-1])
+        return ValueWithError(pref * value, pref * dropped / (1.0 - abs(q)))
 
+    if z != 0.0 or z0 != 0.0:
+        raise DomainError(f"the image series for r1 r3 = {q!r} is summed at the midplane only")
     # |q| = 1. Physical cavities reach q = 1 only with both walls conducting
     # (r1 = r3 = 1, c = 2); the series then alternates in the image distance.
     if q == 1.0 and c == 2.0:

@@ -28,8 +28,7 @@ CRITERIA = {
           validate.check_born_vs_linearized),
     "6": (validate.check_fd_half_space, validate.check_fd_convergence,
           validate.check_fd_cavity_general),
-    "7_reciprocity": (validate.check_reciprocity_closed,
-                      validate.check_reciprocity_quadrature),
+    "7_reciprocity": (validate.check_reciprocity,),
     "7_force": (validate.check_force_gradient,),
     "7_action_reaction": (validate.check_action_reaction, validate.check_bilinearity),
     "7_ratio": (validate.check_ratio_distant_interfaces,),

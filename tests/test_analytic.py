@@ -71,42 +71,6 @@ class TestHalfSpace:
             want = HalfSpace(6.0, 2.0).g(p.mirror_z(), b.mirror_z(), SPEC).value
             assert got == want
 
-    def test_continuity_across_interface(self):
-        src = Point3(0.1, -0.4, 0.8)
-        for eps1, eps2 in ((1.0, 4.0), (3.0, 1.0), (2.0, 80.0)):
-            geom = HalfSpace(eps1, eps2)
-            up = geom.g(Point3(0.7, 0.2, 1e-12), src, SPEC).value
-            dn = geom.g(Point3(0.7, 0.2, -1e-12), src, SPEC).value
-            assert abs(up - dn) / abs(up) < 1e-8
-
-    def test_displacement_jump_condition(self):
-        src = Point3(0.0, 0.0, 0.9)
-        eps1, eps2 = 2.0, 7.0
-        geom = HalfSpace(eps1, eps2)
-        for rho in (0.3, 1.1):
-            d_up = geom.grad_g(Point3(rho, 0, 1e-12), src, SPEC)[2]
-            d_dn = geom.grad_g(Point3(rho, 0, -1e-12), src, SPEC)[2]
-            assert abs(eps1 * d_up - eps2 * d_dn) / abs(eps2 * d_dn) < 1e-4
-
-
-finite_pts = st.builds(
-    Point3,
-    st.floats(-2.0, 2.0),
-    st.floats(-2.0, 2.0),
-    st.floats(0.05, 2.5),
-)
-
-
-class TestHalfSpaceReciprocity:
-    @given(finite_pts, finite_pts)
-    @settings(max_examples=60)
-    def test_reciprocity(self, a, b):
-        if distance(a, b) < 1e-6:
-            return
-        g_ab = HalfSpace(2.0, 9.0).g(a, b, SPEC).value
-        g_ba = HalfSpace(2.0, 9.0).g(b, a, SPEC).value
-        assert abs(g_ab - g_ba) <= 1e-12 * abs(g_ab)
-
 
 def _mp_half_space(eps_side, eps_other, r, rs):
     """g and grad_g of a same-side half-space pair in 50-digit arithmetic,
@@ -288,13 +252,6 @@ class TestPlateHoleG:
         got = plate_hole_g(a, b, 1e-7).value
         assert abs(got) * distance(a, b) < 1e-6
 
-    def test_vanishes_on_conductor(self):
-        src = Point3(0.5, 0.2, 1.1)
-        for rho in (1.3, 2.6, 7.0):
-            p = Point3(rho, -0.4, 1e-10)
-            free = 1.0 / (4 * math.pi * distance(p, src))
-            assert abs(plate_hole_g(p, src, 1.0).value) / free < 1e-6
-
     def test_laplacian_vanishes_off_source(self):
         # 7-point stencil on a generic off-axis configuration
         src = Point3(0.7, -0.4, 0.9)
@@ -342,19 +299,6 @@ class TestPlateHoleG:
         grad = plate_hole_grad(a, b, R)
         for c, (u, v) in zip(grad, ((a.x, b.x), (a.y, b.y), (a.z, b.z))):
             assert math.isclose(c, -(u - v) / (4 * math.pi * dist ** 3), rel_tol=1e-14)
-
-    @given(st.floats(-1.8, 1.8), st.floats(-1.8, 1.8), st.floats(0.05, 2.0),
-           st.floats(-1.8, 1.8), st.floats(-1.8, 1.8), st.floats(0.05, 2.0),
-           st.booleans())
-    @settings(max_examples=80)
-    def test_reciprocity(self, xa, ya, za, xb, yb, zb, flip):
-        a = Point3(xa, ya, za)
-        b = Point3(xb, yb, -zb if flip else zb)
-        if distance(a, b) < 1e-6:
-            return
-        g_ab = plate_hole_g(a, b, 1.0).value
-        g_ba = plate_hole_g(b, a, 1.0).value
-        assert abs(g_ab - g_ba) <= 1e-12 * max(abs(g_ab), 1e-300)
 
 
 class TestOnAxisSelfTerm:

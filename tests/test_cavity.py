@@ -84,6 +84,10 @@ class TestSeries:
             cavity_g_series(0.0, D, CavityCoeffs(0.5, 0.5), 1.0, 10)
         with pytest.raises(DomainError):
             cavity_g_series(1.0, D, CavityCoeffs(0.5, 0.5), 1.0, 0)
+        with pytest.raises(DomainError):  # summed off the midplane only where |r1 r3| < 1
+            cavity_g_series(1.0, D, reflection_coeffs(PC, 1.0, PC), 1.0, 10, z=0.1)
+        with pytest.raises(OutOfRegionError):
+            cavity_g_series(1.0, D, CavityCoeffs(0.5, 0.5), 1.0, 10, z0=0.5)
 
 
 class TestQuadratureRoute:
@@ -126,11 +130,6 @@ class TestGeneralHeights:
             g = cavity_g_general(z, z0, 0.9, D, 2.0, 2.0, 2.0)
             exact = 1.0 / (4 * math.pi * 2.0 * math.hypot(0.9, z - z0))
             assert abs(g.value - exact) / exact < 1e-10
-
-    def test_reciprocity(self):
-        a = cavity_g_general(0.31, -0.22, 0.9, D, 4.0, 1.0, PC)
-        b = cavity_g_general(-0.22, 0.31, 0.9, D, 4.0, 1.0, PC)
-        assert abs(a.value - b.value) <= 1e-8 * abs(a.value) + a.abs_err + b.abs_err
 
     def test_mirror_symmetry_swaps_walls(self):
         a = cavity_g_general(0.31, -0.22, 0.9, D, 4.0, 1.0, PC)
