@@ -2,9 +2,10 @@
 
 The program's routes:
 
-* Bessel-integral quadrature of the layered-medium kernel
-  (`cavity_g_general`, any heights, any reflection coefficients; at the
-  midplane z = z0 = 0 too);
+* Bessel-integral quadrature (`cavity_g_general`, any heights, any
+  reflection coefficients) of the reflected kernel, the free term
+  1/(4 pi eps2 r) in closed form (Michalski & Mosig, IEEE TAP 45 (1997)
+  508); g1, its coincident limit, and the gradients share its set-up;
 * between two conducting walls, the K0 mode sum (for rho >= MODAL_RHO_MIN d)
   and the digamma self-energy, which keep full relative accuracy where the
   quadrature reaches its absolute floor.
@@ -19,8 +20,7 @@ Two references that the tests and `validate` compare against:
   (`cavity_asymptotic`).
 
 Forces differentiate the Green's function: the mode sum and the digamma
-form term by term, the quadrature under the Hankel integral (Michalski &
-Mosig, IEEE TAP 45 (1997) 508).
+form term by term, the quadrature under the Hankel integral.
 
 The four conducting-wall functions import K0, K1, digamma and the trigamma
 from scipy.special when they are called, not when the package is imported.
@@ -94,24 +94,6 @@ def _check_gap(z: float, d: float, name: str) -> None:
         raise OutOfRegionError(f"{name} = {z!r} outside the gap (-d/2, d/2), d = {d!r}")
 
 
-def _spec_for_kernel(spec: QuadratureSpec, pref: float, scale_len: float,
-                     power: int = 1) -> QuadratureSpec:
-    """Tolerances for the raw Bessel integral given tolerances on g (power 1)
-    or on its gradient (power 2).
-
-    abs_tol on g is divided by the 1/(4 pi eps2) prefactor, and for a
-    gradient by scale_len as well; when the caller left abs_tol at 0 a floor
-    of 1e-12 of the free-space magnitude 1/(4 pi scale_len^power) at the same
-    separation is supplied, since a purely relative target is unreachable in
-    float64 once reflections suppress g exponentially.
-    """
-    if spec.abs_tol > 0.0:
-        abs_g = spec.abs_tol / scale_len ** (power - 1)
-    else:
-        abs_g = 1e-12 / (_FOUR_PI * scale_len ** power)
-    return replace(spec, abs_tol=abs_g / pref)
-
-
 def _checked_gradient(parts, floor: float, tried: str):
     """`parts`, the components of a gradient from quadrature, each a ValueWithError.
 
@@ -129,48 +111,74 @@ def _checked_gradient(parts, floor: float, tried: str):
     return parts
 
 
-def _pair_setup(z: float, z0: float, rho: float, d: float, eps1: Permittivity,
-                eps2: float, eps3: Permittivity, where: str):
-    """The prefactor 1/(4 pi eps2) and the reflection coefficients of a gap
-    pair, after checking its arguments."""
+def _gap_integral(kernel, z: float, z0: float, rho: float, d: float, eps1: Permittivity,
+                  eps2: float, eps3: Permittivity, spec: QuadratureSpec, power: int = 1,
+                  order: int = 0, free: bool = False):
+    """1/(4 pi eps2) times the Hankel integral of order `order` of
+    kernel(k, a_free, a1, a3, d, r1, r3), a reflected kernel of the pair at
+    heights z and z0, rho apart; and the absolute target it was given.
+
+    With upper and lower the two heights, a_free = upper - lower is the
+    direct path's exponent, and a1 = d + 2 lower and a3 = d - 2 upper add
+    the reflection in the wall below and in the wall above; the kernel
+    decays on the scale of the shorter reflected path, a_free + a1 or
+    a_free + a3, and of 2d. With `free`, the free term 1/r is added in
+    closed form and rel_tol applies to the sum; coincident points then raise
+    CoincidentPointsError. The integral is 0 where neither wall reflects.
+
+    The target is spec's abs_tol on g (power 1), or on a gradient (power 2)
+    divided by a length L; where spec left abs_tol at 0, it is 1e-12 of the
+    free-space magnitude 1/(4 pi L^power), since a purely relative target is
+    unreachable in float64 once reflections suppress g exponentially. L is
+    the separation r, no less than d/20, or at coincident points the nearer
+    image distance min(a1, a3).
+    """
     if d <= 0.0:
         raise DomainError(f"d must be > 0, got {d!r}")
     _check_gap(z, d, "z")
     _check_gap(z0, d, "z0")
     if rho < 0.0:
         raise DomainError(f"rho must be >= 0, got {rho!r}")
-    if rho == 0.0 and z == z0:
-        raise CoincidentPointsError(f"{where}: field point coincides with source")
-    e2 = finite_eps(eps2, "eps2")
-    return 1.0 / (_FOUR_PI * e2), reflection_coeffs(eps1, eps2, eps3)
+    pref = 1.0 / (_FOUR_PI * finite_eps(eps2, "eps2"))
+    coeffs = reflection_coeffs(eps1, eps2, eps3)
+    r1, r3 = coeffs.r1, coeffs.r3
+    upper, lower = max(z, z0), min(z, z0)
+    a_free = upper - lower
+    a1 = d + 2.0 * lower
+    a3 = d - 2.0 * upper
+    r = math.hypot(rho, a_free)
+    if free and r == 0.0:
+        raise CoincidentPointsError("field point coincides with source")
+    known = 1.0 / r if free else 0.0
+    length = max(r, 0.05 * d) if r > 0.0 else min(a1, a3)
+    if spec.abs_tol > 0.0:
+        floor = spec.abs_tol / length ** (power - 1)
+    else:
+        floor = 1e-12 / (_FOUR_PI * length ** power)
+    if r1 == 0.0 and r3 == 0.0:
+        return ValueWithError(pref * known), floor
+    scales = [2.0 * d]
+    if r1 != 0.0:
+        scales.append(a_free + a1)
+    if r3 != 0.0:
+        scales.append(a_free + a3)
+
+    def f(k: np.ndarray) -> np.ndarray:
+        return kernel(k, a_free, a1, a3, d, r1, r3)
+
+    got = hankel_integral(f, rho, replace(spec, abs_tol=floor / pref),
+                          k_scale=1.0 / max(min(scales), 1e-300), order=order, subtracted=known)
+    return ValueWithError(pref * (known + got.value), pref * got.abs_err), floor
 
 
 def cavity_g_general(z: float, z0: float, rho: float, d: float,
                      eps1: Permittivity, eps2: float, eps3: Permittivity,
                      spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
-    """Gap Green's function between heights z0 (source) and z, in-plane offset rho."""
-    pref, coeffs = _pair_setup(z, z0, rho, d, eps1, eps2, eps3, "cavity_g_general")
-    if z < z0:
-        z, z0 = z0, z  # reciprocity; keeps every exponent decaying
-
-    a_free = z - z0
-    a1 = d + 2.0 * z0
-    a3 = d - 2.0 * z
-    scales = [2.0 * d]
-    if a_free > 0.0:
-        scales.append(a_free)
-    if coeffs.r1 != 0.0:
-        scales.append(a1)
-    if coeffs.r3 != 0.0:
-        scales.append(a3)
-    k_scale = 1.0 / max(min(scales), 1e-300)
-
-    def f(k: np.ndarray) -> np.ndarray:
-        return kernels.cavity_integrand(k, a_free, a1, a3, d, coeffs.r1, coeffs.r3)
-
-    sep = max(math.hypot(rho, a_free), 0.05 * d)
-    got = hankel_integral(f, rho, _spec_for_kernel(spec, pref, sep), k_scale=k_scale)
-    return ValueWithError(pref * got.value, pref * got.abs_err)
+    """Gap Green's function between heights z0 (source) and z, in-plane offset
+    rho: the free term 1/(4 pi eps2 r) in closed form plus the Hankel
+    integral of the reflected kernel, to rel_tol of their sum."""
+    return _gap_integral(kernels.cavity_integrand, z, z0, rho, d, eps1, eps2, eps3, spec,
+                         free=True)[0]
 
 
 def cavity_grad_general(z: float, z0: float, rho: float, d: float,
@@ -185,40 +193,30 @@ def cavity_grad_general(z: float, z0: float, rho: float, d: float,
     free-space part overflows float64, and ConvergenceError when the
     gradient's abs_err exceeds 1% of its magnitude (see _checked_gradient).
     """
-    pref, coeffs = _pair_setup(z, z0, rho, d, eps1, eps2, eps3, "cavity_grad_general")
-    r1, r3 = coeffs.r1, coeffs.r3
-    sign = 1.0 if z >= z0 else -1.0  # the field point is the upper one, or the lower
-    upper, lower = max(z, z0), min(z, z0)
-    a_free = upper - lower
-    a1 = d + 2.0 * lower
-    a3 = d - 2.0 * upper
-    scales = [2.0 * d]
-    if r1 != 0.0:
-        scales.append(a_free + a1)
-    if r3 != 0.0:
-        scales.append(a_free + a3)
-    k_scale = 1.0 / max(min(scales), 1e-300)
-
-    def reflected_k(k: np.ndarray) -> np.ndarray:
-        return k * np.exp(-k * a_free) * kernels.cavity_scatter_integrand(k, a1, a3, d, r1, r3)
-
-    def reflected_dz(k: np.ndarray) -> np.ndarray:
-        return kernels.cavity_reflected_dz(k, a_free, a1, a3, d, r1, r3, sign)
-
-    r = math.hypot(rho, a_free)
+    pref = 1.0 / (_FOUR_PI * finite_eps(eps2, "eps2"))
+    r = math.hypot(rho, z - z0)
+    if r == 0.0:
+        raise CoincidentPointsError("cavity_grad_general: field point coincides with source")
     # divided by r in stages: r * r * r underflows to 0 below r ~ 1e-108
     free_rho = pref * (rho / r) / r / r
     free_z = pref * ((z - z0) / r) / r / r
     if not (math.isfinite(free_rho) and math.isfinite(free_z)):
         raise DomainError(f"cavity_grad_general: the free-space gradient at a separation "
                           f"of {r!r} m overflows float64")
-    kspec = _spec_for_kernel(spec, pref, max(r, 0.05 * d), power=2)
-    d_rho = hankel_integral(reflected_k, rho, kspec, k_scale=k_scale, order=1)
-    d_z = hankel_integral(reflected_dz, rho, kspec, k_scale=k_scale)
-    parts = (ValueWithError(-free_rho - pref * d_rho.value, pref * d_rho.abs_err),
-             ValueWithError(-free_z + pref * d_z.value, pref * d_z.abs_err))
+    sign = 1.0 if z >= z0 else -1.0  # the field point is the upper one, or the lower
+
+    def reflected_k(k, a_free, a1, a3, d, r1, r3):
+        return k * np.exp(-k * a_free) * kernels.cavity_scatter_integrand(k, a1, a3, d, r1, r3)
+
+    def reflected_dz(k, *args):
+        return kernels.cavity_reflected_dz(k, *args, sign)
+
+    pair = (z, z0, rho, d, eps1, eps2, eps3, spec)
+    d_rho, floor = _gap_integral(reflected_k, *pair, power=2, order=1)
+    d_z, _ = _gap_integral(reflected_dz, *pair, power=2)
     return _checked_gradient(
-        parts, pref * kspec.abs_tol,
+        (ValueWithError(-free_rho - d_rho.value, d_rho.abs_err),
+         ValueWithError(-free_z + d_z.value, d_z.abs_err)), floor,
         f"Hankel gradient of the gap kernel (orders 1 and 0) at rho = {rho!r}, "
         f"z = {z!r}, z0 = {z0!r}, d = {d!r}, rel_tol = {spec.rel_tol!r}")
 
@@ -346,36 +344,12 @@ def conducting_gap_dg1(z0: float, d: float, eps2: float) -> ValueWithError:
                           / (2.0 * _FOUR_PI * e2 * d * d))
 
 
-def _self_term(z0: float, d: float, eps1: Permittivity, eps2: float,
-               eps3: Permittivity, spec: QuadratureSpec, power: int, kernel):
-    """1/(4 pi eps2) times the half-line integral of kernel(k, a1, a3, d, r1, r3),
-    a1 = d + 2 z0 and a3 = d - 2 z0, and times the abs_tol it was given (see
-    _spec_for_kernel for `power`); both 0 when neither wall reflects."""
-    if d <= 0.0:
-        raise DomainError(f"d must be > 0, got {d!r}")
-    _check_gap(z0, d, "z0")
-    pref = 1.0 / (_FOUR_PI * finite_eps(eps2, "eps2"))
-    coeffs = reflection_coeffs(eps1, eps2, eps3)
-    r1, r3 = coeffs.r1, coeffs.r3
-    if r1 == 0.0 and r3 == 0.0:
-        return ValueWithError(0.0, 0.0), 0.0
-    a1 = d + 2.0 * z0
-    a3 = d - 2.0 * z0
-
-    def f(k: np.ndarray) -> np.ndarray:
-        return kernel(k, a1, a3, d, r1, r3)
-
-    kspec = _spec_for_kernel(spec, pref, min(a1, a3), power)
-    got = hankel_integral(f, 0.0, kspec, k_scale=1.0 / min(a1, a3))
-    return ValueWithError(pref * got.value, pref * got.abs_err), pref * kspec.abs_tol
-
-
 def cavity_scattering_g1(z0: float, d: float, eps1: Permittivity, eps2: float,
                          eps3: Permittivity,
                          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
-    """Reflection-only part at coincident points (rho = 0, z = z0); finite."""
-    return _self_term(z0, d, eps1, eps2, eps3, spec, 1,
-                      kernels.cavity_scatter_integrand)[0]
+    """Reflection-only part at coincident points (rho = 0, z = z0); finite.
+    The integral of cavity_g_general's reflected kernel at a_free = 0."""
+    return _gap_integral(kernels.cavity_integrand, z0, z0, 0.0, d, eps1, eps2, eps3, spec)[0]
 
 
 def cavity_scattering_dg1(z0: float, d: float, eps1: Permittivity, eps2: float,
@@ -387,10 +361,10 @@ def cavity_scattering_dg1(z0: float, d: float, eps1: Permittivity, eps2: float,
     2k (r1 e^{-k a1} - r3 e^{-k a3}) / D since a1 + a3 = 2d cancels its r1 r3
     terms. Raises ConvergenceError when its abs_err exceeds 1% of its
     magnitude (see _checked_gradient)."""
-    def twice_dz(k, a1, a3, d, r1, r3):
-        return 2.0 * kernels.cavity_reflected_dz(k, 0.0, a1, a3, d, r1, r3, 1.0)
+    def twice_dz(k, *args):
+        return 2.0 * kernels.cavity_reflected_dz(k, *args, 1.0)
 
-    dg1, floor = _self_term(z0, d, eps1, eps2, eps3, spec, 2, twice_dz)
+    dg1, floor = _gap_integral(twice_dz, z0, z0, 0.0, d, eps1, eps2, eps3, spec, power=2)
     _checked_gradient(
         (dg1,), floor,
         f"half-line integral of the gap self-force kernel at z0 = {z0!r}, d = {d!r}, "

@@ -4,10 +4,12 @@ The quadrature integrands take a 1-D float64 array of wavenumbers, so the
 panel integrator evaluates a block of panels, or a whole bisection level, in
 one call; `alpha_chain_sum` also takes 2-D weights and returns per-cell sums,
 which is how the Born octree calls it, as does its gradient
-`alpha_chain_grad_sum`. The gap's reflected kernels serve the pair and the
-self-term alike: `cavity_reflected_dz` at a_free = 0, doubled, is the
-self-force kernel. The aperture kernels (`hole_greens`, its gradient and the
-on-axis self-terms) are scalar; `hole_greens` and its gradient take the
+`alpha_chain_grad_sum`. The gap's kernels are its reflected parts alone,
+the free term being taken in closed form, and serve the pair and the
+self-term alike: `cavity_integrand` at a_free = 0 is the kernel of g1, and
+`cavity_reflected_dz` at a_free = 0, doubled, the self-force kernel. The
+aperture kernels (`hole_greens`, its gradient and the on-axis self-terms)
+are scalar; `hole_greens` and its gradient take the
 same Cartesian points, which `analytic` divides by a power of two that
 brings them to order 1, and share their auxiliaries (`_hole_terms`).
 Callers look the kernels up on this module at call time.
@@ -180,19 +182,9 @@ def _one_minus_r_exp(r: float, x: np.ndarray) -> np.ndarray:
     return (1.0 - r) - r * np.expm1(-x)
 
 
-def cavity_integrand(k: np.ndarray, a_free: float, a1: float, a3: float,
-                     d: float, r1: float, r3: float) -> np.ndarray:
-    """Layered-gap integrand exp(-k*a_free)*(1-r1*e^{-k*a1})(1-r3*e^{-k*a3})/(1-r1*r3*e^{-2kd})."""
-    k = np.asarray(k, dtype=float)
-    num = _one_minus_r_exp(r1, k * a1) * _one_minus_r_exp(r3, k * a3)
-    den = _one_minus_r_exp(r1 * r3, 2.0 * d * k)
-    return np.exp(-k * a_free) * num / den
-
-
-def cavity_scatter_integrand(k: np.ndarray, a1: float, a3: float,
-                             d: float, r1: float, r3: float) -> np.ndarray:
-    """Reflection-only part of the gap integrand at coincident heights: N/D - 1."""
-    k = np.asarray(k, dtype=float)
+def _reflection(k: np.ndarray, a1: float, a3: float, d: float, r1: float,
+                r3: float) -> np.ndarray:
+    # N/D - 1, with N = (1 - r1 e^{-k a1})(1 - r3 e^{-k a3}) and D = 1 - r1 r3 e^{-2kd}
     e1 = np.exp(-k * a1)
     e3 = np.exp(-k * a3)
     ed = np.exp(-2.0 * d * k)
@@ -201,6 +193,21 @@ def cavity_scatter_integrand(k: np.ndarray, a1: float, a3: float,
     # cancellation (every term is exponentially small at large k).
     num = -r1 * e1 - r3 * e3 + r1 * r3 * (e1 * e3 + ed)
     return num / den
+
+
+def cavity_integrand(k: np.ndarray, a_free: float, a1: float, a3: float,
+                     d: float, r1: float, r3: float) -> np.ndarray:
+    """The gap's reflected pair kernel exp(-k*a_free)*(N/D - 1): the layered
+    kernel exp(-k*a_free)*N/D less its free term."""
+    k = np.asarray(k, dtype=float)
+    return np.exp(-k * a_free) * _reflection(k, a1, a3, d, r1, r3)
+
+
+def cavity_scatter_integrand(k: np.ndarray, a1: float, a3: float,
+                             d: float, r1: float, r3: float) -> np.ndarray:
+    """N/D - 1, the factor of cavity_integrand that the gradient in rho
+    multiplies by k exp(-k*a_free)."""
+    return _reflection(np.asarray(k, dtype=float), a1, a3, d, r1, r3)
 
 
 def cavity_reflected_dz(k: np.ndarray, a_free: float, a1: float, a3: float,

@@ -8,10 +8,11 @@ evaluates one whole bisection level of the subintervals that failed. The
 alternating sequence of partial sums is extrapolated to its limit by
 repeated averaging (Euler transformation) up to 12 levels, and
 convergence is checked after every block from panel 8 on; partial sums
-that do not alternate take a geometric tail estimate from the last two
-panels instead. The rho = 0 case runs the same driver, blocks and stop rules
-on geometrically growing panels [0, kc], [kc, 2 kc], [2 kc, 4 kc], ... of a
-decaying integrand. The returned abs_err bounds the extrapolation residual
+that do not alternate take a geometric tail estimate from the last panel
+ratio instead, or from the next one where the last two ratios grow. The
+rho = 0 case runs the same driver, blocks and stop rules on geometrically
+growing panels [0, kc], [kc, 2 kc], [2 kc, 4 kc], ... of a decaying
+integrand. The returned abs_err bounds the extrapolation residual
 plus the accumulated panel errors, plus the roundoff of the rule sums,
 16 eps sum |w f| over the accepted subintervals; the convergence test
 uses the first two terms only. An integral that has not converged after
@@ -218,16 +219,19 @@ def _estimate_limit(panels) -> Tuple[float, float]:
             window = window[-80:]
         return euler_limit(window, min(_ACCEL_ORDER, window.size - 1))
 
-    # Non-alternating: direct sum with a geometric tail estimate.
+    # Non-alternating: direct sum with a geometric tail estimate, at the
+    # ratio of the last two panels, or where that ratio grew over the one
+    # before, at the next ratio the growth gives.
     value = float(s[-1])
-    a2 = abs(p[-1])
-    a1 = abs(p[-2]) if p.size >= 2 else a2
-    if a2 <= tiny:
+    a = [abs(float(x)) for x in p[-3:]]
+    if a[-1] <= tiny:
         return value, 0.0
-    if a1 > 0.0 and a2 < a1:
-        ratio = a2 / a1
-        return value, a2 * ratio / (1.0 - ratio)
-    return value, math.inf
+    if len(a) < 2 or not (0.0 < a[-1] < a[-2]):
+        return value, math.inf
+    ratio = a[-1] / a[-2]
+    if len(a) == 3 and a[-1] * a[0] > a[-2] * a[-2]:
+        ratio *= ratio * a[0] / a[-2]
+    return value, (a[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf)
 
 
 def _decay_scale(k_scale: Optional[float]) -> float:
@@ -247,8 +251,8 @@ def _ladder_edges(first_cut: float, k_scale: Optional[float]) -> Iterator[float]
     yield first_cut
 
 
-def _integrate_panels(f, edges_iter: Iterator[Tuple[float, float]],
-                      spec: QuadratureSpec, context: str) -> Tuple[float, float]:
+def _integrate_panels(f, edges_iter: Iterator[Tuple[float, float]], spec: QuadratureSpec,
+                      context: str, subtracted: float = 0.0) -> Tuple[float, float]:
     panels = []
     panel_errs = 0.0
     mass = 0.0
@@ -270,13 +274,13 @@ def _integrate_panels(f, edges_iter: Iterator[Tuple[float, float]],
             value, tail = _estimate_limit(panels)
             total_err = tail + panel_errs
             last = (value, total_err)
-            if total_err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+            if total_err <= max(spec.abs_tol, spec.rel_tol * abs(value + subtracted)):
                 return value, total_err + _ROUNDOFF * mass
             if scale == 0.0:
                 return 0.0, panel_errs + _ROUNDOFF * mass
             # panel_errs never decreases, so once it is well past any tolerance
             # the value could still reach, no further panel can meet it
-            reachable = max(spec.abs_tol, spec.rel_tol * (abs(value) + tail))
+            reachable = max(spec.abs_tol, spec.rel_tol * (abs(value + subtracted) + tail))
             if panel_errs > 2.0 * reachable:
                 raise ConvergenceError(
                     f"{context}: the accumulated panel error {panel_errs:.3e} alone "
@@ -313,13 +317,17 @@ def _halfline_edges(k_scale):
 
 def hankel_integral(f: Callable[[np.ndarray], np.ndarray], rho: float,
                     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                    k_scale: Optional[float] = None, order: int = 0) -> ValueWithError:
+                    k_scale: Optional[float] = None, order: int = 0,
+                    subtracted: float = 0.0) -> ValueWithError:
     """integral_0^inf f(k) J_order(k rho) dk with an abs_err estimate, order 0 or 1.
 
     `k_scale` hints at the decay scale of f: panels below the first Bessel
     zero are pre-split around kc = k_scale, or 1 without it. At rho = 0 the
     order-1 integral is 0, and the order-0 one runs the same panel driver on
     geometrically growing panels [0, kc], [kc, 2 kc], ..., instead of the zeros.
+    `subtracted` is a part of the caller's integral taken out of f in closed
+    form: rel_tol then applies to the value plus that part, which is not
+    returned.
     """
     if rho < 0.0:
         raise DomainError(f"rho must be >= 0, got {rho!r}")
@@ -329,7 +337,7 @@ def hankel_integral(f: Callable[[np.ndarray], np.ndarray], rho: float,
         if order == 1:
             return ValueWithError(0.0)
         return ValueWithError(*_integrate_panels(f, _halfline_edges(k_scale), spec,
-                                              "half-line integral"))
+                                              "half-line integral", subtracted))
     if not _BESSEL:
         _load_bessel()
     bessel = _BESSEL[order]
@@ -338,7 +346,7 @@ def hankel_integral(f: Callable[[np.ndarray], np.ndarray], rho: float,
         return np.asarray(f(k), dtype=float) * bessel(k * rho)
 
     edges = _oscillatory_edges(lambda n: float(_bessel_zero(order, n)) / rho, k_scale)
-    value, err = _integrate_panels(integrand, edges, spec, "hankel_integral")
+    value, err = _integrate_panels(integrand, edges, spec, "hankel_integral", subtracted)
     return ValueWithError(value, err)
 
 

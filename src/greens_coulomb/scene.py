@@ -84,16 +84,12 @@ def _parse_geometry(obj: dict) -> Geometry:
         if kind == "nonlocal_bulk":
             _require_keys(obj, "geometry", ("type", "drude"), ())
             dr = obj["drude"]
-            _require_keys(dr, "geometry.drude",
-                          ("omega_p", "omega_p_bound", "omega_0", "beta"),
-                          ("gamma_free", "gamma_bound"))
+            _require_keys(dr, "geometry.drude", ("omega_p", "omega_p_bound", "omega_0", "beta"))
             return screening.NonlocalBulk(screening.DrudeStatic(
                 omega_p=_number(dr["omega_p"], "drude.omega_p"),
                 omega_p_bound=_number(dr["omega_p_bound"], "drude.omega_p_bound"),
                 omega_0=_number(dr["omega_0"], "drude.omega_0"),
-                beta=_number(dr["beta"], "drude.beta"),
-                gamma_free=_number(dr.get("gamma_free", 0.0), "drude.gamma_free"),
-                gamma_bound=_number(dr.get("gamma_bound", 0.0), "drude.gamma_bound")))
+                beta=_number(dr["beta"], "drude.beta")))
         if kind == "dilute_body":
             _require_keys(obj, "geometry", ("type", "alpha"),
                           ("background_eps", "half_space_eta", "regions"))

@@ -42,20 +42,16 @@ from .quadrature import sine_integral
 class DrudeStatic:
     """Static-limit hydrodynamic Drude parameters (all rad/s except beta in m/s).
 
-    gamma_free and gamma_bound are accepted for schema fidelity but drop out
-    of every zero-frequency result.
+    Damping drops out at zero frequency, so it takes no parameter.
     """
 
     omega_p: float
     omega_p_bound: float
     omega_0: float
     beta: float
-    gamma_free: float = 0.0
-    gamma_bound: float = 0.0
 
     def __post_init__(self):
-        for name in ("omega_p", "omega_p_bound", "omega_0", "beta",
-                     "gamma_free", "gamma_bound"):
+        for name in ("omega_p", "omega_p_bound", "omega_0", "beta"):
             object.__setattr__(self, name, _require_finite(getattr(self, name), name))
         if self.omega_p < 0.0:
             raise DomainError(f"omega_p must be >= 0, got {self.omega_p!r}")
@@ -65,8 +61,6 @@ class DrudeStatic:
             raise DomainError(f"omega_0 must be > 0, got {self.omega_0!r}")
         if not (self.beta > 0.0):
             raise DomainError(f"beta must be > 0, got {self.beta!r}")
-        if self.gamma_free < 0.0 or self.gamma_bound < 0.0:
-            raise DomainError("damping constants must be >= 0")
 
     @property
     def eps_b(self) -> float:

@@ -645,6 +645,36 @@ def interface_error(row: Row, iface: Interface, src: Point3, x: float, y: float,
                _rel(flux_up, flux_down) / FLUX_TOL)
 
 
+def coincident_limit_error(row: Row, r: Point3) -> float:
+    """|g1(r) - lim [g(r, r + h e) + g(r, r - h e)]/2 - 1/(4 pi eps d)| over its
+    tolerance, d the distance between the two points as float64 has them.
+
+    The limit is extrapolated in h^2 from h at 1e-3 and 5e-4 of the distance
+    to the nearest interface or body. The tolerance adds the extrapolation's
+    weighted abs_err of g, that of g1, 16 eps_mach of the free term at the
+    smaller h, and the spread between this and the three-level extrapolation
+    that adds h at 2e-3.
+    """
+    geom, e, spec = row.geom, (0.48, -0.64, 0.6), DEFAULT_QUADRATURE
+    levels = []
+    for f in (2e-3, 1e-3, 5e-4):
+        near = [r.shifted(*(s * f * row.clearance(r) * c for c in e)) for s in (1.0, -1.0)]
+        g = [geom.g(r, p, spec) for p in near]
+        free = sum(1.0 / analytic.distance(r, p) for p in near) / (8.0 * math.pi
+                                                                   * geom.host_eps(r))
+        levels.append((0.5 * (g[0].value + g[1].value) - free,
+                       0.5 * (g[0].abs_err + g[1].abs_err), free))
+    (l1, _, _), (l2, e2, _), (l3, e3, free) = levels
+    two, three = (4.0 * l3 - l2) / 3.0, (64.0 * l3 - 20.0 * l2 + l1) / 45.0
+    g1 = geom.g1(r, spec)
+    tol = (4.0 * e3 + e2) / 3.0 + g1.abs_err + 16.0 * 2.0 ** -52 * free + abs(three - two)
+    return abs(two - g1.value) / tol
+
+
+# the rows whose g1 is not yet the coincident limit of g (ROADMAP items 2 and 5)
+NOT_THE_LIMIT = ("aperture_plate", "bulk")
+
+
 def _pairs(row: Row, rng, n: int):
     """n seeded pairs of the row's points, less those within 1e-3 of its scale."""
     pairs = [(row.point(rng), row.point(rng)) for _ in range(n)]
@@ -688,6 +718,16 @@ def check_interfaces() -> CheckResult:
     return CheckResult("interface_conditions", worst <= 1.0, worst, 0.0, 1.0,
                        f"worst err / tol: |g|/g_free {GROUNDED_TOL:g} at a grounded conductor, "
                        f"jumps of g {CONTINUITY_TOL:g} and eps dg/dz {FLUX_TOL:g} at a dielectric")
+
+
+def check_coincident_limit() -> CheckResult:
+    rng = random.Random(12)
+    worst = max(coincident_limit_error(row, row.self_point(rng))
+                for row in table().values() if row.name not in NOT_THE_LIMIT for _ in range(5))
+    return CheckResult("g1_coincident_limit", worst <= 1.0, worst, 0.0, 1.0,
+                       "worst err / tol of g1 against the limit of g - free, every geometry "
+                       "but aperture_plate (ROADMAP item 2: hole_onaxis_g1 drops a term) "
+                       "and bulk (item 5: NonlocalBulk refuses its finite g1)")
 
 
 def check_bilinearity() -> CheckResult:
@@ -772,6 +812,7 @@ SUITES["all"] = SUITES["limits"] + SUITES["quadrature"] + [
     check_reciprocity,
     check_force_gradient,
     check_action_reaction,
+    check_coincident_limit,
     check_bilinearity,
     check_ratio_distant_interfaces,
 ] + SUITES["oracle"]

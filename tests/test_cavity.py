@@ -145,6 +145,19 @@ class TestGeneralHeights:
             cavity_g_general(0.1, -0.2, 12.0, D, eps1, 1.0, eps3, spec)
         assert "after 8 panels" in str(info.value)
 
+    @pytest.mark.parametrize("eps1,eps3", [(4.0, 8.0), (4.0, PC), (PC, PC)])
+    def test_close_pair_at_two_heights_keeps_its_surface_term(self, eps1, eps3):
+        # 2e-4 d apart, 1.2e-4 d of it vertical: the layered kernel's free
+        # term hid the reflected part below its 1e-12 abs floor here
+        z0, dz, rho = 0.1 * D, 1.2e-4 * D, 1.6e-4 * D
+        got = cavity_g_general(z0 + dz, z0, rho, D, eps1, 1.0, eps3)
+        if eps1 is PC:
+            ref = conducting_gap_g(z0 + dz, z0, rho, D, 1.0)
+        else:
+            ref = cavity_g_series(rho, D, reflection_coeffs(eps1, 1.0, eps3), 1.0, 400,
+                                  z=z0 + dz, z0=z0)
+        assert abs(got.value - ref.value) <= got.abs_err + ref.abs_err
+
     def test_out_of_gap_rejected(self):
         with pytest.raises(OutOfRegionError):
             cavity_g_general(0.6 * D, 0.0, 1.0, D, 4.0, 1.0, 4.0)

@@ -156,33 +156,6 @@ def test_interface_conditions(name, i, rng):
     assert validate.interface_error(row, iface, row.point(rng), *iface.draw(rng)) <= 1.0
 
 
-def coincident_limit_error(row, r):
-    """|g1(r) - lim [g(r, r + h e) + g(r, r - h e)]/2 - 1/(4 pi eps d)| over its
-    tolerance, d the distance between the two points as float64 has them.
-
-    The limit is extrapolated in h^2 from h at 1e-3 and 5e-4 of the distance
-    to the nearest interface or body. The tolerance adds the extrapolation's
-    weighted abs_err of g, that of g1, 16 eps_mach of the free term at the
-    smaller h, and the spread between this and the three-level extrapolation
-    that adds h at 2e-3.
-    """
-    geom, e = row.geom, (0.48, -0.64, 0.6)
-    levels = []
-    for f in (2e-3, 1e-3, 5e-4):
-        near = [r.shifted(*(s * f * row.clearance(r) * c for c in e)) for s in (1.0, -1.0)]
-        g = [geom.g(r, p, SPEC) for p in near]
-        free = sum(1.0 / distance(r, p) for p in near) / (8.0 * math.pi * geom.host_eps(r))
-        levels.append((0.5 * (g[0].value + g[1].value) - free,
-                       0.5 * (g[0].abs_err + g[1].abs_err), free))
-    (l1, _, _), (l2, e2, _), (l3, e3, free) = levels
-    two, three = (4.0 * l3 - l2) / 3.0, (64.0 * l3 - 20.0 * l2 + l1) / 45.0
-    g1 = geom.g1(r, SPEC)
-    tol = (4.0 * e3 + e2) / 3.0 + g1.abs_err + 16.0 * 2.0 ** -52 * free + abs(three - two)
-    return abs(two - g1.value) / tol
-
-
-_GAP_LIMIT = ("cavity_g_general returns the free term alone, with an abs_err of 1e-12 of it, "
-              "for a pair at two heights closer than about 2e-4 d; h here goes down to 2.5e-5 d")
 NOT_THE_LIMIT = {
     "aperture_plate": pytest.mark.xfail(
         strict=True, raises=AssertionError,
@@ -190,9 +163,11 @@ NOT_THE_LIMIT = {
     "bulk": pytest.mark.xfail(
         strict=True, raises=UnsupportedGeometryError,
         reason="ROADMAP item 5: NonlocalBulk refuses its finite g1, -k_s/(4 pi eps_b)"),
-    **{name: pytest.mark.xfail(strict=True, raises=AssertionError, reason=_GAP_LIMIT)
-       for name in ("dielectric_gap", "mixed_gap", "conducting_gap")},
 }
+
+
+def test_the_limit_skips_the_xfailed_rows_alone():
+    assert set(validate.NOT_THE_LIMIT) == set(NOT_THE_LIMIT)
 
 
 @pytest.mark.parametrize("name", [pytest.param(name, marks=NOT_THE_LIMIT.get(name, ()))
@@ -200,9 +175,9 @@ NOT_THE_LIMIT = {
 @given(rng=RNG)
 @_drawn(5)
 def test_g1_is_the_coincident_limit_of_g(name, rng):
-    # tier-1 only: validate runs it once items 2 and 5 and the gap route are mended
+    # validate's check_coincident_limit runs it on every row but the two xfailed
     row = ROWS[name]
-    assert coincident_limit_error(row, row.self_point(rng)) <= 1.0
+    assert validate.coincident_limit_error(row, row.self_point(rng)) <= 1.0
 
 
 # (geometry, a point where no charge may sit, a point where one may, the

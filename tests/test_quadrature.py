@@ -180,6 +180,17 @@ def test_huge_integrand_scales_exactly_without_warning(e):
     assert got.abs_err == 2.0 ** e * base.abs_err
 
 
+def test_tail_estimate_covers_a_growing_panel_ratio():
+    # positive panels q^n / n^2: their ratio q (n/(n + 1))^2 grows towards q,
+    # so the last ratio alone underestimates what is left
+    p = [0.1 ** n / n ** 2 for n in range(1, 40)]
+    for n in (4, 8, 12):
+        value, tail = quadrature._estimate_limit(p[:n])
+        assert math.isclose(value, math.fsum(p[:n]), rel_tol=1e-15)
+        rest = math.fsum(p[n:])
+        assert rest <= tail <= 1.2 * rest
+
+
 # ---------------------------------------------------------------------------
 # The batched panel integrator against the one-panel loop it replaced. The
 # reference applies the same rules (accept test, tolerance halving, depth cap
@@ -215,7 +226,7 @@ def _ref_panel_adaptive(f, a, b, tol, rel_tol, max_depth=26):
     return total, err
 
 
-def _ref_panels(f, edges, spec):
+def _ref_panels(f, edges, spec, subtracted=0.0):
     panels = []
     panel_errs = 0.0
     scale = 0.0
@@ -227,7 +238,7 @@ def _ref_panels(f, edges, spec):
         scale = max(scale, abs(val))
         if count >= 8 and count % 4 == 0:
             value, tail = quadrature._estimate_limit(panels)
-            if tail + panel_errs <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+            if tail + panel_errs <= max(spec.abs_tol, spec.rel_tol * abs(value + subtracted)):
                 return value
             if scale == 0.0:
                 return 0.0
@@ -235,17 +246,17 @@ def _ref_panels(f, edges, spec):
             raise ConvergenceError("reference: tolerance not reached")
 
 
-def _reference(transform, f, x, spec, k_scale):
+def _reference(transform, f, x, spec, k_scale, subtracted=0.0):
     if transform is sine_integral:
         return _ref_panels(lambda k: f(k) * np.sin(k * x),
                            quadrature._oscillatory_edges(lambda n: n * math.pi / x, k_scale),
                            spec)
     if x == 0.0:
-        return _ref_panels(f, quadrature._halfline_edges(k_scale), spec)
+        return _ref_panels(f, quadrature._halfline_edges(k_scale), spec, subtracted)
     return _ref_panels(lambda k: f(k) * j0(k * x),
                        quadrature._oscillatory_edges(
                            lambda n: quadrature._bessel_zero(0, n) / x, k_scale),
-                       spec)
+                       spec, subtracted)
 
 
 def _counted(f):
@@ -257,24 +268,27 @@ def _counted(f):
     return g, nodes
 
 
-def _check_against_reference(transform, f, x, spec=DEFAULT_QUADRATURE, k_scale=None):
+def _check_against_reference(transform, f, x, spec=DEFAULT_QUADRATURE, k_scale=None,
+                             **subtracted):
     g, nodes = _counted(f)
-    got = transform(g, x, spec, k_scale=k_scale)
+    got = transform(g, x, spec, k_scale=k_scale, **subtracted)
     g_ref, ref_nodes = _counted(f)
-    want = _reference(transform, g_ref, x, spec, k_scale)
+    want = _reference(transform, g_ref, x, spec, k_scale, **subtracted)
     assert abs(got.value - want) <= got.abs_err
     assert nodes[0] == ref_nodes[0]
-    again = transform(f, x, spec, k_scale=k_scale)
+    again = transform(f, x, spec, k_scale=k_scale, **subtracted)
     assert (again.value, again.abs_err) == (got.value, got.abs_err)
 
 
 def _gap_calls(monkeypatch, run):
-    """The (f, rho, spec, k_scale) of every Hankel integral `run` makes in cavity."""
+    """The (f, rho, spec, k_scale, subtracted) of every order-0 Hankel
+    integral `run` makes in cavity."""
     calls = []
 
-    def record(f, rho, spec=DEFAULT_QUADRATURE, k_scale=None):
-        calls.append((f, rho, spec, k_scale))
-        return hankel_integral(f, rho, spec, k_scale)
+    def record(f, rho, spec=DEFAULT_QUADRATURE, k_scale=None, order=0, subtracted=0.0):
+        assert order == 0
+        calls.append((f, rho, spec, k_scale, subtracted))
+        return hankel_integral(f, rho, spec, k_scale, order, subtracted)
     monkeypatch.setattr(cavity, "hankel_integral", record)
     run()
     monkeypatch.undo()
@@ -296,8 +310,10 @@ def test_batched_matches_reference_gap(monkeypatch, eps1, eps3):
         for z, z0 in ((0.0, 0.0), (0.2, -0.1)):
             for rho in np.geomspace(0.01, 20.0, 7):
                 cavity.cavity_g_general(z, z0, rho, 1.0, eps1, 1.0, eps3)
-    for f, rho, spec, k_scale in _gap_calls(monkeypatch, run):
-        _check_against_reference(hankel_integral, f, rho, spec, k_scale)
+    calls = _gap_calls(monkeypatch, run)
+    assert all(subtracted > 0.0 for *_, subtracted in calls)
+    for f, rho, spec, k_scale, subtracted in calls:
+        _check_against_reference(hankel_integral, f, rho, spec, k_scale, subtracted=subtracted)
 
 
 # (1, 19, conductor) has r1 = -0.9, r3 = 1: a self-kernel that changes sign
@@ -310,8 +326,9 @@ def test_batched_matches_reference_halfline(monkeypatch, eps1, eps2, eps3):
             cavity.cavity_scattering_g1(z0, 1.0, eps1, eps2, eps3)
             cavity.cavity_scattering_dg1(z0, 1.0, eps1, eps2, eps3)
     calls = _gap_calls(monkeypatch, run)
-    assert len(calls) == 8 and all(rho == 0.0 for _, rho, _, _ in calls)
-    for f, rho, spec, k_scale in calls:
+    assert len(calls) == 8 and all(rho == 0.0 and subtracted == 0.0
+                                   for _, rho, _, _, subtracted in calls)
+    for f, rho, spec, k_scale, _ in calls:
         _check_against_reference(hankel_integral, f, rho, spec, k_scale)
 
 
@@ -320,12 +337,12 @@ def test_gap_self_term_kernel_calls(monkeypatch, eps1, eps3):
     # the rho = 0 half-line takes four panels per kernel call and stops at
     # panel 8 once the geometric tail estimate meets the tolerance
     calls = []
-    kernel = cavity.kernels.cavity_scatter_integrand
+    kernel = cavity.kernels.cavity_integrand
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
-    monkeypatch.setattr(cavity.kernels, "cavity_scatter_integrand", counted)
+    monkeypatch.setattr(cavity.kernels, "cavity_integrand", counted)
     for z0 in (-0.3, 0.0, 0.15, 0.35):
         calls.clear()
         got = cavity.cavity_scattering_g1(z0, 1.0, eps1, 1.0, eps3)

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.constants import elementary_charge as QE, epsilon_0
 
+from greens_coulomb.cli import main
 from greens_coulomb.core import (
     DEFAULT_QUADRATURE,
     Charge,
@@ -48,12 +50,20 @@ class TestDrudeStatic:
         with pytest.raises(DomainError):
             DrudeStatic(omega_p=1.0, omega_p_bound=0, omega_0=1.0, beta=0.0)
 
-    def test_damping_accepted_but_inert(self):
-        damped = DrudeStatic(omega_p=8e15, omega_p_bound=9e15, omega_0=4e15,
-                             beta=9e5, gamma_free=1e13, gamma_bound=2e13)
-        assert damped.eps_b == FULL.eps_b and damped.k_s == FULL.k_s
-        r = 2e-10
-        assert screened(r, QE, QE, damped) == screened(r, QE, QE, FULL)
+    @pytest.mark.parametrize("key", ["gamma_free", "gamma_bound"])
+    def test_damping_is_rejected(self, key, tmp_path, capsys):
+        # damping drops out at zero frequency: a scene that gives it exits 2
+        # on an unknown key, and DrudeStatic takes no such parameter
+        drude = {"omega_p": 8e15, "omega_p_bound": 9e15, "omega_0": 4e15, "beta": 9e5}
+        charges = [{"q": 1.0, "unit": "e", "position": [0.0, 0.0, z]} for z in (0.0, 2e-10)]
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({"geometry": {"type": "nonlocal_bulk",
+                                                  "drude": {**drude, key: 1e13}},
+                                     "charges": charges}))
+        assert main(["pair-energy", "--scene", str(scene)]) == 2
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
+        with pytest.raises(TypeError):
+            DrudeStatic(**drude, **{key: 1e13})
 
 
 class TestPermittivity:
