@@ -2,18 +2,24 @@
 
 The program's routes:
 
+* where a wall is a dielectric (|r1 r3| < 1), g and its coincident limit g1
+  by the image series (`cavity_g_images`; Barrera, Guzman & Balaguer,
+  Am. J. Phys. 46 (1978) 1172), summed to the first order whose geometric
+  tail bound meets the tolerance, at most IMAGE_ORDER_MAX orders;
 * Bessel-integral quadrature (`cavity_g_general`, any heights, any
   reflection coefficients) of the reflected kernel, the free term
   1/(4 pi eps2 r) in closed form (Michalski & Mosig, IEEE TAP 45 (1997)
-  508); g1, its coincident limit, and the gradients share its set-up;
+  508), for every gradient, for g and g1 past the series' order cap
+  (|r1 r3| above about 0.99), and between conducting walls for pairs
+  closer than MODAL_RHO_MIN d; g1, the gradients and g share one set-up;
 * between two conducting walls, the K0 mode sum (for rho >= MODAL_RHO_MIN d)
   and the digamma self-energy, which keep full relative accuracy where the
   quadrature reaches its absolute floor.
 
 Two references that the tests and `validate` compare against:
 
-* the term-by-term image series (`cavity_g_series`), at any heights where
-  r1 r3 is below 1 in magnitude, and at the midplane with Euler
+* the image series to a fixed order (`cavity_g_series`), at any heights
+  where r1 r3 is below 1 in magnitude, and at the midplane with Euler
   acceleration of the conductor case, where the image sum is only
   conditionally convergent;
 * the conductor large-separation asymptotic sqrt(8/(rho d)) exp(-pi rho/d)
@@ -23,7 +29,9 @@ Forces differentiate the Green's function: the mode sum and the digamma
 form term by term, the quadrature under the Hankel integral.
 
 The four conducting-wall functions import K0, K1, digamma and the trigamma
-from scipy.special when they are called, not when the package is imported.
+from scipy.special when they are called, not when the package is imported,
+and the quadrature loads J0 and J1 on first use; the image series needs
+neither, so a dielectric gap's energies load no scipy.
 
 Region 2 (the gap, host permittivity eps2) spans -d/2 < z < d/2.
 """
@@ -33,7 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +68,11 @@ _EPS = float(np.finfo(float).eps)
 MODAL_RHO_MIN = 0.5
 # Modes are kept up to this many e-folds of decay past the first one.
 _MODE_SPAN = 40.0
+# The image series is summed to at most this order; a pair whose series
+# needs more (|r1 r3| above about 0.99) takes the Hankel route.
+IMAGE_ORDER_MAX = 4096
+# Roundoff of the image series, relative to the sum of its terms' magnitudes.
+_IMAGE_ROUNDOFF = 8.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -111,64 +124,92 @@ def _checked_gradient(parts, floor: float, tried: str):
     return parts
 
 
-def _gap_integral(kernel, z: float, z0: float, rho: float, d: float, eps1: Permittivity,
-                  eps2: float, eps3: Permittivity, spec: QuadratureSpec, power: int = 1,
-                  order: int = 0, free: bool = False):
-    """1/(4 pi eps2) times the Hankel integral of order `order` of
-    kernel(k, a_free, a1, a3, d, r1, r3), a reflected kernel of the pair at
-    heights z and z0, rho apart; and the absolute target it was given.
+class _Pair(NamedTuple):
+    """A gap pair's set-up, shared by the image series and every Hankel
+    integral of the gap.
 
     With upper and lower the two heights, a_free = upper - lower is the
-    direct path's exponent, and a1 = d + 2 lower and a3 = d - 2 upper add
-    the reflection in the wall below and in the wall above; the kernel
-    decays on the scale of the shorter reflected path, a_free + a1 or
-    a_free + a3, and of 2d. With `free`, the free term 1/r is added in
-    closed form and rel_tol applies to the sum; coincident points then raise
-    CoincidentPointsError. The integral is 0 where neither wall reflects.
-
-    The target is spec's abs_tol on g (power 1), or on a gradient (power 2)
-    divided by a length L; where spec left abs_tol at 0, it is 1e-12 of the
-    free-space magnitude 1/(4 pi L^power), since a purely relative target is
-    unreachable in float64 once reflections suppress g exponentially. L is
-    the separation r, no less than d/20, or at coincident points the nearer
-    image distance min(a1, a3).
+    direct path's height difference, and a1 = d + 2 lower and a3 = d - 2 upper
+    add the reflection in the wall below and in the wall above.
     """
+
+    pref: float  # 1/(4 pi eps2)
+    r1: float
+    r3: float
+    rho: float
+    d: float
+    a_free: float
+    a1: float
+    a3: float
+    r: float  # the separation, hypot(rho, a_free)
+
+    def floor(self, spec: QuadratureSpec, power: int = 1) -> float:
+        """The absolute target of g (power 1) or of a gradient (power 2).
+
+        It is spec's abs_tol, divided by a length L for a gradient; where
+        spec left abs_tol at 0, it is 1e-12 of the free-space magnitude
+        1/(4 pi L^power), since a purely relative target is unreachable in
+        float64 once reflections suppress g exponentially. L is the
+        separation r, no less than d/20, or at coincident points the nearer
+        image distance min(a1, a3).
+        """
+        length = max(self.r, 0.05 * self.d) if self.r > 0.0 else min(self.a1, self.a3)
+        if spec.abs_tol > 0.0:
+            return spec.abs_tol / length ** (power - 1)
+        return 1e-12 / (_FOUR_PI * length ** power)
+
+    def target(self, spec: QuadratureSpec, power: int = 1) -> Tuple[float, QuadratureSpec]:
+        """The floor, and spec with it as abs_tol in the units of the gap's
+        Hankel integrals, 4 pi eps2 times those of g."""
+        floor = self.floor(spec, power)
+        return floor, replace(spec, abs_tol=floor / self.pref)
+
+
+def _pair(z: float, z0: float, rho: float, d: float, eps2: float,
+          coeffs: CavityCoeffs) -> _Pair:
+    """The set-up of the pair at heights z and z0, rho apart, between walls
+    of reflection coefficients `coeffs`."""
     if d <= 0.0:
         raise DomainError(f"d must be > 0, got {d!r}")
     _check_gap(z, d, "z")
     _check_gap(z0, d, "z0")
     if rho < 0.0:
         raise DomainError(f"rho must be >= 0, got {rho!r}")
-    pref = 1.0 / (_FOUR_PI * finite_eps(eps2, "eps2"))
-    coeffs = reflection_coeffs(eps1, eps2, eps3)
-    r1, r3 = coeffs.r1, coeffs.r3
     upper, lower = max(z, z0), min(z, z0)
-    a_free = upper - lower
-    a1 = d + 2.0 * lower
-    a3 = d - 2.0 * upper
-    r = math.hypot(rho, a_free)
-    if free and r == 0.0:
-        raise CoincidentPointsError("field point coincides with source")
-    known = 1.0 / r if free else 0.0
-    length = max(r, 0.05 * d) if r > 0.0 else min(a1, a3)
-    if spec.abs_tol > 0.0:
-        floor = spec.abs_tol / length ** (power - 1)
-    else:
-        floor = 1e-12 / (_FOUR_PI * length ** power)
-    if r1 == 0.0 and r3 == 0.0:
-        return ValueWithError(pref * known), floor
-    scales = [2.0 * d]
-    if r1 != 0.0:
-        scales.append(a_free + a1)
-    if r3 != 0.0:
-        scales.append(a_free + a3)
+    return _Pair(1.0 / (_FOUR_PI * finite_eps(eps2, "eps2")), coeffs.r1, coeffs.r3, rho, d,
+                 upper - lower, d + 2.0 * lower, d - 2.0 * upper,
+                 math.hypot(rho, upper - lower))
+
+
+def _layers_pair(z: float, z0: float, rho: float, d: float, eps1: Permittivity,
+                 eps2: float, eps3: Permittivity) -> _Pair:
+    """_pair between walls of permittivities eps1 (below) and eps3 (above)."""
+    return _pair(z, z0, rho, d, eps2, reflection_coeffs(eps1, eps2, eps3))
+
+
+def _gap_integral(kernel, p: _Pair, target: QuadratureSpec, order: int = 0,
+                  known: float = 0.0) -> ValueWithError:
+    """1/(4 pi eps2) times the Hankel integral of order `order` of
+    kernel(k, a_free, a1, a3, d, r1, r3), a reflected kernel of the pair p,
+    to `target` (see _Pair.target); plus known/(4 pi eps2), a part taken out
+    of the kernel in closed form, to whose sum rel_tol applies. The kernel
+    decays on the scale of the shorter reflected path, a_free + a1 or
+    a_free + a3, and of 2d. The integral is 0 where neither wall reflects.
+    """
+    if p.r1 == 0.0 and p.r3 == 0.0:
+        return ValueWithError(p.pref * known)
+    scales = [2.0 * p.d]
+    if p.r1 != 0.0:
+        scales.append(p.a_free + p.a1)
+    if p.r3 != 0.0:
+        scales.append(p.a_free + p.a3)
 
     def f(k: np.ndarray) -> np.ndarray:
-        return kernel(k, a_free, a1, a3, d, r1, r3)
+        return kernel(k, p.a_free, p.a1, p.a3, p.d, p.r1, p.r3)
 
-    got = hankel_integral(f, rho, replace(spec, abs_tol=floor / pref),
-                          k_scale=1.0 / max(min(scales), 1e-300), order=order, subtracted=known)
-    return ValueWithError(pref * (known + got.value), pref * got.abs_err), floor
+    got = hankel_integral(f, p.rho, target, k_scale=1.0 / max(min(scales), 1e-300),
+                          order=order, subtracted=known)
+    return ValueWithError(p.pref * (known + got.value), p.pref * got.abs_err)
 
 
 def cavity_g_general(z: float, z0: float, rho: float, d: float,
@@ -177,8 +218,10 @@ def cavity_g_general(z: float, z0: float, rho: float, d: float,
     """Gap Green's function between heights z0 (source) and z, in-plane offset
     rho: the free term 1/(4 pi eps2 r) in closed form plus the Hankel
     integral of the reflected kernel, to rel_tol of their sum."""
-    return _gap_integral(kernels.cavity_integrand, z, z0, rho, d, eps1, eps2, eps3, spec,
-                         free=True)[0]
+    p = _layers_pair(z, z0, rho, d, eps1, eps2, eps3)
+    if p.r == 0.0:
+        raise CoincidentPointsError("field point coincides with source")
+    return _gap_integral(kernels.cavity_integrand, p, p.target(spec)[1], known=1.0 / p.r)
 
 
 def cavity_grad_general(z: float, z0: float, rho: float, d: float,
@@ -189,17 +232,18 @@ def cavity_grad_general(z: float, z0: float, rho: float, d: float,
     The free-space part 1/(4 pi eps2 r) is differentiated in closed form. The
     reflected kernel R(k) = exp(-k*a_free)(N/D - 1) is differentiated under
     the integral: dg/drho takes -int R k J1(k rho) dk, and dg/dz the
-    z-derivative of R's exponentials against J0. Raises DomainError when the
-    free-space part overflows float64, and ConvergenceError when the
-    gradient's abs_err exceeds 1% of its magnitude (see _checked_gradient).
+    z-derivative of R's exponentials against J0; the two integrals share
+    the pair's set-up. Raises DomainError when the free-space part overflows
+    float64, and ConvergenceError when the gradient's abs_err exceeds 1% of
+    its magnitude (see _checked_gradient).
     """
-    pref = 1.0 / (_FOUR_PI * finite_eps(eps2, "eps2"))
-    r = math.hypot(rho, z - z0)
+    p = _layers_pair(z, z0, rho, d, eps1, eps2, eps3)
+    r = p.r
     if r == 0.0:
         raise CoincidentPointsError("cavity_grad_general: field point coincides with source")
     # divided by r in stages: r * r * r underflows to 0 below r ~ 1e-108
-    free_rho = pref * (rho / r) / r / r
-    free_z = pref * ((z - z0) / r) / r / r
+    free_rho = p.pref * (rho / r) / r / r
+    free_z = p.pref * ((z - z0) / r) / r / r
     if not (math.isfinite(free_rho) and math.isfinite(free_z)):
         raise DomainError(f"cavity_grad_general: the free-space gradient at a separation "
                           f"of {r!r} m overflows float64")
@@ -211,14 +255,108 @@ def cavity_grad_general(z: float, z0: float, rho: float, d: float,
     def reflected_dz(k, *args):
         return kernels.cavity_reflected_dz(k, *args, sign)
 
-    pair = (z, z0, rho, d, eps1, eps2, eps3, spec)
-    d_rho, floor = _gap_integral(reflected_k, *pair, power=2, order=1)
-    d_z, _ = _gap_integral(reflected_dz, *pair, power=2)
+    floor, target = p.target(spec, 2)
+    d_rho = _gap_integral(reflected_k, p, target, order=1)
+    d_z = _gap_integral(reflected_dz, p, target)
     return _checked_gradient(
         (ValueWithError(-free_rho - d_rho.value, d_rho.abs_err),
          ValueWithError(-free_z + d_z.value, d_z.abs_err)), floor,
         f"Hankel gradient of the gap kernel (orders 1 and 0) at rho = {rho!r}, "
         f"z = {z!r}, z0 = {z0!r}, d = {d!r}, rel_tol = {spec.rel_tol!r}")
+
+
+def _image_orders(p: _Pair, n: int):
+    """Orders j = 0..n of the image series of the pair p, times 4 pi eps2:
+    each order's sum and the sum of its terms' magnitudes.
+
+    With q = r1 r3 and D(s) = sqrt(rho^2 + s^2), order j holds the images
+    -r1 q^j/D(a_free + a1 + 2jd) in the wall below and
+    -r3 q^j/D(a_free + a3 + 2jd) in the wall above, and from j = 1 on the
+    source's two images q^j/D(2jd +- a_free). Order 0's source image is the
+    free term 1/r, which the caller adds. Every distance is a sum of
+    positive lengths, so no term loses accuracy near a wall.
+    """
+    j = np.arange(n + 1)
+    qj = (p.r1 * p.r3) ** j
+    step = (2.0 * p.d) * j
+    below = p.r1 / np.hypot(p.rho, step + (p.a_free + p.a1))
+    above = p.r3 / np.hypot(p.rho, step + (p.a_free + p.a3))
+    source = np.zeros(n + 1)
+    source[1:] = (1.0 / np.hypot(p.rho, step[1:] + p.a_free)
+                  + 1.0 / np.hypot(p.rho, step[1:] - p.a_free))
+    return qj * (source - below - above), np.abs(qj) * (source + np.abs(below) + np.abs(above))
+
+
+def _image_order_bound(p: _Pair, q: float, target: float) -> int:
+    """An order n after which the image series' tail bound is below
+    `target` (times 4 pi eps2), for q = |r1 r3| < 1.
+
+    Order j >= 1 is at most q^j (2 + |r1| + |r3|)/D((2j - 1) d), and so at
+    most q^j (2 + |r1| + |r3|)/D(d); the tail after order n, order n + 1
+    over 1 - q, is below the target once q^(n+1) is below
+    target (1 - q) D(d)/(2 + |r1| + |r3|).
+    """
+    if q == 0.0:
+        return 0
+    ratio = target * (1.0 - q) * math.hypot(p.rho, p.d) / (2.0 + abs(p.r1) + abs(p.r3))
+    if not ratio > 0.0:
+        return IMAGE_ORDER_MAX + 1
+    return max(0, math.ceil(math.log(ratio) / math.log(q)) - 1) if ratio < 1.0 else 0
+
+
+def cavity_g_images(z: float, z0: float, rho: float, d: float,
+                    eps1: Permittivity, eps2: float, eps3: Permittivity,
+                    spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Optional[ValueWithError]:
+    """Gap Green's function by its image series, to spec; at coincident
+    points (rho = 0, z = z0) its scattering part g1, the same series without
+    the free term. None where |r1 r3| >= 1 (both walls conducting) or where
+    the series needs more than IMAGE_ORDER_MAX orders.
+
+    With q = r1 r3 and the lengths of _Pair (Barrera, Guzman & Balaguer,
+    Am. J. Phys. 46 (1978) 1172; see _image_orders for its orders),
+
+        4 pi eps2 g = 1/r + sum_{j>=1} q^j (1/D(2jd + a_free) + 1/D(2jd - a_free))
+                      - sum_{j>=0} q^j (r1/D(a_free + a1 + 2jd) + r3/D(a_free + a3 + 2jd)).
+
+    The sum stops at the first order whose geometric tail bound, the
+    magnitude of the next order over 1 - |q|, meets the target
+    max(floor, rel_tol |g|), floor as in _Pair.floor. abs_err is that bound
+    plus the roundoff, _IMAGE_ROUNDOFF times the sum of the terms'
+    magnitudes; where the roundoff keeps it above the target,
+    ConvergenceError, and where the sum overflows float64, DomainError.
+    """
+    p = _layers_pair(z, z0, rho, d, eps1, eps2, eps3)
+    q = abs(p.r1 * p.r3)
+    if q >= 1.0:
+        return None
+    floor = p.floor(spec) / p.pref
+    free = 1.0 / p.r if p.r > 0.0 else 0.0
+    # orders enough for a tail of half the floor, which leaves the other half
+    # to the roundoff
+    n_max = min(_image_order_bound(p, q, 0.5 * floor), IMAGE_ORDER_MAX)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        signed, size = _image_orders(p, n_max + 1)
+        # for each n, the bound after orders 0..n and its target
+        tail = size[1:] / (1.0 - q)
+        roundoff = _IMAGE_ROUNDOFF * (free + np.cumsum(size[:-1]))
+        target = np.maximum(floor, spec.rel_tol * np.abs(free + np.cumsum(signed[:-1])))
+        met = tail + roundoff <= target
+    if not math.isfinite(roundoff[-1] + tail[-1]):
+        raise DomainError(f"the image series of the gap at rho = {rho!r}, z = {z!r}, "
+                          f"z0 = {z0!r}, d = {d!r} overflows float64")
+    if met.any():
+        n = int(np.argmax(met))
+        return ValueWithError(p.pref * (free + float(np.sum(signed[:n + 1]))),
+                              p.pref * (tail[n] + roundoff[n]))
+    if n_max == IMAGE_ORDER_MAX:
+        return None  # the series may need more orders than the cap
+    # the last tail is below half the floor, so the roundoff exceeds half the target
+    raise ConvergenceError(
+        f"image series of the gap at rho = {rho!r}, z = {z!r}, z0 = {z0!r}, d = {d!r}, "
+        f"r1 r3 = {p.r1 * p.r3!r}: its bound {p.pref * (tail[-1] + roundoff[-1]):.3e} "
+        f"(tail {p.pref * tail[-1]:.3e} after order {n_max}, roundoff "
+        f"{p.pref * roundoff[-1]:.3e}) exceeds the target {p.pref * target[-1]:.3e} "
+        f"(rel_tol = {spec.rel_tol!r})")
 
 
 def conducting_gap_g(z: float, z0: float, rho: float, d: float,
@@ -349,7 +487,8 @@ def cavity_scattering_g1(z0: float, d: float, eps1: Permittivity, eps2: float,
                          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
     """Reflection-only part at coincident points (rho = 0, z = z0); finite.
     The integral of cavity_g_general's reflected kernel at a_free = 0."""
-    return _gap_integral(kernels.cavity_integrand, z0, z0, 0.0, d, eps1, eps2, eps3, spec)[0]
+    p = _layers_pair(z0, z0, 0.0, d, eps1, eps2, eps3)
+    return _gap_integral(kernels.cavity_integrand, p, p.target(spec)[1])
 
 
 def cavity_scattering_dg1(z0: float, d: float, eps1: Permittivity, eps2: float,
@@ -364,7 +503,9 @@ def cavity_scattering_dg1(z0: float, d: float, eps1: Permittivity, eps2: float,
     def twice_dz(k, *args):
         return 2.0 * kernels.cavity_reflected_dz(k, *args, 1.0)
 
-    dg1, floor = _gap_integral(twice_dz, z0, z0, 0.0, d, eps1, eps2, eps3, spec, power=2)
+    p = _layers_pair(z0, z0, 0.0, d, eps1, eps2, eps3)
+    floor, target = p.target(spec, 2)
+    dg1 = _gap_integral(twice_dz, p, target)
     _checked_gradient(
         (dg1,), floor,
         f"half-line integral of the gap self-force kernel at z0 = {z0!r}, d = {d!r}, "
@@ -382,8 +523,9 @@ def cavity_g_series(rho: float, d: float, coeffs: CavityCoeffs, eps2: float,
         4 pi eps2 g = sum_{|m| <= n_max} q^|m| / D(a + 2md)
                       - sum_{k=0}^{n_max} q^k (r1 / D(b + 2kd) + r3 / D(b - 2(k+1)d)),
 
-    summed at any heights for |q| < 1, with abs_err a geometric bound from
-    the first term dropped. At the midplane z = z0 = 0 with both walls
+    summed at any heights for |q| < 1 in the orders of cavity_g_images
+    (`_image_orders`), here up to the fixed order n_max, with abs_err the
+    geometric bound from the first order dropped. At the midplane z = z0 = 0 with both walls
     conducting (r1 = r3 = 1) the sum is rearranged as the alternating
     image-distance series and extrapolated by repeated averaging, which
     converges far below the plain partial sums; abs_err then adds the
@@ -406,17 +548,10 @@ def cavity_g_series(rho: float, d: float, coeffs: CavityCoeffs, eps2: float,
         return np.sqrt((a * d) ** 2 + rho * rho)
 
     if abs(q) < 1.0:
-        _check_gap(z, d, "z")
-        _check_gap(z0, d, "z0")
-        a, b = (z - z0) / d, (z + z0) / d + 1.0
-        n = np.arange(0, n_max + 2, dtype=float)  # n_max + 1 is the first term dropped
-        qn = q ** n
-        direct = qn * (1.0 / image_dist(a + 2.0 * n) + 1.0 / image_dist(a - 2.0 * n))
-        below = r1 * qn / image_dist(b + 2.0 * n)  # images in the wall at -d/2
-        above = r3 * qn / image_dist(b - 2.0 * n - 2.0)  # and in the wall at d/2
-        value = 0.5 * direct[0] + np.sum(direct[1:-1]) - np.sum(below[:-1] + above[:-1])
-        dropped = abs(direct[-1]) + abs(below[-1]) + abs(above[-1])
-        return ValueWithError(pref * value, pref * dropped / (1.0 - abs(q)))
+        p = _pair(z, z0, rho, d, e2, coeffs)
+        signed, size = _image_orders(p, n_max + 1)  # n_max + 1 is the first order dropped
+        value = 1.0 / p.r + float(np.sum(signed[:-1]))
+        return ValueWithError(pref * value, pref * float(size[-1]) / (1.0 - abs(q)))
 
     if z != 0.0 or z0 != 0.0:
         raise DomainError(f"the image series for r1 r3 = {q!r} is summed at the midplane only")

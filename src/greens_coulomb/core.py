@@ -454,12 +454,21 @@ class ThreeLayerCavity(Geometry):
         rho = math.hypot(r.x - r_src.x, r.y - r_src.y)
         if self._modal(rho):
             return cavity.conducting_gap_g(r.z, r_src.z, rho, self.d, self.eps2)
+        # the image series, where a wall is a dielectric and it fits its order cap
+        got = cavity.cavity_g_images(r.z, r_src.z, rho, self.d, self.eps1, self.eps2,
+                                     self.eps3, spec)
+        if got is not None:
+            return got
         return cavity.cavity_g_general(r.z, r_src.z, rho, self.d, self.eps1, self.eps2,
                                        self.eps3, spec)
 
     def _g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
         if self._conducting():
             return cavity.conducting_gap_g1(r.z, self.d, self.eps2)
+        got = cavity.cavity_g_images(r.z, r.z, 0.0, self.d, self.eps1, self.eps2, self.eps3,
+                                     spec)
+        if got is not None:
+            return got
         return cavity.cavity_scattering_g1(r.z, self.d, self.eps1, self.eps2, self.eps3, spec)
 
     def _grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:

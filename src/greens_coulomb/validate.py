@@ -274,6 +274,7 @@ def check_fd_scaling() -> CheckResult:
 _GAP_LAYERS = ((PC, 1.0, PC),        # r1 r3 = +1
                (4.0, 1.0, 8.0),      # +0.47
                (19.0, 1.0, PC),      # +0.9
+               (1000.0, 1.0, 1000.0),  # +0.996, past the image series' order cap
                (1.0, 1.0, 1.0),      # 0
                (1.0, 19.0, PC),      # -0.9
                (1.0, 4.0, PC),       # -0.6
@@ -281,8 +282,14 @@ _GAP_LAYERS = ((PC, 1.0, PC),        # r1 r3 = +1
 
 
 def check_cavity_triple() -> CheckResult:
-    # the midplane for every wall pair, and two seeded pairs of heights
-    # where the image series converges (|r1 r3| < 1)
+    # The program's g of every wall pair against the Hankel quadrature and
+    # against the image series, at the midplane and at two seeded pairs of
+    # heights where the series converges (|r1 r3| < 1). Each route meets a
+    # method it does not use: the series route (|r1 r3| < 1 within its order
+    # cap) meets Hankel; the Hankel route (past the cap, or conducting walls
+    # below rho = d/2) and the mode sum meet the series, summed here to a
+    # fixed order or, between conducting walls, at the midplane by Euler
+    # acceleration.
     d = 1.0
     rng = random.Random(3)
     worst = 0.0
@@ -290,6 +297,7 @@ def check_cavity_triple() -> CheckResult:
     for rho_over_d in (0.1, 0.3, 0.5, 1.0, 2.0, 5.0, 10.0):
         rho = rho_over_d * d
         for eps1, eps2, eps3 in _GAP_LAYERS:
+            geom = ThreeLayerCavity(eps1, eps2, eps3, d)
             co = cavity.reflection_coeffs(eps1, eps2, eps3)
             q = abs(co.r1 * co.r3)
             n_max = 400
@@ -300,12 +308,16 @@ def check_cavity_triple() -> CheckResult:
             if 0.0 < q < 1.0:
                 n_max = max(80, int(math.log(1e-13) / math.log(q)) + 1)
             for z, z0 in heights:
-                gs = cavity.cavity_g_series(rho, d, co, eps2, n_max=n_max, z=z, z0=z0)
-                gq = cavity.cavity_g_general(z, z0, rho, d, eps1, eps2, eps3, spec)
-                budget = max(gs.abs_err + gq.abs_err, 1e-9 / rho)
-                worst = max(worst, abs(gs.value - gq.value) / budget)
+                got = geom.g(Point3(rho, 0.0, z), Point3(0.0, 0.0, z0), spec)
+                for ref in (cavity.cavity_g_general(z, z0, rho, d, eps1, eps2, eps3, spec),
+                            cavity.cavity_g_series(rho, d, co, eps2, n_max=n_max, z=z, z0=z0)):
+                    budget = max(got.abs_err + ref.abs_err, 1e-9 / rho)
+                    worst = max(worst, abs(got.value - ref.value) / budget)
     return CheckResult("cavity_series_vs_quadrature", worst <= 1.0, worst, 0.0, 1.0,
-                       "worst |diff| / combined budget (<= 1), at and off the midplane")
+                       "worst |diff| / combined budget (<= 1) of the program's g against "
+                       "Hankel and the image series, at and off the midplane; the series "
+                       "is the route for |r1 r3| < 1 within its order cap, Hankel the "
+                       "independent method")
 
 
 def check_cavity_asymptotic() -> CheckResult:

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import digamma, k0
 
+from greens_coulomb import cavity
 from greens_coulomb.cavity import (
+    IMAGE_ORDER_MAX,
     CavityCoeffs,
     cavity_asymptotic,
     cavity_g_general,
+    cavity_g_images,
     cavity_g_series,
     cavity_scattering_g1,
     conducting_gap_g,
@@ -163,6 +166,99 @@ class TestGeneralHeights:
             cavity_g_general(0.6 * D, 0.0, 1.0, D, 4.0, 1.0, 4.0)
         with pytest.raises(CoincidentPointsError):
             cavity_g_general(0.2, 0.2, 0.0, D, 4.0, 1.0, 4.0)
+
+
+class TestImageRoute:
+    """The image series that ThreeLayerCavity sums wherever a wall is a
+    dielectric, against the Hankel quadrature, which shares no code with
+    it, within their combined abs_err."""
+
+    # r1 r3 = 0.47 and 0.6, a negative one (eps2 = 4 between 1.5 and a
+    # conductor: -0.45), and 0.98, within the order cap at these points
+    LAYERS = [(4.0, 1.0, 8.0), (4.0, 1.0, PC), (1.5, 4.0, PC), (200.0, 1.0, 200.0)]
+    HEIGHTS = [(0.1, -0.2), (0.45, 0.4), (-0.49, 0.3), (0.0, 0.0)]
+
+    @staticmethod
+    def target(got, r):
+        # rel_tol 1e-10, or the 1e-12 floor of the free-space value
+        return max(1e-10 * abs(got.value), 1e-12 / (4 * math.pi * max(r, 0.05 * D)))
+
+    @pytest.mark.parametrize("eps1,eps2,eps3", LAYERS)
+    @pytest.mark.parametrize("rho_over_d", [0.01, 0.1, 1.0, 5.0, 20.0])
+    def test_matches_hankel(self, eps1, eps2, eps3, rho_over_d):
+        rho = rho_over_d * D
+        for z, z0 in self.HEIGHTS:
+            got = cavity_g_images(z * D, z0 * D, rho, D, eps1, eps2, eps3)
+            ref = cavity_g_general(z * D, z0 * D, rho, D, eps1, eps2, eps3)
+            assert abs(got.value - ref.value) <= got.abs_err + ref.abs_err
+            assert got.abs_err <= self.target(got, math.hypot(rho, (z - z0) * D))
+
+    @pytest.mark.parametrize("eps1,eps3", [(4.0, 8.0), (4.0, PC)])
+    def test_close_pair_at_two_heights(self, eps1, eps3):
+        z0, dz, rho = 0.1 * D, 1.2e-4 * D, 1.6e-4 * D
+        got = cavity_g_images(z0 + dz, z0, rho, D, eps1, 1.0, eps3)
+        ref = cavity_g_general(z0 + dz, z0, rho, D, eps1, 1.0, eps3)
+        assert abs(got.value - ref.value) <= got.abs_err + ref.abs_err
+
+    @pytest.mark.parametrize("eps1,eps2,eps3", LAYERS)
+    def test_coincident_points_give_g1(self, eps1, eps2, eps3):
+        for z0 in (-0.49, -0.3, 0.0, 0.2, 0.45):
+            got = cavity_g_images(z0 * D, z0 * D, 0.0, D, eps1, eps2, eps3)
+            ref = cavity_scattering_g1(z0 * D, D, eps1, eps2, eps3)
+            assert abs(got.value - ref.value) <= got.abs_err + ref.abs_err
+            assert got.abs_err <= self.target(got, 0.0)
+
+    def test_order_cap(self):
+        # at rho = d the series of r1 r3 = 0.9943 fits the cap and that of
+        # 0.9947 does not; the geometry then returns the Hankel route's value
+        pair = (0.1 * D, -0.2 * D, D, D)
+        for eps, below in ((700.0, True), (730.0, False)):
+            geom = ThreeLayerCavity(eps, 1.0, eps, D)
+            got = geom.g(Point3(D, 0.0, 0.1 * D), Point3(0.0, 0.0, -0.2 * D),
+                         QuadratureSpec())
+            series = cavity_g_images(*pair, eps, 1.0, eps)
+            hankel = cavity_g_general(*pair, eps, 1.0, eps)
+            assert (series is not None) == below
+            if below:
+                assert got == series
+                assert abs(series.value - hankel.value) <= series.abs_err + hankel.abs_err
+            else:
+                assert got == hankel
+
+    def test_geometry_takes_the_series_where_a_wall_is_a_dielectric(self):
+        spec = QuadratureSpec()
+        for eps1, eps2, eps3 in self.LAYERS[:3]:
+            geom = ThreeLayerCavity(eps1, eps2, eps3, D)
+            got = geom.g(Point3(0.3, 0.4, 0.1), Point3(0.0, 0.0, -0.2), spec)
+            assert got == cavity_g_images(0.1, -0.2, 0.5, D, eps1, eps2, eps3, spec)
+            assert geom.g1(Point3(0.3, 0.4, 0.1), spec) == cavity_g_images(
+                0.1, 0.1, 0.0, D, eps1, eps2, eps3, spec)
+
+    def test_orders_stay_below_the_cap(self, monkeypatch):
+        # no array grows like 1/(1 - |r1 r3|): at r1 r3 = 1 - 4e-6 the series
+        # sums at most the cap's orders and leaves the pair to Hankel
+        sizes = []
+        orders = cavity._image_orders
+
+        def counted(p, n):
+            sizes.append(n)
+            return orders(p, n)
+        monkeypatch.setattr(cavity, "_image_orders", counted)
+        for rho in (0.01, 1.0, 20.0):
+            assert cavity_g_images(0.1, -0.2, rho, D, 1e6, 1.0, 1e6) is None
+        assert sizes == [IMAGE_ORDER_MAX + 1] * 3
+
+    def test_overflow_is_a_domain_error(self):
+        # g1 of a charge 5e-316 m below the upper wall of a 1e-300 m gap
+        # exceeds float64, and no numpy warning escapes
+        z = 0.5 * 1e-300 * (1.0 - 1e-15)
+        with pytest.raises(DomainError, match="overflows float64"):
+            cavity_g_images(z, z, 0.0, 1e-300, 4.0, 1.0, 8.0)
+
+    def test_roundoff_past_the_target_raises(self):
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
+        with pytest.raises(ConvergenceError, match="image series .* bound .* exceeds"):
+            cavity_g_images(0.1, -0.2, 2.0, D, 4.0, 1.0, 8.0, spec)
 
 
 class TestScatteringPart:

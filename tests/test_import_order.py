@@ -78,6 +78,8 @@ SCENES = {
     "half_space": pair({"type": "half_space", "eps1": 1, "eps2": 4}),
     "dielectric_gap": pair({"type": "cavity", "eps1": 4.0, "eps2": 1.0, "eps3": 8.0,
                             "d": 1e-9}, *GAP_CHARGES),
+    "mixed_gap": pair({"type": "cavity", "eps1": 4.0, "eps2": 1.0, "eps3": "conductor",
+                       "d": 1e-9}, *GAP_CHARGES),
     "conducting_gap": pair({"type": "cavity", "eps1": "conductor", "eps2": 1.0,
                             "eps3": "conductor", "d": 1e-9}, *GAP_CHARGES),
     # the self-energy of a charge off the axis is an UnsupportedGeometryError
@@ -102,10 +104,11 @@ def scene_file(tmp_path, kind, command):
 
 
 def test_pair_energy_loads_no_scipy_where_no_route_needs_it(tmp_path):
-    # closed forms and the sine transform; one interpreter runs every scene,
-    # so any of them that loads scipy shows in the union
-    kinds = ["free_space", "half_space", "aperture", "screened_bulk", "born_box",
-             "born_half_space"]
+    # closed forms, the sine transform and the gap's image series; one
+    # interpreter runs every scene, so any of them that loads scipy shows in
+    # the union
+    kinds = ["free_space", "half_space", "dielectric_gap", "mixed_gap", "aperture",
+             "screened_bulk", "born_box", "born_half_space"]
     calls = [["pair-energy", "--scene", scene_file(tmp_path, k, "pair-energy")] for k in kinds]
     proc = fresh("-c", "import contextlib, io\nfrom greens_coulomb.cli import main\n"
                        "with contextlib.redirect_stdout(io.StringIO()):\n"

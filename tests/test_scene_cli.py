@@ -198,15 +198,28 @@ class TestCliCommands:
         scene = write_scene(tmp_path, doc)
         assert main(["pair-energy", "--scene", scene]) == 2
 
-    def test_nonconvergence_exit_3(self, tmp_path, capsys):
-        # a relative target of 1e-15 below the float cancellation floor of the
-        # panel sums (between conducting walls this pair takes the mode sum)
-        doc = {"geometry": {"type": "cavity", "eps1": 4.0, "eps2": 1.0,
-                            "eps3": 8.0, "d": 1.0},
-               "charges": [{"q": 1.0, "unit": "e", "position": [2.0, 0, 0.1]},
-                           {"q": 1.0, "unit": "e", "position": [0, 0, -0.2]}],
+    def nonconvergent_scene(self, tmp_path, eps1, eps3, a, b):
+        # a relative target of 1e-15, which neither gap route reaches at these pairs
+        doc = {"geometry": {"type": "cavity", "eps1": eps1, "eps2": 1.0, "eps3": eps3,
+                            "d": 1.0},
+               "charges": [{"q": 1.0, "unit": "e", "position": a},
+                           {"q": 1.0, "unit": "e", "position": b}],
                "options": {"rel_tol": 1e-15, "abs_tol": 1e-300}}
-        scene = write_scene(tmp_path, doc)
+        return write_scene(tmp_path, doc)
+
+    def test_nonconvergence_exit_3(self, tmp_path, capsys):
+        # a dielectric gap sums its images, whose roundoff alone exceeds the target
+        scene = self.nonconvergent_scene(tmp_path, 4.0, 8.0, [2.0, 0, 0.1], [0, 0, -0.2])
+        code = main(["pair-energy", "--scene", scene])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "image series" in err and "bound" in err  # names the route and its bound
+
+    def test_nonconvergence_exit_3_hankel(self, tmp_path, capsys):
+        # between conducting walls a pair closer than d/2 takes the Hankel
+        # route, whose panel errors alone exceed the target here
+        scene = self.nonconvergent_scene(tmp_path, "conductor", "conductor",
+                                         [0.3, 0, 0.4], [0, 0, -0.4])
         code = main(["pair-energy", "--scene", scene])
         err = capsys.readouterr().err
         assert code == 3
