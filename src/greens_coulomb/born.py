@@ -21,14 +21,17 @@ cells are summed in the FIFO order of a cell-by-cell loop, so results are
 bit-reproducible; a cell still outside its budget at the depth cap
 _MAX_DEPTH is a ConvergenceError. Forces are gradients of the same
 integrals: of the closed forms (`_half_space_grad`, `_box_self_grad`) or
-under the integral sign in the octree (`_scattering_grad`).
+under the integral sign in the octree, one pass over the vector integrand.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional, Tuple
 
 import numpy as np
@@ -61,8 +64,9 @@ _CHUNK_CELLS = 8 * _CHUNK_PARENTS
 # Refinement levels of the octree; a cell still above its budget at this
 # depth is a ConvergenceError.
 _MAX_DEPTH = 12
-# The integrand divides by |r - x|^3 |r' - x|^3; with box coordinates beyond
-# this, that product overflows float64 for points at the same scale.
+# The largest box coordinate a scene may give: beyond it |r - x|^3 |r' - x|^3
+# overflows float64 in metres for points at the same scale. The octree and
+# the closed forms divide their coordinates by a power of two first.
 MAX_BOX_COORD = 0.5 * sys.float_info.max ** (1.0 / 6.0)
 # Roundoff of a closed form relative to its summed terms, and of an accepted
 # octree cell relative to its value.
@@ -222,13 +226,14 @@ class DiluteBody(Geometry):
         if self._beyond_float64(r):
             raise self._too_far()
         alpha = self.alpha.matrix
-        rv = np.array([r.x, r.y, r.z])
 
         def box_grad(box):
             got = _closed_form(_box_self_grad, box, r, alpha)
             if got is not None and got[1] <= spec.rel_tol * math.hypot(*got[0]):
                 return got[0]
-            return tuple(2.0 * c for c in _octree_grad(box, rv, rv, alpha, spec.rel_tol))
+            grad, _ = _box_octree(kernels.alpha_chain_grad_sum, box, r, r, alpha, spec.rel_tol,
+                                  power=2)
+            return tuple(2.0 * c for c in grad)
 
         def half_space_grad(r1, r2, a):
             return tuple(2.0 * c for c in _half_space_grad(r1, r2, a))
@@ -269,12 +274,9 @@ def _cell_nodes(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
 
 
 def _cell_integrals(integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Gauss estimate of each box, _CHUNK_CELLS boxes per integrand call."""
-    out = np.empty(lo.shape[0])
-    for i in range(0, lo.shape[0], _CHUNK_CELLS):
-        pts, w = _cell_nodes(lo[i:i + _CHUNK_CELLS], hi[i:i + _CHUNK_CELLS])
-        out[i:i + _CHUNK_CELLS] = integrand(pts, w)
-    return out
+    """Gauss estimate of each box, (n,) or (n, 3), _CHUNK_CELLS boxes per integrand call."""
+    return np.concatenate([integrand(*_cell_nodes(lo[i:i + _CHUNK_CELLS], hi[i:i + _CHUNK_CELLS]))
+                           for i in range(0, lo.shape[0], _CHUNK_CELLS)])
 
 
 def _children(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -285,59 +287,86 @@ def _children(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return kid_lo.reshape(-1, 3), kid_hi.reshape(-1, 3)
 
 
-def _adaptive_boxes(integrand, boxes, rel_tol: float,
-                    scale_hint: float) -> Tuple[float, float]:
+def _adaptive_boxes(integrand, boxes, rel_tol: float, scale_hint: float):
     """Octree-refined Gauss quadrature, one refinement level at a time.
 
     A level is held as arrays of lower corners, upper corners and coarse
     estimates; every entry shares the level's depth. All parents are split
     at once and their children integrated in blocks of _CHUNK_PARENTS
     parents. `integrand(points, weights)` takes points (cells*125, 3) and
-    weights (cells, 125) and returns the per-cell sums. A parent is accepted
-    when its children's sum moves its coarse estimate by no more than the
-    local budget rel_tol * max(|fine|, scale_hint), or by no more than
-    MIN_REL_TOL |fine|; accepted parents are added to the total in queue (FIFO)
-    order, so results are bit-reproducible. The error sums each accepted
-    parent's |fine - coarse| and its roundoff _ROUNDOFF |fine|. A parent
-    still failing at depth _MAX_DEPTH raises ConvergenceError.
+    weights (cells, 125) and returns the per-cell sums of a scalar (cells,)
+    or a vector (cells, 3); the total is a float or a tuple. A parent is
+    accepted when its children's sum moves its coarse estimate by no more
+    than the local budget rel_tol * max(|fine|, scale_hint), or by no more
+    than MIN_REL_TOL |fine| or the least normal float64, |.| being the
+    max-norm; accepted parents are added to the total in queue (FIFO) order,
+    so results are bit-reproducible. The error sums each accepted parent's
+    |fine - coarse| and its roundoff _ROUNDOFF |fine|. A parent still
+    failing at depth _MAX_DEPTH raises ConvergenceError.
     """
-    total = 0.0
-    err = 0.0
     lo = np.array([(b.x0, b.y0, b.z0) for b in boxes], dtype=float)
     hi = np.array([(b.x1, b.y1, b.z1) for b in boxes], dtype=float)
     coarse = _cell_integrals(integrand, lo, hi)
+    total = [0.0] * (coarse.size // lo.shape[0])
+    err = 0.0
     depth = 0
     while lo.shape[0]:
         kid_lo, kid_hi = _children(lo, hi)
         kid_vals = _cell_integrals(integrand, kid_lo, kid_hi)
-        per_parent = kid_vals.reshape(-1, 8)
+        per_parent = kid_vals.reshape(-1, 8, len(total))
         fine = per_parent[:, 0]
         for k in range(1, 8):  # left to right, as a running float sum would
             fine = fine + per_parent[:, k]
-        diff = np.abs(fine - coarse)
+        diff = np.max(np.abs(fine - coarse.reshape(fine.shape)), axis=1)
         if not np.all(np.isfinite(diff)):
             # a non-finite cell never passes the test, and each level of
             # refinement holds 8x the cells of the last
             raise ConvergenceError(
                 f"Born octree: integrand not finite at depth {depth} "
                 f"({diff.size} cells); the body's extent overflows float64")
-        budget = np.maximum(rel_tol * np.maximum(np.abs(fine), scale_hint),
-                            MIN_REL_TOL * np.abs(fine))
+        size = np.max(np.abs(fine), axis=1)
+        budget = np.maximum(rel_tol * np.maximum(size, scale_hint), MIN_REL_TOL * size)
+        # below the least normal float64 a difference has no relative precision
+        budget = np.maximum(budget, sys.float_info.min)
         done = diff <= budget
         if depth >= _MAX_DEPTH and not done.all():
-            with np.errstate(divide="ignore"):
-                worst = float(np.max(diff[~done] / budget[~done]))
+            worst = float(np.max(diff[~done] / budget[~done]))
             raise ConvergenceError(
                 f"Born octree: {int(np.count_nonzero(~done))} cells still above their "
                 f"budget at the depth cap {_MAX_DEPTH} (worst diff/budget {worst:.3e}); "
                 f"a field point may lie too close to a box")
-        for v, e in zip(fine[done].tolist(), diff[done].tolist()):
-            total += v
-            err += e + _ROUNDOFF * abs(v)
+        for c, column in enumerate(fine[done].T.tolist()):
+            total[c] = reduce(operator.add, column, total[c])
+        err = reduce(operator.add, (diff[done] + _ROUNDOFF * size[done]).tolist(), err)
         refine = np.repeat(~done, 8)
         lo, hi, coarse = kid_lo[refine], kid_hi[refine], kid_vals[refine]
         depth += 1
-    return total, err
+    return (total[0] if coarse.ndim == 1 else tuple(total)), err
+
+
+# the corners of an octree box, which unlike a Box may be degenerate
+_Cell = namedtuple("_Cell", "x0 x1 y0 y1 z0 z1")
+
+
+def _box_octree(kernel, box: Box, r1: Point3, r2: Point3, alpha: np.ndarray,
+                rel_tol: float, power: int):
+    """The octree of kernel(points, weights, r1, r2, alpha) over the box, an
+    integral of dimension length^-power: (total, error), in Python floats.
+
+    It runs in coordinates divided by 2^e, the power of two at or above every
+    coordinate of the box and the field points, and scales the total back by
+    2^(-power e). That is exact in binary, so at ordinary points the result
+    is the octree's in metres bit for bit, and every |r - x| is at most 2, so
+    no power of it overflows for a charge far from a small box.
+    """
+    corners = (box.x0, box.x1, box.y0, box.y1, box.z0, box.z1)
+    points = (r1.x, r1.y, r1.z, r2.x, r2.y, r2.z)
+    e = math.frexp(max(map(abs, corners + points)))[1]
+    rv, rpv = np.array([math.ldexp(c, -e) for c in points]).reshape(2, 3)
+    cell = _Cell(*(math.ldexp(c, -e) for c in corners))
+    total, err = _adaptive_boxes(lambda pts, w: kernel(pts, w, rv, rpv, alpha), [cell],
+                                 rel_tol, scale_hint=0.0)
+    return np.ldexp(total, -power * e).tolist(), math.ldexp(err, -power * e)
 
 
 def _half_space_integral(r1: Point3, r2: Point3, alpha: np.ndarray) -> Tuple[float, float]:
@@ -624,12 +653,9 @@ def _scattering_integral(r1: Point3, r2: Point3, body: DiluteBody,
     form's roundoff bound meets rel_tol (the octree keeps far points).
     """
     alpha = body.alpha.matrix
-    rv = np.array([r1.x, r1.y, r1.z])
-    rpv = np.array([r2.x, r2.y, r2.z])
 
     def octree(box):
-        return _adaptive_boxes(lambda pts, w: kernels.alpha_chain_sum(pts, w, rv, rpv, alpha),
-                               [box], spec.rel_tol, scale_hint=0.0)
+        return _box_octree(kernels.alpha_chain_sum, box, r1, r2, alpha, spec.rel_tol, power=1)
 
     def closed_or_octree(box):
         got = _closed_form(_box_self_integral, box, r1, alpha)
@@ -664,27 +690,21 @@ def born_scattering_g1(r: Point3, r_src: Point3, body: DiluteBody,
     return ValueWithError(pref * total, abs(pref) * err)
 
 
-def _octree_grad(box: Box, rv: np.ndarray, rpv: np.ndarray, alpha: np.ndarray,
-                 rel_tol: float) -> Gradient:
-    """The octree on kernels.alpha_chain_grad_sum, once per component, with
-    the energy's per-cell budget (rel_tol of the cell's own value)."""
-    return tuple(_adaptive_boxes(
-        lambda pts, w, axis=axis: kernels.alpha_chain_grad_sum(pts, w, rv, rpv, alpha, axis),
-        [box], rel_tol, scale_hint=0.0)[0] for axis in range(3))
-
-
 def _scattering_grad(r: Point3, r_src: Point3, body: DiluteBody,
                      spec: QuadratureSpec) -> Gradient:
     """Gradient of born_scattering_g1 in its field point r.
 
-    Boxes differentiate under the integral sign (`_octree_grad`), also at
-    r = r_src; the half-space term is the gradient of its closed form.
+    Boxes differentiate under the integral sign, one octree pass on the
+    vector kernel `alpha_chain_grad_sum` per box, also at r = r_src; the
+    half-space term is the gradient of its closed form.
     """
     alpha = body.alpha.matrix
-    rv = np.array([r.x, r.y, r.z])
-    rpv = np.array([r_src.x, r_src.y, r_src.z])
-    return _body_grad(body, lambda box: _octree_grad(box, rv, rpv, alpha, spec.rel_tol),
-                      _half_space_grad, r, r_src, _g1_prefactor(body))
+
+    def octree(box):
+        return _box_octree(kernels.alpha_chain_grad_sum, box, r, r_src, alpha, spec.rel_tol,
+                           power=2)[0]
+
+    return _body_grad(body, octree, _half_space_grad, r, r_src, _g1_prefactor(body))
 
 
 def charge_body_energy(a, body: DiluteBody,

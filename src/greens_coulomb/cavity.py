@@ -156,7 +156,11 @@ class _Pair(NamedTuple):
         length = max(self.r, 0.05 * self.d) if self.r > 0.0 else min(self.a1, self.a3)
         if spec.abs_tol > 0.0:
             return spec.abs_tol / length ** (power - 1)
-        return 1e-12 / (_FOUR_PI * length ** power)
+        try:
+            return 1e-12 / (_FOUR_PI * length ** power)
+        except OverflowError:
+            # L^2 beyond float64: the floor, divided by L twice, is subnormal or 0
+            return 1e-12 / _FOUR_PI / length / length
 
     def target(self, spec: QuadratureSpec, power: int = 1) -> Tuple[float, QuadratureSpec]:
         """The floor, and spec with it as abs_tol in the units of the gap's

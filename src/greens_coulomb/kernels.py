@@ -2,9 +2,10 @@
 
 The quadrature integrands take a 1-D float64 array of wavenumbers, so the
 panel integrator evaluates a block of panels, or a whole bisection level, in
-one call; `alpha_chain_sum` also takes 2-D weights and returns per-cell sums,
-which is how the Born octree calls it, as does its gradient
-`alpha_chain_grad_sum`. The gap's kernels are its reflected parts alone,
+one call; the Born octree's kernels take a block of cells and return
+per-cell sums, `alpha_chain_sum` of the energy's integrand and
+`alpha_chain_grad_sum` of its gradient's three components. The gap's
+kernels are its reflected parts alone,
 the free term being taken in closed form, and serve the pair and the
 self-term alike: `cavity_integrand` at a_free = 0 is the kernel of g1, and
 `cavity_reflected_dz` at a_free = 0, doubled, the self-force kernel. The
@@ -240,35 +241,36 @@ def screening_integrand(k: np.ndarray, r: float, eps_b: float, w: float) -> np.n
 
 
 def alpha_chain_sum(points: np.ndarray, weights: np.ndarray,
-                    r: np.ndarray, rp: np.ndarray, alpha: np.ndarray):
-    """Sum over quadrature nodes of w * (r-x).alpha.(rp-x) / (|r-x|^3 |rp-x|^3).
+                    r: np.ndarray, rp: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Per-cell sums over quadrature nodes of w * (r-x).alpha.(rp-x) / (|r-x|^3 |rp-x|^3).
 
-    points: (n, 3); r, rp: (3,); alpha: (3, 3). weights: (n,), giving a
-    float, or (cells, n // cells), giving the per-cell sums over the last
-    axis as an array (cells,); the points then run cell by cell.
+    points: (cells * n, 3), cell by cell; weights: (cells, n); r, rp: (3,);
+    alpha: (3, 3). Returns (cells,).
     """
     s1 = r[np.newaxis, :] - points
     s2 = rp[np.newaxis, :] - points
     n1 = np.einsum("ij,ij->i", s1, s1)
     n2 = np.einsum("ij,ij->i", s2, s2)
     quad = np.einsum("ij,ij->i", s1 @ alpha, s2)
-    terms = np.reshape(weights, -1) * quad / (n1 * np.sqrt(n1) * n2 * np.sqrt(n2))
-    sums = np.sum(terms.reshape(np.shape(weights)), axis=-1)
-    return float(sums) if np.ndim(weights) == 1 else sums
+    terms = weights.reshape(-1) * quad / (n1 * np.sqrt(n1) * n2 * np.sqrt(n2))
+    return np.sum(terms.reshape(weights.shape), axis=-1)
 
 
 def alpha_chain_grad_sum(points: np.ndarray, weights: np.ndarray, r: np.ndarray,
-                         rp: np.ndarray, alpha: np.ndarray, axis: int) -> np.ndarray:
-    """Per-cell sums of the derivative in r[axis] of alpha_chain_sum's terms,
-    w * [(alpha.(rp-x))_i - 3 (r-x)_i (r-x).alpha.(rp-x) / |r-x|^2] / (|r-x|^3 |rp-x|^3).
+                         rp: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Per-cell sums of the gradient in r of alpha_chain_sum's terms,
+    w * [alpha.(rp-x) - 3 (r-x) (r-x).alpha.(rp-x) / |r-x|^2] / (|r-x|^3 |rp-x|^3).
 
-    points: (cells * n, 3), cell by cell; weights: (cells, n); returns (cells,).
+    points: (cells * n, 3), cell by cell; weights: (cells, n); alpha
+    symmetric. Returns (cells, 3). The nodes run along rows, one row per
+    component, so that every product is over contiguous memory.
     """
-    s1 = r[np.newaxis, :] - points
-    s2 = rp[np.newaxis, :] - points
-    n1 = np.einsum("ij,ij->i", s1, s1)
-    n2 = np.einsum("ij,ij->i", s2, s2)
-    quad = np.einsum("ij,ij->i", s1 @ alpha, s2)
-    terms = (np.reshape(weights, -1) * (s2 @ alpha[axis] - 3.0 * s1[:, axis] * quad / n1)
-             / (n1 * np.sqrt(n1) * n2 * np.sqrt(n2)))
-    return np.sum(terms.reshape(np.shape(weights)), axis=-1)
+    s1 = r[:, np.newaxis] - points.T
+    s2 = rp[:, np.newaxis] - points.T
+    a2 = alpha @ s2
+    n1 = s1[0] * s1[0] + s1[1] * s1[1] + s1[2] * s1[2]
+    n2 = s2[0] * s2[0] + s2[1] * s2[1] + s2[2] * s2[2]
+    quad = s1[0] * a2[0] + s1[1] * a2[1] + s1[2] * a2[2]
+    scale = weights.reshape(-1) / (n1 * np.sqrt(n1) * n2 * np.sqrt(n2))
+    terms = a2 * scale - s1 * (3.0 * quad / n1 * scale)
+    return np.sum(terms.reshape(3, *weights.shape), axis=-1).T

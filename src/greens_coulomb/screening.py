@@ -7,7 +7,8 @@ The static longitudinal permittivity of the hydrodynamic Drude model is
 bound electrons contributing the constant eps_b and free carriers the
 1/k^2 term that screens completely at long wavelength. The Green's function
 is the Yukawa form exp(-k_s r) / (4 pi eps_b r) with k_s = omega_p / (beta
-sqrt(eps_b)), written once, in `NonlocalBulk._g`.
+sqrt(eps_b)), written once, in `NonlocalBulk._g`; its coincident limit less
+the free term is the closed form g1 = -k_s / (4 pi eps_b).
 `screened_potential_numeric` evaluates the same interaction by a direct
 sine-transform quadrature of the Fourier representation, and `validate`
 checks the closed form against it.
@@ -30,7 +31,6 @@ from .core import (
     Gradient,
     Point3,
     QuadratureSpec,
-    UnsupportedGeometryError,
     ValueWithError,
     _require_finite,
     distance,
@@ -89,16 +89,17 @@ class NonlocalBulk(Geometry):
                               / (4.0 * math.pi * self.drude.eps_b * dist))
 
     def _g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
-        raise UnsupportedGeometryError(
-            "coincident self-energy diverges in a nonlocal bulk medium")
+        """-k_s / (4 pi eps_b), the limit of g - 1/(4 pi eps_b r) = (exp(-k_s r) - 1)
+        / (4 pi eps_b r) at r = 0: the Debye-Huckel self-energy."""
+        return ValueWithError(-self.drude.k_s / (4.0 * math.pi * self.drude.eps_b))
 
     def _grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
         ksr = self.drude.k_s * distance(r, r_src)
         return free_space_grad(r, r_src, self.drude.eps_b, math.exp(-ksr) * (1.0 + ksr))
 
     def _grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
-        raise UnsupportedGeometryError(
-            "self-force undefined in a nonlocal bulk (self-energy diverges)")
+        """0: g1 is the same at every point of the homogeneous medium."""
+        return 0.0, 0.0, 0.0
 
 
 def eps_longitudinal_static(k: float, p: DrudeStatic) -> float:

@@ -84,7 +84,7 @@ SCENES = {
                             "eps3": "conductor", "d": 1e-9}, *GAP_CHARGES),
     # the self-energy of a charge off the axis is an UnsupportedGeometryError
     "aperture": pair({"type": "plate_with_hole", "R": 1e-9}, (0.0, 0.0, 0.3e-9)),
-    # its coincident self-energy diverges, an UnsupportedGeometryError too
+    # its self-energy is the closed form -q^2 k_s / (8 pi eps0 eps_b)
     "screened_bulk": pair({"type": "nonlocal_bulk", "drude": {
         "omega_p": 8e15, "omega_p_bound": 9e15, "omega_0": 4e15, "beta": 9e5}}),
     "born_box": pair({"type": "dilute_body", "alpha": 1e-40,

@@ -134,8 +134,7 @@ def test_reciprocity(name, rng):
 def test_force_is_minus_the_energy_gradient(name, rng):
     row = ROWS[name]
     assert validate.force_error(row, *_pair(row, rng)) <= validate.FORCE_TOL
-    if row.self_term != "none":
-        assert validate.force_error(row, row.self_point(rng)) <= validate.FORCE_TOL
+    assert validate.force_error(row, row.self_point(rng)) <= validate.FORCE_TOL
 
 
 @pytest.mark.parametrize("name", [name for name, row in ROWS.items() if row.translations])
@@ -161,8 +160,9 @@ NOT_THE_LIMIT = {
         strict=True, raises=AssertionError,
         reason="ROADMAP item 2: hole_onaxis_g1 drops -R/(4 pi^2 (z^2 + R^2))"),
     "bulk": pytest.mark.xfail(
-        strict=True, raises=UnsupportedGeometryError,
-        reason="ROADMAP item 5: NonlocalBulk refuses its finite g1, -k_s/(4 pi eps_b)"),
+        strict=True, raises=AssertionError,
+        reason="(exp(-k_s h) - 1)/h has an O(h) term, which the extrapolation in h^2 "
+               "leaves; test_nonlocal_bulk_is_debye_huckel extrapolates in h"),
 }
 
 
@@ -249,6 +249,13 @@ class TestLocalFieldFactor:
         assert abs(local_field_factor(1e12) - 1.5) < 1e-11
 
 
+# The bulk's g1 against the limit of g(r, r + h e) - 1/(4 pi eps_b h),
+# extrapolated linearly in h from h and h/2 at k_s h = 1e-4: the extrapolation
+# leaves (k_s h)^2 / 12 of g1 and the cancellation in g - free about
+# 1e-16 / (k_s h), both below this relative tolerance
+BULK_LIMIT_TOL = 1e-8
+
+
 class TestSelfEnergy:
     def test_free_space_zero(self):
         assert self_energy(FreeSpace(), q_at(1.0)).energy == 0.0
@@ -290,10 +297,23 @@ class TestSelfEnergy:
         mid = self_energy(geom, q_at(0.0)).energy
         assert abs(up - dn) < 1e-8 * abs(mid)
 
-    def test_nonlocal_bulk_unsupported(self):
-        bulk = NonlocalBulk(DrudeStatic(1e16, 0.0, 1e15, 1e6))
-        with pytest.raises(UnsupportedGeometryError):
-            self_energy(bulk, q_at(1e-9))
+    def test_nonlocal_bulk_is_debye_huckel(self):
+        p = DrudeStatic(1e16, 0.0, 1e15, 1e6)
+        bulk = NonlocalBulk(p)
+        a = q_at(1e-9, x=0.3e-9, y=-0.2e-9)
+        exact = -QE ** 2 * p.k_s / (8 * math.pi * epsilon_0 * p.eps_b)
+        assert math.isclose(self_energy(bulk, a).energy, exact, rel_tol=1e-14)
+        assert force_on_A(bulk, a).force.tolist() == [0.0, 0.0, 0.0]
+        r, e = a.position, (0.48, -0.64, 0.6)
+
+        def less_free(h):
+            near = r.shifted(*(h * c for c in e))
+            return (bulk.g(r, near, SPEC).value
+                    - 1.0 / (4 * math.pi * p.eps_b * distance(r, near)))
+
+        h = 1e-4 / p.k_s
+        g1 = bulk.g1(r, SPEC).value
+        assert abs(2.0 * less_free(0.5 * h) - less_free(h) - g1) <= BULK_LIMIT_TOL * abs(g1)
 
     def test_off_axis_aperture_unsupported(self):
         with pytest.raises(UnsupportedGeometryError):

@@ -13,7 +13,7 @@ import pkgutil
 import pytest
 
 import greens_coulomb
-from greens_coulomb import born
+from greens_coulomb import born, kernels
 from greens_coulomb.core import Point3, QuadratureSpec
 
 MODULES = [importlib.import_module("greens_coulomb." + m.name)
@@ -35,6 +35,12 @@ def test_removed_names_stay_gone():
     assert [a for a in ("phi", "cylindrical", "vec") if hasattr(Point3, a)] == []
     # host_eps is a geometry's one admission rule, with no second test of a point
     assert not hasattr(born.DiluteBody, "contains")
+
+
+def test_one_octree_pass_per_born_gradient():
+    # the three per-component octrees became one pass over a vector integrand
+    assert not hasattr(born, "_octree_grad")
+    assert "axis" not in inspect.signature(kernels.alpha_chain_grad_sum).parameters
 
 
 def test_caps_are_module_constants():

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import elementary_charge as QE, epsilon_0
 
+import greens_coulomb
 from greens_coulomb.cli import main
 from greens_coulomb.core import PERFECT_CONDUCTOR, SceneError
 from greens_coulomb.scene import parse_scene, set_scene_value
@@ -572,6 +576,70 @@ def test_cli_contract(tmp_path_factory, call):
     assert "Traceback" not in err.getvalue()
     if out.getvalue():
         strict_json(out.getvalue())
+
+
+def born_box_charge(x):
+    """One charge at (x, 0, 0) m by the nanometre box of BORN_BODIES."""
+    return {"geometry": BORN_BODIES[1],
+            "charges": [{"q": 1.0, "unit": "e", "position": [x, 0.0, 0.0]}]}
+
+
+# The far field of the nanometre box, alpha 1e-40 and eta 1e27 over its
+# 4e-27 m^3: U = -q^2 eta alpha V / (32 pi^2 eps0^2 x^4) and F_x = 4 U / x
+_FAR_U = -QE ** 2 * 1e27 * 1e-40 * 4e-27 / (32 * math.pi ** 2 * epsilon_0 ** 2)
+_BULK = {"type": "nonlocal_bulk", "drude": {"omega_p": 8e15, "omega_p_bound": 9e15,
+                                            "omega_0": 4e15, "beta": 9e5}}
+_EPS_B = 1.0 + (9e15 / 4e15) ** 2
+_K_S = 8e15 / (9e5 * math.sqrt(_EPS_B))
+
+
+@pytest.mark.parametrize("command,doc,key,value", [
+    # the self-force's closed form underflows to 0 and the octree took it;
+    # refining each component to its own budget never finished
+    ("force", born_box_charge(1e40), "F_newtons", 4 * _FAR_U / 1e40 ** 5),
+    # |r - x|^6 overflowed in the octree's kernels, or inf / inf made a NaN
+    ("self-energy", born_box_charge(1e60), "U_joules", _FAR_U / 1e60 ** 4),
+    ("force", born_box_charge(1e60), "F_newtons", 0.0),
+    # a pair at right angles, where |r - x|^6 overflowed too; its Born term
+    # is subnormal in the octree's scaled coordinates, where no relative
+    # budget can be met, and only the least-normal floor of the cell budget
+    # lets it finish. U is the direct term
+    ("pair-energy", {"geometry": BORN_BODIES[1],
+                     "charges": [{"q": 1.0, "unit": "e", "position": [1e60, 0.0, 0.0]},
+                                 {"q": 1.0, "unit": "e", "position": [0.0, 0.0, 1e60]}]},
+     "U_joules", QE ** 2 / (4 * math.pi * epsilon_0 * math.sqrt(2.0) * 1e60)),
+    ("self-energy", born_box_charge(1e200), "U_joules", 0.0),
+    ("force", born_box_charge(1e200), "F_newtons", 0.0),
+    # the gap's absolute floor took L^2 with L^2 beyond float64 (OverflowError)
+    ("force", {"geometry": {"type": "cavity", "eps1": 4.0, "eps2": 1.0, "eps3": 8.0,
+                            "d": 1e200},
+               "charges": [{"q": 1.0, "unit": "e", "position": [3e199, 0.0, 1e199]},
+                           {"q": 1.0, "unit": "e", "position": [0.0, 0.0, -2e199]}]},
+     "F_newtons", 0.0),
+    # the screened bulk's Debye-Huckel self-energy, -q^2 k_s / (8 pi eps0 eps_b)
+    ("self-energy", {"geometry": _BULK,
+                     "charges": [{"q": 1.0, "unit": "e", "position": [0.0, 0.0, 0.0]}]},
+     "U_joules", -QE ** 2 * _K_S / (8 * math.pi * epsilon_0 * _EPS_B)),
+    ("force", {"geometry": _BULK,
+               "charges": [{"q": 1.0, "unit": "e", "position": [0.0, 0.0, 0.0]}]},
+     "F_newtons", 0.0),
+])
+def test_extreme_scenes_finish_with_warnings_as_errors(tmp_path, command, doc, key, value):
+    # a fresh `python -W error -m greens_coulomb`, so that a numpy warning is
+    # a traceback (exit 1) and a hang hits the timeout
+    src = os.path.dirname(os.path.dirname(greens_coulomb.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "greens_coulomb", command,
+         "--scene", write_scene(tmp_path, doc)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rec = strict_json(proc.stdout)
+    if key == "F_newtons":
+        # the x component; the others vanish with it or are (L/x) of it
+        assert rec[key][0] == pytest.approx(value, rel=1e-8, abs=0.0)
+        assert abs(rec[key][1]) + abs(rec[key][2]) <= 1e-40 * abs(value)
+    else:
+        assert rec[key] == pytest.approx(value, rel=1e-8, abs=0.0)
 
 
 class TestValidateCommand:
