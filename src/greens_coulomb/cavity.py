@@ -5,7 +5,11 @@ The program's routes:
 * where a wall is a dielectric (|r1 r3| < 1), g and its coincident limit g1
   by the image series (`cavity_g_images`; Barrera, Guzman & Balaguer,
   Am. J. Phys. 46 (1978) 1172), summed to the first order whose geometric
-  tail bound meets the tolerance, at most IMAGE_ORDER_MAX orders;
+  tail bound meets the tolerance, at most IMAGE_ORDER_MAX orders. Many
+  points, a sweep's, are summed at once (`cavity_g_images_many`) as arrays
+  of points x orders, in blocks of at most _IMAGE_BLOCK values; each point
+  keeps its own order bound, stop rule, abs_err and error, and one point
+  is a batch of one;
 * Bessel-integral quadrature (`cavity_g_general`, any heights, any
   reflection coefficients) of the reflected kernel, the free term
   1/(4 pi eps2 r) in closed form (Michalski & Mosig, IEEE TAP 45 (1997)
@@ -41,7 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +61,7 @@ from .core import (
     ValueWithError,
     finite_eps,
     is_conductor,
+    until_error,
 )
 from .quadrature import euler_limit, hankel_integral
 
@@ -73,6 +78,12 @@ _MODE_SPAN = 40.0
 IMAGE_ORDER_MAX = 4096
 # Roundoff of the image series, relative to the sum of its terms' magnitudes.
 _IMAGE_ROUNDOFF = 8.0 * _EPS
+# The batched image series sums its points in blocks of at most this many
+# points x orders, so that a sweep past the order cap builds no array much
+# larger than one point's (the largest, 8 terms per point and order, is
+# 512 kB); a block holds at least one point, of at most IMAGE_ORDER_MAX + 2
+# orders. Blocks that fit the cache sum faster than larger ones.
+_IMAGE_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -172,7 +183,8 @@ class _Pair(NamedTuple):
 def _pair(z: float, z0: float, rho: float, d: float, eps2: float,
           coeffs: CavityCoeffs) -> _Pair:
     """The set-up of the pair at heights z and z0, rho apart, between walls
-    of reflection coefficients `coeffs`."""
+    of reflection coefficients `coeffs`, in a gap of permittivity eps2 that
+    the caller has validated."""
     if d <= 0.0:
         raise DomainError(f"d must be > 0, got {d!r}")
     _check_gap(z, d, "z")
@@ -180,7 +192,7 @@ def _pair(z: float, z0: float, rho: float, d: float, eps2: float,
     if rho < 0.0:
         raise DomainError(f"rho must be >= 0, got {rho!r}")
     upper, lower = max(z, z0), min(z, z0)
-    return _Pair(1.0 / (_FOUR_PI * finite_eps(eps2, "eps2")), coeffs.r1, coeffs.r3, rho, d,
+    return _Pair(1.0 / (_FOUR_PI * eps2), coeffs.r1, coeffs.r3, rho, d,
                  upper - lower, d + 2.0 * lower, d - 2.0 * upper,
                  math.hypot(rho, upper - lower))
 
@@ -269,26 +281,35 @@ def cavity_grad_general(z: float, z0: float, rho: float, d: float,
         f"z = {z!r}, z0 = {z0!r}, d = {d!r}, rel_tol = {spec.rel_tol!r}")
 
 
-def _image_orders(p: _Pair, n: int):
-    """Orders j = 0..n of the image series of the pair p, times 4 pi eps2:
-    each order's sum and the sum of its terms' magnitudes.
+def _image_orders(pairs, n: int):
+    """Orders j = 0..n of the image series of each pair of `pairs`, gap
+    pairs between the same walls, times 4 pi eps2: each order's sum and the
+    sum of its terms' magnitudes, as one array of 2 x pairs x (n + 1) orders.
 
     With q = r1 r3 and D(s) = sqrt(rho^2 + s^2), order j holds the images
     -r1 q^j/D(a_free + a1 + 2jd) in the wall below and
     -r3 q^j/D(a_free + a3 + 2jd) in the wall above, and from j = 1 on the
     source's two images q^j/D(2jd +- a_free). Order 0's source image is the
-    free term 1/r, which the caller adds. Every distance is a sum of
-    positive lengths, so no term loses accuracy near a wall.
+    free term 1/r, or nothing at coincident points (r = 0), whose g1 has no
+    free term. Every distance is a sum of positive lengths, so no term
+    loses accuracy near a wall.
     """
-    j = np.arange(n + 1)
-    qj = (p.r1 * p.r3) ** j
-    step = (2.0 * p.d) * j
-    below = p.r1 / np.hypot(p.rho, step + (p.a_free + p.a1))
-    above = p.r3 / np.hypot(p.rho, step + (p.a_free + p.a3))
-    source = np.zeros(n + 1)
-    source[1:] = (1.0 / np.hypot(p.rho, step[1:] + p.a_free)
-                  + 1.0 / np.hypot(p.rho, step[1:] - p.a_free))
-    return qj * (source - below - above), np.abs(qj) * (source + np.abs(below) + np.abs(above))
+    cols = np.array([(p.rho, p.a_free + p.a1, p.a_free + p.a3, p.a_free, -p.a_free,
+                      1.0 / p.r if p.r > 0.0 else 0.0) for p in pairs])
+    r1, r3, d = pairs[0].r1, pairs[0].r3, pairs[0].d
+    j = np.arange(n + 1.0)
+    # the image in the wall below, in the wall above, and the source's two
+    # images: their weights q^j (-r1, -r3, 1, 1), 4 x orders, and their
+    # distances D, pairs x 4 x orders
+    weights = np.array([-r1, -r3, 1.0, 1.0])[:, None] * (r1 * r3) ** j
+    dist = np.hypot(cols[:, 0, None, None], (2.0 * d) * j + cols[:, 1:5, None])
+    dist[:, 2:, 0] = math.inf  # order 0's source images give way to the free term
+    terms = np.empty((2,) + dist.shape)
+    np.divide(weights, dist, out=terms[0])
+    np.abs(terms[0], out=terms[1])
+    sums = np.add.reduce(terms, axis=2)
+    sums[:, :, 0] += cols[:, 5]
+    return sums
 
 
 def _image_order_bound(p: _Pair, q: float, target: float) -> int:
@@ -314,7 +335,8 @@ def cavity_g_images(z: float, z0: float, rho: float, d: float,
     """Gap Green's function by its image series, to spec; at coincident
     points (rho = 0, z = z0) its scattering part g1, the same series without
     the free term. None where |r1 r3| >= 1 (both walls conducting) or where
-    the series needs more than IMAGE_ORDER_MAX orders.
+    the series needs more than IMAGE_ORDER_MAX orders. A batch of one of
+    cavity_g_images_many.
 
     With q = r1 r3 and the lengths of _Pair (Barrera, Guzman & Balaguer,
     Am. J. Phys. 46 (1978) 1172; see _image_orders for its orders),
@@ -329,38 +351,80 @@ def cavity_g_images(z: float, z0: float, rho: float, d: float,
     magnitudes; where the roundoff keeps it above the target,
     ConvergenceError, and where the sum overflows float64, DomainError.
     """
-    p = _layers_pair(z, z0, rho, d, eps1, eps2, eps3)
-    q = abs(p.r1 * p.r3)
+    return next(cavity_g_images_many(((z, z0, rho),), d, reflection_coeffs(eps1, eps2, eps3),
+                                     eps2, spec))
+
+
+def cavity_g_images_many(points: Iterable[Tuple[float, float, float]], d: float,
+                         coeffs: CavityCoeffs, eps2: float,
+                         spec: QuadratureSpec = DEFAULT_QUADRATURE
+                         ) -> Iterator[Optional[ValueWithError]]:
+    """cavity_g_images at each (z, z0, rho) of `points`, in order, as one
+    batch, between walls of reflection coefficients `coeffs`.
+
+    Yields each point's value, or None, and raises a point's error when the
+    iteration reaches it, after every point before it was yielded. The
+    points are summed in blocks of consecutive points, each one array of
+    points x orders of at most _IMAGE_BLOCK values, summed when its first
+    point is reached. Each point keeps its own order bound, stop rule and
+    abs_err, so that its value is the one it has alone.
+    """
+    e2 = finite_eps(eps2, "eps2")
+    points = list(points)
+    pairs, refused = until_error(_pair(z, z0, rho, d, e2, coeffs) for z, z0, rho in points)
+    q = abs(coeffs.r1 * coeffs.r3)
     if q >= 1.0:
-        return None
-    floor = p.floor(spec) / p.pref
-    free = 1.0 / p.r if p.r > 0.0 else 0.0
-    # orders enough for a tail of half the floor, which leaves the other half
-    # to the roundoff
-    n_max = min(_image_order_bound(p, q, 0.5 * floor), IMAGE_ORDER_MAX)
+        for _ in pairs:
+            yield None
+    else:
+        floors = [p.floor(spec) / p.pref for p in pairs]
+        # orders enough for a tail of half the floor, which leaves the other
+        # half to the roundoff
+        orders = [min(_image_order_bound(p, q, 0.5 * floor), IMAGE_ORDER_MAX)
+                  for p, floor in zip(pairs, floors)]
+        # a block's arrays hold up to the largest order bound + 1, so many orders
+        step = max(1, _IMAGE_BLOCK // (max(orders, default=0) + 2))
+        for i in range(0, len(pairs), step):
+            block = slice(i, i + step)
+            yield from _image_block(pairs[block], points[block], floors[block], orders[block],
+                                    q, spec)
+    if refused is not None:
+        raise refused
+
+
+def _image_block(pairs, points, floors, orders, q: float, spec: QuadratureSpec):
+    """The image series of consecutive points of cavity_g_images_many, one
+    array of points x orders; each point stops by its own order bound."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        signed, size = _image_orders(p, n_max + 1)
-        # for each n, the bound after orders 0..n and its target
-        tail = size[1:] / (1.0 - q)
-        roundoff = _IMAGE_ROUNDOFF * (free + np.cumsum(size[:-1]))
-        target = np.maximum(floor, spec.rel_tol * np.abs(free + np.cumsum(signed[:-1])))
-        met = tail + roundoff <= target
-    if not math.isfinite(roundoff[-1] + tail[-1]):
-        raise DomainError(f"the image series of the gap at rho = {rho!r}, z = {z!r}, "
-                          f"z0 = {z0!r}, d = {d!r} overflows float64")
-    if met.any():
-        n = int(np.argmax(met))
-        return ValueWithError(p.pref * (free + float(np.sum(signed[:n + 1]))),
-                              p.pref * (tail[n] + roundoff[n]))
-    if n_max == IMAGE_ORDER_MAX:
-        return None  # the series may need more orders than the cap
-    # the last tail is below half the floor, so the roundoff exceeds half the target
-    raise ConvergenceError(
-        f"image series of the gap at rho = {rho!r}, z = {z!r}, z0 = {z0!r}, d = {d!r}, "
-        f"r1 r3 = {p.r1 * p.r3!r}: its bound {p.pref * (tail[-1] + roundoff[-1]):.3e} "
-        f"(tail {p.pref * tail[-1]:.3e} after order {n_max}, roundoff "
-        f"{p.pref * roundoff[-1]:.3e}) exceeds the target {p.pref * target[-1]:.3e} "
-        f"(rel_tol = {spec.rel_tol!r})")
+        sums = _image_orders(pairs, max(orders) + 1)
+        # for each n, the partial sum and the bound after orders 0..n, and its target
+        partial, magnitude = sums.cumsum(axis=2)
+        tail = sums[1, :, 1:] / (1.0 - q)
+        roundoff = _IMAGE_ROUNDOFF * magnitude[:, :-1]
+        target = np.maximum(np.array(floors)[:, None], spec.rel_tol * np.abs(partial[:, :-1]))
+        bound = tail + roundoff
+        met = bound <= target
+    # the first order that meets the target; past a point's own bound, none
+    first = met.argmax(axis=1)
+    for i, (p, (z, z0, rho_i), last) in enumerate(zip(pairs, points, orders)):
+        if not math.isfinite(bound[i, last]):
+            raise DomainError(f"the image series of the gap at rho = {rho_i!r}, z = {z!r}, "
+                              f"z0 = {z0!r}, d = {p.d!r} overflows float64")
+        n = first[i]
+        if n <= last and met[i, n]:
+            yield ValueWithError(p.pref * partial[i, n], p.pref * bound[i, n])
+        elif last == IMAGE_ORDER_MAX:
+            yield None  # the series may need more orders than the cap
+        else:
+            # the last tail is below half the floor, so the roundoff exceeds
+            # half the target
+            raise ConvergenceError(
+                f"image series of the gap at rho = {rho_i!r}, z = {z!r}, z0 = {z0!r}, "
+                f"d = {p.d!r}, r1 r3 = {p.r1 * p.r3!r}: its bound "
+                f"{p.pref * bound[i, last]:.3e} (tail "
+                f"{p.pref * tail[i, last]:.3e} after order {last}, roundoff "
+                f"{p.pref * roundoff[i, last]:.3e}) exceeds the target "
+                f"{p.pref * target[i, last]:.3e} (rel_tol = {spec.rel_tol!r})")
 
 
 def conducting_gap_g(z: float, z0: float, rho: float, d: float,
@@ -553,8 +617,9 @@ def cavity_g_series(rho: float, d: float, coeffs: CavityCoeffs, eps2: float,
 
     if abs(q) < 1.0:
         p = _pair(z, z0, rho, d, e2, coeffs)
-        signed, size = _image_orders(p, n_max + 1)  # n_max + 1 is the first order dropped
-        value = 1.0 / p.r + float(np.sum(signed[:-1]))
+        # n_max + 1 is the first order dropped
+        (signed,), (size,) = _image_orders([p], n_max + 1)
+        value = float(np.sum(signed[:-1]))
         return ValueWithError(pref * value, pref * float(size[-1]) / (1.0 - abs(q)))
 
     if z != 0.0 or z0 != 0.0:

@@ -16,10 +16,12 @@ import math
 import re
 import sys
 from dataclasses import replace
+from itertools import groupby
+from typing import Iterator
 
 from . import interactions, validate
-from .core import ConvergenceError, CoulombError, DomainError, SceneError
-from .scene import Scene, load_scene, parse_scene, read_scene_doc, set_scene_value
+from .core import ConvergenceError, CoulombError, DomainError, SceneError, until_error
+from .scene import Scene, load_scene, parse_scene, read_scene_doc, swept_scenes
 
 
 def _emit(text: str, out_path) -> None:
@@ -51,22 +53,29 @@ def _scene_from_args(args) -> Scene:
     return _with_args(load_scene(args.scene), args)
 
 
-def _energy_record(scene: Scene) -> dict:
-    spec = scene.options.quad_spec()
-    if len(scene.charges) == 2:
-        res = interactions.pair_energy(scene.geometry, scene.charges[0],
-                                       scene.charges[1], spec)
-    else:
-        res = interactions.self_energy(scene.geometry, scene.charges[0], spec)
-    return {"U_joules": res.energy, "ratio_to_free": res.ratio_to_free,
-            "abs_err": res.abs_err}
+def _energy_records(scenes) -> Iterator[dict]:
+    """The energy record of each scene, in order. Consecutive scenes with one
+    geometry object (a sweep that moves a charge keeps the scene's) and
+    equal options are one batch, evaluated in one call
+    (interactions.pair_energies or self_energies)."""
+    for _, batch in groupby(scenes, lambda s: (id(s.geometry), s.options)):
+        batch = list(batch)
+        geometry, spec = batch[0].geometry, batch[0].options.quad_spec()
+        charges = [s.charges for s in batch]
+        if len(charges[0]) == 2:
+            results = interactions.pair_energies(geometry, charges, spec)
+        else:
+            results = interactions.self_energies(geometry, [c[0] for c in charges], spec)
+        for res in results:
+            yield {"U_joules": res.energy, "ratio_to_free": res.ratio_to_free,
+                   "abs_err": res.abs_err}
 
 
 def cmd_pair_energy(args) -> int:
     scene = _scene_from_args(args)
     if len(scene.charges) != 2:
         raise SceneError("pair-energy needs a scene with exactly 2 charges")
-    _emit(_json_record({**_energy_record(scene), "units": "si"}), args.out)
+    _emit(_json_record({**next(_energy_records([scene])), "units": "si"}), args.out)
     return 0
 
 
@@ -74,7 +83,7 @@ def cmd_self_energy(args) -> int:
     scene = _scene_from_args(args)
     if len(scene.charges) != 1:
         raise SceneError("self-energy needs a scene with exactly 1 charge")
-    _emit(_json_record({**_energy_record(scene), "units": "si"}), args.out)
+    _emit(_json_record({**next(_energy_records([scene])), "units": "si"}), args.out)
     return 0
 
 
@@ -91,35 +100,50 @@ def cmd_force(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    doc = read_scene_doc(args.scene)
-    parse_scene(doc)  # validate before sweeping
-
+def _sweep_values(args) -> list:
+    """The --num values of a sweep in ascending order, --min and --max exactly."""
     if args.num < 1:
         raise SceneError("sweep needs --num >= 1")
     if args.num == 1:
-        values = [args.min]
-    elif args.log:
+        return [args.min]
+    if args.log:
         if args.min <= 0 or args.max <= 0:
             raise SceneError("--log sweep needs positive bounds")
-        step = (math.log(args.max) - math.log(args.min)) / (args.num - 1)
-        values = [math.exp(math.log(args.min) + i * step) for i in range(args.num)]
+        start = math.log(args.min)
+        step = (math.log(args.max) - start) / (args.num - 1)
+        inner = [math.exp(start + i * step) for i in range(1, args.num - 1)]
     else:
         step = (args.max - args.min) / (args.num - 1)
-        values = [args.min + i * step for i in range(args.num)]
-    values.sort()
+        inner = [args.min + i * step for i in range(1, args.num - 1)]
+    return sorted([args.min, *inner, args.max])
 
-    # fail fast on a bad path before any work
-    set_scene_value(doc, args.param, values[0])
+
+def cmd_sweep(args) -> int:
+    """Energies along one swept number of the scene, as CSV rows.
+
+    The scene is parsed once, and each point re-parses only the section
+    that holds the swept number (scene.swept_scenes). Every point is parsed
+    before any is evaluated, and the points that share a geometry and
+    options, all of them unless the sweep changes those, are evaluated as
+    one batch: the gap's image series sums them as arrays of points x
+    orders, in blocks of at most cavity._IMAGE_BLOCK values. The sweep
+    still stops at the first point, in sweep order, that fails to parse or
+    to evaluate, with that point's error.
+    """
+    doc = read_scene_doc(args.scene)
+    scene = parse_scene(doc)  # validate before sweeping
+    values = _sweep_values(args)
+    scenes, refused = until_error(_with_args(s, args)
+                                  for s in swept_scenes(doc, scene, args.param, values))
 
     lines = ["param,U,ratio_to_free,abs_err"]
-    for v in values:
-        rec = _energy_record(_with_args(parse_scene(set_scene_value(doc, args.param, v)),
-                                        args))
+    for v, rec in zip(values, _energy_records(scenes)):
         if not all(x is None or math.isfinite(x) for x in rec.values()):
             raise DomainError(f"result is not finite in float64: {rec!r}")
         ratio = "" if rec["ratio_to_free"] is None else repr(rec["ratio_to_free"])
         lines.append(f"{v!r},{rec['U_joules']!r},{ratio},{rec['abs_err']!r}")
+    if refused is not None:
+        raise refused
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -15,9 +15,9 @@ born.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 # CODATA 2022, as scipy.constants gives them; written out so that importing
 # the package loads no scipy
@@ -75,6 +75,24 @@ class PointInsideBodyError(CoulombError):
 
 class SceneError(CoulombError, ValueError):
     """A scene description failed schema validation."""
+
+
+def until_error(items: Iterable) -> Tuple[list, Optional[CoulombError]]:
+    """The items of `items` up to the first CoulombError that iterating it
+    raises, and that error (None if it raised none).
+
+    A batch admits its points with it: it evaluates the points before the
+    first that fails and raises that point's error after them, so that the
+    first point in order to fail decides the outcome, as one point at a
+    time would.
+    """
+    done: list = []
+    try:
+        for item in items:
+            done.append(item)
+    except CoulombError as exc:
+        return done, exc
+    return done, None
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +265,14 @@ class Geometry:
     * _grad_g(r, r_src, spec): the gradient of g in the field point r;
     * _grad_g1(r, spec): the gradient of r -> g1(r, r), both points moving.
 
+    g_many and g1_many evaluate many points in one call, as a sweep does.
+    They yield each point's value in order, and a point that raises does so
+    when the iteration reaches it, after every point before it was yielded.
+    They hand the admitted points to _g_many and _g1_many, which loop over
+    _g and _g1 here; a geometry that sums many points at once (the gap's
+    image series) writes those instead, and its _g and _g1 are a batch of
+    one.
+
     The public g, g1, grad_g and grad_g1, written here alone, apply the
     rules every geometry shares, in this order: host_eps admits each point;
     coincident points raise CoincidentPointsError; a pair too far apart for
@@ -285,6 +311,42 @@ class Geometry:
     def g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
         self.host_eps(r)
         return self._g1(r, spec)
+
+    def g_many(self, pairs: Iterable[Tuple[Point3, Point3]],
+               spec: QuadratureSpec) -> Iterator[ValueWithError]:
+        """g at each (r, r_src) of `pairs`, in order, as one batch.
+
+        Every pair is admitted before any is evaluated; a pair refused by
+        the rules of g raises once the pairs before it were yielded.
+        """
+        admitted, refused = until_error((r, r_src, self._far_pair(r, r_src))
+                                        for r, r_src in pairs)
+        near = self._g_many([(r, r_src) for r, r_src, far in admitted if not far], spec)
+        for _, _, far in admitted:
+            yield ValueWithError(0.0) if far else next(near)
+        if refused is not None:
+            raise refused
+
+    def g1_many(self, points: Iterable[Point3],
+                spec: QuadratureSpec) -> Iterator[ValueWithError]:
+        """g1 at each point of `points`, in order, as one batch, admitted as
+        by g_many."""
+        admitted, refused = until_error(self._admit(r) for r in points)
+        yield from self._g1_many(admitted, spec)
+        if refused is not None:
+            raise refused
+
+    def _admit(self, r: Point3) -> Point3:
+        self.host_eps(r)
+        return r
+
+    def _g_many(self, pairs: Sequence[Tuple[Point3, Point3]],
+                spec: QuadratureSpec) -> Iterator[ValueWithError]:
+        return (self._g(r, r_src, spec) for r, r_src in pairs)
+
+    def _g1_many(self, points: Sequence[Point3],
+                 spec: QuadratureSpec) -> Iterator[ValueWithError]:
+        return (self._g1(r, spec) for r in points)
 
     def grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
         if self._far_pair(r, r_src):
@@ -429,6 +491,8 @@ class ThreeLayerCavity(Geometry):
     eps2: float
     eps3: Permittivity
     d: float
+    # the walls' reflection coefficients, which the image series takes
+    coeffs: cavity.CavityCoeffs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_eps(self.eps1, "eps1")
@@ -437,6 +501,8 @@ class ThreeLayerCavity(Geometry):
         object.__setattr__(self, "d", _require_finite(self.d, "d"))
         if not (self.d > 0.0):
             raise DomainError(f"gap width d must be > 0, got {self.d!r}")
+        object.__setattr__(self, "coeffs",
+                           cavity.reflection_coeffs(self.eps1, self.eps2, self.eps3))
 
     def host_eps(self, p: Point3) -> float:
         if not (abs(p.z) < 0.5 * self.d):
@@ -451,25 +517,42 @@ class ThreeLayerCavity(Geometry):
         return self._conducting() and rho >= cavity.MODAL_RHO_MIN * self.d
 
     def _g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
-        rho = math.hypot(r.x - r_src.x, r.y - r_src.y)
-        if self._modal(rho):
-            return cavity.conducting_gap_g(r.z, r_src.z, rho, self.d, self.eps2)
-        # the image series, where a wall is a dielectric and it fits its order cap
-        got = cavity.cavity_g_images(r.z, r_src.z, rho, self.d, self.eps1, self.eps2,
-                                     self.eps3, spec)
-        if got is not None:
-            return got
-        return cavity.cavity_g_general(r.z, r_src.z, rho, self.d, self.eps1, self.eps2,
-                                       self.eps3, spec)
+        return next(self._g_many(((r, r_src),), spec))
 
     def _g1(self, r: Point3, spec: QuadratureSpec) -> ValueWithError:
+        return next(self._g1_many((r,), spec))
+
+    def _g_many(self, pairs: Sequence[Tuple[Point3, Point3]],
+                spec: QuadratureSpec) -> Iterator[ValueWithError]:
+        """g of admitted pairs, in order: by the mode sum where both walls
+        conduct and rho >= MODAL_RHO_MIN d, else by the image series, one
+        batch for all such pairs, where a wall is a dielectric and the series
+        fits its order cap, else by the Hankel integral."""
+        points = [(r.z, r_src.z, math.hypot(r.x - r_src.x, r.y - r_src.y))
+                  for r, r_src in pairs]
+        modal = [self._modal(rho) for _, _, rho in points]
+        series = cavity.cavity_g_images_many([p for p, m in zip(points, modal) if not m],
+                                             self.d, self.coeffs, self.eps2, spec)
+        for (z, z0, rho), m in zip(points, modal):
+            if m:
+                yield cavity.conducting_gap_g(z, z0, rho, self.d, self.eps2)
+            else:
+                got = next(series)
+                yield got if got is not None else cavity.cavity_g_general(
+                    z, z0, rho, self.d, self.eps1, self.eps2, self.eps3, spec)
+
+    def _g1_many(self, points: Sequence[Point3],
+                 spec: QuadratureSpec) -> Iterator[ValueWithError]:
+        """g1 of admitted points, in order: by the digamma form between
+        conducting walls, else by the image series, one batch for all points,
+        where it fits its order cap, else by the Hankel integral."""
         if self._conducting():
-            return cavity.conducting_gap_g1(r.z, self.d, self.eps2)
-        got = cavity.cavity_g_images(r.z, r.z, 0.0, self.d, self.eps1, self.eps2, self.eps3,
-                                     spec)
-        if got is not None:
-            return got
-        return cavity.cavity_scattering_g1(r.z, self.d, self.eps1, self.eps2, self.eps3, spec)
+            return (cavity.conducting_gap_g1(r.z, self.d, self.eps2) for r in points)
+        series = cavity.cavity_g_images_many([(r.z, r.z, 0.0) for r in points], self.d,
+                                             self.coeffs, self.eps2, spec)
+        return (got if got is not None else cavity.cavity_scattering_g1(
+                    r.z, self.d, self.eps1, self.eps2, self.eps3, spec)
+                for r, got in zip(points, series))
 
     def _grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
         dx, dy = r.x - r_src.x, r.y - r_src.y

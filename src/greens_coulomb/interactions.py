@@ -1,7 +1,9 @@
 """Physical observables from the Green's function of a geometry.
 
 Every geometry supplies g, g1 and their gradients (`core.Geometry`); the
-three entry points here are the only place where charges and eps0 enter:
+three entry points here are the only place where charges and eps0 enter
+(the energies also for many charges or pairs in one call, as a sweep
+evaluates them):
 
 * self-energy U1 = q^2/(2 eps0) g1(r, r), the interaction of one charge
   with the polarization it induces on the surfaces;
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .core import (
     QuadratureSpec,
     ThreeLayerCavity,
     UnsupportedGeometryError,
+    ValueWithError,
     distance,
     finite_eps,
     is_conductor,
@@ -79,7 +82,19 @@ def local_field_factor(eps_host: float) -> float:
 def self_energy(geom: Geometry, a: Charge,
                 spec: QuadratureSpec = DEFAULT_QUADRATURE) -> InteractionResult:
     """U1 = q^2/(2 eps0) * g1(r, r); the free-space divergence is subtracted."""
-    g1 = geom.g1(a.position, spec)
+    return _self_result(a, geom.g1(a.position, spec))
+
+
+def self_energies(geom: Geometry, charges: Iterable[Charge],
+                  spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Iterator[InteractionResult]:
+    """self_energy of each charge, in order, from one call to geom.g1_many;
+    a charge whose g1 raises does so once the charges before it were yielded."""
+    charges = list(charges)
+    for a, g1 in zip(charges, geom.g1_many([a.position for a in charges], spec)):
+        yield _self_result(a, g1)
+
+
+def _self_result(a: Charge, g1: ValueWithError) -> InteractionResult:
     pref = a.q * a.q / (2.0 * EPSILON_0)
     return InteractionResult(pref * g1.value, None, abs(pref) * g1.abs_err)
 
@@ -91,8 +106,22 @@ def pair_energy(geom: Geometry, a: Charge, b: Charge,
     `Geometry.g` admits both points and rejects coincident ones; a pair too
     far apart for float64 has U = 0 in every geometry.
     """
+    return _pair_result(geom, a, b, geom.g(a.position, b.position, spec))
+
+
+def pair_energies(geom: Geometry, pairs: Iterable[Tuple[Charge, Charge]],
+                  spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Iterator[InteractionResult]:
+    """pair_energy of each (a, b) of `pairs`, in order, from one call to
+    geom.g_many; a pair whose g raises does so once the pairs before it
+    were yielded."""
+    pairs = list(pairs)
+    for (a, b), g in zip(pairs, geom.g_many([(a.position, b.position) for a, b in pairs],
+                                            spec)):
+        yield _pair_result(geom, a, b, g)
+
+
+def _pair_result(geom: Geometry, a: Charge, b: Charge, g: ValueWithError) -> InteractionResult:
     ra, rb = a.position, b.position
-    g = geom.g(ra, rb, spec)
     dist = distance(ra, rb)
     if dist == math.inf:
         # g = 0 there, and U_free = 0 leaves the ratio undefined

@@ -7,10 +7,11 @@ in coulombs or elementary-charge units; everything is stored in SI.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Optional, Tuple
 
 from . import born, screening
 from .core import (
@@ -167,15 +168,7 @@ class Scene:
     options: SceneOptions = field(default_factory=SceneOptions)
 
 
-def parse_scene(doc: dict) -> Scene:
-    _require_keys(doc, "scene", ("geometry", "charges"), ("options",))
-    geometry = _parse_geometry(doc["geometry"])
-    charges_doc = doc["charges"]
-    if not (isinstance(charges_doc, list) and 1 <= len(charges_doc) <= 2):
-        raise SceneError("charges: expected a list of 1 or 2 charges")
-    charges = tuple(_parse_charge(c, f"charges[{i}]")
-                    for i, c in enumerate(charges_doc))
-    opts_doc = doc.get("options", {})
+def _parse_options(opts_doc) -> SceneOptions:
     _require_keys(opts_doc, "options", (),
                   ("local_field", "units", "rel_tol", "abs_tol"))
     # results are always SI; the key stays so that scenes may say so
@@ -190,7 +183,18 @@ def parse_scene(doc: dict) -> Scene:
         rel_tol = _number(rel_tol, "options.rel_tol")
     if abs_tol is not None:
         abs_tol = _number(abs_tol, "options.abs_tol")
-    options = SceneOptions(local_field=lf, rel_tol=rel_tol, abs_tol=abs_tol)
+    return SceneOptions(local_field=lf, rel_tol=rel_tol, abs_tol=abs_tol)
+
+
+def parse_scene(doc: dict) -> Scene:
+    _require_keys(doc, "scene", ("geometry", "charges"), ("options",))
+    geometry = _parse_geometry(doc["geometry"])
+    charges_doc = doc["charges"]
+    if not (isinstance(charges_doc, list) and 1 <= len(charges_doc) <= 2):
+        raise SceneError("charges: expected a list of 1 or 2 charges")
+    charges = tuple(_parse_charge(c, f"charges[{i}]")
+                    for i, c in enumerate(charges_doc))
+    options = _parse_options(doc.get("options", {}))
     return Scene(geometry=geometry, charges=charges, options=options)
 
 
@@ -209,26 +213,47 @@ def load_scene(path) -> Scene:
     return parse_scene(read_scene_doc(path))
 
 
-def set_scene_value(doc: dict, path: str, value: float) -> dict:
-    """Return a copy of the raw scene document with the value at a dotted
-    path replaced (list indices are numeric path elements)."""
+def swept_scenes(doc: dict, scene: Scene, path: str,
+                 values: Iterable[float]) -> Iterator[Scene]:
+    """The scene of the document `doc`, whose parse is `scene`, with the
+    number at a dotted path (list indices are numeric path elements) set to
+    each of `values` in turn.
+
+    Each value is written into one working copy of the document, and only
+    the top-level section that holds the path, the geometry, one charge or
+    the options, is parsed again, with the checks and messages of
+    parse_scene; the other sections are those of `scene`. A path that
+    addresses no number raises SceneError before the first scene.
+    """
+    work = copy.deepcopy(doc)
     parts = path.split(".")
-    out = json.loads(json.dumps(doc))
-    node = out
+    node = work
     try:
         for key in parts[:-1]:
             node = node[int(key)] if isinstance(node, list) else node[key]
         leaf = parts[-1]
         if isinstance(node, list):
-            i = int(leaf)
-            if not isinstance(node[i], (int, float)) or isinstance(node[i], bool):
+            leaf = int(leaf)
+            if not _is_number(node[leaf]):
                 raise SceneError(f"sweep path {path!r} does not address a number")
-            node[i] = value
-        else:
-            if leaf not in node or not isinstance(node[leaf], (int, float)) \
-                    or isinstance(node[leaf], bool):
-                raise SceneError(f"sweep path {path!r} does not address a number")
-            node[leaf] = value
+        elif leaf not in node or not _is_number(node[leaf]):
+            raise SceneError(f"sweep path {path!r} does not address a number")
     except (KeyError, IndexError, ValueError, TypeError) as exc:
         raise SceneError(f"sweep path {path!r} not found in scene: {exc}") from exc
-    return out
+    # a path to a number lies inside a section: the document has no other keys
+    if parts[0] == "charges":
+        i = int(parts[1]) % len(scene.charges)
+    for value in values:
+        node[leaf] = value
+        if parts[0] == "geometry":
+            yield replace(scene, geometry=_parse_geometry(work["geometry"]))
+        elif parts[0] == "options":
+            yield replace(scene, options=_parse_options(work["options"]))
+        else:
+            charges = list(scene.charges)
+            charges[i] = _parse_charge(work["charges"][i], f"charges[{i}]")
+            yield replace(scene, charges=tuple(charges))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

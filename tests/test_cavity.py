@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import digamma, k0
 
 from greens_coulomb import cavity
@@ -11,6 +13,7 @@ from greens_coulomb.cavity import (
     cavity_asymptotic,
     cavity_g_general,
     cavity_g_images,
+    cavity_g_images_many,
     cavity_g_series,
     cavity_scattering_g1,
     conducting_gap_g,
@@ -22,12 +25,14 @@ from greens_coulomb.core import (
     Charge,
     CoincidentPointsError,
     ConvergenceError,
+    CoulombError,
     DomainError,
     OutOfRegionError,
     Point3,
     QuadratureSpec,
     ThreeLayerCavity,
 )
+from greens_coulomb.cli import main
 from greens_coulomb.interactions import pair_energy
 
 PC = PERFECT_CONDUCTOR
@@ -259,6 +264,86 @@ class TestImageRoute:
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
         with pytest.raises(ConvergenceError, match="image series .* bound .* exceeds"):
             cavity_g_images(0.1, -0.2, 2.0, D, 4.0, 1.0, 8.0, spec)
+
+
+# Walls of the batched series: r1 r3 < 0, one conducting wall, and r1 r3 just
+# under (700) and just past (730) the order cap at rho = d
+BATCH_WALLS = [(1.0, 4.0, 16.0), (PC, 1.0, 4.0), (700.0, 1.0, 700.0), (730.0, 1.0, 730.0)]
+# the default spec, and now and then one whose target the roundoff exceeds
+BATCH_SPECS = [QuadratureSpec()] * 3 + [QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)]
+_inside = st.floats(-0.49 * D, 0.49 * D)
+_near_wall = st.builds(lambda side, gap: side * (0.5 * D - gap),
+                       st.sampled_from([-1.0, 1.0]), st.floats(1e-12 * D, 1e-6 * D))
+
+
+@st.composite
+def _height(draw):
+    """A height in the gap, often within 1e-6 d of a wall, now and then outside it."""
+    if draw(st.integers(0, 19)) == 0:
+        return 0.5 * D
+    return draw(st.one_of(_inside, _near_wall))
+
+
+@st.composite
+def image_points(draw):
+    """(z, z0, rho) of a pair, or (z, z, 0) of a g1 point."""
+    z = draw(_height())
+    if draw(st.booleans()):
+        return z, z, 0.0
+    rho = draw(st.one_of(st.just(0.0), st.floats(1e-3 * D, 30.0 * D)))
+    z0 = draw(_height())
+    assume(rho > 0.0 or z0 != z)
+    return z, z0, rho
+
+
+def _outcomes(values):
+    """The repr of each value (or None) of an iteration, up to the class of the
+    CoulombError that ends it."""
+    out = []
+    try:
+        for got in values:
+            out.append(None if got is None else (repr(got.value), repr(got.abs_err)))
+    except CoulombError as exc:
+        out.append(type(exc))
+    return out
+
+
+class TestImageBatch:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(walls=st.sampled_from(BATCH_WALLS), spec=st.sampled_from(BATCH_SPECS),
+           points=st.lists(image_points(), min_size=1, max_size=12))
+    def test_batch_equals_one_call_per_point(self, walls, spec, points):
+        eps1, eps2, eps3 = walls
+        batch = _outcomes(cavity_g_images_many(points, D, reflection_coeffs(eps1, eps2, eps3),
+                                               eps2, spec))
+
+        def one(point):
+            yield cavity_g_images(*point, D, eps1, eps2, eps3, spec)
+        alone = _outcomes(value for point in points for value in one(point))
+        assert batch == alone
+
+    def test_blocks_stay_under_the_bound(self, tmp_path, monkeypatch):
+        # a 200-point sweep past the order cap, 4,098 orders per point, is
+        # summed in blocks that each hold at most _IMAGE_BLOCK values
+        blocks = []
+        orders = cavity._image_orders
+
+        def counted(pairs, n):
+            blocks.append((len(pairs), (n + 1) * len(pairs)))
+            return orders(pairs, n)
+        monkeypatch.setattr(cavity, "_image_orders", counted)
+        scene = tmp_path / "cap.json"
+        scene.write_text(json.dumps({
+            "geometry": {"type": "cavity", "eps1": 1000.0, "eps2": 1.0, "eps3": 1000.0,
+                         "d": D},
+            "charges": [{"q": 1.0, "unit": "e", "position": [0.3, 0.0, 0.1]},
+                        {"q": -1.0, "unit": "e", "position": [0.0, 0.0, -0.2]}]}))
+        assert main(["sweep", "--scene", str(scene), "--param", "charges.0.position.0",
+                     "--min", "0.01", "--max", "20", "--num", "200", "--log",
+                     "--out", str(tmp_path / "cap.csv")]) == 0
+        assert sum(points for points, _ in blocks) == 200
+        assert max(size for _, size in blocks) <= cavity._IMAGE_BLOCK
+        assert max(size for _, size in blocks) > IMAGE_ORDER_MAX
 
 
 class TestScatteringPart:

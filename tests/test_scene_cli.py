@@ -14,7 +14,7 @@ from scipy.constants import elementary_charge as QE, epsilon_0
 import greens_coulomb
 from greens_coulomb.cli import main
 from greens_coulomb.core import PERFECT_CONDUCTOR, SceneError
-from greens_coulomb.scene import parse_scene, set_scene_value
+from greens_coulomb.scene import parse_scene, swept_scenes
 
 FREE_PAIR = {
     "geometry": {"type": "free_space", "eps": 1.0},
@@ -39,6 +39,17 @@ def charge_pair(geometry, qa, qb):
 
 
 HALF_SPACE = {"type": "half_space", "eps1": 1, "eps2": 4}
+
+
+def gap_sweep_pair(eps1=4.0, eps3=8.0, options=None):
+    """A pair in a gap of width 1 between walls eps1 and eps3, the first
+    charge at height 0.1, 2 off the axis of the second, at height -0.2."""
+    doc = {"geometry": {"type": "cavity", "eps1": eps1, "eps2": 1.0, "eps3": eps3, "d": 1.0},
+           "charges": [{"q": 1.0, "unit": "e", "position": [2.0, 0.0, 0.1]},
+                       {"q": -1.0, "unit": "e", "position": [0.0, 0.0, -0.2]}]}
+    if options:
+        doc["options"] = options
+    return doc
 
 
 def gap_pair(x):
@@ -131,13 +142,15 @@ class TestSceneParsing:
 
     def test_sweep_path_addressing(self):
         doc = json.loads(json.dumps(FREE_PAIR))
-        out = set_scene_value(doc, "charges.1.position.2", 2.5)
-        assert out["charges"][1]["position"][2] == 2.5
+        base = parse_scene(doc)
+        out, = swept_scenes(doc, base, "charges.1.position.2", [2.5])
+        assert out.charges[1].position.z == 2.5
+        assert out.charges[0] == base.charges[0] and out.geometry == base.geometry
         assert doc["charges"][1]["position"][2] == 1.0  # original untouched
         with pytest.raises(SceneError):
-            set_scene_value(doc, "charges.1.position.7", 1.0)
+            next(swept_scenes(doc, base, "charges.1.position.7", [1.0]))
         with pytest.raises(SceneError):
-            set_scene_value(doc, "geometry.type", 1.0)
+            next(swept_scenes(doc, base, "geometry.type", [1.0]))
 
 
 class TestCliCommands:
@@ -432,8 +445,8 @@ class TestCliCommands:
     ])
     def test_non_finite_record_exit_2(self, tmp_path, capsys, monkeypatch, args):
         from greens_coulomb import interactions
-        monkeypatch.setattr(interactions, "pair_energy", lambda *args: interactions.
-                            InteractionResult(math.nan, None, 0.0))
+        monkeypatch.setattr(interactions, "pair_energies", lambda geom, pairs, spec: (
+            interactions.InteractionResult(math.nan, None, 0.0) for _ in pairs))
         scene = write_scene(tmp_path, FREE_PAIR)
         command = "sweep" if args else "pair-energy"
         assert main([command, "--scene", scene] + args) == 2
@@ -507,6 +520,22 @@ class TestSweep:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [(u, ratio) for _, u, ratio, _ in rows] == [("0.0", "")] * 3
 
+    @pytest.mark.parametrize("bounds", [
+        # exp(log(min) + 79 step) and 0.03 + 2 step came to 0.5000000000000002
+        # and 0.5, outside the gap, though --max lies inside it
+        ["--min", "0.01", "--max", "0.49999999999999994", "--num", "80", "--log"],
+        ["--min", "0.03", "--max", "0.49999999999999994", "--num", "3"],
+        ["--min", "-0.4", "--max", "0.45", "--num", "18"],
+    ])
+    def test_endpoints_are_exact(self, tmp_path, bounds):
+        scene = write_scene(tmp_path, gap_sweep_pair())
+        out = tmp_path / "edges.csv"
+        assert main(["sweep", "--scene", scene, "--param", "charges.0.position.2",
+                     *bounds, "--out", str(out)]) == 0
+        params = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert len(params) == int(bounds[5])
+        assert (params[0], params[-1]) == (bounds[1], bounds[3])
+
 
 # The CLI contract: whatever the scene document holds, the command exits 0-3,
 # prints no traceback and writes JSON without NaN or Infinity. Documents are a
@@ -576,6 +605,103 @@ def test_cli_contract(tmp_path_factory, call):
     assert "Traceback" not in err.getvalue()
     if out.getvalue():
         strict_json(out.getvalue())
+
+
+# A sweep evaluates its points as one batch where the geometry and options
+# stay fixed; each row must still be the record of the single-point command
+# at that row's param. The gap takes the image series (4/1/8), the mode sum
+# and the Hankel integral (conducting walls, rho above and below d/2), and
+# the Hankel integral past the series' order cap (1000/1/1000).
+SWEPT_GEOMETRIES = GEOMETRIES + [
+    {"type": "cavity", "eps1": "conductor", "eps2": 1.0, "eps3": "conductor", "d": 1.0},
+    {"type": "cavity", "eps1": 1000.0, "eps2": 1.0, "eps3": 1000.0, "d": 1.0},
+]
+GEOMETRY_SCALAR = {"free_space": "eps", "half_space": "eps2", "cavity": "d",
+                   "plate_with_hole": "R", "nonlocal_bulk": "drude.beta",
+                   "dilute_body": "alpha"}
+
+
+def at_path(doc, path):
+    """The node of a scene document that holds the number at a dotted path, and its key."""
+    *parents, leaf = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    return node, int(leaf) if isinstance(node, list) else leaf
+
+
+def with_value(doc, path, value):
+    """A copy of the scene document with the number at a dotted path set."""
+    doc = json.loads(json.dumps(doc))
+    node, key = at_path(doc, path)
+    node[key] = value
+    return doc
+
+
+def sweep_rows(tmp_path, doc, param, bounds, num):
+    out = tmp_path / "rows.csv"
+    argv = ["sweep", "--scene", write_scene(tmp_path, doc), "--param", param,
+            "--min", repr(bounds[0]), "--max", repr(bounds[1]), "--num", str(num), "--log",
+            "--out", str(out)]
+    assert main(argv) == 0
+    return [line.split(",") for line in out.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("n_charges", [2, 1])
+@pytest.mark.parametrize("geometry", SWEPT_GEOMETRIES,
+                         ids=lambda g: "-".join(str(g.get(k, "")) for k in ("type", "eps1")))
+def test_sweep_rows_are_single_point_records(tmp_path, capsys, geometry, n_charges):
+    # a charge on the axis, where the aperture's self-energy is defined
+    charges = ([{"q": 1.0, "unit": "e", "position": [0.3, -0.2, 0.3]},
+                {"q": -2e-19, "position": [-0.1, 0.1, 0.2]}] if n_charges == 2 else
+               [{"q": 1.0, "unit": "e", "position": [0.0, 0.0, 0.3]}])
+    doc = {"geometry": geometry, "charges": charges}
+    scalar = "geometry." + GEOMETRY_SCALAR[geometry["type"]]
+    node, key = at_path(doc, scalar)
+    base = node[key]
+    sweeps = [(scalar, (base, 1.5 * base)),
+              ("charges.0.position.0", (0.05, 3.0)) if n_charges == 2
+              else ("charges.0.position.2", (0.1, 0.4))]
+    command = "pair-energy" if n_charges == 2 else "self-energy"
+    for param, bounds in sweeps:
+        for value, u, ratio, err in sweep_rows(tmp_path, doc, param, bounds, 5):
+            single = write_scene(tmp_path, with_value(doc, param, float(value)), "single.json")
+            assert main([command, "--scene", single]) == 0
+            rec = json.loads(capsys.readouterr().out)
+            expected = [repr(rec["U_joules"]),
+                        "" if rec["ratio_to_free"] is None else repr(rec["ratio_to_free"]),
+                        repr(rec["abs_err"])]
+            assert [u, ratio, err] == expected, (param, value)
+
+
+@pytest.mark.parametrize("options,bounds,code", [
+    # at rel_tol 1e-15 the series' roundoff exceeds its target at the first
+    # point, before the sweep leaves the gap at z = 0.55
+    ({"rel_tol": 1e-15, "abs_tol": 1e-300}, (0.1, 0.55), 3),
+    # the points below z = 0.5 are valid and batched; the first above raises
+    (None, (0.05, 0.95), 2),
+])
+def test_sweep_fails_at_its_first_failing_point(tmp_path, capsys, options, bounds, code):
+    doc = gap_sweep_pair(options=options)
+    out = tmp_path / "never.csv"
+    num = 10
+    assert main(["sweep", "--scene", write_scene(tmp_path, doc), "--param",
+                 "charges.0.position.2", "--min", repr(bounds[0]), "--max", repr(bounds[1]),
+                 "--num", str(num), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert not out.exists()
+    # the same error as the single-point command at the first point that fails
+    step = (bounds[1] - bounds[0]) / (num - 1)
+    for value in [bounds[0] + i * step for i in range(num)]:
+        single = write_scene(tmp_path, with_value(doc, "charges.0.position.2", value),
+                             "single.json")
+        got = main(["pair-energy", "--scene", single])
+        single_err = capsys.readouterr().err
+        if got != 0:
+            assert (got, single_err) == (code, err)
+            break
+    else:
+        pytest.fail("no point of the sweep fails alone")
 
 
 def born_box_charge(x):
