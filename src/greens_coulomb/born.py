@@ -287,6 +287,10 @@ def _children(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return kid_lo.reshape(-1, 3), kid_hi.reshape(-1, 3)
 
 
+class _NotFinite(ConvergenceError):
+    """The octree met a cell whose integral is not finite."""
+
+
 def _adaptive_boxes(integrand, boxes, rel_tol: float, scale_hint: float):
     """Octree-refined Gauss quadrature, one refinement level at a time.
 
@@ -321,7 +325,7 @@ def _adaptive_boxes(integrand, boxes, rel_tol: float, scale_hint: float):
         if not np.all(np.isfinite(diff)):
             # a non-finite cell never passes the test, and each level of
             # refinement holds 8x the cells of the last
-            raise ConvergenceError(
+            raise _NotFinite(
                 f"Born octree: integrand not finite at depth {depth} "
                 f"({diff.size} cells); the body's extent overflows float64")
         size = np.max(np.abs(fine), axis=1)
@@ -358,15 +362,36 @@ def _box_octree(kernel, box: Box, r1: Point3, r2: Point3, alpha: np.ndarray,
     2^(-power e). That is exact in binary, so at ordinary points the result
     is the octree's in metres bit for bit, and every |r - x| is at most 2, so
     no power of it overflows for a charge far from a small box.
+
+    What can still fail is a cell whose sum is not finite: a field point so
+    near a box that is so small against the scene (the box [0, 1e-300]^3 m
+    with charges at 1e30 m and 2e-300 m) that a squared distance to a node,
+    and the node's weight, underflow to 0 in these coordinates; or an alpha
+    so large that its product with the kernel overflows. Either raises
+    DomainError naming both causes, and a total that overflows when scaled
+    back to metres raises DomainError too, with no numpy warning.
     """
     corners = (box.x0, box.x1, box.y0, box.y1, box.z0, box.z1)
     points = (r1.x, r1.y, r1.z, r2.x, r2.y, r2.z)
     e = math.frexp(max(map(abs, corners + points)))[1]
     rv, rpv = np.array([math.ldexp(c, -e) for c in points]).reshape(2, 3)
     cell = _Cell(*(math.ldexp(c, -e) for c in corners))
-    total, err = _adaptive_boxes(lambda pts, w: kernel(pts, w, rv, rpv, alpha), [cell],
-                                 rel_tol, scale_hint=0.0)
-    return np.ldexp(total, -power * e).tolist(), math.ldexp(err, -power * e)
+    try:
+        # a non-finite cell raises; a total that overflows in metres is inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            total, err = _adaptive_boxes(lambda pts, w: kernel(pts, w, rv, rpv, alpha),
+                                         [cell], rel_tol, scale_hint=0.0)
+            total, err = np.ldexp(total, -power * e).tolist(), float(np.ldexp(err, -power * e))
+    except _NotFinite as exc:
+        raise DomainError(
+            f"Born octree: the integrand over the box {box} for {r1} and {r2} is not "
+            f"finite in the octree's coordinates, scaled by 2^{-e} to the scene's "
+            f"largest length: a distance to the box underflows float64 there, or "
+            f"its product with alpha overflows") from exc
+    if not (np.isfinite(total).all() and math.isfinite(err)):
+        raise DomainError(f"Born octree: the integral over the box {box} for {r1} and "
+                          f"{r2} overflows float64 in metres")
+    return total, err
 
 
 def _half_space_integral(r1: Point3, r2: Point3, alpha: np.ndarray) -> Tuple[float, float]:

@@ -10,12 +10,16 @@ The program's routes:
   of points x orders, in blocks of at most _IMAGE_BLOCK values; each point
   keeps its own order bound, stop rule, abs_err and error, and one point
   is a batch of one;
+* between two conducting walls (r1 = r3 = 1), g for pairs closer than
+  MODAL_RHO_MIN d by the same image series, its first _EM_ORDER orders
+  summed and the rest by the Euler-Maclaurin formula in closed form, in the
+  same batches;
 * Bessel-integral quadrature (`cavity_g_general`, any heights, any
   reflection coefficients) of the reflected kernel, the free term
   1/(4 pi eps2 r) in closed form (Michalski & Mosig, IEEE TAP 45 (1997)
-  508), for every gradient, for g and g1 past the series' order cap
-  (|r1 r3| above about 0.99), and between conducting walls for pairs
-  closer than MODAL_RHO_MIN d; g1, the gradients and g share one set-up;
+  508), for every gradient but the mode sum's and the digamma form's, and
+  for g and g1 past the series' order cap (|r1 r3| above about 0.99); g1,
+  the gradients and g share one set-up;
 * between two conducting walls, the K0 mode sum (for rho >= MODAL_RHO_MIN d)
   and the digamma self-energy, which keep full relative accuracy where the
   quadrature reaches its absolute floor.
@@ -32,10 +36,11 @@ Two references that the tests and `validate` compare against:
 Forces differentiate the Green's function: the mode sum and the digamma
 form term by term, the quadrature under the Hankel integral.
 
-The four conducting-wall functions import K0, K1, digamma and the trigamma
-from scipy.special when they are called, not when the package is imported,
-and the quadrature loads J0 and J1 on first use; the image series needs
-neither, so a dielectric gap's energies load no scipy.
+The conducting-wall functions import K0, K1, digamma and the trigamma from
+scipy.special when they are called, not when the package is imported, and
+the quadrature loads J0 and J1 on first use; the image series needs
+neither, so a dielectric gap's energies, and a conducting gap's pair
+energies closer than MODAL_RHO_MIN d, load no scipy.
 
 Region 2 (the gap, host permittivity eps2) spans -d/2 < z < d/2.
 """
@@ -84,6 +89,15 @@ _IMAGE_ROUNDOFF = 8.0 * _EPS
 # 512 kB); a block holds at least one point, of at most IMAGE_ORDER_MAX + 2
 # orders. Blocks that fit the cache sum faster than larger ones.
 _IMAGE_BLOCK = 1 << 13
+# Between conducting walls the image series sums orders 0.._EM_ORDER - 1
+# and takes the rest by Euler-Maclaurin with _EM_TERMS Bernoulli terms;
+# _EM_BERNOULLI holds B_2k/(2k) for k = 1.._EM_TERMS + 1, the last for the
+# first term left out.
+_EM_ORDER = 16
+_EM_TERMS = 4
+_EM_BERNOULLI = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0)
+# the signs of the images at shifts (a_free + a1, a_free + a3, a_free, -a_free)
+_EM_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -334,8 +348,9 @@ def cavity_g_images(z: float, z0: float, rho: float, d: float,
                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Optional[ValueWithError]:
     """Gap Green's function by its image series, to spec; at coincident
     points (rho = 0, z = z0) its scattering part g1, the same series without
-    the free term. None where |r1 r3| >= 1 (both walls conducting) or where
-    the series needs more than IMAGE_ORDER_MAX orders. A batch of one of
+    the free term. None where the series needs more than IMAGE_ORDER_MAX
+    orders, and where |r1 r3| = 1 other than with both walls conducting
+    (r1 = r3 = 1, whose series _conducting_block sums). A batch of one of
     cavity_g_images_many.
 
     With q = r1 r3 and the lengths of _Pair (Barrera, Guzman & Balaguer,
@@ -367,29 +382,56 @@ def cavity_g_images_many(points: Iterable[Tuple[float, float, float]], d: float,
     points are summed in blocks of consecutive points, each one array of
     points x orders of at most _IMAGE_BLOCK values, summed when its first
     point is reached. Each point keeps its own order bound, stop rule and
-    abs_err, so that its value is the one it has alone.
+    abs_err, so that its value is the one it has alone; between conducting
+    walls every point sums _EM_ORDER orders and its tail (_conducting_block).
     """
     e2 = finite_eps(eps2, "eps2")
     points = list(points)
     pairs, refused = until_error(_pair(z, z0, rho, d, e2, coeffs) for z, z0, rho in points)
     q = abs(coeffs.r1 * coeffs.r3)
-    if q >= 1.0:
+    conducting = coeffs.r1 == coeffs.r3 == 1.0
+    if q >= 1.0 and not conducting:
         for _ in pairs:
             yield None
     else:
         floors = [p.floor(spec) / p.pref for p in pairs]
-        # orders enough for a tail of half the floor, which leaves the other
-        # half to the roundoff
-        orders = [min(_image_order_bound(p, q, 0.5 * floor), IMAGE_ORDER_MAX)
-                  for p, floor in zip(pairs, floors)]
+        if conducting:
+            orders = [_EM_ORDER - 1] * len(pairs)
+        else:
+            # orders enough for a tail of half the floor, which leaves the
+            # other half to the roundoff
+            orders = [min(_image_order_bound(p, q, 0.5 * floor), IMAGE_ORDER_MAX)
+                      for p, floor in zip(pairs, floors)]
         # a block's arrays hold up to the largest order bound + 1, so many orders
         step = max(1, _IMAGE_BLOCK // (max(orders, default=0) + 2))
         for i in range(0, len(pairs), step):
             block = slice(i, i + step)
-            yield from _image_block(pairs[block], points[block], floors[block], orders[block],
-                                    q, spec)
+            if conducting:
+                yield from _conducting_block(pairs[block], points[block], floors[block], spec)
+            else:
+                yield from _image_block(pairs[block], points[block], floors[block],
+                                        orders[block], q, spec)
     if refused is not None:
         raise refused
+
+
+def _series_error(p: _Pair, point, spec: QuadratureSpec, bound: float, tail: str,
+                  roundoff: float, target: float) -> ConvergenceError:
+    """The ConvergenceError of an image series at `point` whose bound, the
+    `tail` (described) plus the roundoff, exceeds its target; all four in
+    the units of 4 pi eps2 g."""
+    z, z0, rho = point
+    return ConvergenceError(
+        f"image series of the gap at rho = {rho!r}, z = {z!r}, z0 = {z0!r}, "
+        f"d = {p.d!r}, r1 r3 = {p.r1 * p.r3!r}: its bound {p.pref * bound:.3e} "
+        f"({tail}, roundoff {p.pref * roundoff:.3e}) exceeds the target "
+        f"{p.pref * target:.3e} (rel_tol = {spec.rel_tol!r})")
+
+
+def _series_overflow(p: _Pair, point) -> DomainError:
+    z, z0, rho = point
+    return DomainError(f"the image series of the gap at rho = {rho!r}, z = {z!r}, "
+                       f"z0 = {z0!r}, d = {p.d!r} overflows float64")
 
 
 def _image_block(pairs, points, floors, orders, q: float, spec: QuadratureSpec):
@@ -406,10 +448,9 @@ def _image_block(pairs, points, floors, orders, q: float, spec: QuadratureSpec):
         met = bound <= target
     # the first order that meets the target; past a point's own bound, none
     first = met.argmax(axis=1)
-    for i, (p, (z, z0, rho_i), last) in enumerate(zip(pairs, points, orders)):
+    for i, (p, point, last) in enumerate(zip(pairs, points, orders)):
         if not math.isfinite(bound[i, last]):
-            raise DomainError(f"the image series of the gap at rho = {rho_i!r}, z = {z!r}, "
-                              f"z0 = {z0!r}, d = {p.d!r} overflows float64")
+            raise _series_overflow(p, point)
         n = first[i]
         if n <= last and met[i, n]:
             yield ValueWithError(p.pref * partial[i, n], p.pref * bound[i, n])
@@ -418,13 +459,89 @@ def _image_block(pairs, points, floors, orders, q: float, spec: QuadratureSpec):
         else:
             # the last tail is below half the floor, so the roundoff exceeds
             # half the target
-            raise ConvergenceError(
-                f"image series of the gap at rho = {rho_i!r}, z = {z!r}, z0 = {z0!r}, "
-                f"d = {p.d!r}, r1 r3 = {p.r1 * p.r3!r}: its bound "
-                f"{p.pref * bound[i, last]:.3e} (tail "
-                f"{p.pref * tail[i, last]:.3e} after order {last}, roundoff "
-                f"{p.pref * roundoff[i, last]:.3e}) exceeds the target "
-                f"{p.pref * target[i, last]:.3e} (rel_tol = {spec.rel_tol!r})")
+            raise _series_error(p, point, spec, bound[i, last],
+                                f"tail {p.pref * tail[i, last]:.3e} after order {last}",
+                                roundoff[i, last], target[i, last])
+
+
+def _conducting_block(pairs, points, floors, spec: QuadratureSpec):
+    """The image series of consecutive points of cavity_g_images_many
+    between conducting walls (r1 = r3 = 1), whose orders fall off only as
+    1/j^2: orders 0..M - 1 summed as _image_orders gives them, M = _EM_ORDER,
+    and the rest by the Euler-Maclaurin formula in closed form.
+
+    From order M on, order j is F(j) = sum_i c_i/D(2jd + s_i), with the
+    shifts s = (a_free + a1, a_free + a3, a_free, -a_free) of _Pair and
+    c = (-1, -1, 1, 1); with K = _EM_TERMS and B_2k the Bernoulli numbers,
+
+        sum_{j>=M} F(j) = int_M^inf F(x) dx + F(M)/2
+                          - sum_{k=1..K} B_2k/(2k)! F^(2k-1)(M) + R_K.
+
+    With X_i = 2Md + s_i and R_i = D(X_i), the integral is
+    -(1/2d) sum_i c_i ln(X_i + R_i), since sum_i c_i = 0 cancels ln rho and
+    the upper end; so it holds at rho = 0 and at subnormal rho. The
+    derivatives, from the generating function of the Legendre polynomials
+    P_n, are F^(n)(M) = (2d)^n (-1)^n n! sum_i c_i P_n(X_i/R_i)/R_i^(n+1), so
+    the k-th Bernoulli term, -B_2k/(2k)! F^(2k-1)(M), is
+    B_2k/(2k) (2d)^(2k-1) sum_i c_i P_(2k-1)(X_i/R_i)/R_i^(2k), with P_n from
+    the three-term recurrence. The tail is evaluated in units of d, so that
+    no length overflows.
+
+    abs_err is the bound
+
+        2 |first omitted Bernoulli term (k = K + 1)|
+        + _IMAGE_ROUNDOFF (sum of the magnitudes of every term),
+
+    the terms being the direct orders' (as in _image_orders), the four
+    parts of F(M)/2 and of each Bernoulli term, and 1/(2d) for each of the
+    integral's four logarithms: each is taken of (X_i + R_i)/(4Md), a
+    number near 1, so it is within a few eps of its value absolutely.
+    Where the bound exceeds the target max(floor, rel_tol |g|),
+    ConvergenceError names the route and its bound.
+    """
+    m = _EM_ORDER
+    d = pairs[0].d
+    shifts = np.array([(p.a_free + p.a1, p.a_free + p.a3, p.a_free, -p.a_free)
+                       for p in pairs]) / d
+    rho = np.array([p.rho for p in pairs])[:, None] / d
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        direct, magnitude = _image_orders(pairs, m - 1).sum(axis=2)
+        x = 2.0 * m + shifts
+        r = np.hypot(rho, x)
+        t = x / r
+        inv = 1.0 / r
+        w = 2.0 / r
+        # in units of 1/d: the integral, F(M)/2, and the Bernoulli terms
+        tail = 0.5 * (inv @ _EM_SIGNS) - 0.5 * (np.log((x + r) / (4.0 * m)) @ _EM_SIGNS)
+        size = 2.0 + 0.5 * inv.sum(axis=1)
+        p_prev, p_n, w_n = np.ones_like(t), t, w  # P_0, P_1 and w^1 = (2d/R)^1
+        for k, coeff in enumerate(_EM_BERNOULLI, 1):  # n = 2k - 1
+            part = coeff * w_n * p_n * inv
+            if k <= _EM_TERMS:
+                tail += part @ _EM_SIGNS
+                size += np.abs(part).sum(axis=1)
+            else:
+                omitted = part @ _EM_SIGNS
+            n = 2 * k - 1
+            p_prev, p_n = p_n, ((2 * n + 1) * t * p_n - n * p_prev) / (n + 1)
+            p_prev, p_n = p_n, ((2 * n + 3) * t * p_n - (n + 1) * p_prev) / (n + 2)
+            w_n = w_n * (w * w)
+        value = direct + tail / d
+        tail_err = 2.0 * np.abs(omitted) / d
+        roundoff = _IMAGE_ROUNDOFF * (magnitude + size / d)
+        bound = tail_err + roundoff
+        target = np.maximum(np.array(floors), spec.rel_tol * np.abs(value))
+    for p, point, v, b, tail_i, roundoff_i, target_i in zip(
+            pairs, points, value.tolist(), bound.tolist(), tail_err.tolist(),
+            roundoff.tolist(), target.tolist()):
+        if not math.isfinite(b):
+            raise _series_overflow(p, point)
+        if b <= target_i:
+            yield ValueWithError(p.pref * v, p.pref * b)
+        else:
+            raise _series_error(p, point, spec, b,
+                                f"Euler-Maclaurin tail {p.pref * tail_i:.3e} from order {m}",
+                                roundoff_i, target_i)
 
 
 def conducting_gap_g(z: float, z0: float, rho: float, d: float,

@@ -526,8 +526,9 @@ class ThreeLayerCavity(Geometry):
                 spec: QuadratureSpec) -> Iterator[ValueWithError]:
         """g of admitted pairs, in order: by the mode sum where both walls
         conduct and rho >= MODAL_RHO_MIN d, else by the image series, one
-        batch for all such pairs, where a wall is a dielectric and the series
-        fits its order cap, else by the Hankel integral."""
+        batch for all such pairs, with its Euler-Maclaurin tail between
+        conducting walls. A pair past the series' order cap (a dielectric
+        wall and |r1 r3| above about 0.99) takes the Hankel integral."""
         points = [(r.z, r_src.z, math.hypot(r.x - r_src.x, r.y - r_src.y))
                   for r, r_src in pairs]
         modal = [self._modal(rho) for _, _, rho in points]

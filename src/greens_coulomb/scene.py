@@ -231,15 +231,12 @@ def swept_scenes(doc: dict, scene: Scene, path: str,
     try:
         for key in parts[:-1]:
             node = node[int(key)] if isinstance(node, list) else node[key]
-        leaf = parts[-1]
-        if isinstance(node, list):
-            leaf = int(leaf)
-            if not _is_number(node[leaf]):
-                raise SceneError(f"sweep path {path!r} does not address a number")
-        elif leaf not in node or not _is_number(node[leaf]):
-            raise SceneError(f"sweep path {path!r} does not address a number")
+        leaf = int(parts[-1]) if isinstance(node, list) else parts[-1]
+        found = node[leaf]
     except (KeyError, IndexError, ValueError, TypeError) as exc:
         raise SceneError(f"sweep path {path!r} not found in scene: {exc}") from exc
+    if not _is_number(found):
+        raise SceneError(f"sweep path {path!r} does not address a number")
     # a path to a number lies inside a section: the document has no other keys
     if parts[0] == "charges":
         i = int(parts[1]) % len(scene.charges)

@@ -286,10 +286,11 @@ def check_cavity_triple() -> CheckResult:
     # against the image series, at the midplane and at two seeded pairs of
     # heights where the series converges (|r1 r3| < 1). Each route meets a
     # method it does not use: the series route (|r1 r3| < 1 within its order
-    # cap) meets Hankel; the Hankel route (past the cap, or conducting walls
-    # below rho = d/2) and the mode sum meet the series, summed here to a
-    # fixed order or, between conducting walls, at the midplane by Euler
-    # acceleration.
+    # cap, and conducting walls below rho = d/2, with its Euler-Maclaurin
+    # tail) meets Hankel, and between conducting walls also cavity_g_series;
+    # the Hankel route (pairs past the cap) and the mode sum meet the series,
+    # summed here to a fixed order or, between conducting walls, at the
+    # midplane by Euler acceleration.
     d = 1.0
     rng = random.Random(3)
     worst = 0.0
@@ -316,8 +317,8 @@ def check_cavity_triple() -> CheckResult:
     return CheckResult("cavity_series_vs_quadrature", worst <= 1.0, worst, 0.0, 1.0,
                        "worst |diff| / combined budget (<= 1) of the program's g against "
                        "Hankel and the image series, at and off the midplane; the series "
-                       "is the route for |r1 r3| < 1 within its order cap, Hankel the "
-                       "independent method")
+                       "is the route for |r1 r3| < 1 within its order cap and between "
+                       "conducting walls below rho = d/2, Hankel the independent method")
 
 
 def check_cavity_asymptotic() -> CheckResult:

@@ -1,6 +1,8 @@
 import json
 import math
+import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -344,6 +346,103 @@ class TestImageBatch:
         assert sum(points for points, _ in blocks) == 200
         assert max(size for _, size in blocks) <= cavity._IMAGE_BLOCK
         assert max(size for _, size in blocks) > IMAGE_ORDER_MAX
+
+
+def _conducting_series(z, z0, rho):
+    """4 pi eps2 g between conducting walls (d = D), the series that
+    cavity_g_images sums, order by order, by a 40-digit mpmath.nsum."""
+    with mp.workdps(40):
+        z, z0, rho, d = (mp.mpf(v) for v in (z, z0, rho, D))
+        upper, lower = max(z, z0), min(z, z0)
+        a, b1, b3 = upper - lower, d + upper + lower, d - upper - lower
+
+        def dist(s):
+            return mp.sqrt(rho ** 2 + s ** 2)
+
+        def order(j):
+            x = 2 * j * d
+            return 1 / dist(x + a) + 1 / dist(x - a) - 1 / dist(x + b1) - 1 / dist(x + b3)
+        return 1 / dist(a) - 1 / dist(b1) - 1 / dist(b3) + mp.nsum(order, [1, mp.inf])
+
+
+def _conducting_pairs(seed, n):
+    """n seeded conducting-gap pairs (z, z0, rho) below rho = d/2: a third at
+    rho = 0, the rest with log-uniform rho from 1e-6 d to just below d/2;
+    each height in the gap, or within 1e-9 d of a wall. Two heights by the
+    same wall closer than about 2e-4 d cancel the free term against its
+    image past the default rel_tol (a ConvergenceError), so such pairs
+    get rho from 1e-2 d."""
+    rng = random.Random(seed)
+
+    def height():
+        side = rng.choice((-1.0, 0.0, 1.0))
+        if side == 0.0:
+            return rng.uniform(-0.49, 0.49) * D
+        return side * (0.5 - 10.0 ** rng.uniform(-12.0, -9.0)) * D
+
+    pairs = []
+    while len(pairs) < n:
+        z, z0 = height(), height()
+        same_wall = abs(z) > 0.49 * D and z * z0 > 0.0 and abs(z0) > 0.49 * D
+        if len(pairs) % 3 == 0:
+            rho = 0.0
+        elif same_wall:
+            rho = 10.0 ** rng.uniform(-2.0, math.log10(0.4999)) * D
+        else:
+            rho = 10.0 ** rng.uniform(-6.0, math.log10(0.4999)) * D
+        if z != z0 and not (rho == 0.0 and same_wall):
+            pairs.append((z, z0, rho))
+    return pairs
+
+
+class TestConductingImages:
+    """The conducting gap's image series with its Euler-Maclaurin tail,
+    which the geometry takes below rho = d/2."""
+
+    SPEC = QuadratureSpec()
+    COEFFS = reflection_coeffs(PC, 1.0, PC)
+
+    def test_matches_a_40_digit_sum(self):
+        pairs = _conducting_pairs(2718, 24)
+        points = pairs + [(z0, z, rho) for z, z0, rho in pairs]  # both orders
+        got = list(cavity_g_images_many(points, D, self.COEFFS, 1.0, self.SPEC))
+        refs = [_conducting_series(*p) / (4 * mp.pi) for p in pairs]
+        for (z, z0, rho), g, ref in zip(points, got, refs + refs):
+            r = math.hypot(rho, z - z0)
+            target = max(1e-12 / (4 * math.pi * max(r, 0.05 * D)),
+                         self.SPEC.rel_tol * abs(g.value))
+            assert abs(mp.mpf(g.value) - ref) <= g.abs_err <= target, (z, z0, rho)
+
+    def test_continuous_with_the_mode_sum_at_half_d(self):
+        # just below d/2 the geometry sums images, from d/2 on modes
+        geom = ThreeLayerCavity(PC, 1.0, PC, D)
+        below = math.nextafter(0.5 * D, 0.0)
+        for z, z0 in HEIGHTS + [(0.5 - 1e-10, -0.3), (-0.5 + 1e-10, -0.5 + 1e-10)]:
+            pairs = [(Point3(rho, 0.0, z * D), Point3(0.0, 0.0, z0 * D))
+                     for rho in (below, 0.5 * D)]
+            images, modes = geom.g_many(pairs, self.SPEC)
+            assert images == cavity_g_images(z * D, z0 * D, below, D, PC, 1.0, PC)
+            assert modes == conducting_gap_g(z * D, z0 * D, 0.5 * D, D, 1.0)
+            assert abs(images.value - modes.value) <= images.abs_err + modes.abs_err
+
+    def test_geometry_takes_no_hankel_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Hankel route taken")
+        monkeypatch.setattr(cavity, "cavity_g_general", refuse)
+        geom = ThreeLayerCavity(PC, 1.0, PC, D)
+        pairs = [(Point3(rho, 0.0, 0.1), Point3(0.0, 0.0, -0.2))
+                 for rho in np.geomspace(1e-6, 20.0, 40)]
+        assert len(list(geom.g_many(pairs, self.SPEC))) == 40
+
+    def test_other_unit_products_keep_the_hankel_route(self):
+        for coeffs in (CavityCoeffs(-1.0, -1.0), CavityCoeffs(1.0, -1.0)):
+            assert list(cavity_g_images_many([(0.1, -0.2, 0.3)], D, coeffs, 1.0)) == [None]
+
+    def test_roundoff_past_the_target_raises(self):
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
+        with pytest.raises(ConvergenceError,
+                           match="image series .* its bound .*Euler-Maclaurin tail .* exceeds"):
+            cavity_g_images(0.4, -0.4, 0.3, D, PC, 1.0, PC, spec)
 
 
 class TestScatteringPart:

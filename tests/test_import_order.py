@@ -104,11 +104,12 @@ def scene_file(tmp_path, kind, command):
 
 
 def test_pair_energy_loads_no_scipy_where_no_route_needs_it(tmp_path):
-    # closed forms, the sine transform and the gap's image series; one
+    # closed forms, the sine transform and the gap's image series, with its
+    # Euler-Maclaurin tail for the conducting gap's pair at rho = 0.3 d; one
     # interpreter runs every scene, so any of them that loads scipy shows in
     # the union
-    kinds = ["free_space", "half_space", "dielectric_gap", "mixed_gap", "aperture",
-             "screened_bulk", "born_box", "born_half_space"]
+    kinds = ["free_space", "half_space", "dielectric_gap", "mixed_gap", "conducting_gap",
+             "aperture", "screened_bulk", "born_box", "born_half_space"]
     calls = [["pair-energy", "--scene", scene_file(tmp_path, k, "pair-energy")] for k in kinds]
     proc = fresh("-c", "import contextlib, io\nfrom greens_coulomb.cli import main\n"
                        "with contextlib.redirect_stdout(io.StringIO()):\n"

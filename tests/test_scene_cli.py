@@ -52,9 +52,9 @@ def gap_sweep_pair(eps1=4.0, eps3=8.0, options=None):
     return doc
 
 
-def gap_pair(x):
+def gap_pair(x, eps1=4.0, eps3=8.0):
     """Two charges in a 1 um gap, the first a distance x off the axis of the second."""
-    return {"geometry": {"type": "cavity", "eps1": 4.0, "eps2": 1.0, "eps3": 8.0, "d": 1e-6},
+    return {"geometry": {"type": "cavity", "eps1": eps1, "eps2": 1.0, "eps3": eps3, "d": 1e-6},
             "charges": [{"q": 1.0, "unit": "e", "position": [x, 0.0, 1e-7]},
                         {"q": 1.0, "unit": "e", "position": [0.0, 0.0, -2e-7]}]}
 
@@ -233,14 +233,26 @@ class TestCliCommands:
         assert "image series" in err and "bound" in err  # names the route and its bound
 
     def test_nonconvergence_exit_3_hankel(self, tmp_path, capsys):
-        # between conducting walls a pair closer than d/2 takes the Hankel
+        # past the series' order cap (r1 r3 = 0.996) a pair takes the Hankel
         # route, whose panel errors alone exceed the target here
-        scene = self.nonconvergent_scene(tmp_path, "conductor", "conductor",
+        scene = self.nonconvergent_scene(tmp_path, 1000.0, 1000.0,
                                          [0.3, 0, 0.4], [0, 0, -0.4])
         code = main(["pair-energy", "--scene", scene])
         err = capsys.readouterr().err
         assert code == 3
         assert "hankel_integral" in err  # names the originating module
+
+    def test_nonconvergence_exit_3_conducting_images(self, tmp_path, capsys):
+        # between conducting walls a pair closer than d/2 sums its images
+        # with an Euler-Maclaurin tail, whose roundoff exceeds the target
+        scene = self.nonconvergent_scene(tmp_path, "conductor", "conductor",
+                                         [0.3, 0, 0.4], [0, 0, -0.4])
+        code = main(["pair-energy", "--scene", scene])
+        err = capsys.readouterr().err
+        assert code == 3
+        # names the route and its bound
+        assert "image series" in err and "Euler-Maclaurin tail" in err
+        assert "its bound" in err and "exceeds the target" in err
 
     BIG_BOX = {"type": "dilute_body", "alpha": 1e-40,
                "regions": [{"box": [-1.0, 1.0, -1.0, 1.0, -2.0, -1.0], "eta": 1e3}]}
@@ -432,10 +444,15 @@ class TestCliCommands:
             * -math.expm1(-1.5 * math.log1p(x))
         assert fx == pytest.approx(want, rel=1e-13, abs=0.0)
 
-    def test_gap_pair_subnormal_offset_matches_axis(self, tmp_path, capsys):
+    # the dielectric gap's image series, and the conducting gap's, whose
+    # Euler-Maclaurin tail integral holds at rho = 0 and at subnormal rho
+    @pytest.mark.parametrize("walls", [(4.0, 8.0), ("conductor", "conductor")],
+                             ids=["dielectric", "conducting"])
+    def test_gap_pair_subnormal_offset_matches_axis(self, tmp_path, capsys, walls):
         recs = []
         for x in (1e-308, 0.0):
-            assert main(["pair-energy", "--scene", write_scene(tmp_path, gap_pair(x))]) == 0
+            scene = write_scene(tmp_path, gap_pair(x, *walls))
+            assert main(["pair-energy", "--scene", scene]) == 0
             recs.append(strict_json(capsys.readouterr().out))
         assert abs(recs[0]["U_joules"] - recs[1]["U_joules"]) <= recs[0]["abs_err"]
 
@@ -469,6 +486,16 @@ class TestCliCommands:
         code = main(["sweep", "--scene", scene, "--param", "geometry.nope",
                      "--min", "0", "--max", "1", "--num", "3"])
         assert code == 2
+
+    def test_sweep_path_to_a_non_number_exit_2(self, tmp_path, capsys):
+        scene = write_scene(tmp_path, FREE_PAIR)
+        code = main(["sweep", "--scene", scene, "--param", "geometry.type",
+                     "--min", "0", "--max", "1", "--num", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        # the message once, not wrapped in "not found in scene"
+        assert err.count("does not address a number") == 1
+        assert "not found" not in err
 
 
 class TestSweep:
@@ -766,6 +793,43 @@ def test_extreme_scenes_finish_with_warnings_as_errors(tmp_path, command, doc, k
         assert abs(rec[key][1]) + abs(rec[key][2]) <= 1e-40 * abs(value)
     else:
         assert rec[key] == pytest.approx(value, rel=1e-8, abs=0.0)
+
+
+def _born_pair(alpha, box, ra, rb):
+    return {"geometry": {"type": "dilute_body", "alpha": alpha,
+                         "regions": [{"box": box, "eta": 1e27}]},
+            "charges": [{"q": 1.0, "unit": "e", "position": ra},
+                        {"q": 1.0, "unit": "e", "position": rb}]}
+
+
+_NM_BOX = [-1e-9, 1e-9, -1e-9, 1e-9, -2e-9, -1e-9]
+
+
+@pytest.mark.parametrize("command,doc,says", [
+    # a 1e-300 m box, one charge 1e-300 m from it and one at 1e30 m: in the
+    # octree's coordinates, scaled to 1e30 m, the near distances underflow;
+    # 0 times inf made a NaN and a numpy warning
+    *((command, _born_pair(1e-40, [0.0, 1e-300, 0.0, 1e-300, 0.0, 1e-300],
+                           [1e30, 0.0, 0.0], [2e-300, 0.0, 0.0]),
+       "is not finite in the octree's coordinates") for command in ("pair-energy", "force")),
+    # an alpha whose product with the gradient kernel overflows in the octree
+    ("force", _born_pair(1.7e308, _NM_BOX, [0.0, 0.0, 5e-9], [1e-9, 0.0, 5e-9]),
+     "its product with alpha overflows"),
+    # an alpha whose integral is finite in the octree's coordinates and
+    # overflows when scaled back to metres (an ldexp warning)
+    *((command, _born_pair(1e304, _NM_BOX, [0.0, 0.0, 5e-9], [1e-9, 0.0, 5e-9]),
+       "overflows float64 in metres") for command in ("pair-energy", "force")),
+], ids=["underflow-pair-energy", "underflow-force", "alpha-kernel-force",
+        "alpha-metres-pair-energy", "alpha-metres-force"])
+def test_born_octree_not_finite_exit_2_with_warnings_as_errors(tmp_path, command, doc, says):
+    src = os.path.dirname(os.path.dirname(greens_coulomb.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "greens_coulomb", command,
+         "--scene", write_scene(tmp_path, doc)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "Born octree" in proc.stderr and says in proc.stderr
 
 
 class TestValidateCommand:
