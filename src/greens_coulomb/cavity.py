@@ -1,28 +1,32 @@
 """Green's function of a planar gap between two half-spaces.
 
-The program's routes:
+The gap's one dispatch: `gap_g_many` picks the route of g and g1, and
+`gap_grad_g` and `gap_grad_g1` those of their gradients, from the walls'
+reflection coefficients r1 and r3 and the in-plane distance rho alone.
+The routes:
 
-* where a wall is a dielectric (|r1 r3| < 1), g and its coincident limit g1
-  by the image series (`cavity_g_images`; Barrera, Guzman & Balaguer,
-  Am. J. Phys. 46 (1978) 1172), summed to the first order whose geometric
-  tail bound meets the tolerance, at most IMAGE_ORDER_MAX orders. Many
-  points, a sweep's, are summed at once (`cavity_g_images_many`) as arrays
-  of points x orders, in blocks of at most _IMAGE_BLOCK values; each point
-  keeps its own order bound, stop rule, abs_err and error, and one point
-  is a batch of one;
-* between two conducting walls (r1 = r3 = 1), g for pairs closer than
-  MODAL_RHO_MIN d by the same image series, its first _EM_ORDER orders
-  summed and the rest by the Euler-Maclaurin formula in closed form, in the
-  same batches;
+* where both walls conduct (r1 = r3 = 1, `CavityCoeffs.conducting`: each
+  wall a perfect conductor, or of a permittivity whose coefficient rounds
+  to 1), the K0 mode sum for rho >= MODAL_RHO_MIN d, its gradient term by
+  term, and the digamma self-energy and its derivative at coincident
+  points, which keep full relative accuracy where the quadrature reaches
+  its absolute floor;
+* every other g and g1 by the image series (`cavity_g_images_many`;
+  Barrera, Guzman & Balaguer, Am. J. Phys. 46 (1978) 1172), summed to the
+  first order whose geometric tail bound meets the tolerance, at most
+  IMAGE_ORDER_MAX orders; between conducting walls (rho < MODAL_RHO_MIN d)
+  its first _EM_ORDER orders summed and the rest by the Euler-Maclaurin
+  formula in closed form. Many points, a sweep's, are summed at once as
+  arrays of points x orders, in blocks of at most _IMAGE_BLOCK values;
+  each point keeps its own order bound, stop rule, abs_err and error, and
+  one point is a batch of one;
 * Bessel-integral quadrature (`cavity_g_general`, any heights, any
   reflection coefficients) of the reflected kernel, the free term
   1/(4 pi eps2 r) in closed form (Michalski & Mosig, IEEE TAP 45 (1997)
-  508), for every gradient but the mode sum's and the digamma form's, and
-  for g and g1 past the series' order cap (|r1 r3| above about 0.99); g1,
-  the gradients and g share one set-up;
-* between two conducting walls, the K0 mode sum (for rho >= MODAL_RHO_MIN d)
-  and the digamma self-energy, which keep full relative accuracy where the
-  quadrature reaches its absolute floor.
+  508), for every other gradient, and for the g and g1 that the image
+  series cannot sum: past its order cap (|r1 r3| above about 0.99), and
+  where |r1 r3| = 1 without both walls conducting; g1, the gradients and g
+  share one set-up.
 
 Two references that the tests and `validate` compare against:
 
@@ -32,9 +36,6 @@ Two references that the tests and `validate` compare against:
   conditionally convergent;
 * the conductor large-separation asymptotic sqrt(8/(rho d)) exp(-pi rho/d)
   (`cavity_asymptotic`).
-
-Forces differentiate the Green's function: the mode sum and the digamma
-form term by term, the quadrature under the Hankel integral.
 
 The conducting-wall functions import K0, K1, digamma and the trigamma from
 scipy.special when they are called, not when the package is imported, and
@@ -111,6 +112,11 @@ class CavityCoeffs:
         for name, v in (("r1", self.r1), ("r3", self.r3)):
             if not (isinstance(v, (int, float)) and abs(v) <= 1.0):
                 raise DomainError(f"{name} must lie in [-1, 1], got {v!r}")
+
+    @property
+    def conducting(self) -> bool:
+        """r1 = r3 = 1: each wall a conductor, or of eps that rounds r to 1."""
+        return self.r1 == self.r3 == 1.0
 
 
 def reflection_coeffs(eps1: Permittivity, eps2: float,
@@ -217,6 +223,51 @@ def _layers_pair(z: float, z0: float, rho: float, d: float, eps1: Permittivity,
     return _pair(z, z0, rho, d, eps2, reflection_coeffs(eps1, eps2, eps3))
 
 
+def gap_g_many(points: Iterable[Tuple[float, float, float]], d: float,
+               eps1: Permittivity, eps2: float, eps3: Permittivity,
+               spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Iterator[ValueWithError]:
+    """g, or g1 at coincident points, at each (z, z0, rho) of `points`, as
+    cavity_g_images_many yields them: the gap's one choice of route. Where
+    both walls conduct, the mode sum from rho = MODAL_RHO_MIN d on and the
+    digamma form at coincident points; every other point by the image
+    series, one batch for all (which takes Hankel where it cannot)."""
+    conducting = reflection_coeffs(eps1, eps2, eps3).conducting
+    points = list(points)
+    closed = [conducting and (rho >= MODAL_RHO_MIN * d or (rho == 0.0 and z == z0))
+              for z, z0, rho in points]
+    series = cavity_g_images_many([p for p, c in zip(points, closed) if not c],
+                                  d, eps1, eps2, eps3, spec)
+    for (z, z0, rho), c in zip(points, closed):
+        if not c:
+            yield next(series)
+        elif rho > 0.0:
+            yield conducting_gap_g(z, z0, rho, d, eps2)
+        else:
+            yield conducting_gap_g1(z0, d, eps2)
+
+
+def gap_grad_g(z: float, z0: float, rho: float, d: float, eps1: Permittivity,
+               eps2: float, eps3: Permittivity, spec: QuadratureSpec = DEFAULT_QUADRATURE
+               ) -> Tuple[ValueWithError, ValueWithError]:
+    """(dg/drho, dg/dz) of gap_g_many's g, z the field point's height: by the
+    mode sum where both walls conduct and rho >= MODAL_RHO_MIN d, else by
+    the Hankel integral (cavity_grad_general)."""
+    if reflection_coeffs(eps1, eps2, eps3).conducting and rho >= MODAL_RHO_MIN * d:
+        return conducting_gap_grad(z, z0, rho, d, eps2)
+    return cavity_grad_general(z, z0, rho, d, eps1, eps2, eps3, spec)
+
+
+def gap_grad_g1(z0: float, d: float, eps1: Permittivity, eps2: float, eps3: Permittivity,
+                spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
+    """d/dz0 of g1, both points moving: the digamma form's where both walls
+    conduct, else twice the Hankel route's dg/dz of the reflected part at
+    coincident points, since by reciprocity each point moves it alike."""
+    if reflection_coeffs(eps1, eps2, eps3).conducting:
+        return conducting_gap_dg1(z0, d, eps2)
+    _, d_z = cavity_grad_general(z0, z0, 0.0, d, eps1, eps2, eps3, spec)
+    return ValueWithError(2.0 * d_z.value, 2.0 * d_z.abs_err)
+
+
 def _gap_integral(kernel, p: _Pair, target: QuadratureSpec, order: int = 0,
                   known: float = 0.0) -> ValueWithError:
     """1/(4 pi eps2) times the Hankel integral of order `order` of
@@ -257,42 +308,59 @@ def cavity_g_general(z: float, z0: float, rho: float, d: float,
 def cavity_grad_general(z: float, z0: float, rho: float, d: float,
                         eps1: Permittivity, eps2: float, eps3: Permittivity,
                         spec: QuadratureSpec = DEFAULT_QUADRATURE):
-    """(dg/drho, dg/dz) of cavity_g_general, z the field point's height.
+    """(dg/drho, dg/dz) of cavity_g_general, z the field point's height; at
+    coincident points (rho = 0, z = z0) of the reflected part alone.
 
     The free-space part 1/(4 pi eps2 r) is differentiated in closed form. The
     reflected kernel R(k) = exp(-k*a_free)(N/D - 1) is differentiated under
     the integral: dg/drho takes -int R k J1(k rho) dk, and dg/dz the
     z-derivative of R's exponentials against J0; the two integrals share
-    the pair's set-up. Raises DomainError when the free-space part overflows
-    float64, and ConvergenceError when the gradient's abs_err exceeds 1% of
-    its magnitude (see _checked_gradient).
+    the pair's set-up. At coincident points dg/drho is 0 by symmetry, and
+    dg/dz is taken to half the floor, so that twice it, g1's derivative
+    with both points moving, meets it. Raises DomainError when the
+    free-space part overflows float64, and ConvergenceError when the
+    gradient's abs_err exceeds 1% of its magnitude (see _checked_gradient).
     """
     p = _layers_pair(z, z0, rho, d, eps1, eps2, eps3)
     r = p.r
+    floor, target = p.target(spec, 2)
+    sign = 1.0 if z >= z0 else -1.0  # the field point is the upper one, or the lower
+
+    def reflected_dz(k, *args):
+        return kernels.cavity_reflected_dz(k, *args, sign)
+
+    tried = (f"Hankel gradient of the gap kernel at rho = {rho!r}, "
+             f"z = {z!r}, z0 = {z0!r}, d = {d!r}, rel_tol = {spec.rel_tol!r}")
     if r == 0.0:
-        raise CoincidentPointsError("cavity_grad_general: field point coincides with source")
+        d_z = _gap_integral(reflected_dz, p, replace(target, abs_tol=0.5 * target.abs_tol))
+        _checked_gradient((d_z,), 0.5 * floor, tried)
+        return ValueWithError(0.0), d_z
     # divided by r in stages: r * r * r underflows to 0 below r ~ 1e-108
     free_rho = p.pref * (rho / r) / r / r
     free_z = p.pref * ((z - z0) / r) / r / r
     if not (math.isfinite(free_rho) and math.isfinite(free_z)):
         raise DomainError(f"cavity_grad_general: the free-space gradient at a separation "
                           f"of {r!r} m overflows float64")
-    sign = 1.0 if z >= z0 else -1.0  # the field point is the upper one, or the lower
 
     def reflected_k(k, a_free, a1, a3, d, r1, r3):
         return k * np.exp(-k * a_free) * kernels.cavity_scatter_integrand(k, a1, a3, d, r1, r3)
 
-    def reflected_dz(k, *args):
-        return kernels.cavity_reflected_dz(k, *args, sign)
-
-    floor, target = p.target(spec, 2)
     d_rho = _gap_integral(reflected_k, p, target, order=1)
     d_z = _gap_integral(reflected_dz, p, target)
     return _checked_gradient(
         (ValueWithError(-free_rho - d_rho.value, d_rho.abs_err),
-         ValueWithError(-free_z + d_z.value, d_z.abs_err)), floor,
-        f"Hankel gradient of the gap kernel (orders 1 and 0) at rho = {rho!r}, "
-        f"z = {z!r}, z0 = {z0!r}, d = {d!r}, rel_tol = {spec.rel_tol!r}")
+         ValueWithError(-free_z + d_z.value, d_z.abs_err)), floor, tried)
+
+
+def _free_term(p: _Pair) -> Tuple[int, float]:
+    """The nearer wall w (0 below, 1 above) of a pair at r > 0, and order 0's
+    free term 1/r plus w's image -r_w/D(a_free + a), a = min(a1, a3), as the
+    two terms of one sign (1 - r_w)/D + a (2 a_free + a)/(r D (r + D)), the
+    form of HalfSpace's image, so that near a conducting wall the image
+    cancels no digits of 1/r."""
+    w, a, r_w = (0, p.a1, p.r1) if p.a1 <= p.a3 else (1, p.a3, p.r3)
+    far = math.hypot(p.rho, p.a_free + a)
+    return w, (1.0 - r_w) / far + (a / p.r) * ((2.0 * p.a_free + a) / far) / (p.r + far)
 
 
 def _image_orders(pairs, n: int):
@@ -304,26 +372,29 @@ def _image_orders(pairs, n: int):
     -r1 q^j/D(a_free + a1 + 2jd) in the wall below and
     -r3 q^j/D(a_free + a3 + 2jd) in the wall above, and from j = 1 on the
     source's two images q^j/D(2jd +- a_free). Order 0's source image is the
-    free term 1/r, or nothing at coincident points (r = 0), whose g1 has no
-    free term. Every distance is a sum of positive lengths, so no term
-    loses accuracy near a wall.
+    free term 1/r, taken with the nearer wall's image (_free_term), or
+    nothing at coincident points (r = 0), whose g1 has no free term. Every
+    distance is a sum of positive lengths, so no term loses accuracy near a
+    wall.
     """
-    cols = np.array([(p.rho, p.a_free + p.a1, p.a_free + p.a3, p.a_free, -p.a_free,
-                      1.0 / p.r if p.r > 0.0 else 0.0) for p in pairs])
+    cols = np.array([(p.rho, p.a_free + p.a1, p.a_free + p.a3, p.a_free, -p.a_free)
+                     for p in pairs])
     r1, r3, d = pairs[0].r1, pairs[0].r3, pairs[0].d
     j = np.arange(n + 1.0)
     # the image in the wall below, in the wall above, and the source's two
     # images: their weights q^j (-r1, -r3, 1, 1), 4 x orders, and their
     # distances D, pairs x 4 x orders
     weights = np.array([-r1, -r3, 1.0, 1.0])[:, None] * (r1 * r3) ** j
-    dist = np.hypot(cols[:, 0, None, None], (2.0 * d) * j + cols[:, 1:5, None])
+    dist = np.hypot(cols[:, 0, None, None], (2.0 * d) * j + cols[:, 1:, None])
     dist[:, 2:, 0] = math.inf  # order 0's source images give way to the free term
     terms = np.empty((2,) + dist.shape)
     np.divide(weights, dist, out=terms[0])
     np.abs(terms[0], out=terms[1])
-    sums = np.add.reduce(terms, axis=2)
-    sums[:, :, 0] += cols[:, 5]
-    return sums
+    for i, p in enumerate(pairs):
+        if p.r > 0.0:
+            w, value = _free_term(p)
+            terms[:, i, w, 0] = value  # in place of the wall's image; both of one sign
+    return np.add.reduce(terms, axis=2)
 
 
 def _image_order_bound(p: _Pair, q: float, target: float) -> int:
@@ -343,15 +414,14 @@ def _image_order_bound(p: _Pair, q: float, target: float) -> int:
     return max(0, math.ceil(math.log(ratio) / math.log(q)) - 1) if ratio < 1.0 else 0
 
 
-def cavity_g_images(z: float, z0: float, rho: float, d: float,
-                    eps1: Permittivity, eps2: float, eps3: Permittivity,
-                    spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Optional[ValueWithError]:
-    """Gap Green's function by its image series, to spec; at coincident
-    points (rho = 0, z = z0) its scattering part g1, the same series without
-    the free term. None where the series needs more than IMAGE_ORDER_MAX
-    orders, and where |r1 r3| = 1 other than with both walls conducting
-    (r1 = r3 = 1, whose series _conducting_block sums). A batch of one of
-    cavity_g_images_many.
+def cavity_g_images_many(points: Iterable[Tuple[float, float, float]], d: float,
+                         eps1: Permittivity, eps2: float, eps3: Permittivity,
+                         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Iterator[ValueWithError]:
+    """Gap Green's function by its image series at each (z, z0, rho) of
+    `points`, in order, as one batch, to spec, between walls of
+    permittivities eps1 (below) and eps3 (above); at coincident points
+    (rho = 0, z = z0) its scattering part g1, the same series without the
+    free term.
 
     With q = r1 r3 and the lengths of _Pair (Barrera, Guzman & Balaguer,
     Am. J. Phys. 46 (1978) 1172; see _image_orders for its orders),
@@ -365,37 +435,36 @@ def cavity_g_images(z: float, z0: float, rho: float, d: float,
     plus the roundoff, _IMAGE_ROUNDOFF times the sum of the terms'
     magnitudes; where the roundoff keeps it above the target,
     ConvergenceError, and where the sum overflows float64, DomainError.
-    """
-    return next(cavity_g_images_many(((z, z0, rho),), d, reflection_coeffs(eps1, eps2, eps3),
-                                     eps2, spec))
+    Between conducting walls (r1 = r3 = 1) every point sums _EM_ORDER
+    orders and its tail (_conducting_block). A point whose series needs
+    more than IMAGE_ORDER_MAX orders, and every point where |r1 r3| = 1
+    other than between conducting walls, takes the Hankel route instead
+    (cavity_g_general, or cavity_scattering_g1 at coincident points).
 
-
-def cavity_g_images_many(points: Iterable[Tuple[float, float, float]], d: float,
-                         coeffs: CavityCoeffs, eps2: float,
-                         spec: QuadratureSpec = DEFAULT_QUADRATURE
-                         ) -> Iterator[Optional[ValueWithError]]:
-    """cavity_g_images at each (z, z0, rho) of `points`, in order, as one
-    batch, between walls of reflection coefficients `coeffs`.
-
-    Yields each point's value, or None, and raises a point's error when the
+    Yields each point's value, and raises a point's error when the
     iteration reaches it, after every point before it was yielded. The
     points are summed in blocks of consecutive points, each one array of
     points x orders of at most _IMAGE_BLOCK values, summed when its first
     point is reached. Each point keeps its own order bound, stop rule and
-    abs_err, so that its value is the one it has alone; between conducting
-    walls every point sums _EM_ORDER orders and its tail (_conducting_block).
+    abs_err, so that its value is the one it has alone.
     """
-    e2 = finite_eps(eps2, "eps2")
+    coeffs = reflection_coeffs(eps1, eps2, eps3)
+    e2 = float(eps2)
+
+    def hankel(point):
+        z, z0, rho = point
+        if rho == 0.0 and z == z0:
+            return cavity_scattering_g1(z0, d, eps1, eps2, eps3, spec)
+        return cavity_g_general(z, z0, rho, d, eps1, eps2, eps3, spec)
+
     points = list(points)
     pairs, refused = until_error(_pair(z, z0, rho, d, e2, coeffs) for z, z0, rho in points)
     q = abs(coeffs.r1 * coeffs.r3)
-    conducting = coeffs.r1 == coeffs.r3 == 1.0
-    if q >= 1.0 and not conducting:
-        for _ in pairs:
-            yield None
+    if q >= 1.0 and not coeffs.conducting:
+        yield from map(hankel, points[:len(pairs)])
     else:
         floors = [p.floor(spec) / p.pref for p in pairs]
-        if conducting:
+        if coeffs.conducting:
             orders = [_EM_ORDER - 1] * len(pairs)
         else:
             # orders enough for a tail of half the floor, which leaves the
@@ -406,11 +475,11 @@ def cavity_g_images_many(points: Iterable[Tuple[float, float, float]], d: float,
         step = max(1, _IMAGE_BLOCK // (max(orders, default=0) + 2))
         for i in range(0, len(pairs), step):
             block = slice(i, i + step)
-            if conducting:
+            if coeffs.conducting:
                 yield from _conducting_block(pairs[block], points[block], floors[block], spec)
             else:
                 yield from _image_block(pairs[block], points[block], floors[block],
-                                        orders[block], q, spec)
+                                        orders[block], q, spec, hankel)
     if refused is not None:
         raise refused
 
@@ -434,9 +503,10 @@ def _series_overflow(p: _Pair, point) -> DomainError:
                        f"z0 = {z0!r}, d = {p.d!r} overflows float64")
 
 
-def _image_block(pairs, points, floors, orders, q: float, spec: QuadratureSpec):
+def _image_block(pairs, points, floors, orders, q: float, spec: QuadratureSpec, hankel):
     """The image series of consecutive points of cavity_g_images_many, one
-    array of points x orders; each point stops by its own order bound."""
+    array of points x orders; each point stops by its own order bound, and
+    one that may need more orders than the cap takes hankel(point)."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         sums = _image_orders(pairs, max(orders) + 1)
         # for each n, the partial sum and the bound after orders 0..n, and its target
@@ -455,7 +525,7 @@ def _image_block(pairs, points, floors, orders, q: float, spec: QuadratureSpec):
         if n <= last and met[i, n]:
             yield ValueWithError(p.pref * partial[i, n], p.pref * bound[i, n])
         elif last == IMAGE_ORDER_MAX:
-            yield None  # the series may need more orders than the cap
+            yield hankel(point)
         else:
             # the last tail is below half the floor, so the roundoff exceeds
             # half the target
@@ -676,28 +746,6 @@ def cavity_scattering_g1(z0: float, d: float, eps1: Permittivity, eps2: float,
     return _gap_integral(kernels.cavity_integrand, p, p.target(spec)[1])
 
 
-def cavity_scattering_dg1(z0: float, d: float, eps1: Permittivity, eps2: float,
-                          eps3: Permittivity,
-                          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
-    """d/dz0 of cavity_scattering_g1, both points moving: by symmetry twice the
-    derivative at one point, so one half-line integral of twice the pair
-    route's kernel cavity_reflected_dz at a_free = 0, which is
-    2k (r1 e^{-k a1} - r3 e^{-k a3}) / D since a1 + a3 = 2d cancels its r1 r3
-    terms. Raises ConvergenceError when its abs_err exceeds 1% of its
-    magnitude (see _checked_gradient)."""
-    def twice_dz(k, *args):
-        return 2.0 * kernels.cavity_reflected_dz(k, *args, 1.0)
-
-    p = _layers_pair(z0, z0, 0.0, d, eps1, eps2, eps3)
-    floor, target = p.target(spec, 2)
-    dg1 = _gap_integral(twice_dz, p, target)
-    _checked_gradient(
-        (dg1,), floor,
-        f"half-line integral of the gap self-force kernel at z0 = {z0!r}, d = {d!r}, "
-        f"rel_tol = {spec.rel_tol!r}")
-    return dg1
-
-
 def cavity_g_series(rho: float, d: float, coeffs: CavityCoeffs, eps2: float,
                     n_max: int = 200, z: float = 0.0, z0: float = 0.0) -> ValueWithError:
     """Image series between the source height z0 and the field height z.
@@ -708,7 +756,7 @@ def cavity_g_series(rho: float, d: float, coeffs: CavityCoeffs, eps2: float,
         4 pi eps2 g = sum_{|m| <= n_max} q^|m| / D(a + 2md)
                       - sum_{k=0}^{n_max} q^k (r1 / D(b + 2kd) + r3 / D(b - 2(k+1)d)),
 
-    summed at any heights for |q| < 1 in the orders of cavity_g_images
+    summed at any heights for |q| < 1 in the orders of cavity_g_images_many
     (`_image_orders`), here up to the fixed order n_max, with abs_err the
     geometric bound from the first order dropped. At the midplane z = z0 = 0 with both walls
     conducting (r1 = r3 = 1) the sum is rearranged as the alternating

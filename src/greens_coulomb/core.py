@@ -15,7 +15,7 @@ born.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -485,14 +485,14 @@ class ThreeLayerCavity(Geometry):
     """Gap of width d filled with eps2 between half-spaces eps1 (z < -d/2) and eps3 (z > d/2).
 
     Charges sit in the gap: host_eps raises OutOfRegionError for |z| >= d/2.
+    `cavity` alone picks each value's route (gap_g_many, gap_grad_g and
+    gap_grad_g1).
     """
 
     eps1: Permittivity
     eps2: float
     eps3: Permittivity
     d: float
-    # the walls' reflection coefficients, which the image series takes
-    coeffs: cavity.CavityCoeffs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_eps(self.eps1, "eps1")
@@ -501,20 +501,11 @@ class ThreeLayerCavity(Geometry):
         object.__setattr__(self, "d", _require_finite(self.d, "d"))
         if not (self.d > 0.0):
             raise DomainError(f"gap width d must be > 0, got {self.d!r}")
-        object.__setattr__(self, "coeffs",
-                           cavity.reflection_coeffs(self.eps1, self.eps2, self.eps3))
 
     def host_eps(self, p: Point3) -> float:
         if not (abs(p.z) < 0.5 * self.d):
             raise OutOfRegionError(f"gap: charge at z = {p.z!r} outside the gap")
         return self.eps2
-
-    def _conducting(self) -> bool:
-        return is_conductor(self.eps1) and is_conductor(self.eps3)
-
-    def _modal(self, rho: float) -> bool:
-        """Both walls conduct and rho reaches the mode sum's range."""
-        return self._conducting() and rho >= cavity.MODAL_RHO_MIN * self.d
 
     def _g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> ValueWithError:
         return next(self._g_many(((r, r_src),), spec))
@@ -524,55 +515,26 @@ class ThreeLayerCavity(Geometry):
 
     def _g_many(self, pairs: Sequence[Tuple[Point3, Point3]],
                 spec: QuadratureSpec) -> Iterator[ValueWithError]:
-        """g of admitted pairs, in order: by the mode sum where both walls
-        conduct and rho >= MODAL_RHO_MIN d, else by the image series, one
-        batch for all such pairs, with its Euler-Maclaurin tail between
-        conducting walls. A pair past the series' order cap (a dielectric
-        wall and |r1 r3| above about 0.99) takes the Hankel integral."""
-        points = [(r.z, r_src.z, math.hypot(r.x - r_src.x, r.y - r_src.y))
-                  for r, r_src in pairs]
-        modal = [self._modal(rho) for _, _, rho in points]
-        series = cavity.cavity_g_images_many([p for p, m in zip(points, modal) if not m],
-                                             self.d, self.coeffs, self.eps2, spec)
-        for (z, z0, rho), m in zip(points, modal):
-            if m:
-                yield cavity.conducting_gap_g(z, z0, rho, self.d, self.eps2)
-            else:
-                got = next(series)
-                yield got if got is not None else cavity.cavity_g_general(
-                    z, z0, rho, self.d, self.eps1, self.eps2, self.eps3, spec)
+        return cavity.gap_g_many([(r.z, r_src.z, math.hypot(r.x - r_src.x, r.y - r_src.y))
+                                  for r, r_src in pairs],
+                                 self.d, self.eps1, self.eps2, self.eps3, spec)
 
     def _g1_many(self, points: Sequence[Point3],
                  spec: QuadratureSpec) -> Iterator[ValueWithError]:
-        """g1 of admitted points, in order: by the digamma form between
-        conducting walls, else by the image series, one batch for all points,
-        where it fits its order cap, else by the Hankel integral."""
-        if self._conducting():
-            return (cavity.conducting_gap_g1(r.z, self.d, self.eps2) for r in points)
-        series = cavity.cavity_g_images_many([(r.z, r.z, 0.0) for r in points], self.d,
-                                             self.coeffs, self.eps2, spec)
-        return (got if got is not None else cavity.cavity_scattering_g1(
-                    r.z, self.d, self.eps1, self.eps2, self.eps3, spec)
-                for r, got in zip(points, series))
+        return cavity.gap_g_many([(r.z, r.z, 0.0) for r in points],
+                                 self.d, self.eps1, self.eps2, self.eps3, spec)
 
     def _grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
         dx, dy = r.x - r_src.x, r.y - r_src.y
         rho = math.hypot(dx, dy)
-        if self._modal(rho):
-            d_rho, d_z = cavity.conducting_gap_grad(r.z, r_src.z, rho, self.d, self.eps2)
-        else:
-            d_rho, d_z = cavity.cavity_grad_general(r.z, r_src.z, rho, self.d, self.eps1,
-                                                    self.eps2, self.eps3, spec)
+        d_rho, d_z = cavity.gap_grad_g(r.z, r_src.z, rho, self.d, self.eps1, self.eps2,
+                                       self.eps3, spec)
         radial = d_rho.value / rho if rho > 0.0 else 0.0
         return radial * dx, radial * dy, d_z.value
 
     def _grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
-        if self._conducting():
-            dg1 = cavity.conducting_gap_dg1(r.z, self.d, self.eps2)
-        else:
-            dg1 = cavity.cavity_scattering_dg1(r.z, self.d, self.eps1, self.eps2, self.eps3,
-                                               spec)
-        return 0.0, 0.0, dg1.value
+        return 0.0, 0.0, cavity.gap_grad_g1(r.z, self.d, self.eps1, self.eps2, self.eps3,
+                                            spec).value
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ per-cell sums, `alpha_chain_sum` of the energy's integrand and
 kernels are its reflected parts alone,
 the free term being taken in closed form, and serve the pair and the
 self-term alike: `cavity_integrand` at a_free = 0 is the kernel of g1, and
-`cavity_reflected_dz` at a_free = 0, doubled, the self-force kernel. The
+`cavity_reflected_dz` at a_free = 0 that of half its gradient. The
 aperture kernels (`hole_greens`, its gradient and the on-axis self-terms)
 are scalar; `hole_greens` and its gradient take the
 same Cartesian points, which `analytic` divides by a power of two that

@@ -14,9 +14,10 @@ rho = 0 case runs the same driver, blocks and stop rules on geometrically
 growing panels [0, kc], [kc, 2 kc], [2 kc, 4 kc], ... of a decaying
 integrand. The returned abs_err bounds the extrapolation residual
 plus the accumulated panel errors, plus the roundoff of the rule sums,
-16 eps sum |w f| over the accepted subintervals; the convergence test
-uses the first two terms only. An integral that has not converged after
-_MAX_PANELS panels is a ConvergenceError.
+16 eps sum |w f| over the accepted subintervals, and the convergence test
+counts all three. An integral that has not converged after _MAX_PANELS
+panels, or whose panel errors and roundoff alone pass any tolerance it
+could still reach, is a ConvergenceError.
 
 Integrand callables receive a 1-D numpy array of wavenumbers and must
 return the array of integrand values (the oscillating factor included,
@@ -272,20 +273,23 @@ def _integrate_panels(f, edges_iter: Iterator[Tuple[float, float]], spec: Quadra
         count += vals.size
         if count >= 8 and count % 4 == 0:
             value, tail = _estimate_limit(panels)
-            total_err = tail + panel_errs
+            roundoff = _ROUNDOFF * mass
+            total_err = tail + panel_errs + roundoff
             last = (value, total_err)
             if total_err <= max(spec.abs_tol, spec.rel_tol * abs(value + subtracted)):
-                return value, total_err + _ROUNDOFF * mass
+                return value, total_err
             if scale == 0.0:
-                return 0.0, panel_errs + _ROUNDOFF * mass
-            # panel_errs never decreases, so once it is well past any tolerance
-            # the value could still reach, no further panel can meet it
+                return 0.0, panel_errs + roundoff
+            # panel_errs and the roundoff never decrease, so once they are well
+            # past any tolerance the value could still reach, or the roundoff,
+            # a bound rather than an estimate, is past it, no panel can meet it
             reachable = max(spec.abs_tol, spec.rel_tol * (abs(value + subtracted) + tail))
-            if panel_errs > 2.0 * reachable:
+            if panel_errs + roundoff > 2.0 * reachable or roundoff > reachable:
                 raise ConvergenceError(
-                    f"{context}: the accumulated panel error {panel_errs:.3e} alone "
-                    f"exceeds the tolerance {reachable:.3e} after {count} panels "
-                    f"(best value {value:.6e}, estimated error {total_err:.3e})")
+                    f"{context}: the accumulated panel error {panel_errs:.3e} plus the "
+                    f"roundoff {roundoff:.3e} alone exceeds the tolerance {reachable:.3e} "
+                    f"after {count} panels (best value {value:.6e}, estimated error "
+                    f"{total_err:.3e})")
     raise ConvergenceError(
         f"{context}: tolerance not reached after {count} panels "
         f"(best value {last[0]:.6e}, estimated error {last[1]:.3e})"

@@ -14,7 +14,6 @@ from greens_coulomb.cavity import (
     CavityCoeffs,
     cavity_asymptotic,
     cavity_g_general,
-    cavity_g_images,
     cavity_g_images_many,
     cavity_g_series,
     cavity_scattering_g1,
@@ -39,6 +38,11 @@ from greens_coulomb.interactions import pair_energy
 
 PC = PERFECT_CONDUCTOR
 D = 1.0
+
+
+def images(z, z0, rho, eps1, eps2, eps3, spec=QuadratureSpec()):
+    """cavity_g_images_many at the one point (z, z0, rho), in a gap of width D."""
+    return next(cavity_g_images_many([(z, z0, rho)], D, eps1, eps2, eps3, spec))
 
 
 class TestReflectionCoeffs:
@@ -155,6 +159,15 @@ class TestGeneralHeights:
             cavity_g_general(0.1, -0.2, 12.0, D, eps1, 1.0, eps3, spec)
         assert "after 8 panels" in str(info.value)
 
+    @pytest.mark.parametrize("rho", [0.01, 0.1, 0.45])
+    def test_roundoff_past_the_target_raises(self, rho):
+        # the rule sums' roundoff alone exceeds a 1e-15 target here; left out
+        # of the stop test, it came back in an abs_err of 2.6e-15 to 7.1e-15 |g|
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
+        with pytest.raises(ConvergenceError, match="roundoff .* alone exceeds") as info:
+            cavity_g_general(0.1, -0.2, rho, D, PC, 1.0, PC, spec)
+        assert "after 8 panels" in str(info.value)
+
     @pytest.mark.parametrize("eps1,eps3", [(4.0, 8.0), (4.0, PC), (PC, PC)])
     def test_close_pair_at_two_heights_keeps_its_surface_term(self, eps1, eps3):
         # 2e-4 d apart, 1.2e-4 d of it vertical: the layered kernel's free
@@ -195,7 +208,7 @@ class TestImageRoute:
     def test_matches_hankel(self, eps1, eps2, eps3, rho_over_d):
         rho = rho_over_d * D
         for z, z0 in self.HEIGHTS:
-            got = cavity_g_images(z * D, z0 * D, rho, D, eps1, eps2, eps3)
+            got = images(z * D, z0 * D, rho, eps1, eps2, eps3)
             ref = cavity_g_general(z * D, z0 * D, rho, D, eps1, eps2, eps3)
             assert abs(got.value - ref.value) <= got.abs_err + ref.abs_err
             assert got.abs_err <= self.target(got, math.hypot(rho, (z - z0) * D))
@@ -203,32 +216,36 @@ class TestImageRoute:
     @pytest.mark.parametrize("eps1,eps3", [(4.0, 8.0), (4.0, PC)])
     def test_close_pair_at_two_heights(self, eps1, eps3):
         z0, dz, rho = 0.1 * D, 1.2e-4 * D, 1.6e-4 * D
-        got = cavity_g_images(z0 + dz, z0, rho, D, eps1, 1.0, eps3)
+        got = images(z0 + dz, z0, rho, eps1, 1.0, eps3)
         ref = cavity_g_general(z0 + dz, z0, rho, D, eps1, 1.0, eps3)
         assert abs(got.value - ref.value) <= got.abs_err + ref.abs_err
 
     @pytest.mark.parametrize("eps1,eps2,eps3", LAYERS)
     def test_coincident_points_give_g1(self, eps1, eps2, eps3):
         for z0 in (-0.49, -0.3, 0.0, 0.2, 0.45):
-            got = cavity_g_images(z0 * D, z0 * D, 0.0, D, eps1, eps2, eps3)
+            got = images(z0 * D, z0 * D, 0.0, eps1, eps2, eps3)
             ref = cavity_scattering_g1(z0 * D, D, eps1, eps2, eps3)
             assert abs(got.value - ref.value) <= got.abs_err + ref.abs_err
             assert got.abs_err <= self.target(got, 0.0)
 
-    def test_order_cap(self):
+    def test_order_cap(self, monkeypatch):
         # at rho = d the series of r1 r3 = 0.9943 fits the cap and that of
-        # 0.9947 does not; the geometry then returns the Hankel route's value
+        # 0.9947 does not, which returns the Hankel route's value instead
         pair = (0.1 * D, -0.2 * D, D, D)
+        general = cavity.cavity_g_general
         for eps, below in ((700.0, True), (730.0, False)):
+            calls = []
+            monkeypatch.setattr(cavity, "cavity_g_general",
+                                lambda *args: calls.append(args) or general(*args))
             geom = ThreeLayerCavity(eps, 1.0, eps, D)
             got = geom.g(Point3(D, 0.0, 0.1 * D), Point3(0.0, 0.0, -0.2 * D),
                          QuadratureSpec())
-            series = cavity_g_images(*pair, eps, 1.0, eps)
+            monkeypatch.undo()
             hankel = cavity_g_general(*pair, eps, 1.0, eps)
-            assert (series is not None) == below
+            assert len(calls) == (0 if below else 1)
+            assert got == images(0.1 * D, -0.2 * D, D, eps, 1.0, eps)
             if below:
-                assert got == series
-                assert abs(series.value - hankel.value) <= series.abs_err + hankel.abs_err
+                assert abs(got.value - hankel.value) <= got.abs_err + hankel.abs_err
             else:
                 assert got == hankel
 
@@ -237,13 +254,13 @@ class TestImageRoute:
         for eps1, eps2, eps3 in self.LAYERS[:3]:
             geom = ThreeLayerCavity(eps1, eps2, eps3, D)
             got = geom.g(Point3(0.3, 0.4, 0.1), Point3(0.0, 0.0, -0.2), spec)
-            assert got == cavity_g_images(0.1, -0.2, 0.5, D, eps1, eps2, eps3, spec)
-            assert geom.g1(Point3(0.3, 0.4, 0.1), spec) == cavity_g_images(
-                0.1, 0.1, 0.0, D, eps1, eps2, eps3, spec)
+            assert got == images(0.1, -0.2, 0.5, eps1, eps2, eps3, spec)
+            assert geom.g1(Point3(0.3, 0.4, 0.1), spec) == images(
+                0.1, 0.1, 0.0, eps1, eps2, eps3, spec)
 
     def test_orders_stay_below_the_cap(self, monkeypatch):
         # no array grows like 1/(1 - |r1 r3|): at r1 r3 = 1 - 4e-6 the series
-        # sums at most the cap's orders and leaves the pair to Hankel
+        # sums at most the cap's orders and returns the Hankel route's value
         sizes = []
         orders = cavity._image_orders
 
@@ -252,7 +269,8 @@ class TestImageRoute:
             return orders(p, n)
         monkeypatch.setattr(cavity, "_image_orders", counted)
         for rho in (0.01, 1.0, 20.0):
-            assert cavity_g_images(0.1, -0.2, rho, D, 1e6, 1.0, 1e6) is None
+            assert images(0.1, -0.2, rho, 1e6, 1.0, 1e6) == cavity_g_general(
+                0.1, -0.2, rho, D, 1e6, 1.0, 1e6)
         assert sizes == [IMAGE_ORDER_MAX + 1] * 3
 
     def test_overflow_is_a_domain_error(self):
@@ -260,12 +278,12 @@ class TestImageRoute:
         # exceeds float64, and no numpy warning escapes
         z = 0.5 * 1e-300 * (1.0 - 1e-15)
         with pytest.raises(DomainError, match="overflows float64"):
-            cavity_g_images(z, z, 0.0, 1e-300, 4.0, 1.0, 8.0)
+            next(cavity_g_images_many([(z, z, 0.0)], 1e-300, 4.0, 1.0, 8.0))
 
     def test_roundoff_past_the_target_raises(self):
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
         with pytest.raises(ConvergenceError, match="image series .* bound .* exceeds"):
-            cavity_g_images(0.1, -0.2, 2.0, D, 4.0, 1.0, 8.0, spec)
+            images(0.1, -0.2, 2.0, 4.0, 1.0, 8.0, spec)
 
 
 # Walls of the batched series: r1 r3 < 0, one conducting wall, and r1 r3 just
@@ -299,12 +317,12 @@ def image_points(draw):
 
 
 def _outcomes(values):
-    """The repr of each value (or None) of an iteration, up to the class of the
+    """The repr of each value of an iteration, up to the class of the
     CoulombError that ends it."""
     out = []
     try:
         for got in values:
-            out.append(None if got is None else (repr(got.value), repr(got.abs_err)))
+            out.append((repr(got.value), repr(got.abs_err)))
     except CoulombError as exc:
         out.append(type(exc))
     return out
@@ -316,12 +334,9 @@ class TestImageBatch:
            points=st.lists(image_points(), min_size=1, max_size=12))
     def test_batch_equals_one_call_per_point(self, walls, spec, points):
         eps1, eps2, eps3 = walls
-        batch = _outcomes(cavity_g_images_many(points, D, reflection_coeffs(eps1, eps2, eps3),
-                                               eps2, spec))
-
-        def one(point):
-            yield cavity_g_images(*point, D, eps1, eps2, eps3, spec)
-        alone = _outcomes(value for point in points for value in one(point))
+        batch = _outcomes(cavity_g_images_many(points, D, eps1, eps2, eps3, spec))
+        alone = _outcomes(value for point in points
+                          for value in cavity_g_images_many([point], D, eps1, eps2, eps3, spec))
         assert batch == alone
 
     def test_blocks_stay_under_the_bound(self, tmp_path, monkeypatch):
@@ -348,11 +363,12 @@ class TestImageBatch:
         assert max(size for _, size in blocks) > IMAGE_ORDER_MAX
 
 
-def _conducting_series(z, z0, rho):
-    """4 pi eps2 g between conducting walls (d = D), the series that
-    cavity_g_images sums, order by order, by a 40-digit mpmath.nsum."""
+def _image_series(z, z0, rho, r1=1.0, r3=1.0):
+    """4 pi eps2 g (d = D) between walls of reflection coefficients r1 and r3,
+    conducting by default, or g1 at coincident points: the series that
+    cavity_g_images_many sums, order by order, by a 40-digit mpmath.nsum."""
     with mp.workdps(40):
-        z, z0, rho, d = (mp.mpf(v) for v in (z, z0, rho, D))
+        z, z0, rho, d, r1, r3 = (mp.mpf(v) for v in (z, z0, rho, D, r1, r3))
         upper, lower = max(z, z0), min(z, z0)
         a, b1, b3 = upper - lower, d + upper + lower, d - upper - lower
 
@@ -361,21 +377,21 @@ def _conducting_series(z, z0, rho):
 
         def order(j):
             x = 2 * j * d
-            return 1 / dist(x + a) + 1 / dist(x - a) - 1 / dist(x + b1) - 1 / dist(x + b3)
-        return 1 / dist(a) - 1 / dist(b1) - 1 / dist(b3) + mp.nsum(order, [1, mp.inf])
+            return (r1 * r3) ** j * (1 / dist(x + a) + 1 / dist(x - a)
+                                     - r1 / dist(x + b1) - r3 / dist(x + b3))
+        free = 1 / dist(a) if rho or a else 0
+        return free - r1 / dist(b1) - r3 / dist(b3) + mp.nsum(order, [1, mp.inf])
 
 
-def _conducting_pairs(seed, n):
-    """n seeded conducting-gap pairs (z, z0, rho) below rho = d/2: a third at
-    rho = 0, the rest with log-uniform rho from 1e-6 d to just below d/2;
-    each height in the gap, or within 1e-9 d of a wall. Two heights by the
-    same wall closer than about 2e-4 d cancel the free term against its
-    image past the default rel_tol (a ConvergenceError), so such pairs
-    get rho from 1e-2 d."""
+def _gap_pairs(seed, n, rho_min, rho_max, interior=True):
+    """n seeded gap pairs (z, z0, rho) with z != z0: a third at rho = 0, the
+    rest with log-uniform rho from rho_min to rho_max; each height within
+    1e-12..1e-9 d of a wall, or, where `interior`, as often anywhere up to
+    0.49 d from the midplane."""
     rng = random.Random(seed)
 
     def height():
-        side = rng.choice((-1.0, 0.0, 1.0))
+        side = rng.choice((-1.0, 0.0, 1.0) if interior else (-1.0, 1.0))
         if side == 0.0:
             return rng.uniform(-0.49, 0.49) * D
         return side * (0.5 - 10.0 ** rng.uniform(-12.0, -9.0)) * D
@@ -383,16 +399,49 @@ def _conducting_pairs(seed, n):
     pairs = []
     while len(pairs) < n:
         z, z0 = height(), height()
-        same_wall = abs(z) > 0.49 * D and z * z0 > 0.0 and abs(z0) > 0.49 * D
-        if len(pairs) % 3 == 0:
-            rho = 0.0
-        elif same_wall:
-            rho = 10.0 ** rng.uniform(-2.0, math.log10(0.4999)) * D
-        else:
-            rho = 10.0 ** rng.uniform(-6.0, math.log10(0.4999)) * D
-        if z != z0 and not (rho == 0.0 and same_wall):
+        rho = 0.0 if len(pairs) % 3 == 0 else 10.0 ** rng.uniform(
+            math.log10(rho_min), math.log10(rho_max))
+        if z != z0:
             pairs.append((z, z0, rho))
     return pairs
+
+
+def _check_against_the_series(points, walls, spec=QuadratureSpec()):
+    """cavity_g_images_many at `points` and at each point's mirror pair (both
+    orders) against _image_series: within abs_err, and abs_err within the
+    target max(floor, rel_tol |g|)."""
+    coeffs = reflection_coeffs(*walls)
+    both = points + [(z0, z, rho) for z, z0, rho in points]
+    got = list(cavity_g_images_many(both, D, *walls, spec))
+    refs = [_image_series(*p, coeffs.r1, coeffs.r3) / (4 * mp.pi * walls[1]) for p in points]
+    for (z, z0, rho), g, ref in zip(both, got, refs + refs):
+        length = max(math.hypot(rho, z - z0), 0.05 * D)
+        target = max(1e-12 / (4 * math.pi * walls[1] * length), spec.rel_tol * abs(g.value))
+        assert abs(mp.mpf(g.value) - ref) <= g.abs_err <= target, (z, z0, rho)
+
+
+class TestNearAWall:
+    """Pairs within 1e-12..1e-9 d of a wall and closer than 1.5e-4 d, where
+    order 0 takes the free term with the nearer wall's image as two terms
+    of one sign."""
+
+    # 1e-11 d below a conducting wall: summed apart, 1/r and that wall's
+    # image cancelled past the default rel_tol (a ConvergenceError)
+    FOUND = (0.4999999999926224 * D, 0.4999999995857874 * D, 1.07e-6 * D)
+
+    @pytest.mark.parametrize("walls", [(4.0, 1.0, PC), (PC, 1.0, PC), (1.0, 4.0, 16.0)])
+    def test_matches_a_40_digit_sum(self, walls):
+        z, z0, rho = self.FOUND
+        pairs = [self.FOUND, (-z, -z0, rho)] + _gap_pairs(
+            1618, 12, 1e-9 * D, 1.5e-4 * D, interior=False)
+        _check_against_the_series(pairs, walls)
+
+    def test_geometry_sums_the_found_pair(self):
+        z, z0, rho = self.FOUND
+        for eps1, eps3, sign in ((4.0, PC, 1.0), (PC, PC, -1.0)):
+            got = ThreeLayerCavity(eps1, 1.0, eps3, D).g(
+                Point3(rho, 0.0, sign * z), Point3(0.0, 0.0, sign * z0), QuadratureSpec())
+            assert got.abs_err <= 1e-12 / (4 * math.pi * 0.05 * D)
 
 
 class TestConductingImages:
@@ -400,18 +449,9 @@ class TestConductingImages:
     which the geometry takes below rho = d/2."""
 
     SPEC = QuadratureSpec()
-    COEFFS = reflection_coeffs(PC, 1.0, PC)
 
     def test_matches_a_40_digit_sum(self):
-        pairs = _conducting_pairs(2718, 24)
-        points = pairs + [(z0, z, rho) for z, z0, rho in pairs]  # both orders
-        got = list(cavity_g_images_many(points, D, self.COEFFS, 1.0, self.SPEC))
-        refs = [_conducting_series(*p) / (4 * mp.pi) for p in pairs]
-        for (z, z0, rho), g, ref in zip(points, got, refs + refs):
-            r = math.hypot(rho, z - z0)
-            target = max(1e-12 / (4 * math.pi * max(r, 0.05 * D)),
-                         self.SPEC.rel_tol * abs(g.value))
-            assert abs(mp.mpf(g.value) - ref) <= g.abs_err <= target, (z, z0, rho)
+        _check_against_the_series(_gap_pairs(2718, 24, 1e-6 * D, 0.4999 * D), (PC, 1.0, PC))
 
     def test_continuous_with_the_mode_sum_at_half_d(self):
         # just below d/2 the geometry sums images, from d/2 on modes
@@ -420,10 +460,10 @@ class TestConductingImages:
         for z, z0 in HEIGHTS + [(0.5 - 1e-10, -0.3), (-0.5 + 1e-10, -0.5 + 1e-10)]:
             pairs = [(Point3(rho, 0.0, z * D), Point3(0.0, 0.0, z0 * D))
                      for rho in (below, 0.5 * D)]
-            images, modes = geom.g_many(pairs, self.SPEC)
-            assert images == cavity_g_images(z * D, z0 * D, below, D, PC, 1.0, PC)
+            series, modes = geom.g_many(pairs, self.SPEC)
+            assert series == images(z * D, z0 * D, below, PC, 1.0, PC)
             assert modes == conducting_gap_g(z * D, z0 * D, 0.5 * D, D, 1.0)
-            assert abs(images.value - modes.value) <= images.abs_err + modes.abs_err
+            assert abs(series.value - modes.value) <= series.abs_err + modes.abs_err
 
     def test_geometry_takes_no_hankel_route(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -435,14 +475,62 @@ class TestConductingImages:
         assert len(list(geom.g_many(pairs, self.SPEC))) == 40
 
     def test_other_unit_products_keep_the_hankel_route(self):
-        for coeffs in (CavityCoeffs(-1.0, -1.0), CavityCoeffs(1.0, -1.0)):
-            assert list(cavity_g_images_many([(0.1, -0.2, 0.3)], D, coeffs, 1.0)) == [None]
+        # a gap of eps2 = 1e17 gives a wall of eps 1 the coefficient -1
+        for eps1, eps3 in ((1.0, 1.0), (PC, 1.0)):
+            points = [(0.1, -0.2, 0.3), (0.1, 0.1, 0.0)]
+            assert list(cavity_g_images_many(points, D, eps1, 1e17, eps3)) == [
+                cavity_g_general(0.1, -0.2, 0.3, D, eps1, 1e17, eps3),
+                cavity_scattering_g1(0.1, D, eps1, 1e17, eps3)]
 
     def test_roundoff_past_the_target_raises(self):
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
         with pytest.raises(ConvergenceError,
                            match="image series .* its bound .*Euler-Maclaurin tail .* exceeds"):
-            cavity_g_images(0.4, -0.4, 0.3, D, PC, 1.0, PC, spec)
+            images(0.4, -0.4, 0.3, PC, 1.0, PC, spec)
+
+
+class TestConductingWalls:
+    """Both walls conduct where both reflection coefficients are 1.0, a
+    perfect conductor's or, from eps about 1e16 eps2 on, a dielectric's;
+    such walls take every route of conducting walls."""
+
+    SPEC = QuadratureSpec()
+    PC_GAP = ThreeLayerCavity(PC, 1.0, PC, D)
+    ROUNDED = ThreeLayerCavity(1e17, 1.0, 1e17, D)
+
+    def grads(self, pair):
+        return [np.array(geom.grad_g(*pair, self.SPEC)) for geom in (self.ROUNDED, self.PC_GAP)]
+
+    def test_walls_that_round_to_conductors(self):
+        assert reflection_coeffs(1e17, 1.0, 1e17).conducting
+        for rho in np.geomspace(1e-3, 20.0, 9) * D:
+            for z, z0 in HEIGHTS[:3]:
+                pair = (Point3(rho, 0.0, z * D), Point3(0.0, 0.0, z0 * D))
+                got, ref = (geom.g(*pair, self.SPEC) for geom in (self.ROUNDED, self.PC_GAP))
+                assert abs(got.value - ref.value) <= got.abs_err + ref.abs_err
+                grad, ref_grad = self.grads(pair)
+                assert np.linalg.norm(grad - ref_grad) <= 1e-8 * np.linalg.norm(ref_grad)
+        for z0 in (-0.49, -0.3, 0.0, 0.45):
+            point = Point3(0.0, 0.0, z0 * D)
+            got, ref = (geom.g1(point, self.SPEC) for geom in (self.ROUNDED, self.PC_GAP))
+            assert abs(got.value - ref.value) <= got.abs_err + ref.abs_err
+            grad, ref_grad = (np.array(geom.grad_g1(point, self.SPEC))
+                              for geom in (self.ROUNDED, self.PC_GAP))
+            assert np.linalg.norm(grad - ref_grad) <= 1e-8 * np.linalg.norm(ref_grad)
+        # the image series, taken as a dielectric's, lost g's sign this far out
+        far = (Point3(20.0 * D, 0.0, 0.1 * D), Point3(0.0, 0.0, -0.2 * D))
+        assert self.ROUNDED.g(*far, self.SPEC).value > 0.0
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_force_is_continuous_at_half_d(self, rounded):
+        # just below d/2 the gradient comes from the Hankel integral, from
+        # d/2 on from the mode sum
+        geom = self.ROUNDED if rounded else self.PC_GAP
+        for z, z0 in HEIGHTS[:3]:
+            below, at = (np.array(geom.grad_g(Point3(rho, 0.0, z * D), Point3(0.0, 0.0, z0 * D),
+                                              self.SPEC))
+                         for rho in (0.5 * D * (1.0 - 1e-9), 0.5 * D))
+            assert np.linalg.norm(below - at) <= 1e-8 * np.linalg.norm(at)
 
 
 class TestScatteringPart:

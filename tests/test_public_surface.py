@@ -14,7 +14,7 @@ import pytest
 
 import greens_coulomb
 from greens_coulomb import born, kernels
-from greens_coulomb.core import Point3, QuadratureSpec
+from greens_coulomb.core import Point3, QuadratureSpec, ThreeLayerCavity
 
 MODULES = [importlib.import_module("greens_coulomb." + m.name)
            for m in pkgutil.iter_modules(greens_coulomb.__path__)]
@@ -23,10 +23,11 @@ EXPORTS = {name: getattr(greens_coulomb, name) for name in dir(greens_coulomb)
            if not name.startswith("_") and not inspect.ismodule(getattr(greens_coulomb, name))}
 
 # second writings: of the half-space image (HalfSpace._g), of the Yukawa
-# (NonlocalBulk._g), of ValueWithError, of Point3.mirror_z and of the gap's
-# cavity_g_general at z = z0 = 0
+# (NonlocalBulk._g), of ValueWithError, of Point3.mirror_z, of the gap's
+# cavity_g_general at z = z0 = 0, of cavity_g_images_many at one point and
+# of cavity_grad_general at coincident points
 REMOVED = ("half_space_g", "half_space_scattering_g1", "screened_potential", "GreensValue",
-           "mirror_z", "cavity_g_midpoint")
+           "mirror_z", "cavity_g_midpoint", "cavity_g_images", "cavity_scattering_dg1")
 
 
 def test_removed_names_stay_gone():
@@ -35,6 +36,8 @@ def test_removed_names_stay_gone():
     assert [a for a in ("phi", "cylindrical", "vec") if hasattr(Point3, a)] == []
     # host_eps is a geometry's one admission rule, with no second test of a point
     assert not hasattr(born.DiluteBody, "contains")
+    # cavity alone picks the gap's route
+    assert [a for a in ("_modal", "_conducting") if hasattr(ThreeLayerCavity, a)] == []
 
 
 def test_one_octree_pass_per_born_gradient():
