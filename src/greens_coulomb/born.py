@@ -13,7 +13,7 @@ The half-space is integrated in closed form for any tensor
 face-and-edge reduction of polyhedral potential fields
 (`_box_self_integral`): its error is the roundoff of its summed terms, and
 where that exceeds rel_tol (far from the box, where the terms cancel) the
-octree takes over. The octree also takes every pair term (r != r'): 5-point
+octree takes over. The octree also takes every pair term (r != r'): 7-point
 Gauss-Legendre per axis with dyadic refinement, evaluated one refinement
 level at a time: a level is a set of corner arrays, all its cells are split
 at once, and the integrand sees whole blocks of cells per call. Accepted
@@ -55,11 +55,12 @@ from .core import (
     finite_eps,
 )
 
-_GL_ORDER = 5
+_GL_ORDER = 7
 _GL_X, _GL_W = leggauss(_GL_ORDER)
-# Parents per integrand call (8 cells, 1,000 nodes each). With 64 parents
-# the dilute_bodies benchmark ran a quarter slower and its peak RSS rose 12%.
-_CHUNK_PARENTS = 4
+# Parents per integrand call (8 cells, 2,744 nodes each). With 2 or 4 parents
+# the dilute_bodies benchmark's light rate fell by a third (1,610 to about
+# 1,040 per second), and with 4 an octree of 2,000-8,000 cells ran 1.6x slower.
+_CHUNK_PARENTS = 1
 _CHUNK_CELLS = 8 * _CHUNK_PARENTS
 # Refinement levels of the octree; a cell still above its budget at this
 # depth is a ConvergenceError.
@@ -257,20 +258,22 @@ def charge_molecule_potential(qA: float, rA: Point3, rB: Point3,
 # ---------------------------------------------------------------------------
 
 def _cell_nodes(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes (n*125, 3) and weights (n, 125) of n boxes [lo, hi].
+    """Gauss nodes (n*343, 3) and weights (n, 343) of n boxes [lo, hi].
 
     Nodes run x-major, z-minor within each box, as a meshgrid with "ij"
-    indexing would order them.
+    indexing would order them. The nodes are stored one row per component
+    and returned transposed, so the kernels read `points.T` as three
+    contiguous rows.
     """
     half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, :, None] + half[:, :, None] * _GL_X   # (n, 3, 5)
+    x = (0.5 * (lo + hi))[:, :, None] + half[:, :, None] * _GL_X   # (n, 3, 7)
     w = half[:, :, None] * _GL_W
-    pts = np.empty((lo.shape[0], _GL_ORDER, _GL_ORDER, _GL_ORDER, 3))
-    pts[..., 0] = x[:, 0, :, None, None]
-    pts[..., 1] = x[:, 1, None, :, None]
-    pts[..., 2] = x[:, 2, None, None, :]
+    pts = np.empty((3, lo.shape[0], _GL_ORDER, _GL_ORDER, _GL_ORDER))
+    pts[0] = x[:, 0, :, None, None]
+    pts[1] = x[:, 1, None, :, None]
+    pts[2] = x[:, 2, None, None, :]
     W = w[:, 0, :, None, None] * w[:, 1, None, :, None] * w[:, 2, None, None, :]
-    return pts.reshape(-1, 3), W.reshape(lo.shape[0], -1)
+    return pts.reshape(3, -1).T, W.reshape(lo.shape[0], -1)
 
 
 def _cell_integrals(integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -297,8 +300,8 @@ def _adaptive_boxes(integrand, boxes, rel_tol: float, scale_hint: float):
     A level is held as arrays of lower corners, upper corners and coarse
     estimates; every entry shares the level's depth. All parents are split
     at once and their children integrated in blocks of _CHUNK_PARENTS
-    parents. `integrand(points, weights)` takes points (cells*125, 3) and
-    weights (cells, 125) and returns the per-cell sums of a scalar (cells,)
+    parents. `integrand(points, weights)` takes points (cells*343, 3) and
+    weights (cells, 343) and returns the per-cell sums of a scalar (cells,)
     or a vector (cells, 3); the total is a float or a tuple. A parent is
     accepted when its children's sum moves its coarse estimate by no more
     than the local budget rel_tol * max(|fine|, scale_hint), or by no more

@@ -240,6 +240,23 @@ def screening_integrand(k: np.ndarray, r: float, eps_b: float, w: float) -> np.n
     return k / (r * (eps_b * k * k + w))
 
 
+def _chain_terms(points: np.ndarray, weights: np.ndarray, r: np.ndarray, rp: np.ndarray,
+                 alpha: np.ndarray):
+    """r - x, alpha.(rp - x), (r-x).alpha.(rp-x), |r-x|^2 and w / (|r-x|^3 |rp-x|^3)
+    at every node of points (cells * n, 3). The nodes run along rows, one row
+    per component, so that every product is over contiguous memory. The sums
+    over components are written out: an einsum's rounding depends on the
+    memory layout of points, and the octree's results must not."""
+    s1 = r[:, np.newaxis] - points.T
+    s2 = rp[:, np.newaxis] - points.T
+    a2 = alpha @ s2
+    n1 = s1[0] * s1[0] + s1[1] * s1[1] + s1[2] * s1[2]
+    n2 = s2[0] * s2[0] + s2[1] * s2[1] + s2[2] * s2[2]
+    quad = s1[0] * a2[0] + s1[1] * a2[1] + s1[2] * a2[2]
+    n12 = n1 * n2
+    return s1, a2, quad, n1, weights.reshape(-1) / (n12 * np.sqrt(n12))
+
+
 def alpha_chain_sum(points: np.ndarray, weights: np.ndarray,
                     r: np.ndarray, rp: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Per-cell sums over quadrature nodes of w * (r-x).alpha.(rp-x) / (|r-x|^3 |rp-x|^3).
@@ -247,13 +264,8 @@ def alpha_chain_sum(points: np.ndarray, weights: np.ndarray,
     points: (cells * n, 3), cell by cell; weights: (cells, n); r, rp: (3,);
     alpha: (3, 3). Returns (cells,).
     """
-    s1 = r[np.newaxis, :] - points
-    s2 = rp[np.newaxis, :] - points
-    n1 = np.einsum("ij,ij->i", s1, s1)
-    n2 = np.einsum("ij,ij->i", s2, s2)
-    quad = np.einsum("ij,ij->i", s1 @ alpha, s2)
-    terms = weights.reshape(-1) * quad / (n1 * np.sqrt(n1) * n2 * np.sqrt(n2))
-    return np.sum(terms.reshape(weights.shape), axis=-1)
+    _, _, quad, _, scale = _chain_terms(points, weights, r, rp, alpha)
+    return np.sum((quad * scale).reshape(weights.shape), axis=-1)
 
 
 def alpha_chain_grad_sum(points: np.ndarray, weights: np.ndarray, r: np.ndarray,
@@ -262,15 +274,8 @@ def alpha_chain_grad_sum(points: np.ndarray, weights: np.ndarray, r: np.ndarray,
     w * [alpha.(rp-x) - 3 (r-x) (r-x).alpha.(rp-x) / |r-x|^2] / (|r-x|^3 |rp-x|^3).
 
     points: (cells * n, 3), cell by cell; weights: (cells, n); alpha
-    symmetric. Returns (cells, 3). The nodes run along rows, one row per
-    component, so that every product is over contiguous memory.
+    symmetric. Returns (cells, 3).
     """
-    s1 = r[:, np.newaxis] - points.T
-    s2 = rp[:, np.newaxis] - points.T
-    a2 = alpha @ s2
-    n1 = s1[0] * s1[0] + s1[1] * s1[1] + s1[2] * s1[2]
-    n2 = s2[0] * s2[0] + s2[1] * s2[1] + s2[2] * s2[2]
-    quad = s1[0] * a2[0] + s1[1] * a2[1] + s1[2] * a2[2]
-    scale = weights.reshape(-1) / (n1 * np.sqrt(n1) * n2 * np.sqrt(n2))
+    s1, a2, quad, n1, scale = _chain_terms(points, weights, r, rp, alpha)
     terms = a2 * scale - s1 * (3.0 * quad / n1 * scale)
     return np.sum(terms.reshape(3, *weights.shape), axis=-1).T

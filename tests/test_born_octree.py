@@ -6,6 +6,8 @@ shells of `validate.half_space_octree` and on the boxes of
 `validate.box_octree`.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -30,10 +32,12 @@ SLAB = DensityRegion(Box(-1 * NM, 1 * NM, -1 * NM, 1 * NM, -2 * NM, -1 * NM), 1e
 SIDE = DensityRegion(Box(1.5 * NM, 2.5 * NM, -0.5 * NM, 0.5 * NM, -1 * NM, 0.5 * NM), 2e27)
 
 
-def reference_adaptive_boxes(integrand, boxes, rel_tol, scale_hint, max_depth=12):
-    """FIFO loop over Box objects, one 125-node integrand call per cell; the
-    error adds each accepted cell's roundoff, as the program's octree does."""
-    gx, gw = leggauss(5)
+def reference_adaptive_boxes(integrand, boxes, rel_tol, scale_hint, max_depth=12,
+                             order=None):
+    """FIFO loop over Box objects, one integrand call per cell of order^3
+    Gauss nodes (the program's order by default); the error adds each
+    accepted cell's roundoff, as the program's octree does."""
+    gx, gw = leggauss(born._GL_ORDER if order is None else order)
 
     def cell(b):
         def axis(a, c):
@@ -128,6 +132,15 @@ def test_matches_cell_by_cell_octree(monkeypatch, name):
     # same nodes, weights, kernel and summation order: equal to the last bit
     assert (new.value, new.abs_err) == (old.value, old.abs_err)
     assert new_cells == old_cells
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_within_the_error_of_the_order_5_octree(monkeypatch, name):
+    # the rule before Gauss order 7: 5 nodes per axis, with the same budget
+    new = CASES[name]()
+    old, _ = run_counted(monkeypatch, functools.partial(reference_adaptive_boxes, order=5),
+                         CASES[name])
+    assert abs(new.value - old.value) <= old.abs_err
 
 
 @pytest.mark.parametrize("name", ["box_self_0.2nm_above_face", "half_space_pair",

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.constants import elementary_charge as QE, epsilon_0
 
 import greens_coulomb
+from greens_coulomb import born
+from greens_coulomb.born import DiluteBody, born_scattering_g1
 from greens_coulomb.cli import main
 from greens_coulomb.core import PERFECT_CONDUCTOR, SceneError
 from greens_coulomb.scene import parse_scene, swept_scenes
@@ -257,22 +260,42 @@ class TestCliCommands:
     BIG_BOX = {"type": "dilute_body", "alpha": 1e-40,
                "regions": [{"box": [-1.0, 1.0, -1.0, 1.0, -2.0, -1.0], "eta": 1e3}]}
 
+    def big_box_pair(self, height):
+        """Two charges `height` above the centre of the 2 m box's top face, `height` apart."""
+        return {"geometry": self.BIG_BOX,
+                "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, -1.0 + height]},
+                            {"q": 1.0, "unit": "e", "position": [height, 0, -1.0 + height]}]}
+
     def test_born_depth_cap_exit_3(self, tmp_path, capsys):
-        # for a pair 1 mm above a face of a 2 m box the octree needs cells
+        # for a pair 0.1 mm above a face of a 2 m box the octree needs cells
         # finer than its depth cap of 12
-        doc = {"geometry": self.BIG_BOX,
-               "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, -0.999]},
-                           {"q": 1.0, "unit": "e", "position": [0.001, 0, -0.999]}]}
-        scene = write_scene(tmp_path, doc)
+        scene = write_scene(tmp_path, self.big_box_pair(1e-4))
         assert main(["pair-energy", "--scene", scene]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and "12 cells" in err and "depth cap 12" in err
+        assert out == "" and "Born octree" in err
+        assert re.search(r"\b\d+ cells still above their budget at the depth cap 12\b", err)
         assert "diff/budget" in err
 
+    def test_born_pair_near_a_large_box(self, tmp_path, capsys):
+        # 1 mm above the face the pair converges, and its Born term is within
+        # 1% of the half-space's closed form (the box ends 1 m away)
+        scene = write_scene(tmp_path, self.big_box_pair(1e-3))
+        assert main(["pair-energy", "--scene", scene]) == 0
+        rec = strict_json(capsys.readouterr().out)
+        assert rec["U_joules"] > 0.0 and rec["abs_err"] > 0.0
+        parsed = parse_scene(self.big_box_pair(1e-3))
+        box = parsed.geometry
+        half_space = DiluteBody(alpha=box.alpha, half_space_eta=box.regions[0].eta)
+        ra, rb = (c.position for c in parsed.charges)
+        got = born_scattering_g1(ra, rb, box)
+        want = born_scattering_g1(ra.shifted(dz=1.0), rb.shifted(dz=1.0), half_space)
+        assert got.value == pytest.approx(want.value, rel=1e-2, abs=0.0)
+        assert 0.0 < got.abs_err <= 1e-9 * abs(got.value)
+
     def test_born_self_terms_near_a_large_box(self, tmp_path, capsys):
-        # the self-energy and self-force in closed form, where the octree hits
-        # its depth cap: 1 mm above the face they are within 1% of the
-        # half-space's -q^2 eta alpha / (32 pi eps0^2 h) and its h-derivative
+        # the self-energy and self-force in closed form: 1 mm above the face
+        # they are within 1% of the half-space's -q^2 eta alpha / (32 pi
+        # eps0^2 h) and its h-derivative
         doc = {"geometry": self.BIG_BOX,
                "charges": [{"q": 1.0, "unit": "e", "position": [0, 0, -0.999]}]}
         scene = write_scene(tmp_path, doc)
@@ -830,6 +853,41 @@ def test_born_octree_not_finite_exit_2_with_warnings_as_errors(tmp_path, command
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert "Born octree" in proc.stderr and says in proc.stderr
+
+
+def test_born_force_by_an_edge_line_with_warnings_as_errors(tmp_path, monkeypatch, capsys):
+    # 1e-9 m off the line of an edge of the 2 m box and 1 mm past its end,
+    # the closed-form gradient's face integrals cancel and the octree takes
+    # the self-force. It finishes under `python -W error` within the timeout
+    # and matches a fourth-order central difference (step 1e-7 m) of the
+    # closed-form self-energy, a route that shares no code with the octree.
+    def scene(pos):
+        return write_scene(tmp_path, {"geometry": TestCliCommands.BIG_BOX, "charges": [
+            {"q": 1.0, "unit": "e", "position": pos}]})
+
+    pos = [1.0 + 1e-9, 1.001, -1.0 + 1e-9]
+    src = os.path.dirname(os.path.dirname(greens_coulomb.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "greens_coulomb", "force", "--scene", scene(pos)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    force = strict_json(proc.stdout)["F_newtons"]
+
+    def no_octree(*args, **kwargs):
+        raise AssertionError("the self-energy took the octree")
+
+    monkeypatch.setattr(born, "_adaptive_boxes", no_octree)
+
+    def energy(k, step):
+        moved = list(pos)
+        moved[k] += step
+        assert main(["self-energy", "--scene", scene(moved)]) == 0
+        return strict_json(capsys.readouterr().out)["U_joules"]
+
+    h = 1e-7
+    fd = [-(8.0 * (energy(k, h) - energy(k, -h)) - (energy(k, 2 * h) - energy(k, -2 * h)))
+          / (12.0 * h) for k in range(3)]
+    assert math.dist(force, fd) <= 1e-8 * math.hypot(*fd)
 
 
 class TestValidateCommand:
