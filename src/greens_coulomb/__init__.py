@@ -15,13 +15,10 @@ from .born import (
     PolarizabilityTensor,
     born_scattering_g1,
     charge_body_energy,
-    charge_molecule_potential,
 )
 from .cavity import (
     CavityCoeffs,
-    cavity_asymptotic,
     cavity_g_general,
-    cavity_g_series,
     cavity_scattering_g1,
     reflection_coeffs,
 )
@@ -56,7 +53,6 @@ from .interactions import (
     ForceResult,
     Geometry,
     InteractionResult,
-    cavity_asymptotic_force,
     force_on_A,
     local_field_factor,
     pair_energy,
@@ -64,12 +60,7 @@ from .interactions import (
 )
 from .quadrature import hankel_integral, sine_integral
 from .scene import Scene, SceneOptions, load_scene, parse_scene
-from .screening import (
-    DrudeStatic,
-    NonlocalBulk,
-    eps_longitudinal_static,
-    screened_potential_numeric,
-)
+from .screening import DrudeStatic, NonlocalBulk
 
 __version__ = "0.1.0"
 

@@ -43,7 +43,6 @@ from .core import (
     DEFAULT_QUADRATURE,
     EPSILON_0,
     MIN_REL_TOL,
-    CoincidentPointsError,
     ConvergenceError,
     DomainError,
     Geometry,
@@ -65,7 +64,7 @@ _CHUNK_CELLS = 8 * _CHUNK_PARENTS
 # Refinement levels of the octree; a cell still above its budget at this
 # depth is a ConvergenceError.
 _MAX_DEPTH = 12
-# The largest box coordinate a scene may give: beyond it |r - x|^3 |r' - x|^3
+# The largest box coordinate a Box admits: beyond it |r - x|^3 |r' - x|^3
 # overflows float64 in metres for points at the same scale. The octree and
 # the closed forms divide their coordinates by a power of two first.
 MAX_BOX_COORD = 0.5 * sys.float_info.max ** (1.0 / 6.0)
@@ -124,7 +123,8 @@ class PolarizabilityTensor:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box [x0,x1] x [y0,y1] x [z0,z1], meters."""
+    """Axis-aligned box [x0,x1] x [y0,y1] x [z0,z1], meters, each coordinate
+    within MAX_BOX_COORD of 0."""
 
     x0: float
     x1: float
@@ -136,6 +136,9 @@ class Box:
     def __post_init__(self):
         if not (self.x1 > self.x0 and self.y1 > self.y0 and self.z1 > self.z0):
             raise DomainError(f"degenerate box {self!r}")
+        if max(map(abs, (self.x0, self.x1, self.y0, self.y1, self.z0, self.z1))) > MAX_BOX_COORD:
+            raise DomainError(f"box {self!r}: coordinates beyond {MAX_BOX_COORD:.3g} m "
+                              f"overflow the Born integrand")
 
     @property
     def volume(self) -> float:
@@ -240,17 +243,6 @@ class DiluteBody(Geometry):
             return tuple(2.0 * c for c in _half_space_grad(r1, r2, a))
 
         return _body_grad(self, box_grad, half_space_grad, r, r, _g1_prefactor(self))
-
-
-def charge_molecule_potential(qA: float, rA: Point3, rB: Point3,
-                              alpha: PolarizabilityTensor) -> float:
-    """Charge-molecule interaction -qA^2 (r . alpha . r) / (32 pi^2 eps0^2 r^6), joules."""
-    r = np.array([rA.x - rB.x, rA.y - rB.y, rA.z - rB.z])
-    r2 = float(r @ r)
-    if r2 == 0.0:
-        raise CoincidentPointsError("charge_molecule_potential: rA coincides with rB")
-    quad = float(r @ alpha.matrix @ r)
-    return -qA * qA * quad / (32.0 * math.pi ** 2 * EPSILON_0 ** 2 * r2 ** 3)
 
 
 # ---------------------------------------------------------------------------

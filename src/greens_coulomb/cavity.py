@@ -26,16 +26,9 @@ The routes:
   508), for every other gradient, and for the g and g1 that the image
   series cannot sum: past its order cap (|r1 r3| above about 0.99), and
   where |r1 r3| = 1 without both walls conducting; g1, the gradients and g
-  share one set-up.
-
-Two references that the tests and `validate` compare against:
-
-* the image series to a fixed order (`cavity_g_series`), at any heights
-  where r1 r3 is below 1 in magnitude, and at the midplane with Euler
-  acceleration of the conductor case, where the image sum is only
-  conditionally convergent;
-* the conductor large-separation asymptotic sqrt(8/(rho d)) exp(-pi rho/d)
-  (`cavity_asymptotic`).
+  share one set-up. Where both walls reflect with r near -1, g's panels
+  start from the pole of its kernel (_g_integral); where both reflect with
+  r = -1, g and g1 diverge, a DomainError.
 
 The conducting-wall functions import K0, K1, digamma and the trigamma from
 scipy.special when they are called, not when the package is imported, and
@@ -49,7 +42,6 @@ Region 2 (the gap, host permittivity eps2) spans -d/2 < z < d/2.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
@@ -69,7 +61,7 @@ from .core import (
     is_conductor,
     until_error,
 )
-from .quadrature import euler_limit, hankel_integral
+from .quadrature import hankel_integral
 
 _FOUR_PI = 4.0 * math.pi
 _EPS = float(np.finfo(float).eps)
@@ -82,6 +74,9 @@ _MODE_SPAN = 40.0
 # The image series is summed to at most this order; a pair whose series
 # needs more (|r1 r3| above about 0.99) takes the Hankel route.
 IMAGE_ORDER_MAX = 4096
+# From r1 r3 = _POLE_Q on, with r1, r3 < 0, the pole of 1/(1 - r1 r3 e^{-2kd})
+# lies below 1/64 of 1/(2d), where the gap's kernels decay most slowly (_g_integral).
+_POLE_Q = math.exp(-1.0 / 64.0)
 # Roundoff of the image series, relative to the sum of its terms' magnitudes.
 _IMAGE_ROUNDOFF = 8.0 * _EPS
 # The batched image series sums its points in blocks of at most this many
@@ -218,9 +213,16 @@ def _pair(z: float, z0: float, rho: float, d: float, eps2: float,
 
 
 def _layers_pair(z: float, z0: float, rho: float, d: float, eps1: Permittivity,
-                 eps2: float, eps3: Permittivity) -> _Pair:
-    """_pair between walls of permittivities eps1 (below) and eps3 (above)."""
-    return _pair(z, z0, rho, d, eps2, reflection_coeffs(eps1, eps2, eps3))
+                 eps2: float, eps3: Permittivity, g: bool = False) -> _Pair:
+    """_pair between walls of permittivities eps1 (below) and eps3 (above);
+    for g or g1 (`g`), which diverge there, a DomainError where both walls
+    reflect with r = -1."""
+    p = _pair(z, z0, rho, d, eps2, reflection_coeffs(eps1, eps2, eps3))
+    if g and p.r1 == p.r3 == -1.0:
+        raise DomainError(
+            f"g of the gap diverges: both walls, of eps1 = {eps1!r} and eps3 = {eps3!r}, "
+            f"reflect with r = -1 in float64 against eps2 = {eps2!r}")
+    return p
 
 
 def gap_g_many(points: Iterable[Tuple[float, float, float]], d: float,
@@ -269,28 +271,48 @@ def gap_grad_g1(z0: float, d: float, eps1: Permittivity, eps2: float, eps3: Perm
 
 
 def _gap_integral(kernel, p: _Pair, target: QuadratureSpec, order: int = 0,
-                  known: float = 0.0) -> ValueWithError:
+                  known: float = 0.0, k_scale: Optional[float] = None) -> ValueWithError:
     """1/(4 pi eps2) times the Hankel integral of order `order` of
     kernel(k, a_free, a1, a3, d, r1, r3), a reflected kernel of the pair p,
     to `target` (see _Pair.target); plus known/(4 pi eps2), a part taken out
-    of the kernel in closed form, to whose sum rel_tol applies. The kernel
-    decays on the scale of the shorter reflected path, a_free + a1 or
-    a_free + a3, and of 2d. The integral is 0 where neither wall reflects.
+    of the kernel in closed form, to whose sum rel_tol applies. The panels
+    start from the wavenumber k_scale, by default that on whose scale the
+    kernel decays: 1 over the shorter reflected path, a_free + a1 or
+    a_free + a3, or over 2d. The integral is 0 where neither wall reflects.
     """
     if p.r1 == 0.0 and p.r3 == 0.0:
         return ValueWithError(p.pref * known)
-    scales = [2.0 * p.d]
-    if p.r1 != 0.0:
-        scales.append(p.a_free + p.a1)
-    if p.r3 != 0.0:
-        scales.append(p.a_free + p.a3)
+    if k_scale is None:
+        scales = [2.0 * p.d]
+        if p.r1 != 0.0:
+            scales.append(p.a_free + p.a1)
+        if p.r3 != 0.0:
+            scales.append(p.a_free + p.a3)
+        k_scale = 1.0 / max(min(scales), 1e-300)
 
     def f(k: np.ndarray) -> np.ndarray:
         return kernel(k, p.a_free, p.a1, p.a3, p.d, p.r1, p.r3)
 
-    got = hankel_integral(f, p.rho, target, k_scale=1.0 / max(min(scales), 1e-300),
-                          order=order, subtracted=known)
+    got = hankel_integral(f, p.rho, target, k_scale=k_scale, order=order, subtracted=known)
     return ValueWithError(p.pref * (known + got.value), p.pref * got.abs_err)
+
+
+def _g_integral(p: _Pair, spec: QuadratureSpec, known: float = 0.0) -> ValueWithError:
+    """g's reflected kernel by _gap_integral, plus known/(4 pi eps2): g1, or g
+    with known = 1/r. From q = r1 r3 = _POLE_Q on, with r1, r3 < 0, the
+    panels start from the kernel's pole, -ln(q)/(2d) below k = 0; the floor
+    is 1e-12 of 1/(4 pi eps2 L), since that of 1/(4 pi L) exceeds g there;
+    and abs_err adds half an ulp of q times 4/(d (1 - q) 4 pi eps2), a bound
+    on dg/dq (README, numerical notes)."""
+    _, target = p.target(spec)
+    q = p.r1 * p.r3
+    if not (p.r1 < 0.0 and q > _POLE_Q):
+        return _gap_integral(kernels.cavity_integrand, p, target, known=known)
+    if spec.abs_tol == 0.0:
+        target = replace(target, abs_tol=target.abs_tol * _FOUR_PI * p.pref)
+    got = _gap_integral(kernels.cavity_integrand, p, target, known=known,
+                        k_scale=-math.log(q) / (2.0 * p.d))
+    return ValueWithError(got.value, got.abs_err + p.pref * 2.0 * _EPS / (p.d * (1.0 - q)))
 
 
 def cavity_g_general(z: float, z0: float, rho: float, d: float,
@@ -298,11 +320,11 @@ def cavity_g_general(z: float, z0: float, rho: float, d: float,
                      spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
     """Gap Green's function between heights z0 (source) and z, in-plane offset
     rho: the free term 1/(4 pi eps2 r) in closed form plus the Hankel
-    integral of the reflected kernel, to rel_tol of their sum."""
-    p = _layers_pair(z, z0, rho, d, eps1, eps2, eps3)
+    integral of the reflected kernel, to rel_tol of their sum (_g_integral)."""
+    p = _layers_pair(z, z0, rho, d, eps1, eps2, eps3, g=True)
     if p.r == 0.0:
         raise CoincidentPointsError("field point coincides with source")
-    return _gap_integral(kernels.cavity_integrand, p, p.target(spec)[1], known=1.0 / p.r)
+    return _g_integral(p, spec, known=1.0 / p.r)
 
 
 def cavity_grad_general(z: float, z0: float, rho: float, d: float,
@@ -439,7 +461,8 @@ def cavity_g_images_many(points: Iterable[Tuple[float, float, float]], d: float,
     orders and its tail (_conducting_block). A point whose series needs
     more than IMAGE_ORDER_MAX orders, and every point where |r1 r3| = 1
     other than between conducting walls, takes the Hankel route instead
-    (cavity_g_general, or cavity_scattering_g1 at coincident points).
+    (cavity_g_general, or cavity_scattering_g1 at coincident points), which
+    raises DomainError where r1 = r3 = -1.
 
     Yields each point's value, and raises a point's error when the
     iteration reaches it, after every point before it was yielded. The
@@ -740,85 +763,6 @@ def conducting_gap_dg1(z0: float, d: float, eps2: float) -> ValueWithError:
 def cavity_scattering_g1(z0: float, d: float, eps1: Permittivity, eps2: float,
                          eps3: Permittivity,
                          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
-    """Reflection-only part at coincident points (rho = 0, z = z0); finite.
-    The integral of cavity_g_general's reflected kernel at a_free = 0."""
-    p = _layers_pair(z0, z0, 0.0, d, eps1, eps2, eps3)
-    return _gap_integral(kernels.cavity_integrand, p, p.target(spec)[1])
-
-
-def cavity_g_series(rho: float, d: float, coeffs: CavityCoeffs, eps2: float,
-                    n_max: int = 200, z: float = 0.0, z0: float = 0.0) -> ValueWithError:
-    """Image series between the source height z0 and the field height z.
-
-    With q = r1 r3, a = z - z0, b = z + z0 + d and D(s) = sqrt(rho^2 + s^2)
-    (Barrera, Guzman & Balaguer, Am. J. Phys. 46 (1978) 1172),
-
-        4 pi eps2 g = sum_{|m| <= n_max} q^|m| / D(a + 2md)
-                      - sum_{k=0}^{n_max} q^k (r1 / D(b + 2kd) + r3 / D(b - 2(k+1)d)),
-
-    summed at any heights for |q| < 1 in the orders of cavity_g_images_many
-    (`_image_orders`), here up to the fixed order n_max, with abs_err the
-    geometric bound from the first order dropped. At the midplane z = z0 = 0 with both walls
-    conducting (r1 = r3 = 1) the sum is rearranged as the alternating
-    image-distance series and extrapolated by repeated averaging, which
-    converges far below the plain partial sums; abs_err then adds the
-    roundoff of that cancelling sum, eps * (1/rho + sum |terms|), which
-    exceeds the value itself beyond about 10 d.
-    """
-    if rho <= 0.0:
-        raise DomainError(f"rho must be > 0, got {rho!r}")
-    if d <= 0.0:
-        raise DomainError(f"d must be > 0, got {d!r}")
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max!r}")
-    e2 = finite_eps(eps2, "eps2")
-    r1, r3 = coeffs.r1, coeffs.r3
-    q = r1 * r3
-    c = r1 + r3
-    pref = 1.0 / (_FOUR_PI * e2)
-
-    def image_dist(a: np.ndarray) -> np.ndarray:
-        return np.sqrt((a * d) ** 2 + rho * rho)
-
-    if abs(q) < 1.0:
-        p = _pair(z, z0, rho, d, e2, coeffs)
-        # n_max + 1 is the first order dropped
-        (signed,), (size,) = _image_orders([p], n_max + 1)
-        value = float(np.sum(signed[:-1]))
-        return ValueWithError(pref * value, pref * float(size[-1]) / (1.0 - abs(q)))
-
-    if z != 0.0 or z0 != 0.0:
-        raise DomainError(f"the image series for r1 r3 = {q!r} is summed at the midplane only")
-    # |q| = 1. Physical cavities reach q = 1 only with both walls conducting
-    # (r1 = r3 = 1, c = 2); the series then alternates in the image distance.
-    if q == 1.0 and c == 2.0:
-        m = np.arange(1, 2 * n_max + 2, dtype=float)
-        terms = 2.0 * ((-1.0) ** m) / image_dist(m)
-    elif q == -1.0 and c == 0.0:
-        n = np.arange(1, n_max + 1, dtype=float)
-        terms = 2.0 * ((-1.0) ** n) / image_dist(2.0 * n)
-    else:
-        raise DomainError(
-            f"image series diverges for r1 r3 = {q!r} with r1 + r3 = {c!r}")
-    partial = np.cumsum(terms)
-    window = partial[-80:] if partial.size > 80 else partial
-    s, err = euler_limit(window, min(16, window.size - 1))
-    # s cancels 1/rho to within g ~ exp(-pi rho / d): the roundoff of the
-    # partial sums stays while the value decays, so it bounds the error far out.
-    roundoff = np.finfo(float).eps * (1.0 / rho + float(np.sum(np.abs(terms))))
-    return ValueWithError(pref * (1.0 / rho + s), pref * (err + roundoff))
-
-
-def cavity_asymptotic(rho: float, d: float, eps2: float) -> ValueWithError:
-    """Conductor-wall midplane asymptotic g = sqrt(8/(rho d)) exp(-pi rho/d)/(4 pi eps2).
-
-    Valid for rho >> d; a warning is emitted below rho = 3 d.
-    """
-    if rho <= 0.0 or d <= 0.0:
-        raise DomainError(f"rho and d must be > 0, got rho={rho!r}, d={d!r}")
-    e2 = finite_eps(eps2, "eps2")
-    if rho < 3.0 * d:
-        warnings.warn("cavity_asymptotic called at rho < 3 d, outside its regime",
-                      stacklevel=2)
-    value = math.sqrt(8.0 / (rho * d)) * math.exp(-math.pi * rho / d) / (_FOUR_PI * e2)
-    return ValueWithError(value)
+    """Reflection-only part at coincident points (rho = 0, z = z0): the
+    integral of cavity_g_general's reflected kernel at a_free = 0."""
+    return _g_integral(_layers_pair(z0, z0, 0.0, d, eps1, eps2, eps3, g=True), spec)

@@ -1,9 +1,9 @@
 """Physical observables from the Green's function of a geometry.
 
 Every geometry supplies g, g1 and their gradients (`core.Geometry`); the
-three entry points here are the only place where charges and eps0 enter
-(the energies also for many charges or pairs in one call, as a sweep
-evaluates them):
+three entry points here are the only place in the program where charges
+and eps0 enter (the energies also for many charges or pairs in one call,
+as a sweep evaluates them):
 
 * self-energy U1 = q^2/(2 eps0) g1(r, r), the interaction of one charge
   with the polarization it induces on the surfaces;
@@ -14,9 +14,7 @@ evaluates them):
 Forces are therefore exact up to roundoff in closed form and follow `spec`
 where the Green's function is a quadrature or an octree sum. Energies are
 reported uncorrected; the real-cavity local-field factor 3 eps/(2 eps + 1)
-multiplies forces only, and only on request. The closed-form reference
-`cavity_asymptotic_force`, which the tests compare them against, is the
-one other function here that multiplies by the charges and eps0.
+multiplies forces only, and only on request.
 """
 
 from __future__ import annotations
@@ -35,12 +33,9 @@ from .core import (
     Geometry,
     OutOfRegionError,
     QuadratureSpec,
-    ThreeLayerCavity,
-    UnsupportedGeometryError,
     ValueWithError,
     distance,
     finite_eps,
-    is_conductor,
 )
 
 FOUR_PI_EPS0 = 4.0 * math.pi * EPSILON_0
@@ -174,26 +169,3 @@ def force_on_A(geom: Geometry, a: Charge, b: Optional[Charge] = None,
         raise DomainError(f"force_on_A: the force overflows float64 in its "
                           f"{', '.join(overflow)} component{'s' if len(overflow) > 1 else ''}")
     return ForceResult(force=factor * force, local_field_factor_applied=factor)
-
-
-def cavity_asymptotic_force(geom: ThreeLayerCavity, a: Charge, b: Charge,
-                            apply_local_field: bool = False) -> ForceResult:
-    """Closed-form midplane force in the conductor-wall large-separation regime.
-
-    |F| = qA qB/(4 pi eps0 eps2) * sqrt(2) (d + 2 pi rho) e^{-pi rho/d} / (rho d)^{3/2},
-    directed along the in-plane separation; multiplied by the local-field
-    factor of the gap medium on request.
-    """
-    if not (is_conductor(geom.eps1) and is_conductor(geom.eps3)):
-        raise UnsupportedGeometryError("asymptotic force requires conducting walls")
-    dvec = np.array([a.position.x - b.position.x, a.position.y - b.position.y, 0.0])
-    rho = float(np.linalg.norm(dvec))
-    if rho == 0.0:
-        raise DomainError("cavity_asymptotic_force: charges on a common axis")
-    d = geom.d
-    factor = local_field_factor(geom.eps2) if apply_local_field else 1.0
-    mag = (a.q * b.q / (FOUR_PI_EPS0 * geom.eps2)
-           * math.sqrt(2.0) * (d + 2.0 * math.pi * rho)
-           * math.exp(-math.pi * rho / d) / (rho * d) ** 1.5)
-    return ForceResult(force=factor * mag * dvec / rho,
-                       local_field_factor_applied=factor)

@@ -230,16 +230,6 @@ def cavity_reflected_dz(k: np.ndarray, a_free: float, a1: float, a3: float,
     return k * (t1 - t3 + sign * (t13 - td)) / den
 
 
-def screening_integrand(k: np.ndarray, r: float, eps_b: float, w: float) -> np.ndarray:
-    """k / (r * (eps_b * k^2 + w)), the smooth factor multiplying sin(k r).
-
-    w = (omega_p / beta)^2; equals 1/(k r eps(k, 0)) for the hydrodynamic
-    static longitudinal permittivity.
-    """
-    k = np.asarray(k, dtype=float)
-    return k / (r * (eps_b * k * k + w))
-
-
 def _chain_terms(points: np.ndarray, weights: np.ndarray, r: np.ndarray, rp: np.ndarray,
                  alpha: np.ndarray):
     """r - x, alpha.(rp - x), (r-x).alpha.(rp-x), |r-x|^2 and w / (|r-x|^3 |rp-x|^3)

@@ -113,10 +113,6 @@ def _parse_geometry(obj: dict) -> Geometry:
                     raise SceneError(f"geometry.regions[{i}].box: expected 6 numbers")
                 vals = [_number(v, f"geometry.regions[{i}].box[{j}]")
                         for j, v in enumerate(box)]
-                if max(map(abs, vals)) > born.MAX_BOX_COORD:
-                    raise SceneError(
-                        f"geometry.regions[{i}].box: coordinates beyond "
-                        f"{born.MAX_BOX_COORD:.3g} m overflow the Born integrand")
                 regions.append(born.DensityRegion(
                     born.Box(*vals), _number(reg["eta"], f"geometry.regions[{i}].eta")))
             hs_eta = obj.get("half_space_eta")

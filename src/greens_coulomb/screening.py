@@ -9,23 +9,15 @@ bound electrons contributing the constant eps_b and free carriers the
 is the Yukawa form exp(-k_s r) / (4 pi eps_b r) with k_s = omega_p / (beta
 sqrt(eps_b)), written once, in `NonlocalBulk._g`; its coincident limit less
 the free term is the closed form g1 = -k_s / (4 pi eps_b).
-`screened_potential_numeric` evaluates the same interaction by a direct
-sine-transform quadrature of the Fourier representation, and `validate`
-checks the closed form against it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-import numpy as np
-
-from . import kernels
 from .analytic import free_space_grad
 from .core import (
-    DEFAULT_QUADRATURE,
-    EPSILON_0,
     DomainError,
     Geometry,
     Gradient,
@@ -35,7 +27,6 @@ from .core import (
     _require_finite,
     distance,
 )
-from .quadrature import sine_integral
 
 
 @dataclass(frozen=True)
@@ -100,39 +91,3 @@ class NonlocalBulk(Geometry):
     def _grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
         """0: g1 is the same at every point of the homogeneous medium."""
         return 0.0, 0.0, 0.0
-
-
-def eps_longitudinal_static(k: float, p: DrudeStatic) -> float:
-    """eps(k, 0) = eps_b + omega_p^2 / (beta k)^2 for k > 0."""
-    if not (k > 0.0):
-        raise DomainError(f"wavenumber k must be > 0, got {k!r}")
-    return p.eps_b + (p.omega_p / (p.beta * k)) ** 2
-
-
-def screened_potential_numeric(r: float, qA: float, qB: float, p: DrudeStatic,
-                               spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
-    """The pair energy in the bulk, in joules, by sine-transform quadrature of
-    the k-space kernel; the reference for the closed form `NonlocalBulk._g`.
-
-    U = qA qB / (2 pi^2 eps0) * integral_0^inf sin(k r) k
-        / (r (eps_b k^2 + (omega_p/beta)^2)) dk
-
-    The complex exponential form is reduced to this real transform by the
-    even/odd split, so the oscillatory engine runs with no complex arithmetic.
-    """
-    if not (r > 0.0):
-        raise DomainError(f"separation r must be > 0, got {r!r}")
-    w = (p.omega_p / p.beta) ** 2
-    eps_b = p.eps_b
-
-    def f(k: np.ndarray) -> np.ndarray:
-        return kernels.screening_integrand(k, r, eps_b, w)
-
-    # The raw transform tends to (pi/2) exp(-k_s r)/(r eps_b); give abs_tol
-    # a floor at 1e-12 of the unscreened level when the caller left it at 0.
-    pref = qA * qB / (2.0 * math.pi ** 2 * EPSILON_0)
-    abs_kernel = spec.abs_tol / abs(pref) if (spec.abs_tol > 0.0 and pref != 0.0) \
-        else 1e-12 * math.pi / (2.0 * r * eps_b)
-    k_scale = max(p.k_s, 1.0 / r)
-    got = sine_integral(f, r, replace(spec, abs_tol=abs_kernel), k_scale=k_scale)
-    return ValueWithError(pref * got.value, abs(pref) * got.abs_err)

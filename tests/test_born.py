@@ -15,7 +15,6 @@ from greens_coulomb.born import (
     PolarizabilityTensor,
     born_scattering_g1,
     charge_body_energy,
-    charge_molecule_potential,
 )
 from greens_coulomb.core import (
     Charge,
@@ -26,6 +25,7 @@ from greens_coulomb.core import (
     QuadratureSpec,
     distance,
 )
+from greens_coulomb.validate import charge_molecule_potential
 
 ALPHA_VOL = 1e-30             # polarizability volume alpha/eps0, m^3
 ALPHA = ALPHA_VOL * epsilon_0
@@ -53,6 +53,18 @@ class TestPolarizabilityTensor:
         m = np.array([[2.0, 0.1, 0.0], [0.1, 1.0, 0.2], [0.0, 0.2, 3.0]])
         t = PolarizabilityTensor.from_matrix(m)
         assert np.allclose(t.matrix, m)
+
+
+class TestBox:
+    def test_coordinates_beyond_the_largest_admitted_are_a_domain_error(self):
+        # at 1e300 m g1 read -0.0 with abs_err 0, where scaling the same
+        # body down from 1e40 m gives -2.133e-303
+        with pytest.raises(DomainError, match="overflow the Born integrand"):
+            Box(1e300, 1.5e300, -2.5e299, 2.5e299, -2.5e299, 2.5e299)
+        edge = born.MAX_BOX_COORD
+        assert Box(-edge, edge, -edge, edge, -edge, edge).volume > 0.0
+        with pytest.raises(DomainError):
+            Box(-edge, 2.0 * edge, -1.0, 1.0, -1.0, 1.0)
 
 
 class TestChargeMoleculePotential:

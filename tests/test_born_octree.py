@@ -7,6 +7,7 @@ shells of `validate.half_space_octree` and on the boxes of
 """
 
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -151,9 +152,11 @@ def test_bit_reproducible(name):
 
 
 def test_non_finite_integrand_stops_refinement(monkeypatch):
-    # a body of 1e150 m overflows the weights; refining would never accept
+    # a body of 1e150 m overflows the weights; refining would never accept.
+    # Box admits no such coordinates (MAX_BOX_COORD), so the octree, which
+    # reads only the corners, takes them from a stand-in
     monkeypatch.setattr(born, "_MAX_DEPTH", 2)
-    huge = Box(-1e150, 1e150, -1e150, 1e150, -1e150, -1.0)
+    huge = SimpleNamespace(x0=-1e150, x1=1e150, y0=-1e150, y1=1e150, z0=-1e150, z1=-1.0)
     with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="depth 0"):
         born._adaptive_boxes(lambda pts, w: kernels.alpha_chain_sum(
             pts, w, np.zeros(3), np.zeros(3), np.eye(3)), [huge], 1e-6, 0.0)

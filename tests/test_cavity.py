@@ -12,10 +12,8 @@ from greens_coulomb import cavity
 from greens_coulomb.cavity import (
     IMAGE_ORDER_MAX,
     CavityCoeffs,
-    cavity_asymptotic,
     cavity_g_general,
     cavity_g_images_many,
-    cavity_g_series,
     cavity_scattering_g1,
     conducting_gap_g,
     conducting_gap_g1,
@@ -35,6 +33,7 @@ from greens_coulomb.core import (
 )
 from greens_coulomb.cli import main
 from greens_coulomb.interactions import pair_energy
+from greens_coulomb.validate import cavity_asymptotic, cavity_g_series
 
 PC = PERFECT_CONDUCTOR
 D = 1.0
@@ -475,18 +474,79 @@ class TestConductingImages:
         assert len(list(geom.g_many(pairs, self.SPEC))) == 40
 
     def test_other_unit_products_keep_the_hankel_route(self):
-        # a gap of eps2 = 1e17 gives a wall of eps 1 the coefficient -1
-        for eps1, eps3 in ((1.0, 1.0), (PC, 1.0)):
-            points = [(0.1, -0.2, 0.3), (0.1, 0.1, 0.0)]
-            assert list(cavity_g_images_many(points, D, eps1, 1e17, eps3)) == [
-                cavity_g_general(0.1, -0.2, 0.3, D, eps1, 1e17, eps3),
-                cavity_scattering_g1(0.1, D, eps1, 1e17, eps3)]
+        # a gap of eps2 = 1e17 gives a wall of eps 1 the coefficient -1: with
+        # a conducting wall r1 r3 = -1, where the series converges; between
+        # two such walls r1 r3 = 1, where g diverges (TestSlabBetweenLowWalls)
+        points = [(0.1, -0.2, 0.3), (0.1, 0.1, 0.0)]
+        assert list(cavity_g_images_many(points, D, PC, 1e17, 1.0)) == [
+            cavity_g_general(0.1, -0.2, 0.3, D, PC, 1e17, 1.0),
+            cavity_scattering_g1(0.1, D, PC, 1e17, 1.0)]
+        with pytest.raises(DomainError, match="r = -1"):
+            next(cavity_g_images_many(points, D, 1.0, 1e17, 1.0))
 
     def test_roundoff_past_the_target_raises(self):
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
         with pytest.raises(ConvergenceError,
                            match="image series .* its bound .*Euler-Maclaurin tail .* exceeds"):
             images(0.4, -0.4, 0.3, PC, 1.0, PC, spec)
+
+
+def _slab_series(z, z0, rho, r1, r3):
+    """4 pi eps2 g, or g1 at coincident points, by the image series at 30
+    digits, for walls that both reflect with r near -1 (q = r1 r3 near 1),
+    whose order j falls off as c q^j/j, c = (2 - r1 - r3)/(2d): orders
+    0..49 by mpmath.fsum, and from 50 on, less c q^j/j, by mpmath.sumem;
+    that part sums to c (-ln(1 - q) - sum_{j<50} q^j/j)."""
+    with mp.workdps(30):
+        z, z0, rho, d, r1, r3 = (mp.mpf(v) for v in (z, z0, rho, D, r1, r3))
+        upper, lower = max(z, z0), min(z, z0)
+        a, b1, b3 = upper - lower, d + upper + lower, d - upper - lower
+        q, c = r1 * r3, (2 - r1 - r3) / (2 * d)
+
+        def dist(s):
+            return mp.sqrt(rho ** 2 + s ** 2)
+
+        def order(j):
+            x = 2 * j * d
+            images = -r1 / dist(x + b1) - r3 / dist(x + b3)
+            return q ** j * (images + (1 / dist(x + a) + 1 / dist(x - a) if j else 0))
+
+        head = mp.fsum(order(j) for j in range(50)) + (1 / dist(a) if rho or a else 0)
+        tail = mp.sumem(lambda j: order(j) - c * q ** j / j, [50, mp.inf])
+        return head + tail + c * (-mp.log(1 - q) - mp.fsum(q ** j / j for j in range(1, 50)))
+
+
+class TestSlabBetweenLowWalls:
+    """A gap of high eps2 between walls of eps 1, which both reflect with r
+    near -1: g grows as (2/d) ln(1/(1 - r1 r3))/(4 pi eps2), past the image
+    series' order cap from eps2 about 1e3 on. The Hankel route's panels
+    started from the kernel's decay scale, left its peak at k = 0
+    unresolved and returned 19.77/(4 pi eps2) with a small abs_err from
+    eps2 = 1e14 on; where r rounds to -1, g and g1 diverge."""
+
+    PAIR = (Point3(0.3, 0.0, 0.1), Point3(0.0, 0.0, -0.2))
+    SPEC = QuadratureSpec()
+
+    @pytest.mark.parametrize("eps2", [1e3, 1e6, 1e11, 1e12, 1e13, 1e14, 1e15])
+    def test_matches_the_image_series(self, eps2):
+        geom = ThreeLayerCavity(1.0, eps2, 1.0, D)
+        co = reflection_coeffs(1.0, eps2, 1.0)
+        for got, point in ((geom.g(*self.PAIR, self.SPEC), (0.1, -0.2, 0.3)),
+                           (geom.g1(self.PAIR[0], self.SPEC), (0.1, 0.1, 0.0))):
+            ref = _slab_series(*point, co.r1, co.r3) / (4 * math.pi * eps2)
+            assert abs(mp.mpf(got.value) - ref) <= got.abs_err <= 1e-2 * abs(got.value), point
+
+    @pytest.mark.parametrize("eps2", [1e16, 1e17])
+    def test_walls_of_r_minus_one_are_a_domain_error(self, eps2):
+        assert reflection_coeffs(1.0, eps2, 1.0).r1 == -1.0
+        geom = ThreeLayerCavity(1.0, eps2, 1.0, D)
+        with pytest.raises(DomainError, match="eps1 = 1.0 and eps3 = 1.0, reflect with r = -1"):
+            geom.g(*self.PAIR, self.SPEC)
+        with pytest.raises(DomainError, match="r = -1"):
+            geom.g1(self.PAIR[0], self.SPEC)
+        # the gradients converge
+        grad = np.array(geom.grad_g(*self.PAIR, self.SPEC)) * (4 * math.pi * eps2)
+        assert np.allclose(grad, (-4.6108, 0.0, -4.0843), rtol=0.0, atol=1e-4)
 
 
 class TestConductingWalls:

@@ -1,6 +1,7 @@
 """Each submodule imports cleanly when it is the first of the package to load;
-importing the package and its CLI loads no scipy; and the CLI gives the same
-result in a fresh interpreter as in this one.
+importing the package and its CLI loads no scipy, nor `validate`, which a
+command other than `validate` never loads; and the CLI gives the same result
+in a fresh interpreter as in this one.
 
 `core` imports `analytic` and `cavity` at its end, and both of them import
 `core`; the cycle must resolve whichever name is asked for first. One fresh
@@ -116,6 +117,17 @@ def test_pair_energy_loads_no_scipy_where_no_route_needs_it(tmp_path):
                        f"    assert all(main(argv) == 0 for argv in {calls!r})" + SCIPY_LOADED)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_commands_load_no_validate(tmp_path):
+    # the validation checks and their arbiters load for `validate` alone
+    argv = ["pair-energy", "--scene", scene_file(tmp_path, "dielectric_gap", "pair-energy")]
+    has_validate = "\nprint('greens_coulomb.validate' in sys.modules)"
+    proc = fresh("-c", "import contextlib, io, sys\nimport greens_coulomb, greens_coulomb.cli"
+                       + has_validate + "\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+                       f"    assert greens_coulomb.cli.main({argv!r}) == 0" + has_validate)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -31,13 +31,13 @@ from greens_coulomb.core import (
 )
 from greens_coulomb.interactions import (
     InteractionResult,
-    cavity_asymptotic_force,
     force_on_A,
     local_field_factor,
     pair_energy,
     self_energy,
 )
 from greens_coulomb.screening import DrudeStatic, NonlocalBulk
+from greens_coulomb.validate import cavity_asymptotic_force
 
 PC = PERFECT_CONDUCTOR
 SPEC = QuadratureSpec()

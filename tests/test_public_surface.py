@@ -40,6 +40,20 @@ def test_removed_names_stay_gone():
     assert [a for a in ("_modal", "_conducting") if hasattr(ThreeLayerCavity, a)] == []
 
 
+# the arbiters: methods that no route of the program takes, which live in
+# `validate` alone (the screened bulk's integrand is folded into its arbiter)
+ARBITERS = ("cavity_g_series", "cavity_asymptotic", "cavity_asymptotic_force",
+            "screened_potential_numeric", "eps_longitudinal_static", "charge_molecule_potential")
+
+
+def test_arbiters_live_in_validate_alone():
+    from greens_coulomb import validate
+    for module in [greens_coulomb] + MODULES:
+        names = ARBITERS + ("screening_integrand",)
+        held = [n for n in names if hasattr(module, n)]
+        assert held == (list(ARBITERS) if module is validate else []), module.__name__
+
+
 def test_one_octree_pass_per_born_gradient():
     # the three per-component octrees became one pass over a vector integrand
     assert not hasattr(born, "_octree_grad")

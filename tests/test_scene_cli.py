@@ -502,7 +502,7 @@ class TestCliCommands:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["self-energy", "--scene", scene]) == 2
-        assert "geometry.regions[0].box" in capsys.readouterr().err
+        assert "overflow the Born integrand" in capsys.readouterr().err
 
     def test_bad_sweep_path_exit_2(self, tmp_path, capsys):
         scene = write_scene(tmp_path, FREE_PAIR)
@@ -853,6 +853,49 @@ def test_born_octree_not_finite_exit_2_with_warnings_as_errors(tmp_path, command
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert "Born octree" in proc.stderr and says in proc.stderr
+
+
+# a gap of eps2 = 1e17 between walls of eps 1, d = 1 m: both walls reflect
+# with r = -1 in float64, so g and g1 diverge, while the gradient converges
+# to (-4.6108, 0, -4.0843)/(4 pi eps2) at the pair
+_SLAB = {"type": "cavity", "eps1": 1.0, "eps2": 1e17, "eps3": 1.0, "d": 1.0}
+_SLAB_PAIR = {"geometry": _SLAB,
+              "charges": [{"q": 1.0, "unit": "e", "position": [0.3, 0.0, 0.1]},
+                          {"q": -1.0, "unit": "e", "position": [0.0, 0.0, -0.2]}]}
+# a box of validate.table()'s tensor at 1e300 m, beyond born.MAX_BOX_COORD:
+# its g1 read -0.0 with abs_err 0, and its g dropped the scattering term
+_FAR_BOX = {"geometry": {"type": "dilute_body", "alpha": [
+                [2e-40, 0.3e-40, -0.4e-40], [0.3e-40, 1e-40, 0.2e-40],
+                [-0.4e-40, 0.2e-40, 1.5e-40]],
+                         "regions": [{"box": [1e300, 1.5e300, -2.5e299, 2.5e299,
+                                              -2.5e299, 2.5e299], "eta": 1e27}]},
+            "charges": [{"q": 1.0, "unit": "e", "position": [0.9e300, 0.0, 0.0]}]}
+
+
+@pytest.mark.parametrize("argv,doc,code,says", [
+    (["pair-energy"], _SLAB_PAIR, 2,
+     "both walls, of eps1 = 1.0 and eps3 = 1.0, reflect with r = -1"),
+    (["self-energy"], {**_SLAB_PAIR, "charges": _SLAB_PAIR["charges"][:1]}, 2, "r = -1"),
+    (["force"], _SLAB_PAIR, 0, ""),
+    (["self-energy"], _FAR_BOX, 2, "overflow the Born integrand"),
+    (["validate", "nosuch"], None, 2,
+     "unknown suite 'nosuch'; choose from ['all', 'limits', 'oracle', 'quadrature']"),
+], ids=["slab-pair-energy", "slab-self-energy", "slab-force", "far-box", "unknown-suite"])
+def test_refusals_with_warnings_as_errors(tmp_path, argv, doc, code, says):
+    if doc is not None:
+        argv = argv + ["--scene", write_scene(tmp_path, doc)]
+    src = os.path.dirname(os.path.dirname(greens_coulomb.__file__))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "greens_coulomb", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and says in proc.stderr
+    if code == 0:
+        grad = [c / (4 * math.pi * 1e17) for c in (-4.6108, 0.0, -4.0843)]
+        force = strict_json(proc.stdout)["F_newtons"]
+        # F = -(qA qB / eps0) grad g, qA qB = -e^2
+        assert force == pytest.approx([QE * QE / epsilon_0 * c for c in grad],
+                                      rel=2e-5, abs=1e-60)
 
 
 def test_born_force_by_an_edge_line_with_warnings_as_errors(tmp_path, monkeypatch, capsys):

@@ -14,12 +14,8 @@ from greens_coulomb.core import (
     Point3,
 )
 from greens_coulomb.interactions import pair_energy
-from greens_coulomb.screening import (
-    DrudeStatic,
-    NonlocalBulk,
-    eps_longitudinal_static,
-    screened_potential_numeric,
-)
+from greens_coulomb.screening import DrudeStatic, NonlocalBulk
+from greens_coulomb.validate import eps_longitudinal_static, screened_potential_numeric
 
 TF = DrudeStatic(omega_p=1.2e16, omega_p_bound=0.0, omega_0=5e15, beta=1.1e6)
 FULL = DrudeStatic(omega_p=8e15, omega_p_bound=9e15, omega_0=4e15, beta=9e5)
