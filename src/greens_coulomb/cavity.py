@@ -138,8 +138,8 @@ def _checked_gradient(parts, floor: float, tried: str):
 
     Raises ConvergenceError, saying what was `tried`, when their combined
     abs_err exceeds 1% of the gradient's magnitude plus `floor`, the absolute
-    target each component's quadrature was given (a gradient that vanishes
-    by symmetry is known only to that target).
+    target each component's quadrature was given, in g's units (a gradient
+    that vanishes by symmetry is known only to that target).
     """
     err = math.hypot(*(p.abs_err for p in parts))
     mag = math.hypot(*(p.value for p in parts))
@@ -170,29 +170,31 @@ class _Pair(NamedTuple):
     r: float  # the separation, hypot(rho, a_free)
 
     def floor(self, spec: QuadratureSpec, power: int = 1) -> float:
-        """The absolute target of g (power 1) or of a gradient (power 2).
+        """The absolute target of g (power 1) or of a gradient (power 2), in
+        the units every route of the gap sums in, 4 pi eps2 times those of g:
+        the one place that reads spec's abs_tol.
 
-        It is spec's abs_tol, divided by a length L for a gradient; where
-        spec left abs_tol at 0, it is 1e-12 of the free-space magnitude
-        1/(4 pi L^power), since a purely relative target is unreachable in
-        float64 once reflections suppress g exponentially. L is the
-        separation r, no less than d/20, or at coincident points the nearer
-        image distance min(a1, a3).
+        It is spec's abs_tol, divided by a length L for a gradient. Where
+        spec left abs_tol at 0, since a purely relative target is unreachable
+        in float64 once reflections suppress g exponentially, it is 1e-12 of
+        the free-space value 1/(4 pi eps2 L) for g; for a gradient, 1e-12 of
+        1/(4 pi L^2), without eps2: each of its Hankel components is targeted
+        on its own, and one that nearly vanishes misses a floor with eps2
+        (of 1,152 seeded gradients, eps2 from 1 to 1e8, 21 raised
+        ConvergenceError with it, 2 without). L is the separation r, no
+        less than d/20, or at coincident points the nearer image distance
+        min(a1, a3).
         """
         length = max(self.r, 0.05 * self.d) if self.r > 0.0 else min(self.a1, self.a3)
         if spec.abs_tol > 0.0:
-            return spec.abs_tol / length ** (power - 1)
+            return spec.abs_tol / length ** (power - 1) / self.pref
+        if power == 1:
+            return 1e-12 / length
         try:
-            return 1e-12 / (_FOUR_PI * length ** power)
+            return 1e-12 / (_FOUR_PI * length ** 2) / self.pref
         except OverflowError:
             # L^2 beyond float64: the floor, divided by L twice, is subnormal or 0
-            return 1e-12 / _FOUR_PI / length / length
-
-    def target(self, spec: QuadratureSpec, power: int = 1) -> Tuple[float, QuadratureSpec]:
-        """The floor, and spec with it as abs_tol in the units of the gap's
-        Hankel integrals, 4 pi eps2 times those of g."""
-        floor = self.floor(spec, power)
-        return floor, replace(spec, abs_tol=floor / self.pref)
+            return 1e-12 / _FOUR_PI / length / length / self.pref
 
 
 def _pair(z: float, z0: float, rho: float, d: float, eps2: float,
@@ -270,15 +272,16 @@ def gap_grad_g1(z0: float, d: float, eps1: Permittivity, eps2: float, eps3: Perm
     return ValueWithError(2.0 * d_z.value, 2.0 * d_z.abs_err)
 
 
-def _gap_integral(kernel, p: _Pair, target: QuadratureSpec, order: int = 0,
+def _gap_integral(kernel, p: _Pair, spec: QuadratureSpec, floor: float, order: int = 0,
                   known: float = 0.0, k_scale: Optional[float] = None) -> ValueWithError:
     """1/(4 pi eps2) times the Hankel integral of order `order` of
     kernel(k, a_free, a1, a3, d, r1, r3), a reflected kernel of the pair p,
-    to `target` (see _Pair.target); plus known/(4 pi eps2), a part taken out
-    of the kernel in closed form, to whose sum rel_tol applies. The panels
-    start from the wavenumber k_scale, by default that on whose scale the
-    kernel decays: 1 over the shorter reflected path, a_free + a1 or
-    a_free + a3, or over 2d. The integral is 0 where neither wall reflects.
+    to spec's rel_tol and the absolute target `floor` (_Pair.floor); plus
+    known/(4 pi eps2), a part taken out of the kernel in closed form, to
+    whose sum rel_tol applies. The panels start from the wavenumber
+    k_scale, by default that on whose scale the kernel decays: 1 over the
+    shorter reflected path, a_free + a1 or a_free + a3, or over 2d. The
+    integral is 0 where neither wall reflects.
     """
     if p.r1 == 0.0 and p.r3 == 0.0:
         return ValueWithError(p.pref * known)
@@ -293,24 +296,22 @@ def _gap_integral(kernel, p: _Pair, target: QuadratureSpec, order: int = 0,
     def f(k: np.ndarray) -> np.ndarray:
         return kernel(k, p.a_free, p.a1, p.a3, p.d, p.r1, p.r3)
 
-    got = hankel_integral(f, p.rho, target, k_scale=k_scale, order=order, subtracted=known)
+    got = hankel_integral(f, p.rho, replace(spec, abs_tol=floor), k_scale=k_scale,
+                          order=order, subtracted=known)
     return ValueWithError(p.pref * (known + got.value), p.pref * got.abs_err)
 
 
 def _g_integral(p: _Pair, spec: QuadratureSpec, known: float = 0.0) -> ValueWithError:
     """g's reflected kernel by _gap_integral, plus known/(4 pi eps2): g1, or g
     with known = 1/r. From q = r1 r3 = _POLE_Q on, with r1, r3 < 0, the
-    panels start from the kernel's pole, -ln(q)/(2d) below k = 0; the floor
-    is 1e-12 of 1/(4 pi eps2 L), since that of 1/(4 pi L) exceeds g there;
-    and abs_err adds half an ulp of q times 4/(d (1 - q) 4 pi eps2), a bound
-    on dg/dq (README, numerical notes)."""
-    _, target = p.target(spec)
+    panels start from the kernel's pole, -ln(q)/(2d) below k = 0, and
+    abs_err adds half an ulp of q times 4/(d (1 - q) 4 pi eps2), a bound on
+    dg/dq (README, numerical notes)."""
+    floor = p.floor(spec)
     q = p.r1 * p.r3
     if not (p.r1 < 0.0 and q > _POLE_Q):
-        return _gap_integral(kernels.cavity_integrand, p, target, known=known)
-    if spec.abs_tol == 0.0:
-        target = replace(target, abs_tol=target.abs_tol * _FOUR_PI * p.pref)
-    got = _gap_integral(kernels.cavity_integrand, p, target, known=known,
+        return _gap_integral(kernels.cavity_integrand, p, spec, floor, known=known)
+    got = _gap_integral(kernels.cavity_integrand, p, spec, floor, known=known,
                         k_scale=-math.log(q) / (2.0 * p.d))
     return ValueWithError(got.value, got.abs_err + p.pref * 2.0 * _EPS / (p.d * (1.0 - q)))
 
@@ -345,7 +346,7 @@ def cavity_grad_general(z: float, z0: float, rho: float, d: float,
     """
     p = _layers_pair(z, z0, rho, d, eps1, eps2, eps3)
     r = p.r
-    floor, target = p.target(spec, 2)
+    floor = p.floor(spec, 2)
     sign = 1.0 if z >= z0 else -1.0  # the field point is the upper one, or the lower
 
     def reflected_dz(k, *args):
@@ -354,8 +355,8 @@ def cavity_grad_general(z: float, z0: float, rho: float, d: float,
     tried = (f"Hankel gradient of the gap kernel at rho = {rho!r}, "
              f"z = {z!r}, z0 = {z0!r}, d = {d!r}, rel_tol = {spec.rel_tol!r}")
     if r == 0.0:
-        d_z = _gap_integral(reflected_dz, p, replace(target, abs_tol=0.5 * target.abs_tol))
-        _checked_gradient((d_z,), 0.5 * floor, tried)
+        d_z = _gap_integral(reflected_dz, p, spec, 0.5 * floor)
+        _checked_gradient((d_z,), 0.5 * p.pref * floor, tried)
         return ValueWithError(0.0), d_z
     # divided by r in stages: r * r * r underflows to 0 below r ~ 1e-108
     free_rho = p.pref * (rho / r) / r / r
@@ -367,11 +368,11 @@ def cavity_grad_general(z: float, z0: float, rho: float, d: float,
     def reflected_k(k, a_free, a1, a3, d, r1, r3):
         return k * np.exp(-k * a_free) * kernels.cavity_scatter_integrand(k, a1, a3, d, r1, r3)
 
-    d_rho = _gap_integral(reflected_k, p, target, order=1)
-    d_z = _gap_integral(reflected_dz, p, target)
+    d_rho = _gap_integral(reflected_k, p, spec, floor, order=1)
+    d_z = _gap_integral(reflected_dz, p, spec, floor)
     return _checked_gradient(
         (ValueWithError(-free_rho - d_rho.value, d_rho.abs_err),
-         ValueWithError(-free_z + d_z.value, d_z.abs_err)), floor, tried)
+         ValueWithError(-free_z + d_z.value, d_z.abs_err)), p.pref * floor, tried)
 
 
 def _free_term(p: _Pair) -> Tuple[int, float]:
@@ -486,7 +487,7 @@ def cavity_g_images_many(points: Iterable[Tuple[float, float, float]], d: float,
     if q >= 1.0 and not coeffs.conducting:
         yield from map(hankel, points[:len(pairs)])
     else:
-        floors = [p.floor(spec) / p.pref for p in pairs]
+        floors = [p.floor(spec) for p in pairs]
         if coeffs.conducting:
             orders = [_EM_ORDER - 1] * len(pairs)
         else:
@@ -499,38 +500,44 @@ def cavity_g_images_many(points: Iterable[Tuple[float, float, float]], d: float,
         for i in range(0, len(pairs), step):
             block = slice(i, i + step)
             if coeffs.conducting:
-                yield from _conducting_block(pairs[block], points[block], floors[block], spec)
+                stats, stops = _conducting_block(pairs[block], floors[block], spec)
+                described = "Euler-Maclaurin tail {:.3e} from order {}"
             else:
-                yield from _image_block(pairs[block], points[block], floors[block],
-                                        orders[block], q, spec, hankel)
+                stats, stops = _image_block(pairs[block], floors[block], orders[block], q, spec)
+                described = "tail {:.3e} after order {}"
+            for p, (z, z0, rho), (value, bound, tail, roundoff, target), n in zip(
+                    pairs[block], points[block], zip(*stats.tolist()), stops):
+                if not math.isfinite(bound):
+                    raise DomainError(f"the image series of the gap at rho = {rho!r}, "
+                                      f"z = {z!r}, z0 = {z0!r}, d = {d!r} overflows float64")
+                if bound <= target:
+                    yield ValueWithError(p.pref * value, p.pref * bound)
+                elif n == IMAGE_ORDER_MAX:
+                    yield hankel((z, z0, rho))
+                else:
+                    # short of the cap the last tail is below half the floor,
+                    # so the roundoff exceeds half the target
+                    raise ConvergenceError(
+                        f"image series of the gap at rho = {rho!r}, z = {z!r}, z0 = {z0!r}, "
+                        f"d = {d!r}, r1 r3 = {p.r1 * p.r3!r}: its bound {p.pref * bound:.3e} "
+                        f"({described.format(p.pref * tail, n)}, roundoff "
+                        f"{p.pref * roundoff:.3e}) exceeds the target {p.pref * target:.3e} "
+                        f"(rel_tol = {spec.rel_tol!r})")
     if refused is not None:
         raise refused
 
 
-def _series_error(p: _Pair, point, spec: QuadratureSpec, bound: float, tail: str,
-                  roundoff: float, target: float) -> ConvergenceError:
-    """The ConvergenceError of an image series at `point` whose bound, the
-    `tail` (described) plus the roundoff, exceeds its target; all four in
-    the units of 4 pi eps2 g."""
-    z, z0, rho = point
-    return ConvergenceError(
-        f"image series of the gap at rho = {rho!r}, z = {z!r}, z0 = {z0!r}, "
-        f"d = {p.d!r}, r1 r3 = {p.r1 * p.r3!r}: its bound {p.pref * bound:.3e} "
-        f"({tail}, roundoff {p.pref * roundoff:.3e}) exceeds the target "
-        f"{p.pref * target:.3e} (rel_tol = {spec.rel_tol!r})")
-
-
-def _series_overflow(p: _Pair, point) -> DomainError:
-    z, z0, rho = point
-    return DomainError(f"the image series of the gap at rho = {rho!r}, z = {z!r}, "
-                       f"z0 = {z0!r}, d = {p.d!r} overflows float64")
-
-
-def _image_block(pairs, points, floors, orders, q: float, spec: QuadratureSpec, hankel):
+def _image_block(pairs, floors, orders, q: float, spec: QuadratureSpec):
     """The image series of consecutive points of cavity_g_images_many, one
-    array of points x orders; each point stops by its own order bound, and
-    one that may need more orders than the cap takes hankel(point)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+    array of points x orders, each point stopped by its own order bound.
+
+    Returns the rows value, bound, tail, roundoff and target, one column
+    per point, all in units of 4 pi eps2 g: the partial sum, its bound, the
+    tail and the roundoff that make up the bound, and the target, at the
+    first order n that meets the target, or else at the point's last order;
+    and each point's n.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected later
         sums = _image_orders(pairs, max(orders) + 1)
         # for each n, the partial sum and the bound after orders 0..n, and its target
         partial, magnitude = sums.cumsum(axis=2)
@@ -539,25 +546,14 @@ def _image_block(pairs, points, floors, orders, q: float, spec: QuadratureSpec, 
         target = np.maximum(np.array(floors)[:, None], spec.rel_tol * np.abs(partial[:, :-1]))
         bound = tail + roundoff
         met = bound <= target
-    # the first order that meets the target; past a point's own bound, none
-    first = met.argmax(axis=1)
-    for i, (p, point, last) in enumerate(zip(pairs, points, orders)):
-        if not math.isfinite(bound[i, last]):
-            raise _series_overflow(p, point)
-        n = first[i]
-        if n <= last and met[i, n]:
-            yield ValueWithError(p.pref * partial[i, n], p.pref * bound[i, n])
-        elif last == IMAGE_ORDER_MAX:
-            yield hankel(point)
-        else:
-            # the last tail is below half the floor, so the roundoff exceeds
-            # half the target
-            raise _series_error(p, point, spec, bound[i, last],
-                                f"tail {p.pref * tail[i, last]:.3e} after order {last}",
-                                roundoff[i, last], target[i, last])
+    rows = np.arange(len(pairs))
+    # the first order that meets the target, or else the point's last
+    met[rows, orders] = True
+    n = met.argmax(axis=1)
+    return np.array([a[rows, n] for a in (partial, bound, tail, roundoff, target)]), n.tolist()
 
 
-def _conducting_block(pairs, points, floors, spec: QuadratureSpec):
+def _conducting_block(pairs, floors, spec: QuadratureSpec):
     """The image series of consecutive points of cavity_g_images_many
     between conducting walls (r1 = r3 = 1), whose orders fall off only as
     1/j^2: orders 0..M - 1 summed as _image_orders gives them, M = _EM_ORDER,
@@ -589,8 +585,9 @@ def _conducting_block(pairs, points, floors, spec: QuadratureSpec):
     parts of F(M)/2 and of each Bernoulli term, and 1/(2d) for each of the
     integral's four logarithms: each is taken of (X_i + R_i)/(4Md), a
     number near 1, so it is within a few eps of its value absolutely.
-    Where the bound exceeds the target max(floor, rel_tol |g|),
-    ConvergenceError names the route and its bound.
+    Returns the rows value, bound, the omitted term's part of it, roundoff
+    and the target max(floor, rel_tol |g|), one column per point, all in
+    units of 4 pi eps2 g, and M for each point, as _image_block does.
     """
     m = _EM_ORDER
     d = pairs[0].d
@@ -624,17 +621,7 @@ def _conducting_block(pairs, points, floors, spec: QuadratureSpec):
         roundoff = _IMAGE_ROUNDOFF * (magnitude + size / d)
         bound = tail_err + roundoff
         target = np.maximum(np.array(floors), spec.rel_tol * np.abs(value))
-    for p, point, v, b, tail_i, roundoff_i, target_i in zip(
-            pairs, points, value.tolist(), bound.tolist(), tail_err.tolist(),
-            roundoff.tolist(), target.tolist()):
-        if not math.isfinite(b):
-            raise _series_overflow(p, point)
-        if b <= target_i:
-            yield ValueWithError(p.pref * v, p.pref * b)
-        else:
-            raise _series_error(p, point, spec, b,
-                                f"Euler-Maclaurin tail {p.pref * tail_i:.3e} from order {m}",
-                                roundoff_i, target_i)
+    return np.stack((value, bound, tail_err, roundoff, target)), [m] * len(pairs)
 
 
 def conducting_gap_g(z: float, z0: float, rho: float, d: float,

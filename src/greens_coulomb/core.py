@@ -222,8 +222,12 @@ MIN_REL_TOL = 1e-15
 class QuadratureSpec:
     """Tolerances of the oscillatory-integral engine and the Born octree.
 
-    Their budgets are module constants: `quadrature._MAX_PANELS` panels per
-    integral and `born._MAX_DEPTH` octree levels.
+    rel_tol is relative to the value sought. abs_tol, an absolute floor (0
+    for each route's default floor, README numerical notes), is read by the
+    gap alone, through `cavity._Pair.floor`, which gives its quadrature the
+    floor in the units it sums in; the Born octree and the closed forms do
+    not read it. Their budgets are module constants: `quadrature._MAX_PANELS`
+    panels per integral and `born._MAX_DEPTH` octree levels.
     """
 
     rel_tol: float = 1e-10

@@ -37,6 +37,7 @@ from .core import (
     FreeSpace,
     Geometry,
     HalfSpace,
+    OutOfRegionError,
     PlateWithHole,
     Point3,
     QuadratureSpec,
@@ -325,8 +326,9 @@ def check_fd_scaling() -> CheckResult:
 # cross-route checks used by `validate all`
 # ---------------------------------------------------------------------------
 
-# criterion 3: wall/host combinations spanning r1 r3 from -0.9 to +1
+# criterion 3: wall/host combinations spanning r1 r3 from -1 to +1
 _GAP_LAYERS = ((PC, 1.0, PC),        # r1 r3 = +1
+               (PC, 1e17, 1.0),      # -1: r1 = 1 and r3 rounds to -1, at the midplane only
                (4.0, 1.0, 8.0),      # +0.47
                (19.0, 1.0, PC),      # +0.9
                (1000.0, 1.0, 1000.0),  # +0.996, past the image series' order cap
@@ -347,14 +349,15 @@ def cavity_g_series(rho: float, d: float, coeffs: cavity.CavityCoeffs, eps2: flo
         4 pi eps2 g = sum_{|m| <= n_max} q^|m| / D(a + 2md)
                       - sum_{k=0}^{n_max} q^k (r1 / D(b + 2kd) + r3 / D(b - 2(k+1)d)),
 
-    summed at any heights for |q| < 1 in the orders of the program's image
-    series (`cavity._image_orders`), here up to the fixed order n_max, with
-    abs_err the geometric bound from the first order dropped. At the
-    midplane z = z0 = 0 with both walls conducting (r1 = r3 = 1) the sum is
-    rearranged as the alternating image-distance series and extrapolated by
-    repeated averaging, which converges far below the plain partial sums;
-    abs_err then adds the roundoff of that cancelling sum,
-    eps * (1/rho + sum |terms|), which exceeds the value itself beyond about 10 d.
+    summed at any heights for |q| < 1 term by term, with abs_err the
+    geometric bound from the first order dropped: the magnitudes of its
+    terms (|m| = k = n_max + 1) over 1 - |q|. It shares no code with the
+    program's image series. At the midplane z = z0 = 0 with both walls
+    conducting (r1 = r3 = 1) the sum is rearranged as the alternating
+    image-distance series and extrapolated by repeated averaging, which
+    converges far below the plain partial sums; abs_err then adds the
+    roundoff of that cancelling sum, eps * (1/rho + sum |terms|), which
+    exceeds the value itself beyond about 10 d.
     """
     if rho <= 0.0:
         raise DomainError(f"rho must be > 0, got {rho!r}")
@@ -362,6 +365,9 @@ def cavity_g_series(rho: float, d: float, coeffs: cavity.CavityCoeffs, eps2: flo
         raise DomainError(f"d must be > 0, got {d!r}")
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max!r}")
+    for name, height in (("z", z), ("z0", z0)):
+        if not -0.5 * d < height < 0.5 * d:
+            raise OutOfRegionError(f"{name} = {height!r} outside the gap (-d/2, d/2)")
     e2 = finite_eps(eps2, "eps2")
     r1, r3 = coeffs.r1, coeffs.r3
     q = r1 * r3
@@ -372,11 +378,18 @@ def cavity_g_series(rho: float, d: float, coeffs: cavity.CavityCoeffs, eps2: flo
         return np.sqrt((a * d) ** 2 + rho * rho)
 
     if abs(q) < 1.0:
-        p = cavity._pair(z, z0, rho, d, e2, coeffs)
-        # n_max + 1 is the first order dropped
-        (signed,), (size,) = cavity._image_orders([p], n_max + 1)
-        value = float(np.sum(signed[:-1]))
-        return ValueWithError(pref * value, pref * float(size[-1]) / (1.0 - abs(q)))
+        # k = 0..n_max + 1, the last the first order dropped; the sum over m
+        # as m = k and m = -k, with m = 0 once
+        k = np.arange(n_max + 2)
+        shift = 2.0 * d * k
+        a, b = z - z0, z + z0 + d
+        terms = q ** k * np.array([1.0 / np.hypot(rho, a + shift), 1.0 / np.hypot(rho, a - shift),
+                                   -r1 / np.hypot(rho, b + shift),
+                                   -r3 / np.hypot(rho, b - shift - 2.0 * d)])
+        terms[1, 0] = 0.0
+        value = float(np.sum(terms[:, :-1]))
+        dropped = float(np.sum(np.abs(terms[:, -1])))
+        return ValueWithError(pref * value, pref * dropped / (1.0 - abs(q)))
 
     if z != 0.0 or z0 != 0.0:
         raise DomainError(f"the image series for r1 r3 = {q!r} is summed at the midplane only")
@@ -444,9 +457,9 @@ def check_cavity_triple() -> CheckResult:
     # heights where the series converges (|r1 r3| < 1). Each route meets a
     # method it does not use: the series route (|r1 r3| < 1 within its order
     # cap, and conducting walls below rho = d/2, with its Euler-Maclaurin
-    # tail) meets Hankel, and between conducting walls also cavity_g_series;
-    # the Hankel route (pairs past the cap) and the mode sum meet the series,
-    # summed here to a fixed order or, between conducting walls, at the
+    # tail) meets Hankel and cavity_g_series, a fixed-order numpy sum; the
+    # Hankel route (pairs past the cap, and r1 r3 = -1) and the mode sum meet
+    # the series, summed to a fixed order or, where |r1 r3| = 1, at the
     # midplane by Euler acceleration.
     d = 1.0
     rng = random.Random(3)
@@ -475,7 +488,7 @@ def check_cavity_triple() -> CheckResult:
                        "worst |diff| / combined budget (<= 1) of the program's g against "
                        "Hankel and the image series, at and off the midplane; the series "
                        "is the route for |r1 r3| < 1 within its order cap and between "
-                       "conducting walls below rho = d/2, Hankel the independent method")
+                       "conducting walls below rho = d/2, and shares no code with either")
 
 
 def check_cavity_asymptotic() -> CheckResult:
@@ -850,7 +863,8 @@ def coincident_limit_error(row: Row, r: Point3) -> float:
 
 
 # the rows this criterion cannot check: the aperture's g1 is not yet the
-# coincident limit of g (ROADMAP item 2), and the bulk's g - free,
+# coincident limit of g (the aperture's on-axis finding: hole_onaxis_g1 drops
+# -R/(4 pi^2 (z^2 + R^2)) against that limit), and the bulk's g - free,
 # (exp(-k_s h) - 1)/(4 pi eps_b h), has an O(h) term that the extrapolation
 # in h^2 leaves (its closed form is checked in tier-1 by one in h)
 NOT_THE_LIMIT = ("aperture_plate", "bulk")
@@ -906,7 +920,7 @@ def check_coincident_limit() -> CheckResult:
                 for row in table().values() if row.name not in NOT_THE_LIMIT for _ in range(5))
     return CheckResult("g1_coincident_limit", worst <= 1.0, worst, 0.0, 1.0,
                        "worst err / tol of g1 against the limit of g - free, every geometry "
-                       "but aperture_plate (ROADMAP item 2: hole_onaxis_g1 drops a term) "
+                       "but aperture_plate (hole_onaxis_g1 drops a term of the limit) "
                        "and bulk (g - free has an O(h) term)")
 
 

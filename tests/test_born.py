@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import elementary_charge as QE, epsilon_0
 
-from greens_coulomb import born, validate
+from greens_coulomb import born, kernels, validate
 from greens_coulomb.born import (
     Box,
     DensityRegion,
@@ -468,3 +468,21 @@ class TestBoxSelfClosedForm:
                     - born_scattering_g1(Point3(*(np.array(r) - step)),
                                          Point3(*(np.array(r) - step)), body).value) / (2 * h)
             assert abs(grad[m] - diff) <= 1e-8 * np.linalg.norm(grad)
+
+    @pytest.mark.parametrize("z", [30.0, 100.0, 1000.0])
+    def test_far_self_force_takes_the_octree(self, z, monkeypatch):
+        # the closed form's bound over |grad| is 1.4e-10, 1.5e-8 and 1.4e-4 at
+        # these heights, past the default rel_tol: the self-gradient is twice
+        # the octree's gradient in the first point
+        body = validate.table()["born_box"].geom
+        spec, p = QuadratureSpec(), Point3(0.3, -0.2, z)
+        used = []
+        octree = born._box_octree
+        monkeypatch.setattr(born, "_box_octree",
+                            lambda kernel, *args, **kw: used.append(kernel) or octree(
+                                kernel, *args, **kw))
+        grad = np.array(body.grad_g1(p, spec))
+        monkeypatch.undo()
+        assert used == [kernels.alpha_chain_grad_sum]
+        stencil = validate.stencil_gradient(lambda c: body.g1(c, spec).value, p, 1e-4 * z)
+        assert np.linalg.norm(grad - stencil) <= validate.FORCE_TOL * np.linalg.norm(grad)

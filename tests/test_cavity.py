@@ -493,10 +493,13 @@ class TestConductingImages:
 
 def _slab_series(z, z0, rho, r1, r3):
     """4 pi eps2 g, or g1 at coincident points, by the image series at 30
-    digits, for walls that both reflect with r near -1 (q = r1 r3 near 1),
-    whose order j falls off as c q^j/j, c = (2 - r1 - r3)/(2d): orders
-    0..49 by mpmath.fsum, and from 50 on, less c q^j/j, by mpmath.sumem;
-    that part sums to c (-ln(1 - q) - sum_{j<50} q^j/j)."""
+    digits, for walls whose q = r1 r3 lies near 1 or near -1 (both walls
+    reflecting with r near -1, or near 1, or one of each), whose order j
+    falls off as c q^j/j, c = (2 - r1 - r3)/(2d): orders 0..49 by
+    mpmath.fsum, and the rest by mpmath.sumem. For q > 0 that is orders 50
+    on less c q^j/j, a part that sums to c (-ln(1 - q) - sum_{j<50} q^j/j);
+    for q < 0, whose orders alternate in sign, the pairs of orders
+    (2k, 2k + 1) from k = 25 on, whose sum varies smoothly with k."""
     with mp.workdps(30):
         z, z0, rho, d, r1, r3 = (mp.mpf(v) for v in (z, z0, rho, D, r1, r3))
         upper, lower = max(z, z0), min(z, z0)
@@ -506,13 +509,16 @@ def _slab_series(z, z0, rho, r1, r3):
         def dist(s):
             return mp.sqrt(rho ** 2 + s ** 2)
 
-        def order(j):
+        def bare(j):  # order j over q^j
             x = 2 * j * d
             images = -r1 / dist(x + b1) - r3 / dist(x + b3)
-            return q ** j * (images + (1 / dist(x + a) + 1 / dist(x - a) if j else 0))
+            return images + (1 / dist(x + a) + 1 / dist(x - a) if j else 0)
 
-        head = mp.fsum(order(j) for j in range(50)) + (1 / dist(a) if rho or a else 0)
-        tail = mp.sumem(lambda j: order(j) - c * q ** j / j, [50, mp.inf])
+        head = mp.fsum(q ** j * bare(j) for j in range(50)) + (1 / dist(a) if rho or a else 0)
+        if q < 0:
+            return head + mp.sumem(lambda k: (q * q) ** k * (bare(2 * k) + q * bare(2 * k + 1)),
+                                   [25, mp.inf])
+        tail = mp.sumem(lambda j: q ** j * (bare(j) - c / j), [50, mp.inf])
         return head + tail + c * (-mp.log(1 - q) - mp.fsum(q ** j / j for j in range(1, 50)))
 
 
@@ -536,6 +542,16 @@ class TestSlabBetweenLowWalls:
             ref = _slab_series(*point, co.r1, co.r3) / (4 * math.pi * eps2)
             assert abs(mp.mpf(got.value) - ref) <= got.abs_err <= 1e-2 * abs(got.value), point
 
+    def test_meets_rel_tol_near_a_wall(self):
+        # g1 5.3e-9 d above the lower wall of a gap of 1.75e11 between walls
+        # of 5 and 1: the image series stopped at 17% of |g1| while the
+        # absolute floor, 1e-12/(4 pi L), left eps2 out
+        z = -0.5 * D + 5.3e-9 * D
+        co = reflection_coeffs(5.0, 1.75e11, 1.0)
+        got = ThreeLayerCavity(5.0, 1.75e11, 1.0, D).g1(Point3(0.0, 0.0, z), self.SPEC)
+        ref = _slab_series(z, z, 0.0, co.r1, co.r3) / (4 * math.pi * 1.75e11)
+        assert abs(mp.mpf(got.value) - ref) <= got.abs_err <= 1e-10 * abs(got.value)
+
     @pytest.mark.parametrize("eps2", [1e16, 1e17])
     def test_walls_of_r_minus_one_are_a_domain_error(self, eps2):
         assert reflection_coeffs(1.0, eps2, 1.0).r1 == -1.0
@@ -547,6 +563,32 @@ class TestSlabBetweenLowWalls:
         # the gradients converge
         grad = np.array(geom.grad_g(*self.PAIR, self.SPEC)) * (4 * math.pi * eps2)
         assert np.allclose(grad, (-4.6108, 0.0, -4.0843), rtol=0.0, atol=1e-4)
+
+
+class TestPastTheOrderCap:
+    """g where the image series needs more orders than IMAGE_ORDER_MAX, by
+    the Hankel route, against _slab_series."""
+
+    @pytest.mark.parametrize("eps", [1e3, 1e6])
+    @pytest.mark.parametrize("rho", [0.01, 1.0, 20.0])
+    def test_walls_of_high_eps(self, eps, rho):
+        # between walls of 1e6 the panels' bisection reaches its depth cap,
+        # where _panels_adaptive accepts a subinterval whatever its error;
+        # these values lie within 0.16 of their abs_err all the same
+        co = reflection_coeffs(eps, 1.0, eps)
+        got = images(0.1 * D, -0.2 * D, rho * D, eps, 1.0, eps)
+        ref = _slab_series(0.1 * D, -0.2 * D, rho * D, co.r1, co.r3) / (4 * math.pi)
+        assert abs(mp.mpf(got.value) - ref) <= got.abs_err
+
+    @pytest.mark.parametrize("eps1,point", [(4.0, (0.22628, -0.36967, 0.48367)),
+                                            (19.0, (-0.23577, 0.36186, 0.50491))])
+    def test_high_eps2_against_a_conducting_wall(self, eps1, point):
+        # r1 r3 = -0.9992 and -0.9962: these missed the 30-digit sum by 1.03
+        # and 1.01 of their abs_err while the floor of g left eps2 out
+        co = reflection_coeffs(eps1, 1e4, PC)
+        got = next(cavity.gap_g_many([point], D, eps1, 1e4, PC))
+        ref = _slab_series(*point, co.r1, co.r3) / (4 * math.pi * 1e4)
+        assert abs(mp.mpf(got.value) - ref) <= got.abs_err
 
 
 class TestConductingWalls:

@@ -158,7 +158,8 @@ def test_interface_conditions(name, i, rng):
 NOT_THE_LIMIT = {
     "aperture_plate": pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="ROADMAP item 2: hole_onaxis_g1 drops -R/(4 pi^2 (z^2 + R^2))"),
+        reason="the aperture's on-axis finding: hole_onaxis_g1 drops "
+               "-R/(4 pi^2 (z^2 + R^2)) against the limit"),
     "bulk": pytest.mark.xfail(
         strict=True, raises=AssertionError,
         reason="(exp(-k_s h) - 1)/h has an O(h) term, which the extrapolation in h^2 "
