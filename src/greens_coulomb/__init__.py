@@ -58,7 +58,7 @@ from .interactions import (
     pair_energy,
     self_energy,
 )
-from .quadrature import hankel_integral, sine_integral
+from .quadrature import hankel_integral
 from .scene import Scene, SceneOptions, load_scene, parse_scene
 from .screening import DrudeStatic, NonlocalBulk
 

@@ -8,20 +8,25 @@ the integral of s.alpha.s / s^6 over the body; `charge_body_energy`, the
 pairwise charge-molecule potential integrated over the body, is that
 self-energy.
 
-The half-space is integrated in closed form for any tensor
-(`_half_space_integral`). So is a box at coincident field points, by the
-face-and-edge reduction of polyhedral potential fields
-(`_box_self_integral`): its error is the roundoff of its summed terms, and
-where that exceeds rel_tol (far from the box, where the terms cancel) the
-octree takes over. The octree also takes every pair term (r != r'): 7-point
-Gauss-Legendre per axis with dyadic refinement, evaluated one refinement
-level at a time: a level is a set of corner arrays, all its cells are split
-at once, and the integrand sees whole blocks of cells per call. Accepted
-cells are summed in the FIFO order of a cell-by-cell loop, so results are
-bit-reproducible; a cell still outside its budget at the depth cap
-_MAX_DEPTH is a ConvergenceError. Forces are gradients of the same
-integrals: of the closed forms (`_half_space_grad`, `_box_self_grad`) or
-under the integral sign in the octree, one pass over the vector integrand.
+One function, `_scattering`, picks each part's route, for values and
+gradients alike:
+
+* the half-space takes its closed form, for any tensor
+  (`_half_space_integral`, `_half_space_grad`);
+* a box at coincident field points takes its closed form, the face-and-edge
+  reduction of polyhedral potential fields (`_box_self_integral`,
+  `_box_self_grad`), wherever that form's roundoff bound meets rel_tol of
+  the value's length, and the octree elsewhere (far from the box, where the
+  form's terms cancel);
+* every other box takes the octree, on the scalar or, under the integral
+  sign, the vector integrand.
+
+The octree is 7-point Gauss-Legendre per axis with dyadic refinement,
+evaluated one refinement level at a time: a level is a set of corner
+arrays, all its cells are split at once, and the integrand sees whole
+blocks of cells per call. Accepted cells are summed in the FIFO order of a
+cell-by-cell loop, so results are bit-reproducible; a cell still outside its
+budget at the depth cap _MAX_DEPTH is a ConvergenceError.
 """
 
 from __future__ import annotations
@@ -216,33 +221,13 @@ class DiluteBody(Geometry):
 
     def _grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
         direct = free_space_grad(r, r_src, self.background_eps)
-        scattered = _scattering_grad(r, r_src, self, spec)
+        scattered = _scattering(self, r, r_src, spec, gradient=True)
         return tuple(d + s for d, s in zip(direct, scattered))
 
     def _grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
-        """Gradient of r -> born_scattering_g1(r, r), both points moving.
-
-        A box takes `_box_self_grad` wherever its roundoff bound meets rel_tol
-        of the gradient's length, and twice the octree's gradient in the first
-        point elsewhere (g1 is symmetric); the half-space takes twice the
-        gradient of its closed form.
-        """
         if self._beyond_float64(r):
             raise self._too_far()
-        alpha = self.alpha.matrix
-
-        def box_grad(box):
-            got = _closed_form(_box_self_grad, box, r, alpha)
-            if got is not None and got[1] <= spec.rel_tol * math.hypot(*got[0]):
-                return got[0]
-            grad, _ = _box_octree(kernels.alpha_chain_grad_sum, box, r, r, alpha, spec.rel_tol,
-                                  power=2)
-            return tuple(2.0 * c for c in grad)
-
-        def half_space_grad(r1, r2, a):
-            return tuple(2.0 * c for c in _half_space_grad(r1, r2, a))
-
-        return _body_grad(self, box_grad, half_space_grad, r, r, _g1_prefactor(self))
+        return _scattering(self, r, r, spec, gradient=True)
 
 
 # ---------------------------------------------------------------------------
@@ -634,26 +619,6 @@ def _box_self_grad(box: Box, r: Point3, alpha: np.ndarray) -> Tuple[Gradient, fl
     return (grad[0] * scale, grad[1] * scale, grad[2] * scale), _ROUNDOFF * max(sizes) * scale
 
 
-def _body_terms(body: DiluteBody, box_term, half_space_term, r1: Point3, r2: Point3):
-    """(eta, term) of each box, box_term(box), and of the half-space,
-    half_space_term(r1, r2, alpha), in that order."""
-    parts = [(reg.eta, box_term(reg.box)) for reg in body.regions if reg.eta != 0.0]
-    if body.half_space_eta:
-        parts.append((body.half_space_eta, half_space_term(r1, r2, body.alpha.matrix)))
-    return parts
-
-
-def _body_grad(body: DiluteBody, box_grad, half_space_grad, r1: Point3, r2: Point3,
-               scale: float) -> Gradient:
-    """scale times the eta-weighted sum of the gradients, in Python floats,
-    so that an overflow is an inf (which force_on_A reports) and no warning."""
-    total = [0.0, 0.0, 0.0]
-    for eta, grad in _body_terms(body, box_grad, half_space_grad, r1, r2):
-        for k in range(3):
-            total[k] += eta * grad[k]
-    return scale * total[0], scale * total[1], scale * total[2]
-
-
 def _closed_form(closed, box: Box, r: Point3, alpha: np.ndarray):
     """closed(box, r, alpha), or None where a length or a term overflows or
     underflows float64 (a finite bound implies a finite value)."""
@@ -664,35 +629,50 @@ def _closed_form(closed, box: Box, r: Point3, alpha: np.ndarray):
     return got if math.isfinite(got[1]) else None
 
 
-def _scattering_integral(r1: Point3, r2: Point3, body: DiluteBody,
-                         spec: QuadratureSpec) -> Tuple[float, float]:
-    """eta-weighted int over the body of grad_x(1/|r1 - x|) . alpha . grad_x(1/|r2 - x|) d^3x.
+def _scattering(body: DiluteBody, r1: Point3, r2: Point3, spec: QuadratureSpec,
+                gradient: bool = False):
+    """g1(r1, r2) as a ValueWithError, or with gradient=True its gradient:
+    in r1, and at r1 = r2 that of r -> g1(r, r), both points moving.
 
-    The half-space is the closed form. A box is the octree, except at
-    r1 = r2, where it is the closed form `_box_self_integral` wherever that
-    form's roundoff bound meets rel_tol (the octree keeps far points).
+    g1 is -1/(eps0 (4 pi eps_bg)^2) times the eta-weighted integral over the
+    body of grad_x(1/|r1 - x|) . alpha . grad_x(1/|r2 - x|) d^3x, and each
+    part of the body takes the route that the module docstring states.
+    The parts are summed eta-weighted in Python floats, so that a gradient
+    that overflows is an inf (which force_on_A reports) and no warning; a
+    gradient carries no error.
     """
     alpha = body.alpha.matrix
-
-    def octree(box):
-        return _box_octree(kernels.alpha_chain_sum, box, r1, r2, alpha, spec.rel_tol, power=1)
-
-    def closed_or_octree(box):
-        got = _closed_form(_box_self_integral, box, r1, alpha)
-        if got is not None and got[1] <= spec.rel_tol * abs(got[0]):
-            return got
-        return octree(box)
-
-    total = err = 0.0
-    for eta, (val, e) in _body_terms(body, closed_or_octree if r1 == r2 else octree,
-                                     _half_space_integral, r1, r2):
-        total += eta * val
+    kernel, power, closed, half_space = (
+        (kernels.alpha_chain_grad_sum, 2, _box_self_grad, _half_space_grad) if gradient
+        else (kernels.alpha_chain_sum, 1, _box_self_integral, _half_space_integral))
+    # a gradient with both points moving is twice the gradient in r1, g1
+    # being symmetric; a box's closed form gives it whole. A part doubles
+    # before its eta weight, which is exact: doubling the sum instead rounds
+    # otherwise where a weighted part is subnormal.
+    twice = 2.0 if gradient and r1 == r2 else 1.0
+    parts = []  # (eta, value or gradient, error, factor)
+    for reg in body.regions:
+        if reg.eta == 0.0:
+            continue
+        got = _closed_form(closed, reg.box, r1, alpha) if r1 == r2 else None
+        if got is not None and got[1] <= spec.rel_tol * (
+                math.hypot(*got[0]) if gradient else abs(got[0])):
+            parts.append((reg.eta, *got, 1.0))
+        else:
+            parts.append((reg.eta, *_box_octree(kernel, reg.box, r1, r2, alpha, spec.rel_tol,
+                                                power), twice))
+    if body.half_space_eta:
+        got = half_space(r1, r2, alpha)
+        parts.append((body.half_space_eta, *((got, 0.0) if gradient else got), twice))
+    total, err = [0.0, 0.0, 0.0], 0.0
+    for eta, val, e, factor in parts:
+        for k, c in enumerate(val if gradient else (val,)):
+            total[k] += eta * (factor * c)
         err += eta * e
-    return total, err
-
-
-def _g1_prefactor(body: DiluteBody) -> float:
-    return -1.0 / (EPSILON_0 * (4.0 * math.pi * body.background_eps) ** 2)
+    pref = -1.0 / (EPSILON_0 * (4.0 * math.pi * body.background_eps) ** 2)
+    if gradient:
+        return pref * total[0], pref * total[1], pref * total[2]
+    return ValueWithError(pref * total[0], abs(pref) * err)
 
 
 def born_scattering_g1(r: Point3, r_src: Point3, body: DiluteBody,
@@ -705,26 +685,7 @@ def born_scattering_g1(r: Point3, r_src: Point3, body: DiluteBody,
     """
     body.host_eps(r)
     body.host_eps(r_src)
-    total, err = _scattering_integral(r, r_src, body, spec)
-    pref = _g1_prefactor(body)
-    return ValueWithError(pref * total, abs(pref) * err)
-
-
-def _scattering_grad(r: Point3, r_src: Point3, body: DiluteBody,
-                     spec: QuadratureSpec) -> Gradient:
-    """Gradient of born_scattering_g1 in its field point r.
-
-    Boxes differentiate under the integral sign, one octree pass on the
-    vector kernel `alpha_chain_grad_sum` per box, also at r = r_src; the
-    half-space term is the gradient of its closed form.
-    """
-    alpha = body.alpha.matrix
-
-    def octree(box):
-        return _box_octree(kernels.alpha_chain_grad_sum, box, r, r_src, alpha, spec.rel_tol,
-                           power=2)[0]
-
-    return _body_grad(body, octree, _half_space_grad, r, r_src, _g1_prefactor(body))
+    return _scattering(body, r, r_src, spec)
 
 
 def charge_body_energy(a, body: DiluteBody,

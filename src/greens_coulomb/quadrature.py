@@ -1,4 +1,4 @@
-"""Semi-infinite oscillatory integrals: Hankel (J0 and J1) and sine transforms.
+"""Semi-infinite oscillatory integrals: Hankel transforms of order 0 and 1.
 
 The integration interval is partitioned at successive zeros of the
 oscillating factor. Panels are integrated in blocks of four by adaptive
@@ -21,8 +21,8 @@ could still reach, is a ConvergenceError.
 
 Integrand callables receive a 1-D numpy array of wavenumbers and must
 return the array of integrand values (the oscillating factor included,
-so the same machinery serves both transforms and the non-oscillatory
-rho = 0 case).
+so the same machinery serves both orders, the non-oscillatory rho = 0
+case, and `validate`'s sine transform).
 """
 
 from __future__ import annotations
@@ -353,17 +353,3 @@ def hankel_integral(f: Callable[[np.ndarray], np.ndarray], rho: float,
     value, err = _integrate_panels(integrand, edges, spec, "hankel_integral", subtracted)
     return ValueWithError(value, err)
 
-
-def sine_integral(f: Callable[[np.ndarray], np.ndarray], r: float,
-                  spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                  k_scale: Optional[float] = None) -> ValueWithError:
-    """integral_0^inf f(k) sin(k r) dk with an abs_err estimate."""
-    if r <= 0.0:
-        raise DomainError(f"r must be > 0, got {r!r}")
-
-    def integrand(k: np.ndarray) -> np.ndarray:
-        return np.asarray(f(k), dtype=float) * np.sin(k * r)
-
-    edges = _oscillatory_edges(lambda n: n * math.pi / r, k_scale)
-    value, err = _integrate_panels(integrand, edges, spec, "sine_integral")
-    return ValueWithError(value, err)

@@ -9,8 +9,9 @@ values.
 
 The arbiters, methods that no route of the program takes, live here too
 (`cavity_g_series`, `cavity_asymptotic`, `cavity_asymptotic_force`,
-`screened_potential_numeric`, `charge_molecule_potential`, `box_octree`,
-`half_space_octree`). The CLI imports this module for `validate` alone.
+`screened_potential_numeric` with its `sine_integral`,
+`charge_molecule_potential`, `box_octree`, `half_space_octree`). The CLI
+imports this module for `validate` alone.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ from .core import (
     finite_eps,
     is_conductor,
 )
-from .quadrature import euler_limit, hankel_integral, sine_integral
+from .quadrature import (_integrate_panels, _oscillatory_edges, euler_limit,
+                         hankel_integral)
 
 if TYPE_CHECKING:
     from .poisson_fd import FDSolution
@@ -167,6 +169,21 @@ def check_hankel_geometric() -> CheckResult:
     oracle = float(np.sum(0.25 ** (n - 1) / np.sqrt(4 * n ** 2 * d * d + 1.0)))
     return CheckResult("hankel_geometric_series", abs(got - oracle) <= 1e-10,
                        got, oracle, 1e-10, "term-by-term image sum oracle")
+
+
+def sine_integral(f: Callable[[np.ndarray], np.ndarray], r: float,
+                  spec: QuadratureSpec = DEFAULT_QUADRATURE,
+                  k_scale: Optional[float] = None) -> ValueWithError:
+    """integral_0^inf f(k) sin(k r) dk with an abs_err estimate, on the panel
+    driver of `quadrature` with panels between the zeros of sin(k r)."""
+    if r <= 0.0:
+        raise DomainError(f"r must be > 0, got {r!r}")
+
+    def integrand(k: np.ndarray) -> np.ndarray:
+        return np.asarray(f(k), dtype=float) * np.sin(k * r)
+
+    edges = _oscillatory_edges(lambda n: n * math.pi / r, k_scale)
+    return ValueWithError(*_integrate_panels(integrand, edges, spec, "sine_integral"))
 
 
 def check_sine_dirichlet() -> CheckResult:
@@ -836,6 +853,20 @@ def interface_error(row: Row, iface: Interface, src: Point3, x: float, y: float,
                _rel(flux_up, flux_down) / FLUX_TOL)
 
 
+def _straddling(row: Row, r: Point3) -> List[List[Point3]]:
+    """The points r + h e and r - h e, e = (0.48, -0.64, 0.6), at h = 2e-3,
+    1e-3 and 5e-4 of the distance to the nearest interface or body."""
+    e = (0.48, -0.64, 0.6)
+    return [[r.shifted(*(s * f * row.clearance(r) * c for c in e)) for s in (1.0, -1.0)]
+            for f in (2e-3, 1e-3, 5e-4)]
+
+
+def _extrapolated(l1, l2, l3):
+    """The limits in h^2 of values at the three h of `_straddling`: from the
+    smaller two h, and from all three."""
+    return (4.0 * l3 - l2) / 3.0, (64.0 * l3 - 20.0 * l2 + l1) / 45.0
+
+
 def coincident_limit_error(row: Row, r: Point3) -> float:
     """|g1(r) - lim [g(r, r + h e) + g(r, r - h e)]/2 - 1/(4 pi eps d)| over its
     tolerance, d the distance between the two points as float64 has them.
@@ -846,20 +877,48 @@ def coincident_limit_error(row: Row, r: Point3) -> float:
     smaller h, and the spread between this and the three-level extrapolation
     that adds h at 2e-3.
     """
-    geom, e, spec = row.geom, (0.48, -0.64, 0.6), DEFAULT_QUADRATURE
+    geom, spec = row.geom, DEFAULT_QUADRATURE
     levels = []
-    for f in (2e-3, 1e-3, 5e-4):
-        near = [r.shifted(*(s * f * row.clearance(r) * c for c in e)) for s in (1.0, -1.0)]
+    for near in _straddling(row, r):
         g = [geom.g(r, p, spec) for p in near]
         free = sum(1.0 / analytic.distance(r, p) for p in near) / (8.0 * math.pi
                                                                    * geom.host_eps(r))
         levels.append((0.5 * (g[0].value + g[1].value) - free,
                        0.5 * (g[0].abs_err + g[1].abs_err), free))
     (l1, _, _), (l2, e2, _), (l3, e3, free) = levels
-    two, three = (4.0 * l3 - l2) / 3.0, (64.0 * l3 - 20.0 * l2 + l1) / 45.0
+    two, three = _extrapolated(l1, l2, l3)
     g1 = geom.g1(r, spec)
     tol = (4.0 * e3 + e2) / 3.0 + g1.abs_err + 16.0 * 2.0 ** -52 * free + abs(three - two)
     return abs(two - g1.value) / tol
+
+
+def grad_coincident_limit_error(row: Row, r: Point3) -> float:
+    """|grad_g1(r) - 2 lim [G(r, r + h e) + G(r, r - h e)]/2| over its
+    tolerance, G being the gradient in r of g less the free term, or for a
+    Born body the scattered gradient alone, which `born._scattering` gives:
+    g less its direct term would leave a 1/h^2 term to cancel.
+
+    The limit is extrapolated as `coincident_limit_error` extrapolates g's.
+    The tolerance adds the spread between the two extrapolations, 16 eps_mach
+    of the two free gradients at the smallest h times their weight 4/3 in
+    the extrapolation, and 1e-12 |grad_g1|.
+    """
+    geom, spec = row.geom, DEFAULT_QUADRATURE
+    levels = []
+    for near in _straddling(row, r):
+        if row.scattered:
+            free = [np.zeros(3)] * 2
+            grads = [np.array(born._scattering(geom, r, p, spec, gradient=True)) for p in near]
+        else:
+            free = [np.array(analytic.free_space_grad(r, p, geom.host_eps(r))) for p in near]
+            grads = [np.array(geom.grad_g(r, p, spec)) - fp for p, fp in zip(near, free)]
+        levels.append((grads[0] + grads[1], sum(np.linalg.norm(fp) for fp in free)))
+    (l1, _), (l2, _), (l3, free) = levels
+    two, three = _extrapolated(l1, l2, l3)
+    grad_g1 = np.array(geom.grad_g1(r, spec))
+    tol = (np.linalg.norm(three - two) + 16.0 * 2.0 ** -52 * 4.0 / 3.0 * free
+           + 1e-12 * np.linalg.norm(grad_g1))
+    return float(np.linalg.norm(two - grad_g1) / tol)
 
 
 # the rows this criterion cannot check: the aperture's g1 is not yet the
@@ -868,6 +927,9 @@ def coincident_limit_error(row: Row, r: Point3) -> float:
 # (exp(-k_s h) - 1)/(4 pi eps_b h), has an O(h) term that the extrapolation
 # in h^2 leaves (its closed form is checked in tier-1 by one in h)
 NOT_THE_LIMIT = ("aperture_plate", "bulk")
+# the gradient's limit has no O(h) term (the two points' terms are odd in h
+# and cancel), which leaves the aperture's on-axis finding alone
+GRAD_NOT_THE_LIMIT = ("aperture_plate",)
 
 
 def _pairs(row: Row, rng, n: int):
@@ -922,6 +984,17 @@ def check_coincident_limit() -> CheckResult:
                        "worst err / tol of g1 against the limit of g - free, every geometry "
                        "but aperture_plate (hole_onaxis_g1 drops a term of the limit) "
                        "and bulk (g - free has an O(h) term)")
+
+
+def check_grad_coincident_limit() -> CheckResult:
+    rng = random.Random(11)
+    worst = max(grad_coincident_limit_error(row, row.self_point(rng))
+                for row in table().values() if row.name not in GRAD_NOT_THE_LIMIT
+                for _ in range(8))
+    return CheckResult("grad_g1_coincident_limit", worst <= 1.0, worst, 0.0, 1.0,
+                       "worst err / tol of grad_g1 against twice the limit of the gradient "
+                       "of g - free, every geometry but aperture_plate (hole_onaxis_g1 "
+                       "drops a term of the limit)")
 
 
 def check_bilinearity() -> CheckResult:
@@ -1007,6 +1080,7 @@ SUITES["all"] = SUITES["limits"] + SUITES["quadrature"] + [
     check_force_gradient,
     check_action_reaction,
     check_coincident_limit,
+    check_grad_coincident_limit,
     check_bilinearity,
     check_ratio_distant_interfaces,
 ] + SUITES["oracle"]

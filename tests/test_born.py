@@ -20,6 +20,7 @@ from greens_coulomb.core import (
     Charge,
     CoincidentPointsError,
     DomainError,
+    FreeSpace,
     Point3,
     PointInsideBodyError,
     QuadratureSpec,
@@ -293,6 +294,37 @@ class TestHalfSpaceClosedForm:
         assert abs(u_both.value - QE ** 2 / (2 * epsilon_0) * born_scattering_g1(
             a, a, body((region,), HALF_ETA), SPEC).value) / abs(u_both.value) < 1e-4
 
+    @pytest.mark.parametrize("other", ["half_space", "box"])
+    def test_gradients_add(self, other):
+        # the self-gradient and the pair gradient less the direct term, of a
+        # box and the half-space or of two boxes, each part weighted by its eta
+        region = DensityRegion(Box(-1 * NM, 1 * NM, -1 * NM, 1 * NM, 0.0, 0.5 * NM), 2e27)
+        second = DensityRegion(Box(1.5 * NM, 2.5 * NM, -1 * NM, 1 * NM, -1 * NM, 0.3 * NM), 3e27)
+        a, b = _nm((0.1, 0.2, 1.0)), _nm((1.5, -0.3, 0.8))
+
+        def body(regions, half=None):
+            return DiluteBody(alpha=ANISO, regions=regions, half_space_eta=half,
+                              background_eps=1.5)
+        # the whole body, then its parts
+        bodies = ([body((region,), HALF_ETA), body((region,)), body((), HALF_ETA)]
+                  if other == "half_space" else
+                  [body((region, second)), body((region,)), body((second,))])
+        free = FreeSpace(1.5)
+
+        def scattered(body, p):
+            return body.g(p, b, SPEC).value - free.g(p, b, SPEC).value
+
+        for grad, energy in (
+                (lambda body: body.grad_g1(a, SPEC), lambda body, p: body.g1(p, SPEC).value),
+                (lambda body: np.array(body.grad_g(a, b, SPEC)) - free.grad_g(a, b, SPEC),
+                 scattered)):
+            whole, *each = [np.array(grad(body)) for body in bodies]
+            size = sum(np.linalg.norm(g) for g in each)
+            assert np.linalg.norm(whole - sum(each)) <= 1e-15 * size
+            for body, g in zip(bodies, [whole] + each):
+                stencil = validate.stencil_gradient(lambda p: energy(body, p), a, 0.5e-4 * NM)
+                assert np.linalg.norm(g - stencil) <= validate.FORCE_TOL * np.linalg.norm(g)
+
     def test_field_point_on_the_plane_rejected(self):
         body = DiluteBody(alpha=ANISO, half_space_eta=HALF_ETA)
         with pytest.raises(PointInsideBodyError):
@@ -458,7 +490,9 @@ class TestBoxSelfClosedForm:
                           regions=(DensityRegion(UNIT_BOX, 1e27),), background_eps=2.5)
         p = Point3(*r)
         grad = np.array(body.grad_g1(p, SPEC))
-        octree = 2.0 * np.array(born._scattering_grad(p, p, body, QuadratureSpec(1e-8)))
+        grad_r1, _ = born._box_octree(kernels.alpha_chain_grad_sum, UNIT_BOX, p, p,
+                                      body.alpha.matrix, 1e-8, power=2)
+        octree = 2.0 * validate.born_g1_prefactor(1e27, 2.5) * np.array(grad_r1)
         assert np.linalg.norm(grad - octree) <= 1e-6 * np.linalg.norm(grad)
         h = 1e-6
         for m in range(3):

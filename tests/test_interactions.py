@@ -167,8 +167,13 @@ NOT_THE_LIMIT = {
 }
 
 
+# the gradient's limit has no O(h) term, which leaves the aperture alone
+GRAD_NOT_THE_LIMIT = {"aperture_plate": NOT_THE_LIMIT["aperture_plate"]}
+
+
 def test_the_limit_skips_the_xfailed_rows_alone():
     assert set(validate.NOT_THE_LIMIT) == set(NOT_THE_LIMIT)
+    assert set(validate.GRAD_NOT_THE_LIMIT) == set(GRAD_NOT_THE_LIMIT)
 
 
 @pytest.mark.parametrize("name", [pytest.param(name, marks=NOT_THE_LIMIT.get(name, ()))
@@ -179,6 +184,16 @@ def test_g1_is_the_coincident_limit_of_g(name, rng):
     # validate's check_coincident_limit runs it on every row but the two xfailed
     row = ROWS[name]
     assert validate.coincident_limit_error(row, row.self_point(rng)) <= 1.0
+
+
+@pytest.mark.parametrize("name", [pytest.param(name, marks=GRAD_NOT_THE_LIMIT.get(name, ()))
+                                  for name in ROWS])
+@given(rng=RNG)
+@_drawn(5)
+def test_grad_g1_is_twice_the_coincident_limit_of_grad_g(name, rng):
+    # validate's check_grad_coincident_limit runs it on every row but the aperture
+    row = ROWS[name]
+    assert validate.grad_coincident_limit_error(row, row.self_point(rng)) <= 1.0
 
 
 # (geometry, a point where no charge may sit, a point where one may, the

@@ -41,9 +41,11 @@ def test_removed_names_stay_gone():
 
 
 # the arbiters: methods that no route of the program takes, which live in
-# `validate` alone (the screened bulk's integrand is folded into its arbiter)
+# `validate` alone (the screened bulk's integrand is folded into its arbiter,
+# and its sine transform serves it alone)
 ARBITERS = ("cavity_g_series", "cavity_asymptotic", "cavity_asymptotic_force",
-            "screened_potential_numeric", "eps_longitudinal_static", "charge_molecule_potential")
+            "screened_potential_numeric", "eps_longitudinal_static", "charge_molecule_potential",
+            "sine_integral")
 
 
 def test_arbiters_live_in_validate_alone():

@@ -13,7 +13,8 @@ from greens_coulomb.core import (
     DomainError,
     QuadratureSpec,
 )
-from greens_coulomb.quadrature import euler_limit, hankel_integral, sine_integral
+from greens_coulomb.quadrature import euler_limit, hankel_integral
+from greens_coulomb.validate import sine_integral
 
 
 def test_exponential_kernel_identity():
