@@ -385,7 +385,9 @@ def _half_space_integral(r1: Point3, r2: Point3, alpha: np.ndarray) -> Tuple[flo
     a_par being the in-plane 2x2 block; the xz and yz entries drop out. It
     follows from the 2-D Fourier representation of 1/|r - x| and reduces to
     2 pi/R for alpha = 1 and to (pi/4h)(axx + ayy) + (pi/2h) azz at r1 = r2.
-    D/R is formed first so that no power of R overflows. The error is the
+    D/R is formed first so that no power of R overflows, and alpha's entries
+    are taken as Python floats, as in every other Born term, so that a value
+    that overflows is an inf and no numpy warning. The error is the
     roundoff, 8 eps times the summed term magnitudes (positive for any
     nonzero tensor, whose trace is positive).
     """
@@ -393,10 +395,11 @@ def _half_space_integral(r1: Point3, r2: Point3, alpha: np.ndarray) -> Tuple[flo
     R = math.hypot(dx, dy, Z)
     ZR = Z + R
     ux, uy = dx / R, dy / R
-    par = alpha[0, 0] * ux * ux + 2.0 * alpha[0, 1] * ux * uy + alpha[1, 1] * uy * uy
-    terms = (math.pi * (alpha[0, 0] + alpha[1, 1]) / ZR,
+    a = alpha.tolist()
+    par = a[0][0] * ux * ux + 2.0 * a[0][1] * ux * uy + a[1][1] * uy * uy
+    terms = (math.pi * (a[0][0] + a[1][1]) / ZR,
              -math.pi * par / ZR * (R / ZR),
-             math.pi * alpha[2, 2] / R)
+             math.pi * a[2][2] / R)
     value = terms[0] + terms[1] + terms[2]
     if not math.isfinite(value):
         raise DomainError(f"half-space Born integral at {r1}, {r2} overflows float64")

@@ -1,49 +1,41 @@
 """Green's function of a planar gap between two half-spaces.
 
-The gap's one dispatch: `gap_g_many` picks the route of g and g1, and
-`gap_grad_g` and `gap_grad_g1` those of their gradients, from the walls'
-reflection coefficients r1 and r3 and the in-plane distance rho alone.
-The routes:
+Region 2 (the gap, host permittivity eps2) spans -d/2 < z < d/2. Every
+function takes the gap as the ThreeLayerCavity that validated it and
+derived its walls' reflection coefficients r1 and r3 once. `gap_many` is
+the one dispatch for g, g1 at coincident points and their gradients, by
+this rule:
 
-* where both walls conduct (r1 = r3 = 1, `CavityCoeffs.conducting`: each
-  wall a perfect conductor, or of a permittivity whose coefficient rounds
-  to 1), the K0 mode sum for rho >= MODAL_RHO_MIN d, its gradient term by
-  term, and the digamma self-energy and its derivative at coincident
-  points, which keep full relative accuracy where the quadrature reaches
-  its absolute floor;
-* every other g and g1 by the image series (`cavity_g_images_many`;
-  Barrera, Guzman & Balaguer, Am. J. Phys. 46 (1978) 1172), summed to the
-  first order whose geometric tail bound meets the tolerance, at most
-  IMAGE_ORDER_MAX orders; between conducting walls (rho < MODAL_RHO_MIN d)
-  its first _EM_ORDER orders summed and the rest by the Euler-Maclaurin
-  formula in closed form. Many points, a sweep's, are summed at once as
-  arrays of points x orders, in blocks of at most _IMAGE_BLOCK values;
-  each point keeps its own order bound, stop rule, abs_err and error, and
-  one point is a batch of one;
-* Bessel-integral quadrature (`cavity_g_general`, any heights, any
-  reflection coefficients) of the reflected kernel, the free term
-  1/(4 pi eps2 r) in closed form (Michalski & Mosig, IEEE TAP 45 (1997)
-  508), for every other gradient, and for the g and g1 that the image
-  series cannot sum: past its order cap (|r1 r3| above about 0.99), and
-  where |r1 r3| = 1 without both walls conducting; g1, the gradients and g
-  share one set-up. Where both walls reflect with r near -1, g's panels
-  start from the pole of its kernel (_g_integral); where both reflect with
-  r = -1, g and g1 diverge, a DomainError.
+* both walls conducting (r1 = r3 = 1, `CavityCoeffs.conducting`: each a
+  perfect conductor, or of a permittivity whose coefficient rounds to 1):
+  the K0 mode sum for rho >= MODAL_RHO_MIN d and the digamma form at
+  coincident points, their gradients term by term and by the trigamma;
+  they keep full relative accuracy where the quadrature reaches its
+  absolute floor;
+* every other g and g1: the image series (`cavity_g_images_many`;
+  Barrera, Guzman & Balaguer, Am. J. Phys. 46 (1978) 1172), a sweep's
+  points as one batch, with an Euler-Maclaurin tail between conducting
+  walls; past its order cap (|r1 r3| above about 0.99), and where
+  |r1 r3| = 1 without both walls conducting, the Bessel-integral
+  quadrature of the reflected kernel, the free term 1/(4 pi eps2 r) in
+  closed form (`cavity_g_general`, `cavity_scattering_g1`; Michalski &
+  Mosig, IEEE TAP 45 (1997) 508);
+* every other gradient: that quadrature (`cavity_grad_general`).
+
+At coincident points a gradient is g1's, both points moving. Where both
+walls reflect with r = -1, g and g1 diverge, a DomainError.
 
 The conducting-wall functions import K0, K1, digamma and the trigamma from
-scipy.special when they are called, not when the package is imported, and
-the quadrature loads J0 and J1 on first use; the image series needs
-neither, so a dielectric gap's energies, and a conducting gap's pair
+scipy.special when they are called, and the quadrature loads J0 and J1 on
+first use, so a dielectric gap's energies, and a conducting gap's pair
 energies closer than MODAL_RHO_MIN d, load no scipy.
-
-Region 2 (the gap, host permittivity eps2) spans -d/2 < z < d/2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -58,10 +50,14 @@ from .core import (
     QuadratureSpec,
     ValueWithError,
     finite_eps,
-    is_conductor,
+    interface_reflection,
     until_error,
+    validate_eps,
 )
 from .quadrature import hankel_integral
+
+if TYPE_CHECKING:
+    from .core import ThreeLayerCavity
 
 _FOUR_PI = 4.0 * math.pi
 _EPS = float(np.finfo(float).eps)
@@ -116,16 +112,12 @@ class CavityCoeffs:
 
 def reflection_coeffs(eps1: Permittivity, eps2: float,
                       eps3: Permittivity) -> CavityCoeffs:
-    """R_i = (eps_i - eps2)/(eps_i + eps2); exactly 1 for a perfect conductor."""
-    e2 = finite_eps(eps2, "eps2")
-
-    def one(e, name):
-        if is_conductor(e):
-            return 1.0
-        ef = finite_eps(e, name)
-        return (ef - e2) / (ef + e2)
-
-    return CavityCoeffs(one(eps1, "eps1"), one(eps3, "eps3"))
+    """The coefficients interface_reflection(eps_i, eps2) of the wall below
+    (eps1) and the wall above (eps3): exactly 1 for a perfect conductor."""
+    finite_eps(eps2, "eps2")
+    validate_eps(eps1, "eps1")
+    validate_eps(eps3, "eps3")
+    return CavityCoeffs(interface_reflection(eps1, eps2), interface_reflection(eps3, eps2))
 
 
 def _check_gap(z: float, d: float, name: str) -> None:
@@ -197,79 +189,49 @@ class _Pair(NamedTuple):
             return 1e-12 / _FOUR_PI / length / length / self.pref
 
 
-def _pair(z: float, z0: float, rho: float, d: float, eps2: float,
-          coeffs: CavityCoeffs) -> _Pair:
-    """The set-up of the pair at heights z and z0, rho apart, between walls
-    of reflection coefficients `coeffs`, in a gap of permittivity eps2 that
-    the caller has validated."""
-    if d <= 0.0:
-        raise DomainError(f"d must be > 0, got {d!r}")
-    _check_gap(z, d, "z")
-    _check_gap(z0, d, "z0")
+def _pair(cav: ThreeLayerCavity, z: float, z0: float, rho: float) -> _Pair:
+    """The set-up of the pair of cav at heights z and z0, rho apart."""
+    _check_gap(z, cav.d, "z")
+    _check_gap(z0, cav.d, "z0")
     if rho < 0.0:
         raise DomainError(f"rho must be >= 0, got {rho!r}")
     upper, lower = max(z, z0), min(z, z0)
-    return _Pair(1.0 / (_FOUR_PI * eps2), coeffs.r1, coeffs.r3, rho, d,
-                 upper - lower, d + 2.0 * lower, d - 2.0 * upper,
+    return _Pair(1.0 / (_FOUR_PI * cav.eps2), cav.coeffs.r1, cav.coeffs.r3, rho, cav.d,
+                 upper - lower, cav.d + 2.0 * lower, cav.d - 2.0 * upper,
                  math.hypot(rho, upper - lower))
 
 
-def _layers_pair(z: float, z0: float, rho: float, d: float, eps1: Permittivity,
-                 eps2: float, eps3: Permittivity, g: bool = False) -> _Pair:
-    """_pair between walls of permittivities eps1 (below) and eps3 (above);
-    for g or g1 (`g`), which diverge there, a DomainError where both walls
-    reflect with r = -1."""
-    p = _pair(z, z0, rho, d, eps2, reflection_coeffs(eps1, eps2, eps3))
-    if g and p.r1 == p.r3 == -1.0:
+def _refuse_divergent(cav: ThreeLayerCavity) -> None:
+    """g and g1 diverge where both walls reflect with r = -1: a DomainError."""
+    if cav.coeffs.r1 == cav.coeffs.r3 == -1.0:
         raise DomainError(
-            f"g of the gap diverges: both walls, of eps1 = {eps1!r} and eps3 = {eps3!r}, "
-            f"reflect with r = -1 in float64 against eps2 = {eps2!r}")
-    return p
+            f"g of the gap diverges: both walls, of eps1 = {cav.eps1!r} and "
+            f"eps3 = {cav.eps3!r}, reflect with r = -1 in float64 against eps2 = {cav.eps2!r}")
 
 
-def gap_g_many(points: Iterable[Tuple[float, float, float]], d: float,
-               eps1: Permittivity, eps2: float, eps3: Permittivity,
-               spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Iterator[ValueWithError]:
-    """g, or g1 at coincident points, at each (z, z0, rho) of `points`, as
-    cavity_g_images_many yields them: the gap's one choice of route. Where
-    both walls conduct, the mode sum from rho = MODAL_RHO_MIN d on and the
-    digamma form at coincident points; every other point by the image
-    series, one batch for all (which takes Hankel where it cannot)."""
-    conducting = reflection_coeffs(eps1, eps2, eps3).conducting
-    points = list(points)
-    closed = [conducting and (rho >= MODAL_RHO_MIN * d or (rho == 0.0 and z == z0))
+def gap_many(cav: ThreeLayerCavity, points: Iterable[Tuple[float, float, float]],
+             spec: QuadratureSpec = DEFAULT_QUADRATURE,
+             gradient: bool = False) -> Iterator:
+    """The gap's one choice of route, the module docstring's rule: at each
+    (z, z0, rho) of `points`, g, or g1 at coincident points (rho = 0,
+    z = z0), each a ValueWithError; or with gradient=True (dg/drho, dg/dz),
+    z the field point's height, at coincident points (0, dg1/dz0) with both
+    points moving. The values of points off the closed forms are summed as
+    one batch (cavity_g_images_many); each point's error is raised when the
+    iteration reaches it."""
+    conducting, points = cav.coeffs.conducting, list(points)
+    closed = [conducting and (rho >= MODAL_RHO_MIN * cav.d or (rho == 0.0 and z == z0))
               for z, z0, rho in points]
-    series = cavity_g_images_many([p for p, c in zip(points, closed) if not c],
-                                  d, eps1, eps2, eps3, spec)
+    series = None if gradient else cavity_g_images_many(
+        cav, [p for p, c in zip(points, closed) if not c], spec)
     for (z, z0, rho), c in zip(points, closed):
         if not c:
-            yield next(series)
-        elif rho > 0.0:
-            yield conducting_gap_g(z, z0, rho, d, eps2)
+            yield cavity_grad_general(cav, z, z0, rho, spec) if gradient else next(series)
+        elif rho == 0.0:
+            yield ((ValueWithError(0.0), conducting_gap_dg1(cav, z0)) if gradient
+                   else conducting_gap_g1(cav, z0))
         else:
-            yield conducting_gap_g1(z0, d, eps2)
-
-
-def gap_grad_g(z: float, z0: float, rho: float, d: float, eps1: Permittivity,
-               eps2: float, eps3: Permittivity, spec: QuadratureSpec = DEFAULT_QUADRATURE
-               ) -> Tuple[ValueWithError, ValueWithError]:
-    """(dg/drho, dg/dz) of gap_g_many's g, z the field point's height: by the
-    mode sum where both walls conduct and rho >= MODAL_RHO_MIN d, else by
-    the Hankel integral (cavity_grad_general)."""
-    if reflection_coeffs(eps1, eps2, eps3).conducting and rho >= MODAL_RHO_MIN * d:
-        return conducting_gap_grad(z, z0, rho, d, eps2)
-    return cavity_grad_general(z, z0, rho, d, eps1, eps2, eps3, spec)
-
-
-def gap_grad_g1(z0: float, d: float, eps1: Permittivity, eps2: float, eps3: Permittivity,
-                spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
-    """d/dz0 of g1, both points moving: the digamma form's where both walls
-    conduct, else twice the Hankel route's dg/dz of the reflected part at
-    coincident points, since by reciprocity each point moves it alike."""
-    if reflection_coeffs(eps1, eps2, eps3).conducting:
-        return conducting_gap_dg1(z0, d, eps2)
-    _, d_z = cavity_grad_general(z0, z0, 0.0, d, eps1, eps2, eps3, spec)
-    return ValueWithError(2.0 * d_z.value, 2.0 * d_z.abs_err)
+            yield (conducting_gap_grad if gradient else conducting_gap_g)(cav, z, z0, rho)
 
 
 def _gap_integral(kernel, p: _Pair, spec: QuadratureSpec, floor: float, order: int = 0,
@@ -316,35 +278,34 @@ def _g_integral(p: _Pair, spec: QuadratureSpec, known: float = 0.0) -> ValueWith
     return ValueWithError(got.value, got.abs_err + p.pref * 2.0 * _EPS / (p.d * (1.0 - q)))
 
 
-def cavity_g_general(z: float, z0: float, rho: float, d: float,
-                     eps1: Permittivity, eps2: float, eps3: Permittivity,
+def cavity_g_general(cav: ThreeLayerCavity, z: float, z0: float, rho: float,
                      spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
     """Gap Green's function between heights z0 (source) and z, in-plane offset
     rho: the free term 1/(4 pi eps2 r) in closed form plus the Hankel
     integral of the reflected kernel, to rel_tol of their sum (_g_integral)."""
-    p = _layers_pair(z, z0, rho, d, eps1, eps2, eps3, g=True)
+    p = _pair(cav, z, z0, rho)
+    _refuse_divergent(cav)
     if p.r == 0.0:
         raise CoincidentPointsError("field point coincides with source")
     return _g_integral(p, spec, known=1.0 / p.r)
 
 
-def cavity_grad_general(z: float, z0: float, rho: float, d: float,
-                        eps1: Permittivity, eps2: float, eps3: Permittivity,
+def cavity_grad_general(cav: ThreeLayerCavity, z: float, z0: float, rho: float,
                         spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """(dg/drho, dg/dz) of cavity_g_general, z the field point's height; at
-    coincident points (rho = 0, z = z0) of the reflected part alone.
+    coincident points (rho = 0, z = z0) (0, dg1/dz0), the reflected part's
+    with both points moving: twice its dg/dz, since by reciprocity each
+    point moves it alike.
 
     The free-space part 1/(4 pi eps2 r) is differentiated in closed form. The
     reflected kernel R(k) = exp(-k*a_free)(N/D - 1) is differentiated under
     the integral: dg/drho takes -int R k J1(k rho) dk, and dg/dz the
     z-derivative of R's exponentials against J0; the two integrals share
-    the pair's set-up. At coincident points dg/drho is 0 by symmetry, and
-    dg/dz is taken to half the floor, so that twice it, g1's derivative
-    with both points moving, meets it. Raises DomainError when the
-    free-space part overflows float64, and ConvergenceError when the
-    gradient's abs_err exceeds 1% of its magnitude (see _checked_gradient).
+    the pair's set-up; at coincident points the one integral is taken to
+    half the floor. Raises DomainError when the free-space part overflows
+    float64, and ConvergenceError past _checked_gradient's bound.
     """
-    p = _layers_pair(z, z0, rho, d, eps1, eps2, eps3)
+    p = _pair(cav, z, z0, rho)
     r = p.r
     floor = p.floor(spec, 2)
     sign = 1.0 if z >= z0 else -1.0  # the field point is the upper one, or the lower
@@ -353,11 +314,11 @@ def cavity_grad_general(z: float, z0: float, rho: float, d: float,
         return kernels.cavity_reflected_dz(k, *args, sign)
 
     tried = (f"Hankel gradient of the gap kernel at rho = {rho!r}, "
-             f"z = {z!r}, z0 = {z0!r}, d = {d!r}, rel_tol = {spec.rel_tol!r}")
+             f"z = {z!r}, z0 = {z0!r}, d = {p.d!r}, rel_tol = {spec.rel_tol!r}")
     if r == 0.0:
         d_z = _gap_integral(reflected_dz, p, spec, 0.5 * floor)
         _checked_gradient((d_z,), 0.5 * p.pref * floor, tried)
-        return ValueWithError(0.0), d_z
+        return ValueWithError(0.0), ValueWithError(2.0 * d_z.value, 2.0 * d_z.abs_err)
     # divided by r in stages: r * r * r underflows to 0 below r ~ 1e-108
     free_rho = p.pref * (rho / r) / r / r
     free_z = p.pref * ((z - z0) / r) / r / r
@@ -437,12 +398,10 @@ def _image_order_bound(p: _Pair, q: float, target: float) -> int:
     return max(0, math.ceil(math.log(ratio) / math.log(q)) - 1) if ratio < 1.0 else 0
 
 
-def cavity_g_images_many(points: Iterable[Tuple[float, float, float]], d: float,
-                         eps1: Permittivity, eps2: float, eps3: Permittivity,
+def cavity_g_images_many(cav: ThreeLayerCavity, points: Iterable[Tuple[float, float, float]],
                          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Iterator[ValueWithError]:
-    """Gap Green's function by its image series at each (z, z0, rho) of
-    `points`, in order, as one batch, to spec, between walls of
-    permittivities eps1 (below) and eps3 (above); at coincident points
+    """Gap Green's function of cav by its image series at each (z, z0, rho)
+    of `points`, in order, as one batch, to spec; at coincident points
     (rho = 0, z = z0) its scattering part g1, the same series without the
     free term.
 
@@ -462,8 +421,7 @@ def cavity_g_images_many(points: Iterable[Tuple[float, float, float]], d: float,
     orders and its tail (_conducting_block). A point whose series needs
     more than IMAGE_ORDER_MAX orders, and every point where |r1 r3| = 1
     other than between conducting walls, takes the Hankel route instead
-    (cavity_g_general, or cavity_scattering_g1 at coincident points), which
-    raises DomainError where r1 = r3 = -1.
+    (cavity_g_general, or cavity_scattering_g1 at coincident points).
 
     Yields each point's value, and raises a point's error when the
     iteration reaches it, after every point before it was yielded. The
@@ -472,44 +430,41 @@ def cavity_g_images_many(points: Iterable[Tuple[float, float, float]], d: float,
     point is reached. Each point keeps its own order bound, stop rule and
     abs_err, so that its value is the one it has alone.
     """
-    coeffs = reflection_coeffs(eps1, eps2, eps3)
-    e2 = float(eps2)
-
     def hankel(point):
         z, z0, rho = point
         if rho == 0.0 and z == z0:
-            return cavity_scattering_g1(z0, d, eps1, eps2, eps3, spec)
-        return cavity_g_general(z, z0, rho, d, eps1, eps2, eps3, spec)
+            return cavity_scattering_g1(cav, z0, spec)
+        return cavity_g_general(cav, z, z0, rho, spec)
 
     points = list(points)
-    pairs, refused = until_error(_pair(z, z0, rho, d, e2, coeffs) for z, z0, rho in points)
-    q = abs(coeffs.r1 * coeffs.r3)
-    if q >= 1.0 and not coeffs.conducting:
+    pairs, refused = until_error(_pair(cav, z, z0, rho) for z, z0, rho in points)
+    conducting, q = cav.coeffs.conducting, abs(cav.coeffs.r1 * cav.coeffs.r3)
+    if q >= 1.0 and not conducting:
         yield from map(hankel, points[:len(pairs)])
     else:
         floors = [p.floor(spec) for p in pairs]
-        if coeffs.conducting:
+        if conducting:
             orders = [_EM_ORDER - 1] * len(pairs)
         else:
             # orders enough for a tail of half the floor, which leaves the
             # other half to the roundoff
             orders = [min(_image_order_bound(p, q, 0.5 * floor), IMAGE_ORDER_MAX)
                       for p, floor in zip(pairs, floors)]
+        described = ("Euler-Maclaurin tail {:.3e} from order {}" if conducting
+                     else "tail {:.3e} after order {}")
         # a block's arrays hold up to the largest order bound + 1, so many orders
         step = max(1, _IMAGE_BLOCK // (max(orders, default=0) + 2))
         for i in range(0, len(pairs), step):
             block = slice(i, i + step)
-            if coeffs.conducting:
+            if conducting:
                 stats, stops = _conducting_block(pairs[block], floors[block], spec)
-                described = "Euler-Maclaurin tail {:.3e} from order {}"
             else:
                 stats, stops = _image_block(pairs[block], floors[block], orders[block], q, spec)
-                described = "tail {:.3e} after order {}"
             for p, (z, z0, rho), (value, bound, tail, roundoff, target), n in zip(
                     pairs[block], points[block], zip(*stats.tolist()), stops):
                 if not math.isfinite(bound):
                     raise DomainError(f"the image series of the gap at rho = {rho!r}, "
-                                      f"z = {z!r}, z0 = {z0!r}, d = {d!r} overflows float64")
+                                      f"z = {z!r}, z0 = {z0!r}, d = {cav.d!r} overflows float64")
                 if bound <= target:
                     yield ValueWithError(p.pref * value, p.pref * bound)
                 elif n == IMAGE_ORDER_MAX:
@@ -519,7 +474,7 @@ def cavity_g_images_many(points: Iterable[Tuple[float, float, float]], d: float,
                     # so the roundoff exceeds half the target
                     raise ConvergenceError(
                         f"image series of the gap at rho = {rho!r}, z = {z!r}, z0 = {z0!r}, "
-                        f"d = {d!r}, r1 r3 = {p.r1 * p.r3!r}: its bound {p.pref * bound:.3e} "
+                        f"d = {cav.d!r}, r1 r3 = {p.r1 * p.r3!r}: its bound {p.pref * bound:.3e} "
                         f"({described.format(p.pref * tail, n)}, roundoff "
                         f"{p.pref * roundoff:.3e}) exceeds the target {p.pref * target:.3e} "
                         f"(rel_tol = {spec.rel_tol!r})")
@@ -624,26 +579,27 @@ def _conducting_block(pairs, floors, spec: QuadratureSpec):
     return np.stack((value, bound, tail_err, roundoff, target)), [m] * len(pairs)
 
 
-def conducting_gap_g(z: float, z0: float, rho: float, d: float,
-                     eps2: float) -> ValueWithError:
-    """Green's function between grounded walls at z = -d/2 and d/2, from its modes.
+def conducting_gap_g(cav: ThreeLayerCavity, z: float, z0: float, rho: float) -> ValueWithError:
+    """Green's function between the grounded walls of cav at z = -d/2 and
+    d/2, from its modes.
 
     g = sum_n sin(n pi u/d) sin(n pi u0/d) K0(n pi rho/d) / (pi d eps2), with
     u = z + d/2 and u0 = z0 + d/2, for rho > 0. abs_err bounds the dropped
     modes and the roundoff of the kept ones.
     """
     from scipy.special import k0
-    n, a, pref, (s, _, m), (s0, _, m0) = _modes(z, z0, rho, d, eps2)
+    n, a, pref, (s, _, m), (s0, _, m0) = _modes(cav, z, z0, rho)
     kv = k0(n * a)
-    err = _mode_tail(n, a, k0) + _mode_roundoff(n, a, d, s, m, s0, m0, kv)
+    err = _mode_tail(n, a, k0) + _mode_roundoff(n, a, cav.d, s, m, s0, m0, kv)
     return ValueWithError(pref * float(np.sum(s * s0 * kv)), pref * err)
 
 
-def conducting_gap_grad(z: float, z0: float, rho: float, d: float, eps2: float):
+def conducting_gap_grad(cav: ThreeLayerCavity, z: float, z0: float, rho: float):
     """(dg/drho, dg/dz) of conducting_gap_g, z the field point's height: the
     modes differentiated term by term, K0' = -K1 in rho and sin' = cos in z."""
     from scipy.special import k0, k1
-    n, a, pref, (s, c, m), (s0, _, m0) = _modes(z, z0, rho, d, eps2)
+    n, a, pref, (s, c, m), (s0, _, m0) = _modes(cav, z, z0, rho)
+    d = cav.d
     kn = n * (math.pi / d)
     kv0 = kn * k0(n * a)
     kv1 = kn * k1(n * a)
@@ -653,7 +609,7 @@ def conducting_gap_grad(z: float, z0: float, rho: float, d: float, eps2: float):
             ValueWithError(pref * float(np.sum(c * s0 * kv0)), pref * err_z))
 
 
-def _modes(z: float, z0: float, rho: float, d: float, eps2: float):
+def _modes(cav: ThreeLayerCavity, z: float, z0: float, rho: float):
     """The modes n = 1..N of the sum, a = pi rho/d, the prefactor
     1/(pi d eps2), and _wall_sines of z and of z0.
 
@@ -664,12 +620,12 @@ def _modes(z: float, z0: float, rho: float, d: float, eps2: float):
     """
     if not (rho > 0.0):
         raise DomainError(f"rho must be > 0 for the mode sum, got {rho!r}")
-    e2 = finite_eps(eps2, "eps2")
+    d = cav.d
     m, m0 = min(_wall_distances(z, d)), min(_wall_distances(z0, d))
     span = _MODE_SPAN + 2.0 * math.log(0.5 * d) - math.log(m) - math.log(m0)
     a = math.pi * rho / d
     n = np.arange(1.0, math.ceil(span / a) + 2.0)
-    return n, a, 1.0 / (math.pi * d * e2), _wall_sines(n, z, d), _wall_sines(n, z0, d)
+    return n, a, 1.0 / (math.pi * d * cav.eps2), _wall_sines(n, z, d), _wall_sines(n, z0, d)
 
 
 def _wall_sines(n: np.ndarray, z: float, d: float):
@@ -688,8 +644,6 @@ def _wall_sines(n: np.ndarray, z: float, d: float):
 
 def _wall_distances(z: float, d: float):
     """Distances u = z + d/2 and w = d/2 - z of a gap point from the two walls."""
-    if d <= 0.0:
-        raise DomainError(f"d must be > 0, got {d!r}")
     _check_gap(z, d, "z")
     return 0.5 * d + z, 0.5 * d - z
 
@@ -724,32 +678,34 @@ def _mode_roundoff(n: np.ndarray, a: float, d: float, f: np.ndarray, m: float,
     return _EPS * float(np.sum((6.0 + n * a) * np.abs(f * g * kv) + shift))
 
 
-def conducting_gap_g1(z0: float, d: float, eps2: float) -> ValueWithError:
-    """Scattering part at coincident points between grounded walls, in closed form.
+def conducting_gap_g1(cav: ThreeLayerCavity, z0: float) -> ValueWithError:
+    """Scattering part at coincident points between the grounded walls of
+    cav, in closed form.
 
     g1 = (gamma + (psi(x) + psi(y))/2) / (4 pi eps2 d), with x = (d/2 + z0)/d
     and y = (d/2 - z0)/d = 1 - x; the midplane value is -ln 2/(2 pi eps2 d).
     """
     from scipy.special import digamma
+    d = cav.d
     u, w = _wall_distances(z0, d)
-    e2 = finite_eps(eps2, "eps2")
     return ValueWithError((np.euler_gamma + 0.5 * (digamma(u / d) + digamma(w / d)))
-                          / (_FOUR_PI * e2 * d))
+                          / (_FOUR_PI * cav.eps2 * d))
 
 
-def conducting_gap_dg1(z0: float, d: float, eps2: float) -> ValueWithError:
+def conducting_gap_dg1(cav: ThreeLayerCavity, z0: float) -> ValueWithError:
     """d/dz0 of conducting_gap_g1, both points moving:
     (psi'(x) - psi'(y)) / (8 pi eps2 d^2), with the trigamma psi'."""
     from scipy.special import polygamma
+    d = cav.d
     u, w = _wall_distances(z0, d)
-    e2 = finite_eps(eps2, "eps2")
     return ValueWithError((polygamma(1, u / d) - polygamma(1, w / d))
-                          / (2.0 * _FOUR_PI * e2 * d * d))
+                          / (2.0 * _FOUR_PI * cav.eps2 * d * d))
 
 
-def cavity_scattering_g1(z0: float, d: float, eps1: Permittivity, eps2: float,
-                         eps3: Permittivity,
+def cavity_scattering_g1(cav: ThreeLayerCavity, z0: float,
                          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ValueWithError:
     """Reflection-only part at coincident points (rho = 0, z = z0): the
     integral of cavity_g_general's reflected kernel at a_free = 0."""
-    return _g_integral(_layers_pair(z0, z0, 0.0, d, eps1, eps2, eps3, g=True), spec)
+    p = _pair(cav, z0, z0, 0.0)
+    _refuse_divergent(cav)
+    return _g_integral(p, spec)

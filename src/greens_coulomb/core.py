@@ -15,7 +15,7 @@ born.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -489,14 +489,16 @@ class ThreeLayerCavity(Geometry):
     """Gap of width d filled with eps2 between half-spaces eps1 (z < -d/2) and eps3 (z > d/2).
 
     Charges sit in the gap: host_eps raises OutOfRegionError for |z| >= d/2.
-    `cavity` alone picks each value's route (gap_g_many, gap_grad_g and
-    gap_grad_g1).
+    Building it validates d and the permittivities and derives the walls'
+    reflection coefficients, `coeffs`, once; `cavity.gap_many` alone picks
+    the route of every value and gradient, from those.
     """
 
     eps1: Permittivity
     eps2: float
     eps3: Permittivity
     d: float
+    coeffs: "cavity.CavityCoeffs" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_eps(self.eps1, "eps1")
@@ -505,6 +507,8 @@ class ThreeLayerCavity(Geometry):
         object.__setattr__(self, "d", _require_finite(self.d, "d"))
         if not (self.d > 0.0):
             raise DomainError(f"gap width d must be > 0, got {self.d!r}")
+        object.__setattr__(self, "coeffs",
+                           cavity.reflection_coeffs(self.eps1, self.eps2, self.eps3))
 
     def host_eps(self, p: Point3) -> float:
         if not (abs(p.z) < 0.5 * self.d):
@@ -519,26 +523,23 @@ class ThreeLayerCavity(Geometry):
 
     def _g_many(self, pairs: Sequence[Tuple[Point3, Point3]],
                 spec: QuadratureSpec) -> Iterator[ValueWithError]:
-        return cavity.gap_g_many([(r.z, r_src.z, math.hypot(r.x - r_src.x, r.y - r_src.y))
-                                  for r, r_src in pairs],
-                                 self.d, self.eps1, self.eps2, self.eps3, spec)
+        return cavity.gap_many(self, [(r.z, r_src.z, math.hypot(r.x - r_src.x, r.y - r_src.y))
+                                      for r, r_src in pairs], spec)
 
     def _g1_many(self, points: Sequence[Point3],
                  spec: QuadratureSpec) -> Iterator[ValueWithError]:
-        return cavity.gap_g_many([(r.z, r.z, 0.0) for r in points],
-                                 self.d, self.eps1, self.eps2, self.eps3, spec)
+        return cavity.gap_many(self, [(r.z, r.z, 0.0) for r in points], spec)
 
     def _grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
         dx, dy = r.x - r_src.x, r.y - r_src.y
         rho = math.hypot(dx, dy)
-        d_rho, d_z = cavity.gap_grad_g(r.z, r_src.z, rho, self.d, self.eps1, self.eps2,
-                                       self.eps3, spec)
+        d_rho, d_z = next(cavity.gap_many(self, [(r.z, r_src.z, rho)], spec, gradient=True))
         radial = d_rho.value / rho if rho > 0.0 else 0.0
         return radial * dx, radial * dy, d_z.value
 
     def _grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
-        return 0.0, 0.0, cavity.gap_grad_g1(r.z, self.d, self.eps1, self.eps2, self.eps3,
-                                            spec).value
+        _, d_z = next(cavity.gap_many(self, [(r.z, r.z, 0.0)], spec, gradient=True))
+        return 0.0, 0.0, d_z.value
 
 
 @dataclass(frozen=True)

@@ -486,7 +486,7 @@ def check_cavity_triple() -> CheckResult:
         rho = rho_over_d * d
         for eps1, eps2, eps3 in _GAP_LAYERS:
             geom = ThreeLayerCavity(eps1, eps2, eps3, d)
-            co = cavity.reflection_coeffs(eps1, eps2, eps3)
+            co = geom.coeffs
             q = abs(co.r1 * co.r3)
             n_max = 400
             heights = [(0.0, 0.0)]
@@ -497,7 +497,7 @@ def check_cavity_triple() -> CheckResult:
                 n_max = max(80, int(math.log(1e-13) / math.log(q)) + 1)
             for z, z0 in heights:
                 got = geom.g(Point3(rho, 0.0, z), Point3(0.0, 0.0, z0), spec)
-                for ref in (cavity.cavity_g_general(z, z0, rho, d, eps1, eps2, eps3, spec),
+                for ref in (cavity.cavity_g_general(geom, z, z0, rho, spec),
                             cavity_g_series(rho, d, co, eps2, n_max=n_max, z=z, z0=z0)):
                     budget = max(got.abs_err + ref.abs_err, 1e-9 / rho)
                     worst = max(worst, abs(got.value - ref.value) / budget)
@@ -932,6 +932,44 @@ NOT_THE_LIMIT = ("aperture_plate", "bulk")
 GRAD_NOT_THE_LIMIT = ("aperture_plate",)
 
 
+def harmonic_error(row: Row, a: Point3, b: Point3) -> float:
+    """|L f(a)| over its tolerance, L the Laplacian in a and f = g(a, b)
+    - g_free(a, b), harmonic away from the source; for a Born body f is the
+    scattered part, born_scattering_g1, and for the screened bulk L is the
+    Laplacian less k_s^2 and f = g, a Yukawa potential.
+
+    L f is taken by the 7-point stencil at h = 4e-2, 2e-2 and 1e-2 of
+    min(clearance(a), |a - b|) and extrapolated in h^2 from the smaller two
+    h and from all three. The tolerance adds the spread of the two, and the
+    abs_err of each g and 16 eps_mach of each g_free, each times the
+    stencil's weight over h^2, at the two smaller h as the extrapolation
+    weighs them.
+    """
+    geom, spec = row.geom, DEFAULT_QUADRATURE
+    k2 = geom.drude.k_s ** 2 if isinstance(geom, screening.NonlocalBulk) else 0.0
+    pref = 1.0 / (4.0 * math.pi * (geom.background_eps if row.scattered else geom.host_eps(a)))
+
+    def f(p):
+        got = (born.born_scattering_g1(p, b, geom, spec) if row.scattered
+               else geom.g(p, b, spec))
+        free = pref / analytic.distance(p, b)
+        return got.value - (free if not (row.scattered or k2) else 0.0), got.abs_err, free
+
+    length = min(row.clearance(a), analytic.distance(a, b))
+    center, levels = f(a), []
+    for h in (4e-2 * length, 2e-2 * length, 1e-2 * length):
+        around = [f(a.shifted(*(s * h * (i == j) for j in range(3))))
+                  for i in range(3) for s in (1.0, -1.0)]
+        weight = 6.0 / h ** 2 + k2
+        lap = sum(v for v, _, _ in around) / h ** 2 - weight * center[0]
+        err = (sum(e + 16.0 * 2.0 ** -52 * free for _, e, free in around) / h ** 2
+               + weight * (center[1] + 16.0 * 2.0 ** -52 * center[2]))
+        levels.append((lap, err))
+    (l1, _), (l2, e2), (l3, e3) = levels
+    two, three = _extrapolated(l1, l2, l3)
+    return abs(two) / (abs(three - two) + (4.0 * e3 + e2) / 3.0)
+
+
 def _pairs(row: Row, rng, n: int):
     """n seeded pairs of the row's points, less those within 1e-3 of its scale."""
     pairs = [(row.point(rng), row.point(rng)) for _ in range(n)]
@@ -995,6 +1033,16 @@ def check_grad_coincident_limit() -> CheckResult:
                        "worst err / tol of grad_g1 against twice the limit of the gradient "
                        "of g - free, every geometry but aperture_plate (hole_onaxis_g1 "
                        "drops a term of the limit)")
+
+
+def check_harmonic() -> CheckResult:
+    rng = random.Random(13)
+    worst = max(harmonic_error(row, a, b) for row in table().values()
+                for a, b in _pairs(row, rng, 6))
+    return CheckResult("g_harmonic_off_source", worst <= 1.0, worst, 0.0, 1.0,
+                       "worst |Laplacian of g - g_free| / tol away from the source, every "
+                       "geometry (the scattered part of a Born body, the Yukawa operator "
+                       "for the screened bulk)")
 
 
 def check_bilinearity() -> CheckResult:
@@ -1081,6 +1129,7 @@ SUITES["all"] = SUITES["limits"] + SUITES["quadrature"] + [
     check_action_reaction,
     check_coincident_limit,
     check_grad_coincident_limit,
+    check_harmonic,
     check_bilinearity,
     check_ratio_distant_interfaces,
 ] + SUITES["oracle"]

@@ -39,9 +39,13 @@ PC = PERFECT_CONDUCTOR
 D = 1.0
 
 
+def cav(eps1, eps2, eps3, d=D):
+    return ThreeLayerCavity(eps1, eps2, eps3, d)
+
+
 def images(z, z0, rho, eps1, eps2, eps3, spec=QuadratureSpec()):
     """cavity_g_images_many at the one point (z, z0, rho), in a gap of width D."""
-    return next(cavity_g_images_many([(z, z0, rho)], D, eps1, eps2, eps3, spec))
+    return next(cavity_g_images_many(cav(eps1, eps2, eps3), [(z, z0, rho)], spec))
 
 
 class TestReflectionCoeffs:
@@ -59,6 +63,12 @@ class TestReflectionCoeffs:
     def test_range_validation(self):
         with pytest.raises(DomainError):
             CavityCoeffs(1.5, 0.0)
+
+    @pytest.mark.parametrize("walls", [(1.0, PC, 1.0), (0.5, 1.0, 1.0), (1.0, 1.0, 0.5),
+                                       (-2.0, 2.0, 1.0)])
+    def test_rejects_what_is_no_gap(self, walls):
+        with pytest.raises(DomainError):
+            reflection_coeffs(*walls)
 
 
 class TestSeries:
@@ -105,12 +115,12 @@ class TestSeries:
 
 class TestQuadratureRoute:
     def test_free_limit(self):
-        g = cavity_g_general(0.0, 0.0, 2.0, D, 1.0, 1.0, 1.0)
+        g = cavity_g_general(cav(1.0, 1.0, 1.0), 0.0, 0.0, 2.0)
         assert abs(g.value - 1.0 / (8 * math.pi)) < 1e-11
 
     def test_matches_series_conductor(self):
         co = reflection_coeffs(PC, 1.0, PC)
-        gq = cavity_g_general(0.0, 0.0, D, D, PC, 1.0, PC)
+        gq = cavity_g_general(cav(PC, 1.0, PC), 0.0, 0.0, D)
         gs = cavity_g_series(D, D, co, 1.0, 50)
         assert abs(gq.value - gs.value) <= max(gq.abs_err + gs.abs_err, 1e-9 / D)
 
@@ -120,33 +130,33 @@ class TestQuadratureRoute:
                 co = reflection_coeffs(eps1, 1.0, eps3)
                 q = abs(co.r1 * co.r3)
                 n_max = max(80, int(math.log(1e-13) / math.log(q)) + 1) if 0 < q < 1 else 200
-                gq = cavity_g_general(0.0, 0.0, rho_over_d * D, D, eps1, 1.0, eps3)
+                gq = cavity_g_general(cav(eps1, 1.0, eps3), 0.0, 0.0, rho_over_d * D)
                 gs = cavity_g_series(rho_over_d * D, D, co, 1.0, n_max)
                 budget = max(gq.abs_err + gs.abs_err, 1e-9 / (rho_over_d * D))
                 assert abs(gq.value - gs.value) <= budget
 
     def test_asymptotic_window_at_5d(self):
-        gq = cavity_g_general(0.0, 0.0, 5 * D, D, PC, 1.0, PC)
+        gq = cavity_g_general(cav(PC, 1.0, PC), 0.0, 0.0, 5 * D)
         ga = cavity_asymptotic(5 * D, D, 1.0)
         assert 0.9 <= ga.value / gq.value <= 1.1
 
     def test_invalid_rho(self):
         with pytest.raises(DomainError):
-            cavity_g_general(0.0, 0.0, -1.0, D, PC, 1.0, PC)
+            cavity_g_general(cav(PC, 1.0, PC), 0.0, 0.0, -1.0)
         with pytest.raises(CoincidentPointsError):
-            cavity_g_general(0.0, 0.0, 0.0, D, PC, 1.0, PC)
+            cavity_g_general(cav(PC, 1.0, PC), 0.0, 0.0, 0.0)
 
 
 class TestGeneralHeights:
     def test_uniform_media_is_free(self):
         for z, z0 in ((0.2, -0.3), (0.41, 0.4)):
-            g = cavity_g_general(z, z0, 0.9, D, 2.0, 2.0, 2.0)
+            g = cavity_g_general(cav(2.0, 2.0, 2.0), z, z0, 0.9)
             exact = 1.0 / (4 * math.pi * 2.0 * math.hypot(0.9, z - z0))
             assert abs(g.value - exact) / exact < 1e-10
 
     def test_mirror_symmetry_swaps_walls(self):
-        a = cavity_g_general(0.31, -0.22, 0.9, D, 4.0, 1.0, PC)
-        c = cavity_g_general(-0.31, 0.22, 0.9, D, PC, 1.0, 4.0)
+        a = cavity_g_general(cav(4.0, 1.0, PC), 0.31, -0.22, 0.9)
+        c = cavity_g_general(cav(PC, 1.0, 4.0), -0.31, 0.22, 0.9)
         assert abs(a.value - c.value) <= 1e-10 * abs(a.value) + a.abs_err + c.abs_err
 
     @pytest.mark.parametrize("eps1,eps3", [(PC, PC), (4.0, PC), (4.0, 8.0)])
@@ -155,7 +165,7 @@ class TestGeneralHeights:
         # 8th panel; running on to the 400-panel budget took 12-54 s
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
         with pytest.raises(ConvergenceError, match="panel error .* alone exceeds") as info:
-            cavity_g_general(0.1, -0.2, 12.0, D, eps1, 1.0, eps3, spec)
+            cavity_g_general(cav(eps1, 1.0, eps3), 0.1, -0.2, 12.0, spec)
         assert "after 8 panels" in str(info.value)
 
     @pytest.mark.parametrize("rho", [0.01, 0.1, 0.45])
@@ -164,7 +174,7 @@ class TestGeneralHeights:
         # of the stop test, it came back in an abs_err of 2.6e-15 to 7.1e-15 |g|
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
         with pytest.raises(ConvergenceError, match="roundoff .* alone exceeds") as info:
-            cavity_g_general(0.1, -0.2, rho, D, PC, 1.0, PC, spec)
+            cavity_g_general(cav(PC, 1.0, PC), 0.1, -0.2, rho, spec)
         assert "after 8 panels" in str(info.value)
 
     @pytest.mark.parametrize("eps1,eps3", [(4.0, 8.0), (4.0, PC), (PC, PC)])
@@ -172,9 +182,9 @@ class TestGeneralHeights:
         # 2e-4 d apart, 1.2e-4 d of it vertical: the layered kernel's free
         # term hid the reflected part below its 1e-12 abs floor here
         z0, dz, rho = 0.1 * D, 1.2e-4 * D, 1.6e-4 * D
-        got = cavity_g_general(z0 + dz, z0, rho, D, eps1, 1.0, eps3)
+        got = cavity_g_general(cav(eps1, 1.0, eps3), z0 + dz, z0, rho)
         if eps1 is PC:
-            ref = conducting_gap_g(z0 + dz, z0, rho, D, 1.0)
+            ref = conducting_gap_g(cav(PC, 1.0, PC), z0 + dz, z0, rho)
         else:
             ref = cavity_g_series(rho, D, reflection_coeffs(eps1, 1.0, eps3), 1.0, 400,
                                   z=z0 + dz, z0=z0)
@@ -182,9 +192,9 @@ class TestGeneralHeights:
 
     def test_out_of_gap_rejected(self):
         with pytest.raises(OutOfRegionError):
-            cavity_g_general(0.6 * D, 0.0, 1.0, D, 4.0, 1.0, 4.0)
+            cavity_g_general(cav(4.0, 1.0, 4.0), 0.6 * D, 0.0, 1.0)
         with pytest.raises(CoincidentPointsError):
-            cavity_g_general(0.2, 0.2, 0.0, D, 4.0, 1.0, 4.0)
+            cavity_g_general(cav(4.0, 1.0, 4.0), 0.2, 0.2, 0.0)
 
 
 class TestImageRoute:
@@ -208,7 +218,7 @@ class TestImageRoute:
         rho = rho_over_d * D
         for z, z0 in self.HEIGHTS:
             got = images(z * D, z0 * D, rho, eps1, eps2, eps3)
-            ref = cavity_g_general(z * D, z0 * D, rho, D, eps1, eps2, eps3)
+            ref = cavity_g_general(cav(eps1, eps2, eps3), z * D, z0 * D, rho)
             assert abs(got.value - ref.value) <= got.abs_err + ref.abs_err
             assert got.abs_err <= self.target(got, math.hypot(rho, (z - z0) * D))
 
@@ -216,14 +226,14 @@ class TestImageRoute:
     def test_close_pair_at_two_heights(self, eps1, eps3):
         z0, dz, rho = 0.1 * D, 1.2e-4 * D, 1.6e-4 * D
         got = images(z0 + dz, z0, rho, eps1, 1.0, eps3)
-        ref = cavity_g_general(z0 + dz, z0, rho, D, eps1, 1.0, eps3)
+        ref = cavity_g_general(cav(eps1, 1.0, eps3), z0 + dz, z0, rho)
         assert abs(got.value - ref.value) <= got.abs_err + ref.abs_err
 
     @pytest.mark.parametrize("eps1,eps2,eps3", LAYERS)
     def test_coincident_points_give_g1(self, eps1, eps2, eps3):
         for z0 in (-0.49, -0.3, 0.0, 0.2, 0.45):
             got = images(z0 * D, z0 * D, 0.0, eps1, eps2, eps3)
-            ref = cavity_scattering_g1(z0 * D, D, eps1, eps2, eps3)
+            ref = cavity_scattering_g1(cav(eps1, eps2, eps3), z0 * D)
             assert abs(got.value - ref.value) <= got.abs_err + ref.abs_err
             assert got.abs_err <= self.target(got, 0.0)
 
@@ -240,7 +250,7 @@ class TestImageRoute:
             got = geom.g(Point3(D, 0.0, 0.1 * D), Point3(0.0, 0.0, -0.2 * D),
                          QuadratureSpec())
             monkeypatch.undo()
-            hankel = cavity_g_general(*pair, eps, 1.0, eps)
+            hankel = cavity_g_general(cav(eps, 1.0, eps), *pair[:3])
             assert len(calls) == (0 if below else 1)
             assert got == images(0.1 * D, -0.2 * D, D, eps, 1.0, eps)
             if below:
@@ -269,7 +279,7 @@ class TestImageRoute:
         monkeypatch.setattr(cavity, "_image_orders", counted)
         for rho in (0.01, 1.0, 20.0):
             assert images(0.1, -0.2, rho, 1e6, 1.0, 1e6) == cavity_g_general(
-                0.1, -0.2, rho, D, 1e6, 1.0, 1e6)
+                cav(1e6, 1.0, 1e6), 0.1, -0.2, rho)
         assert sizes == [IMAGE_ORDER_MAX + 1] * 3
 
     def test_overflow_is_a_domain_error(self):
@@ -277,7 +287,14 @@ class TestImageRoute:
         # exceeds float64, and no numpy warning escapes
         z = 0.5 * 1e-300 * (1.0 - 1e-15)
         with pytest.raises(DomainError, match="overflows float64"):
-            next(cavity_g_images_many([(z, z, 0.0)], 1e-300, 4.0, 1.0, 8.0))
+            next(cavity_g_images_many(cav(4.0, 1.0, 8.0, 1e-300), [(z, z, 0.0)]))
+
+    def test_overflow_past_the_cap_is_a_domain_error(self):
+        # walls of 1e13 about a 1e-300 m gap: every term is finite, but the
+        # tail bound at the cap, divided by 1 - r1 r3 = 4e-13, is not
+        with pytest.raises(DomainError, match="overflows float64"):
+            next(cavity_g_images_many(cav(1e13, 1.0, 1e13, 1e-300),
+                                      [(0.1e-300, -0.2e-300, 0.3e-300)]))
 
     def test_roundoff_past_the_target_raises(self):
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
@@ -333,9 +350,9 @@ class TestImageBatch:
            points=st.lists(image_points(), min_size=1, max_size=12))
     def test_batch_equals_one_call_per_point(self, walls, spec, points):
         eps1, eps2, eps3 = walls
-        batch = _outcomes(cavity_g_images_many(points, D, eps1, eps2, eps3, spec))
+        batch = _outcomes(cavity_g_images_many(cav(eps1, eps2, eps3), points, spec))
         alone = _outcomes(value for point in points
-                          for value in cavity_g_images_many([point], D, eps1, eps2, eps3, spec))
+                          for value in cavity_g_images_many(cav(eps1, eps2, eps3), [point], spec))
         assert batch == alone
 
     def test_blocks_stay_under_the_bound(self, tmp_path, monkeypatch):
@@ -411,7 +428,7 @@ def _check_against_the_series(points, walls, spec=QuadratureSpec()):
     target max(floor, rel_tol |g|)."""
     coeffs = reflection_coeffs(*walls)
     both = points + [(z0, z, rho) for z, z0, rho in points]
-    got = list(cavity_g_images_many(both, D, *walls, spec))
+    got = list(cavity_g_images_many(cav(*walls), both, spec))
     refs = [_image_series(*p, coeffs.r1, coeffs.r3) / (4 * mp.pi * walls[1]) for p in points]
     for (z, z0, rho), g, ref in zip(both, got, refs + refs):
         length = max(math.hypot(rho, z - z0), 0.05 * D)
@@ -461,7 +478,7 @@ class TestConductingImages:
                      for rho in (below, 0.5 * D)]
             series, modes = geom.g_many(pairs, self.SPEC)
             assert series == images(z * D, z0 * D, below, PC, 1.0, PC)
-            assert modes == conducting_gap_g(z * D, z0 * D, 0.5 * D, D, 1.0)
+            assert modes == conducting_gap_g(cav(PC, 1.0, PC), z * D, z0 * D, 0.5 * D)
             assert abs(series.value - modes.value) <= series.abs_err + modes.abs_err
 
     def test_geometry_takes_no_hankel_route(self, monkeypatch):
@@ -478,11 +495,11 @@ class TestConductingImages:
         # a conducting wall r1 r3 = -1, where the series converges; between
         # two such walls r1 r3 = 1, where g diverges (TestSlabBetweenLowWalls)
         points = [(0.1, -0.2, 0.3), (0.1, 0.1, 0.0)]
-        assert list(cavity_g_images_many(points, D, PC, 1e17, 1.0)) == [
-            cavity_g_general(0.1, -0.2, 0.3, D, PC, 1e17, 1.0),
-            cavity_scattering_g1(0.1, D, PC, 1e17, 1.0)]
+        assert list(cavity_g_images_many(cav(PC, 1e17, 1.0), points)) == [
+            cavity_g_general(cav(PC, 1e17, 1.0), 0.1, -0.2, 0.3),
+            cavity_scattering_g1(cav(PC, 1e17, 1.0), 0.1)]
         with pytest.raises(DomainError, match="r = -1"):
-            next(cavity_g_images_many(points, D, 1.0, 1e17, 1.0))
+            next(cavity_g_images_many(cav(1.0, 1e17, 1.0), points))
 
     def test_roundoff_past_the_target_raises(self):
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
@@ -586,9 +603,66 @@ class TestPastTheOrderCap:
         # r1 r3 = -0.9992 and -0.9962: these missed the 30-digit sum by 1.03
         # and 1.01 of their abs_err while the floor of g left eps2 out
         co = reflection_coeffs(eps1, 1e4, PC)
-        got = next(cavity.gap_g_many([point], D, eps1, 1e4, PC))
+        got = next(cavity.gap_many(cav(eps1, 1e4, PC), [point]))
         ref = _slab_series(*point, co.r1, co.r3) / (4 * math.pi * 1e4)
         assert abs(mp.mpf(got.value) - ref) <= got.abs_err
+
+
+# the route functions of the gap, and the route each stands for
+ROUTES = {"conducting_gap_g": "mode sum", "conducting_gap_grad": "mode sum",
+          "conducting_gap_g1": "digamma", "conducting_gap_dg1": "trigamma",
+          "_conducting_block": "Euler-Maclaurin series", "_image_block": "series",
+          "cavity_g_general": "Hankel", "cavity_scattering_g1": "Hankel",
+          "cavity_grad_general": "Hankel"}
+
+
+class TestOneDispatch:
+    """gap_many picks every route of the gap from the walls that the
+    cavity derived when it was built."""
+
+    SPEC = QuadratureSpec()
+
+    def test_no_route_derives_the_walls_again(self, monkeypatch):
+        geoms = [cav(*walls) for walls in ((PC, 1.0, PC), (4.0, 1.0, 8.0), (1e3, 1.0, 1e3),
+                                           (PC, 1e17, 1.0))]
+        calls = []
+        monkeypatch.setattr(cavity, "reflection_coeffs", lambda *args: calls.append(args))
+        src = Point3(0.0, 0.0, -0.2)
+        for geom in geoms:
+            for rho in (0.3, 1.0):
+                r = Point3(rho, 0.0, 0.1)
+                geom.g(r, src, self.SPEC)
+                geom.grad_g(r, src, self.SPEC)
+            geom.g1(r, self.SPEC)
+            geom.grad_g1(r, self.SPEC)
+        assert calls == []
+
+    # the routes each quantity takes, in order: past the cap (walls of 1000)
+    # the series is summed to the cap before the value takes Hankel
+    @pytest.mark.parametrize("walls,rho,value,gradient", [
+        ((PC, 1.0, PC), 0.5, ["mode sum"], ["mode sum"]),
+        ((PC, 1.0, PC), 0.0, ["digamma"], ["trigamma"]),  # coincident points
+        ((PC, 1.0, PC), 0.3, ["Euler-Maclaurin series"], ["Hankel"]),
+        ((4.0, 1.0, 8.0), 1.0, ["series"], ["Hankel"]),
+        ((1000.0, 1.0, 1000.0), 1.0, ["series", "Hankel"], ["Hankel"]),
+        ((PC, 1e17, 1.0), 1.0, ["Hankel"], ["Hankel"]),
+    ])
+    def test_each_wall_class_takes_its_route(self, monkeypatch, walls, rho, value, gradient):
+        taken = []
+        for name, route in ROUTES.items():
+            def traced(*args, _fn=getattr(cavity, name), _route=route):
+                taken.append(_route)
+                return _fn(*args)
+            monkeypatch.setattr(cavity, name, traced)
+        geom, r, src = cav(*walls), Point3(rho, 0.0, 0.1), Point3(0.0, 0.0, -0.2)
+        if rho == 0.0:
+            calls = (lambda: geom.g1(r, self.SPEC), lambda: geom.grad_g1(r, self.SPEC))
+        else:
+            calls = (lambda: geom.g(r, src, self.SPEC), lambda: geom.grad_g(r, src, self.SPEC))
+        for call, routes in zip(calls, (value, gradient)):
+            taken.clear()
+            call()
+            assert taken == routes
 
 
 class TestConductingWalls:
@@ -637,18 +711,18 @@ class TestConductingWalls:
 
 class TestScatteringPart:
     def test_zero_without_walls(self):
-        g = cavity_scattering_g1(0.1, D, 1.0, 1.0, 1.0)
+        g = cavity_scattering_g1(cav(1.0, 1.0, 1.0), 0.1)
         assert g.value == 0.0
 
     def test_midplane_symmetric_walls_derivative_vanishes(self):
-        vals = [cavity_scattering_g1(z, D, 8.0, 1.0, 8.0).value
+        vals = [cavity_scattering_g1(cav(8.0, 1.0, 8.0), z).value
                 for z in (-0.01, 0.01)]
         assert abs(vals[1] - vals[0]) / abs(vals[0]) < 1e-6
 
     def test_approaches_half_space_near_one_wall(self):
         # source close to the lower wall: the upper wall barely matters
         z0 = -0.45 * D
-        got = cavity_scattering_g1(z0, D, 6.0, 1.0, 1.0).value
+        got = cavity_scattering_g1(cav(6.0, 1.0, 1.0), z0).value
         gap = z0 + 0.5 * D
         image = (6.0 - 1.0) / (6.0 + 1.0)
         half_space = -image / (8 * math.pi * gap)
@@ -661,7 +735,7 @@ class TestScatteringPart:
         x = z0_over_d + 0.5
         exact = ((np.euler_gamma + 0.5 * (digamma(x) + digamma(1.0 - x)))
                  / (4 * math.pi * eps2 * D))
-        got = cavity_scattering_g1(z0_over_d * D, D, PC, eps2, PC)
+        got = cavity_scattering_g1(cav(PC, eps2, PC), z0_over_d * D)
         assert abs(got.value - exact) <= got.abs_err
 
 
@@ -675,17 +749,17 @@ class TestConductingGapClosedForms:
     @pytest.mark.parametrize("rho_over_d", [0.5, 0.8, 1.5, 3.0, 4.5, 6.0])
     @pytest.mark.parametrize("z,z0", HEIGHTS)
     def test_modes_match_quadrature(self, rho_over_d, z, z0):
-        got = conducting_gap_g(z * D, z0 * D, rho_over_d * D, D, 2.0)
-        ref = cavity_g_general(z * D, z0 * D, rho_over_d * D, D, PC, 2.0, PC)
+        got = conducting_gap_g(cav(PC, 2.0, PC), z * D, z0 * D, rho_over_d * D)
+        ref = cavity_g_general(cav(PC, 2.0, PC), z * D, z0 * D, rho_over_d * D)
         assert abs(got.value - ref.value) <= got.abs_err + ref.abs_err
         assert got.abs_err <= 1e-12 * abs(got.value)
 
     @pytest.mark.parametrize("z0_over_d", [-0.49, -0.3, 0.0, 0.2, 0.45])
     def test_digamma_matches_quadrature(self, z0_over_d):
-        got = conducting_gap_g1(z0_over_d * D, D, 3.0)
-        ref = cavity_scattering_g1(z0_over_d * D, D, PC, 3.0, PC)
+        got = conducting_gap_g1(cav(PC, 3.0, PC), z0_over_d * D)
+        ref = cavity_scattering_g1(cav(PC, 3.0, PC), z0_over_d * D)
         assert abs(got.value - ref.value) <= ref.abs_err
-        assert math.isclose(conducting_gap_g1(0.0, D, 1.0).value,
+        assert math.isclose(conducting_gap_g1(cav(PC, 1.0, PC), 0.0).value,
                             -math.log(2.0) / (2 * math.pi * D), rel_tol=1e-14)
 
     def test_ratio_to_free_positive_and_asymptotic(self):
@@ -700,11 +774,11 @@ class TestConductingGapClosedForms:
 
     def test_mode_sum_rejects_bad_input(self):
         with pytest.raises(DomainError):
-            conducting_gap_g(0.0, 0.1, 0.0, D, 1.0)
+            conducting_gap_g(cav(PC, 1.0, PC), 0.0, 0.1, 0.0)
         with pytest.raises(OutOfRegionError):
-            conducting_gap_g(0.5 * D, 0.1, 1.0, D, 1.0)
+            conducting_gap_g(cav(PC, 1.0, PC), 0.5 * D, 0.1, 1.0)
         with pytest.raises(OutOfRegionError):
-            conducting_gap_g1(-0.5 * D, D, 1.0)
+            conducting_gap_g1(cav(PC, 1.0, PC), -0.5 * D)
 
 
 class TestAsymptotic:
@@ -725,6 +799,6 @@ class TestAsymptotic:
 
     def test_exponential_suppression_slope(self):
         rs = np.linspace(3.0, 8.0, 11)
-        vals = np.array([cavity_g_general(0.0, 0.0, r, D, PC, 1.0, PC).value for r in rs])
+        vals = np.array([cavity_g_general(cav(PC, 1.0, PC), 0.0, 0.0, r).value for r in rs])
         slope = float(np.polyfit(rs, np.log(vals * np.sqrt(rs)), 1)[0])
         assert abs(slope + math.pi / D) / (math.pi / D) < 0.02

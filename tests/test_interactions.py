@@ -196,6 +196,15 @@ def test_grad_g1_is_twice_the_coincident_limit_of_grad_g(name, rng):
     assert validate.grad_coincident_limit_error(row, row.self_point(rng)) <= 1.0
 
 
+@pytest.mark.parametrize("name", ROWS)
+@given(rng=RNG)
+@_drawn(5)
+def test_g_less_g_free_is_harmonic_off_the_source(name, rng):
+    # validate's check_harmonic runs it on every row
+    row = ROWS[name]
+    assert validate.harmonic_error(row, *_pair(row, rng)) <= 1.0
+
+
 # (geometry, a point where no charge may sit, a point where one may, the
 # geometry's error)
 FORBIDDEN = {

@@ -94,14 +94,15 @@ class TestCavityOracle:
         d = 1.0
         sol = validate._cavity_fd(8.0, 8.0, 0.0)  # ThreeLayerCavity(8, 1, 8, d)
         got = sol.g_total_at(Point3(d, 0, 0))
-        ref = cavity_g_general(0.0, 0.0, d, d, 8.0, 1.0, 8.0).value
+        ref = cavity_g_general(ThreeLayerCavity(8.0, 1.0, 8.0, d), 0.0, 0.0, d).value
         assert abs(got - ref) / ref < 0.02
 
     def test_matches_quadrature_general_heights(self):
         d = 1.0
         sol = validate._cavity_fd(4.0, 8.0, 0.2 * d)  # ThreeLayerCavity(4, 1, 8, d)
         got = sol.g_total_at(Point3(0.5 * d, 0, 0.2 * d))
-        ref = cavity_g_general(0.2 * d, 0.2 * d, 0.5 * d, d, 4.0, 1.0, 8.0).value
+        ref = cavity_g_general(ThreeLayerCavity(4.0, 1.0, 8.0, d), 0.2 * d, 0.2 * d,
+                               0.5 * d).value
         assert abs(got - ref) / ref < 0.02
 
 

@@ -25,9 +25,11 @@ EXPORTS = {name: getattr(greens_coulomb, name) for name in dir(greens_coulomb)
 # second writings: of the half-space image (HalfSpace._g), of the Yukawa
 # (NonlocalBulk._g), of ValueWithError, of Point3.mirror_z, of the gap's
 # cavity_g_general at z = z0 = 0, of cavity_g_images_many at one point and
-# of cavity_grad_general at coincident points
+# of cavity_grad_general at coincident points; and the gap's dispatchers and
+# per-call wall set-up, folded into cavity.gap_many on the cavity's own walls
 REMOVED = ("half_space_g", "half_space_scattering_g1", "screened_potential", "GreensValue",
-           "mirror_z", "cavity_g_midpoint", "cavity_g_images", "cavity_scattering_dg1")
+           "mirror_z", "cavity_g_midpoint", "cavity_g_images", "cavity_scattering_dg1",
+           "gap_g_many", "gap_grad_g", "gap_grad_g1", "_layers_pair")
 
 
 def test_removed_names_stay_gone():

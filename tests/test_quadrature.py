@@ -12,6 +12,7 @@ from greens_coulomb.core import (
     ConvergenceError,
     DomainError,
     QuadratureSpec,
+    ThreeLayerCavity,
 )
 from greens_coulomb.quadrature import euler_limit, hankel_integral
 from greens_coulomb.validate import sine_integral
@@ -334,7 +335,7 @@ def test_batched_matches_reference_gap(monkeypatch, eps1, eps3):
     def run():
         for z, z0 in ((0.0, 0.0), (0.2, -0.1)):
             for rho in np.geomspace(0.01, 20.0, 7):
-                cavity.cavity_g_general(z, z0, rho, 1.0, eps1, 1.0, eps3)
+                cavity.cavity_g_general(ThreeLayerCavity(eps1, 1.0, eps3, 1.0), z, z0, rho)
     calls = _gap_calls(monkeypatch, run)
     assert all(subtracted > 0.0 for *_, subtracted in calls)
     for f, rho, spec, k_scale, subtracted in calls:
@@ -348,8 +349,8 @@ def test_batched_matches_reference_gap(monkeypatch, eps1, eps3):
 def test_batched_matches_reference_halfline(monkeypatch, eps1, eps2, eps3):
     def run():
         for z0 in (-0.45, -0.1, 0.0, 0.3):
-            cavity.cavity_scattering_g1(z0, 1.0, eps1, eps2, eps3)
-            cavity.cavity_grad_general(z0, z0, 0.0, 1.0, eps1, eps2, eps3)
+            cavity.cavity_scattering_g1(ThreeLayerCavity(eps1, eps2, eps3, 1.0), z0)
+            cavity.cavity_grad_general(ThreeLayerCavity(eps1, eps2, eps3, 1.0), z0, z0, 0.0)
     calls = _gap_calls(monkeypatch, run)
     assert len(calls) == 8 and all(rho == 0.0 and subtracted == 0.0
                                    for _, rho, _, _, subtracted in calls)
@@ -370,7 +371,7 @@ def test_gap_self_term_kernel_calls(monkeypatch, eps1, eps3):
     monkeypatch.setattr(cavity.kernels, "cavity_integrand", counted)
     for z0 in (-0.3, 0.0, 0.15, 0.35):
         calls.clear()
-        got = cavity.cavity_scattering_g1(z0, 1.0, eps1, 1.0, eps3)
+        got = cavity.cavity_scattering_g1(ThreeLayerCavity(eps1, 1.0, eps3, 1.0), z0)
         assert got.abs_err <= 1e-13 * abs(got.value)
         assert 1 <= len(calls) <= 4
 

@@ -855,6 +855,29 @@ def test_born_octree_not_finite_exit_2_with_warnings_as_errors(tmp_path, command
     assert "Born octree" in proc.stderr and says in proc.stderr
 
 
+# one charge 1e-320 m above a dilute half-space: g1 is finite in the body's
+# integral and overflows when weighted, which numpy warned of while the
+# half-space's tensor entries were numpy floats
+_SUBNORMAL_HALF_SPACE = {
+    "geometry": {"type": "dilute_body", "alpha": 1e-40, "half_space_eta": 1e27},
+    "charges": [{"q": 1.0, "unit": "e", "position": [0.0, 0.0, 1e-320]}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["self-energy"],
+    ["sweep", "--param", "charges.0.position.0", "--min", "0", "--max", "1e-9", "--num", "3"],
+], ids=["self-energy", "sweep"])
+def test_born_half_space_overflow_exit_2_with_warnings_as_errors(tmp_path, argv):
+    src = os.path.dirname(os.path.dirname(greens_coulomb.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "greens_coulomb", *argv,
+         "--scene", write_scene(tmp_path, _SUBNORMAL_HALF_SPACE)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "value must be finite" in proc.stderr
+
+
 # a gap of eps2 = 1e17 between walls of eps 1, d = 1 m: both walls reflect
 # with r = -1 in float64, so g and g1 diverge, while the gradient converges
 # to (-4.6108, 0, -4.0843)/(4 pi eps2) at the pair
