@@ -61,8 +61,9 @@ class UnsupportedGeometryError(CoulombError):
     """The requested observable is not defined for this geometry."""
 
 
-class SolverError(CoulombError):
-    """The sparse linear solve did not reach the requested residual."""
+class SolverError(ConvergenceError):
+    """The FD oracle's conjugate-gradient solve did not reach the residual
+    its check requires; the message names the iterations and the residual."""
 
 
 class SourceOnInterfaceError(CoulombError):

@@ -21,6 +21,25 @@ truncation error far below the discretization error.
 
 The operator is symmetric and five-diagonal: the radial and axial face
 weights are arrays, and each sits on both off-diagonals of its pair.
+
+It is solved by conjugate gradients preconditioned with the exact inverse
+of its separable part (Concus & Golub, SIAM J. Numer. Anal. 10 (1973)
+1103). eps depends on z alone, so the radial face weights factor as
+2 pi (i + 1) times D_z = eps dz and the axial ones as D_r = 2 pi rho drho
+times eps_face / dz: the interior operator is K_r (x) D_z + D_r (x) K_z,
+with K_r and K_z the 1-D stiffness matrices of those couplings. Only the
+1/s outer faces break the product, as a diagonal term that varies along
+each outer edge; the preconditioner puts one constant per edge in its
+place, the median of the term divided by its D. Its inverse is fast
+diagonalisation (Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185): the
+eigenpairs of the two 1-D pencils (K, D) turn a solve into four n x n
+matrix products and a division by the eigenvalue sums.
+
+The operator and its preconditioner share every interior coupling and
+differ only by the edge terms, each of which stays within a ratio of its
+median that the domain's shape fixes, not the grid. So the preconditioned
+operator's condition number, and with it the iteration count (9 to 12 to
+a relative residual of 1e-12), does not grow with n.
 """
 
 from __future__ import annotations
@@ -45,7 +64,8 @@ from .core import (
 )
 
 _FOUR_PI = 4.0 * math.pi
-_TOL = 1e-10  # largest relative residual of the sparse solve
+_TOL = 1e-10  # largest relative residual the solve may leave
+_CG_MAXITER = 100  # the solve takes 9 to 12 on every grid tried
 
 
 @dataclass(frozen=True)
@@ -196,6 +216,22 @@ class FDSolution:
         return flux
 
 
+def _pencil(w: np.ndarray, d: np.ndarray, end_lo: float, end_hi: float):
+    """Eigenpairs of the 1-D pencil K x = lam D x, scaled so X^T D X = 1.
+
+    K is the stiffness matrix of face weights w between neighbouring cells,
+    with end_lo and end_hi added to its first and last diagonal entries; D
+    is diagonal and positive.
+    """
+    k = np.diag(np.pad(w, (1, 0)) + np.pad(w, (0, 1)))
+    k[0, 0] += end_lo
+    k[-1, -1] += end_hi
+    k -= np.diag(w, 1) + np.diag(w, -1)
+    scale = 1.0 / np.sqrt(d)
+    lam, q = np.linalg.eigh(scale[:, np.newaxis] * k * scale)
+    return lam, scale[:, np.newaxis] * q
+
+
 def solve_scattering_g1(geom: Union[HalfSpace, ThreeLayerCavity], src: Point3,
                         grid: GridSpec) -> FDSolution:
     """Solve for the scattering part g1 = g - g_free/eps_src on the grid.
@@ -257,13 +293,15 @@ def solve_scattering_g1(geom: Union[HalfSpace, ThreeLayerCavity], src: Point3,
         # g1 falls off like 1/s from the source between the cell and its
         # ghost one step outside the face
         s_ghost = np.hypot(ghost_rho, ghost_z - zs)
-        diag[cells] += e * area * (1.0 - np.hypot(rho, z - zs) / s_ghost) / delta
+        w = e * area * (1.0 - np.hypot(rho, z - zs) / s_ghost) / delta
+        diag[cells] += w
         b[cells] += (e - eps_src) * area * (gf(ghost_rho, ghost_z) - gf(rho, z)) / delta
+        return w
 
-    outer_face(np.s_[-1, :], eps_col, 2.0 * math.pi * grid.rho_max * dz,
-               rc[-1], zc, rc[-1] + drho, zc, drho)
-    outer_face(np.s_[:, 0], eps_col[0], area_z, rc, zc[0], rc, zc[0] - dz, dz)
-    outer_face(np.s_[:, -1], eps_col[-1], area_z, rc, zc[-1], rc, zc[-1] + dz, dz)
+    w_out = outer_face(np.s_[-1, :], eps_col, 2.0 * math.pi * grid.rho_max * dz,
+                       rc[-1], zc, rc[-1] + drho, zc, drho)
+    w_lo = outer_face(np.s_[:, 0], eps_col[0], area_z, rc, zc[0], rc, zc[0] - dz, dz)
+    w_hi = outer_face(np.s_[:, -1], eps_col[-1], area_z, rc, zc[-1], rc, zc[-1] + dz, dz)
 
     # cell (i, j) is unknown i n_z + j; the z coupling is 0 where a column ends
     off_z = -np.pad(w_z, ((0, 0), (0, 1))).ravel()[:-1]
@@ -271,10 +309,32 @@ def solve_scattering_g1(geom: Union[HalfSpace, ThreeLayerCavity], src: Point3,
     M = sp.diags([off_r, off_z, diag.ravel(), off_z, off_r], [-n_z, -1, 0, 1, n_z],
                  shape=(diag.size, diag.size), format="csr")
     rhs = b.ravel()
-    u = spla.spsolve(M, rhs)
+
+    # the separable part: w_r = 2 pi (i + 1) D_z and w_z = D_r e_z / dz, and
+    # each outer edge's term divided by its D replaced by its median
+    d_r, d_z = area_z, eps_col * dz
+    lam, x_r = _pencil(2.0 * math.pi * np.arange(1, n_rho), d_r,
+                       0.0, np.median(w_out / d_z))
+    mu, x_z = _pencil(e_z / dz, d_z, np.median(w_lo / d_r), np.median(w_hi / d_r))
+    sums = lam[:, np.newaxis] + mu
+
+    def separable_inverse(v):
+        w = x_r.T @ v.reshape(n_rho, n_z) @ x_z
+        return (x_r @ (w / sums) @ x_z.T).ravel()
+
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    u, _ = spla.cg(M, rhs, rtol=1e-12, atol=0.0, maxiter=_CG_MAXITER, callback=count,
+                   M=spla.LinearOperator(M.shape, matvec=separable_inverse, dtype=float))
     res = float(np.linalg.norm(M @ u - rhs) / max(np.linalg.norm(rhs), 1e-300))
     if not np.all(np.isfinite(u)) or res > _TOL:
-        raise SolverError(f"sparse solve residual {res:.3e} exceeds tol {_TOL:.3e}")
+        raise SolverError(
+            f"FD solve: conjugate gradients stopped after {iterations} iterations "
+            f"at relative residual {res:.3e}, above the tolerance {_TOL:.3e}")
 
     return FDSolution(grid=grid, g1=u.reshape(n_rho, n_z), eps_cell=eps_cell,
                       eps_src=eps_src, src_z=zs, axis_offset=(src.x, src.y),

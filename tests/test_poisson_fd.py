@@ -4,14 +4,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from greens_coulomb import poisson_fd, validate
 from greens_coulomb.cavity import cavity_g_general
+from greens_coulomb.cli import main
 from greens_coulomb.core import (
     PERFECT_CONDUCTOR,
     DomainError,
     HalfSpace,
     Point3,
+    SolverError,
     SourceOnInterfaceError,
     ThreeLayerCavity,
     UnsupportedGeometryError,
@@ -107,17 +110,24 @@ class TestCavityOracle:
 
 
 def assembled(monkeypatch, geom, src, grid):
-    """The (matrix, right side) pair that solve_scattering_g1 hands to spsolve."""
+    """The (matrix, right side) pair that solve_scattering_g1 hands to cg, the
+    iterations cg took, and the solution."""
     captured = []
-    spsolve = poisson_fd.spla.spsolve
+    cg = poisson_fd.spla.cg
 
-    def spy(M, rhs):
-        captured.append((M, rhs))
-        return spsolve(M, rhs)
-    monkeypatch.setattr(poisson_fd.spla, "spsolve", spy)
-    poisson_fd.solve_scattering_g1(geom, src, grid)
-    (M, rhs), = captured
-    return M.tocsr(), rhs
+    def spy(A, b, callback, **kwargs):
+        taken = []
+
+        def count(xk):
+            taken.append(xk)
+            callback(xk)
+        out = cg(A, b, callback=count, **kwargs)
+        captured.append((A, b, len(taken)))
+        return out
+    monkeypatch.setattr(poisson_fd.spla, "cg", spy)
+    sol = poisson_fd.solve_scattering_g1(geom, src, grid)
+    (M, rhs, iterations), = captured
+    return M.tocsr(), rhs, iterations, sol
 
 
 class TestOperator:
@@ -127,7 +137,7 @@ class TestOperator:
          aligned_grid(64, 0.2, (-0.5, 0.5), 3.0, 8.0)),
     ], ids=["half_space", "gap"])
     def test_symmetric_five_point_conservative(self, monkeypatch, geom, src, grid):
-        M, _ = assembled(monkeypatch, geom, src, grid)
+        M, *_ = assembled(monkeypatch, geom, src, grid)
         n_rho, n_z = grid.n_rho, grid.n_z
         assert (M != M.T).nnz == 0
         assert np.diff(M.indptr).max() <= 5
@@ -146,6 +156,45 @@ class TestOperator:
         outer[-1, :] = outer[:, 0] = outer[:, -1] = True
         assert np.all(np.abs(row_sum[~outer]) <= 1e-14 * diag[~outer])
         assert np.all(row_sum[outer] > 0.0)
+
+
+D_TINY = 1e-9
+
+
+class TestSolve:
+    @pytest.mark.parametrize("geom,src,grid", [
+        (HS, Point3(0, 0, H), small_grid()),
+        (ThreeLayerCavity(4.0, 1.0, 8.0, 1.0), Point3(0, 0, 0.2),
+         aligned_grid(64, 0.2, (-0.5, 0.5), 3.0, 8.0)),
+        (HalfSpace(1.0, 1e6), Point3(0, 0, H), small_grid(128)),
+        (HalfSpace(1e6, 1.0), Point3(0, 0, H), small_grid(128)),
+        (ThreeLayerCavity(1.0, 1e4, 1.0, D_TINY), Point3(0, 0, 0),
+         aligned_grid(64, 0.0, (-D_TINY / 2, D_TINY / 2), 3 * D_TINY, 8 * D_TINY)),
+        (HS, Point3(0, 0, H), GridSpec(64, 512, 40.0, -20.0, 20.5)),
+        (HS, Point3(0, 0, H), GridSpec(300, 40, 40.0, -4.0, 6.0)),
+    ], ids=["half_space", "gap", "eps_1_1e6", "eps_1e6_1", "gap_1e-9",
+            "tall_64x512", "wide_300x40"])
+    def test_matches_direct_solve_in_few_iterations(self, monkeypatch, geom, src, grid):
+        M, rhs, iterations, sol = assembled(monkeypatch, geom, src, grid)
+        direct = spsolve(M, rhs)
+        err = np.max(np.abs(sol.g1.ravel() - direct)) / np.max(np.abs(direct))
+        assert err <= 1e-11
+        assert iterations <= 30
+
+    def test_unconverged_solve_raises_and_validate_exits_3(self, monkeypatch, capsys):
+        def stalled(A, b, callback, **kwargs):
+            for _ in range(3):
+                callback(b)
+            return np.zeros_like(b), 100
+        monkeypatch.setattr(poisson_fd.spla, "cg", stalled)
+        with pytest.raises(SolverError, match=r"after 3 iterations at relative "
+                                              r"residual 1\.000e\+00"):
+            solve_scattering_g1(HS, Point3(0, 0, H), small_grid())
+        # validate solves its grids once per process; drop what it holds
+        validate._half_space_fd.cache_clear()
+        validate._cavity_fd.cache_clear()
+        assert main(["validate", "oracle"]) == 3
+        assert "non-convergence" in capsys.readouterr().err
 
 
 def test_shares_no_code_with_the_routes_it_checks():
