@@ -16,12 +16,7 @@ from .born import (
     born_scattering_g1,
     charge_body_energy,
 )
-from .cavity import (
-    CavityCoeffs,
-    cavity_g_general,
-    cavity_scattering_g1,
-    reflection_coeffs,
-)
+from .cavity import cavity_g_general, cavity_scattering_g1
 from .core import (
     DEFAULT_QUADRATURE,
     PERFECT_CONDUCTOR,

@@ -26,7 +26,7 @@ evaluated one refinement level at a time: a level is a set of corner
 arrays, all its cells are split at once, and the integrand sees whole
 blocks of cells per call. Accepted cells are summed in the FIFO order of a
 cell-by-cell loop, so results are bit-reproducible; a cell still outside its
-budget at the depth cap _MAX_DEPTH is a ConvergenceError.
+budget at the depth cap _MAX_DEPTH, or past _MAX_CELLS, is a ConvergenceError.
 """
 
 from __future__ import annotations
@@ -66,9 +66,12 @@ _GL_X, _GL_W = leggauss(_GL_ORDER)
 # 1,040 per second), and with 4 an octree of 2,000-8,000 cells ran 1.6x slower.
 _CHUNK_PARENTS = 1
 _CHUNK_CELLS = 8 * _CHUNK_PARENTS
-# Refinement levels of the octree; a cell still above its budget at this
-# depth is a ConvergenceError.
+# Refinement levels and cells (about 3 s) of one octree; a cell still above
+# its budget at this depth, or a level past the cells, is a ConvergenceError.
+# The deepest octree of the tests takes 17,609 cells; at rel_tol 1e-15 one
+# asked for millions before the depth cap.
 _MAX_DEPTH = 12
+_MAX_CELLS = 1 << 18
 # The largest box coordinate a Box admits: beyond it |r - x|^3 |r' - x|^3
 # overflows float64 in metres for points at the same scale. The octree and
 # the closed forms divide their coordinates by a power of two first.
@@ -286,7 +289,8 @@ def _adaptive_boxes(integrand, boxes, rel_tol: float, scale_hint: float):
     max-norm; accepted parents are added to the total in queue (FIFO) order,
     so results are bit-reproducible. The error sums each accepted parent's
     |fine - coarse| and its roundoff _ROUNDOFF |fine|. A parent still
-    failing at depth _MAX_DEPTH raises ConvergenceError.
+    failing at depth _MAX_DEPTH, or a level past _MAX_CELLS, raises
+    ConvergenceError.
     """
     lo = np.array([(b.x0, b.y0, b.z0) for b in boxes], dtype=float)
     hi = np.array([(b.x1, b.y1, b.z1) for b in boxes], dtype=float)
@@ -294,7 +298,13 @@ def _adaptive_boxes(integrand, boxes, rel_tol: float, scale_hint: float):
     total = [0.0] * (coarse.size // lo.shape[0])
     err = 0.0
     depth = 0
+    cells = lo.shape[0]
     while lo.shape[0]:
+        cells += 8 * lo.shape[0]
+        if cells > _MAX_CELLS:
+            raise ConvergenceError(
+                f"Born octree: the {8 * lo.shape[0]} cells of depth {depth + 1} would take "
+                f"it past its budget of {_MAX_CELLS} cells (rel_tol {rel_tol!r})")
         kid_lo, kid_hi = _children(lo, hi)
         kid_vals = _cell_integrals(integrand, kid_lo, kid_hi)
         per_parent = kid_vals.reshape(-1, 8, len(total))
@@ -672,7 +682,8 @@ def _scattering(body: DiluteBody, r1: Point3, r2: Point3, spec: QuadratureSpec,
         for k, c in enumerate(val if gradient else (val,)):
             total[k] += eta * (factor * c)
         err += eta * e
-    pref = -1.0 / (EPSILON_0 * (4.0 * math.pi * body.background_eps) ** 2)
+    screen = 4.0 * math.pi * body.background_eps  # its square overflows to inf, g1 to 0
+    pref = -1.0 / (EPSILON_0 * (screen * screen))
     if gradient:
         return pref * total[0], pref * total[1], pref * total[2]
     return ValueWithError(pref * total[0], abs(pref) * err)

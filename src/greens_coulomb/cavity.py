@@ -6,8 +6,8 @@ derived its walls' reflection coefficients r1 and r3 once. `gap_many` is
 the one dispatch for g, g1 at coincident points and their gradients, by
 this rule:
 
-* both walls conducting (r1 = r3 = 1, `CavityCoeffs.conducting`: each a
-  perfect conductor, or of a permittivity whose coefficient rounds to 1):
+* both walls conducting (r1 = r3 = 1, `_conducting`: each a perfect
+  conductor, or of a permittivity whose coefficient rounds to 1):
   the K0 mode sum for rho >= MODAL_RHO_MIN d and the digamma form at
   coincident points, their gradients term by term and by the trigamma;
   they keep full relative accuracy where the quadrature reaches its
@@ -34,7 +34,7 @@ energies closer than MODAL_RHO_MIN d, load no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -46,13 +46,9 @@ from .core import (
     ConvergenceError,
     DomainError,
     OutOfRegionError,
-    Permittivity,
     QuadratureSpec,
     ValueWithError,
-    finite_eps,
-    interface_reflection,
     until_error,
-    validate_eps,
 )
 from .quadrature import hankel_integral
 
@@ -92,32 +88,9 @@ _EM_BERNOULLI = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.
 _EM_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
 
 
-@dataclass(frozen=True)
-class CavityCoeffs:
-    """Reflection coefficients of the two interfaces bounding the gap."""
-
-    r1: float
-    r3: float
-
-    def __post_init__(self):
-        for name, v in (("r1", self.r1), ("r3", self.r3)):
-            if not (isinstance(v, (int, float)) and abs(v) <= 1.0):
-                raise DomainError(f"{name} must lie in [-1, 1], got {v!r}")
-
-    @property
-    def conducting(self) -> bool:
-        """r1 = r3 = 1: each wall a conductor, or of eps that rounds r to 1."""
-        return self.r1 == self.r3 == 1.0
-
-
-def reflection_coeffs(eps1: Permittivity, eps2: float,
-                      eps3: Permittivity) -> CavityCoeffs:
-    """The coefficients interface_reflection(eps_i, eps2) of the wall below
-    (eps1) and the wall above (eps3): exactly 1 for a perfect conductor."""
-    finite_eps(eps2, "eps2")
-    validate_eps(eps1, "eps1")
-    validate_eps(eps3, "eps3")
-    return CavityCoeffs(interface_reflection(eps1, eps2), interface_reflection(eps3, eps2))
+def _conducting(cav: ThreeLayerCavity) -> bool:
+    """r1 = r3 = 1: each wall a conductor, or of eps that rounds r to 1."""
+    return cav.r1 == cav.r3 == 1.0
 
 
 def _check_gap(z: float, d: float, name: str) -> None:
@@ -175,18 +148,18 @@ class _Pair(NamedTuple):
         (of 1,152 seeded gradients, eps2 from 1 to 1e8, 21 raised
         ConvergenceError with it, 2 without). L is the separation r, no
         less than d/20, or at coincident points the nearer image distance
-        min(a1, a3).
+        min(a1, a3). A gradient's is divided by L in stages (L^2 underflows
+        first); where it leaves float64 itself, DomainError.
         """
         length = max(self.r, 0.05 * self.d) if self.r > 0.0 else min(self.a1, self.a3)
-        if spec.abs_tol > 0.0:
-            return spec.abs_tol / length ** (power - 1) / self.pref
         if power == 1:
-            return 1e-12 / length
-        try:
-            return 1e-12 / (_FOUR_PI * length ** 2) / self.pref
-        except OverflowError:
-            # L^2 beyond float64: the floor, divided by L twice, is subnormal or 0
-            return 1e-12 / _FOUR_PI / length / length / self.pref
+            return spec.abs_tol / self.pref if spec.abs_tol > 0.0 else 1e-12 / length
+        floor = (spec.abs_tol if spec.abs_tol > 0.0 else 1e-12 / _FOUR_PI / length) / length
+        floor /= self.pref
+        if not math.isfinite(floor):
+            raise DomainError(f"the absolute target of the gap's gradient, over the length "
+                              f"L = {length!r} (d = {self.d!r}), leaves float64")
+        return floor
 
 
 def _pair(cav: ThreeLayerCavity, z: float, z0: float, rho: float) -> _Pair:
@@ -196,14 +169,14 @@ def _pair(cav: ThreeLayerCavity, z: float, z0: float, rho: float) -> _Pair:
     if rho < 0.0:
         raise DomainError(f"rho must be >= 0, got {rho!r}")
     upper, lower = max(z, z0), min(z, z0)
-    return _Pair(1.0 / (_FOUR_PI * cav.eps2), cav.coeffs.r1, cav.coeffs.r3, rho, cav.d,
+    return _Pair(1.0 / (_FOUR_PI * cav.eps2), cav.r1, cav.r3, rho, cav.d,
                  upper - lower, cav.d + 2.0 * lower, cav.d - 2.0 * upper,
                  math.hypot(rho, upper - lower))
 
 
 def _refuse_divergent(cav: ThreeLayerCavity) -> None:
     """g and g1 diverge where both walls reflect with r = -1: a DomainError."""
-    if cav.coeffs.r1 == cav.coeffs.r3 == -1.0:
+    if cav.r1 == cav.r3 == -1.0:
         raise DomainError(
             f"g of the gap diverges: both walls, of eps1 = {cav.eps1!r} and "
             f"eps3 = {cav.eps3!r}, reflect with r = -1 in float64 against eps2 = {cav.eps2!r}")
@@ -219,7 +192,7 @@ def gap_many(cav: ThreeLayerCavity, points: Iterable[Tuple[float, float, float]]
     points moving. The values of points off the closed forms are summed as
     one batch (cavity_g_images_many); each point's error is raised when the
     iteration reaches it."""
-    conducting, points = cav.coeffs.conducting, list(points)
+    conducting, points = _conducting(cav), list(points)
     closed = [conducting and (rho >= MODAL_RHO_MIN * cav.d or (rho == 0.0 and z == z0))
               for z, z0, rho in points]
     series = None if gradient else cavity_g_images_many(
@@ -438,7 +411,7 @@ def cavity_g_images_many(cav: ThreeLayerCavity, points: Iterable[Tuple[float, fl
 
     points = list(points)
     pairs, refused = until_error(_pair(cav, z, z0, rho) for z, z0, rho in points)
-    conducting, q = cav.coeffs.conducting, abs(cav.coeffs.r1 * cav.coeffs.r3)
+    conducting, q = _conducting(cav), abs(cav.r1 * cav.r3)
     if q >= 1.0 and not conducting:
         yield from map(hankel, points[:len(pairs)])
     else:
@@ -684,22 +657,25 @@ def conducting_gap_g1(cav: ThreeLayerCavity, z0: float) -> ValueWithError:
 
     g1 = (gamma + (psi(x) + psi(y))/2) / (4 pi eps2 d), with x = (d/2 + z0)/d
     and y = (d/2 - z0)/d = 1 - x; the midplane value is -ln 2/(2 pi eps2 d).
+    It is summed in Python floats, whose overflow is an inf and no warning.
     """
     from scipy.special import digamma
     d = cav.d
     u, w = _wall_distances(z0, d)
-    return ValueWithError((np.euler_gamma + 0.5 * (digamma(u / d) + digamma(w / d)))
+    return ValueWithError((np.euler_gamma + 0.5 * (float(digamma(u / d)) + float(digamma(w / d))))
                           / (_FOUR_PI * cav.eps2 * d))
 
 
 def conducting_gap_dg1(cav: ThreeLayerCavity, z0: float) -> ValueWithError:
     """d/dz0 of conducting_gap_g1, both points moving:
-    (psi'(x) - psi'(y)) / (8 pi eps2 d^2), with the trigamma psi'."""
+    (psi'(x) - psi'(y)) / (8 pi eps2 d^2), with the trigamma psi'; divided
+    by d in stages, in Python floats, where d^2 underflows."""
     from scipy.special import polygamma
     d = cav.d
     u, w = _wall_distances(z0, d)
-    return ValueWithError((polygamma(1, u / d) - polygamma(1, w / d))
-                          / (2.0 * _FOUR_PI * cav.eps2 * d * d))
+    diff = float(polygamma(1, u / d)) - float(polygamma(1, w / d))
+    scale = 2.0 * _FOUR_PI * cav.eps2 * d
+    return ValueWithError(diff / (scale * d) if scale * d else diff / scale / d)
 
 
 def cavity_scattering_g1(cav: ThreeLayerCavity, z0: float,

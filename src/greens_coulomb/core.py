@@ -491,15 +491,16 @@ class ThreeLayerCavity(Geometry):
 
     Charges sit in the gap: host_eps raises OutOfRegionError for |z| >= d/2.
     Building it validates d and the permittivities and derives the walls'
-    reflection coefficients, `coeffs`, once; `cavity.gap_many` alone picks
-    the route of every value and gradient, from those.
+    reflection coefficients against eps2, r1 below and r3 above, once;
+    `cavity.gap_many` alone picks the route of every value and gradient.
     """
 
     eps1: Permittivity
     eps2: float
     eps3: Permittivity
     d: float
-    coeffs: "cavity.CavityCoeffs" = field(init=False, repr=False, compare=False)
+    r1: float = field(init=False, repr=False, compare=False)
+    r3: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_eps(self.eps1, "eps1")
@@ -508,8 +509,8 @@ class ThreeLayerCavity(Geometry):
         object.__setattr__(self, "d", _require_finite(self.d, "d"))
         if not (self.d > 0.0):
             raise DomainError(f"gap width d must be > 0, got {self.d!r}")
-        object.__setattr__(self, "coeffs",
-                           cavity.reflection_coeffs(self.eps1, self.eps2, self.eps3))
+        object.__setattr__(self, "r1", interface_reflection(self.eps1, self.eps2))
+        object.__setattr__(self, "r3", interface_reflection(self.eps3, self.eps2))
 
     def host_eps(self, p: Point3) -> float:
         if not (abs(p.z) < 0.5 * self.d):

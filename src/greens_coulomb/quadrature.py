@@ -84,17 +84,19 @@ def _gl(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     """16-point Gauss-Legendre rule on every interval [lo[i], hi[i]], one call of f.
 
     Returns the integrals of f and of |f| by that rule; the second sets the
-    roundoff scale of the first.
+    roundoff scale of the first; one that overflows is a ConvergenceError.
     """
     h = 0.5 * (hi - lo)
     k = (0.5 * (lo + hi))[:, np.newaxis] + h[:, np.newaxis] * _GL_X
     vals = np.asarray(f(k.ravel()), dtype=float).reshape(k.shape)
-    q_abs = (np.abs(vals) @ _GL_W) * h
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_abs = (np.abs(vals) @ _GL_W) * h
+        q = (vals @ _GL_W) * h
     if not math.isfinite(q_abs.sum()):
         bad = int(np.argmin(np.isfinite(q_abs)))
         raise ConvergenceError(
             f"integrand not finite on [{lo[bad]:.6e}, {hi[bad]:.6e}]")
-    return (vals @ _GL_W) * h, q_abs
+    return q, q_abs
 
 
 def _panels_adaptive(f, lo: np.ndarray, hi: np.ndarray, scale: float,
@@ -161,70 +163,58 @@ def _panels_adaptive(f, lo: np.ndarray, hi: np.ndarray, scale: float,
         fine_abs = q_abs[:m] + q_abs[m:]
 
 
-def euler_limit(partial_sums: np.ndarray, depth: int) -> Tuple[float, float]:
+def euler_limit(partial_sums, depth: int) -> Tuple[float, float]:
     """Limit of an (eventually) alternating sequence of partial sums.
 
-    Repeated pairwise averaging; returns the most stable row's last entry and
-    a two-sided difference as the error estimate.
+    Repeated pairwise averaging, in Python floats; returns the most stable
+    row's last entry and a two-sided difference as the error estimate.
     """
-    t = np.asarray(partial_sums, dtype=float)
-    if t.size == 1:
-        return float(t[-1]), abs(float(t[-1]))
-    best = float(t[-1])
-    best_err = abs(t[-1] - t[-2])
-    prev_last = float(t[-1])
-    for _ in range(depth):
-        if t.size < 2:
-            break
-        t = 0.5 * (t[:-1] + t[1:])
-        last = float(t[-1])
-        move = abs(last - prev_last)
-        row = abs(last - float(t[-2])) if t.size >= 2 else move
-        err = move + row
+    t = list(map(float, partial_sums))
+    if len(t) == 1:
+        return t[-1], abs(t[-1])
+    best, best_err = t[-1], abs(t[-1] - t[-2])
+    for _ in range(min(depth, len(t) - 1)):
+        prev_last = t[-1]
+        t = [0.5 * (a + b) for a, b in zip(t, t[1:])]
+        move = abs(t[-1] - prev_last)
+        err = move + (abs(t[-1] - t[-2]) if len(t) >= 2 else move)
         if err <= best_err:
-            best_err = err
-            best = last
-        prev_last = last
+            best, best_err = t[-1], err
     return best, best_err
 
 
-def _alternating_start(p: np.ndarray, tiny: float) -> int:
+def _alternating_start(p, tiny: float) -> int:
     """Index from which the panel signs strictly alternate up to the last panel,
-    p.size if the last two do not; a panel of size <= tiny breaks the run."""
-    big = ~(np.abs(p) <= tiny)  # the scalar scan's test, so NaN compares alike
-    # alternates[j]: panels j and j + 1 are both above tiny and of opposite sign;
-    # a product that overflows to +-inf keeps its sign
-    with np.errstate(over="ignore"):
-        alternates = big[1:] & big[:-1] & (p[1:] * p[:-1] < 0.0)
-    if not (alternates.size and alternates[-1]):
-        return p.size
-    broken = np.flatnonzero(~alternates)
-    return int(broken[-1]) + 1 if broken.size else 0
+    len(p) if the last two do not; a panel of size <= tiny breaks the run."""
+    start = len(p)
+    for i in range(len(p) - 1, 0, -1):
+        if abs(p[i]) <= tiny or abs(p[i - 1]) <= tiny or not p[i] * p[i - 1] < 0.0:
+            break
+        start = i - 1
+    return start
 
 
 def _estimate_limit(panels) -> Tuple[float, float]:
-    """Value and tail-error estimate from the panel integrals seen so far."""
-    p = np.asarray(panels, dtype=float)
-    s = np.cumsum(p)
-    scale = float(np.max(np.abs(p))) if p.size else 0.0
+    """Value and tail-error estimate from the panel integrals seen so far, in
+    Python floats: 8 to 40 panels, too few to repay numpy's per-call cost."""
+    p = list(map(float, panels))
+    scale = max(map(abs, p), default=0.0)
     if scale == 0.0:
         return 0.0, 0.0
 
+    s = list(itertools.accumulate(p))
     tiny = 1e-16 * scale
     start = _alternating_start(p, tiny)
-    n_alt = p.size - start
 
-    if n_alt >= 6:
-        window = s[start:]
-        if window.size > 80:
-            window = window[-80:]
-        return euler_limit(window, min(_ACCEL_ORDER, window.size - 1))
+    if len(p) - start >= 6:
+        window = s[start:][-80:]
+        return euler_limit(window, min(_ACCEL_ORDER, len(window) - 1))
 
     # Non-alternating: direct sum with a geometric tail estimate, at the
     # ratio of the last two panels, or where that ratio grew over the one
     # before, at the next ratio the growth gives.
-    value = float(s[-1])
-    a = [abs(float(x)) for x in p[-3:]]
+    value = s[-1]
+    a = [abs(x) for x in p[-3:]]
     if a[-1] <= tiny:
         return value, 0.0
     if len(a) < 2 or not (0.0 < a[-1] < a[-2]):

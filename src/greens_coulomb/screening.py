@@ -52,11 +52,16 @@ class DrudeStatic:
             raise DomainError(f"omega_0 must be > 0, got {self.omega_0!r}")
         if not (self.beta > 0.0):
             raise DomainError(f"beta must be > 0, got {self.beta!r}")
+        if not math.isfinite(self.eps_b):
+            raise DomainError(
+                f"eps_b = 1 + (omega_p_bound / omega_0)^2 overflows float64 at omega_p_bound = "
+                f"{self.omega_p_bound!r}, omega_0 = {self.omega_0!r}")
 
     @property
     def eps_b(self) -> float:
         """Bound-electron background permittivity, >= 1."""
-        return 1.0 + (self.omega_p_bound / self.omega_0) ** 2
+        ratio = self.omega_p_bound / self.omega_0
+        return 1.0 + ratio * ratio
 
     @property
     def k_s(self) -> float:

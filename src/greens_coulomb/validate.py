@@ -355,10 +355,10 @@ _GAP_LAYERS = ((PC, 1.0, PC),        # r1 r3 = +1
                (1.0, 4.0, 1.0))      # +0.36
 
 
-def cavity_g_series(rho: float, d: float, coeffs: cavity.CavityCoeffs, eps2: float,
-                    n_max: int = 200, z: float = 0.0, z0: float = 0.0) -> ValueWithError:
-    """The gap's image series to a fixed order, between the source height z0
-    and the field height z.
+def cavity_g_series(cav: ThreeLayerCavity, rho: float, n_max: int = 200, z: float = 0.0,
+                    z0: float = 0.0) -> ValueWithError:
+    """The image series of the gap cav, from its d, eps2, r1 and r3, to a
+    fixed order, between the source height z0 and the field height z.
 
     With q = r1 r3, a = z - z0, b = z + z0 + d and D(s) = sqrt(rho^2 + s^2)
     (Barrera, Guzman & Balaguer, Am. J. Phys. 46 (1978) 1172),
@@ -376,20 +376,17 @@ def cavity_g_series(rho: float, d: float, coeffs: cavity.CavityCoeffs, eps2: flo
     roundoff of that cancelling sum, eps * (1/rho + sum |terms|), which
     exceeds the value itself beyond about 10 d.
     """
+    d, r1, r3 = cav.d, cav.r1, cav.r3
     if rho <= 0.0:
         raise DomainError(f"rho must be > 0, got {rho!r}")
-    if d <= 0.0:
-        raise DomainError(f"d must be > 0, got {d!r}")
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max!r}")
     for name, height in (("z", z), ("z0", z0)):
         if not -0.5 * d < height < 0.5 * d:
             raise OutOfRegionError(f"{name} = {height!r} outside the gap (-d/2, d/2)")
-    e2 = finite_eps(eps2, "eps2")
-    r1, r3 = coeffs.r1, coeffs.r3
     q = r1 * r3
     c = r1 + r3
-    pref = 1.0 / (4.0 * math.pi * e2)
+    pref = 1.0 / (4.0 * math.pi * cav.eps2)
 
     def image_dist(a: np.ndarray) -> np.ndarray:
         return np.sqrt((a * d) ** 2 + rho * rho)
@@ -486,8 +483,7 @@ def check_cavity_triple() -> CheckResult:
         rho = rho_over_d * d
         for eps1, eps2, eps3 in _GAP_LAYERS:
             geom = ThreeLayerCavity(eps1, eps2, eps3, d)
-            co = geom.coeffs
-            q = abs(co.r1 * co.r3)
+            q = abs(geom.r1 * geom.r3)
             n_max = 400
             heights = [(0.0, 0.0)]
             if q < 1.0:
@@ -498,7 +494,7 @@ def check_cavity_triple() -> CheckResult:
             for z, z0 in heights:
                 got = geom.g(Point3(rho, 0.0, z), Point3(0.0, 0.0, z0), spec)
                 for ref in (cavity.cavity_g_general(geom, z, z0, rho, spec),
-                            cavity_g_series(rho, d, co, eps2, n_max=n_max, z=z, z0=z0)):
+                            cavity_g_series(geom, rho, n_max=n_max, z=z, z0=z0)):
                     budget = max(got.abs_err + ref.abs_err, 1e-9 / rho)
                     worst = max(worst, abs(got.value - ref.value) / budget)
     return CheckResult("cavity_series_vs_quadrature", worst <= 1.0, worst, 0.0, 1.0,

@@ -8,16 +8,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import digamma, k0
 
-from greens_coulomb import cavity
+from greens_coulomb import cavity, core
 from greens_coulomb.cavity import (
     IMAGE_ORDER_MAX,
-    CavityCoeffs,
     cavity_g_general,
     cavity_g_images_many,
     cavity_scattering_g1,
     conducting_gap_g,
     conducting_gap_g1,
-    reflection_coeffs,
 )
 from greens_coulomb.core import (
     PERFECT_CONDUCTOR,
@@ -30,6 +28,7 @@ from greens_coulomb.core import (
     Point3,
     QuadratureSpec,
     ThreeLayerCavity,
+    interface_reflection,
 )
 from greens_coulomb.cli import main
 from greens_coulomb.interactions import pair_energy
@@ -50,31 +49,27 @@ def images(z, z0, rho, eps1, eps2, eps3, spec=QuadratureSpec()):
 
 class TestReflectionCoeffs:
     def test_no_contrast(self):
-        co = reflection_coeffs(1.0, 1.0, 1.0)
+        co = cav(1.0, 1.0, 1.0)
         assert co.r1 == 0.0 and co.r3 == 0.0
 
     def test_conductor_limit(self):
-        co = reflection_coeffs(PC, 1.0, PC)
+        co = cav(PC, 1.0, PC)
         assert co.r1 == 1.0 and co.r3 == 1.0
 
     def test_direct_substitution(self):
-        assert reflection_coeffs(3.0, 1.0, 1.0).r1 == 0.5
-
-    def test_range_validation(self):
-        with pytest.raises(DomainError):
-            CavityCoeffs(1.5, 0.0)
+        assert cav(3.0, 1.0, 1.0).r1 == 0.5
 
     @pytest.mark.parametrize("walls", [(1.0, PC, 1.0), (0.5, 1.0, 1.0), (1.0, 1.0, 0.5),
                                        (-2.0, 2.0, 1.0)])
     def test_rejects_what_is_no_gap(self, walls):
         with pytest.raises(DomainError):
-            reflection_coeffs(*walls)
+            cav(*walls)
 
 
 class TestSeries:
     def test_zero_reflections_is_free(self):
         for n_max in (1, 10, 400):
-            g = cavity_g_series(0.7, D, CavityCoeffs(0.0, 0.0), 2.0, n_max)
+            g = cavity_g_series(cav(2.0, 2.0, 2.0), 0.7, n_max)
             assert math.isclose(g.value, 1.0 / (4 * math.pi * 2.0 * 0.7),
                                 rel_tol=1e-14)
             assert g.abs_err == 0.0
@@ -82,14 +77,14 @@ class TestSeries:
     def test_single_interface_collapse(self):
         # r1 = 1, r3 = 0: one image at axial distance d
         rho = 0.8
-        g = cavity_g_series(rho, D, CavityCoeffs(1.0, 0.0), 1.0, 5)
+        g = cavity_g_series(cav(PC, 1.0, 1.0), rho, 5)
         exact = (1.0 / rho - 1.0 / math.hypot(rho, D)) / (4 * math.pi)
         assert math.isclose(g.value, exact, rel_tol=1e-14)
 
     def test_conductor_truncation_insensitive(self):
-        co = reflection_coeffs(PC, 1.0, PC)
-        g50 = cavity_g_series(D, D, co, 1.0, 50)
-        g100 = cavity_g_series(D, D, co, 1.0, 100)
+        co = cav(PC, 1.0, PC)
+        g50 = cavity_g_series(co, D, 50)
+        g100 = cavity_g_series(co, D, 100)
         assert abs(g50.value - g100.value) < 1e-10 / D
 
     @pytest.mark.parametrize("rho_over_d", [0.5, 10.0, 12.0, 20.0])
@@ -99,18 +94,18 @@ class TestSeries:
         rho = rho_over_d * D
         n = np.arange(1, 400, 2)
         modal = float(np.sum(k0(n * math.pi * rho / D))) / (math.pi * D)
-        g = cavity_g_series(rho, D, reflection_coeffs(PC, 1.0, PC), 1.0, n_max)
+        g = cavity_g_series(cav(PC, 1.0, PC), rho, n_max)
         assert abs(g.value - modal) <= g.abs_err
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
-            cavity_g_series(0.0, D, CavityCoeffs(0.5, 0.5), 1.0, 10)
+            cavity_g_series(cav(3.0, 1.0, 3.0), 0.0, 10)
         with pytest.raises(DomainError):
-            cavity_g_series(1.0, D, CavityCoeffs(0.5, 0.5), 1.0, 0)
+            cavity_g_series(cav(3.0, 1.0, 3.0), 1.0, 0)
         with pytest.raises(DomainError):  # summed off the midplane only where |r1 r3| < 1
-            cavity_g_series(1.0, D, reflection_coeffs(PC, 1.0, PC), 1.0, 10, z=0.1)
+            cavity_g_series(cav(PC, 1.0, PC), 1.0, 10, z=0.1)
         with pytest.raises(OutOfRegionError):
-            cavity_g_series(1.0, D, CavityCoeffs(0.5, 0.5), 1.0, 10, z0=0.5)
+            cavity_g_series(cav(3.0, 1.0, 3.0), 1.0, 10, z0=0.5)
 
 
 class TestQuadratureRoute:
@@ -119,19 +114,19 @@ class TestQuadratureRoute:
         assert abs(g.value - 1.0 / (8 * math.pi)) < 1e-11
 
     def test_matches_series_conductor(self):
-        co = reflection_coeffs(PC, 1.0, PC)
-        gq = cavity_g_general(cav(PC, 1.0, PC), 0.0, 0.0, D)
-        gs = cavity_g_series(D, D, co, 1.0, 50)
+        co = cav(PC, 1.0, PC)
+        gq = cavity_g_general(co, 0.0, 0.0, D)
+        gs = cavity_g_series(co, D, 50)
         assert abs(gq.value - gs.value) <= max(gq.abs_err + gs.abs_err, 1e-9 / D)
 
     def test_matches_series_grid(self):
         for rho_over_d in (0.1, 1.0, 4.0, 10.0):
             for eps1, eps3 in ((4.0, 8.0), (19.0, PC), (1.0, 80.0)):
-                co = reflection_coeffs(eps1, 1.0, eps3)
+                co = cav(eps1, 1.0, eps3)
                 q = abs(co.r1 * co.r3)
                 n_max = max(80, int(math.log(1e-13) / math.log(q)) + 1) if 0 < q < 1 else 200
-                gq = cavity_g_general(cav(eps1, 1.0, eps3), 0.0, 0.0, rho_over_d * D)
-                gs = cavity_g_series(rho_over_d * D, D, co, 1.0, n_max)
+                gq = cavity_g_general(co, 0.0, 0.0, rho_over_d * D)
+                gs = cavity_g_series(co, rho_over_d * D, n_max)
                 budget = max(gq.abs_err + gs.abs_err, 1e-9 / (rho_over_d * D))
                 assert abs(gq.value - gs.value) <= budget
 
@@ -186,8 +181,7 @@ class TestGeneralHeights:
         if eps1 is PC:
             ref = conducting_gap_g(cav(PC, 1.0, PC), z0 + dz, z0, rho)
         else:
-            ref = cavity_g_series(rho, D, reflection_coeffs(eps1, 1.0, eps3), 1.0, 400,
-                                  z=z0 + dz, z0=z0)
+            ref = cavity_g_series(cav(eps1, 1.0, eps3), rho, 400, z=z0 + dz, z0=z0)
         assert abs(got.value - ref.value) <= got.abs_err + ref.abs_err
 
     def test_out_of_gap_rejected(self):
@@ -426,10 +420,10 @@ def _check_against_the_series(points, walls, spec=QuadratureSpec()):
     """cavity_g_images_many at `points` and at each point's mirror pair (both
     orders) against _image_series: within abs_err, and abs_err within the
     target max(floor, rel_tol |g|)."""
-    coeffs = reflection_coeffs(*walls)
+    geom = cav(*walls)
     both = points + [(z0, z, rho) for z, z0, rho in points]
-    got = list(cavity_g_images_many(cav(*walls), both, spec))
-    refs = [_image_series(*p, coeffs.r1, coeffs.r3) / (4 * mp.pi * walls[1]) for p in points]
+    got = list(cavity_g_images_many(geom, both, spec))
+    refs = [_image_series(*p, geom.r1, geom.r3) / (4 * mp.pi * walls[1]) for p in points]
     for (z, z0, rho), g, ref in zip(both, got, refs + refs):
         length = max(math.hypot(rho, z - z0), 0.05 * D)
         target = max(1e-12 / (4 * math.pi * walls[1] * length), spec.rel_tol * abs(g.value))
@@ -553,10 +547,9 @@ class TestSlabBetweenLowWalls:
     @pytest.mark.parametrize("eps2", [1e3, 1e6, 1e11, 1e12, 1e13, 1e14, 1e15])
     def test_matches_the_image_series(self, eps2):
         geom = ThreeLayerCavity(1.0, eps2, 1.0, D)
-        co = reflection_coeffs(1.0, eps2, 1.0)
         for got, point in ((geom.g(*self.PAIR, self.SPEC), (0.1, -0.2, 0.3)),
                            (geom.g1(self.PAIR[0], self.SPEC), (0.1, 0.1, 0.0))):
-            ref = _slab_series(*point, co.r1, co.r3) / (4 * math.pi * eps2)
+            ref = _slab_series(*point, geom.r1, geom.r3) / (4 * math.pi * eps2)
             assert abs(mp.mpf(got.value) - ref) <= got.abs_err <= 1e-2 * abs(got.value), point
 
     def test_meets_rel_tol_near_a_wall(self):
@@ -564,15 +557,15 @@ class TestSlabBetweenLowWalls:
         # of 5 and 1: the image series stopped at 17% of |g1| while the
         # absolute floor, 1e-12/(4 pi L), left eps2 out
         z = -0.5 * D + 5.3e-9 * D
-        co = reflection_coeffs(5.0, 1.75e11, 1.0)
-        got = ThreeLayerCavity(5.0, 1.75e11, 1.0, D).g1(Point3(0.0, 0.0, z), self.SPEC)
-        ref = _slab_series(z, z, 0.0, co.r1, co.r3) / (4 * math.pi * 1.75e11)
+        geom = ThreeLayerCavity(5.0, 1.75e11, 1.0, D)
+        got = geom.g1(Point3(0.0, 0.0, z), self.SPEC)
+        ref = _slab_series(z, z, 0.0, geom.r1, geom.r3) / (4 * math.pi * 1.75e11)
         assert abs(mp.mpf(got.value) - ref) <= got.abs_err <= 1e-10 * abs(got.value)
 
     @pytest.mark.parametrize("eps2", [1e16, 1e17])
     def test_walls_of_r_minus_one_are_a_domain_error(self, eps2):
-        assert reflection_coeffs(1.0, eps2, 1.0).r1 == -1.0
         geom = ThreeLayerCavity(1.0, eps2, 1.0, D)
+        assert geom.r1 == -1.0
         with pytest.raises(DomainError, match="eps1 = 1.0 and eps3 = 1.0, reflect with r = -1"):
             geom.g(*self.PAIR, self.SPEC)
         with pytest.raises(DomainError, match="r = -1"):
@@ -592,7 +585,7 @@ class TestPastTheOrderCap:
         # between walls of 1e6 the panels' bisection reaches its depth cap,
         # where _panels_adaptive accepts a subinterval whatever its error;
         # these values lie within 0.16 of their abs_err all the same
-        co = reflection_coeffs(eps, 1.0, eps)
+        co = cav(eps, 1.0, eps)
         got = images(0.1 * D, -0.2 * D, rho * D, eps, 1.0, eps)
         ref = _slab_series(0.1 * D, -0.2 * D, rho * D, co.r1, co.r3) / (4 * math.pi)
         assert abs(mp.mpf(got.value) - ref) <= got.abs_err
@@ -602,8 +595,8 @@ class TestPastTheOrderCap:
     def test_high_eps2_against_a_conducting_wall(self, eps1, point):
         # r1 r3 = -0.9992 and -0.9962: these missed the 30-digit sum by 1.03
         # and 1.01 of their abs_err while the floor of g left eps2 out
-        co = reflection_coeffs(eps1, 1e4, PC)
-        got = next(cavity.gap_many(cav(eps1, 1e4, PC), [point]))
+        co = cav(eps1, 1e4, PC)
+        got = next(cavity.gap_many(co, [point]))
         ref = _slab_series(*point, co.r1, co.r3) / (4 * math.pi * 1e4)
         assert abs(mp.mpf(got.value) - ref) <= got.abs_err
 
@@ -623,10 +616,18 @@ class TestOneDispatch:
     SPEC = QuadratureSpec()
 
     def test_no_route_derives_the_walls_again(self, monkeypatch):
-        geoms = [cav(*walls) for walls in ((PC, 1.0, PC), (4.0, 1.0, 8.0), (1e3, 1.0, 1e3),
-                                           (PC, 1e17, 1.0))]
         calls = []
-        monkeypatch.setattr(cavity, "reflection_coeffs", lambda *args: calls.append(args))
+
+        def spy(*args):
+            calls.append(args)
+            return interface_reflection(*args)
+
+        monkeypatch.setattr(core, "interface_reflection", spy)
+        walls = ((PC, 1.0, PC), (4.0, 1.0, 8.0), (1e3, 1.0, 1e3), (PC, 1e17, 1.0))
+        geoms = [cav(*w) for w in walls]
+        # building a cavity derives each wall once, against eps2
+        assert calls == [(w[i], w[1]) for w in walls for i in (0, 2)]
+        calls.clear()
         src = Point3(0.0, 0.0, -0.2)
         for geom in geoms:
             for rho in (0.3, 1.0):
@@ -678,7 +679,7 @@ class TestConductingWalls:
         return [np.array(geom.grad_g(*pair, self.SPEC)) for geom in (self.ROUNDED, self.PC_GAP)]
 
     def test_walls_that_round_to_conductors(self):
-        assert reflection_coeffs(1e17, 1.0, 1e17).conducting
+        assert self.ROUNDED.r1 == self.ROUNDED.r3 == 1.0
         for rho in np.geomspace(1e-3, 20.0, 9) * D:
             for z, z0 in HEIGHTS[:3]:
                 pair = (Point3(rho, 0.0, z * D), Point3(0.0, 0.0, z0 * D))

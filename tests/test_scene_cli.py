@@ -921,6 +921,101 @@ def test_refusals_with_warnings_as_errors(tmp_path, argv, doc, code, says):
                                       rel=2e-5, abs=1e-60)
 
 
+def _one_charge(geometry, position):
+    return {"geometry": geometry, "charges": [{"q": 1.0, "unit": "e", "position": position}]}
+
+
+def _drude(omega_p_bound, omega_0):
+    """A screened bulk pair whose eps_b = 1 + (omega_p_bound / omega_0)^2 overflows."""
+    return {"geometry": {"type": "nonlocal_bulk", "drude": {
+                "omega_p": 1e16, "omega_p_bound": omega_p_bound, "omega_0": omega_0,
+                "beta": 1e6}},
+            "charges": [{"q": 1.0, "unit": "e", "position": [0.0, 0.0, 0.0]},
+                        {"q": 1.0, "unit": "e", "position": [1e-9, 0.0, 0.0]}]}
+
+
+# inputs that each ended in a Python traceback:
+# - a gap 1e-320 m wide, where L^2 of the gradient's floor underflowed to 0
+#   (ZeroDivisionError); the floor itself leaves float64 there;
+# - between walls that conduct, 1e-300 m apart, d^2 of the trigamma form
+#   underflowed (a numpy RuntimeWarning); the self-force overflows; and
+#   1e-320 m apart the digamma self-energy overflowed in numpy (a warning);
+# - in a dielectric gap 1e-160 m wide with abs_tol 1e-300, the Hankel rule
+#   sums of the self-force overflowed (a numpy RuntimeWarning);
+# - a screened bulk whose squared frequency ratio overflowed (OverflowError);
+# - Born bodies in a background of eps 1e200, where (4 pi eps_bg)^2 overflowed
+#   (OverflowError); as a product g1 is 0, the background screening the body;
+# - a Born pair at rel_tol 1e-15, whose octree would refine to millions of
+#   cells before its depth cap (minutes), now stopped at its cell budget
+_FLOOR_GAP = _one_charge({"type": "cavity", "eps1": 259.2553294595837, "eps2": 1e14,
+                          "eps3": 22.233046336741875, "d": 1e-320}, [-5.76e-10, 0.0, -5e-324])
+_THIN_CONDUCTING_GAP = {**_one_charge(
+    {"type": "cavity", "eps1": 1e17, "eps2": 1.8981676397908829, "eps3": "conductor",
+     "d": 1e-300}, [7.500112386477893e-301, -2.6704096434248514e-301, 6.66317549933047e-302]),
+    "options": {"abs_tol": 1.0}}
+_SUBNORMAL_CONDUCTING_GAP = _one_charge(
+    {"type": "cavity", "eps1": 1e17, "eps2": 1.0010063405019616, "eps3": "conductor",
+     "d": 1e-320}, [-3.95e-322, -1.005e-320, -1.843e-321])
+_THIN_DIELECTRIC_GAP = {**_one_charge(
+    {"type": "cavity", "eps1": 2.0, "eps2": 1.0943202983637288, "eps3": 1.012375883039627,
+     "d": 1e-160}, [1.5672149643770243e-160, 1.8982532933848963e-160, 3.0302608556644843e-161]),
+    "options": {"abs_tol": 1e-300}}
+_SCREENED_BOX = _one_charge({"type": "dilute_body", "alpha": 1e-40, "background_eps": 1e200,
+                             "regions": [{"box": [-1e-9, 1e-9, -1e-9, 1e-9, -2e-9, -1e-9],
+                                          "eta": 1e27}]}, [0.0, 0.0, -0.5e-9])
+_SCREENED_HALF_SPACE = _one_charge({"type": "dilute_body", "alpha": 1e-40,
+                                    "background_eps": 1e200, "half_space_eta": 1e27},
+                                   [0.0, 0.0, 1e-9])
+_FINE_BORN_PAIR = {"geometry": {"type": "dilute_body", "alpha": 2.298619228635375e-42,
+                                "regions": [{"box": [-1e-9, 1e-9, -1e-9, 1e-9, -2e-9, -1e-9],
+                                             "eta": 1.0105590633899968e28}]},
+                   "charges": [{"q": 1e-30, "unit": "e", "position": [0.0, 0.0, 0.0]},
+                               {"q": -2.5, "unit": "e",
+                                "position": [1.6956042353138439e-09, 1.1437791477711392e-09,
+                                             0.0]}],
+                   "options": {"rel_tol": 1e-15}}
+_NO_SELF_ENERGY = '{"U_joules": -0.0, "ratio_to_free": null, "abs_err": 0.0, "units": "si"}\n'
+_NO_SELF_FORCE = '{"F_newtons": [0.0, 0.0, 0.0], "local_field_factor": 1.0, "units": "si"}\n'
+
+
+@pytest.mark.parametrize("command,doc,code,says", [
+    ("force", _FLOOR_GAP, 2, "(DomainError): the absolute target of the gap's gradient, over "
+                             "the length L = 9.99e-321 (d = 1e-320), leaves float64"),
+    ("self-energy", _FLOOR_GAP, 2, "(DomainError): the image series of the gap at rho = 0.0, "
+                                   "z = -5e-324, z0 = -5e-324, d = 1e-320 overflows float64"),
+    ("force", _THIN_CONDUCTING_GAP, 2, "value must be finite in float64, got -inf"),
+    ("self-energy", _SUBNORMAL_CONDUCTING_GAP, 2, "value must be finite in float64, got -inf"),
+    ("force", _THIN_DIELECTRIC_GAP, 3, "integrand not finite on [0.000000e+00, 2.538407e+160]"),
+    ("pair-energy", _drude(1e300, 1.219e19), 2,
+     "eps_b = 1 + (omega_p_bound / omega_0)^2 overflows float64 at omega_p_bound = 1e+300, "
+     "omega_0 = 1.219e+19"),
+    ("self-energy", {**_drude(2.7e-21, 1e-300), "charges": _drude(1, 1)["charges"][:1]}, 2,
+     "at omega_p_bound = 2.7e-21, omega_0 = 1e-300"),
+    ("self-energy", _SCREENED_BOX, 0, _NO_SELF_ENERGY),
+    ("force", _SCREENED_BOX, 0, _NO_SELF_FORCE),
+    ("self-energy", _SCREENED_HALF_SPACE, 0, _NO_SELF_ENERGY),
+    ("force", _SCREENED_HALF_SPACE, 0, _NO_SELF_FORCE),
+    ("pair-energy", _FINE_BORN_PAIR, 3, "Born octree: the 735104 cells of depth 10 would take "
+                                        "it past its budget of 262144 cells (rel_tol 1e-15)"),
+], ids=["floor-force", "floor-self-energy", "thin-conducting-gap-force",
+        "subnormal-conducting-gap-self-energy", "thin-dielectric-gap-force", "drude-pair-energy", "drude-self-energy",
+        "screened-box-self-energy", "screened-box-force", "screened-half-space-self-energy",
+        "screened-half-space-force", "fine-born-pair"])
+def test_escapes_with_warnings_as_errors(tmp_path, command, doc, code, says):
+    # each exits with its code and no traceback; an exit-0 call prints `says`
+    src = os.path.dirname(os.path.dirname(greens_coulomb.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "greens_coulomb", command,
+         "--scene", write_scene(tmp_path, doc)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert proc.stdout == says
+    else:
+        assert proc.stdout == "" and says in proc.stderr
+
+
 def test_born_force_by_an_edge_line_with_warnings_as_errors(tmp_path, monkeypatch, capsys):
     # 1e-9 m off the line of an edge of the 2 m box and 1 mm past its end,
     # the closed-form gradient's face integrals cancel and the octree takes
