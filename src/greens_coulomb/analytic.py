@@ -70,7 +70,8 @@ def _canonical_pair(r: Point3, r_src: Point3, R: float, where: str):
     and L itself; the division is exact in binary, and no square the kernels
     form then overflows or underflows, so the aperture function is the same
     at every scale. Returns None where every |coordinate| is below
-    _FREE_BELOW R, the free-space limit.
+    _FREE_BELOW R, the free-space limit; raises DomainError where R/L
+    underflows to 0.
     """
     if not (R > 0.0):
         raise DomainError(f"{where}: R must be > 0, got {R!r}")
@@ -83,6 +84,9 @@ def _canonical_pair(r: Point3, r_src: Point3, R: float, where: str):
     if span < _FREE_BELOW * R:
         return None
     L = math.ldexp(0.5, math.frexp(max(R, span))[1])
+    if R / L == 0.0:
+        raise DomainError(f"{where}: the aperture radius R = {R!r} underflows to 0 in units of "
+                          f"the points' scale {L!r}")
     zL = -L if r.z < 0.0 else L
     return ((r.x / L, r.y / L, r.z / zL), (r_src.x / L, r_src.y / L, r_src.z / zL),
             R / L, L)

@@ -12,10 +12,10 @@ this rule:
   coincident points, their gradients term by term and by the trigamma;
   they keep full relative accuracy where the quadrature reaches its
   absolute floor;
-* every other g and g1: the image series (`cavity_g_images_many`;
-  Barrera, Guzman & Balaguer, Am. J. Phys. 46 (1978) 1172), a sweep's
-  points as one batch, with an Euler-Maclaurin tail between conducting
-  walls; past its order cap (|r1 r3| above about 0.99), and where
+* every other g and g1: the image series (`_images`; Barrera, Guzman &
+  Balaguer, Am. J. Phys. 46 (1978) 1172), a sweep's points as one batch,
+  with an Euler-Maclaurin tail between conducting walls; where the series
+  yields nothing, past its order cap (|r1 r3| above about 0.99), and where
   |r1 r3| = 1 without both walls conducting, the Bessel-integral
   quadrature of the reflected kernel, the free term 1/(4 pi eps2 r) in
   closed form (`cavity_g_general`, `cavity_scattering_g1`; Michalski &
@@ -98,21 +98,21 @@ def _check_gap(z: float, d: float, name: str) -> None:
         raise OutOfRegionError(f"{name} = {z!r} outside the gap (-d/2, d/2), d = {d!r}")
 
 
-def _checked_gradient(parts, floor: float, tried: str):
-    """`parts`, the components of a gradient from quadrature, each a ValueWithError.
+def _checked_gradient(values, errs, floor: float, tried: str):
+    """`values`, the components of a gradient from quadrature, of abs_err `errs`.
 
     Raises ConvergenceError, saying what was `tried`, when their combined
     abs_err exceeds 1% of the gradient's magnitude plus `floor`, the absolute
     target each component's quadrature was given, in g's units (a gradient
     that vanishes by symmetry is known only to that target).
     """
-    err = math.hypot(*(p.abs_err for p in parts))
-    mag = math.hypot(*(p.value for p in parts))
-    if err > 0.01 * mag + math.sqrt(len(parts)) * floor:
+    err = math.hypot(*errs)
+    mag = math.hypot(*values)
+    if err > 0.01 * mag + math.sqrt(len(values)) * floor:
         raise ConvergenceError(
             f"{tried}: gradient abs_err {err:.3e} exceeds 1% of its magnitude {mag:.3e} "
             f"plus the absolute target {floor:.3e} per component")
-    return parts
+    return values
 
 
 class _Pair(NamedTuple):
@@ -189,22 +189,28 @@ def gap_many(cav: ThreeLayerCavity, points: Iterable[Tuple[float, float, float]]
     (z, z0, rho) of `points`, g, or g1 at coincident points (rho = 0,
     z = z0), each a ValueWithError; or with gradient=True (dg/drho, dg/dz),
     z the field point's height, at coincident points (0, dg1/dz0) with both
-    points moving. The values of points off the closed forms are summed as
-    one batch (cavity_g_images_many); each point's error is raised when the
-    iteration reaches it."""
+    points moving, two floats. The values of points off the closed forms
+    are summed as one batch (_images), and take the Hankel quadrature where
+    it yields None or cannot converge (|r1 r3| = 1, walls not both
+    conducting); each point's error is raised when the iteration reaches it."""
     conducting, points = _conducting(cav), list(points)
     closed = [conducting and (rho >= MODAL_RHO_MIN * cav.d or (rho == 0.0 and z == z0))
               for z, z0, rho in points]
-    series = None if gradient else cavity_g_images_many(
-        cav, [p for p, c in zip(points, closed) if not c], spec)
+    converges = conducting or abs(cav.r1 * cav.r3) < 1.0
+    series = _images(cav, [p for p, c in zip(points, closed) if converges and not c], spec)
     for (z, z0, rho), c in zip(points, closed):
-        if not c:
-            yield cavity_grad_general(cav, z, z0, rho, spec) if gradient else next(series)
-        elif rho == 0.0:
-            yield ((ValueWithError(0.0), conducting_gap_dg1(cav, z0)) if gradient
-                   else conducting_gap_g1(cav, z0))
-        else:
+        if c and rho == 0.0:
+            yield (0.0, conducting_gap_dg1(cav, z0)) if gradient else conducting_gap_g1(cav, z0)
+        elif c:
             yield (conducting_gap_grad if gradient else conducting_gap_g)(cav, z, z0, rho)
+        elif gradient:
+            yield cavity_grad_general(cav, z, z0, rho, spec)
+        elif converges and (value := next(series)) is not None:
+            yield value
+        elif rho == 0.0 and z == z0:
+            yield cavity_scattering_g1(cav, z0, spec)
+        else:
+            yield cavity_g_general(cav, z, z0, rho, spec)
 
 
 def _gap_integral(kernel, p: _Pair, spec: QuadratureSpec, floor: float, order: int = 0,
@@ -264,7 +270,7 @@ def cavity_g_general(cav: ThreeLayerCavity, z: float, z0: float, rho: float,
 
 
 def cavity_grad_general(cav: ThreeLayerCavity, z: float, z0: float, rho: float,
-                        spec: QuadratureSpec = DEFAULT_QUADRATURE):
+                        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Tuple[float, float]:
     """(dg/drho, dg/dz) of cavity_g_general, z the field point's height; at
     coincident points (rho = 0, z = z0) (0, dg1/dz0), the reflected part's
     with both points moving: twice its dg/dz, since by reciprocity each
@@ -290,8 +296,8 @@ def cavity_grad_general(cav: ThreeLayerCavity, z: float, z0: float, rho: float,
              f"z = {z!r}, z0 = {z0!r}, d = {p.d!r}, rel_tol = {spec.rel_tol!r}")
     if r == 0.0:
         d_z = _gap_integral(reflected_dz, p, spec, 0.5 * floor)
-        _checked_gradient((d_z,), 0.5 * p.pref * floor, tried)
-        return ValueWithError(0.0), ValueWithError(2.0 * d_z.value, 2.0 * d_z.abs_err)
+        _checked_gradient((d_z.value,), (d_z.abs_err,), 0.5 * p.pref * floor, tried)
+        return 0.0, 2.0 * d_z.value
     # divided by r in stages: r * r * r underflows to 0 below r ~ 1e-108
     free_rho = p.pref * (rho / r) / r / r
     free_z = p.pref * ((z - z0) / r) / r / r
@@ -304,9 +310,8 @@ def cavity_grad_general(cav: ThreeLayerCavity, z: float, z0: float, rho: float,
 
     d_rho = _gap_integral(reflected_k, p, spec, floor, order=1)
     d_z = _gap_integral(reflected_dz, p, spec, floor)
-    return _checked_gradient(
-        (ValueWithError(-free_rho - d_rho.value, d_rho.abs_err),
-         ValueWithError(-free_z + d_z.value, d_z.abs_err)), p.pref * floor, tried)
+    return _checked_gradient((-free_rho - d_rho.value, -free_z + d_z.value),
+                             (d_rho.abs_err, d_z.abs_err), p.pref * floor, tried)
 
 
 def _free_term(p: _Pair) -> Tuple[int, float]:
@@ -371,12 +376,12 @@ def _image_order_bound(p: _Pair, q: float, target: float) -> int:
     return max(0, math.ceil(math.log(ratio) / math.log(q)) - 1) if ratio < 1.0 else 0
 
 
-def cavity_g_images_many(cav: ThreeLayerCavity, points: Iterable[Tuple[float, float, float]],
-                         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Iterator[ValueWithError]:
+def _images(cav: ThreeLayerCavity, points: Iterable[Tuple[float, float, float]],
+            spec: QuadratureSpec) -> Iterator[Optional[ValueWithError]]:
     """Gap Green's function of cav by its image series at each (z, z0, rho)
     of `points`, in order, as one batch, to spec; at coincident points
     (rho = 0, z = z0) its scattering part g1, the same series without the
-    free term.
+    free term. The walls have |r1 r3| < 1, or both conduct.
 
     With q = r1 r3 and the lengths of _Pair (Barrera, Guzman & Balaguer,
     Am. J. Phys. 46 (1978) 1172; see _image_orders for its orders),
@@ -392,9 +397,7 @@ def cavity_g_images_many(cav: ThreeLayerCavity, points: Iterable[Tuple[float, fl
     ConvergenceError, and where the sum overflows float64, DomainError.
     Between conducting walls (r1 = r3 = 1) every point sums _EM_ORDER
     orders and its tail (_conducting_block). A point whose series needs
-    more than IMAGE_ORDER_MAX orders, and every point where |r1 r3| = 1
-    other than between conducting walls, takes the Hankel route instead
-    (cavity_g_general, or cavity_scattering_g1 at coincident points).
+    more than IMAGE_ORDER_MAX orders yields None.
 
     Yields each point's value, and raises a point's error when the
     iteration reaches it, after every point before it was yielded. The
@@ -403,61 +406,52 @@ def cavity_g_images_many(cav: ThreeLayerCavity, points: Iterable[Tuple[float, fl
     point is reached. Each point keeps its own order bound, stop rule and
     abs_err, so that its value is the one it has alone.
     """
-    def hankel(point):
-        z, z0, rho = point
-        if rho == 0.0 and z == z0:
-            return cavity_scattering_g1(cav, z0, spec)
-        return cavity_g_general(cav, z, z0, rho, spec)
-
     points = list(points)
     pairs, refused = until_error(_pair(cav, z, z0, rho) for z, z0, rho in points)
     conducting, q = _conducting(cav), abs(cav.r1 * cav.r3)
-    if q >= 1.0 and not conducting:
-        yield from map(hankel, points[:len(pairs)])
+    floors = [p.floor(spec) for p in pairs]
+    if conducting:
+        orders = [_EM_ORDER - 1] * len(pairs)
     else:
-        floors = [p.floor(spec) for p in pairs]
+        # orders enough for a tail of half the floor, which leaves the
+        # other half to the roundoff
+        orders = [min(_image_order_bound(p, q, 0.5 * floor), IMAGE_ORDER_MAX)
+                  for p, floor in zip(pairs, floors)]
+    described = ("Euler-Maclaurin tail {:.3e} from order {}" if conducting
+                 else "tail {:.3e} after order {}")
+    # a block's arrays hold up to the largest order bound + 1, so many orders
+    step = max(1, _IMAGE_BLOCK // (max(orders, default=0) + 2))
+    for i in range(0, len(pairs), step):
+        block = slice(i, i + step)
         if conducting:
-            orders = [_EM_ORDER - 1] * len(pairs)
+            stats, stops = _conducting_block(pairs[block], floors[block], spec)
         else:
-            # orders enough for a tail of half the floor, which leaves the
-            # other half to the roundoff
-            orders = [min(_image_order_bound(p, q, 0.5 * floor), IMAGE_ORDER_MAX)
-                      for p, floor in zip(pairs, floors)]
-        described = ("Euler-Maclaurin tail {:.3e} from order {}" if conducting
-                     else "tail {:.3e} after order {}")
-        # a block's arrays hold up to the largest order bound + 1, so many orders
-        step = max(1, _IMAGE_BLOCK // (max(orders, default=0) + 2))
-        for i in range(0, len(pairs), step):
-            block = slice(i, i + step)
-            if conducting:
-                stats, stops = _conducting_block(pairs[block], floors[block], spec)
+            stats, stops = _image_block(pairs[block], floors[block], orders[block], q, spec)
+        for p, (z, z0, rho), (value, bound, tail, roundoff, target), n in zip(
+                pairs[block], points[block], zip(*stats.tolist()), stops):
+            if not math.isfinite(bound):
+                raise DomainError(f"the image series of the gap at rho = {rho!r}, "
+                                  f"z = {z!r}, z0 = {z0!r}, d = {cav.d!r} overflows float64")
+            if bound <= target:
+                yield ValueWithError(p.pref * value, p.pref * bound)
+            elif n == IMAGE_ORDER_MAX:
+                yield None
             else:
-                stats, stops = _image_block(pairs[block], floors[block], orders[block], q, spec)
-            for p, (z, z0, rho), (value, bound, tail, roundoff, target), n in zip(
-                    pairs[block], points[block], zip(*stats.tolist()), stops):
-                if not math.isfinite(bound):
-                    raise DomainError(f"the image series of the gap at rho = {rho!r}, "
-                                      f"z = {z!r}, z0 = {z0!r}, d = {cav.d!r} overflows float64")
-                if bound <= target:
-                    yield ValueWithError(p.pref * value, p.pref * bound)
-                elif n == IMAGE_ORDER_MAX:
-                    yield hankel((z, z0, rho))
-                else:
-                    # short of the cap the last tail is below half the floor,
-                    # so the roundoff exceeds half the target
-                    raise ConvergenceError(
-                        f"image series of the gap at rho = {rho!r}, z = {z!r}, z0 = {z0!r}, "
-                        f"d = {cav.d!r}, r1 r3 = {p.r1 * p.r3!r}: its bound {p.pref * bound:.3e} "
-                        f"({described.format(p.pref * tail, n)}, roundoff "
-                        f"{p.pref * roundoff:.3e}) exceeds the target {p.pref * target:.3e} "
-                        f"(rel_tol = {spec.rel_tol!r})")
+                # short of the cap the last tail is below half the floor,
+                # so the roundoff exceeds half the target
+                raise ConvergenceError(
+                    f"image series of the gap at rho = {rho!r}, z = {z!r}, z0 = {z0!r}, "
+                    f"d = {cav.d!r}, r1 r3 = {p.r1 * p.r3!r}: its bound {p.pref * bound:.3e} "
+                    f"({described.format(p.pref * tail, n)}, roundoff "
+                    f"{p.pref * roundoff:.3e}) exceeds the target {p.pref * target:.3e} "
+                    f"(rel_tol = {spec.rel_tol!r})")
     if refused is not None:
         raise refused
 
 
 def _image_block(pairs, floors, orders, q: float, spec: QuadratureSpec):
-    """The image series of consecutive points of cavity_g_images_many, one
-    array of points x orders, each point stopped by its own order bound.
+    """The image series of consecutive points of _images, one array of
+    points x orders, each point stopped by its own order bound.
 
     Returns the rows value, bound, tail, roundoff and target, one column
     per point, all in units of 4 pi eps2 g: the partial sum, its bound, the
@@ -482,10 +476,10 @@ def _image_block(pairs, floors, orders, q: float, spec: QuadratureSpec):
 
 
 def _conducting_block(pairs, floors, spec: QuadratureSpec):
-    """The image series of consecutive points of cavity_g_images_many
-    between conducting walls (r1 = r3 = 1), whose orders fall off only as
-    1/j^2: orders 0..M - 1 summed as _image_orders gives them, M = _EM_ORDER,
-    and the rest by the Euler-Maclaurin formula in closed form.
+    """The image series of consecutive points of _images between
+    conducting walls (r1 = r3 = 1), whose orders fall off only as 1/j^2:
+    orders 0..M - 1 summed as _image_orders gives them, M = _EM_ORDER, and
+    the rest by the Euler-Maclaurin formula in closed form.
 
     From order M on, order j is F(j) = sum_i c_i/D(2jd + s_i), with the
     shifts s = (a_free + a1, a_free + a3, a_free, -a_free) of _Pair and
@@ -571,15 +565,10 @@ def conducting_gap_grad(cav: ThreeLayerCavity, z: float, z0: float, rho: float):
     """(dg/drho, dg/dz) of conducting_gap_g, z the field point's height: the
     modes differentiated term by term, K0' = -K1 in rho and sin' = cos in z."""
     from scipy.special import k0, k1
-    n, a, pref, (s, c, m), (s0, _, m0) = _modes(cav, z, z0, rho)
-    d = cav.d
-    kn = n * (math.pi / d)
-    kv0 = kn * k0(n * a)
-    kv1 = kn * k1(n * a)
-    err_rho = _mode_tail(n, a, k1, math.pi / d) + _mode_roundoff(n, a, d, s, m, s0, m0, kv1)
-    err_z = _mode_tail(n, a, k0, math.pi / d) + _mode_roundoff(n, a, d, c, m, s0, m0, kv0)
-    return (ValueWithError(-pref * float(np.sum(s * s0 * kv1)), pref * err_rho),
-            ValueWithError(pref * float(np.sum(c * s0 * kv0)), pref * err_z))
+    n, a, pref, (s, c, _), (s0, _, _) = _modes(cav, z, z0, rho)
+    kn = n * (math.pi / cav.d)
+    return (-pref * float(np.sum(s * s0 * (kn * k1(n * a)))),
+            pref * float(np.sum(c * s0 * (kn * k0(n * a)))))
 
 
 def _modes(cav: ThreeLayerCavity, z: float, z0: float, rho: float):
@@ -621,20 +610,14 @@ def _wall_distances(z: float, d: float):
     return 0.5 * d + z, 0.5 * d - z
 
 
-def _mode_tail(n: np.ndarray, a: float, bessel, step: Optional[float] = None) -> float:
-    """Bound on the modes past N of a sum whose n-th term is at most K(n a),
-    or n step K(n a) when `step` is given.
+def _mode_tail(n: np.ndarray, a: float, bessel) -> float:
+    """Bound on the modes past N of a sum whose n-th term is at most K(n a).
 
     K(x) e^x decreases for K0 and K1, so they sum to at most
-    K((N+1) a) sum_{m>=0} e^{-m a}, or K((N+1) a) step sum_{m>=0} (N+1+m) e^{-m a}.
+    K((N+1) a) sum_{m>=0} e^{-m a}.
     """
     q = math.exp(-a)
-    n_next = n[-1] + 1.0
-    if step is None:
-        series = 1.0 / (1.0 - q)
-    else:
-        series = step * (n_next / (1.0 - q) + q / (1.0 - q) ** 2)
-    return float(bessel(n_next * a)) * series
+    return float(bessel((n[-1] + 1.0) * a)) * (1.0 / (1.0 - q))
 
 
 def _mode_roundoff(n: np.ndarray, a: float, d: float, f: np.ndarray, m: float,
@@ -657,16 +640,21 @@ def conducting_gap_g1(cav: ThreeLayerCavity, z0: float) -> ValueWithError:
 
     g1 = (gamma + (psi(x) + psi(y))/2) / (4 pi eps2 d), with x = (d/2 + z0)/d
     and y = (d/2 - z0)/d = 1 - x; the midplane value is -ln 2/(2 pi eps2 d).
-    It is summed in Python floats, whose overflow is an inf and no warning.
+    It is summed in Python floats, whose overflow is an inf and no warning,
+    and is then a DomainError.
     """
     from scipy.special import digamma
     d = cav.d
     u, w = _wall_distances(z0, d)
-    return ValueWithError((np.euler_gamma + 0.5 * (float(digamma(u / d)) + float(digamma(w / d))))
-                          / (_FOUR_PI * cav.eps2 * d))
+    g1 = ((np.euler_gamma + 0.5 * (float(digamma(u / d)) + float(digamma(w / d))))
+          / (_FOUR_PI * cav.eps2 * d))
+    if not math.isfinite(g1):
+        raise DomainError(f"the digamma self-term of the conducting gap at z0 = {z0!r}, "
+                          f"d = {d!r} overflows float64")
+    return ValueWithError(g1)
 
 
-def conducting_gap_dg1(cav: ThreeLayerCavity, z0: float) -> ValueWithError:
+def conducting_gap_dg1(cav: ThreeLayerCavity, z0: float) -> float:
     """d/dz0 of conducting_gap_g1, both points moving:
     (psi'(x) - psi'(y)) / (8 pi eps2 d^2), with the trigamma psi'; divided
     by d in stages, in Python floats, where d^2 underflows."""
@@ -675,7 +663,7 @@ def conducting_gap_dg1(cav: ThreeLayerCavity, z0: float) -> ValueWithError:
     u, w = _wall_distances(z0, d)
     diff = float(polygamma(1, u / d)) - float(polygamma(1, w / d))
     scale = 2.0 * _FOUR_PI * cav.eps2 * d
-    return ValueWithError(diff / (scale * d) if scale * d else diff / scale / d)
+    return diff / (scale * d) if scale * d else diff / scale / d
 
 
 def cavity_scattering_g1(cav: ThreeLayerCavity, z0: float,

@@ -101,7 +101,9 @@ def cmd_force(args) -> int:
 
 
 def _sweep_values(args) -> list:
-    """The --num values of a sweep in ascending order, --min and --max exactly."""
+    """The --num values of a sweep in ascending order, --min and --max
+    exactly, every inner value within them (exp(log(x)) need not round
+    back to x, so each is clamped into the bounds)."""
     if args.num < 1:
         raise SceneError("sweep needs --num >= 1")
     if args.num == 1:
@@ -115,7 +117,8 @@ def _sweep_values(args) -> list:
     else:
         step = (args.max - args.min) / (args.num - 1)
         inner = [args.min + i * step for i in range(1, args.num - 1)]
-    return sorted([args.min, *inner, args.max])
+    low, high = sorted((args.min, args.max))
+    return sorted([args.min, *(min(max(v, low), high) for v in inner), args.max])
 
 
 def cmd_sweep(args) -> int:

@@ -536,12 +536,12 @@ class ThreeLayerCavity(Geometry):
         dx, dy = r.x - r_src.x, r.y - r_src.y
         rho = math.hypot(dx, dy)
         d_rho, d_z = next(cavity.gap_many(self, [(r.z, r_src.z, rho)], spec, gradient=True))
-        radial = d_rho.value / rho if rho > 0.0 else 0.0
-        return radial * dx, radial * dy, d_z.value
+        radial = d_rho / rho if rho > 0.0 else 0.0
+        return radial * dx, radial * dy, d_z
 
     def _grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
         _, d_z = next(cavity.gap_many(self, [(r.z, r.z, 0.0)], spec, gradient=True))
-        return 0.0, 0.0, d_z.value
+        return 0.0, 0.0, d_z
 
 
 @dataclass(frozen=True)

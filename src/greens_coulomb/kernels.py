@@ -174,7 +174,8 @@ def hole_onaxis_dg1(z: float, R: float) -> float:
     x = az / R
     if x < 1.0:
         return -(z / R) * _atan_defect(x) / R / R / (4.0 * math.pi ** 2)
-    f = x / (1.0 + x * x) - math.atan(x)
+    # x/(1 + x^2) is 0 where x overflows (|z| past R by more than float64 holds)
+    f = (x / (1.0 + x * x) if x < math.inf else 0.0) - math.atan(x)
     return -math.copysign(1.0, z) * f / (4.0 * math.pi ** 2) / az / az
 
 

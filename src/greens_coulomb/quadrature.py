@@ -84,7 +84,10 @@ def _gl(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     """16-point Gauss-Legendre rule on every interval [lo[i], hi[i]], one call of f.
 
     Returns the integrals of f and of |f| by that rule; the second sets the
-    roundoff scale of the first; one that overflows is a ConvergenceError.
+    roundoff scale of the first. Where their total is not finite, a
+    ConvergenceError names its cause: the first interval with an integrand
+    value that is not finite, or else the first whose rule sum overflows,
+    or else the span of the intervals, whose finite sums overflow in total.
     """
     h = 0.5 * (hi - lo)
     k = (0.5 * (lo + hi))[:, np.newaxis] + h[:, np.newaxis] * _GL_X
@@ -92,10 +95,20 @@ def _gl(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         q_abs = (np.abs(vals) @ _GL_W) * h
         q = (vals @ _GL_W) * h
-    if not math.isfinite(q_abs.sum()):
-        bad = int(np.argmin(np.isfinite(q_abs)))
+        total = q_abs.sum()
+    if not math.isfinite(total):
+        finite_vals = np.isfinite(vals).all(axis=1)
+        if not finite_vals.all():
+            bad = int(np.argmin(finite_vals))
+            raise ConvergenceError(f"integrand not finite on [{lo[bad]:.6e}, {hi[bad]:.6e}]")
+        if not np.isfinite(q_abs).all():
+            bad = int(np.argmin(np.isfinite(q_abs)))
+            raise ConvergenceError(
+                f"the Gauss-Legendre sum overflows float64 on [{lo[bad]:.6e}, {hi[bad]:.6e}], "
+                f"though every integrand value there is finite")
         raise ConvergenceError(
-            f"integrand not finite on [{lo[bad]:.6e}, {hi[bad]:.6e}]")
+            f"the Gauss-Legendre sums of {lo.size} intervals on [{lo.min():.6e}, "
+            f"{hi.max():.6e}] are each finite, but their total overflows float64")
     return q, q_abs
 
 

@@ -12,7 +12,6 @@ from greens_coulomb import cavity, core
 from greens_coulomb.cavity import (
     IMAGE_ORDER_MAX,
     cavity_g_general,
-    cavity_g_images_many,
     cavity_scattering_g1,
     conducting_gap_g,
     conducting_gap_g1,
@@ -43,8 +42,8 @@ def cav(eps1, eps2, eps3, d=D):
 
 
 def images(z, z0, rho, eps1, eps2, eps3, spec=QuadratureSpec()):
-    """cavity_g_images_many at the one point (z, z0, rho), in a gap of width D."""
-    return next(cavity_g_images_many(cav(eps1, eps2, eps3), [(z, z0, rho)], spec))
+    """gap_many at the one point (z, z0, rho), in a gap of width D."""
+    return next(cavity.gap_many(cav(eps1, eps2, eps3), [(z, z0, rho)], spec))
 
 
 class TestReflectionCoeffs:
@@ -276,19 +275,29 @@ class TestImageRoute:
                 cav(1e6, 1.0, 1e6), 0.1, -0.2, rho)
         assert sizes == [IMAGE_ORDER_MAX + 1] * 3
 
+    def test_the_series_past_the_cap_yields_none(self, monkeypatch):
+        # the series alone takes no Hankel route: gap_many takes it instead
+        def refuse(*args, **kwargs):
+            raise AssertionError("Hankel route taken")
+        monkeypatch.setattr(cavity, "cavity_g_general", refuse)
+        monkeypatch.setattr(cavity, "cavity_scattering_g1", refuse)
+        points = [(0.1, -0.2, 0.01), (0.1, -0.2, 1.0), (0.1, 0.1, 0.0)]
+        spec = QuadratureSpec()
+        assert list(cavity._images(cav(1e6, 1.0, 1e6), points, spec)) == [None] * 3
+
     def test_overflow_is_a_domain_error(self):
         # g1 of a charge 5e-316 m below the upper wall of a 1e-300 m gap
         # exceeds float64, and no numpy warning escapes
         z = 0.5 * 1e-300 * (1.0 - 1e-15)
         with pytest.raises(DomainError, match="overflows float64"):
-            next(cavity_g_images_many(cav(4.0, 1.0, 8.0, 1e-300), [(z, z, 0.0)]))
+            next(cavity.gap_many(cav(4.0, 1.0, 8.0, 1e-300), [(z, z, 0.0)]))
 
     def test_overflow_past_the_cap_is_a_domain_error(self):
         # walls of 1e13 about a 1e-300 m gap: every term is finite, but the
         # tail bound at the cap, divided by 1 - r1 r3 = 4e-13, is not
         with pytest.raises(DomainError, match="overflows float64"):
-            next(cavity_g_images_many(cav(1e13, 1.0, 1e13, 1e-300),
-                                      [(0.1e-300, -0.2e-300, 0.3e-300)]))
+            next(cavity.gap_many(cav(1e13, 1.0, 1e13, 1e-300),
+                                 [(0.1e-300, -0.2e-300, 0.3e-300)]))
 
     def test_roundoff_past_the_target_raises(self):
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
@@ -344,9 +353,9 @@ class TestImageBatch:
            points=st.lists(image_points(), min_size=1, max_size=12))
     def test_batch_equals_one_call_per_point(self, walls, spec, points):
         eps1, eps2, eps3 = walls
-        batch = _outcomes(cavity_g_images_many(cav(eps1, eps2, eps3), points, spec))
+        batch = _outcomes(cavity.gap_many(cav(eps1, eps2, eps3), points, spec))
         alone = _outcomes(value for point in points
-                          for value in cavity_g_images_many(cav(eps1, eps2, eps3), [point], spec))
+                          for value in cavity.gap_many(cav(eps1, eps2, eps3), [point], spec))
         assert batch == alone
 
     def test_blocks_stay_under_the_bound(self, tmp_path, monkeypatch):
@@ -376,7 +385,7 @@ class TestImageBatch:
 def _image_series(z, z0, rho, r1=1.0, r3=1.0):
     """4 pi eps2 g (d = D) between walls of reflection coefficients r1 and r3,
     conducting by default, or g1 at coincident points: the series that
-    cavity_g_images_many sums, order by order, by a 40-digit mpmath.nsum."""
+    cavity._images sums, order by order, by a 40-digit mpmath.nsum."""
     with mp.workdps(40):
         z, z0, rho, d, r1, r3 = (mp.mpf(v) for v in (z, z0, rho, D, r1, r3))
         upper, lower = max(z, z0), min(z, z0)
@@ -417,12 +426,12 @@ def _gap_pairs(seed, n, rho_min, rho_max, interior=True):
 
 
 def _check_against_the_series(points, walls, spec=QuadratureSpec()):
-    """cavity_g_images_many at `points` and at each point's mirror pair (both
+    """cavity._images at `points` and at each point's mirror pair (both
     orders) against _image_series: within abs_err, and abs_err within the
     target max(floor, rel_tol |g|)."""
     geom = cav(*walls)
     both = points + [(z0, z, rho) for z, z0, rho in points]
-    got = list(cavity_g_images_many(geom, both, spec))
+    got = list(cavity._images(geom, both, spec))
     refs = [_image_series(*p, geom.r1, geom.r3) / (4 * mp.pi * walls[1]) for p in points]
     for (z, z0, rho), g, ref in zip(both, got, refs + refs):
         length = max(math.hypot(rho, z - z0), 0.05 * D)
@@ -489,11 +498,11 @@ class TestConductingImages:
         # a conducting wall r1 r3 = -1, where the series converges; between
         # two such walls r1 r3 = 1, where g diverges (TestSlabBetweenLowWalls)
         points = [(0.1, -0.2, 0.3), (0.1, 0.1, 0.0)]
-        assert list(cavity_g_images_many(cav(PC, 1e17, 1.0), points)) == [
+        assert list(cavity.gap_many(cav(PC, 1e17, 1.0), points)) == [
             cavity_g_general(cav(PC, 1e17, 1.0), 0.1, -0.2, 0.3),
             cavity_scattering_g1(cav(PC, 1e17, 1.0), 0.1)]
         with pytest.raises(DomainError, match="r = -1"):
-            next(cavity_g_images_many(cav(1.0, 1e17, 1.0), points))
+            next(cavity.gap_many(cav(1.0, 1e17, 1.0), points))
 
     def test_roundoff_past_the_target_raises(self):
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
@@ -640,14 +649,16 @@ class TestOneDispatch:
 
     # the routes each quantity takes, in order: past the cap (walls of 1000)
     # the series is summed to the cap before the value takes Hankel
-    @pytest.mark.parametrize("walls,rho,value,gradient", [
+    WALL_CLASSES = [
         ((PC, 1.0, PC), 0.5, ["mode sum"], ["mode sum"]),
         ((PC, 1.0, PC), 0.0, ["digamma"], ["trigamma"]),  # coincident points
         ((PC, 1.0, PC), 0.3, ["Euler-Maclaurin series"], ["Hankel"]),
         ((4.0, 1.0, 8.0), 1.0, ["series"], ["Hankel"]),
         ((1000.0, 1.0, 1000.0), 1.0, ["series", "Hankel"], ["Hankel"]),
         ((PC, 1e17, 1.0), 1.0, ["Hankel"], ["Hankel"]),
-    ])
+    ]
+
+    @pytest.mark.parametrize("walls,rho,value,gradient", WALL_CLASSES)
     def test_each_wall_class_takes_its_route(self, monkeypatch, walls, rho, value, gradient):
         taken = []
         for name, route in ROUTES.items():
@@ -664,6 +675,12 @@ class TestOneDispatch:
             taken.clear()
             call()
             assert taken == routes
+
+    def test_every_gradient_is_two_floats(self):
+        for walls, rho, *_ in self.WALL_CLASSES:
+            point = (0.1, 0.1, 0.0) if rho == 0.0 else (0.1, -0.2, rho)
+            (grad,) = cavity.gap_many(cav(*walls), [point], self.SPEC, gradient=True)
+            assert len(grad) == 2 and all(type(c) is float for c in grad), walls
 
 
 class TestConductingWalls:

@@ -27,11 +27,13 @@ EXPORTS = {name: getattr(greens_coulomb, name) for name in dir(greens_coulomb)
 # cavity_g_general at z = z0 = 0, of cavity_g_images_many at one point and
 # of cavity_grad_general at coincident points; and the gap's dispatchers and
 # per-call wall set-up, folded into cavity.gap_many on the cavity's own walls;
-# and the walls' second type and its builder, now the cavity's fields r1, r3
+# the walls' second type and its builder, now the cavity's fields r1, r3; and
+# the image series with its own Hankel fallback, now the private
+# cavity._images, whose fallback gap_many takes
 REMOVED = ("half_space_g", "half_space_scattering_g1", "screened_potential", "GreensValue",
            "mirror_z", "cavity_g_midpoint", "cavity_g_images", "cavity_scattering_dg1",
            "gap_g_many", "gap_grad_g", "gap_grad_g1", "_layers_pair", "CavityCoeffs",
-           "reflection_coeffs")
+           "reflection_coeffs", "cavity_g_images_many")
 
 
 def test_removed_names_stay_gone():

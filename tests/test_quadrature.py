@@ -437,3 +437,17 @@ def test_non_finite_integrand_raises():
         hankel_integral(lambda k: np.where(k > 3.0, np.nan, np.exp(-k)), 1.0)
     with pytest.raises(ConvergenceError, match="not finite"):
         hankel_integral(lambda k: np.full_like(k, np.inf), 0.0)
+
+
+def test_overflowing_rule_sums_name_their_cause():
+    # a finite integrand whose rule sum, or whose total of finite rule sums,
+    # overflows is not called non-finite; each message names the intervals
+    lo, hi = np.array([0.0, 1.0]), np.array([1.0, 3e307])
+    with pytest.raises(ConvergenceError, match=r"integrand not finite on \[0.000000e\+00, 1"):
+        quadrature._gl(lambda k: np.where(k < 1.0, np.nan, 1.0), lo, hi)
+    with pytest.raises(ConvergenceError, match=r"sum overflows float64 on \[1.000000e\+00, "
+                                               r"3.000000e\+307\], though every integrand"):
+        quadrature._gl(lambda k: np.full_like(k, 10.0), lo, hi)
+    with pytest.raises(ConvergenceError, match=r"sums of 3 intervals on \[0.000000e\+00, "
+                                               r"1.000000e\+308\] are each finite"):
+        quadrature._gl(np.ones_like, np.zeros(3), np.full(3, 1e308))

@@ -754,6 +754,20 @@ def test_sweep_fails_at_its_first_failing_point(tmp_path, capsys, options, bound
         pytest.fail("no point of the sweep fails alone")
 
 
+@pytest.mark.parametrize("bound,num,row", [
+    # exp(log(x)) need not round back to x: these rows were 9.999999999999994e-08
+    # and 0.10000000000000002 before each inner value was clamped into the bounds
+    ("1e-7", 5, "1e-07,-2.3070775507783433e-28,1.0,0.0"),
+    ("0.1", 3, "0.1,-2.2956279637230384e-28,1.0000000000000002,0.0"),
+])
+def test_equal_bound_log_sweep_stays_within_its_bounds(tmp_path, bound, num, row):
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--scene", write_scene(tmp_path, FREE_PAIR), "--param",
+                 "charges.1.position.0", "--min", bound, "--max", bound, "--num", str(num),
+                 "--log", "--out", str(out)]) == 0
+    assert out.read_text() == "param,U,ratio_to_free,abs_err\n" + (row + "\n") * num
+
+
 def born_box_charge(x):
     """One charge at (x, 0, 0) m by the nanometre box of BORN_BODIES."""
     return {"geometry": BORN_BODIES[1],
@@ -946,7 +960,10 @@ def _drude(omega_p_bound, omega_0):
 # - Born bodies in a background of eps 1e200, where (4 pi eps_bg)^2 overflowed
 #   (OverflowError); as a product g1 is 0, the background screening the body;
 # - a Born pair at rel_tol 1e-15, whose octree would refine to millions of
-#   cells before its depth cap (minutes), now stopped at its cell budget
+#   cells before its depth cap (minutes), now stopped at its cell budget;
+# - an aperture of R = 5e-324 m by charges metres away, where R in units of
+#   their scale underflowed to 0 (ZeroDivisionError), and the on-axis
+#   self-force, where |z|/R overflowed and made a NaN
 _FLOOR_GAP = _one_charge({"type": "cavity", "eps1": 259.2553294595837, "eps2": 1e14,
                           "eps3": 22.233046336741875, "d": 1e-320}, [-5.76e-10, 0.0, -5e-324])
 _THIN_CONDUCTING_GAP = {**_one_charge(
@@ -974,6 +991,14 @@ _FINE_BORN_PAIR = {"geometry": {"type": "dilute_body", "alpha": 2.29861922863537
                                 "position": [1.6956042353138439e-09, 1.1437791477711392e-09,
                                              0.0]}],
                    "options": {"rel_tol": 1e-15}}
+_TINY_APERTURE = {"type": "plate_with_hole", "R": 5e-324}
+_TINY_APERTURE_PAIR = {"geometry": _TINY_APERTURE, "charges": [
+    {"q": -2.5, "unit": "e", "position": [-1.947353288519331, -0.644079489977484,
+                                          -0.2618665874336856]},
+    {"q": 1.0, "unit": "e", "position": [3.6021245866115414, 5.486748268623485,
+                                         1.7537458292144585]}]}
+_SOLID_PLATE_SELF_FORCE = ('{"F_newtons": [0.0, 0.0, -9.01202168272795e-31], '
+                           '"local_field_factor": 1.0, "units": "si"}\n')
 _NO_SELF_ENERGY = '{"U_joules": -0.0, "ratio_to_free": null, "abs_err": 0.0, "units": "si"}\n'
 _NO_SELF_FORCE = '{"F_newtons": [0.0, 0.0, 0.0], "local_field_factor": 1.0, "units": "si"}\n'
 
@@ -983,9 +1008,12 @@ _NO_SELF_FORCE = '{"F_newtons": [0.0, 0.0, 0.0], "local_field_factor": 1.0, "uni
                              "the length L = 9.99e-321 (d = 1e-320), leaves float64"),
     ("self-energy", _FLOOR_GAP, 2, "(DomainError): the image series of the gap at rho = 0.0, "
                                    "z = -5e-324, z0 = -5e-324, d = 1e-320 overflows float64"),
-    ("force", _THIN_CONDUCTING_GAP, 2, "value must be finite in float64, got -inf"),
-    ("self-energy", _SUBNORMAL_CONDUCTING_GAP, 2, "value must be finite in float64, got -inf"),
-    ("force", _THIN_DIELECTRIC_GAP, 3, "integrand not finite on [0.000000e+00, 2.538407e+160]"),
+    ("force", _THIN_CONDUCTING_GAP, 2, "force_on_A: the force overflows float64 in its z component"),
+    ("self-energy", _SUBNORMAL_CONDUCTING_GAP, 2, "the digamma self-term of the conducting gap at "
+                                                  "z0 = -1.843e-321, d = 1e-320 overflows float64"),
+    ("force", _THIN_DIELECTRIC_GAP, 3, "the Gauss-Legendre sum overflows float64 on "
+                                       "[0.000000e+00, 2.538407e+160], though every integrand "
+                                       "value there is finite"),
     ("pair-energy", _drude(1e300, 1.219e19), 2,
      "eps_b = 1 + (omega_p_bound / omega_0)^2 overflows float64 at omega_p_bound = 1e+300, "
      "omega_0 = 1.219e+19"),
@@ -997,10 +1025,15 @@ _NO_SELF_FORCE = '{"F_newtons": [0.0, 0.0, 0.0], "local_field_factor": 1.0, "uni
     ("force", _SCREENED_HALF_SPACE, 0, _NO_SELF_FORCE),
     ("pair-energy", _FINE_BORN_PAIR, 3, "Born octree: the 735104 cells of depth 10 would take "
                                         "it past its budget of 262144 cells (rel_tol 1e-15)"),
+    ("pair-energy", _TINY_APERTURE_PAIR, 2, "plate_hole_g: the aperture radius R = 5e-324 "
+                                            "underflows to 0 in units of the points' scale 4.0"),
+    # the solid plate's self-force, which the aperture changes by far less than an ulp
+    ("force", _one_charge(_TINY_APERTURE, [0.0, 0.0, 8.0]), 0, _SOLID_PLATE_SELF_FORCE),
 ], ids=["floor-force", "floor-self-energy", "thin-conducting-gap-force",
         "subnormal-conducting-gap-self-energy", "thin-dielectric-gap-force", "drude-pair-energy", "drude-self-energy",
         "screened-box-self-energy", "screened-box-force", "screened-half-space-self-energy",
-        "screened-half-space-force", "fine-born-pair"])
+        "screened-half-space-force", "fine-born-pair", "tiny-aperture-pair-energy",
+        "tiny-aperture-self-force"])
 def test_escapes_with_warnings_as_errors(tmp_path, command, doc, code, says):
     # each exits with its code and no traceback; an exit-0 call prints `says`
     src = os.path.dirname(os.path.dirname(greens_coulomb.__file__))

@@ -9,12 +9,21 @@ to 1e30 e, and rel_tol and abs_tol options. Every scene holds two charges
 near its geometry's length scale; it is run through `greens_coulomb.cli.main`
 in process as `pair-energy`, as `self-energy` of its first charge, and as
 `force` on the pair or on the first charge alone, each call with warnings
-as errors and a 20 s alarm. A call breaks the rules where:
+as errors and a 20 s alarm. Every SWEEP_EVERY-th scene is also swept
+(`sweep`): one charge coordinate, the geometry's length, a permittivity or
+`options.rel_tol`, between bounds that are ordinary, tiny or huge, at times
+equal or reversed, at --num 1, 2, 5 or 17, at times --log; its draws come
+from a second generator, so that the scenes of a seed are the same with or
+without them. A call breaks the rules where:
 
 * its exit code is not 0, 2 or 3;
 * an exception leaves `main` (the alarm's included);
 * its stdout is not JSON, with NaN and Infinity refused;
-* an exit-0 energy record has an abs_err that is not finite.
+* an exit-0 energy record has an abs_err that is not finite;
+* an exit-0 sweep's CSV does not hold --num rows with its parameter
+  ascending, from exactly the lower bound to exactly the upper one (a
+  single row: --min), each with a finite U and abs_err and a finite or
+  empty ratio_to_free.
 
 `main` prints each broken rule with its command and scene, and returns 1
 where it found any.
@@ -141,6 +150,43 @@ def scene(rng):
     return doc
 
 
+# a sweep of every third scene keeps 1,500 scenes near half a minute
+SWEEP_EVERY = 3
+SWEEP_NUMS = (1, 2, 5, 17)
+CSV_HEADER = "param,U,ratio_to_free,abs_err"
+
+
+def sweep(rng, doc):
+    """(argv after the scene, (--min, --max, --num)) of one sweep of doc."""
+    geometry = doc["geometry"]
+    kinds = [[f"charges.{i}.position.{j}" for i in range(len(doc["charges"])) for j in range(3)],
+             [f"geometry.{k}" for k in ("d", "R") if k in geometry],
+             [f"geometry.{k}" for k in ("eps", "eps1", "eps2", "eps3", "background_eps")
+              if isinstance(geometry.get(k), float)],
+             ["options.rel_tol"] if "rel_tol" in doc.get("options", {}) else []]
+    path = rng.choice(rng.choice([kind for kind in kinds if kind]))
+    node = doc
+    for key in path.split("."):
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    # a coordinate's ordinary bounds lie within the charges' extent, as
+    # scene() draws them; another number's, about its own value
+    extent = max(abs(x) for charge in doc["charges"] for x in charge["position"])
+
+    def bound():
+        if not path.startswith("charges"):
+            return _number(rng, node)
+        u = rng.random()
+        return (rng.choice(TINY) if u < 0.1 else rng.choice(HUGE) if u < 0.15
+                else rng.uniform(-1.0, 1.0) * extent) * rng.choice((-1.0, 1.0))
+
+    lo = bound()
+    hi = lo if rng.random() < 0.2 else bound()
+    lo, hi = (max(lo, hi), min(lo, hi)) if rng.random() < 0.15 else (min(lo, hi), max(lo, hi))
+    num = rng.choice(SWEEP_NUMS)
+    argv = ["--param", path, "--min", repr(lo), "--max", repr(hi), "--num", str(num)]
+    return argv + ["--log"] * (rng.random() < 0.4), (lo, hi, num)
+
+
 def _reject(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -166,14 +212,17 @@ def run(argv):
         signal.signal(signal.SIGALRM, previous)
 
 
-def broken_rules(command, code, stdout, exc):
-    """The rules one call broke, each a line of text."""
+def broken_rules(command, code, stdout, exc, swept=None):
+    """The rules one call broke, each a line of text; `swept` is a sweep's
+    (--min, --max, --num)."""
     if exc is not None:
         return [f"{type(exc).__name__} left main: {exc}"]
     found = []
     if code not in (0, 2, 3):
         found.append(f"exit code {code}")
-    if code == 0:
+    if code == 0 and command == "sweep":
+        found += _broken_csv_rules(stdout, *swept)
+    elif code == 0:
         try:
             rec = json.loads(stdout, parse_constant=_reject)
         except ValueError as exc:
@@ -183,23 +232,54 @@ def broken_rules(command, code, stdout, exc):
     return found
 
 
+def _broken_csv_rules(stdout, lo, hi, num):
+    """The rules an exit-0 sweep's CSV broke, for the bounds lo and hi and
+    --num num."""
+    lines = stdout.splitlines()
+    if lines[:1] != [CSV_HEADER]:
+        return [f"CSV header {lines[:1]!r}"]
+    try:
+        rows = [[float(x) if x else None for x in line.split(",")] for line in lines[1:]]
+    except ValueError as exc:
+        return [f"CSV row not numbers: {exc}"]
+    if any(len(row) != 4 for row in rows):
+        return ["CSV row of other than 4 columns"]
+    found = []
+    if len(rows) != num:
+        found.append(f"{len(rows)} rows for --num {num}")
+    params = [row[0] for row in rows]
+    if params != sorted(params):
+        found.append(f"parameter column not ascending: {params!r}")
+    ends = [lo] if num == 1 else [min(lo, hi), max(lo, hi)]
+    if rows and params[:1] + params[1:][-1:] != ends:
+        found.append(f"first and last rows {params[:1] + params[1:][-1:]!r}, not {ends!r}")
+    for param, u, ratio, err in rows:
+        if u is None or err is None or not (math.isfinite(u) and math.isfinite(err)):
+            found.append(f"U {u!r} or abs_err {err!r} not finite at {param!r}")
+        if ratio is not None and not math.isfinite(ratio):
+            found.append(f"ratio_to_free {ratio!r} not finite at {param!r}")
+    return found
+
+
 def fuzz(seed, scenes):
     """The broken rules of `scenes` scenes drawn from seed, each (command, scene, rule)."""
-    rng = random.Random(seed)
+    rng, sweep_rng = random.Random(seed), random.Random(f"sweep {seed}")
     found = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scene.json")
-        for _ in range(scenes):
+        for i in range(scenes):
             doc = scene(rng)
             alone = {**doc, "charges": doc["charges"][:1]}
-            calls = [("pair-energy", doc), ("self-energy", alone),
-                     ("force", doc if rng.random() < 0.5 else alone)]
-            for command, scene_doc in calls:
+            calls = [("pair-energy", doc, [], None), ("self-energy", alone, [], None),
+                     ("force", doc if rng.random() < 0.5 else alone, [], None)]
+            if i % SWEEP_EVERY == 0:
+                calls.append(("sweep", doc, *sweep(sweep_rng, doc)))
+            for command, scene_doc, extra, swept in calls:
                 with open(path, "w") as fh:
                     json.dump(scene_doc, fh)
-                code, stdout, _, exc = run([command, "--scene", path])
-                found += [(command, scene_doc, rule)
-                          for rule in broken_rules(command, code, stdout, exc)]
+                code, stdout, _, exc = run([command, "--scene", path, *extra])
+                found += [(" ".join([command, *extra]), scene_doc, rule)
+                          for rule in broken_rules(command, code, stdout, exc, swept)]
     return found
 
 
