@@ -8,15 +8,6 @@ independent finite-difference Poisson oracle for validation.
 """
 
 from .analytic import free_space_g, plate_hole_g
-from .born import (
-    Box,
-    DensityRegion,
-    DiluteBody,
-    PolarizabilityTensor,
-    born_scattering_g1,
-    charge_body_energy,
-)
-from .cavity import cavity_g_general, cavity_scattering_g1
 from .core import (
     DEFAULT_QUADRATURE,
     PERFECT_CONDUCTOR,
@@ -53,24 +44,31 @@ from .interactions import (
     pair_energy,
     self_energy,
 )
-from .quadrature import hankel_integral
 from .scene import Scene, SceneOptions, load_scene, parse_scene
 from .screening import DrudeStatic, NonlocalBulk
 
 __version__ = "0.1.0"
 
-# The finite-difference oracle needs scipy.sparse, which takes longer to
-# import (about 0.3 s) than the rest of the package, and only `validate`
-# and the oracle's own callers use it; so its names load on first use.
-_FD_ORACLE = ("FDSolution", "GridSpec", "aligned_grid", "solve_scattering_g1")
+# The names whose modules import numpy, and for the FD oracle scipy.sparse
+# too, load their modules on first use, so that importing the package and
+# its CLI, and parsing a scene of any geometry but a Born body, loads
+# neither: the closed forms' commands then start without numpy.
+_LAZY = {
+    **dict.fromkeys(("Box", "DensityRegion", "DiluteBody", "PolarizabilityTensor",
+                     "born_scattering_g1", "charge_body_energy"), "born"),
+    **dict.fromkeys(("cavity_g_general", "cavity_scattering_g1"), "cavity"),
+    "hankel_integral": "quadrature",
+    **dict.fromkeys(("FDSolution", "GridSpec", "aligned_grid", "solve_scattering_g1"),
+                    "poisson_fd"),
+}
 
 
 def __getattr__(name):
-    if name in _FD_ORACLE:
-        from . import poisson_fd
-        return getattr(poisson_fd, name)
+    if name in _LAZY:
+        from importlib import import_module
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_FD_ORACLE))
+    return sorted(set(globals()) | set(_LAZY))

@@ -16,6 +16,7 @@ import math
 import re
 import sys
 from dataclasses import replace
+from functools import cache
 from itertools import groupby
 from typing import Iterator
 
@@ -170,6 +171,7 @@ def _accept_negative_numbers(parser: argparse.ArgumentParser) -> None:
     parser._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+@cache  # built at the first main() call rather than at import, then reused
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="greens-coulomb",

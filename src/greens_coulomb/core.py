@@ -525,14 +525,17 @@ class ThreeLayerCavity(Geometry):
 
     def _g_many(self, pairs: Sequence[Tuple[Point3, Point3]],
                 spec: QuadratureSpec) -> Iterator[ValueWithError]:
+        from . import cavity
         return cavity.gap_many(self, [(r.z, r_src.z, math.hypot(r.x - r_src.x, r.y - r_src.y))
                                       for r, r_src in pairs], spec)
 
     def _g1_many(self, points: Sequence[Point3],
                  spec: QuadratureSpec) -> Iterator[ValueWithError]:
+        from . import cavity
         return cavity.gap_many(self, [(r.z, r.z, 0.0) for r in points], spec)
 
     def _grad_g(self, r: Point3, r_src: Point3, spec: QuadratureSpec) -> Gradient:
+        from . import cavity
         dx, dy = r.x - r_src.x, r.y - r_src.y
         rho = math.hypot(dx, dy)
         d_rho, d_z = next(cavity.gap_many(self, [(r.z, r_src.z, rho)], spec, gradient=True))
@@ -540,6 +543,7 @@ class ThreeLayerCavity(Geometry):
         return radial * dx, radial * dy, d_z
 
     def _grad_g1(self, r: Point3, spec: QuadratureSpec) -> Gradient:
+        from . import cavity
         _, d_z = next(cavity.gap_many(self, [(r.z, r.z, 0.0)], spec, gradient=True))
         return 0.0, 0.0, d_z
 
@@ -602,5 +606,7 @@ class PlateWithHole(Geometry):
 _GROUNDED_BELOW = HalfSpace(1.0, PERFECT_CONDUCTOR)
 _GROUNDED_ABOVE = HalfSpace(PERFECT_CONDUCTOR, 1.0)
 
-# the geometries' physics; analytic and cavity import this module, so they come last
-from . import analytic, cavity, kernels  # noqa: E402
+# the closed forms and the aperture's kernels; analytic imports this module,
+# so they come last. The gap's routes need numpy, so `cavity` loads on a gap
+# method's first call, and building a geometry loads no numpy.
+from . import analytic, kernels  # noqa: E402

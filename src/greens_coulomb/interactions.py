@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
 
 from .core import (
     DEFAULT_QUADRATURE,
@@ -37,6 +35,9 @@ from .core import (
     distance,
     finite_eps,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FOUR_PI_EPS0 = 4.0 * math.pi * EPSILON_0
 
@@ -148,6 +149,7 @@ def force_on_A(geom: Geometry, a: Charge, b: Optional[Charge] = None,
     the rules every geometry shares (`core.Geometry`); a force that
     overflows float64 is a DomainError.
     """
+    import numpy as np  # here alone, so that the energies load no numpy
     p = a.position
     if b is None:
         pref = a.q * a.q / (2.0 * EPSILON_0)

@@ -1,4 +1,4 @@
-"""Hot numeric kernels, written in numpy.
+"""Hot numeric kernels: the array kernels in numpy, the aperture's in math.
 
 The quadrature integrands take a 1-D float64 array of wavenumbers, so the
 panel integrator evaluates a block of panels, or a whole bisection level, in
@@ -13,14 +13,18 @@ aperture kernels (`hole_greens`, its gradient and the on-axis self-terms)
 are scalar; `hole_greens` and its gradient take the
 same Cartesian points, which `analytic` divides by a power of two that
 brings them to order 1, and share their auxiliaries (`_hole_terms`).
-Callers look the kernels up on this module at call time.
+Callers look the kernels up on this module at call time. Each array kernel
+imports numpy itself, once per call on a block of nodes, so that importing
+this module, which `core` and `analytic` do, loads none.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _TWO_OVER_PI = 2.0 / math.pi
 _SQRT2 = math.sqrt(2.0)
@@ -181,12 +185,14 @@ def hole_onaxis_dg1(z: float, R: float) -> float:
 
 def _one_minus_r_exp(r: float, x: np.ndarray) -> np.ndarray:
     # 1 - r*exp(-x) evaluated without cancellation near r = 1, x = 0.
+    import numpy as np
     return (1.0 - r) - r * np.expm1(-x)
 
 
 def _reflection(k: np.ndarray, a1: float, a3: float, d: float, r1: float,
                 r3: float) -> np.ndarray:
     # N/D - 1, with N = (1 - r1 e^{-k a1})(1 - r3 e^{-k a3}) and D = 1 - r1 r3 e^{-2kd}
+    import numpy as np
     e1 = np.exp(-k * a1)
     e3 = np.exp(-k * a3)
     ed = np.exp(-2.0 * d * k)
@@ -201,6 +207,7 @@ def cavity_integrand(k: np.ndarray, a_free: float, a1: float, a3: float,
                      d: float, r1: float, r3: float) -> np.ndarray:
     """The gap's reflected pair kernel exp(-k*a_free)*(N/D - 1): the layered
     kernel exp(-k*a_free)*N/D less its free term."""
+    import numpy as np
     k = np.asarray(k, dtype=float)
     return np.exp(-k * a_free) * _reflection(k, a1, a3, d, r1, r3)
 
@@ -209,6 +216,7 @@ def cavity_scatter_integrand(k: np.ndarray, a1: float, a3: float,
                              d: float, r1: float, r3: float) -> np.ndarray:
     """N/D - 1, the factor of cavity_integrand that the gradient in rho
     multiplies by k exp(-k*a_free)."""
+    import numpy as np
     return _reflection(np.asarray(k, dtype=float), a1, a3, d, r1, r3)
 
 
@@ -222,6 +230,7 @@ def cavity_reflected_dz(k: np.ndarray, a_free: float, a1: float, a3: float,
     of r1 r3 e^{-k(a_free+a1+a3)} and r1 r3 e^{-k(a_free+2d)} at rates -sign
     and +sign.
     """
+    import numpy as np
     k = np.asarray(k, dtype=float)
     t1 = r1 * np.exp(-k * (a_free + a1))
     t3 = r3 * np.exp(-k * (a_free + a3))
@@ -238,6 +247,7 @@ def _chain_terms(points: np.ndarray, weights: np.ndarray, r: np.ndarray, rp: np.
     per component, so that every product is over contiguous memory. The sums
     over components are written out: an einsum's rounding depends on the
     memory layout of points, and the octree's results must not."""
+    import numpy as np
     s1 = r[:, np.newaxis] - points.T
     s2 = rp[:, np.newaxis] - points.T
     a2 = alpha @ s2
@@ -255,6 +265,7 @@ def alpha_chain_sum(points: np.ndarray, weights: np.ndarray,
     points: (cells * n, 3), cell by cell; weights: (cells, n); r, rp: (3,);
     alpha: (3, 3). Returns (cells,).
     """
+    import numpy as np
     _, _, quad, _, scale = _chain_terms(points, weights, r, rp, alpha)
     return np.sum((quad * scale).reshape(weights.shape), axis=-1)
 
@@ -267,6 +278,7 @@ def alpha_chain_grad_sum(points: np.ndarray, weights: np.ndarray, r: np.ndarray,
     points: (cells * n, 3), cell by cell; weights: (cells, n); alpha
     symmetric. Returns (cells, 3).
     """
+    import numpy as np
     s1, a2, quad, n1, scale = _chain_terms(points, weights, r, rp, alpha)
     terms = a2 * scale - s1 * (3.0 * quad / n1 * scale)
     return np.sum(terms.reshape(3, *weights.shape), axis=-1).T

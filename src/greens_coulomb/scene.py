@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Tuple
 
-from . import born, screening
+from . import screening
 from .core import (
     ELEMENTARY_CHARGE,
     PERFECT_CONDUCTOR,
@@ -92,6 +92,7 @@ def _parse_geometry(obj: dict) -> Geometry:
                 omega_0=_number(dr["omega_0"], "drude.omega_0"),
                 beta=_number(dr["beta"], "drude.beta")))
         if kind == "dilute_body":
+            from . import born  # numpy holds its tensor; no other geometry loads it
             _require_keys(obj, "geometry", ("type", "alpha"),
                           ("background_eps", "half_space_eta", "regions"))
             alpha = obj["alpha"]

@@ -1,15 +1,20 @@
 """Each submodule imports cleanly when it is the first of the package to load;
-importing the package and its CLI loads no scipy, nor `validate`, which a
-command other than `validate` never loads; and the CLI gives the same result
-in a fresh interpreter as in this one.
+importing the package and its CLI, and parsing any scene but a Born body's,
+loads neither numpy nor scipy, nor `validate`, which a command other than
+`validate` never loads; the closed forms' commands run where numpy cannot
+be imported; and the CLI gives the same result in a fresh interpreter as in
+this one.
 
-`core` imports `analytic` and `cavity` at its end, and both of them import
-`core`; the cycle must resolve whichever name is asked for first. One fresh
-interpreter imports each submodule in turn, dropping the whole package from
-`sys.modules` before each, so numpy and scipy load only once.
+`core` imports `analytic` and `kernels` at its end, and `analytic` imports
+`core`; the cycle must resolve whichever name is asked for first. `cavity`
+loads on a gap's first call, `born` on the parse of a Born body, and
+the package's names from `born`, `cavity`, `quadrature` and `poisson_fd` on
+first use. One fresh interpreter imports each submodule in turn, dropping
+the whole package from `sys.modules` before each, so numpy and scipy load
+only once.
 
-scipy.special and scipy.sparse are imported where they are used, and the
-tests that ran before in this interpreter have loaded them already, so a
+numpy, scipy.special and scipy.sparse are imported where they are used, and
+the tests that ran before in this interpreter have loaded them already, so a
 lazy import that only a cold process reaches is checked in fresh ones.
 """
 
@@ -60,12 +65,6 @@ print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_import_loads_no_scipy():
-    proc = fresh("-c", "import greens_coulomb, greens_coulomb.cli" + SCIPY_LOADED)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
-
-
 def pair(geometry, a=(0.3e-9, -0.2e-9, 0.3e-9), b=(-0.1e-9, 0.1e-9, 0.8e-9)):
     return {"geometry": geometry,
             "charges": [{"q": 1.0, "unit": "e", "position": list(a)},
@@ -99,9 +98,65 @@ def scene_file(tmp_path, kind, command):
     doc = SCENES[kind]
     if command == "self-energy":
         doc = {**doc, "charges": doc["charges"][:1]}
-    path = tmp_path / f"{kind}.json"
+    path = tmp_path / f"{kind}-{command}.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+NON_BORN = [kind for kind in SCENES if not kind.startswith("born_")]
+
+
+def test_import_and_parse_load_no_numpy(tmp_path):
+    # every geometry but a Born body's, whose tensor is held in numpy, parses
+    # on the standard library; the Born body's parse loads `born`
+    paths = [scene_file(tmp_path, kind, "pair-energy") for kind in NON_BORN]
+    born_path = scene_file(tmp_path, "born_box", "pair-energy")
+    proc = fresh("-c", "import sys\nimport greens_coulomb, greens_coulomb.cli\n"
+                       "from greens_coulomb.scene import load_scene\n"
+                       f"for path in {paths!r}:\n    load_scene(path)\n"
+                       "print(' '.join(m for m in sys.modules\n"
+                       "               if m.split('.')[0] in ('numpy', 'scipy')) or '-')\n"
+                       f"load_scene({born_path!r})\n"
+                       "print('greens_coulomb.born' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["-", "True"]
+
+
+CLOSED_FORMS = ["free_space", "half_space", "screened_bulk", "aperture"]
+
+
+def test_closed_forms_run_where_numpy_cannot_be_imported(tmp_path):
+    # sys.modules["numpy"] = None makes every import of numpy raise, so a
+    # closed form's path that reaches numpy stops the fresh interpreter
+    calls = [[command, "--scene", scene_file(tmp_path, kind, command)]
+             for kind in CLOSED_FORMS for command in ("pair-energy", "self-energy")]
+    calls.append(["sweep", "--scene", scene_file(tmp_path, "half_space", "pair-energy"),
+                  "--param", "charges.1.position.2", "--min", "0.2e-9", "--max", "2e-9",
+                  "--num", "7"])
+    expected = []
+    for argv in calls:
+        out = StringIO()
+        with redirect_stdout(out):
+            expected.append([main(argv), out.getvalue()])
+    proc = fresh("-c", "import contextlib, io, json, sys\nsys.modules['numpy'] = None\n"
+                       "from greens_coulomb.cli import main\nresults = []\n"
+                       f"for argv in {calls!r}:\n"
+                       "    out = io.StringIO()\n"
+                       "    with contextlib.redirect_stdout(out):\n"
+                       "        results.append([main(argv), out.getvalue()])\n"
+                       "print(json.dumps(results))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected
+    assert [code for code, _ in expected] == [0] * len(calls)
+
+
+def test_force_is_an_array():
+    # interactions loads numpy in force_on_A alone, and the force is still an ndarray
+    import numpy as np
+    from greens_coulomb import Charge, FreeSpace, Point3, force_on_A
+    force = force_on_A(FreeSpace(), Charge(1.0, Point3(0.0, 0.0, 0.0)),
+                       Charge(1.0, Point3(0.0, 0.0, 1.0))).force
+    assert isinstance(force, np.ndarray) and force.shape == (3,)
 
 
 def test_pair_energy_loads_no_scipy_where_no_route_needs_it(tmp_path):

@@ -73,11 +73,14 @@ def test_caps_are_module_constants():
     assert "max_depth" not in inspect.signature(born._adaptive_boxes).parameters
 
 
-def test_fd_oracle_is_exported_on_first_use():
-    from greens_coulomb import poisson_fd
-    lazy = ("FDSolution", "GridSpec", "aligned_grid", "solve_scattering_g1")
+def test_lazy_names_are_exported_on_first_use():
+    # the names whose modules import numpy or scipy (`born`, `cavity`,
+    # `quadrature` and the FD oracle) are each the object of its module
+    lazy = greens_coulomb._LAZY
+    assert set(lazy.values()) == {"born", "cavity", "quadrature", "poisson_fd"}
     assert {name: EXPORTS.get(name) for name in lazy} == {
-        name: getattr(poisson_fd, name) for name in lazy}
+        name: getattr(importlib.import_module("greens_coulomb." + module), name)
+        for name, module in lazy.items()}
     with pytest.raises(AttributeError):
         greens_coulomb.no_such_name
 

@@ -15,7 +15,7 @@ from scipy.constants import elementary_charge as QE, epsilon_0
 import greens_coulomb
 from greens_coulomb import born
 from greens_coulomb.born import DiluteBody, born_scattering_g1
-from greens_coulomb.cli import main
+from greens_coulomb.cli import build_parser, main
 from greens_coulomb.core import PERFECT_CONDUCTOR, SceneError
 from greens_coulomb.scene import parse_scene, swept_scenes
 
@@ -546,6 +546,27 @@ class TestSweep:
         params = [float(line.split(",")[0])
                   for line in out1.read_text().splitlines()[1:]]
         assert params == sorted(params)
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # main() builds its parser once per process: a parse error between
+        # two sweeps changes neither, and both give these bytes
+        scene = write_scene(tmp_path, FREE_PAIR)
+        args = ["sweep", "--scene", scene, "--param", "charges.1.position.2",
+                "--min", "1.0", "--max", "4.0", "--num", "3"]
+        rows = ("param,U,ratio_to_free,abs_err\n"
+                "1.0,-2.307077550778355e-28,1.0,0.0\n"
+                "2.5,-9.22831020311342e-29,0.9999999999999998,0.0\n"
+                "4.0,-5.767693876945887e-29,1.0,0.0\n")
+        assert main(args) == 0
+        assert capsys.readouterr() == (rows, "")
+        with pytest.raises(SystemExit) as exc:
+            main(args[:5] + ["--min", "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "greens-coulomb sweep: error: argument --min: invalid float value: 'x'\n")
+        assert main(args) == 0
+        assert capsys.readouterr() == (rows, "")
+        assert build_parser() is build_parser()
 
     def test_negative_scientific_notation_bounds(self, tmp_path):
         # SI-scale sweeps routinely need bounds like -5e-6
